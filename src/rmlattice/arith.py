@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# factorize trial-divides below this bound and splits larger cofactors by rho.
+_TRIAL_BOUND = 1000
 
 
 def is_prime(n: int) -> bool:
@@ -33,7 +37,13 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, {prime: exponent}."""
+    """Prime factorization, {prime: exponent}.
+
+    Trial division by 2, 3 and 6k+-1 up to _TRIAL_BOUND, testing the
+    cofactor for primality at the start and again only after a division
+    has shrunk it. A composite cofactor left after trial division has no
+    prime below the bound and is split by Pollard-Brent rho.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -41,18 +51,63 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    # n has no prime factor below f, so below f^2 it is 1 or a prime and
+    # needs no test.
+    cofactor_prime = n >= 25 and is_prime(n)
     f = 5
-    while f * f <= n:
-        if is_prime(n):
-            break
+    while not cofactor_prime and f <= _TRIAL_BOUND and f * f <= n:
         for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
+            if n % p == 0:
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+                cofactor_prime = n > p * p and is_prime(n)
         f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if cofactor_prime or 1 < n < f * f:
+        out[n] = 1
+    elif n > 1:
+        _factor_composite(n, out)
     return out
+
+
+def _factor_composite(n: int, out: dict[int, int]) -> None:
+    """Add the primes of a composite n that has no prime below _TRIAL_BOUND."""
+    d = _brent_divisor(n)
+    for m in (d, n // d):
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            _factor_composite(m, out)
+
+
+def _brent_divisor(n: int) -> int:
+    """A proper divisor of an odd composite n, by Pollard-Brent rho.
+
+    Deterministic: the map y -> y^2 + c runs with c = 1, 2, ... until a run
+    ends with a proper divisor. Products of 128 differences share one gcd.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def is_squarefree(n: int) -> bool:

@@ -132,14 +132,15 @@ def cmd_info(args) -> int:
         f"Δ={surface.order.discriminant} f={stab.conductor} "
         f"deg={deg} divisors={div_text}"
     )
-    for q in (sorted(factorize(deg)) if deg > 1 else []):
+    pf = abs(pfaffian(surface))
+    for q in sorted(factorize(pf)):
         if q == 2 or not is_prime(q):
             print(f"{q}: even or composite (unsupported)")
         else:
             kind = splitting_type(surface.order, q)
             label = "divides conductor" if kind == DIVIDES_CONDUCTOR else kind
             print(f"{q}: {label}")
-    hum = humbert_nonempty(surface.order.discriminant, abs(pfaffian(surface)))
+    hum = humbert_nonempty(surface.order.discriminant, pf)
     print(f"humbert: {'true' if hum else 'false'}")
     return EXIT_OK
 

@@ -20,8 +20,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, isqrt
 
-from .arith import is_prime, is_squarefree, legendre, sqrt_lower, sqrt_upper, sqrt_upper_frac
-from .errors import InvariantBreach, PreconditionError
+from .arith import (
+    factorize,
+    is_prime,
+    is_squarefree,
+    legendre,
+    sqrt_lower,
+    sqrt_upper,
+    sqrt_upper_frac,
+)
+from .errors import PreconditionError
 from .intmat import freeze, snf_with_transforms
 
 SPLIT = "split"
@@ -111,6 +119,17 @@ class OrderElement:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int) -> "OrderElement":
+        """self**k for k >= 0, by binary powering."""
+        result, base = self.order.one(), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
     def conjugate(self) -> "OrderElement":
         return OrderElement(self.order, self.x + self.order.trace_omega * self.y, -self.y)
 
@@ -185,36 +204,71 @@ def _norm_solutions_for_y(order: RealQuadraticOrder, y: int, target: int) -> lis
 def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     """The smallest unit > 1 of the order itself (not of the maximal order).
 
-    For the maximal order: units u > 1 with coordinate y satisfy
-    y = (u - u')/sqrt(disc) > 0, and among them y is minimized by the
-    fundamental unit, so scanning y upward and taking the smallest
-    qualifying x is complete. For conductor f > 1 the unit group is the
-    cyclic subgroup of maximal-order units landing in the order, so the
-    answer is the least power whose w1-coefficient is divisible by f.
+    For the maximal order, by the continued fraction of the reduced
+    quadratic irrational a0 = (b + sqrt(disc))/2, b the largest integer
+    below sqrt(disc) of the parity of disc (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 5.7.2). Its expansion is
+    purely periodic, and over the first period of length k the unit
+    q_{k-1}*a0 + q_{k-2}, q the convergent denominators, is the fundamental
+    unit of the order Z[a0] = Z[w]. The work is linear in the period, which
+    is O(sqrt(disc) log disc), however large the unit is.
+
+    For conductor f > 1 the unit group is the cyclic subgroup of
+    maximal-order units landing in the order, so the answer is u**n0 for
+    the least n0 >= 1 with the w1-coefficient of u**n0 divisible by f,
+    found by _unit_index on residues modulo f.
     """
     if order.conductor > 1:
-        maximal = make_order(order.D, 1)
-        u = fundamental_unit(maximal)
-        f = order.conductor
-        power = u
-        for _ in range(10**6):
-            if power.y % f == 0:
-                return order.element(power.x, power.y // f)
-            power = power * u
-        raise InvariantBreach("unit power lift did not terminate")
-    y = 0
+        power = fundamental_unit(make_order(order.D, 1)) ** _unit_index(order)
+        return order.element(power.x, power.y // order.conductor)
+    disc = order.discriminant
+    s = isqrt(disc)
+    b = s if (disc - s) % 2 == 0 else s - 1
+    p_num, q_den = b, 2  # a_i = (p_num + sqrt(disc)) / q_den
+    q_prev, q_prev2 = 0, 1  # q_{i-1}, q_{i-2}
     while True:
-        y += 1
-        if y > 10**7:  # unreachable for sane inputs; guards the loop
-            raise InvariantBreach("fundamental unit search did not terminate")
-        candidates = [
-            el
-            for target in (1, -1)
-            for el in _norm_solutions_for_y(order, y, target)
-            if embeds_above_one(el)
-        ]
-        if candidates:
-            return min(candidates, key=lambda el: el.x)
+        a = (p_num + s) // q_den
+        q_prev, q_prev2 = a * q_prev + q_prev2, q_prev
+        p_num = a * q_den - p_num
+        q_den = (disc - p_num * p_num) // q_den
+        if (p_num, q_den) == (b, 2):
+            break
+    # a0 = w + c with c = (b - trace_omega)/2, an integer: b, disc and the
+    # trace share a parity.
+    c = (b - order.trace_omega) // 2
+    return order.element(q_prev * c + q_prev2, q_prev)
+
+
+@lru_cache(maxsize=None)
+def _unit_index(order: RealQuadraticOrder) -> int:
+    """The least n0 >= 1 with u**n0 in the order, u the maximal order's unit.
+
+    The orbit of u modulo f is purely periodic because u is invertible, so
+    it returns to 1 within |(O_F/f)^*| < f^2 steps, and 1 lies in the order.
+    """
+    maximal = make_order(order.D, 1)
+    u = fundamental_unit(maximal)
+    f = order.conductor
+    return _orbit_hit(maximal, u, u, f, f * f) + 1
+
+
+def _orbit_hit(
+    maximal: RealQuadraticOrder, seed: OrderElement, unit: OrderElement, f: int, steps: int
+) -> int | None:
+    """The least k < steps with f | y(seed * unit**k), or None.
+
+    Walks the orbit on residues modulo f, so each step costs the same
+    however large seed * unit**k has grown.
+    """
+    # (x + y*w)(ux + uy*w) with w^2 = t*w - n
+    ux, uy = unit.x % f, unit.y % f
+    yx, yy = -maximal.norm_omega * uy % f, (ux + maximal.trace_omega * uy) % f
+    x, y = seed.x % f, seed.y % f
+    for k in range(steps):
+        if y == 0:
+            return k
+        x, y = (x * ux + y * yx) % f, (x * uy + y * yy) % f
+    return None
 
 
 def splitting_type(order: RealQuadraticOrder, p: int) -> str:
@@ -250,7 +304,8 @@ def _norm_search_bound(order: RealQuadraticOrder, p: int) -> int:
     if y_max > 10**6:
         raise PreconditionError(
             f"fundamental unit of Q(sqrt({order.D})) is too large for the "
-            "norm-equation search"
+            f"norm-equation search: its box has {y_max} rows, over the "
+            "limit of 10^6"
         )
     return y_max
 
@@ -276,10 +331,13 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     For the maximal order: scan |y| upward to the search bound and return
     the solution with lexicographically least (|y|, |x|, signs), the
     canonical representative. For conductor f > 1: enumerate the maximal
-    order's box solutions, then walk each one's unit orbit modulo f (the
-    orbit is purely periodic because the unit is invertible mod f) looking
-    for an associate whose w1-coefficient is divisible by f; that associate
-    lies in the suborder, and every suborder solution is caught this way.
+    order's box solutions s and walk each orbit s*u**k, u the maximal
+    order's unit, on residues modulo f to the first k with f | y, where
+    s*u**k lies in the suborder; only that hit is built exactly, by
+    powering. Every suborder solution is caught this way. The first hit has
+    k < n0, u**n0 the suborder's unit: if s*u**k lies in the order, so does
+    s*u**(k-n0). So each walk takes at most n0 steps, and the candidates
+    and their canonical minimum are those of the full orbit.
     """
     if p == 2 or not is_prime(p):
         raise PreconditionError(f"{p} is not an odd prime")
@@ -300,16 +358,13 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     f = order.conductor
     maximal = make_order(order.D, 1)
     unit = fundamental_unit(maximal)
+    n0 = _unit_index(order)
     candidates = []
     for seed in _maximal_norm_solutions(maximal, p):
-        current = seed
-        seen = set()
-        while (current.x % f, current.y % f) not in seen:
-            seen.add((current.x % f, current.y % f))
-            if current.y % f == 0:
-                candidates.append(order.element(current.x, current.y // f))
-                break
-            current = current * unit
+        k = _orbit_hit(maximal, seed, unit, f, n0)
+        if k is not None:
+            hit = seed * unit**k
+            candidates.append(order.element(hit.x, hit.y // f))
     if not candidates:
         return None
     return min(candidates, key=_canonical_key)
@@ -450,10 +505,29 @@ def bezout_conductor(
 
 
 def humbert_nonempty(disc: int, d: int) -> bool:
-    """Whether disc is a square modulo 4d (0 counts as a square)."""
+    """Whether disc is a square modulo 4d (0 counts as a square).
+
+    Decided prime by prime on the factorization of 4d, by the Chinese
+    remainder theorem: x^2 = disc has a root modulo q^e iff q^e | disc, or
+    disc = q^v * r with v < e even, q not dividing r, and r a square modulo
+    q^(e-v). For odd q that is the Legendre symbol (r/q) = 1, by Hensel
+    lifting; for q = 2 it is r = 1 modulo 2^min(3, e-v).
+    """
     if disc <= 0 or disc % 4 not in (0, 1):
         raise PreconditionError(f"invalid discriminant {disc}")
     if d < 1:
         raise PreconditionError(f"invalid degree root {d}")
-    m = 4 * d
-    return any((x * x - disc) % m == 0 for x in range(m))
+    for q, e in factorize(4 * d).items():
+        v, r = 0, disc
+        while v < e and r % q == 0:
+            v, r = v + 1, r // q
+        if v == e:
+            continue
+        if v % 2:
+            return False
+        if q == 2:
+            if r % (1 << min(3, e - v)) != 1:
+                return False
+        elif legendre(r, q) != 1:
+            return False
+    return True

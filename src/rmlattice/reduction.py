@@ -47,6 +47,7 @@ from .surface import (
     degree,
     element_action,
     kernel_from_subspace,
+    pfaffian,
     polarization_kernel_mod_p,
     stabilizer_order,
     validate,
@@ -443,7 +444,7 @@ def principalize(
         for _ in range(mult):
             current, pair, _t = enlarge_order_step(current, p)
             steps.extend(pair)
-    degree_primes = sorted(factorize(deg)) if deg > 1 else []
+    degree_primes = sorted(factorize(abs(pfaffian(surface))))
     for p in degree_primes:
         current, more, _branch = reduce_degree_step(current, p)
         steps.extend(more)

@@ -117,6 +117,25 @@ def test_cli_full_workflow(tmp_path, capsys):
     assert "Δ=5 f=1 deg=1 divisors=(1,1,1,1)" in captured.out
 
 
+@pytest.mark.parametrize("conductor", ["1", "3"])
+def test_cli_generate_in_a_big_unit_field(tmp_path, conductor):
+    # The fundamental unit of Q(sqrt 166) has y = 132015642: a valid field
+    # whose unit search once ended in an invariant breach (exit 3).
+    inst = tmp_path / "inst.json"
+    code = main([
+        "generate", "--D", "166", "--conductor", conductor, "--degree-primes", "5",
+        "--seed", "1", "-o", str(inst),
+    ])
+    assert code in (0, 2)
+    if code == 0:
+        cert = tmp_path / "cert.json"
+        assert main([
+            "principalize", str(inst), "-o", str(tmp_path / "out.json"),
+            "--cert-out", str(cert),
+        ]) == 0
+        assert main(["verify", str(inst), str(cert)]) == 0
+
+
 def test_cli_generate_rejects_inert_prime(tmp_path):
     code = main([
         "generate", "--D", "5", "--conductor", "1", "--degree-primes", "3",

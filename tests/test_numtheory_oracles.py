@@ -1,0 +1,242 @@
+"""The number theory in quadratic.py and arith.py against slow references.
+
+The scans below are the value-linear algorithms that fundamental_unit,
+solve_norm and humbert_nonempty replaced, kept verbatim apart from their
+names (and the walk calling the old unit scan) as test-only references.
+sympy is a second, independent oracle. Hypothesis runs derandomized, so
+every run checks the same cases.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy import factorint, is_quad_residue, nextprime, prevprime
+from sympy.solvers.diophantine.diophantine import diop_DN
+
+from rmlattice.arith import factorize, is_squarefree
+from rmlattice.errors import InvariantBreach
+from rmlattice.quadratic import (
+    _canonical_key,
+    _maximal_norm_solutions,
+    _norm_search_bound,
+    _norm_solutions_for_y,
+    embeds_above_one,
+    fundamental_unit,
+    humbert_nonempty,
+    make_order,
+    solve_norm,
+)
+
+ORACLE = settings(derandomize=True, deadline=None, max_examples=200)
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+# ---------------------------------------------------------------------------
+# the replaced scans
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def scan_fundamental_unit(order):
+    if order.conductor > 1:
+        maximal = make_order(order.D, 1)
+        u = scan_fundamental_unit(maximal)
+        f = order.conductor
+        power = u
+        for _ in range(10**6):
+            if power.y % f == 0:
+                return order.element(power.x, power.y // f)
+            power = power * u
+        raise InvariantBreach("unit power lift did not terminate")
+    y = 0
+    while True:
+        y += 1
+        if y > 10**7:  # unreachable for sane inputs; guards the loop
+            raise InvariantBreach("fundamental unit search did not terminate")
+        candidates = [
+            el
+            for target in (1, -1)
+            for el in _norm_solutions_for_y(order, y, target)
+            if embeds_above_one(el)
+        ]
+        if candidates:
+            return min(candidates, key=lambda el: el.x)
+
+
+def walk_solve_norm(order, p):
+    if order.conductor == 1:
+        y_max = _norm_search_bound(order, p)
+        for ay in range(1, y_max + 1):
+            solutions = [
+                el
+                for y in (ay, -ay)
+                for target in (p, -p)
+                for el in _norm_solutions_for_y(order, y, target)
+            ]
+            if solutions:
+                return min(solutions, key=_canonical_key)
+        return None
+    f = order.conductor
+    maximal = make_order(order.D, 1)
+    unit = scan_fundamental_unit(maximal)
+    candidates = []
+    for seed in _maximal_norm_solutions(maximal, p):
+        current = seed
+        seen = set()
+        while (current.x % f, current.y % f) not in seen:
+            seen.add((current.x % f, current.y % f))
+            if current.y % f == 0:
+                candidates.append(order.element(current.x, current.y // f))
+                break
+            current = current * unit
+    if not candidates:
+        return None
+    return min(candidates, key=_canonical_key)
+
+
+def scan_humbert_nonempty(disc, d):
+    m = 4 * d
+    return any((x * x - disc) % m == 0 for x in range(m))
+
+
+def pell_unit(D):
+    """(t, u) of the fundamental unit (t + u*sqrt(disc))/2, from sympy.
+
+    Units of the maximal order are the solutions of t^2 - disc*u^2 = +-4;
+    the fundamental unit is the one with the least u > 0, then least t > 0.
+    """
+    disc = D if D % 4 == 1 else 4 * D
+    sols = {
+        (abs(t), abs(u)) for n in (4, -4) for t, u in diop_DN(disc, n) if u != 0
+    }
+    return min(sols, key=lambda s: (s[1], s[0]))
+
+
+def unit_as_pell(el):
+    """(t, u) with el = (t + u*sqrt(disc))/2: u = y and t = trace(el)."""
+    return el.trace(), el.y
+
+
+SQUAREFREE = [D for D in range(2, 401) if is_squarefree(D)]
+
+
+# ---------------------------------------------------------------------------
+# fundamental units
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("D", [D for D in SQUAREFREE if D <= 100])
+def test_fundamental_unit_matches_scan(D):
+    order = make_order(D, 1)
+    assert fundamental_unit(order) == scan_fundamental_unit(order)
+
+
+def test_fundamental_unit_matches_sympy_pell():
+    for D in SQUAREFREE:
+        order = make_order(D, 1)
+        assert unit_as_pell(fundamental_unit(order)) == pell_unit(D), D
+
+
+@pytest.mark.parametrize("D", [139, 166, 211, 331])
+def test_fundamental_unit_of_large_unit_fields(D):
+    # The y-scan took 16 s for D=139 and gave up with InvariantBreach on
+    # the other three (D=166 has y = 132015642).
+    order = make_order(D, 1)
+    u = fundamental_unit(order)
+    assert abs(u.norm()) == 1 and embeds_above_one(u)
+    assert unit_as_pell(u) == pell_unit(D)
+
+
+@ORACLE
+@given(st.sampled_from([2, 3, 5, 13, 17, 33, 46, 94]), st.integers(2, 300))
+def test_suborder_unit_matches_power_scan(D, f):
+    order = make_order(D, f)
+    assert fundamental_unit(order) == scan_fundamental_unit(order)
+
+
+# ---------------------------------------------------------------------------
+# norm equations
+# ---------------------------------------------------------------------------
+
+
+@ORACLE
+@given(
+    st.sampled_from([2, 3, 5, 13, 17, 33]),
+    st.integers(1, 300),
+    st.sampled_from(ODD_PRIMES),
+)
+def test_solve_norm_matches_exact_walk(D, f, p):
+    assume(f % p)
+    order = make_order(D, f)
+    assert solve_norm(order, p) == walk_solve_norm(order, p)
+
+
+@pytest.mark.parametrize(
+    "D,f,p",
+    [
+        # orbits of 900-1815 steps: two suborders with a norm +-p element,
+        # and two without, one of them the ramified D=13, f=1925, p=13
+        (13, 441, 17), (2, 3375, 31), (3, 6655, 13), (13, 1925, 13),
+        # the canonical element is a hit on the last step before n0
+        (17, 2, 13), (33, 2, 3), (46, 3, 5), (94, 3, 5), (94, 183, 47),
+    ],
+)
+def test_solve_norm_matches_exact_walk_on_fixed_cases(D, f, p):
+    order = make_order(D, f)
+    assert solve_norm(order, p) == walk_solve_norm(order, p)
+
+
+# ---------------------------------------------------------------------------
+# Humbert congruence
+# ---------------------------------------------------------------------------
+
+
+def test_humbert_matches_scan_on_grid():
+    for disc in range(1, 200):
+        if disc % 4 in (0, 1):
+            for d in range(1, 100):
+                assert humbert_nonempty(disc, d) == scan_humbert_nonempty(disc, d), (disc, d)
+
+
+@ORACLE
+@given(st.integers(1, 10**5), st.integers(1, 3000))
+def test_humbert_matches_scan_on_random_pairs(k, d):
+    disc = 4 * k if k % 2 else 4 * k + 1  # both residues of a discriminant
+    assert humbert_nonempty(disc, d) == scan_humbert_nonempty(disc, d)
+
+
+def test_humbert_with_a_large_degree_root_returns():
+    # The scan walked range(4d): about 4*10^13 steps here.
+    q = nextprime(10**12)
+    for disc in (45, 60, 4 * 10**12 + 1):
+        expected = scan_humbert_nonempty(disc, 9) and is_quad_residue(disc, q)
+        assert humbert_nonempty(disc, 9 * q) == expected, disc
+
+
+# ---------------------------------------------------------------------------
+# factorization
+# ---------------------------------------------------------------------------
+
+
+@ORACLE
+@given(st.integers(1, 10**18))
+def test_factorize_matches_sympy(n):
+    assert factorize(n) == factorint(n)
+
+
+@settings(ORACLE, max_examples=20)
+@given(st.integers(10**8, 10**9), st.integers(10**8, 10**9))
+def test_factorize_semiprimes_near_1e18(a, b):
+    p, q = nextprime(a), prevprime(b)
+    for n in (p * q, p * p):
+        assert factorize(n) == factorint(n)
+
+
+def test_factorize_of_a_large_semiprime_returns():
+    # Trial division needed about 10^9 steps here.
+    p, q = nextprime(10**9), nextprime(2 * 10**9)
+    assert factorize(p * q) == {p: 1, q: 1}
