@@ -116,10 +116,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, in {-1, 0, 1}."""
     r = pow(a % p, (p - 1) // 2, p)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import intmat
 from .intmat import RatMat
 from .errors import PreconditionError
+from .isogeny import IsogenyStep
 from .quadratic import make_order
 from .reduction import PipelineReport
 from .surface import PolarizedRMSurface
@@ -25,41 +26,14 @@ _BIG = 2**53
 
 
 @dataclass(frozen=True)
-class StepData:
-    """One serialized certificate step; see the certificate schema."""
-
-    kind: str
-    prime: int
-    kernel_overlattice: RatMat | None
-    alpha: tuple[int, int] | None
-    degree_before: int
-    degree_after: int
-    t: int | None
-    branch: str | None
-
-
-@dataclass(frozen=True)
 class CertificateData:
     seed: int
-    steps: tuple[StepData, ...]
+    steps: tuple[IsogenyStep, ...]
     final: PolarizedRMSurface
 
 
 def report_to_certificate(report: PipelineReport) -> CertificateData:
-    steps = tuple(
-        StepData(
-            kind=s.kind,
-            prime=s.prime,
-            kernel_overlattice=s.kernel.overlattice if s.kernel is not None else None,
-            alpha=s.alpha,
-            degree_before=s.degree_before,
-            degree_after=s.degree_after,
-            t=s.t,
-            branch=s.branch,
-        )
-        for s in report.steps
-    )
-    return CertificateData(seed=report.seed, steps=steps, final=report.final)
+    return CertificateData(seed=report.seed, steps=report.steps, final=report.final)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +85,10 @@ def _decode_rational_matrix(obj) -> RatMat:
         for x in row:
             if not isinstance(x, str):
                 raise ValueError("rational entries must be strings like 'p/q'")
-            out.append(Fraction(x))
+            try:
+                out.append(Fraction(x))
+            except ZeroDivisionError:
+                raise ValueError(f"rational entry {x!r} has a zero denominator") from None
         rows.append(tuple(out))
     return tuple(rows)
 
@@ -226,7 +203,7 @@ def parse_certificate(text: str) -> CertificateData:
         kernel = None if kernel_obj is None else _decode_rational_matrix(kernel_obj)
         t_obj = s.get("t")
         steps.append(
-            StepData(
+            IsogenyStep(
                 kind=kind,
                 prime=_decode_int(s.get("prime")),
                 kernel_overlattice=kernel,

@@ -47,10 +47,6 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(a):
-    return tuple(tuple(-x for x in r) for r in a)
-
-
 def scalar_mul(c, a):
     return tuple(tuple(c * x for x in r) for r in a)
 
@@ -66,10 +62,6 @@ def mat_vec(a, v):
 
 def mat_mod(a, m: int):
     return tuple(tuple(x % m for x in r) for r in a)
-
-
-def mat_eq(a, b) -> bool:
-    return freeze(a) == freeze(b)
 
 
 def is_antisymmetric(m) -> bool:
@@ -144,14 +136,6 @@ def inverse(m) -> RatMat:
         raise ValueError("singular matrix")
     adj = adjugate(m)
     return tuple(tuple(Fraction(x) / d for x in r) for r in adj)
-
-
-def common_denominator(m) -> int:
-    out = 1
-    for r in m:
-        for x in r:
-            out = lcm(out, Fraction(x).denominator)
-    return out
 
 
 # ---------------------------------------------------------------------------

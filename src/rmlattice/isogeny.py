@@ -37,24 +37,25 @@ class IsogenyStep:
     """One replayable move in an isogeny chain, with its exact degree ledger.
 
     kind is one of quotient, divide_by_alpha, scale, twist. For scale steps
-    `prime` doubles as the scale factor. `t` marks the quotient of an
+    `prime` doubles as the scale factor. `kernel_overlattice` is the
+    quotient kernel's overlattice, `t` marks the quotient of an
     order-enlargement move (where the action is also divided by the prime),
-    and `branch` labels degree-reduction moves.
+    and `branch` labels degree-reduction moves. Certificates serialize
+    exactly these fields.
     """
 
     kind: str
     prime: int
-    kernel: KernelSubgroup | None
+    kernel_overlattice: RatMat | None
     alpha: tuple[int, int] | None
     degree_before: int
     degree_after: int
     t: int | None
     branch: str | None
-    rebasing: RatMat
 
 
-# Steps are always built through make_step, which enforces the exact degree
-# identity of each kind using the element's actual norm.
+# The pipeline builds steps only through make_step, which enforces the exact
+# degree identity of each kind using the element's actual norm.
 
 
 def make_step(
@@ -67,10 +68,7 @@ def make_step(
     degree_after: int,
     t: int | None = None,
     branch: str | None = None,
-    rebasing: RatMat | None = None,
 ) -> IsogenyStep:
-    if rebasing is None:
-        rebasing = intmat.to_fraction(intmat.identity())
     if kind == QUOTIENT:
         if kernel is None:
             raise InvariantBreach("quotient step requires a kernel")
@@ -97,13 +95,12 @@ def make_step(
     return IsogenyStep(
         kind=kind,
         prime=prime,
-        kernel=kernel,
+        kernel_overlattice=kernel.overlattice if kernel is not None else None,
         alpha=(alpha.x, alpha.y) if alpha is not None else None,
         degree_before=degree_before,
         degree_after=degree_after,
         t=t,
         branch=branch,
-        rebasing=rebasing,
     )
 
 

@@ -1,35 +1,27 @@
-"""Brute-force verification layer: exhaustive kernel enumeration at small
-primes, randomized checks of the symmetric-endomorphism rank parity, and
-full certificate replay.
+"""Verification layer: exhaustive kernel enumeration at small primes,
+randomized checks of the symmetric-endomorphism rank parity, and
+certificate replay.
 
-Nothing here is clever on purpose: the enumeration walks every subspace of
-(Z/p)^4 in echelon form, and the replay recomputes every kernel, descent,
-division and ledger entry from scratch, accepting a certificate only when
-it reproduces the recorded final surface bit for bit.
+The enumeration and the rank-parity trials are independent brute force:
+the enumeration walks every subspace of (Z/p)^4 in echelon form. Replay is
+not independent of the pipeline. It re-derives each move with the
+pipeline's own functions and compares the steps field by field; what it
+checks on its own is the degree ledger, the validity of the input surface
+and an exact match of the final surface.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from itertools import combinations, product
 
 from . import intmat
 from .arith import is_prime
-from .errors import (
-    DescentError,
-    InvariantBreach,
-    LatticeModelError,
-    PreconditionError,
-)
+from .errors import InvariantBreach, LatticeModelError, PreconditionError
 from .formats import CertificateData
-from .isogeny import DIVIDE, QUOTIENT, SCALE, TWIST
-from .isogeny import can_descend, descend_polarization, divide_by_symmetric, scale_polarization, twist_polarization
-from .quadratic import make_order
-from .reduction import (
-    _branch_decision,
-    enlargement_kernel,
-    order_p_squared_subspace,
-)
+from .isogeny import TWIST, can_descend
+from .reduction import enlarge_order_step, reduce_degree_step
 from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
@@ -164,20 +156,19 @@ def check_symmetric_rank_even(p: int, trials: int, seed: int = 0) -> bool:
 def verify_certificate(
     start: PolarizedRMSurface, certificate: CertificateData
 ) -> tuple[bool, str]:
-    """Replay a certificate from scratch against its input surface.
+    """Replay a certificate against its input surface.
 
-    Recomputes every kernel, rank invariant, descent, division and degree,
-    requires each step to be the canonical move of its kind at that point,
-    and accepts only if the final surface matches the recorded one exactly.
-    Returns (ok, message); the message names the first divergence.
+    Re-derives each move with the pipeline's own functions:
+    enlarge_order_step at a twist step, reduce_degree_step at any other
+    step, at the recorded prime. The steps a move derives must equal the
+    next recorded steps field for field. Checked on their own, not by
+    re-running the pipeline: the seed is 0, the input surface validates,
+    each move starts at the current degree (the ledger telescopes, and
+    make_step enforces each kind's degree identity), no move is cut short,
+    and the final surface matches the recorded one exactly.
+    Returns (ok, message); a rejection names the first divergent step
+    index and, where steps differ, the first differing field.
     """
-    try:
-        return _replay(start, certificate)
-    except LatticeModelError as exc:
-        return False, f"replay aborted: {exc}"
-
-
-def _replay(start, certificate):
     if certificate.seed != 0:
         return False, (
             f"seed is {certificate.seed}; deterministic pipeline certificates "
@@ -187,57 +178,36 @@ def _replay(start, certificate):
     if msg is not None:
         return False, f"input surface invalid: {msg}"
     current = start
-    pending_twist_prime: int | None = None
-    for idx, step in enumerate(certificate.steps):
+    recorded = certificate.steps
+    idx = 0
+    while idx < len(recorded):
+        step = recorded[idx]
         label = f"step {idx} ({step.kind} at {step.prime})"
         if step.degree_before != degree(current):
             return False, (
                 f"{label}: degree_before {step.degree_before} does not match "
                 f"the current degree {degree(current)}"
             )
-        if pending_twist_prime is not None and not (
-            step.kind == QUOTIENT and step.t is not None and step.prime == pending_twist_prime
-        ):
-            return False, f"{label}: expected the enlargement quotient at {pending_twist_prime}"
-        if step.kind == TWIST:
-            ok, msg, current = _replay_twist(current, step)
-            if not ok:
-                return False, f"{label}: {msg}"
-            pending_twist_prime = step.prime
-        elif step.kind == QUOTIENT and step.t is not None:
-            if pending_twist_prime != step.prime:
-                return False, f"{label}: enlargement quotient without its twist"
-            ok, msg, current = _replay_enlargement_quotient(current, step)
-            if not ok:
-                return False, f"{label}: {msg}"
-            pending_twist_prime = None
-        elif step.kind == QUOTIENT and step.branch is not None:
-            ok, msg, current = _replay_branch_move(current, step)
-            if not ok:
-                return False, f"{label}: {msg}"
-        elif step.kind == DIVIDE:
-            if step.branch is None:
-                return False, f"{label}: divide steps must carry a branch label"
-            ok, msg, current = _replay_branch_move(current, step)
-            if not ok:
-                return False, f"{label}: {msg}"
-        elif step.kind == QUOTIENT:
-            ok, msg, current = _replay_squarefree_quotient(current, step)
-            if not ok:
-                return False, f"{label}: {msg}"
-        elif step.kind == SCALE:
-            ok, msg, current = _replay_scale(current, step)
-            if not ok:
-                return False, f"{label}: {msg}"
-        else:
-            return False, f"{label}: unknown step kind"
-        if degree(current) != step.degree_after:
-            return False, (
-                f"{label}: replay reached degree {degree(current)}, certificate "
-                f"says {step.degree_after}"
-            )
-    if pending_twist_prime is not None:
-        return False, "certificate ends inside an enlargement move"
+        move = enlarge_order_step if step.kind == TWIST else reduce_degree_step
+        try:
+            current, derived, _ = move(current, step.prime)
+        except LatticeModelError as exc:
+            return False, f"{label}: replay aborted: {exc}"
+        for i, (rec, der) in enumerate(zip(recorded[idx:], derived), start=idx):
+            if rec != der:
+                name = next(
+                    f.name
+                    for f in fields(rec)
+                    if getattr(rec, f.name) != getattr(der, f.name)
+                )
+                return False, (
+                    f"step {i} ({rec.kind} at {rec.prime}): "
+                    f"{name}={_show(getattr(rec, name))} recorded, "
+                    f"replay derives {name}={_show(getattr(der, name))}"
+                )
+        if idx + len(derived) > len(recorded):
+            return False, f"{label}: certificate ends inside this move"
+        idx += len(derived)
     final = certificate.final
     if (current.order.D, current.order.conductor) != (
         final.order.D,
@@ -251,98 +221,8 @@ def _replay(start, certificate):
     return True, "certificate replays to an identical surface"
 
 
-def _replay_twist(current, step):
-    p = step.prime
-    if p == 2 or not is_prime(p):
-        return False, f"{p} is not an odd prime", current
-    if step.alpha != (p**3, 0):
-        return False, "twist element is not the cube of the prime", current
-    if current.order.conductor % p:
-        return False, f"{p} does not divide the conductor", current
-    if degree(current) % p == 0:
-        return False, f"{p} divides the degree", current
-    el = current.order.element(p**3, 0)
-    new_surface, _ = twist_polarization(current, el)
-    return True, "", new_surface
-
-
-def _replay_enlargement_quotient(current, step):
-    p = step.prime
-    t = intmat.rank_mod_p(current.action, p)
-    if step.t != t:
-        return False, f"recorded t={step.t} but the action has rank {t} mod {p}", current
-    if t != 2:
-        return False, f"rank invariant t={t} breaches the enlargement contract", current
-    kernel = enlargement_kernel(current, p)
-    if step.kernel_overlattice != kernel.overlattice:
-        return False, "kernel overlattice differs from the canonical one", current
-    if kernel.group_order != p**6:
-        return False, f"kernel order {kernel.group_order} is not {p}^6", current
-    try:
-        descended, _ = descend_polarization(current, kernel)
-    except (DescentError, PreconditionError) as exc:
-        return False, f"descent failed: {exc}", current
-    scaled = tuple(tuple(x for x in row) for row in descended.action)
-    if any(x % p for row in scaled for x in row):
-        return False, "enlarged generator action is not divisible by the prime", current
-    action = intmat.freeze(tuple(x // p for x in row) for row in scaled)
-    new_order = make_order(current.order.D, current.order.conductor // p)
-    out = PolarizedRMSurface(new_order, action, descended.gram)
-    msg = validate(out)
-    if msg is not None:
-        return False, f"replayed surface invalid: {msg}", current
-    return True, "", out
-
-
-def _replay_branch_move(current, step):
-    p = step.prime
-    divisors = intmat.snf_divisors(current.gram)
-    if divisors[1] % p == 0 or divisors[3] % (p * p) == 0:
-        return False, "degree-reduction move applied before stabilization", current
-    if current.order.conductor % p == 0:
-        return False, f"{p} divides the conductor", current
-    try:
-        branch, subspace, el = _branch_decision(current, p)
-    except PreconditionError as exc:
-        return False, f"branch recomputation failed: {exc}", current
-    if branch != step.branch:
-        return False, f"recorded branch {step.branch} but recomputed {branch}", current
-    if subspace is not None:
-        if step.kind != QUOTIENT:
-            return False, "branch calls for a quotient but step divides", current
-        kernel = kernel_from_subspace(current, subspace, p)
-        if step.kernel_overlattice != kernel.overlattice:
-            return False, "kernel overlattice differs from the canonical one", current
-        new_surface, _ = descend_polarization(current, kernel)
-        return True, "", new_surface
-    if step.kind != DIVIDE:
-        return False, "branch calls for a division but step quotients", current
-    if step.alpha != (el.x, el.y):
-        return False, "divide element differs from the canonical factor", current
-    new_surface, _ = divide_by_symmetric(current, el)
-    return True, "", new_surface
-
-
-def _replay_squarefree_quotient(current, step):
-    p = step.prime
-    if all(x % p == 0 for row in current.gram for x in row):
-        return False, "expected a scale move (gram vanishes mod the prime)", current
-    subspace = order_p_squared_subspace(current, p)
-    if not subspace:
-        return False, "no order-p^2 kernel classes; quotient is not canonical", current
-    kernel = kernel_from_subspace(current, subspace, p)
-    if step.kernel_overlattice != kernel.overlattice:
-        return False, "kernel overlattice differs from the canonical one", current
-    try:
-        new_surface, _ = descend_polarization(current, kernel)
-    except (DescentError, PreconditionError) as exc:
-        return False, f"descent failed: {exc}", current
-    return True, "", new_surface
-
-
-def _replay_scale(current, step):
-    p = step.prime
-    if any(x % p for row in current.gram for x in row):
-        return False, "gram form is not divisible by the scale factor", current
-    new_surface, _ = scale_polarization(current, p)
-    return True, "", new_surface
+def _show(value) -> str:
+    """A step field as text: rationals as p/q, matrices as nested tuples."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(_show(x) for x in value) + ")"
+    return str(value)

@@ -37,7 +37,6 @@ from .isogeny import (
 )
 from .quadratic import (
     are_associates_in_maximal,
-    bezout_conductor,
     factor_prime,
     make_order,
 )
@@ -153,14 +152,13 @@ def squarefree_reduce(
     while True:
         deg_before = degree(current)
         if all(x % p == 0 for row in current.gram for x in row):
-            new_surface, rebasing = scale_polarization(current, p)
+            new_surface, _ = scale_polarization(current, p)
             steps.append(
                 make_step(
                     kind=SCALE,
                     prime=p,
                     degree_before=deg_before,
                     degree_after=degree(new_surface),
-                    rebasing=rebasing,
                 )
             )
         else:
@@ -169,7 +167,7 @@ def squarefree_reduce(
                 break
             kernel = kernel_from_subspace(current, subspace, p)
             try:
-                new_surface, rebasing = descend_polarization(current, kernel)
+                new_surface, _ = descend_polarization(current, kernel)
             except (DescentError, PreconditionError) as exc:
                 raise InvariantBreach(
                     f"guaranteed squarefree descent failed at {p}: {exc}"
@@ -181,7 +179,6 @@ def squarefree_reduce(
                     kernel=kernel,
                     degree_before=deg_before,
                     degree_after=degree(new_surface),
-                    rebasing=rebasing,
                 )
             )
         if _p_valuation(degree(new_surface), p) >= _p_valuation(deg_before, p):
@@ -251,14 +248,13 @@ def enlarge_order_step(
     if t != 2:
         raise InvariantBreach(f"enlargement rank invariant is {t}, expected 2")
     el_cubed = order.element(p**3, 0)
-    twisted, twist_rebasing = twist_polarization(surface, el_cubed)
+    twisted, _ = twist_polarization(surface, el_cubed)
     twist_step = make_step(
         kind=TWIST,
         prime=p,
         alpha=el_cubed,
         degree_before=deg,
         degree_after=degree(twisted),
-        rebasing=twist_rebasing,
     )
     kernel = enlargement_kernel(twisted, p)
     if kernel.group_order != p ** (4 + t):
@@ -266,7 +262,7 @@ def enlarge_order_step(
             f"enlargement kernel has order {kernel.group_order}, expected {p ** (4 + t)}"
         )
     try:
-        descended, rebasing = descend_polarization(twisted, kernel)
+        descended, _ = descend_polarization(twisted, kernel)
     except (DescentError, PreconditionError) as exc:
         raise InvariantBreach(f"guaranteed enlargement descent failed: {exc}") from exc
     quotient_step = make_step(
@@ -276,7 +272,6 @@ def enlarge_order_step(
         degree_before=degree(twisted),
         degree_after=degree(descended),
         t=t,
-        rebasing=rebasing,
     )
     scaled_action = intmat.to_fraction(descended.action)
     scaled_action = tuple(tuple(x / p for x in row) for row in scaled_action)
@@ -324,8 +319,7 @@ def _branch_decision(surface: PolarizedRMSurface, p: int):
         if len(lam1) == 1:
             return ASSOCIATE_QUOTIENT, lam1, None
         return ASSOCIATE_DIVIDE, None, a1
-    # Non-associate factors: the conductor identity splits the kernel.
-    bezout_conductor(a1, a2, order)  # existence check; raises on failure
+    # Non-associate factors: the kernel splits across the two factor kernels.
     if len(lam1) + len(lam2) != 2:
         raise InvariantBreach("kernel does not split across the two factor kernels")
     if len(lam1) == 2:
@@ -366,7 +360,7 @@ def reduce_degree_step(
     if kernel_subspace is not None:
         kernel = kernel_from_subspace(current, kernel_subspace, p)
         try:
-            new_surface, rebasing = descend_polarization(current, kernel)
+            new_surface, _ = descend_polarization(current, kernel)
         except (DescentError, PreconditionError) as exc:
             raise InvariantBreach(
                 f"guaranteed degree-reduction descent failed at {p}: {exc}"
@@ -378,11 +372,10 @@ def reduce_degree_step(
             degree_before=deg_before,
             degree_after=degree(new_surface),
             branch=branch,
-            rebasing=rebasing,
         )
     else:
         try:
-            new_surface, rebasing = divide_by_symmetric(current, divide_el)
+            new_surface, _ = divide_by_symmetric(current, divide_el)
         except DescentError as exc:
             raise InvariantBreach(
                 f"guaranteed division failed at {p}: {exc}"
@@ -394,7 +387,6 @@ def reduce_degree_step(
             degree_before=deg_before,
             degree_after=degree(new_surface),
             branch=branch,
-            rebasing=rebasing,
         )
     if degree(new_surface) * p * p != deg_before:
         raise InvariantBreach(f"degree did not drop by {p}^2")

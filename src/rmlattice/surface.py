@@ -104,13 +104,6 @@ def validate(surface: PolarizedRMSurface) -> str | None:
     return None
 
 
-def require_valid(surface: PolarizedRMSurface) -> PolarizedRMSurface:
-    msg = validate(surface)
-    if msg is not None:
-        raise PreconditionError(f"invalid surface: {msg}")
-    return surface
-
-
 def pfaffian(surface: PolarizedRMSurface) -> int:
     return intmat.pfaffian4(surface.gram)
 

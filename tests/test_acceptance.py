@@ -290,7 +290,7 @@ def test_criterion_4_oracle_equivalence(branch_corpus):
             move = case["steps"][-1]
             if move.kind == "quotient" and move.branch is not None:
                 assert any(
-                    move.kernel.overlattice == k.overlattice for k in nontrivial
+                    move.kernel_overlattice == k.overlattice for k in nontrivial
                 ), "chosen kernel missing from the exhaustive enumeration"
         for branch in ("split_divide", "associate_divide"):
             assert per_branch.get(branch, 0) >= 20, (

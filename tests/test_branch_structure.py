@@ -10,6 +10,11 @@ Acceptance criterion 4 (test_criterion_4_branch_coverage) asserts the same
 structure on the seeded branch corpus: only divide branches, the kernel
 equal to the divide element's mod-p kernel, and both factor arms taken at
 split primes.
+
+Where the kernel splits across two non-associate factor kernels, the
+conductor identity f = a1*b1 + a2*b2 always has a solution, on the branch
+corpus and in suborders of conductor 3, 5 and 9; degree reduction
+therefore does not call bezout_conductor as an existence check.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import pytest
 
 import rmlattice as rm
 from rmlattice import intmat
-from rmlattice.reduction import _branch_decision, squarefree_reduce
-from rmlattice.surface import canonicalize_orientation
+from rmlattice.generator import generate_instance
+from rmlattice.reduction import _branch_decision, reduce_degree_step, squarefree_reduce
+from rmlattice.surface import canonicalize_orientation, polarization_kernel_mod_p
+from test_acceptance import branch_corpus  # noqa: F401  (module-scoped fixture)
 
 
 def symmetric_form_lattice_basis(surface):
@@ -88,3 +95,59 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
             classes += 1
     assert classes > 0
     assert branches <= {"split_divide", "associate_divide"}
+
+
+def _bezout_where_kernel_splits(stable, p):
+    """Solve the conductor identity wherever degree reduction sees a split kernel.
+
+    Recomputes the two factor-kernel intersections of the stabilized
+    kernel p-torsion as degree reduction does; for non-associate factors
+    with len(lam1) + len(lam2) == 2, bezout_conductor must succeed and
+    satisfy conductor = a1*b1 + a2*b2. Returns whether that case arose.
+    """
+    order = stable.order
+    a1, a2 = rm.factor_prime(order, p)
+    if rm.are_associates_in_maximal(a1, a2):
+        return False
+    kernel_p = polarization_kernel_mod_p(stable, p)
+    lam1, lam2 = (
+        intmat.intersect_mod_p(
+            kernel_p,
+            intmat.kernel_mod_p(intmat.mat_mod(rm.element_action(stable, a), p), p),
+            p,
+        )
+        for a in (a1, a2)
+    )
+    if len(lam1) + len(lam2) != 2:
+        return False
+    b1, b2 = rm.bezout_conductor(a1, a2, order)
+    assert a1 * b1 + a2 * b2 == order.element(order.conductor, 0)
+    return True
+
+
+def test_conductor_identity_holds_on_the_branch_corpus(branch_corpus):
+    checked = 0
+    for case in branch_corpus:
+        p = case["prime"]
+        stable, _ = squarefree_reduce(case["surface"], p)
+        checked += _bezout_where_kernel_splits(stable, p)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("f", [3, 5, 9])
+def test_conductor_identity_holds_in_suborders(f):
+    checked = 0
+    for D in (2, 5, 13, 17, 29):
+        order = rm.make_order(D, f)
+        for p in (3, 5, 7, 11, 13):
+            if f % p == 0 or rm.factor_prime(order, p) is None:
+                continue  # degree reduction needs a norm +-p element here
+            for seed in range(3):
+                surface = generate_instance(D, f, [p], seed)
+                stable, _ = squarefree_reduce(surface, p)
+                if rm.degree(stable) % p == 0:
+                    checked += _bezout_where_kernel_splits(stable, p)
+                out, _, branch = reduce_degree_step(surface, p)
+                assert rm.degree(out) % p != 0
+                assert branch in (None, "split_divide", "associate_divide")
+    assert checked > 0

@@ -190,6 +190,39 @@ def test_cli_verify_exit_codes(tmp_path):
     assert main(["verify", str(other), str(cert)]) == 1
 
 
+def _verify_tampered_certificate(tmp_path, tamper):
+    """Exit code of `verify` on a genuine instance and a tampered certificate."""
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    main(["generate", "--D", "5", "--conductor", "3", "--degree-primes", "11",
+          "--seed", "42", "-o", str(inst)])
+    main(["principalize", str(inst), "-o", str(tmp_path / "out.json"),
+          "--cert-out", str(cert)])
+    obj = json.loads(cert.read_text(encoding="utf-8"))
+    tamper(obj["steps"])
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(obj), encoding="utf-8")
+    return main(["verify", str(inst), str(tampered)])
+
+
+def test_cli_verify_rejects_a_zero_prime(tmp_path, capsys):
+    def tamper(steps):
+        assert steps[-1]["kind"] == "divide_by_alpha"
+        steps[-1]["prime"] = 0
+
+    assert _verify_tampered_certificate(tmp_path, tamper) == 1
+    assert capsys.readouterr().err.startswith("error: step ")
+
+
+def test_cli_verify_rejects_a_zero_denominator(tmp_path, capsys):
+    def tamper(steps):
+        kernel = next(s["kernel_overlattice"] for s in steps if s["kernel_overlattice"])
+        kernel[0][0] = "1/0"
+
+    assert _verify_tampered_certificate(tmp_path, tamper) == 1
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_cli_info_parse_failure(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[]", encoding="utf-8")

@@ -167,5 +167,52 @@ def test_reduction_kernels_member_of_enumeration():
     assert quotients
     listed = enumerate_valid_kernels(tw, 3)
     assert any(
-        st.kernel.overlattice == k.overlattice for st in quotients for k in listed
+        st.kernel_overlattice == k.overlattice for st in quotients for k in listed
     )
+
+
+def test_verify_rejects_a_merged_non_prime_scale_step():
+    # principalize records scale 3, scale 3, divide 17. Merging the two
+    # scale steps into one "scale 9" reaches the same surface with a
+    # telescoping ledger, but scale factors of the pipeline are odd primes.
+    s = generate_instance(13, 1, [17], seed=1)
+    start = twist_by_element(s, s.order.element(9, 0))
+    _, report = principalize(start)
+    obj = json.loads(serialize_certificate(report))
+    first, second, last = obj["steps"]
+    assert [(st["kind"], st["prime"]) for st in obj["steps"]] == [
+        ("scale", 3), ("scale", 3), ("divide_by_alpha", 17)
+    ]
+    first["prime"] = 9
+    first["degree_after"] = second["degree_after"]
+    obj["steps"] = [first, last]
+    ok, msg = verify_certificate(start, parse_certificate(json.dumps(obj)))
+    assert not ok
+    assert msg.startswith("step 0 (scale at 9)")
+
+
+def test_verify_names_the_divergent_step_and_field():
+    s = generate_instance(5, 3, [11], seed=4)
+    _, report = principalize(s)
+    obj = json.loads(serialize_certificate(report))
+    assert obj["steps"][-1]["kind"] == "divide_by_alpha"
+    x, y = obj["steps"][-1]["alpha"]
+    obj["steps"][-1]["alpha"] = [x + 1, y]
+    last = len(obj["steps"]) - 1
+    ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
+    assert not ok
+    assert msg == (
+        f"step {last} (divide_by_alpha at 11): alpha=({x + 1}, {y}) recorded, "
+        f"replay derives alpha=({x}, {y})"
+    )
+
+
+def test_verify_rejects_a_certificate_that_ends_inside_a_move():
+    s = generate_instance(5, 3, [11], seed=4)
+    _, report = principalize(s)
+    cert = report_to_certificate(report)
+    assert cert.steps[0].kind == "twist"
+    cut = cert.__class__(seed=0, steps=cert.steps[:1], final=cert.final)
+    ok, msg = verify_certificate(s, cut)
+    assert not ok
+    assert msg == "step 0 (twist at 3): certificate ends inside this move"
