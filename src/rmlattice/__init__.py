@@ -38,11 +38,10 @@ from .isogeny import (
     IsogenyStep,
     descend_polarization,
     divide_by_symmetric,
-    induced_endomorphism,
     quotient_lattice,
 )
 from .reduction import (
-    PipelineReport,
+    CertificateData,
     enlarge_order_step,
     principalize,
     reduce_degree_step,
@@ -52,13 +51,13 @@ from .reduction import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CertificateData",
     "DescentError",
     "InvariantBreach",
     "IsogenyStep",
     "KernelSubgroup",
     "LatticeModelError",
     "OrderElement",
-    "PipelineReport",
     "PolarizedRMSurface",
     "PreconditionError",
     "RealQuadraticOrder",
@@ -73,7 +72,6 @@ __all__ = [
     "factor_prime",
     "fundamental_unit",
     "humbert_nonempty",
-    "induced_endomorphism",
     "kernel_of_polarization",
     "make_order",
     "principalize",

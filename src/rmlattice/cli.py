@@ -83,7 +83,7 @@ def cmd_principalize(args) -> int:
     if msg is not None:
         return _fail(f"instance does not validate: {msg}", EXIT_IO)
     try:
-        result, report = principalize(surface)
+        result, certificate = principalize(surface)
     except PreconditionError as exc:
         return _fail(str(exc), EXIT_HYPOTHESIS)
     except InvariantBreach as exc:
@@ -91,14 +91,13 @@ def cmd_principalize(args) -> int:
     try:
         _write(args.out, serialize_instance(result))
         if args.cert_out:
-            _write(args.cert_out, serialize_certificate(report))
+            _write(args.cert_out, serialize_certificate(certificate))
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     print(
         f"principal surface written to {args.out}; degree "
-        f"{report.input_summary.degree} -> {report.output_summary.degree}, "
-        f"conductor {report.input_summary.conductor} -> "
-        f"{report.output_summary.conductor}"
+        f"{degree(surface)} -> {degree(result)}, "
+        f"conductor {surface.order.conductor} -> {result.order.conductor}"
     )
     return EXIT_OK
 

@@ -3,14 +3,15 @@
 Instances carry exact integers only; certificates carry rationals as
 "p/q" strings so nothing ever passes through floats. Integers of magnitude
 at least 2^53 are serialized as decimal strings and the parser accepts
-both forms. Serialization is canonical: serialize(parse(serialize(x)))
+both forms, but number strings only as written: -?[0-9]+, plus /[0-9]+ for
+rationals. Serialization is canonical: serialize(parse(serialize(x)))
 is byte-identical to serialize(x).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from . import intmat
@@ -18,22 +19,13 @@ from .intmat import RatMat
 from .errors import PreconditionError
 from .isogeny import IsogenyStep
 from .quadratic import make_order
-from .reduction import PipelineReport
+from .reduction import CertificateData
 from .surface import PolarizedRMSurface
 
 FORMAT_VERSION = 1
 _BIG = 2**53
-
-
-@dataclass(frozen=True)
-class CertificateData:
-    seed: int
-    steps: tuple[IsogenyStep, ...]
-    final: PolarizedRMSurface
-
-
-def report_to_certificate(report: PipelineReport) -> CertificateData:
-    return CertificateData(seed=report.seed, steps=report.steps, final=report.final)
+_INT_TEXT = re.compile(r"-?[0-9]+")
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +43,8 @@ def _decode_int(v) -> int:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
+        if not _INT_TEXT.fullmatch(v):
+            raise ValueError(f"integer string {v!r} is not of the form -?[0-9]+")
         return int(v, 10)
     raise ValueError(f"expected an integer, got {type(v).__name__}")
 
@@ -83,8 +77,8 @@ def _decode_rational_matrix(obj) -> RatMat:
             raise ValueError("rational matrix must be a 4x4 array")
         out = []
         for x in row:
-            if not isinstance(x, str):
-                raise ValueError("rational entries must be strings like 'p/q'")
+            if not isinstance(x, str) or not _RATIONAL_TEXT.fullmatch(x):
+                raise ValueError(f"rational entry {x!r} is not a string like '-3/4'")
             try:
                 out.append(Fraction(x))
             except ZeroDivisionError:
@@ -143,9 +137,7 @@ def parse_instance(text: str) -> PolarizedRMSurface:
 # ---------------------------------------------------------------------------
 
 
-def serialize_certificate(cert: CertificateData | PipelineReport) -> str:
-    if isinstance(cert, PipelineReport):
-        cert = report_to_certificate(cert)
+def serialize_certificate(cert: CertificateData) -> str:
     steps = []
     for s in cert.steps:
         steps.append(

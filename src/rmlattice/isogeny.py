@@ -4,9 +4,10 @@ All isogenies are realized in the forward direction as finite-index
 overlattices L <= L'. Descending a polarization to L' means expressing the
 same form in an L'-basis, which is possible exactly when the form is
 integral on L'. Dividing by a symmetric element keeps the lattice and
-composes the form with the inverse action. Every primitive returns the new
-surface together with the rebasing matrix (columns of the new basis in the
-old coordinates), and enforces its exact degree identity.
+composes the form with the inverse action. Every primitive returns only
+the new surface, canonically oriented, and enforces its exact degree
+identity. Twisting a polarization by an element is
+surface.twist_by_element.
 """
 
 from __future__ import annotations
@@ -109,10 +110,8 @@ def make_step(
 # ---------------------------------------------------------------------------
 
 
-def quotient_lattice(
-    surface: PolarizedRMSurface, kernel: KernelSubgroup
-) -> tuple[RatMat, IntMat]:
-    """Overlattice basis and rebased integral action for the quotient by K.
+def quotient_lattice(surface: PolarizedRMSurface, kernel: KernelSubgroup) -> IntMat:
+    """The integral action rebased to the overlattice basis of K.
 
     Raises PreconditionError when the order action does not preserve the
     overlattice, which signals an invalid kernel choice.
@@ -124,7 +123,7 @@ def quotient_lattice(
     rebased = intmat.mat_mul(intmat.mat_mul(h_inv, surface.action), h)
     if not intmat.is_integral(rebased):
         raise PreconditionError("order action does not preserve the kernel")
-    return h, intmat.to_int(rebased)
+    return intmat.to_int(rebased)
 
 
 def can_descend(surface: PolarizedRMSurface, kernel: KernelSubgroup) -> bool:
@@ -158,14 +157,14 @@ def descends_by_containment(
 
 def descend_polarization(
     surface: PolarizedRMSurface, kernel: KernelSubgroup
-) -> tuple[PolarizedRMSurface, RatMat]:
+) -> PolarizedRMSurface:
     """Express the polarization on the overlattice, or raise DescentError.
 
     On success the result is the surface on L' with rebased integral gram
-    and action, canonically oriented; the rebasing columns give the new
-    basis in the old coordinates.
+    and action, canonically oriented.
     """
-    h, action_new = quotient_lattice(surface, kernel)
+    action_new = quotient_lattice(surface, kernel)
+    h = kernel.overlattice
     gram_frac = intmat.mat_mul(
         intmat.mat_mul(intmat.transpose(h), intmat.to_fraction(surface.gram)), h
     )
@@ -178,17 +177,16 @@ def descend_polarization(
                         f"generators {i} and {j} is {gram_frac[i][j]}, not integral"
                     )
     gram_new = intmat.to_int(gram_frac)
-    out, perm = canonicalize_orientation(surface.order, action_new, gram_new)
-    rebasing = intmat.mat_mul(h, intmat.to_fraction(perm))
+    out = canonicalize_orientation(surface.order, action_new, gram_new)
     k = kernel.group_order
     if degree(out) * k * k != degree(surface):
         raise InvariantBreach("descended degree does not match the kernel order")
-    return out, rebasing
+    return out
 
 
 def divide_by_symmetric(
     surface: PolarizedRMSurface, el: OrderElement
-) -> tuple[PolarizedRMSurface, RatMat]:
+) -> PolarizedRMSurface:
     """Divide the polarization by a symmetric non-unit element.
 
     Succeeds exactly when gram @ A_el^-1 is integral (the polarization
@@ -206,50 +204,22 @@ def divide_by_symmetric(
             "polarization kernel does not contain the kernel of the element"
         )
     gram_new = intmat.to_int(gram_frac)
-    out, perm = canonicalize_orientation(surface.order, surface.action, gram_new)
+    out = canonicalize_orientation(surface.order, surface.action, gram_new)
     nm = el.norm()
     if degree(out) * nm * nm != degree(surface):
         raise InvariantBreach("division degree bookkeeping failed")
-    return out, intmat.to_fraction(perm)
+    return out
 
 
-def scale_polarization(
-    surface: PolarizedRMSurface, c: int
-) -> tuple[PolarizedRMSurface, RatMat]:
+def scale_polarization(surface: PolarizedRMSurface, c: int) -> PolarizedRMSurface:
     """Divide the gram form by the integer c > 1 (all entries must divide)."""
     if c <= 1:
         raise PreconditionError("scale factor must exceed 1")
     if any(x % c for row in surface.gram for x in row):
         raise DescentError(f"gram form is not divisible by {c}")
     gram_new = intmat.freeze(tuple(x // c for x in row) for row in surface.gram)
-    out, perm = canonicalize_orientation(surface.order, surface.action, gram_new)
+    out = canonicalize_orientation(surface.order, surface.action, gram_new)
     if degree(surface) != c**4 * degree(out):
         raise InvariantBreach("scale degree bookkeeping failed")
-    return out, intmat.to_fraction(perm)
+    return out
 
-
-def twist_polarization(
-    surface: PolarizedRMSurface, el: OrderElement
-) -> tuple[PolarizedRMSurface, RatMat]:
-    """Compose the polarization with the element action: gram @ A_el."""
-    if el.is_zero():
-        raise PreconditionError("cannot twist by zero")
-    a_el = element_action(surface, el)
-    gram_new = intmat.mat_mul(surface.gram, a_el)
-    out, perm = canonicalize_orientation(surface.order, surface.action, gram_new)
-    nm = el.norm()
-    if degree(out) != nm * nm * degree(surface):
-        raise InvariantBreach("twist degree bookkeeping failed")
-    return out, intmat.to_fraction(perm)
-
-
-def induced_endomorphism(rebasing: RatMat, matrix: IntMat) -> IntMat | None:
-    """rebase(matrix) when integral, else None."""
-    d = intmat.det(rebasing)
-    if d == 0:
-        raise PreconditionError("rebasing matrix is singular")
-    inv = intmat.inverse(rebasing)
-    out = intmat.mat_mul(intmat.mat_mul(inv, intmat.to_fraction(matrix)), rebasing)
-    if not intmat.is_integral(out):
-        return None
-    return intmat.to_int(out)

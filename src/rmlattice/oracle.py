@@ -6,8 +6,9 @@ The enumeration and the rank-parity trials are independent brute force:
 the enumeration walks every subspace of (Z/p)^4 in echelon form. Replay is
 not independent of the pipeline. It re-derives each move with the
 pipeline's own functions and compares the steps field by field; what it
-checks on its own is the degree ledger, the validity of the input surface
-and an exact match of the final surface.
+checks on its own is the degree ledger, the validity of the input surface,
+that the replay ends principal with a maximal acting order (the check
+principalize closes with) and an exact match of the final surface.
 """
 
 from __future__ import annotations
@@ -19,9 +20,13 @@ from itertools import combinations, product
 from . import intmat
 from .arith import is_prime
 from .errors import InvariantBreach, LatticeModelError, PreconditionError
-from .formats import CertificateData
 from .isogeny import TWIST, can_descend
-from .reduction import enlarge_order_step, reduce_degree_step
+from .reduction import (
+    CertificateData,
+    enlarge_order_step,
+    principal_defect,
+    reduce_degree_step,
+)
 from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
@@ -69,7 +74,7 @@ def enumerate_valid_kernels(
     if p == 2 or not is_prime(p) or p > 7:
         raise PreconditionError(f"enumeration requires an odd prime <= 7, got {p}")
     e_t = intmat.transpose(surface.gram)
-    results = [kernel_from_subspace(surface, (), p)]
+    results = [kernel_from_subspace((), p)]
     for basis in _echelon_subspaces(p):
         if not all(
             intmat.subspace_contains(
@@ -90,7 +95,7 @@ def enumerate_valid_kernels(
         )
         if not all(v % p2 == 0 for v in pairings):
             continue
-        kernel = kernel_from_subspace(surface, basis, p)
+        kernel = kernel_from_subspace(basis, p)
         if not can_descend(surface, kernel):
             raise InvariantBreach(
                 "kernel passed the congruence filters but fails descent"
@@ -165,7 +170,8 @@ def verify_certificate(
     re-running the pipeline: the seed is 0, the input surface validates,
     each move starts at the current degree (the ledger telescopes, and
     make_step enforces each kind's degree identity), no move is cut short,
-    and the final surface matches the recorded one exactly.
+    the replayed surface is principal with a maximal acting order, and the
+    final surface matches the recorded one exactly.
     Returns (ok, message); a rejection names the first divergent step
     index and, where steps differ, the first differing field.
     """
@@ -190,7 +196,7 @@ def verify_certificate(
             )
         move = enlarge_order_step if step.kind == TWIST else reduce_degree_step
         try:
-            current, derived, _ = move(current, step.prime)
+            current, derived = move(current, step.prime)
         except LatticeModelError as exc:
             return False, f"{label}: replay aborted: {exc}"
         for i, (rec, der) in enumerate(zip(recorded[idx:], derived), start=idx):
@@ -208,6 +214,9 @@ def verify_certificate(
         if idx + len(derived) > len(recorded):
             return False, f"{label}: certificate ends inside this move"
         idx += len(derived)
+    msg = principal_defect(current)
+    if msg is not None:
+        return False, f"replay ends {msg}: not principal with a maximal order"
     final = certificate.final
     if (current.order.D, current.order.conductor) != (
         final.order.D,

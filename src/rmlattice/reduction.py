@@ -1,17 +1,18 @@
-"""The three reduction procedures and the principalization pipeline.
+"""The three reduction moves, the principalization pipeline and its record.
 
+Each move takes a surface and a prime and returns (surface, steps).
 squarefree_reduce shrinks the p-part of the polarization kernel until its
 elementary divisors at p are squarefree. enlarge_order_step enlarges the
-acting order by one conductor prime without changing the degree, recording
-the rank invariant t of the old generator mod p (always 2 on valid input).
-reduce_degree_step removes a reducible prime from the degree, quotienting
-or dividing according to how the kernel meets the two factor kernels. On
-valid input the kernel p-torsion is always a full factor kernel, so it
-divides; the quotient arms stay as defensive code, and replay still
-checks them.
-principalize chains them: conductor primes first, then degree primes, and
-ends with an independent recheck that the result is principal with a
-maximal acting order.
+acting order by one conductor prime without changing the degree; its
+quotient step records the rank invariant t of the old generator mod p
+(always 2 on valid input). reduce_degree_step removes a reducible prime
+from the degree, quotienting or dividing according to how the kernel meets
+the two factor kernels, and records the branch on its last step. On valid
+input the kernel p-torsion is always a full factor kernel, so it divides;
+the quotient arms stay as defensive code, and replay still checks them.
+principalize chains the moves, conductor primes first, and returns the
+final surface with its CertificateData; its closing check that the result
+is principal with a maximal acting order is shared with replay.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .isogeny import (
     divide_by_symmetric,
     make_step,
     scale_polarization,
-    twist_polarization,
 )
 from .quadratic import (
     are_associates_in_maximal,
@@ -49,6 +49,7 @@ from .surface import (
     pfaffian,
     polarization_kernel_mod_p,
     stabilizer_order,
+    twist_by_element,
     validate,
 )
 
@@ -59,37 +60,13 @@ ASSOCIATE_DIVIDE = "associate_divide"
 
 
 @dataclass(frozen=True)
-class SurfaceSummary:
-    discriminant: int
-    conductor: int
-    degree: int
-
-
-def summarize(surface: PolarizedRMSurface) -> SurfaceSummary:
-    return SurfaceSummary(
-        discriminant=surface.order.discriminant,
-        conductor=surface.order.conductor,
-        degree=degree(surface),
-    )
-
-
-@dataclass(frozen=True)
-class PipelineReport:
-    """Replayable record of a principalization run."""
+class CertificateData:
+    """Replayable record of a principalization run: the steps from the
+    input surface and the final surface they reach."""
 
     seed: int
-    input_summary: SurfaceSummary
-    output_summary: SurfaceSummary
     steps: tuple[IsogenyStep, ...]
     final: PolarizedRMSurface
-
-    @property
-    def t_values(self) -> tuple[tuple[int, int], ...]:
-        return tuple((s.prime, s.t) for s in self.steps if s.t is not None)
-
-    @property
-    def branches(self) -> tuple[tuple[int, str], ...]:
-        return tuple((s.prime, s.branch) for s in self.steps if s.branch is not None)
 
 
 def _require_odd_prime(p: int) -> None:
@@ -152,7 +129,7 @@ def squarefree_reduce(
     while True:
         deg_before = degree(current)
         if all(x % p == 0 for row in current.gram for x in row):
-            new_surface, _ = scale_polarization(current, p)
+            new_surface = scale_polarization(current, p)
             steps.append(
                 make_step(
                     kind=SCALE,
@@ -165,9 +142,9 @@ def squarefree_reduce(
             subspace = order_p_squared_subspace(current, p)
             if not subspace:
                 break
-            kernel = kernel_from_subspace(current, subspace, p)
+            kernel = kernel_from_subspace(subspace, p)
             try:
-                new_surface, _ = descend_polarization(current, kernel)
+                new_surface = descend_polarization(current, kernel)
             except (DescentError, PreconditionError) as exc:
                 raise InvariantBreach(
                     f"guaranteed squarefree descent failed at {p}: {exc}"
@@ -219,18 +196,18 @@ def enlargement_kernel(surface: PolarizedRMSurface, p: int) -> KernelSubgroup:
         tuple(Fraction(surface.action[i][j], p * p) for i in range(4))
         for j in range(4)
     ]
-    return KernelSubgroup(surface, intmat.hnf_column_basis(columns))
+    return KernelSubgroup(intmat.hnf_column_basis(columns))
 
 
 def enlarge_order_step(
     surface: PolarizedRMSurface, p: int
-) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, IsogenyStep], int]:
+) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, IsogenyStep]]:
     """One conductor-prime enlargement: twist the gram by p^3, quotient by the
     canonical kernel of order p^6, divide the action by p.
 
-    Preserves the degree exactly; t is the rank of the action mod p and any
-    value other than 2 is an invariant breach, never something to continue
-    past.
+    Preserves the degree exactly; t, recorded on the quotient step, is the
+    rank of the action mod p and any value other than 2 is an invariant
+    breach, never something to continue past.
     """
     _require_odd_prime(p)
     order = surface.order
@@ -248,7 +225,7 @@ def enlarge_order_step(
     if t != 2:
         raise InvariantBreach(f"enlargement rank invariant is {t}, expected 2")
     el_cubed = order.element(p**3, 0)
-    twisted, _ = twist_polarization(surface, el_cubed)
+    twisted = twist_by_element(surface, el_cubed)
     twist_step = make_step(
         kind=TWIST,
         prime=p,
@@ -262,7 +239,7 @@ def enlarge_order_step(
             f"enlargement kernel has order {kernel.group_order}, expected {p ** (4 + t)}"
         )
     try:
-        descended, _ = descend_polarization(twisted, kernel)
+        descended = descend_polarization(twisted, kernel)
     except (DescentError, PreconditionError) as exc:
         raise InvariantBreach(f"guaranteed enlargement descent failed: {exc}") from exc
     quotient_step = make_step(
@@ -284,7 +261,7 @@ def enlarge_order_step(
         raise InvariantBreach(f"enlargement produced an invalid surface: {msg}")
     if degree(out) != deg:
         raise InvariantBreach("enlargement changed the degree")
-    return out, (twist_step, quotient_step), t
+    return out, (twist_step, quotient_step)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +308,7 @@ def _branch_decision(surface: PolarizedRMSurface, p: int):
 
 def reduce_degree_step(
     surface: PolarizedRMSurface, p: int
-) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, ...], str | None]:
+) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, ...]]:
     """Remove the prime p from the degree at a prime not dividing the conductor.
 
     Runs squarefree reduction at p first; if p still divides the degree the
@@ -341,8 +318,8 @@ def reduce_degree_step(
     kernel of one factor (the lattice is locally free of rank 2 at p), so
     the divide arm is taken; the quotient arms (SPLIT_QUOTIENT,
     ASSOCIATE_QUOTIENT) stay as defensive code, and replay still checks
-    them. Returns the branch label, or None when squarefree reduction
-    alone cleared p.
+    them. The last step carries the branch label, unless squarefree
+    reduction alone cleared p.
     """
     _require_odd_prime(p)
     order = surface.order
@@ -354,13 +331,13 @@ def reduce_degree_step(
         raise PreconditionError(f"{p} is not reducible in the order")
     current, steps = squarefree_reduce(surface, p)
     if degree(current) % p != 0:
-        return current, steps, None
+        return current, steps
     branch, kernel_subspace, divide_el = _branch_decision(current, p)
     deg_before = degree(current)
     if kernel_subspace is not None:
-        kernel = kernel_from_subspace(current, kernel_subspace, p)
+        kernel = kernel_from_subspace(kernel_subspace, p)
         try:
-            new_surface, _ = descend_polarization(current, kernel)
+            new_surface = descend_polarization(current, kernel)
         except (DescentError, PreconditionError) as exc:
             raise InvariantBreach(
                 f"guaranteed degree-reduction descent failed at {p}: {exc}"
@@ -375,7 +352,7 @@ def reduce_degree_step(
         )
     else:
         try:
-            new_surface, _ = divide_by_symmetric(current, divide_el)
+            new_surface = divide_by_symmetric(current, divide_el)
         except DescentError as exc:
             raise InvariantBreach(
                 f"guaranteed division failed at {p}: {exc}"
@@ -392,7 +369,7 @@ def reduce_degree_step(
         raise InvariantBreach(f"degree did not drop by {p}^2")
     if degree(new_surface) % p == 0:
         raise InvariantBreach(f"{p} still divides the degree after reduction")
-    return new_surface, steps + (move,), branch
+    return new_surface, steps + (move,)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +377,19 @@ def reduce_degree_step(
 # ---------------------------------------------------------------------------
 
 
+def principal_defect(surface: PolarizedRMSurface) -> str | None:
+    """None if principal with a maximal acting order, else what is not."""
+    deg = degree(surface)
+    if deg != 1:
+        return f"at degree {deg}"
+    if surface.order.conductor != 1 or stabilizer_order(surface).conductor != 1:
+        return "with a non-maximal acting order"
+    return None
+
+
 def principalize(
     surface: PolarizedRMSurface, seed: int = 0
-) -> tuple[PolarizedRMSurface, PipelineReport]:
+) -> tuple[PolarizedRMSurface, CertificateData]:
     """Produce a principal surface with a maximal acting order, with certificate.
 
     Hypotheses: odd degree, odd conductor, coprime, and the stored conductor
@@ -428,33 +415,24 @@ def principalize(
             f"stored conductor {f} is not tight: the order of conductor "
             f"{stab.conductor} already acts"
         )
-    input_summary = summarize(surface)
     steps: list[IsogenyStep] = []
     current = surface
     conductor_primes = sorted(factorize(f).items()) if f > 1 else []
     for p, mult in conductor_primes:
         for _ in range(mult):
-            current, pair, _t = enlarge_order_step(current, p)
+            current, pair = enlarge_order_step(current, p)
             steps.extend(pair)
     degree_primes = sorted(factorize(abs(pfaffian(surface))))
     for p in degree_primes:
-        current, more, _branch = reduce_degree_step(current, p)
+        current, more = reduce_degree_step(current, p)
         steps.extend(more)
         if degree(current) % p == 0:
             raise InvariantBreach(f"{p} survived its degree-reduction pass")
-    if degree(current) != 1:
-        raise InvariantBreach(f"pipeline ended at degree {degree(current)}")
-    if current.order.conductor != 1 or stabilizer_order(current).conductor != 1:
-        raise InvariantBreach("pipeline ended with a non-maximal acting order")
+    msg = principal_defect(current)
+    if msg is not None:
+        raise InvariantBreach(f"pipeline ended {msg}")
     _check_telescoping(deg, steps)
-    report = PipelineReport(
-        seed=seed,
-        input_summary=input_summary,
-        output_summary=summarize(current),
-        steps=tuple(steps),
-        final=current,
-    )
-    return current, report
+    return current, CertificateData(seed=seed, steps=tuple(steps), final=current)
 
 
 def _check_telescoping(input_degree: int, steps: list[IsogenyStep]) -> None:

@@ -53,7 +53,6 @@ class KernelSubgroup:
     exponent is the least m with m*L' <= L.
     """
 
-    surface: PolarizedRMSurface
     overlattice: RatMat
 
     @property
@@ -118,13 +117,12 @@ def degree(surface: PolarizedRMSurface) -> int:
 
 def canonicalize_orientation(
     order: RealQuadraticOrder, action: IntMat, gram: IntMat
-) -> tuple[PolarizedRMSurface, IntMat]:
+) -> PolarizedRMSurface:
     """Build a surface with positive pfaffian, swapping the last two basis
-    vectors when needed; returns (surface, permutation used)."""
+    vectors when needed."""
     pf = intmat.pfaffian4(gram)
     if pf == 0:
         raise PreconditionError("degenerate gram form")
-    perm = intmat.identity()
     if pf < 0:
         perm = intmat.freeze(
             [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]
@@ -134,7 +132,7 @@ def canonicalize_orientation(
     surface = PolarizedRMSurface(order, intmat.freeze(action), intmat.freeze(gram))
     if intmat.pfaffian4(surface.gram) <= 0:
         raise InvariantBreach("orientation swap did not fix the pfaffian sign")
-    return surface, perm
+    return surface
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +193,13 @@ def twist_by_element(
         raise PreconditionError("cannot twist by zero")
     a_el = element_action(surface, el)
     gram = intmat.mat_mul(surface.gram, a_el)
-    out, _ = canonicalize_orientation(surface.order, surface.action, gram)
+    out = canonicalize_orientation(surface.order, surface.action, gram)
     msg = validate(out)
     if msg is not None:
         raise InvariantBreach(f"twist produced an invalid surface: {msg}")
+    nm = el.norm()
+    if degree(out) != nm * nm * degree(surface):
+        raise InvariantBreach("twist degree bookkeeping failed")
     return out
 
 
@@ -254,7 +255,7 @@ def eigen_sublattice_pullback(
     gram_new = intmat.mat_mul(
         intmat.mat_mul(intmat.transpose(h), surface.gram), h
     )
-    out, _ = canonicalize_orientation(order, intmat.to_int(action_new), gram_new)
+    out = canonicalize_orientation(order, intmat.to_int(action_new), gram_new)
     msg = validate(out)
     if msg is not None:
         raise InvariantBreach(f"sublattice restriction invalid: {msg}")
@@ -316,7 +317,7 @@ def kernel_of_polarization(
         raise InvariantBreach("alternating form divisors are not paired")
     if divisors[3] % divisors[1] != 0:
         raise InvariantBreach("elementary divisors are not nested")
-    kernel = KernelSubgroup(surface, dual_basis(surface))
+    kernel = KernelSubgroup(dual_basis(surface))
     if kernel.group_order != degree(surface):
         raise InvariantBreach("dual lattice index does not match the degree")
     return kernel, divisors
@@ -360,13 +361,11 @@ def polarization_kernel_mod_p(surface: PolarizedRMSurface, p: int):
     return intmat.kernel_mod_p(intmat.mat_mod(surface.gram, p), p)
 
 
-def kernel_from_subspace(
-    surface: PolarizedRMSurface, basis, p: int
-) -> KernelSubgroup:
+def kernel_from_subspace(basis, p: int) -> KernelSubgroup:
     """KernelSubgroup spanned by p-torsion classes with the given mod-p basis."""
     columns = [tuple(Fraction(x, p) for x in vec) for vec in basis]
     columns += list(intmat.transpose(intmat.identity()))
-    return KernelSubgroup(surface, intmat.hnf_column_basis(columns))
+    return KernelSubgroup(intmat.hnf_column_basis(columns))
 
 
 def stabilizer_order(surface: PolarizedRMSurface) -> RealQuadraticOrder:

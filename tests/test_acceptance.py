@@ -32,7 +32,6 @@ from rmlattice import intmat
 from rmlattice.formats import (
     parse_certificate,
     parse_instance,
-    report_to_certificate,
     serialize_certificate,
     serialize_instance,
 )
@@ -88,7 +87,7 @@ def corpus():
                 seed += 1
                 surface = generate_instance(D, f, request, seed=seed)
                 start = time.perf_counter()
-                result, report = principalize(surface)
+                result, cert = principalize(surface)
                 elapsed += time.perf_counter() - start
                 runs.append(
                     {
@@ -97,7 +96,7 @@ def corpus():
                         "request": tuple(request),
                         "seed": seed,
                         "input": surface,
-                        "report": report,
+                        "cert": cert,
                         "output": result,
                     }
                 )
@@ -167,8 +166,7 @@ def test_criterion_2_order_enlargement_invariants(corpus):
     with criterion(2, "enlargement-rank-and-degree"):
         seen = 0
         for run in corpus["runs"]:
-            cert = report_to_certificate(run["report"])
-            steps = cert.steps
+            steps = run["cert"].steps
             for i, step in enumerate(steps):
                 if step.kind != "twist":
                     continue
@@ -191,7 +189,7 @@ def test_criterion_3_degree_ledger(corpus):
     with criterion(3, "exact-degree-ledger"):
         checked = 0
         for run in corpus["runs"]:
-            cert = report_to_certificate(run["report"])
+            cert = run["cert"]
             D = run["input"].order.D
             conductor = run["input"].order.conductor
             previous = degree(run["input"])
@@ -264,9 +262,9 @@ def branch_corpus():
                             cases.append((moved, p))
     results = []
     for surface, p in cases:
-        out, steps, branch = reduce_degree_step(surface, p)
+        out, steps = reduce_degree_step(surface, p)
         results.append(
-            {"surface": surface, "prime": p, "branch": branch, "steps": steps,
+            {"surface": surface, "prime": p, "branch": steps[-1].branch, "steps": steps,
              "output": out}
         )
     return results
@@ -285,7 +283,7 @@ def test_criterion_4_oracle_equivalence(branch_corpus):
             nontrivial = [k for k in kernels if not k.is_trivial()]
             assert nontrivial, "no valid kernels listed on a stable surface"
             for kernel in nontrivial:
-                quotient, _ = descend_polarization(stable, kernel)
+                quotient = descend_polarization(stable, kernel)
                 assert degree(quotient) == degree(stable) // (p * p)
             move = case["steps"][-1]
             if move.kind == "quotient" and move.branch is not None:
@@ -447,16 +445,14 @@ def _flip(obj, path):
 def test_criterion_8_certificate_integrity(corpus):
     with criterion(8, "certificate-corruption-detection"):
         rng = random.Random(777)
-        eligible = [run for run in corpus["runs"] if run["report"].steps]
+        eligible = [run for run in corpus["runs"] if run["cert"].steps]
         for run in eligible:
-            ok, msg = verify_certificate(
-                run["input"], report_to_certificate(run["report"])
-            )
+            ok, msg = verify_certificate(run["input"], run["cert"])
             assert ok, msg
         rejected = 0
         for trial in range(100):
             run = rng.choice(eligible)
-            text = serialize_certificate(run["report"])
+            text = serialize_certificate(run["cert"])
             obj = json.loads(text)
             paths = list(_integer_paths(obj))
             _flip(obj, rng.choice(paths))

@@ -4,7 +4,9 @@ Each example draws a field, an odd conductor, reducible degree primes and a
 seed, and runs generate -> principalize -> serialize -> parse -> verify.
 Serialization must be byte-canonical, and changing any one integer or
 string leaf of the certificate JSON must be rejected, by the parser
-(ValueError) or by replay, with the CLI exiting 1 and never raising.
+(ValueError) or by replay, with the CLI exiting 1 and never raising. A
+certificate cut after any whole move, ending on the surface that move
+reaches, must be rejected too: it does not end principal.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from rmlattice.cli import main
 from rmlattice.formats import parse_certificate, serialize_certificate, serialize_instance
 from rmlattice.generator import generate_instance
 from rmlattice.oracle import verify_certificate
+from rmlattice.reduction import CertificateData, enlarge_order_step, reduce_degree_step
 
 SQUAREFREE_D = [D for D in range(2, 201) if is_squarefree(D)]
 CONDUCTORS = [1, 3, 5, 7, 9, 15]
@@ -38,6 +41,18 @@ def _leaves(obj, path=()):
             yield from _leaves(value, path + (i,))
     elif isinstance(obj, (int, str)) and not isinstance(obj, bool):
         yield path
+
+
+def _move_boundaries(start, steps):
+    """(number of steps, surface reached) after each whole move of the chain."""
+    boundaries, current, idx = [], start, 0
+    while idx < len(steps):
+        move = enlarge_order_step if steps[idx].kind == "twist" else reduce_degree_step
+        current, derived = move(current, steps[idx].prime)
+        assert derived == steps[idx : idx + len(derived)]
+        idx += len(derived)
+        boundaries.append((idx, current))
+    return boundaries
 
 
 def _tamper(obj, path, delta):
@@ -70,8 +85,8 @@ def test_certificate_chain_round_trips_and_rejects_every_tamper(D, conductor, da
         start = generate_instance(D, conductor, primes, seed)
     except PreconditionError:
         assume(False)
-    _, report = principalize(start)
-    text = serialize_certificate(report)
+    _, record = principalize(start)
+    text = serialize_certificate(record)
     cert = parse_certificate(text)
     assert serialize_certificate(cert) == text
     assert verify_certificate(start, cert) == (
@@ -97,3 +112,10 @@ def test_certificate_chain_round_trips_and_rejects_every_tamper(D, conductor, da
         with open(cert_path, "w", encoding="utf-8") as fh:
             fh.write(tampered)
         assert main(["verify", inst, cert_path]) == 1
+
+    cuts = [(0, start)] + _move_boundaries(start, cert.steps)[:-1]
+    if cert.steps:
+        n, reached = cuts[data.draw(st.integers(0, len(cuts) - 1), "cut")]
+        cut = CertificateData(seed=0, steps=cert.steps[:n], final=reached)
+        ok, msg = verify_certificate(start, cut)
+        assert not ok and msg.startswith("replay ends "), (n, msg)

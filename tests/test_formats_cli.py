@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from rmlattice import make_order, principalize, standard_instance
+from rmlattice import enlarge_order_step, make_order, principalize, standard_instance
 from rmlattice.cli import main
 from rmlattice.formats import (
     _decode_int,
+    _decode_rational_matrix,
     _encode_int,
     parse_certificate,
     parse_instance,
-    report_to_certificate,
     serialize_certificate,
     serialize_instance,
 )
@@ -35,6 +36,24 @@ def test_int_codec_small_and_big():
         _decode_int(True)
     with pytest.raises(ValueError):
         _decode_int(2.5)
+
+
+@pytest.mark.parametrize("text", [" 1_0 ", "1_0", "+10", " 10", "10\n", "\u0661\u0660"])
+def test_int_strings_only_in_the_written_form(text):
+    assert int(text) == 10  # Python's int reads each of these as 10
+    with pytest.raises(ValueError):
+        _decode_int(text)
+
+
+@pytest.mark.parametrize(
+    "entry", ["1e3", " 3/4 ", "0.5", "+3/4", "1_0/3", "3/4\n", "\u0663/4"]
+)
+def test_rational_strings_only_in_the_written_form(entry):
+    Fraction(entry)  # Fraction reads each of these
+    matrix = [["0"] * 4 for _ in range(4)]
+    matrix[2][1] = entry
+    with pytest.raises(ValueError):
+        _decode_rational_matrix(matrix)
 
 
 def test_instance_roundtrip_byte_identical():
@@ -76,11 +95,11 @@ def test_parse_instance_failures():
 
 def test_certificate_roundtrip_byte_identical():
     s = generate_instance(5, 3, [11], seed=42)
-    _, report = principalize(s)
-    text = serialize_certificate(report)
+    _, record = principalize(s)
+    text = serialize_certificate(record)
     cert = parse_certificate(text)
     assert serialize_certificate(cert) == text
-    assert cert == report_to_certificate(report)
+    assert cert == record
 
 
 def test_certificate_parse_failures():
@@ -115,6 +134,20 @@ def test_cli_full_workflow(tmp_path, capsys):
     assert main(["info", str(out)]) == 0
     captured = capsys.readouterr()
     assert "Δ=5 f=1 deg=1 divisors=(1,1,1,1)" in captured.out
+
+
+def test_cli_principalize_prints_the_degree_and_conductor_change(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "out.json"
+    assert main([
+        "generate", "--D", "5", "--conductor", "3", "--degree-primes", "11",
+        "--seed", "42", "-o", str(inst),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["principalize", str(inst), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"principal surface written to {out}; degree 121 -> 1, conductor 3 -> 1\n"
+    )
 
 
 @pytest.mark.parametrize("conductor", ["1", "3"])
@@ -191,7 +224,11 @@ def test_cli_verify_exit_codes(tmp_path):
 
 
 def _verify_tampered_certificate(tmp_path, tamper):
-    """Exit code of `verify` on a genuine instance and a tampered certificate."""
+    """Exit code of `verify` on a genuine instance and a tampered certificate.
+
+    tamper(obj, start) edits the certificate JSON object in place; start is
+    the parsed instance.
+    """
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"
     main(["generate", "--D", "5", "--conductor", "3", "--degree-primes", "11",
@@ -199,14 +236,15 @@ def _verify_tampered_certificate(tmp_path, tamper):
     main(["principalize", str(inst), "-o", str(tmp_path / "out.json"),
           "--cert-out", str(cert)])
     obj = json.loads(cert.read_text(encoding="utf-8"))
-    tamper(obj["steps"])
+    tamper(obj, parse_instance(inst.read_text(encoding="utf-8")))
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(obj), encoding="utf-8")
     return main(["verify", str(inst), str(tampered)])
 
 
 def test_cli_verify_rejects_a_zero_prime(tmp_path, capsys):
-    def tamper(steps):
+    def tamper(obj, start):
+        steps = obj["steps"]
         assert steps[-1]["kind"] == "divide_by_alpha"
         steps[-1]["prime"] = 0
 
@@ -215,12 +253,38 @@ def test_cli_verify_rejects_a_zero_prime(tmp_path, capsys):
 
 
 def test_cli_verify_rejects_a_zero_denominator(tmp_path, capsys):
-    def tamper(steps):
+    def tamper(obj, start):
+        steps = obj["steps"]
         kernel = next(s["kernel_overlattice"] for s in steps if s["kernel_overlattice"])
         kernel[0][0] = "1/0"
 
     assert _verify_tampered_certificate(tmp_path, tamper) == 1
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_an_empty_certificate(tmp_path, capsys):
+    def tamper(obj, start):
+        obj["steps"] = []
+        obj["final"] = json.loads(serialize_instance(start))
+
+    assert _verify_tampered_certificate(tmp_path, tamper) == 1
+    assert capsys.readouterr().err == (
+        "error: replay ends at degree 121: not principal with a maximal order\n"
+    )
+
+
+def test_cli_verify_rejects_a_certificate_cut_after_a_move(tmp_path, capsys):
+    def tamper(obj, start):
+        # keep the enlargement at 3 and end the certificate on its output
+        kinds = [s["kind"] for s in obj["steps"]]
+        assert kinds == ["twist", "quotient", "divide_by_alpha"]
+        obj["steps"] = obj["steps"][:2]
+        obj["final"] = json.loads(serialize_instance(enlarge_order_step(start, 3)[0]))
+
+    assert _verify_tampered_certificate(tmp_path, tamper) == 1
+    assert capsys.readouterr().err == (
+        "error: replay ends at degree 121: not principal with a maximal order\n"
+    )
 
 
 def test_cli_info_parse_failure(tmp_path):

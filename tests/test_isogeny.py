@@ -14,7 +14,6 @@ from rmlattice import (
     degree,
     descend_polarization,
     divide_by_symmetric,
-    induced_endomorphism,
     make_order,
     quotient_lattice,
     standard_instance,
@@ -39,14 +38,14 @@ from rmlattice.surface import apply_unimodular
 
 def full_torsion_kernel(surface, p):
     basis = tuple(tuple(1 if i == j else 0 for i in range(4)) for j in range(4))
-    return kernel_from_subspace(surface, basis, p)
+    return kernel_from_subspace(basis, p)
 
 
 def test_quotient_trivial_kernel():
     s = standard_instance(make_order(5, 1))
-    k = kernel_from_subspace(s, (), 3)
-    h, action = quotient_lattice(s, k)
-    assert h == intmat.to_fraction(intmat.identity())
+    k = kernel_from_subspace((), 3)
+    action = quotient_lattice(s, k)
+    assert k.overlattice == intmat.to_fraction(intmat.identity())
     assert action == s.action
 
 
@@ -54,8 +53,8 @@ def test_quotient_full_torsion_is_scalar():
     s = standard_instance(make_order(5, 1))
     k = full_torsion_kernel(s, 3)
     assert k.group_order == 81 and k.exponent == 3
-    h, action = quotient_lattice(s, k)
-    assert h == tuple(
+    action = quotient_lattice(s, k)
+    assert k.overlattice == tuple(
         tuple(Fraction(1, 3) if i == j else Fraction(0) for j in range(4))
         for i in range(4)
     )
@@ -65,7 +64,7 @@ def test_quotient_full_torsion_is_scalar():
 def test_quotient_rejects_unstable_kernel():
     s = standard_instance(make_order(5, 1))
     # x^2 - x - 1 is irreducible mod 3, so no line is action stable
-    k = kernel_from_subspace(s, ((1, 0, 0, 0),), 3)
+    k = kernel_from_subspace(((1, 0, 0, 0),), 3)
     with pytest.raises(PreconditionError):
         quotient_lattice(s, k)
 
@@ -76,7 +75,7 @@ def test_descend_scalar_example():
     scaled = twist_by_element(s, s.order.element(9, 0))
     assert degree(scaled) == 9**4
     k = full_torsion_kernel(scaled, 3)
-    out, rebasing = descend_polarization(scaled, k)
+    out = descend_polarization(scaled, k)
     assert degree(out) * k.group_order**2 == degree(scaled)
     assert degree(out) == 1
     assert validate(out) is None
@@ -87,7 +86,7 @@ def test_descend_fails_on_principal():
     tw = twist_by_element(s, s.order.element(3, 1))
     lam = polarization_kernel_mod_p(tw, 11)  # action stable, but not in ker
     with pytest.raises(DescentError):
-        descend_polarization(s, kernel_from_subspace(s, lam, 11))
+        descend_polarization(s, kernel_from_subspace(lam, 11))
 
 
 def test_divide_undoes_twist():
@@ -95,7 +94,7 @@ def test_divide_undoes_twist():
         s = standard_instance(make_order(D, 1))
         el = s.order.element(*coords)
         tw = twist_by_element(s, el)
-        back, rebasing = divide_by_symmetric(tw, el)
+        back = divide_by_symmetric(tw, el)
         assert back.gram == s.gram and back.action == s.action
         assert validate(back) is None
 
@@ -113,26 +112,10 @@ def test_divide_rejections():
 def test_scale_polarization():
     s = standard_instance(make_order(5, 1))
     scaled = twist_by_element(s, s.order.element(3, 0))
-    out, _ = scale_polarization(scaled, 3)
+    out = scale_polarization(scaled, 3)
     assert out.gram == s.gram
     with pytest.raises(DescentError):
         scale_polarization(s, 3)
-
-
-def test_induced_endomorphism():
-    s = standard_instance(make_order(5, 1))
-    ident = intmat.to_fraction(intmat.identity())
-    assert induced_endomorphism(ident, s.action) == s.action
-    scalar = tuple(
-        tuple(Fraction(1, 3) if i == j else Fraction(0) for j in range(4))
-        for i in range(4)
-    )
-    assert induced_endomorphism(scalar, s.action) == s.action
-    shear = [list(r) for r in intmat.identity()]
-    shear[0][1] = Fraction(1, 3)
-    assert induced_endomorphism(intmat.freeze(shear), s.action) is None
-    with pytest.raises(PreconditionError):
-        induced_endomorphism(intmat.to_fraction(intmat.zeros()), s.action)
 
 
 def test_descent_criteria_agree_on_random_subgroups():
@@ -154,10 +137,28 @@ def test_descent_criteria_agree_on_random_subgroups():
             v = tuple(rng.randrange(p) for _ in range(4))
             if any(v) and not intmat.subspace_contains(tuple(basis), v, p):
                 basis.append(v)
-        k = kernel_from_subspace(s, tuple(basis), p)
+        k = kernel_from_subspace(tuple(basis), p)
         assert can_descend(s, k) == descends_by_containment(s, k)
         checked += 1
     assert checked >= 200
+
+
+def _gram_on(surface, basis):
+    """The gram form of surface on the lattice spanned by basis's columns."""
+    e = intmat.to_fraction(surface.gram)
+    return intmat.mat_mul(intmat.mat_mul(intmat.transpose(basis), e), basis)
+
+
+def _descend_with_basis(surface, kernel):
+    """descend_polarization, plus the basis it puts on the overlattice (columns
+    in the old coordinates): the kernel's overlattice basis, its last two
+    columns swapped when that makes the pfaffian positive."""
+    out = descend_polarization(surface, kernel)
+    basis = kernel.overlattice
+    if intmat.pfaffian4(_gram_on(surface, basis)) < 0:
+        basis = tuple(row[:2] + (row[3], row[2]) for row in basis)
+    assert _gram_on(surface, basis) == intmat.to_fraction(out.gram)
+    return out, basis
 
 
 def test_quotient_functoriality():
@@ -174,12 +175,12 @@ def test_quotient_functoriality():
 
     sub2 = order_p_squared_subspace(tw, 3)
     assert len(sub2) == 2
-    k2 = kernel_from_subspace(tw, sub2, 3)
+    k2 = kernel_from_subspace(sub2, 3)
     line = (sub2[0],)
-    k1 = kernel_from_subspace(tw, line, 3)
+    k1 = kernel_from_subspace(line, 3)
     if not can_descend(tw, k1):
-        k1 = kernel_from_subspace(tw, (sub2[1],), 3)
-    mid, reb1 = descend_polarization(tw, k1)
+        k1 = kernel_from_subspace((sub2[1],), 3)
+    mid, reb1 = _descend_with_basis(tw, k1)
     # K2/K1 inside the quotient: classes of k2 columns in the new basis
     reb1_inv = intmat.inverse(reb1)
     cols = [
@@ -187,9 +188,9 @@ def test_quotient_functoriality():
     ]
     moved = [intmat.mat_vec(reb1_inv, c) for c in cols]
     moved += [tuple(Fraction(1 if i == j else 0) for i in range(4)) for j in range(4)]
-    rest = KernelSubgroup(mid, intmat.hnf_column_basis(moved))
-    out2, reb2 = descend_polarization(mid, rest)
-    direct, reb_direct = descend_polarization(tw, k2)
+    rest = KernelSubgroup(intmat.hnf_column_basis(moved))
+    out2, reb2 = _descend_with_basis(mid, rest)
+    direct, reb_direct = _descend_with_basis(tw, k2)
     combined = intmat.mat_mul(reb1, reb2)
     combined_cols = [tuple(combined[i][j] for i in range(4)) for j in range(4)]
     direct_cols = [tuple(reb_direct[i][j] for i in range(4)) for j in range(4)]
@@ -234,10 +235,10 @@ def test_every_operation_output_validates():
         assert validate(moved) is None
         lam = polarization_kernel_mod_p(moved, p)
         for v in lam:
-            k = kernel_from_subspace(moved, (v,), p)
+            k = kernel_from_subspace((v,), p)
             if can_descend(moved, k):
                 try:
-                    out, _ = descend_polarization(moved, k)
+                    out = descend_polarization(moved, k)
                 except PreconditionError:
                     continue  # action-unstable line
                 assert validate(out) is None

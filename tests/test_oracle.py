@@ -16,17 +16,14 @@ from rmlattice import (
     standard_instance,
     twist_by_element,
 )
-from rmlattice.formats import (
-    parse_certificate,
-    report_to_certificate,
-    serialize_certificate,
-)
+from rmlattice.formats import parse_certificate, serialize_certificate
 from rmlattice.generator import generate_instance
 from rmlattice.oracle import (
     check_symmetric_rank_even,
     enumerate_valid_kernels,
     verify_certificate,
 )
+from rmlattice.reduction import CertificateData, enlarge_order_step
 
 
 def test_enumerate_principal_is_trivial():
@@ -45,7 +42,7 @@ def test_enumerate_twist_kernels_are_the_kernel_lines():
         assert len(nontrivial) == p + 1  # all lines of the rank-2 kernel
         for k in nontrivial:
             assert k.group_order == p
-            out, _ = descend_polarization(tw, k)
+            out = descend_polarization(tw, k)
             assert degree(out) * p * p == degree(tw)
 
 
@@ -62,7 +59,7 @@ def test_enumerate_scaled_gram_lists_isotropic_stable_subgroups():
     for k in kernels:
         if k.is_trivial():
             continue
-        out, _ = descend_polarization(scaled, k)
+        out = descend_polarization(scaled, k)
         assert degree(out) * k.group_order**2 == degree(scaled)
 
 
@@ -81,15 +78,15 @@ def test_rank_parity_trials():
 def test_verify_accepts_genuine_certificates():
     for seed, params in [(1, (5, 3, [11])), (2, (13, 9, [17])), (3, (5, 1, [5, 29]))]:
         s = generate_instance(*params, seed=seed)
-        out, report = principalize(s)
-        ok, msg = verify_certificate(s, report_to_certificate(report))
+        out, cert = principalize(s)
+        ok, msg = verify_certificate(s, cert)
         assert ok, msg
 
 
 def test_verify_rejects_tampering():
     s = generate_instance(5, 3, [11], seed=4)
-    out, report = principalize(s)
-    text = serialize_certificate(report)
+    out, cert = principalize(s)
+    text = serialize_certificate(cert)
 
     # a gram entry in the final surface
     obj = json.loads(text)
@@ -125,8 +122,7 @@ def test_verify_rejects_tampering():
 
 def test_verify_rejects_reordered_steps():
     s = generate_instance(5, 3, [11], seed=6)
-    out, report = principalize(s)
-    cert = report_to_certificate(report)
+    out, cert = principalize(s)
     reordered = cert.__class__(
         seed=cert.seed,
         steps=tuple(reversed(cert.steps)),
@@ -140,15 +136,14 @@ def test_verify_rejects_wrong_instance():
     s1 = generate_instance(5, 3, [11], seed=8)
     s2 = generate_instance(5, 3, [11], seed=9)
     assert s1 != s2
-    _, report = principalize(s1)
-    ok, msg = verify_certificate(s2, report_to_certificate(report))
+    _, cert = principalize(s1)
+    ok, msg = verify_certificate(s2, cert)
     assert not ok
 
 
 def test_verify_is_deterministic():
     s = generate_instance(13, 1, [3, 17], seed=10)
-    _, report = principalize(s)
-    cert = report_to_certificate(report)
+    _, cert = principalize(s)
     first = verify_certificate(s, cert)
     second = verify_certificate(s, cert)
     assert first == second == (True, "certificate replays to an identical surface")
@@ -177,8 +172,8 @@ def test_verify_rejects_a_merged_non_prime_scale_step():
     # telescoping ledger, but scale factors of the pipeline are odd primes.
     s = generate_instance(13, 1, [17], seed=1)
     start = twist_by_element(s, s.order.element(9, 0))
-    _, report = principalize(start)
-    obj = json.loads(serialize_certificate(report))
+    _, cert = principalize(start)
+    obj = json.loads(serialize_certificate(cert))
     first, second, last = obj["steps"]
     assert [(st["kind"], st["prime"]) for st in obj["steps"]] == [
         ("scale", 3), ("scale", 3), ("divide_by_alpha", 17)
@@ -193,8 +188,8 @@ def test_verify_rejects_a_merged_non_prime_scale_step():
 
 def test_verify_names_the_divergent_step_and_field():
     s = generate_instance(5, 3, [11], seed=4)
-    _, report = principalize(s)
-    obj = json.loads(serialize_certificate(report))
+    _, cert = principalize(s)
+    obj = json.loads(serialize_certificate(cert))
     assert obj["steps"][-1]["kind"] == "divide_by_alpha"
     x, y = obj["steps"][-1]["alpha"]
     obj["steps"][-1]["alpha"] = [x + 1, y]
@@ -209,10 +204,41 @@ def test_verify_names_the_divergent_step_and_field():
 
 def test_verify_rejects_a_certificate_that_ends_inside_a_move():
     s = generate_instance(5, 3, [11], seed=4)
-    _, report = principalize(s)
-    cert = report_to_certificate(report)
+    _, cert = principalize(s)
     assert cert.steps[0].kind == "twist"
     cut = cert.__class__(seed=0, steps=cert.steps[:1], final=cert.final)
     ok, msg = verify_certificate(s, cut)
     assert not ok
     assert msg == "step 0 (twist at 3): certificate ends inside this move"
+
+
+def test_verify_rejects_the_empty_certificate():
+    s = generate_instance(5, 3, [11], seed=4)
+    assert degree(s) == 121 and s.order.conductor == 3
+    ok, msg = verify_certificate(s, CertificateData(seed=0, steps=(), final=s))
+    assert not ok
+    assert msg == "replay ends at degree 121: not principal with a maximal order"
+
+
+def test_verify_rejects_a_certificate_cut_after_a_move():
+    # degree 121, conductor 3: cut after the enlargement, degree 121 is left
+    s = generate_instance(5, 3, [11], seed=4)
+    _, cert = principalize(s)
+    mid, pair = enlarge_order_step(s, 3)
+    assert cert.steps[:2] == pair and len(cert.steps) > 2
+    cut = CertificateData(seed=0, steps=pair, final=mid)
+    ok, msg = verify_certificate(s, cut)
+    assert not ok
+    assert msg == "replay ends at degree 121: not principal with a maximal order"
+
+    # degree 1, conductor 9: cut after the first enlargement, conductor 3 is left
+    s = standard_instance(make_order(5, 9))
+    _, cert = principalize(s)
+    mid, pair = enlarge_order_step(s, 3)
+    assert cert.steps[:2] == pair and len(cert.steps) == 4
+    cut = CertificateData(seed=0, steps=pair, final=mid)
+    ok, msg = verify_certificate(s, cut)
+    assert not ok
+    assert msg == (
+        "replay ends with a non-maximal acting order: not principal with a maximal order"
+    )

@@ -26,12 +26,18 @@ from rmlattice import (
 )
 from rmlattice import intmat
 from rmlattice.generator import generate_instance, random_unimodular
-from rmlattice.reduction import (
-    ASSOCIATE_DIVIDE,
-    SPLIT_DIVIDE,
-    summarize,
-)
+from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE
 from rmlattice.surface import PolarizedRMSurface, apply_unimodular
+
+
+def _t_values(cert):
+    """(prime, t) of every enlargement quotient step, in order."""
+    return tuple((st.prime, st.t) for st in cert.steps if st.t is not None)
+
+
+def _branches(cert):
+    """(prime, branch) of every degree-reduction move, in order."""
+    return tuple((st.prime, st.branch) for st in cert.steps if st.branch is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +128,7 @@ def test_order_p_squared_subspace_matches_smith_route():
 
 def test_enlarge_order_step_example():
     s = standard_instance(make_order(5, 3))
-    out, (twist, quot), t = enlarge_order_step(s, 3)
-    assert t == 2
+    out, (twist, quot) = enlarge_order_step(s, 3)
     assert degree(out) == 1
     assert out.order.conductor == 1
     assert stabilizer_order(out).conductor == 1
@@ -136,10 +141,10 @@ def test_enlarge_order_step_example():
 
 def test_enlarge_order_step_composite_conductor():
     s = standard_instance(make_order(5, 9))
-    mid, _, _ = enlarge_order_step(s, 3)
+    mid, _ = enlarge_order_step(s, 3)
     assert mid.order.conductor == 3
-    out, _, t = enlarge_order_step(mid, 3)
-    assert out.order.conductor == 1 and t == 2
+    out, steps = enlarge_order_step(mid, 3)
+    assert out.order.conductor == 1 and steps[-1].t == 2
     assert degree(out) == 1
     assert stabilizer_order(out).conductor == 1
 
@@ -169,8 +174,8 @@ def test_enlarge_preserves_degree_with_nontrivial_polarization():
     s = standard_instance(make_order(5, 3))
     el = solve_norm(s.order, 11)
     tw = twist_by_element(s, el)
-    out, steps, t = enlarge_order_step(tw, 3)
-    assert t == 2
+    out, steps = enlarge_order_step(tw, 3)
+    assert steps[-1].t == 2
     assert degree(out) == 121
     assert out.order.conductor == 1
     assert stabilizer_order(out).conductor == 1
@@ -186,8 +191,8 @@ def test_reduce_degree_twist_cases():
     a1, a2 = factor_prime(s.order, 11)
     for el in (a1, a2):
         tw = twist_by_element(s, el)
-        out, steps, branch = reduce_degree_step(tw, 11)
-        assert branch == SPLIT_DIVIDE
+        out, steps = reduce_degree_step(tw, 11)
+        assert steps[-1].branch == SPLIT_DIVIDE
         assert degree(out) == 1
         assert out.gram == s.gram and out.action == s.action
 
@@ -195,8 +200,8 @@ def test_reduce_degree_twist_cases():
 def test_reduce_degree_ramified_case():
     s = standard_instance(make_order(5, 1))
     tw = twist_by_element(s, solve_norm(s.order, 5))
-    out, steps, branch = reduce_degree_step(tw, 5)
-    assert branch == ASSOCIATE_DIVIDE
+    out, steps = reduce_degree_step(tw, 5)
+    assert steps[-1].branch == ASSOCIATE_DIVIDE
     assert degree(out) == 1
 
 
@@ -204,9 +209,9 @@ def test_reduce_degree_eigen_pullback_case():
     s = standard_instance(make_order(5, 1))
     for idx in (0, 1):
         pulled = eigen_sublattice_pullback(s, 11, idx)
-        out, steps, branch = reduce_degree_step(pulled, 11)
+        out, steps = reduce_degree_step(pulled, 11)
         assert degree(out) == 1
-        assert branch == SPLIT_DIVIDE
+        assert steps[-1].branch == SPLIT_DIVIDE
         assert stabilizer_order(out).conductor == 1
 
 
@@ -214,8 +219,8 @@ def test_reduce_degree_pure_squarefree_clears():
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)
     tw = twist_by_element(twist_by_element(s, el), el)
-    out, steps, branch = reduce_degree_step(tw, 3)
-    assert branch is None
+    out, steps = reduce_degree_step(tw, 3)
+    assert all(st.branch is None for st in steps)
     assert degree(out) == 1
 
 
@@ -250,16 +255,16 @@ def test_reduce_degree_preconditions():
 
 def test_principalize_example_run():
     s = generate_instance(5, 3, [11], seed=42)
-    out, report = principalize(s)
+    out, cert = principalize(s)
     assert degree(out) == 1
     assert out.order.conductor == 1
     assert stabilizer_order(out).conductor == 1
-    assert report.input_summary.degree == 121
-    assert report.output_summary == summarize(out)
-    assert report.t_values == ((3, 2),)
-    assert len(report.branches) == 1 and report.branches[0][0] == 11
-    previous = report.input_summary.degree
-    for st in report.steps:
+    assert degree(s) == 121
+    assert cert.final == out
+    assert _t_values(cert) == ((3, 2),)
+    assert len(_branches(cert)) == 1 and _branches(cert)[0][0] == 11
+    previous = degree(s)
+    for st in cert.steps:
         assert st.degree_before == previous
         previous = st.degree_after
     assert previous == 1
@@ -267,8 +272,8 @@ def test_principalize_example_run():
 
 def test_principalize_noop():
     s = standard_instance(make_order(5, 1))
-    out, report = principalize(s)
-    assert out == s and report.steps == ()
+    out, cert = principalize(s)
+    assert out == s and cert.steps == ()
 
 
 def test_principalize_precondition_errors():
@@ -320,11 +325,11 @@ def test_principalize_propagates_irreducible_prime():
 def test_principalize_composite_multi_prime_conductor():
     # conductor 21: enlargement runs at 3 then 7, in increasing prime order
     s = generate_instance(13, 21, [17], seed=0)
-    out, report = principalize(s)
+    out, cert = principalize(s)
     assert degree(out) == 1
     assert stabilizer_order(out).conductor == 1
-    assert report.t_values == ((3, 2), (7, 2))
-    kinds = [st.kind for st in report.steps]
+    assert _t_values(cert) == ((3, 2), (7, 2))
+    kinds = [st.kind for st in cert.steps]
     assert kinds[:4] == ["twist", "quotient", "twist", "quotient"]
 
 
@@ -335,7 +340,7 @@ def test_principalize_across_scrambles():
         moved = apply_unimodular(s, random_unimodular(rng))
         if intmat.pfaffian4(moved.gram) < 0:
             continue
-        out, report = principalize(moved)
+        out, cert = principalize(moved)
         assert degree(out) == 1
         assert stabilizer_order(out).conductor == 1
-        assert report.t_values == ((3, 2), (3, 2))
+        assert _t_values(cert) == ((3, 2), (3, 2))
