@@ -28,11 +28,8 @@ from .surface import (
     kernel_of_polarization,
     standard_instance,
     stabilizer_order,
-    torsion_kernel,
-    torsion_pairing,
     twist_by_element,
     validate,
-    weil_on_kernel,
 )
 from .isogeny import (
     IsogenyStep,
@@ -82,9 +79,6 @@ __all__ = [
     "squarefree_reduce",
     "stabilizer_order",
     "standard_instance",
-    "torsion_kernel",
-    "torsion_pairing",
     "twist_by_element",
     "validate",
-    "weil_on_kernel",
 ]

@@ -2,10 +2,12 @@
 
 Instances carry exact integers only; certificates carry rationals as
 "p/q" strings so nothing ever passes through floats. Integers of magnitude
-at least 2^53 are serialized as decimal strings and the parser accepts
-both forms, but number strings only as written: -?[0-9]+, plus /[0-9]+ for
-rationals. Serialization is canonical: serialize(parse(serialize(x)))
-is byte-identical to serialize(x).
+at least 2^53 are serialized as decimal strings -?[0-9]+, smaller ones as
+JSON numbers; rationals as -?[0-9]+(/[0-9]+)? in lowest terms. The parser
+accepts each number only in the one form the serializer writes it, so no
+leading zeros, no "-0" and no "3/1". Serialization is canonical:
+serialize(parse(serialize(x))) is byte-identical to serialize(x), and
+parse accepts no other text for x.
 """
 
 from __future__ import annotations
@@ -41,12 +43,17 @@ def _decode_int(v) -> int:
     if isinstance(v, bool):
         raise ValueError("expected an integer, got a boolean")
     if isinstance(v, int):
-        return v
-    if isinstance(v, str):
+        value = v
+    elif isinstance(v, str):
         if not _INT_TEXT.fullmatch(v):
             raise ValueError(f"integer string {v!r} is not of the form -?[0-9]+")
-        return int(v, 10)
-    raise ValueError(f"expected an integer, got {type(v).__name__}")
+        value = int(v, 10)
+    else:
+        raise ValueError(f"expected an integer, got {type(v).__name__}")
+    written = _encode_int(value)
+    if written != v:
+        raise ValueError(f"integer {v!r} is not written as {written!r}")
+    return value
 
 
 def _encode_int_matrix(m):
@@ -80,9 +87,12 @@ def _decode_rational_matrix(obj) -> RatMat:
             if not isinstance(x, str) or not _RATIONAL_TEXT.fullmatch(x):
                 raise ValueError(f"rational entry {x!r} is not a string like '-3/4'")
             try:
-                out.append(Fraction(x))
+                value = Fraction(x)
             except ZeroDivisionError:
                 raise ValueError(f"rational entry {x!r} has a zero denominator") from None
+            if str(value) != x:
+                raise ValueError(f"rational entry {x!r} is not written as {str(value)!r}")
+            out.append(value)
         rows.append(tuple(out))
     return tuple(rows)
 

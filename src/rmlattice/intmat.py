@@ -405,25 +405,3 @@ def span_mod_p(vectors, p: int) -> tuple[IntVec, ...]:
         return ()
     rref, pivots = rref_mod_p(freeze(vecs), p)
     return tuple(rref[i] for i in range(len(pivots)))
-
-
-def intersect_mod_p(basis_a, basis_b, p: int) -> tuple[IntVec, ...]:
-    """Canonical basis of the intersection of two subspaces of (Z/p)^n."""
-    if not basis_a or not basis_b:
-        return ()
-    n = len(basis_a[0])
-    # Solutions of x in span(a) and x in span(b): kernel of the stacked
-    # coefficient system [A^T | -B^T] gives coefficient pairs.
-    a_t = transpose(freeze(basis_a))  # n x ka
-    b_t = transpose(freeze(basis_b))  # n x kb
-    ka, kb = len(basis_a), len(basis_b)
-    stacked = tuple(a_t[i] + tuple(-x % p for x in b_t[i]) for i in range(n))
-    vecs = []
-    for coeffs in kernel_mod_p(stacked, p):
-        x = [0] * n
-        for i in range(ka):
-            if coeffs[i]:
-                x = [(xi + coeffs[i] * ai) % p for xi, ai in zip(x, basis_a[i])]
-        if any(x):
-            vecs.append(tuple(x))
-    return span_mod_p(vecs, p)

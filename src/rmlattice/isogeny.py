@@ -135,26 +135,6 @@ def can_descend(surface: PolarizedRMSurface, kernel: KernelSubgroup) -> bool:
     return intmat.is_integral(rebased)
 
 
-def descends_by_containment(
-    surface: PolarizedRMSurface, kernel: KernelSubgroup
-) -> bool:
-    """The equivalent kernel-side criterion: K inside the polarization kernel
-    and the kernel pairing trivial on K x K, checked on overlattice generators."""
-    h = kernel.overlattice
-    e = intmat.to_fraction(surface.gram)
-    cols = [tuple(h[i][j] for i in range(4)) for j in range(4)]
-    for col in cols:
-        row = intmat.mat_vec(intmat.transpose(e), col)
-        if not all(x.denominator == 1 for x in row):
-            return False  # generator is outside the dual lattice
-    for a in cols:
-        for b in cols:
-            val = sum(a[i] * e[i][j] * b[j] for i in range(4) for j in range(4))
-            if val.denominator != 1:
-                return False  # pairing not trivial on this pair
-    return True
-
-
 def descend_polarization(
     surface: PolarizedRMSurface, kernel: KernelSubgroup
 ) -> PolarizedRMSurface:

@@ -165,24 +165,6 @@ class OrderElement:
         return f"{self.x}{self.y:+d}w"
 
 
-def _sign_plus_root(a: int, b: int, disc: int) -> int:
-    """Sign of a + b*sqrt(disc) for integers a, b and disc > 0 non-square."""
-    if a >= 0 and b >= 0:
-        return 1 if (a or b) else 0
-    if a <= 0 and b <= 0:
-        return -1 if (a or b) else 0
-    if b > 0:  # a < 0
-        return 1 if b * b * disc > a * a else -1
-    return 1 if a * a > b * b * disc else -1  # a > 0, b < 0
-
-
-def embeds_above_one(el: OrderElement) -> bool:
-    """Whether x + y*w > 1 in the embedding sending sqrt(D) to the positive root."""
-    t, disc = el.order.trace_omega, el.order.discriminant
-    # x + y*(t + sqrt(disc))/2 > 1  <=>  (2x + y*t - 2) + y*sqrt(disc) > 0
-    return _sign_plus_root(2 * el.x + el.y * t - 2, el.y, disc) > 0
-
-
 def _norm_solutions_for_y(order: RealQuadraticOrder, y: int, target: int) -> list[OrderElement]:
     """Integer x with norm(x + y*w) == target, by the quadratic formula."""
     t, n = order.trace_omega, order.norm_omega

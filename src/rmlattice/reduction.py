@@ -6,10 +6,8 @@ elementary divisors at p are squarefree. enlarge_order_step enlarges the
 acting order by one conductor prime without changing the degree; its
 quotient step records the rank invariant t of the old generator mod p
 (always 2 on valid input). reduce_degree_step removes a reducible prime
-from the degree, quotienting or dividing according to how the kernel meets
-the two factor kernels, and records the branch on its last step. On valid
-input the kernel p-torsion is always a full factor kernel, so it divides;
-the quotient arms stay as defensive code, and replay still checks them.
+from the degree by dividing by the norm +-p factor whose mod-p kernel is
+the kernel p-torsion, and records the branch on its last step.
 principalize chains the moves, conductor primes first, and returns the
 final surface with its CertificateData; its closing check that the result
 is principal with a maximal acting order is shared with replay.
@@ -35,11 +33,7 @@ from .isogeny import (
     make_step,
     scale_polarization,
 )
-from .quadratic import (
-    are_associates_in_maximal,
-    factor_prime,
-    make_order,
-)
+from .quadratic import factor_prime, make_order
 from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
@@ -53,9 +47,7 @@ from .surface import (
     validate,
 )
 
-SPLIT_QUOTIENT = "split_quotient"
 SPLIT_DIVIDE = "split_divide"
-ASSOCIATE_QUOTIENT = "associate_quotient"
 ASSOCIATE_DIVIDE = "associate_divide"
 
 
@@ -272,38 +264,23 @@ def enlarge_order_step(
 def _branch_decision(surface: PolarizedRMSurface, p: int):
     """Decide the degree-reduction move on a squarefree-stable surface.
 
-    Returns (branch, kernel_subspace_or_None, divide_element_or_None).
+    Returns (branch, element): element is the factor of p, a1 tried first,
+    whose mod-p kernel is the kernel p-torsion (both are canonical
+    kernel_mod_p bases, so tuples compare), and the branch is associate
+    exactly when p divides the discriminant. With p prime to the conductor
+    the lattice is locally free of rank 2 at p, so such a factor always
+    exists; its absence is an invariant breach.
     """
-    order = surface.order
-    factors = factor_prime(order, p)
-    if factors is None:
-        raise PreconditionError(f"{p} is not reducible in the order")
-    a1, a2 = factors
     kernel_p = polarization_kernel_mod_p(surface, p)
-    if len(kernel_p) != 2:
-        raise InvariantBreach(
-            f"kernel p-torsion has dimension {len(kernel_p)}, expected 2"
-        )
-    ker_a1 = intmat.kernel_mod_p(intmat.mat_mod(element_action(surface, a1), p), p)
-    ker_a2 = intmat.kernel_mod_p(intmat.mat_mod(element_action(surface, a2), p), p)
-    lam1 = intmat.intersect_mod_p(kernel_p, ker_a1, p)
-    lam2 = intmat.intersect_mod_p(kernel_p, ker_a2, p)
-    if are_associates_in_maximal(a1, a2):
-        if len(lam1) == 0:
-            raise InvariantBreach(
-                "associate-case intersection is zero, contradicting stability"
-            )
-        if len(lam1) == 1:
-            return ASSOCIATE_QUOTIENT, lam1, None
-        return ASSOCIATE_DIVIDE, None, a1
-    # Non-associate factors: the kernel splits across the two factor kernels.
-    if len(lam1) + len(lam2) != 2:
-        raise InvariantBreach("kernel does not split across the two factor kernels")
-    if len(lam1) == 2:
-        return SPLIT_DIVIDE, None, a1
-    if len(lam2) == 2:
-        return SPLIT_DIVIDE, None, a2
-    return SPLIT_QUOTIENT, lam1, None
+    for el in factor_prime(surface.order, p):
+        ker_el = intmat.kernel_mod_p(intmat.mat_mod(element_action(surface, el), p), p)
+        if ker_el == kernel_p:
+            if surface.order.discriminant % p == 0:
+                return ASSOCIATE_DIVIDE, el
+            return SPLIT_DIVIDE, el
+    raise InvariantBreach(
+        f"kernel p-torsion at {p} is not the mod-p kernel of a factor of {p}"
+    )
 
 
 def reduce_degree_step(
@@ -311,15 +288,10 @@ def reduce_degree_step(
 ) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, ...]]:
     """Remove the prime p from the degree at a prime not dividing the conductor.
 
-    Runs squarefree reduction at p first; if p still divides the degree the
-    kernel p-torsion is a plane, and the move quotients by a line of it or
-    divides by a norm +-p factor, chosen by how the plane meets the two
-    factor kernels. On valid input the plane is always the full mod-p
-    kernel of one factor (the lattice is locally free of rank 2 at p), so
-    the divide arm is taken; the quotient arms (SPLIT_QUOTIENT,
-    ASSOCIATE_QUOTIENT) stay as defensive code, and replay still checks
-    them. The last step carries the branch label, unless squarefree
-    reduction alone cleared p.
+    Runs squarefree reduction at p first; if p still divides the degree,
+    divides by the norm +-p factor that _branch_decision picks. The last
+    step carries the branch label, unless squarefree reduction alone
+    cleared p.
     """
     _require_odd_prime(p)
     order = surface.order
@@ -332,39 +304,20 @@ def reduce_degree_step(
     current, steps = squarefree_reduce(surface, p)
     if degree(current) % p != 0:
         return current, steps
-    branch, kernel_subspace, divide_el = _branch_decision(current, p)
+    branch, divide_el = _branch_decision(current, p)
     deg_before = degree(current)
-    if kernel_subspace is not None:
-        kernel = kernel_from_subspace(kernel_subspace, p)
-        try:
-            new_surface = descend_polarization(current, kernel)
-        except (DescentError, PreconditionError) as exc:
-            raise InvariantBreach(
-                f"guaranteed degree-reduction descent failed at {p}: {exc}"
-            ) from exc
-        move = make_step(
-            kind=QUOTIENT,
-            prime=p,
-            kernel=kernel,
-            degree_before=deg_before,
-            degree_after=degree(new_surface),
-            branch=branch,
-        )
-    else:
-        try:
-            new_surface = divide_by_symmetric(current, divide_el)
-        except DescentError as exc:
-            raise InvariantBreach(
-                f"guaranteed division failed at {p}: {exc}"
-            ) from exc
-        move = make_step(
-            kind=DIVIDE,
-            prime=p,
-            alpha=divide_el,
-            degree_before=deg_before,
-            degree_after=degree(new_surface),
-            branch=branch,
-        )
+    try:
+        new_surface = divide_by_symmetric(current, divide_el)
+    except DescentError as exc:
+        raise InvariantBreach(f"guaranteed division failed at {p}: {exc}") from exc
+    move = make_step(
+        kind=DIVIDE,
+        prime=p,
+        alpha=divide_el,
+        degree_before=deg_before,
+        degree_after=degree(new_surface),
+        branch=branch,
+    )
     if degree(new_surface) * p * p != deg_before:
         raise InvariantBreach(f"degree did not drop by {p}^2")
     if degree(new_surface) % p == 0:
@@ -382,7 +335,9 @@ def principal_defect(surface: PolarizedRMSurface) -> str | None:
     deg = degree(surface)
     if deg != 1:
         return f"at degree {deg}"
-    if surface.order.conductor != 1 or stabilizer_order(surface).conductor != 1:
+    # The stabilizer conductor divides the stored one, so 1 here means the
+    # maximal order acts.
+    if surface.order.conductor != 1:
         return "with a non-maximal acting order"
     return None
 

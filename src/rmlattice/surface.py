@@ -3,12 +3,13 @@
 A surface is a triple (order, action, gram): the lattice is Z^4, `action`
 is the integer matrix by which the order generator acts, and `gram` is a
 nondegenerate integral alternating form giving the polarization. The four
-defining invariants are: gram antisymmetric, gram nondegenerate with
-det = pfaffian^2, action satisfying the generator's minimal polynomial,
-and the symmetry identity action^T * gram = gram * action.
+defining invariants are: gram antisymmetric, gram nondegenerate (pfaffian
+nonzero; for a 4x4 alternating form det = pfaffian^2 always holds), action
+satisfying the generator's minimal polynomial, and the symmetry identity
+action^T * gram = gram * action.
 
-Degree, torsion, dual lattices, kernels, pairings, stabilizer orders and
-the instance constructors all live here. Everything is a pure function on
+Degree, dual lattices, kernels, stabilizer orders and the instance
+constructors all live here. Everything is a pure function on
 immutable values.
 """
 
@@ -16,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import intmat
-from .arith import is_prime
 from .errors import InvariantBreach, PreconditionError
 from .intmat import IntMat, RatMat
 from .quadratic import (
@@ -49,19 +49,10 @@ class KernelSubgroup:
     """A finite subgroup of torsion, stored as its overlattice L' with L <= L'.
 
     The overlattice matrix holds a canonical (column Hermite form) basis of
-    L' in the coordinates of L, so 1/det gives the group order and the
-    exponent is the least m with m*L' <= L.
+    L' in the coordinates of L, so 1/det gives the group order.
     """
 
     overlattice: RatMat
-
-    @property
-    def exponent(self) -> int:
-        m = 1
-        for row in self.overlattice:
-            for x in row:
-                m = lcm(m, Fraction(x).denominator)
-        return m
 
     @property
     def group_order(self) -> int:
@@ -85,12 +76,8 @@ def validate(surface: PolarizedRMSurface) -> str | None:
     e, a = surface.gram, surface.action
     if not intmat.is_antisymmetric(e):
         return "gram form is not antisymmetric"
-    d = intmat.det(e)
-    if d == 0:
+    if intmat.pfaffian4(e) == 0:
         return "gram form is degenerate"
-    pf = intmat.pfaffian4(e)
-    if pf * pf != d:
-        return "gram determinant is not the square of its pfaffian"
     t, n = surface.order.trace_omega, surface.order.norm_omega
     lhs = intmat.mat_add(
         intmat.mat_sub(intmat.mat_mul(a, a), intmat.scalar_mul(t, a)),
@@ -265,34 +252,8 @@ def eigen_sublattice_pullback(
 
 
 # ---------------------------------------------------------------------------
-# torsion, kernels and pairings
+# kernels
 # ---------------------------------------------------------------------------
-
-
-def torsion_pairing(surface: PolarizedRMSurface, m: int) -> IntMat:
-    """The pairing on m-torsion: the gram form reduced mod m (additively in Z/m)."""
-    if m < 1:
-        raise PreconditionError("m must be >= 1")
-    return intmat.mat_mod(surface.gram, m)
-
-
-def torsion_kernel(surface: PolarizedRMSurface, matrix: IntMat, m: int):
-    """Independent generators of the kernel of `matrix` acting on (Z/m)^4."""
-    if m < 1:
-        raise PreconditionError("m must be >= 1")
-    if m == 1:
-        return ()
-    if is_prime(m):
-        return intmat.kernel_mod_p(matrix, m)
-    _, s, v = intmat.snf_with_transforms(matrix)
-    gens = []
-    for j in range(4):
-        d = abs(s[j][j])
-        mult = m // gcd(d, m) if d else 1
-        vec = tuple(mult * v[i][j] % m for i in range(4))
-        if any(vec):
-            gens.append(vec)
-    return tuple(gens)
 
 
 def dual_basis(surface: PolarizedRMSurface) -> RatMat:
@@ -310,7 +271,7 @@ def kernel_of_polarization(
     Divisors come paired (d1, d1, d2, d2) with d1 | d2; the group order is
     (d1*d2)^2 = degree.
     """
-    if intmat.det(surface.gram) == 0:
+    if intmat.pfaffian4(surface.gram) == 0:
         raise PreconditionError("degenerate gram form")
     divisors = intmat.snf_divisors(surface.gram)
     if divisors[0] != divisors[1] or divisors[2] != divisors[3]:
@@ -321,39 +282,6 @@ def kernel_of_polarization(
     if kernel.group_order != degree(surface):
         raise InvariantBreach("dual lattice index does not match the degree")
     return kernel, divisors
-
-
-def kernel_smith_generators(
-    surface: PolarizedRMSurface,
-) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
-    """Generators g_i of the polarization kernel with orders the divisors d_i.
-
-    From u @ gram @ v = s, the dual lattice is spanned by the columns of
-    v/d_i, so the class of column i has exact order d_i.
-    """
-    _, s, v = intmat.snf_with_transforms(surface.gram)
-    divisors = tuple(abs(s[i][i]) for i in range(4))
-    gens = tuple(
-        tuple(Fraction(v[i][j], divisors[j]) for i in range(4)) for j in range(4)
-    )
-    return divisors, gens
-
-
-def weil_on_kernel(surface: PolarizedRMSurface, a, b) -> Fraction:
-    """Pairing of two kernel classes given by rational lifts in the dual lattice.
-
-    Returns the value in Q/Z as a fraction in [0, 1); the result does not
-    depend on the choice of lifts.
-    """
-    e = intmat.to_fraction(surface.gram)
-    for vec in (a, b):
-        row = intmat.mat_vec(intmat.transpose(e), tuple(Fraction(x) for x in vec))
-        if not all(Fraction(x).denominator == 1 for x in row):
-            raise PreconditionError("lift is not in the dual lattice")
-    av = tuple(Fraction(x) for x in a)
-    bv = tuple(Fraction(x) for x in b)
-    val = sum(av[i] * e[i][j] * bv[j] for i in range(4) for j in range(4))
-    return val - (val.numerator // val.denominator)
 
 
 def polarization_kernel_mod_p(surface: PolarizedRMSurface, p: int):

@@ -88,9 +88,11 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
                 continue
             stable, _ = squarefree_reduce(surface, p)
             assert rm.degree(stable) == p * p
-            branch, subspace, element = _branch_decision(stable, p)
-            assert subspace is None, "a quotient branch appeared; revisit the notes"
-            assert element is not None
+            branch, element = _branch_decision(stable, p)
+            kernel_el = intmat.kernel_mod_p(
+                intmat.mat_mod(rm.element_action(stable, element), p), p
+            )
+            assert kernel_el == polarization_kernel_mod_p(stable, p)
             branches.add(branch)
             classes += 1
     assert classes > 0
@@ -100,26 +102,15 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
 def _bezout_where_kernel_splits(stable, p):
     """Solve the conductor identity wherever degree reduction sees a split kernel.
 
-    Recomputes the two factor-kernel intersections of the stabilized
-    kernel p-torsion as degree reduction does; for non-associate factors
-    with len(lam1) + len(lam2) == 2, bezout_conductor must succeed and
-    satisfy conductor = a1*b1 + a2*b2. Returns whether that case arose.
+    Where degree reduction's branch decision on the stabilized surface is
+    split_divide (non-associate factors, the kernel p-torsion one factor's
+    mod-p kernel), bezout_conductor must succeed and satisfy
+    conductor = a1*b1 + a2*b2. Returns whether that case arose.
     """
+    if _branch_decision(stable, p)[0] != "split_divide":
+        return False
     order = stable.order
     a1, a2 = rm.factor_prime(order, p)
-    if rm.are_associates_in_maximal(a1, a2):
-        return False
-    kernel_p = polarization_kernel_mod_p(stable, p)
-    lam1, lam2 = (
-        intmat.intersect_mod_p(
-            kernel_p,
-            intmat.kernel_mod_p(intmat.mat_mod(rm.element_action(stable, a), p), p),
-            p,
-        )
-        for a in (a1, a2)
-    )
-    if len(lam1) + len(lam2) != 2:
-        return False
     b1, b2 = rm.bezout_conductor(a1, a2, order)
     assert a1 * b1 + a2 * b2 == order.element(order.conductor, 0)
     return True

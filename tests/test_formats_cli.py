@@ -36,9 +36,13 @@ def test_int_codec_small_and_big():
         _decode_int(True)
     with pytest.raises(ValueError):
         _decode_int(2.5)
+    with pytest.raises(ValueError):
+        _decode_int(2**53)  # written as the string "9007199254740992"
 
 
-@pytest.mark.parametrize("text", [" 1_0 ", "1_0", "+10", " 10", "10\n", "\u0661\u0660"])
+@pytest.mark.parametrize(
+    "text", [" 1_0 ", "1_0", "+10", " 10", "10\n", "\u0661\u0660", "010", "10"]
+)
 def test_int_strings_only_in_the_written_form(text):
     assert int(text) == 10  # Python's int reads each of these as 10
     with pytest.raises(ValueError):
@@ -46,7 +50,8 @@ def test_int_strings_only_in_the_written_form(text):
 
 
 @pytest.mark.parametrize(
-    "entry", ["1e3", " 3/4 ", "0.5", "+3/4", "1_0/3", "3/4\n", "\u0663/4"]
+    "entry",
+    ["1e3", " 3/4 ", "0.5", "+3/4", "1_0/3", "3/4\n", "\u0663/4", "007", "-0", "3/1", "2/18"],
 )
 def test_rational_strings_only_in_the_written_form(entry):
     Fraction(entry)  # Fraction reads each of these
@@ -260,6 +265,16 @@ def test_cli_verify_rejects_a_zero_denominator(tmp_path, capsys):
 
     assert _verify_tampered_certificate(tmp_path, tamper) == 1
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_a_rational_not_in_lowest_terms(tmp_path, capsys):
+    def tamper(obj, start):
+        kernel = next(s["kernel_overlattice"] for s in obj["steps"] if s["kernel_overlattice"])
+        assert kernel[0][0] == "1/9"
+        kernel[0][0] = "2/18"  # the same value, written as the serializer never does
+
+    assert _verify_tampered_certificate(tmp_path, tamper) == 1
+    assert "'2/18' is not written as '1/9'" in capsys.readouterr().err
 
 
 def test_cli_verify_rejects_an_empty_certificate(tmp_path, capsys):

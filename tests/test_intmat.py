@@ -148,13 +148,3 @@ def test_inv_mod_p():
         inv = intmat.inv_mod_p(m, p)
         assert intmat.mat_mod(intmat.mat_mul(m, inv), p) == intmat.identity()
 
-
-def test_intersect_mod_p():
-    p = 3
-    a = ((1, 0, 0, 0), (0, 1, 0, 0))
-    b = ((0, 1, 0, 0), (0, 0, 1, 0))
-    inter = intmat.intersect_mod_p(a, b, p)
-    assert len(inter) == 1
-    assert intmat.subspace_contains(a, inter[0], p)
-    assert intmat.subspace_contains(b, inter[0], p)
-    assert intmat.intersect_mod_p(a, ((0, 0, 1, 0), (0, 0, 0, 1)), p) == ()

@@ -2,7 +2,9 @@
 
 The scans below are the value-linear algorithms that fundamental_unit,
 solve_norm and humbert_nonempty replaced, kept verbatim apart from their
-names (and the walk calling the old unit scan) as test-only references.
+names (and the walk calling the old unit scan) as test-only references,
+with the exact real-embedding test embeds_above_one that the unit scan
+needs.
 sympy is a second, independent oracle. Hypothesis runs derandomized, so
 every run checks the same cases.
 """
@@ -24,7 +26,6 @@ from rmlattice.quadratic import (
     _maximal_norm_solutions,
     _norm_search_bound,
     _norm_solutions_for_y,
-    embeds_above_one,
     fundamental_unit,
     humbert_nonempty,
     make_order,
@@ -38,6 +39,24 @@ ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 # ---------------------------------------------------------------------------
 # the replaced scans
 # ---------------------------------------------------------------------------
+
+
+def _sign_plus_root(a: int, b: int, disc: int) -> int:
+    """Sign of a + b*sqrt(disc) for integers a, b and disc > 0 non-square."""
+    if a >= 0 and b >= 0:
+        return 1 if (a or b) else 0
+    if a <= 0 and b <= 0:
+        return -1 if (a or b) else 0
+    if b > 0:  # a < 0
+        return 1 if b * b * disc > a * a else -1
+    return 1 if a * a > b * b * disc else -1  # a > 0, b < 0
+
+
+def embeds_above_one(el) -> bool:
+    """Whether x + y*w > 1 in the embedding sending sqrt(D) to the positive root."""
+    t, disc = el.order.trace_omega, el.order.discriminant
+    # x + y*(t + sqrt(disc))/2 > 1  <=>  (2x + y*t - 2) + y*sqrt(disc) > 0
+    return _sign_plus_root(2 * el.x + el.y * t - 2, el.y, disc) > 0
 
 
 @lru_cache(maxsize=None)

@@ -113,6 +113,13 @@ def test_verify_rejects_tampering():
     ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
     assert not ok
 
+    # a quotient label on the dividing move
+    obj = json.loads(text)
+    assert obj["steps"][-1]["branch"] == "split_divide"
+    obj["steps"][-1]["branch"] = "split_quotient"
+    ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
+    assert not ok and "branch=" in msg
+
     # the seed must stay pinned at zero
     obj = json.loads(text)
     obj["seed"] = 5

@@ -17,7 +17,7 @@ from rmlattice import (
     solve_norm,
     splitting_type,
 )
-from rmlattice.quadratic import embeds_above_one
+from test_numtheory_oracles import embeds_above_one
 
 
 def box_norm_targets(order, targets, bound=200):
