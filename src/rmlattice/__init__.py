@@ -35,7 +35,6 @@ from .isogeny import (
     IsogenyStep,
     descend_polarization,
     divide_by_symmetric,
-    quotient_lattice,
 )
 from .reduction import (
     CertificateData,
@@ -72,7 +71,6 @@ __all__ = [
     "kernel_of_polarization",
     "make_order",
     "principalize",
-    "quotient_lattice",
     "reduce_degree_step",
     "solve_norm",
     "splitting_type",

@@ -106,8 +106,8 @@ def _dump(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def serialize_instance(surface: PolarizedRMSurface) -> str:
-    obj = {
+def _instance_obj(surface: PolarizedRMSurface) -> dict:
+    return {
         "order": {
             "D": _encode_int(surface.order.D),
             "conductor": _encode_int(surface.order.conductor),
@@ -116,14 +116,9 @@ def serialize_instance(surface: PolarizedRMSurface) -> str:
         "gram": _encode_int_matrix(surface.gram),
         "format_version": FORMAT_VERSION,
     }
-    return _dump(obj)
 
 
-def parse_instance(text: str) -> PolarizedRMSurface:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON: {exc}") from exc
+def _instance_from_obj(obj) -> PolarizedRMSurface:
     if not isinstance(obj, dict):
         raise ValueError("instance file must hold a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:
@@ -140,6 +135,18 @@ def parse_instance(text: str) -> PolarizedRMSurface:
     action = _decode_int_matrix(obj.get("omega_action"))
     gram = _decode_int_matrix(obj.get("gram"))
     return PolarizedRMSurface(order, action, gram)
+
+
+def serialize_instance(surface: PolarizedRMSurface) -> str:
+    return _dump(_instance_obj(surface))
+
+
+def parse_instance(text: str) -> PolarizedRMSurface:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON: {exc}") from exc
+    return _instance_from_obj(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +176,7 @@ def serialize_certificate(cert: CertificateData) -> str:
     obj = {
         "seed": _encode_int(cert.seed),
         "steps": steps,
-        "final": json.loads(serialize_instance(cert.final)),
+        "final": _instance_obj(cert.final),
     }
     return _dump(obj)
 
@@ -216,7 +223,7 @@ def parse_certificate(text: str) -> CertificateData:
                 branch=branch,
             )
         )
-    final = parse_instance(_dump(obj.get("final")))
+    final = _instance_from_obj(obj.get("final"))
     return CertificateData(
         seed=_decode_int(obj.get("seed")), steps=tuple(steps), final=final
     )

@@ -68,8 +68,6 @@ def generate_instance(
     for p in primes:
         surface = _raise_degree(surface, p, rng)
     surface = apply_unimodular(surface, random_unimodular(rng))
-    if pfaffian(surface) <= 0:
-        raise InvariantBreach("scramble flipped the pfaffian sign")
     msg = validate(surface)
     if msg is not None:
         raise InvariantBreach(f"generated instance invalid: {msg}")

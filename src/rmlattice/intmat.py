@@ -120,16 +120,6 @@ def to_fraction(m) -> RatMat:
     return tuple(tuple(Fraction(x) for x in r) for r in m)
 
 
-def is_integral(m) -> bool:
-    return all(Fraction(x).denominator == 1 for r in m for x in r)
-
-
-def to_int(m) -> IntMat:
-    if not is_integral(m):
-        raise ValueError("matrix has non-integer entries")
-    return tuple(tuple(int(x) for x in r) for r in m)
-
-
 def inverse(m) -> RatMat:
     d = Fraction(det(m))
     if d == 0:

@@ -3,12 +3,15 @@ randomized checks of the symmetric-endomorphism rank parity, and
 certificate replay.
 
 The enumeration and the rank-parity trials are independent brute force:
-the enumeration walks every subspace of (Z/p)^4 in echelon form. Replay is
-not independent of the pipeline. It re-derives each move with the
-pipeline's own functions and compares the steps field by field; what it
-checks on its own is the degree ledger, the validity of the input surface,
-that the replay ends principal with a maximal acting order (the check
-principalize closes with) and an exact match of the final surface.
+the enumeration walks every subspace of (Z/p)^4 in echelon form, and each
+subgroup it keeps must descend through isogeny.descend_polarization.
+Replay is not independent of the pipeline. It re-derives each move with
+the pipeline's own functions, whose primitives check their own degree
+identities, and compares the steps field by field; what it checks on its
+own is that each move starts at the current degree, the validity of the
+input surface, that the replay ends valid and principal with a maximal
+acting order (the check principalize closes with) and an exact match of
+the final surface.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from itertools import combinations, product
 
 from . import intmat
 from .arith import is_prime
-from .errors import InvariantBreach, LatticeModelError, PreconditionError
-from .isogeny import TWIST, can_descend
+from .errors import DescentError, InvariantBreach, LatticeModelError, PreconditionError
+from .isogeny import TWIST, descend_polarization
 from .reduction import (
     CertificateData,
     enlarge_order_step,
@@ -96,10 +99,12 @@ def enumerate_valid_kernels(
         if not all(v % p2 == 0 for v in pairings):
             continue
         kernel = kernel_from_subspace(basis, p)
-        if not can_descend(surface, kernel):
+        try:
+            descend_polarization(surface, kernel)
+        except DescentError as exc:
             raise InvariantBreach(
                 "kernel passed the congruence filters but fails descent"
-            )
+            ) from exc
         results.append(kernel)
     return tuple(sorted(results, key=lambda k: k.overlattice))
 
@@ -168,10 +173,10 @@ def verify_certificate(
     step, at the recorded prime. The steps a move derives must equal the
     next recorded steps field for field. Checked on their own, not by
     re-running the pipeline: the seed is 0, the input surface validates,
-    each move starts at the current degree (the ledger telescopes, and
-    make_step enforces each kind's degree identity), no move is cut short,
-    the replayed surface is principal with a maximal acting order, and the
-    final surface matches the recorded one exactly.
+    each move starts at the current degree (the recorded degrees chain),
+    no move is cut short, the replayed surface is valid and principal with
+    a maximal acting order, and the final surface matches the recorded one
+    exactly.
     Returns (ok, message); a rejection names the first divergent step
     index and, where steps differ, the first differing field.
     """

@@ -9,8 +9,10 @@ quotient step records the rank invariant t of the old generator mod p
 from the degree by dividing by the norm +-p factor whose mod-p kernel is
 the kernel p-torsion, and records the branch on its last step.
 principalize chains the moves, conductor primes first, and returns the
-final surface with its CertificateData; its closing check that the result
-is principal with a maximal acting order is shared with replay.
+final surface with its CertificateData. Each degree identity is checked
+once, in the primitive that establishes it; principalize's closing check,
+shared with replay, validates every invariant of the result and requires
+it principal with a maximal acting order.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .isogeny import (
     IsogenyStep,
     descend_polarization,
     divide_by_symmetric,
-    make_step,
-    scale_polarization,
 )
 from .quadratic import factor_prime, make_order
 from .surface import (
@@ -121,9 +121,9 @@ def squarefree_reduce(
     while True:
         deg_before = degree(current)
         if all(x % p == 0 for row in current.gram for x in row):
-            new_surface = scale_polarization(current, p)
+            new_surface = divide_by_symmetric(current, current.order.element(p, 0))
             steps.append(
-                make_step(
+                IsogenyStep(
                     kind=SCALE,
                     prime=p,
                     degree_before=deg_before,
@@ -142,10 +142,10 @@ def squarefree_reduce(
                     f"guaranteed squarefree descent failed at {p}: {exc}"
                 ) from exc
             steps.append(
-                make_step(
+                IsogenyStep(
                     kind=QUOTIENT,
                     prime=p,
-                    kernel=kernel,
+                    kernel_overlattice=kernel.overlattice,
                     degree_before=deg_before,
                     degree_after=degree(new_surface),
                 )
@@ -218,10 +218,10 @@ def enlarge_order_step(
         raise InvariantBreach(f"enlargement rank invariant is {t}, expected 2")
     el_cubed = order.element(p**3, 0)
     twisted = twist_by_element(surface, el_cubed)
-    twist_step = make_step(
+    twist_step = IsogenyStep(
         kind=TWIST,
         prime=p,
-        alpha=el_cubed,
+        alpha=(el_cubed.x, el_cubed.y),
         degree_before=deg,
         degree_after=degree(twisted),
     )
@@ -234,25 +234,18 @@ def enlarge_order_step(
         descended = descend_polarization(twisted, kernel)
     except (DescentError, PreconditionError) as exc:
         raise InvariantBreach(f"guaranteed enlargement descent failed: {exc}") from exc
-    quotient_step = make_step(
+    quotient_step = IsogenyStep(
         kind=QUOTIENT,
         prime=p,
-        kernel=kernel,
+        kernel_overlattice=kernel.overlattice,
         degree_before=degree(twisted),
         degree_after=degree(descended),
         t=t,
     )
-    scaled_action = intmat.to_fraction(descended.action)
-    scaled_action = tuple(tuple(x / p for x in row) for row in scaled_action)
-    if not intmat.is_integral(scaled_action):
+    if any(x % p for row in descended.action for x in row):
         raise InvariantBreach("enlarged generator does not act integrally")
-    new_order = make_order(order.D, f // p)
-    out = PolarizedRMSurface(new_order, intmat.to_int(scaled_action), descended.gram)
-    msg = validate(out)
-    if msg is not None:
-        raise InvariantBreach(f"enlargement produced an invalid surface: {msg}")
-    if degree(out) != deg:
-        raise InvariantBreach("enlargement changed the degree")
+    action = intmat.freeze((x // p for x in row) for row in descended.action)
+    out = PolarizedRMSurface(make_order(order.D, f // p), action, descended.gram)
     return out, (twist_step, quotient_step)
 
 
@@ -261,10 +254,11 @@ def enlarge_order_step(
 # ---------------------------------------------------------------------------
 
 
-def _branch_decision(surface: PolarizedRMSurface, p: int):
+def _branch_decision(surface: PolarizedRMSurface, p: int, factors):
     """Decide the degree-reduction move on a squarefree-stable surface.
 
-    Returns (branch, element): element is the factor of p, a1 tried first,
+    factors is the factor_prime pair of p in the surface's order. Returns
+    (branch, element): element is the factor of p, a1 tried first,
     whose mod-p kernel is the kernel p-torsion (both are canonical
     kernel_mod_p bases, so tuples compare), and the branch is associate
     exactly when p divides the discriminant. With p prime to the conductor
@@ -272,7 +266,7 @@ def _branch_decision(surface: PolarizedRMSurface, p: int):
     exists; its absence is an invariant breach.
     """
     kernel_p = polarization_kernel_mod_p(surface, p)
-    for el in factor_prime(surface.order, p):
+    for el in factors:
         ker_el = intmat.kernel_mod_p(intmat.mat_mod(element_action(surface, el), p), p)
         if ker_el == kernel_p:
             if surface.order.discriminant % p == 0:
@@ -299,29 +293,26 @@ def reduce_degree_step(
         raise PreconditionError(f"{p} divides the conductor")
     if degree(surface) % p != 0:
         raise PreconditionError(f"{p} does not divide the degree")
-    if factor_prime(order, p) is None:
+    factors = factor_prime(order, p)
+    if factors is None:
         raise PreconditionError(f"{p} is not reducible in the order")
+    # squarefree_reduce keeps the order, so the factors stay valid.
     current, steps = squarefree_reduce(surface, p)
     if degree(current) % p != 0:
         return current, steps
-    branch, divide_el = _branch_decision(current, p)
-    deg_before = degree(current)
+    branch, divide_el = _branch_decision(current, p, factors)
     try:
         new_surface = divide_by_symmetric(current, divide_el)
     except DescentError as exc:
         raise InvariantBreach(f"guaranteed division failed at {p}: {exc}") from exc
-    move = make_step(
+    move = IsogenyStep(
         kind=DIVIDE,
         prime=p,
-        alpha=divide_el,
-        degree_before=deg_before,
+        alpha=(divide_el.x, divide_el.y),
+        degree_before=degree(current),
         degree_after=degree(new_surface),
         branch=branch,
     )
-    if degree(new_surface) * p * p != deg_before:
-        raise InvariantBreach(f"degree did not drop by {p}^2")
-    if degree(new_surface) % p == 0:
-        raise InvariantBreach(f"{p} still divides the degree after reduction")
     return new_surface, steps + (move,)
 
 
@@ -331,7 +322,11 @@ def reduce_degree_step(
 
 
 def principal_defect(surface: PolarizedRMSurface) -> str | None:
-    """None if principal with a maximal acting order, else what is not."""
+    """None if valid and principal with a maximal acting order, else what
+    is not."""
+    msg = validate(surface)
+    if msg is not None:
+        return f"with an invalid surface: {msg}"
     deg = degree(surface)
     if deg != 1:
         return f"at degree {deg}"
@@ -381,18 +376,7 @@ def principalize(
     for p in degree_primes:
         current, more = reduce_degree_step(current, p)
         steps.extend(more)
-        if degree(current) % p == 0:
-            raise InvariantBreach(f"{p} survived its degree-reduction pass")
     msg = principal_defect(current)
     if msg is not None:
         raise InvariantBreach(f"pipeline ended {msg}")
-    _check_telescoping(deg, steps)
     return current, CertificateData(seed=seed, steps=tuple(steps), final=current)
-
-
-def _check_telescoping(input_degree: int, steps: list[IsogenyStep]) -> None:
-    previous = input_degree
-    for step in steps:
-        if step.degree_before != previous:
-            raise InvariantBreach("step degrees do not telescope")
-        previous = step.degree_after

@@ -8,19 +8,21 @@ nonzero; for a 4x4 alternating form det = pfaffian^2 always holds), action
 satisfying the generator's minimal polynomial, and the symmetry identity
 action^T * gram = gram * action.
 
-Degree, dual lattices, kernels, stabilizer orders and the instance
-constructors all live here. Everything is a pure function on
-immutable values.
+Degree, the one change of lattice basis (rebase, on integers), dual
+lattices, kernels, stabilizer orders and the instance constructors all
+live here. Every move that re-expresses the lattice (descent to an
+overlattice, pull-back to a sublattice, a unimodular scramble) goes
+through rebase. Everything is a pure function on immutable values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import intmat
-from .errors import InvariantBreach, PreconditionError
+from .errors import DescentError, InvariantBreach, PreconditionError
 from .intmat import IntMat, RatMat
 from .quadratic import (
     SPLIT,
@@ -116,10 +118,46 @@ def canonicalize_orientation(
         )
         action = intmat.mat_mul(intmat.mat_mul(perm, action), perm)
         gram = intmat.mat_mul(intmat.mat_mul(perm, gram), perm)
-    surface = PolarizedRMSurface(order, intmat.freeze(action), intmat.freeze(gram))
-    if intmat.pfaffian4(surface.gram) <= 0:
-        raise InvariantBreach("orientation swap did not fix the pfaffian sign")
-    return surface
+    return PolarizedRMSurface(order, intmat.freeze(action), intmat.freeze(gram))
+
+
+def rebase(surface: PolarizedRMSurface, h) -> PolarizedRMSurface:
+    """The same polarized lattice in the basis given by the columns of h.
+
+    h is nonsingular with int or Fraction entries, in the coordinates of
+    the current lattice; it may span an overlattice or a sublattice. With
+    h = H/den and H integral, the new gram is H^T E H / den^2 and the new
+    action adj(H) A H / det H, both computed on integers. Raises
+    DescentError, naming the first non-integral pairing, when the form is
+    not integral on the new lattice, and PreconditionError when the order
+    action does not preserve it. The gram is checked first, so a
+    DescentError means exactly that the form does not descend. The result
+    is canonically oriented.
+    """
+    den = lcm(*(x.denominator for row in h for x in row))
+    big_h = intmat.freeze(
+        (x.numerator * (den // x.denominator) for x in row) for row in h
+    )
+    gram = intmat.mat_mul(intmat.mat_mul(intmat.transpose(big_h), surface.gram), big_h)
+    den2 = den * den
+    for i in range(4):
+        for j in range(4):
+            if gram[i][j] % den2:
+                raise DescentError(
+                    "polarization does not descend: pairing of overlattice "
+                    f"generators {i} and {j} is {Fraction(gram[i][j], den2)}, "
+                    "not integral"
+                )
+    adj = intmat.adjugate(big_h)
+    d = sum(big_h[0][k] * adj[k][0] for k in range(4))  # det H = (H adj H)[0][0]
+    action = intmat.mat_mul(intmat.mat_mul(adj, surface.action), big_h)
+    if any(x % d for row in action for x in row):
+        raise PreconditionError("order action does not preserve the lattice")
+    return canonicalize_orientation(
+        surface.order,
+        intmat.freeze((x // d for x in row) for row in action),
+        intmat.freeze((x // den2 for x in row) for row in gram),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +219,6 @@ def twist_by_element(
     a_el = element_action(surface, el)
     gram = intmat.mat_mul(surface.gram, a_el)
     out = canonicalize_orientation(surface.order, surface.action, gram)
-    msg = validate(out)
-    if msg is not None:
-        raise InvariantBreach(f"twist produced an invalid surface: {msg}")
     nm = el.norm()
     if degree(out) != nm * nm * degree(surface):
         raise InvariantBreach("twist degree bookkeeping failed")
@@ -191,14 +226,11 @@ def twist_by_element(
 
 
 def apply_unimodular(surface: PolarizedRMSurface, u: IntMat) -> PolarizedRMSurface:
-    """Change basis by a unimodular matrix: (A, E) -> (U^-1 A U, U^T E U)."""
-    d = intmat.det(u)
-    if d not in (1, -1):
+    """Change basis by a unimodular matrix: (A, E) -> (U^-1 A U, U^T E U),
+    canonically oriented."""
+    if intmat.det(u) not in (1, -1):
         raise PreconditionError("basis change must be unimodular")
-    u_inv = intmat.to_int(intmat.inverse(u))
-    action = intmat.mat_mul(intmat.mat_mul(u_inv, surface.action), u)
-    gram = intmat.mat_mul(intmat.mat_mul(intmat.transpose(u), surface.gram), u)
-    return PolarizedRMSurface(surface.order, action, gram)
+    return rebase(surface, u)
 
 
 def eigen_sublattice_pullback(
@@ -233,19 +265,7 @@ def eigen_sublattice_pullback(
     hyperplane = intmat.kernel_mod_p(intmat.freeze([v]), p)
     columns = [tuple(x) for x in hyperplane]
     columns += [tuple(p if i == j else 0 for i in range(4)) for j in range(4)]
-    basis = intmat.hnf_column_basis(columns)
-    h = intmat.to_int(basis)
-    h_inv = intmat.inverse(h)
-    action_new = intmat.mat_mul(intmat.mat_mul(h_inv, surface.action), intmat.to_fraction(h))
-    if not intmat.is_integral(action_new):
-        raise InvariantBreach("eigen sublattice is not action stable")
-    gram_new = intmat.mat_mul(
-        intmat.mat_mul(intmat.transpose(h), surface.gram), h
-    )
-    out = canonicalize_orientation(order, intmat.to_int(action_new), gram_new)
-    msg = validate(out)
-    if msg is not None:
-        raise InvariantBreach(f"sublattice restriction invalid: {msg}")
+    out = rebase(surface, intmat.hnf_column_basis(columns))
     if degree(out) != p * p * degree(surface):
         raise InvariantBreach("sublattice degree bookkeeping failed")
     return out

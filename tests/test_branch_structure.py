@@ -69,7 +69,8 @@ def symmetric_form_lattice_basis(surface):
 )
 def test_every_degree_p2_class_takes_a_divide_branch(D, p):
     order = rm.make_order(D, 1)
-    assert rm.factor_prime(order, p) is not None
+    factors = rm.factor_prime(order, p)
+    assert factors is not None
     base = rm.standard_instance(order)
     basis = symmetric_form_lattice_basis(base)
     assert len(basis) == 2
@@ -88,7 +89,7 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
                 continue
             stable, _ = squarefree_reduce(surface, p)
             assert rm.degree(stable) == p * p
-            branch, element = _branch_decision(stable, p)
+            branch, element = _branch_decision(stable, p, factors)
             kernel_el = intmat.kernel_mod_p(
                 intmat.mat_mod(rm.element_action(stable, element), p), p
             )
@@ -107,10 +108,10 @@ def _bezout_where_kernel_splits(stable, p):
     mod-p kernel), bezout_conductor must succeed and satisfy
     conductor = a1*b1 + a2*b2. Returns whether that case arose.
     """
-    if _branch_decision(stable, p)[0] != "split_divide":
-        return False
     order = stable.order
     a1, a2 = rm.factor_prime(order, p)
+    if _branch_decision(stable, p, (a1, a2))[0] != "split_divide":
+        return False
     b1, b2 = rm.bezout_conductor(a1, a2, order)
     assert a1 * b1 + a2 * b2 == order.element(order.conductor, 0)
     return True

@@ -1,4 +1,4 @@
-"""Quotients, descent, division: primitives and their exact bookkeeping."""
+"""Basis change, descent, division: primitives and their exact bookkeeping."""
 
 from __future__ import annotations
 
@@ -10,23 +10,21 @@ import pytest
 
 from rmlattice import (
     DescentError,
-    InvariantBreach,
     PreconditionError,
     degree,
     descend_polarization,
     divide_by_symmetric,
     make_order,
-    quotient_lattice,
     standard_instance,
     twist_by_element,
     validate,
 )
 from rmlattice import intmat
-from rmlattice.isogeny import can_descend, make_step, scale_polarization
 from rmlattice.surface import (
     KernelSubgroup,
     kernel_from_subspace,
     polarization_kernel_mod_p,
+    rebase,
 )
 from rmlattice.generator import random_unimodular
 from rmlattice.surface import apply_unimodular
@@ -35,6 +33,18 @@ from rmlattice.surface import apply_unimodular
 def _exponent(kernel):
     """The least m with m*L' <= L: the lcm of the overlattice denominators."""
     return lcm(*(Fraction(x).denominator for row in kernel.overlattice for x in row))
+
+
+def can_descend(surface, kernel):
+    """Whether the gram form is integral on the kernel's overlattice: rebase
+    raises DescentError exactly then (it checks the form before the action)."""
+    try:
+        rebase(surface, kernel.overlattice)
+    except DescentError:
+        return False
+    except PreconditionError:
+        pass  # the form descends; only the action does not preserve L'
+    return True
 
 
 def descends_by_containment(surface, kernel):
@@ -64,29 +74,34 @@ def full_torsion_kernel(surface, p):
 def test_quotient_trivial_kernel():
     s = standard_instance(make_order(5, 1))
     k = kernel_from_subspace((), 3)
-    action = quotient_lattice(s, k)
     assert k.overlattice == intmat.to_fraction(intmat.identity())
-    assert action == s.action
+    assert rebase(s, k.overlattice) == s
+    assert rebase(s, intmat.identity()) == s
 
 
 def test_quotient_full_torsion_is_scalar():
     s = standard_instance(make_order(5, 1))
     k = full_torsion_kernel(s, 3)
     assert k.group_order == 81 and _exponent(k) == 3
-    action = quotient_lattice(s, k)
     assert k.overlattice == tuple(
         tuple(Fraction(1, 3) if i == j else Fraction(0) for j in range(4))
         for i in range(4)
     )
-    assert action == s.action  # scalar rebasing commutes
+    scaled = twist_by_element(s, s.order.element(9, 0))  # gram 9E
+    out = rebase(scaled, k.overlattice)
+    assert out.action == s.action  # scalar rebasing commutes
+    assert out.gram == s.gram
 
 
 def test_quotient_rejects_unstable_kernel():
     s = standard_instance(make_order(5, 1))
     # x^2 - x - 1 is irreducible mod 3, so no line is action stable
     k = kernel_from_subspace(((1, 0, 0, 0),), 3)
+    # on gram 3E the form descends to the line's overlattice; the action does not
+    tripled = twist_by_element(s, s.order.element(3, 0))
+    assert can_descend(tripled, k)
     with pytest.raises(PreconditionError):
-        quotient_lattice(s, k)
+        rebase(tripled, k.overlattice)
 
 
 def test_descend_scalar_example():
@@ -105,7 +120,7 @@ def test_descend_fails_on_principal():
     s = standard_instance(make_order(5, 1))
     tw = twist_by_element(s, s.order.element(3, 1))
     lam = polarization_kernel_mod_p(tw, 11)  # action stable, but not in ker
-    with pytest.raises(DescentError):
+    with pytest.raises(DescentError, match="pairing of overlattice generators"):
         descend_polarization(s, kernel_from_subspace(lam, 11))
 
 
@@ -132,10 +147,11 @@ def test_divide_rejections():
 def test_scale_polarization():
     s = standard_instance(make_order(5, 1))
     scaled = twist_by_element(s, s.order.element(3, 0))
-    out = scale_polarization(scaled, 3)
+    out = divide_by_symmetric(scaled, s.order.element(3, 0))
     assert out.gram == s.gram
+    assert degree(scaled) == 3**4 * degree(out)
     with pytest.raises(DescentError):
-        scale_polarization(s, 3)
+        divide_by_symmetric(s, s.order.element(3, 0))
 
 
 def test_descent_criteria_agree_on_random_subgroups():
@@ -216,31 +232,6 @@ def test_quotient_functoriality():
     direct_cols = [tuple(reb_direct[i][j] for i in range(4)) for j in range(4)]
     assert intmat.hnf_column_basis(combined_cols) == intmat.hnf_column_basis(direct_cols)
     assert degree(out2) == degree(direct)
-
-
-def test_make_step_enforces_ledger():
-    s = standard_instance(make_order(5, 1))
-    k = full_torsion_kernel(s, 3)
-    with pytest.raises(InvariantBreach):
-        make_step(
-            kind="quotient",
-            prime=3,
-            kernel=k,
-            degree_before=81,
-            degree_after=81,
-        )
-    with pytest.raises(InvariantBreach):
-        make_step(
-            kind="divide_by_alpha",
-            prime=11,
-            alpha=s.order.element(3, 1),
-            degree_before=121,
-            degree_after=2,
-        )
-    with pytest.raises(InvariantBreach):
-        make_step(kind="scale", prime=3, degree_before=80, degree_after=1)
-    with pytest.raises(InvariantBreach):
-        make_step(kind="mystery", prime=3, degree_before=1, degree_after=1)
 
 
 def test_every_operation_output_validates():

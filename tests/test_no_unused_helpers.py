@@ -1,0 +1,45 @@
+"""Every module-level function in the package has a caller in the package.
+
+A function that only tests or the package's re-exports use is dead weight
+in src/: delete it or move it into the tests. The exceptions are the
+functions the acceptance criteria call directly.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rmlattice"
+
+# Kept in src/ for the acceptance criteria that call them.
+CRITERIA_ONLY = {
+    "are_associates_in_maximal",
+    "bezout_conductor",
+    "check_symmetric_rank_even",
+    "enumerate_valid_kernels",
+}
+
+
+def test_every_module_function_is_referenced_in_the_package():
+    defined = []
+    referenced = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((path.name, node.name))
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined, f"no functions found under {PACKAGE}"
+    unused = sorted(
+        f"{module}:{name}"
+        for module, name in defined
+        if name not in referenced and name not in CRITERIA_ONLY
+    )
+    assert unused == []

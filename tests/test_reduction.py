@@ -24,9 +24,10 @@ from rmlattice import (
     twist_by_element,
     validate,
 )
-from rmlattice import intmat
+from rmlattice import intmat, quadratic
 from rmlattice.generator import generate_instance, random_unimodular
-from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE
+from rmlattice.oracle import verify_certificate
+from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE, principal_defect
 from rmlattice.surface import PolarizedRMSurface, apply_unimodular
 
 
@@ -268,6 +269,34 @@ def test_principalize_example_run():
         assert st.degree_before == previous
         previous = st.degree_after
     assert previous == 1
+
+
+def test_degree_reduction_factors_each_prime_once(monkeypatch):
+    s = generate_instance(13, 1, [3, 17], seed=10)
+    calls = []
+    real = quadratic.solve_norm
+
+    def counting(order, p):
+        calls.append(p)
+        return real(order, p)
+
+    monkeypatch.setattr(quadratic, "solve_norm", counting)
+    _, cert = principalize(s)
+    assert sorted(calls) == [3, 17]
+    calls.clear()
+    assert verify_certificate(s, cert)[0]
+    assert sorted(calls) == [3, 17]
+
+
+def test_principal_defect_validates_first():
+    s = standard_instance(make_order(5, 1))
+    assert principal_defect(s) is None
+    # a conjugated action still satisfies the minimal polynomial, but is no
+    # longer symmetric for the untouched gram form
+    u = intmat.freeze([(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    bad = PolarizedRMSurface(s.order, apply_unimodular(s, u).action, s.gram)
+    assert degree(bad) == 1 and bad.order.conductor == 1
+    assert "not symmetric" in principal_defect(bad)
 
 
 def test_principalize_noop():

@@ -30,6 +30,7 @@ from rmlattice.surface import (
     apply_unimodular,
     pfaffian,
     polarization_kernel_mod_p,
+    rebase,
 )
 
 ORDERS = [(5, 1), (5, 3), (2, 1), (13, 1), (13, 9), (17, 7), (3, 7)]
@@ -147,6 +148,7 @@ def test_basis_change_equivariance(D, f):
     for _ in range(5):
         u = random_unimodular(rng)
         moved = apply_unimodular(s, u)
+        assert rebase(s, u) == moved
         assert validate(moved) is None
         assert degree(moved) == degree(s)
         assert kernel_of_polarization(moved)[1] == kernel_of_polarization(s)[1]
