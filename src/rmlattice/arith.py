@@ -122,6 +122,34 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """The smaller square root of a modulo an odd prime p, by Tonelli-Shanks.
+
+    Raises ValueError when a is not a square mod p.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if legendre(a, p) != 1:
+        raise ValueError(f"{a} is not a square modulo {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = next(z for z in count(2) if legendre(z, p) == -1)
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then 0 < i < s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return min(r, p - r)
+
+
 def sqrt_upper(n: int, scale: int = 10**8) -> Fraction:
     """A rational upper bound on sqrt(n), tight to about 1/scale."""
     if n < 0:

@@ -3,11 +3,12 @@
 Instances carry exact integers only; certificates carry rationals as
 "p/q" strings so nothing ever passes through floats. Integers of magnitude
 at least 2^53 are serialized as decimal strings -?[0-9]+, smaller ones as
-JSON numbers; rationals as -?[0-9]+(/[0-9]+)? in lowest terms. The parser
-accepts each number only in the one form the serializer writes it, so no
-leading zeros, no "-0" and no "3/1". Serialization is canonical:
-serialize(parse(serialize(x))) is byte-identical to serialize(x), and
-parse accepts no other text for x.
+JSON numbers; rationals as -?[0-9]+(/[0-9]+)? in lowest terms. Integer
+decimals of any length convert, also past the interpreter's int/str digit
+limit. The parser accepts each number only in the one form the serializer
+writes it, so no leading zeros, no "-0" and no "3/1". Serialization is
+canonical: serialize(parse(serialize(x))) is byte-identical to
+serialize(x), and parse accepts no other text for x.
 """
 
 from __future__ import annotations
@@ -35,8 +36,38 @@ _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # ---------------------------------------------------------------------------
 
 
+def _int_text(v: int) -> str:
+    """Decimal text of v of any size: the built-in conversion below the
+    interpreter's int/str digit limit, and above it divide and conquer on
+    the powers 10^(2^k)."""
+    try:
+        return str(v)
+    except ValueError:
+        pass
+    if v < 0:
+        return "-" + _int_text(-v)
+    k, power = 1, 10
+    while power * power <= v:
+        k, power = 2 * k, power * power
+    hi, lo = divmod(v, power)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _text_int(text: str) -> int:
+    """The integer a -?[0-9]+ text writes, of any length: the built-in
+    conversion below the digit limit, and above it halves of the text."""
+    try:
+        return int(text, 10)
+    except ValueError:
+        pass
+    if text.startswith("-"):
+        return -_text_int(text[1:])
+    k = len(text) // 2
+    return _text_int(text[:-k]) * 10**k + _text_int(text[-k:])
+
+
 def _encode_int(v: int):
-    return v if abs(v) < _BIG else str(v)
+    return v if abs(v) < _BIG else _int_text(v)
 
 
 def _decode_int(v) -> int:
@@ -47,7 +78,7 @@ def _decode_int(v) -> int:
     elif isinstance(v, str):
         if not _INT_TEXT.fullmatch(v):
             raise ValueError(f"integer string {v!r} is not of the form -?[0-9]+")
-        value = int(v, 10)
+        value = _text_int(v)
     else:
         raise ValueError(f"expected an integer, got {type(v).__name__}")
     written = _encode_int(value)

@@ -2,7 +2,11 @@
 
 Everything here is sized for the rank-4 lattices used by the rest of the
 package: matrices are tuples of tuples, integers are arbitrary precision,
-and rational work uses fractions.Fraction. No floats anywhere.
+and no floats appear anywhere. The core is fraction-free: det and
+adjugate are closed-form 4x4 expansions in the twelve 2x2 minors (exact
+on Fraction entries too), a lattice between d*Z^4 and Z^4 is put into
+Hermite form from residues mod d, and the elementary divisors of an
+alternating form are read off its content and pfaffian.
 
 Conventions:
   * lattices are column lattices (a basis is the tuple of matrix columns);
@@ -15,7 +19,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -77,36 +81,44 @@ def matrix_content(m) -> int:
     return g
 
 
-def det(m) -> int:
-    """Determinant by cofactor expansion; exact for int or Fraction entries."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if m[0][j]:
-            minor = tuple(tuple(r[k] for k in range(n) if k != j) for r in m[1:])
-            total += sign * m[0][j] * det(minor)
-        sign = -sign
-    return total
+def _wedge(r, s):
+    """The six 2x2 minors of rows r, s over column pairs 01, 02, 03, 12, 13, 23."""
+    (r0, r1, r2, r3), (s0, s1, s2, s3) = r, s
+    return (
+        r0 * s1 - r1 * s0, r0 * s2 - r2 * s0, r0 * s3 - r3 * s0,
+        r1 * s2 - r2 * s1, r1 * s3 - r3 * s1, r2 * s3 - r3 * s2,
+    )
+
+
+def _cofactors(v, w):
+    """The signed 3x3 minors of row v over two rows with 2x2 minors w, one
+    per deleted column: a column of the adjugate, up to sign."""
+    v0, v1, v2, v3 = v
+    w01, w02, w03, w12, w13, w23 = w
+    return (
+        v1 * w23 - v2 * w13 + v3 * w12,
+        -v0 * w23 + v2 * w03 - v3 * w02,
+        v0 * w13 - v1 * w03 + v3 * w01,
+        -v0 * w12 + v1 * w02 - v2 * w01,
+    )
+
+
+def det(m):
+    """Determinant of a 4x4 matrix by Laplace expansion along rows 0-1;
+    exact for int or Fraction entries."""
+    s01, s02, s03, s12, s13, s23 = _wedge(m[0], m[1])
+    c01, c02, c03, c12, c13, c23 = _wedge(m[2], m[3])
+    return s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01
 
 
 def adjugate(m):
-    """Adjugate matrix, satisfying m @ adj(m) = det(m) * I."""
-    n = len(m)
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != j)
-                for r in range(n)
-                if r != i
-            )
-            cof[i][j] = (-1) ** (i + j) * det(minor)
-    return transpose(freeze(cof))
+    """Adjugate of a 4x4 matrix, satisfying m @ adj(m) = det(m) * I, from
+    the twelve 2x2 minors of rows 0-1 and rows 2-3; exact for int or
+    Fraction entries."""
+    a, b, c, d = m
+    low, high = _wedge(a, b), _wedge(c, d)
+    x, y, z, w = _cofactors(b, high), _cofactors(a, high), _cofactors(d, low), _cofactors(c, low)
+    return tuple((x[i], -y[i], z[i], -w[i]) for i in range(4))
 
 
 def pfaffian4(m) -> int:
@@ -116,90 +128,41 @@ def pfaffian4(m) -> int:
     return m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
 
 
-def to_fraction(m) -> RatMat:
-    return tuple(tuple(Fraction(x) for x in r) for r in m)
-
-
-def inverse(m) -> RatMat:
-    d = Fraction(det(m))
-    if d == 0:
-        raise ValueError("singular matrix")
-    adj = adjugate(m)
-    return tuple(tuple(Fraction(x) / d for x in r) for r in adj)
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form
 # ---------------------------------------------------------------------------
 
 
-def hnf_rows(m) -> IntMat:
-    """Canonical row Hermite normal form of an integer matrix.
+def hnf_mod(columns, d: int) -> IntMat:
+    """Canonical column Hermite form of the lattice spanned by `columns`
+    and d * Z^4.
 
-    Row-style echelon: pivots move left to right down the rows, pivots are
-    positive, entries above each pivot are reduced into [0, pivot), and zero
-    rows sink to the bottom. The output is the unique HNF basis of the row
-    lattice of m (padded with zero rows to keep the shape).
+    Because d * e_j lies in the lattice, every generator is reduced mod d
+    throughout, so no entry exceeds d (the "HNF modulo D" of Cohen, Alg.
+    2.4.8). Row i's pivot starts as d * e_i and absorbs each generator's
+    i-th entry by Euclid's algorithm on the pair; the remainders, zero in
+    coordinates up to i, carry on to the next row.
     """
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= nrows:
-            break
-        # Euclidean elimination below the pivot row in this column.
-        while True:
-            nz = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(rows[i][col]), i))
-            if i0 != pivot_row:
-                rows[pivot_row], rows[i0] = rows[i0], rows[pivot_row]
-            p = rows[pivot_row][col]
-            done = True
-            for i in range(pivot_row + 1, nrows):
-                if rows[i][col] != 0:
-                    q = rows[i][col] // p
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-                    if rows[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if rows[pivot_row][col] == 0:
-            continue
-        if rows[pivot_row][col] < 0:
-            rows[pivot_row] = [-x for x in rows[pivot_row]]
-        p = rows[pivot_row][col]
-        for i in range(pivot_row):
-            q = rows[i][col] // p
+    gens = [[x % d for x in c] for c in columns]
+    pivots = []
+    for i in range(4):
+        v = [d if k == i else 0 for k in range(4)]
+        rest = []
+        for w in gens:
+            while w[i]:
+                q = v[i] // w[i]
+                v, w = w, [(x - q * y) % d for x, y in zip(v, w)]
+            if any(w):
+                rest.append(w)
+        pivots.append(v)
+        gens = rest
+    for i in range(4):
+        g = pivots[i][i]
+        for k in range(i):
+            q = pivots[k][i] // g
             if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-        pivot_row += 1
-    return freeze(rows)
-
-
-def hnf_column_basis(columns) -> RatMat:
-    """Canonical basis of the full-rank column lattice spanned by `columns`.
-
-    Accepts rational columns (entries int or Fraction). Returns a 4x4 (or
-    n x n) lower triangular matrix of Fractions whose columns span the same
-    lattice, in the canonical column Hermite normal form.
-    """
-    cols = [tuple(Fraction(x) for x in c) for c in columns]
-    n = len(cols[0])
-    den = 1
-    for c in cols:
-        for x in c:
-            den = lcm(den, x.denominator)
-    as_rows = freeze((int(x * den) for x in c) for c in cols)  # k x n
-    h = hnf_rows(as_rows)
-    basis_rows = [r for r in h if any(r)]
-    if len(basis_rows) != n:
-        raise ValueError("columns do not span a full-rank lattice")
-    return tuple(
-        tuple(Fraction(basis_rows[j][i], den) for j in range(n)) for i in range(n)
-    )
+                pivots[k] = [x - q * y for x, y in zip(pivots[k], pivots[i])]
+    return transpose(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -291,35 +254,13 @@ def snf_with_transforms(m) -> tuple[IntMat, IntMat, IntMat]:
     return freeze(u), freeze(a), freeze(v)
 
 
-def snf_divisors(m) -> tuple[int, ...]:
-    """Elementary divisors via gcds of k x k minors.
-
-    d_k = D_k / D_{k-1} with D_k the gcd of all k x k minors. Free of the
-    entry swell that transform-tracking elimination suffers on large
-    entries.
-    """
-    from itertools import combinations
-
-    nrows, ncols = len(m), len(m[0])
-    n = min(nrows, ncols)
-    divisors = []
-    prev = 1
-    for k in range(1, n + 1):
-        g = 0
-        for rows in combinations(range(nrows), k):
-            for cols in combinations(range(ncols), k):
-                minor = tuple(tuple(m[i][j] for j in cols) for i in rows)
-                g = gcd(g, det(minor))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g == 0:
-            divisors.extend([0] * (n - len(divisors)))
-            break
-        divisors.append(g // prev)
-        prev = g
-    return tuple(divisors)
+def alternating_divisors(m) -> tuple[int, int, int, int]:
+    """Elementary divisors (c, c, |pf|/c, |pf|/c) of a nondegenerate 4x4
+    alternating form, c its content: m / c is primitive, and a primitive
+    alternating form has divisors (1, 1, n, n) with n^2 its determinant."""
+    c = matrix_content(m)
+    e = abs(pfaffian4(m)) // c
+    return (c, c, e, e)
 
 
 # ---------------------------------------------------------------------------

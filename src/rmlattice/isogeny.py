@@ -3,10 +3,11 @@ polarizations, plus the replayable step record.
 
 All isogenies are realized in the forward direction as finite-index
 overlattices L <= L'. Descending a polarization to L' is the basis change
-surface.rebase to the kernel's overlattice, which succeeds exactly when
-the form is integral on L'. Dividing by a symmetric element keeps the
-lattice and composes the form with the inverse action; dividing by the
-integer p is the scale move. Each primitive returns only the new surface,
+surface.rebase to the kernel's integer pair (basis, den), which succeeds
+exactly when the form is integral on L'. Dividing by a symmetric element
+keeps the lattice and composes the form with the inverse action, which is
+the conjugate's action divided by the norm; dividing by the integer p is
+the scale move. Each primitive returns only the new surface,
 canonically oriented, and checks its own exact degree identity. Twisting
 a polarization by an element is surface.twist_by_element.
 """
@@ -72,7 +73,7 @@ def descend_polarization(
     PreconditionError when the order action does not preserve the
     overlattice. The degree drops by the square of the kernel order.
     """
-    out = rebase(surface, kernel.overlattice)
+    out = rebase(surface, kernel.basis, kernel.den)
     k = kernel.group_order
     if degree(out) * k * k != degree(surface):
         raise InvariantBreach("descended degree does not match the kernel order")
@@ -86,21 +87,22 @@ def divide_by_symmetric(
 
     Succeeds exactly when gram @ A_el^-1 is integral (the polarization
     kernel contains the element's kernel); the degree drops by norm(el)^2.
-    A_el^-1 is adj(A_el) / det A_el with det A_el = norm(el)^2, so the
-    division is an exact integer one.
+    The action satisfies A^2 - tA + n = 0, so A_el @ A_conj(el) = norm(el)
+    and A_el^-1 = A_conj(el) / norm(el): the division is an exact integer
+    one.
     """
     if el.is_zero():
         raise PreconditionError("cannot divide by zero")
     if el.is_unit():
         raise PreconditionError("dividing by a unit is the identity; not a step")
-    det_el = el.norm() ** 2
-    gram = intmat.mat_mul(surface.gram, intmat.adjugate(element_action(surface, el)))
-    if any(x % det_el for row in gram for x in row):
+    nm = el.norm()
+    gram = intmat.mat_mul(surface.gram, element_action(surface, el.conjugate()))
+    if any(x % nm for row in gram for x in row):
         raise DescentError(
             "polarization kernel does not contain the kernel of the element"
         )
-    gram = intmat.freeze((x // det_el for x in row) for row in gram)
+    gram = intmat.freeze((x // nm for x in row) for row in gram)
     out = canonicalize_orientation(surface.order, surface.action, gram)
-    if degree(out) * det_el != degree(surface):
+    if degree(out) * nm * nm != degree(surface):
         raise InvariantBreach("division degree bookkeeping failed")
     return out

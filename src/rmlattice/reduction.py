@@ -18,7 +18,6 @@ it principal with a maximal acting order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import intmat
@@ -166,7 +165,7 @@ def _p_valuation(n: int, p: int) -> int:
 
 
 def _check_squarefree_state(surface: PolarizedRMSurface, p: int) -> None:
-    divisors = intmat.snf_divisors(surface.gram)
+    divisors = intmat.alternating_divisors(surface.gram)
     v1, v2 = _p_valuation(divisors[1], p), _p_valuation(divisors[3], p)
     if not (v1 == 0 and v2 <= 1):
         raise InvariantBreach(
@@ -180,15 +179,9 @@ def _check_squarefree_state(surface: PolarizedRMSurface, p: int) -> None:
 
 
 def enlargement_kernel(surface: PolarizedRMSurface, p: int) -> KernelSubgroup:
-    """The canonical kernel (1/p)L + (1/p^2)(action)L of the enlargement move."""
-    columns = [
-        tuple(Fraction(1 if i == j else 0, p) for i in range(4)) for j in range(4)
-    ]
-    columns += [
-        tuple(Fraction(surface.action[i][j], p * p) for i in range(4))
-        for j in range(4)
-    ]
-    return KernelSubgroup(intmat.hnf_column_basis(columns))
+    """The canonical kernel (1/p)L + (1/p^2)(action)L of the enlargement move:
+    (pL + (action)L) / p^2, whose Hermite form needs the action mod p only."""
+    return KernelSubgroup(intmat.hnf_mod(intmat.transpose(surface.action), p), p * p)
 
 
 def enlarge_order_step(

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import intmat
+from .arith import sqrt_mod
 from .errors import DescentError, InvariantBreach, PreconditionError
 from .intmat import IntMat, RatMat
 from .quadratic import (
@@ -50,22 +51,28 @@ class PolarizedRMSurface:
 class KernelSubgroup:
     """A finite subgroup of torsion, stored as its overlattice L' with L <= L'.
 
-    The overlattice matrix holds a canonical (column Hermite form) basis of
-    L' in the coordinates of L, so 1/det gives the group order.
+    L' is basis / den: basis is the canonical (column Hermite form) basis of
+    den * L' in the coordinates of L, an integer matrix, so the group order
+    is den^4 / det(basis).
     """
 
-    overlattice: RatMat
+    basis: IntMat
+    den: int
+
+    @property
+    def overlattice(self) -> RatMat:
+        """The canonical basis of L' as rationals, as certificates record it."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.basis)
 
     @property
     def group_order(self) -> int:
-        d = intmat.det(self.overlattice)
-        order = Fraction(1) / Fraction(d)
-        if order.denominator != 1 or order <= 0:
+        d = intmat.det(self.basis)
+        if d <= 0 or self.den**4 % d:
             raise InvariantBreach("overlattice does not contain the base lattice")
-        return int(order)
+        return self.den**4 // d
 
     def is_trivial(self) -> bool:
-        return self.overlattice == intmat.to_fraction(intmat.identity())
+        return self.group_order == 1
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +128,23 @@ def canonicalize_orientation(
     return PolarizedRMSurface(order, intmat.freeze(action), intmat.freeze(gram))
 
 
-def rebase(surface: PolarizedRMSurface, h) -> PolarizedRMSurface:
-    """The same polarized lattice in the basis given by the columns of h.
+def rebase(
+    surface: PolarizedRMSurface, basis: IntMat, den: int = 1
+) -> PolarizedRMSurface:
+    """The same polarized lattice in the basis given by the columns of
+    basis / den.
 
-    h is nonsingular with int or Fraction entries, in the coordinates of
-    the current lattice; it may span an overlattice or a sublattice. With
-    h = H/den and H integral, the new gram is H^T E H / den^2 and the new
-    action adj(H) A H / det H, both computed on integers. Raises
+    basis is a nonsingular integer matrix in the coordinates of the current
+    lattice; basis / den may span an overlattice or a sublattice. The new
+    gram is basis^T E basis / den^2 and the new action
+    adj(basis) A basis / det(basis), both computed on integers. Raises
     DescentError, naming the first non-integral pairing, when the form is
     not integral on the new lattice, and PreconditionError when the order
     action does not preserve it. The gram is checked first, so a
     DescentError means exactly that the form does not descend. The result
     is canonically oriented.
     """
-    den = lcm(*(x.denominator for row in h for x in row))
-    big_h = intmat.freeze(
-        (x.numerator * (den // x.denominator) for x in row) for row in h
-    )
-    gram = intmat.mat_mul(intmat.mat_mul(intmat.transpose(big_h), surface.gram), big_h)
+    gram = intmat.mat_mul(intmat.mat_mul(intmat.transpose(basis), surface.gram), basis)
     den2 = den * den
     for i in range(4):
         for j in range(4):
@@ -148,9 +154,9 @@ def rebase(surface: PolarizedRMSurface, h) -> PolarizedRMSurface:
                     f"generators {i} and {j} is {Fraction(gram[i][j], den2)}, "
                     "not integral"
                 )
-    adj = intmat.adjugate(big_h)
-    d = sum(big_h[0][k] * adj[k][0] for k in range(4))  # det H = (H adj H)[0][0]
-    action = intmat.mat_mul(intmat.mat_mul(adj, surface.action), big_h)
+    adj = intmat.adjugate(basis)
+    d = sum(basis[0][k] * adj[k][0] for k in range(4))  # (basis @ adj)[0][0]
+    action = intmat.mat_mul(intmat.mat_mul(adj, surface.action), basis)
     if any(x % d for row in action for x in row):
         raise PreconditionError("order action does not preserve the lattice")
     return canonicalize_orientation(
@@ -251,7 +257,9 @@ def eigen_sublattice_pullback(
     if degree(surface) % p == 0:
         raise PreconditionError(f"{p} already divides the degree")
     t, n = order.trace_omega, order.norm_omega
-    roots = sorted(r for r in range(p) if (r * r - t * r + n) % p == 0)
+    s = sqrt_mod(t * t - 4 * n, p)
+    half = (p + 1) // 2  # the inverse of 2 mod p
+    roots = sorted({(t + s) * half % p, (t - s) * half % p})
     if len(roots) != 2:
         raise PreconditionError(f"action has no pair of eigenvalues mod {p}")
     r = roots[eigenvalue_index]
@@ -263,9 +271,7 @@ def eigen_sublattice_pullback(
         raise InvariantBreach("transposed action has an empty eigenspace")
     v = eigvecs[0]
     hyperplane = intmat.kernel_mod_p(intmat.freeze([v]), p)
-    columns = [tuple(x) for x in hyperplane]
-    columns += [tuple(p if i == j else 0 for i in range(4)) for j in range(4)]
-    out = rebase(surface, intmat.hnf_column_basis(columns))
+    out = rebase(surface, intmat.hnf_mod(hyperplane, p))
     if degree(out) != p * p * degree(surface):
         raise InvariantBreach("sublattice degree bookkeeping failed")
     return out
@@ -276,11 +282,14 @@ def eigen_sublattice_pullback(
 # ---------------------------------------------------------------------------
 
 
-def dual_basis(surface: PolarizedRMSurface) -> RatMat:
-    """Canonical basis of the dual lattice of the gram form (columns)."""
-    inv = intmat.inverse(surface.gram)
-    cols = [tuple(inv[i][j] for i in range(4)) for j in range(4)]
-    return intmat.hnf_column_basis(cols)
+def dual_basis(surface: PolarizedRMSurface) -> tuple[IntMat, int]:
+    """Canonical basis of the dual lattice E^-1 Z^4 of the gram form, as
+    (basis, den) with den = pf^2: the columns of adj(E) span den * L*, which
+    contains den * Z^4."""
+    pf = intmat.pfaffian4(surface.gram)
+    den = pf * pf
+    columns = intmat.transpose(intmat.adjugate(surface.gram))
+    return intmat.hnf_mod(columns, den), den
 
 
 def kernel_of_polarization(
@@ -293,12 +302,8 @@ def kernel_of_polarization(
     """
     if intmat.pfaffian4(surface.gram) == 0:
         raise PreconditionError("degenerate gram form")
-    divisors = intmat.snf_divisors(surface.gram)
-    if divisors[0] != divisors[1] or divisors[2] != divisors[3]:
-        raise InvariantBreach("alternating form divisors are not paired")
-    if divisors[3] % divisors[1] != 0:
-        raise InvariantBreach("elementary divisors are not nested")
-    kernel = KernelSubgroup(dual_basis(surface))
+    divisors = intmat.alternating_divisors(surface.gram)
+    kernel = KernelSubgroup(*dual_basis(surface))
     if kernel.group_order != degree(surface):
         raise InvariantBreach("dual lattice index does not match the degree")
     return kernel, divisors
@@ -311,9 +316,7 @@ def polarization_kernel_mod_p(surface: PolarizedRMSurface, p: int):
 
 def kernel_from_subspace(basis, p: int) -> KernelSubgroup:
     """KernelSubgroup spanned by p-torsion classes with the given mod-p basis."""
-    columns = [tuple(Fraction(x, p) for x in vec) for vec in basis]
-    columns += list(intmat.transpose(intmat.identity()))
-    return KernelSubgroup(intmat.hnf_column_basis(columns))
+    return KernelSubgroup(intmat.hnf_mod(basis, p), p)
 
 
 def stabilizer_order(surface: PolarizedRMSurface) -> RealQuadraticOrder:

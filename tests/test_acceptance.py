@@ -48,6 +48,7 @@ from rmlattice.surface import (
     element_action,
     polarization_kernel_mod_p,
 )
+from test_intmat_oracles import snf_divisors
 
 DEGREE_PRIME_POOL = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 D_SET = (2, 3, 5, 13, 17)
@@ -377,7 +378,7 @@ def test_criterion_5_squarefree_postcondition(corpus):
                 remaining = degree(reduced)
                 if remaining % p:
                     continue
-                divisors = intmat.snf_divisors(reduced.gram)
+                divisors = snf_divisors(reduced.gram)
                 parts = [d % p == 0 for d in divisors]
                 assert parts == [False, False, True, True], (divisors, p)
                 assert all(d % (p * p) != 0 for d in divisors)

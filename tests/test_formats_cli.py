@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,23 @@ def test_int_codec_small_and_big():
         _decode_int(2.5)
     with pytest.raises(ValueError):
         _decode_int(2**53)  # written as the string "9007199254740992"
+
+
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 5063, 9000, 20001])
+def test_int_codec_past_the_digit_limit(digits):
+    # the interpreter refuses int/str conversions past 4300 digits by default
+    limit = sys.get_int_max_str_digits()
+    for v in (10 ** (digits - 1), 10**digits - 1, 7**digits % 10**digits + 10 ** (digits - 1)):
+        for value in (v, -v):
+            sys.set_int_max_str_digits(0)
+            try:
+                text = str(value)
+            finally:
+                sys.set_int_max_str_digits(limit)
+            assert _encode_int(value) == text
+            assert _decode_int(text) == value
+            with pytest.raises(ValueError):
+                _decode_int("0" + text.lstrip("-"))  # a leading zero
 
 
 @pytest.mark.parametrize(
@@ -152,6 +170,28 @@ def test_cli_principalize_prints_the_degree_and_conductor_change(tmp_path, capsy
     assert main(["principalize", str(inst), "-o", str(out)]) == 0
     assert capsys.readouterr().out == (
         f"principal surface written to {out}; degree 121 -> 1, conductor 3 -> 1\n"
+    )
+
+
+def test_cli_round_trip_with_entries_past_the_digit_limit(tmp_path, capsys):
+    # f = 3^10 gives entries of about 5000 digits, past the default int/str
+    # limit of 4300, which generate once died on and info called malformed
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "out.json"
+    cert = tmp_path / "cert.json"
+    assert main([
+        "generate", "--D", "5", "--conductor", "59049", "--degree-primes", "11",
+        "--seed", "1", "-o", str(inst),
+    ]) == 0
+    assert max(len(str(x)) for row in json.loads(inst.read_text())["gram"] for x in row) > 4300
+    assert main(["info", str(inst)]) == 0
+    assert "f=59049 deg=121 divisors=(1,1,11,11)" in capsys.readouterr().out
+    assert main([
+        "principalize", str(inst), "-o", str(out), "--cert-out", str(cert),
+    ]) == 0
+    assert main(["verify", str(inst), str(cert)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "certificate replays to an identical surface\n"
     )
 
 

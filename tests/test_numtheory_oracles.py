@@ -5,8 +5,8 @@ solve_norm and humbert_nonempty replaced, kept verbatim apart from their
 names (and the walk calling the old unit scan) as test-only references,
 with the exact real-embedding test embeds_above_one that the unit scan
 needs.
-sympy is a second, independent oracle. Hypothesis runs derandomized, so
-every run checks the same cases.
+sympy is a second, independent oracle, and the only one for sqrt_mod.
+Hypothesis runs derandomized, so every run checks the same cases.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import factorint, is_quad_residue, nextprime, prevprime
+from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from sympy.solvers.diophantine.diophantine import diop_DN
 
-from rmlattice.arith import factorize, is_squarefree
+from rmlattice.arith import factorize, is_squarefree, sqrt_mod
 from rmlattice.errors import InvariantBreach
 from rmlattice.quadratic import (
     _canonical_key,
@@ -259,3 +260,29 @@ def test_factorize_of_a_large_semiprime_returns():
     # Trial division needed about 10^9 steps here.
     p, q = nextprime(10**9), nextprime(2 * 10**9)
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+# ---------------------------------------------------------------------------
+# square roots modulo a prime
+# ---------------------------------------------------------------------------
+
+
+@ORACLE
+@given(st.integers(3, 10**15), st.integers(0, 10**15))
+def test_sqrt_mod_matches_sympy(n, a):
+    p = nextprime(n)
+    expected = sympy_sqrt_mod(a, p)  # the smallest root, or None
+    if expected is None:
+        with pytest.raises(ValueError):
+            sqrt_mod(a, p)
+    else:
+        assert sqrt_mod(a, p) == expected
+
+
+def test_sqrt_mod_at_primes_with_a_deep_two_part():
+    # p - 1 divisible by 2^16 and 2^23: Tonelli-Shanks walks its longest loop
+    for p in (65537, 998244353):
+        for a in range(1, 200):
+            expected = sympy_sqrt_mod(a, p)
+            if expected is not None:
+                assert sqrt_mod(a, p) == expected

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
 import pytest
+import sympy
 
 from rmlattice import (
     PreconditionError,
@@ -181,6 +183,41 @@ def test_eigen_sublattice_pullback():
         eigen_sublattice_pullback(s, 5, 0)  # ramified
     with pytest.raises(PreconditionError):
         eigen_sublattice_pullback(standard_instance(make_order(5, 3)), 3, 0)
+
+
+def _pullback_by_scan(surface, p, eigenvalue_index):
+    """eigen_sublattice_pullback with its eigenvalues found by the
+    value-linear root scan it replaced, as the reference."""
+    t, n = surface.order.trace_omega, surface.order.norm_omega
+    roots = sorted(r for r in range(p) if (r * r - t * r + n) % p == 0)
+    shift = intmat.scalar_mul(roots[eigenvalue_index], intmat.identity())
+    v = intmat.kernel_mod_p(intmat.mat_sub(intmat.transpose(surface.action), shift), p)[0]
+    return rebase(surface, intmat.hnf_mod(intmat.kernel_mod_p(intmat.freeze([v]), p), p))
+
+
+def test_pullback_eigenvalues_match_the_root_scan():
+    checked = 0
+    for D in (2, 3, 5, 13, 17):
+        for f in (1, 3, 7, 9):
+            s = standard_instance(make_order(D, f))
+            for p in sympy.primerange(3, 200):
+                if splitting_type(s.order, p) != "split":
+                    continue
+                for idx in (0, 1):
+                    assert eigen_sublattice_pullback(s, p, idx) == _pullback_by_scan(s, p, idx)
+                    checked += 1
+    assert checked > 500
+
+
+def test_pullback_at_a_prime_near_10_to_the_12():
+    p = 10**12 + 39  # split in Q(sqrt 5): p = -1 mod 5
+    s = standard_instance(make_order(5, 1))
+    start = time.perf_counter()
+    for idx in (0, 1):
+        pulled = eigen_sublattice_pullback(s, p, idx)
+        assert degree(pulled) == p * p
+        assert validate(pulled) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_generated_instances_satisfy_humbert():
