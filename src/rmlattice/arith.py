@@ -171,3 +171,20 @@ def sqrt_upper_frac(q: Fraction, scale: int = 10**8) -> Fraction:
     # sqrt(n/d) = sqrt(n*d)/d
     n, d = q.numerator, q.denominator
     return Fraction(isqrt(n * d * scale * scale) + 1, d * scale)
+
+
+def int_text(v: int) -> str:
+    """Decimal text of v of any size: the built-in conversion below the
+    interpreter's int/str digit limit, and above it divide and conquer on
+    the powers 10^(2^k)."""
+    try:
+        return str(v)
+    except ValueError:
+        pass
+    if v < 0:
+        return "-" + int_text(-v)
+    k, power = 1, 10
+    while power * power <= v:
+        k, power = 2 * k, power * power
+    hi, lo = divmod(v, power)
+    return int_text(hi) + int_text(lo).zfill(k)

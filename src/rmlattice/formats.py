@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 
 from . import intmat
+from .arith import int_text
 from .intmat import RatMat
 from .errors import PreconditionError
 from .isogeny import IsogenyStep
@@ -36,23 +37,6 @@ _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # ---------------------------------------------------------------------------
 
 
-def _int_text(v: int) -> str:
-    """Decimal text of v of any size: the built-in conversion below the
-    interpreter's int/str digit limit, and above it divide and conquer on
-    the powers 10^(2^k)."""
-    try:
-        return str(v)
-    except ValueError:
-        pass
-    if v < 0:
-        return "-" + _int_text(-v)
-    k, power = 1, 10
-    while power * power <= v:
-        k, power = 2 * k, power * power
-    hi, lo = divmod(v, power)
-    return _int_text(hi) + _int_text(lo).zfill(k)
-
-
 def _text_int(text: str) -> int:
     """The integer a -?[0-9]+ text writes, of any length: the built-in
     conversion below the digit limit, and above it halves of the text."""
@@ -67,7 +51,7 @@ def _text_int(text: str) -> int:
 
 
 def _encode_int(v: int):
-    return v if abs(v) < _BIG else _int_text(v)
+    return v if abs(v) < _BIG else int_text(v)
 
 
 def _decode_int(v) -> int:

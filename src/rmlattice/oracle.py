@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import fields
+from fractions import Fraction
 from itertools import combinations, product
 
 from . import intmat
-from .arith import is_prime
+from .arith import int_text, is_prime
 from .errors import DescentError, InvariantBreach, LatticeModelError, PreconditionError
 from .isogeny import TWIST, descend_polarization
 from .reduction import (
@@ -193,11 +194,11 @@ def verify_certificate(
     idx = 0
     while idx < len(recorded):
         step = recorded[idx]
-        label = f"step {idx} ({step.kind} at {step.prime})"
+        label = f"step {idx} ({step.kind} at {int_text(step.prime)})"
         if step.degree_before != degree(current):
             return False, (
-                f"{label}: degree_before {step.degree_before} does not match "
-                f"the current degree {degree(current)}"
+                f"{label}: degree_before {int_text(step.degree_before)} does not "
+                f"match the current degree {int_text(degree(current))}"
             )
         move = enlarge_order_step if step.kind == TWIST else reduce_degree_step
         try:
@@ -212,7 +213,7 @@ def verify_certificate(
                     if getattr(rec, f.name) != getattr(der, f.name)
                 )
                 return False, (
-                    f"step {i} ({rec.kind} at {rec.prime}): "
+                    f"step {i} ({rec.kind} at {int_text(rec.prime)}): "
                     f"{name}={_show(getattr(rec, name))} recorded, "
                     f"replay derives {name}={_show(getattr(der, name))}"
                 )
@@ -236,7 +237,12 @@ def verify_certificate(
 
 
 def _show(value) -> str:
-    """A step field as text: rationals as p/q, matrices as nested tuples."""
+    """A step field as text: rationals as p/q, matrices as nested tuples,
+    integers of any size in decimal."""
     if isinstance(value, tuple):
         return "(" + ", ".join(_show(x) for x in value) + ")"
+    if isinstance(value, (int, Fraction)):
+        q = Fraction(value)
+        text = int_text(q.numerator)
+        return text if q.denominator == 1 else f"{text}/{int_text(q.denominator)}"
     return str(value)

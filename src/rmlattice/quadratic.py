@@ -8,9 +8,14 @@ generator of the conductor-g suborder, which the lattice algorithms rely
 on. Elements are stored as integer pairs (x, y) meaning x + y*w.
 
 Besides element arithmetic this module provides prime splitting, the
-fundamental unit, a complete bounded search for norm equations, prime
-factorization into norm +-p elements, a conductor Bezout identity for
-non-associate factors, and the Humbert congruence test.
+fundamental unit, norm equations, prime factorization into norm +-p
+elements, a conductor Bezout identity for non-associate factors, and the
+Humbert congruence test. Norm equations in the maximal order are a
+complete bounded box search. In a conductor-f suborder they reduce to the
+group G = (O_F/f)^*/(Z/f)^*: the suborder's unit is u**n0, n0 the order
+of u in G read off |G| = prod over q^e || f of q^(e-1)*(q - chi(q)), and
+each box solution reaches the suborder at an exponent found by a
+baby-step giant-step discrete log modulo f.
 """
 
 from __future__ import annotations
@@ -197,8 +202,7 @@ def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
 
     For conductor f > 1 the unit group is the cyclic subgroup of
     maximal-order units landing in the order, so the answer is u**n0 for
-    the least n0 >= 1 with the w1-coefficient of u**n0 divisible by f,
-    found by _unit_index on residues modulo f.
+    n0 the order of the class of u in (O_F/f)^*/(Z/f)^*, from _unit_index.
     """
     if order.conductor > 1:
         power = fundamental_unit(make_order(order.D, 1)) ** _unit_index(order)
@@ -221,36 +225,135 @@ def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     return order.element(q_prev * c + q_prev2, q_prev)
 
 
+# Residues of the maximal order modulo the conductor f are pairs (x, y)
+# meaning x + y*w1 mod f. An element lies in the conductor-f order exactly
+# when its residue has y = 0, that is when its class in
+# G = (O_F/f)^*/(Z/f)^* is trivial.
+
+
+def _mul_mod(maximal: RealQuadraticOrder, a, b, f: int) -> tuple[int, int]:
+    # (x1 + y1*w)(x2 + y2*w) with w^2 = t*w - n
+    (x1, y1), (x2, y2) = a, b
+    t, n = maximal.trace_omega, maximal.norm_omega
+    return (x1 * x2 - n * y1 * y2) % f, (x1 * y2 + x2 * y1 + t * y1 * y2) % f
+
+
+def _pow_mod(maximal: RealQuadraticOrder, a, k: int, f: int) -> tuple[int, int]:
+    result = (1, 0)
+    while k:
+        if k & 1:
+            result = _mul_mod(maximal, result, a, f)
+        k >>= 1
+        if k:
+            a = _mul_mod(maximal, a, a, f)
+    return result
+
+
+def _residue(el: OrderElement, f: int) -> tuple[int, int]:
+    return el.x % f, el.y % f
+
+
+def _kronecker(d: int, q: int) -> int:
+    """The Kronecker symbol (d/q) at a prime q, for a discriminant d."""
+    if q == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    return legendre(d, q)
+
+
 @lru_cache(maxsize=None)
 def _unit_index(order: RealQuadraticOrder) -> int:
     """The least n0 >= 1 with u**n0 in the order, u the maximal order's unit.
 
-    The orbit of u modulo f is purely periodic because u is invertible, so
-    it returns to 1 within |(O_F/f)^*| < f^2 steps, and 1 lies in the order.
+    n0 is the order of the class of u in G = (O_F/f)^*/(Z/f)^*, whose size
+    is |G| = prod over q^e || f of q^(e-1)*(q - chi(q)), chi the Kronecker
+    symbol of d_F (also at q = 2). n0 divides |G|, so it is |G| with each
+    prime stripped for as long as the power of u stays a scalar modulo f:
+    O(log^2 f) modular powers once |G| is factored.
     """
     maximal = make_order(order.D, 1)
-    u = fundamental_unit(maximal)
     f = order.conductor
-    return _orbit_hit(maximal, u, u, f, f * f) + 1
+    u = _residue(fundamental_unit(maximal), f)
+    n0 = 1
+    for q, e in factorize(f).items():
+        n0 *= q ** (e - 1) * (q - _kronecker(order.fundamental_discriminant, q))
+    for q in factorize(n0):
+        while n0 % q == 0 and _pow_mod(maximal, u, n0 // q, f)[1] == 0:
+            n0 //= q
+    return n0
 
 
-def _orbit_hit(
-    maximal: RealQuadraticOrder, seed: OrderElement, unit: OrderElement, f: int, steps: int
-) -> int | None:
-    """The least k < steps with f | y(seed * unit**k), or None.
+@lru_cache(maxsize=None)
+def _baby_steps(order: RealQuadraticOrder):
+    """(maximal, u, n0, table, giant, period) for discrete logs base rho mod f.
 
-    Walks the orbit on residues modulo f, so each step costs the same
-    however large seed * unit**k has grown.
+    u is the residue of the maximal order's unit and rho = u/conj(u) =
+    N(u)*u^2. The map z -> z/conj(z) kills (Z/f)^*, so it is defined on G.
+    It is one-to-one there for odd f; for even f it can be two-to-one, so
+    rho has order period = n0 or n0/2. The table maps rho**j to j for
+    j < m = ceil(sqrt(period)), m distinct powers as m <= period, and
+    giant is the matrix of multiplication by rho**(-m) = conj(rho**m).
     """
-    # (x + y*w)(ux + uy*w) with w^2 = t*w - n
-    ux, uy = unit.x % f, unit.y % f
-    yx, yy = -maximal.norm_omega * uy % f, (ux + maximal.trace_omega * uy) % f
-    x, y = seed.x % f, seed.y % f
-    for k in range(steps):
-        if y == 0:
-            return k
-        x, y = (x * ux + y * yx) % f, (x * uy + y * yy) % f
-    return None
+    maximal = make_order(order.D, 1)
+    f = order.conductor
+    unit = fundamental_unit(maximal)
+    u = _residue(unit, f)
+    x, y = _mul_mod(maximal, u, u, f)
+    rho = (x * unit.norm() % f, y * unit.norm() % f)
+    n0 = _unit_index(order)
+    half = n0 // 2
+    period = half if n0 % 2 == 0 and _pow_mod(maximal, rho, half, f) == (1, 0) else n0
+    table = {}
+    power = (1, 0)
+    for j in range(isqrt(period - 1) + 1):
+        table[power] = j
+        power = _mul_mod(maximal, power, rho, f)
+    # giant = conj(power) = gx + gy*w, kept as the matrix of z -> z*giant
+    x, y = power
+    gx, gy = (x + maximal.trace_omega * y) % f, -y % f
+    giant = (gx, -maximal.norm_omega * gy % f, gy, (gx + maximal.trace_omega * gy) % f)
+    return maximal, u, n0, table, giant, period
+
+
+def _unit_logs(order: RealQuadraticOrder, seeds, p: int) -> list[int | None]:
+    """For each seed, the least k < n0 with seed * u**k in the order, or None.
+
+    The seeds are elements of the maximal order of norm +-p, p coprime to
+    the conductor f. seed*u**k lies in the order exactly when its class in
+    G is trivial, which implies rho**k = conj(seed)/seed =
+    conj(seed)^2/N(seed) mod f; p is inverted mod f once for all seeds.
+    Baby-step giant-step (Shanks 1971) finds the least such k0 in
+    O(sqrt(n0)) products. For odd f, z -> z/conj(z) is one-to-one on G, so
+    k0 is the answer. For even f it need not be: the solutions below n0 are
+    k0 and, when rho has order n0/2, k0 + n0/2, and each is confirmed by
+    one modular power.
+    """
+    maximal, u, n0, table, giant, period = _baby_steps(order)
+    f, t, n = order.conductor, maximal.trace_omega, maximal.norm_omega
+    a, b, c, d = giant
+    m = len(table)
+    p_inverse = pow(p, -1, f)
+    logs = []
+    for seed in seeds:
+        cx, cy = seed.x + t * seed.y, -seed.y  # conj(seed)
+        scale = p_inverse if seed.norm() > 0 else -p_inverse  # 1/N(seed) mod f
+        x, y = (cx * cx - n * cy * cy) * scale % f, (2 * cx + t * cy) * cy * scale % f
+        for i in range(m):
+            j = table.get((x, y))
+            if j is not None:
+                k = i * m + j
+                break
+            x, y = (x * a + y * b) % f, (x * c + y * d) % f
+        else:
+            k = None
+        if k is not None and f % 2 == 0:
+            s = _residue(seed, f)
+            candidates, k = range(k, n0, period), None
+            for h in candidates:
+                if _mul_mod(maximal, s, _pow_mod(maximal, u, h, f), f)[1] == 0:
+                    k = h
+                    break
+        logs.append(k)
+    return logs
 
 
 def splitting_type(order: RealQuadraticOrder, p: int) -> str:
@@ -312,14 +415,13 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
 
     For the maximal order: scan |y| upward to the search bound and return
     the solution with lexicographically least (|y|, |x|, signs), the
-    canonical representative. For conductor f > 1: enumerate the maximal
-    order's box solutions s and walk each orbit s*u**k, u the maximal
-    order's unit, on residues modulo f to the first k with f | y, where
-    s*u**k lies in the suborder; only that hit is built exactly, by
-    powering. Every suborder solution is caught this way. The first hit has
-    k < n0, u**n0 the suborder's unit: if s*u**k lies in the order, so does
-    s*u**(k-n0). So each walk takes at most n0 steps, and the candidates
-    and their canonical minimum are those of the full orbit.
+    canonical representative. For conductor f > 1: every suborder solution
+    is s*u**k for a box solution s of the maximal order and u its unit, and
+    if s*u**k lies in the order so does s*u**(k-n0), u**n0 the suborder's
+    unit. So the candidates are s*u**k with k the least exponent putting
+    s*u**k in the order, found per seed by a discrete log modulo f
+    (_unit_logs); only that hit is built exactly, by powering. The
+    candidates and their canonical minimum are those of the full orbit.
     """
     if p == 2 or not is_prime(p):
         raise PreconditionError(f"{p} is not an odd prime")
@@ -340,10 +442,9 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     f = order.conductor
     maximal = make_order(order.D, 1)
     unit = fundamental_unit(maximal)
-    n0 = _unit_index(order)
+    seeds = _maximal_norm_solutions(maximal, p)
     candidates = []
-    for seed in _maximal_norm_solutions(maximal, p):
-        k = _orbit_hit(maximal, seed, unit, f, n0)
+    for seed, k in zip(seeds, _unit_logs(order, seeds, p)):
         if k is not None:
             hit = seed * unit**k
             candidates.append(order.element(hit.x, hit.y // f))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import intmat
-from .arith import sqrt_mod
+from .arith import int_text, sqrt_mod
 from .errors import DescentError, InvariantBreach, PreconditionError
 from .intmat import IntMat, RatMat
 from .quadratic import (
@@ -149,10 +149,11 @@ def rebase(
     for i in range(4):
         for j in range(4):
             if gram[i][j] % den2:
+                q = Fraction(gram[i][j], den2)
                 raise DescentError(
                     "polarization does not descend: pairing of overlattice "
-                    f"generators {i} and {j} is {Fraction(gram[i][j], den2)}, "
-                    "not integral"
+                    f"generators {i} and {j} is {int_text(q.numerator)}/"
+                    f"{int_text(q.denominator)}, not integral"
                 )
     adj = intmat.adjugate(basis)
     d = sum(basis[0][k] * adj[k][0] for k in range(4))  # (basis @ adj)[0][0]

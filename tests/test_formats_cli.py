@@ -195,6 +195,29 @@ def test_cli_round_trip_with_entries_past_the_digit_limit(tmp_path, capsys):
     )
 
 
+def test_cli_verify_rejects_a_degree_past_the_digit_limit(tmp_path, capsys):
+    # a tampered degree_before of 5001 digits: the mismatch message once
+    # raised ValueError from the interpreter's int/str digit limit
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    assert main([
+        "generate", "--D", "5", "--conductor", "3", "--degree-primes", "11",
+        "--seed", "42", "-o", str(inst),
+    ]) == 0
+    assert main([
+        "principalize", str(inst), "-o", str(tmp_path / "out.json"),
+        "--cert-out", str(cert),
+    ]) == 0
+    data = json.loads(cert.read_text())
+    data["steps"][0]["degree_before"] = "1" + "0" * 5000
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(cert)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0 (") and "degree_before 1" + "0" * 5000 + " does" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("conductor", ["1", "3"])
 def test_cli_generate_in_a_big_unit_field(tmp_path, conductor):
     # The fundamental unit of Q(sqrt 166) has y = 132015642: a valid field

@@ -26,7 +26,7 @@ from rmlattice.surface import (
     polarization_kernel_mod_p,
     rebase,
 )
-from rmlattice.generator import random_unimodular
+from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.surface import apply_unimodular
 from test_intmat_oracles import hnf_column_basis, inverse, to_fraction
 
@@ -123,6 +123,14 @@ def test_descend_fails_on_principal():
     lam = polarization_kernel_mod_p(tw, 11)  # action stable, but not in ker
     with pytest.raises(DescentError, match="pairing of overlattice generators"):
         descend_polarization(s, kernel_from_subspace(lam, 11))
+
+
+def test_descent_error_past_the_digit_limit():
+    # f = 3^10 gives gram entries of about 5000 digits, past the interpreter's
+    # int/str limit of 4300, on which the error text once raised ValueError
+    s = generate_instance(5, 3**10, [11], 1)
+    with pytest.raises(DescentError, match="pairing of overlattice generators"):
+        descend_polarization(s, kernel_from_subspace(intmat.identity(), 3))
 
 
 def test_divide_undoes_twist():

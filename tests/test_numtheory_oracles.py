@@ -4,7 +4,9 @@ The scans below are the value-linear algorithms that fundamental_unit,
 solve_norm and humbert_nonempty replaced, kept verbatim apart from their
 names (and the walk calling the old unit scan) as test-only references,
 with the exact real-embedding test embeds_above_one that the unit scan
-needs.
+needs. orbit_hit and walk_unit_index are the unit-orbit walks modulo the
+conductor that the discrete log _unit_logs and the group-order
+_unit_index replaced.
 sympy is a second, independent oracle, and the only one for sqrt_mod.
 Hypothesis runs derandomized, so every run checks the same cases.
 """
@@ -27,6 +29,8 @@ from rmlattice.quadratic import (
     _maximal_norm_solutions,
     _norm_search_bound,
     _norm_solutions_for_y,
+    _unit_index,
+    _unit_logs,
     fundamental_unit,
     humbert_nonempty,
     make_order,
@@ -118,6 +122,35 @@ def walk_solve_norm(order, p):
     return min(candidates, key=_canonical_key)
 
 
+def walk_unit_index(order):
+    """The least n0 >= 1 with u**n0 in the order, u the maximal order's unit.
+
+    The orbit of u modulo f is purely periodic because u is invertible, so
+    it returns to 1 within |(O_F/f)^*| < f^2 steps, and 1 lies in the order.
+    """
+    maximal = make_order(order.D, 1)
+    u = fundamental_unit(maximal)
+    f = order.conductor
+    return orbit_hit(maximal, u, u, f, f * f) + 1
+
+
+def orbit_hit(maximal, seed, unit, f, steps):
+    """The least k < steps with f | y(seed * unit**k), or None.
+
+    Walks the orbit on residues modulo f, so each step costs the same
+    however large seed * unit**k has grown.
+    """
+    # (x + y*w)(ux + uy*w) with w^2 = t*w - n
+    ux, uy = unit.x % f, unit.y % f
+    yx, yy = -maximal.norm_omega * uy % f, (ux + maximal.trace_omega * uy) % f
+    x, y = seed.x % f, seed.y % f
+    for k in range(steps):
+        if y == 0:
+            return k
+        x, y = (x * ux + y * yx) % f, (x * uy + y * yy) % f
+    return None
+
+
 def scan_humbert_nonempty(disc, d):
     m = 4 * d
     return any((x * x - disc) % m == 0 for x in range(m))
@@ -193,6 +226,26 @@ def test_solve_norm_matches_exact_walk(D, f, p):
     assume(f % p)
     order = make_order(D, f)
     assert solve_norm(order, p) == walk_solve_norm(order, p)
+
+
+@ORACLE
+@given(
+    st.sampled_from([2, 3, 5, 13, 17, 33, 46, 94]),
+    st.integers(1, 2499),
+    st.booleans(),
+    st.sampled_from(ODD_PRIMES),
+)
+def test_unit_logs_and_unit_index_match_the_walks(D, half, odd, p):
+    f = 2 * half + odd  # odd and even conductors up to 4999
+    assume(f % p)
+    order = make_order(D, f)
+    maximal = make_order(D, 1)
+    unit = fundamental_unit(maximal)
+    n0 = walk_unit_index(order)
+    assert _unit_index(order) == n0
+    seeds = _maximal_norm_solutions(maximal, p)
+    walks = [orbit_hit(maximal, seed, unit, f, n0) for seed in seeds]
+    assert _unit_logs(order, seeds, p) == walks
 
 
 @pytest.mark.parametrize(

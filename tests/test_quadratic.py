@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -14,9 +15,12 @@ from rmlattice import (
     fundamental_unit,
     humbert_nonempty,
     make_order,
+    principalize,
     solve_norm,
     splitting_type,
 )
+from rmlattice.generator import generate_instance
+from rmlattice.oracle import verify_certificate
 from test_numtheory_oracles import embeds_above_one
 
 
@@ -227,6 +231,19 @@ def test_solve_norm_handles_large_suborder_units():
     sol = solve_norm(make_order(33, 15), 29)
     assert sol is not None and abs(sol.norm()) == 29
     assert solve_norm(make_order(33, 9), 17) is None
+
+
+def test_suborder_search_at_a_ten_million_conductor():
+    # n0 = 2500030 here: a walk of n0 steps per box seed took about 15 s
+    # in generate; the discrete log takes O(sqrt(n0)) steps per seed
+    start = time.perf_counter()
+    assert solve_norm(make_order(5, 10000121), 11) is None
+    s = generate_instance(5, 10000121, [11], 1)
+    result, certificate = principalize(s)
+    assert verify_certificate(s, certificate) == (
+        True, "certificate replays to an identical surface"
+    )
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------
