@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .arith import factorize, is_prime
 from .errors import InvariantBreach, PreconditionError
@@ -144,7 +145,9 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="rmlattice",
         description=(
@@ -186,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

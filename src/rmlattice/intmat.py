@@ -2,11 +2,13 @@
 
 Everything here is sized for the rank-4 lattices used by the rest of the
 package: matrices are tuples of tuples, integers are arbitrary precision,
-and no floats appear anywhere. The core is fraction-free: det and
-adjugate are closed-form 4x4 expansions in the twelve 2x2 minors (exact
-on Fraction entries too), a lattice between d*Z^4 and Z^4 is put into
-Hermite form from residues mod d, and the elementary divisors of an
-alternating form are read off its content and pfaffian.
+and no floats appear anywhere. The 4x4 core is straight-line and
+fraction-free: the product is written out as sixteen sums of four
+products, the alternating test as six pair comparisons and a zero
+diagonal, det and adjugate are closed-form expansions in the twelve 2x2
+minors (all exact on Fraction entries too), a lattice between d*Z^4 and
+Z^4 is put into Hermite form from residues mod d, and the elementary
+divisors of an alternating form are read off its content and pfaffian.
 
 Conventions:
   * lattices are column lattices (a basis is the tuple of matrix columns);
@@ -35,29 +37,23 @@ def identity(n: int = 4) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(n: int = 4) -> IntMat:
-    return tuple((0,) * n for _ in range(n))
-
-
 def transpose(m):
     return tuple(zip(*m))
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scalar_mul(c, a):
-    return tuple(tuple(c * x for x in r) for r in a)
-
-
 def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+    """Product of 4x4 matrices, written out: the rows of b are unpacked once
+    and each output row is four sums of four products."""
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
+    rows = []
+    for x0, x1, x2, x3 in a:
+        rows.append((
+            x0 * b00 + x1 * b10 + x2 * b20 + x3 * b30,
+            x0 * b01 + x1 * b11 + x2 * b21 + x3 * b31,
+            x0 * b02 + x1 * b12 + x2 * b22 + x3 * b32,
+            x0 * b03 + x1 * b13 + x2 * b23 + x3 * b33,
+        ))
+    return tuple(rows)
 
 
 def mat_vec(a, v):
@@ -69,8 +65,14 @@ def mat_mod(a, m: int):
 
 
 def is_antisymmetric(m) -> bool:
-    n = len(m)
-    return all(m[i][j] == -m[j][i] for i in range(n) for j in range(n))
+    """Whether the 4x4 matrix m is alternating: a zero diagonal and the six
+    pairs below it the negatives of the pairs above."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = m
+    return (
+        a00 == a11 == a22 == a33 == 0
+        and a10 == -a01 and a20 == -a02 and a30 == -a03
+        and a21 == -a12 and a31 == -a13 and a32 == -a23
+    )
 
 
 def matrix_content(m) -> int:
@@ -122,10 +124,12 @@ def adjugate(m):
 
 
 def pfaffian4(m) -> int:
-    """Pfaffian of a 4x4 antisymmetric matrix."""
+    """Pfaffian of a 4x4 antisymmetric matrix; ValueError for any other input
+    (from is_antisymmetric's unpacking when a row is not 4 entries long)."""
     if len(m) != 4 or not is_antisymmetric(m):
         raise ValueError("pfaffian requires a 4x4 antisymmetric matrix")
-    return m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+    (_, m01, m02, m03), (_, _, m12, m13), (_, _, _, m23), _ = m
+    return m01 * m23 - m02 * m13 + m03 * m12
 
 
 # ---------------------------------------------------------------------------

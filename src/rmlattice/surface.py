@@ -13,12 +13,22 @@ lattices, kernels, stabilizer orders and the instance constructors all
 live here. Every move that re-expresses the lattice (descent to an
 overlattice, pull-back to a sublattice, a unimodular scramble) goes
 through rebase. Everything is a pure function on immutable values.
+
+The pfaffian is computed once per surface and kept (the cached property
+`pf`, which is not a dataclass field, so equality, hashing and every
+serialized form see only order, action and gram); degree, validation,
+the dual lattice and the kernel read it. validate checks the minimal
+polynomial A^2 - tA + n = 0 from the one product A^2, and the symmetry
+A^T E = E A from the one product E A, which must be alternating. Element
+actions x*I + y*A and the reorientation that swaps the last two basis
+vectors are written out rather than built from matrix products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import intmat
@@ -40,10 +50,23 @@ class PolarizedRMSurface:
     action: IntMat
     gram: IntMat
 
+    @cached_property
+    def pf(self) -> int:
+        """Pfaffian of the gram form, computed on first use and then kept.
+
+        Not a dataclass field, so equality, hashing, the constructor and
+        every serialized form see only (order, action, gram).
+        """
+        return intmat.pfaffian4(self.gram)
+
     def __repr__(self) -> str:
+        try:
+            deg = int_text(degree(self))
+        except (ValueError, PreconditionError):  # not a nondegenerate alternating form
+            deg = "invalid"
         return (
-            f"PolarizedRMSurface(D={self.order.D}, conductor={self.order.conductor}, "
-            f"degree={degree(self)})"
+            f"PolarizedRMSurface(D={int_text(self.order.D)}, "
+            f"conductor={int_text(self.order.conductor)}, degree={deg})"
         )
 
 
@@ -85,27 +108,28 @@ def validate(surface: PolarizedRMSurface) -> str | None:
     e, a = surface.gram, surface.action
     if not intmat.is_antisymmetric(e):
         return "gram form is not antisymmetric"
-    if intmat.pfaffian4(e) == 0:
+    if surface.pf == 0:
         return "gram form is degenerate"
     t, n = surface.order.trace_omega, surface.order.norm_omega
-    lhs = intmat.mat_add(
-        intmat.mat_sub(intmat.mat_mul(a, a), intmat.scalar_mul(t, a)),
-        intmat.scalar_mul(n, intmat.identity()),
-    )
-    if lhs != intmat.zeros():
-        return "action does not satisfy the order's minimal polynomial"
-    if intmat.mat_mul(intmat.transpose(a), e) != intmat.mat_mul(e, a):
+    # A^2 - tA + n = 0, entry by entry from the one product A^2
+    for i, (row2, row) in enumerate(zip(intmat.mat_mul(a, a), a)):
+        for j, (x2, x) in enumerate(zip(row2, row)):
+            if x2 - t * x + (n if i == j else 0):
+                return "action does not satisfy the order's minimal polynomial"
+    # E is alternating, so A^T E = -(E A)^T: A^T E = E A exactly when E A
+    # is alternating too
+    if not intmat.is_antisymmetric(intmat.mat_mul(e, a)):
         return "action is not symmetric for the gram form"
     return None
 
 
 def pfaffian(surface: PolarizedRMSurface) -> int:
-    return intmat.pfaffian4(surface.gram)
+    return surface.pf
 
 
 def degree(surface: PolarizedRMSurface) -> int:
     """Polarization degree, the index of the lattice in its dual: pfaffian^2."""
-    pf = intmat.pfaffian4(surface.gram)
+    pf = surface.pf
     if pf == 0:
         raise PreconditionError("degenerate gram form has no degree")
     return pf * pf
@@ -115,17 +139,22 @@ def canonicalize_orientation(
     order: RealQuadraticOrder, action: IntMat, gram: IntMat
 ) -> PolarizedRMSurface:
     """Build a surface with positive pfaffian, swapping the last two basis
-    vectors when needed."""
+    vectors when needed. The pfaffian computed here is the new surface's
+    `pf`: the swap has determinant -1, so it negates the pfaffian."""
     pf = intmat.pfaffian4(gram)
     if pf == 0:
         raise PreconditionError("degenerate gram form")
     if pf < 0:
-        perm = intmat.freeze(
-            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]
-        )
-        action = intmat.mat_mul(intmat.mat_mul(perm, action), perm)
-        gram = intmat.mat_mul(intmat.mat_mul(perm, gram), perm)
-    return PolarizedRMSurface(order, intmat.freeze(action), intmat.freeze(gram))
+        action, gram = _swap_last_two(action), _swap_last_two(gram)
+    surface = PolarizedRMSurface(order, intmat.freeze(action), intmat.freeze(gram))
+    surface.__dict__["pf"] = abs(pf)  # where cached_property keeps its value
+    return surface
+
+
+def _swap_last_two(m) -> IntMat:
+    """P m P for the permutation P exchanging basis vectors 2 and 3."""
+    r0, r1, r2, r3 = m
+    return tuple((r[0], r[1], r[3], r[2]) for r in (r0, r1, r3, r2))
 
 
 def rebase(
@@ -211,9 +240,17 @@ def element_action(surface: PolarizedRMSurface, el: OrderElement) -> IntMat:
         surface.order.conductor,
     ):
         raise PreconditionError("element belongs to a different order")
-    return intmat.mat_add(
-        intmat.scalar_mul(el.x, intmat.identity()),
-        intmat.scalar_mul(el.y, surface.action),
+    return _scalar_plus(el.x, el.y, surface.action)
+
+
+def _scalar_plus(x: int, y: int, m) -> IntMat:
+    """x*I + y*m for a 4x4 matrix m, written out."""
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m
+    return (
+        (x + y * m00, y * m01, y * m02, y * m03),
+        (y * m10, x + y * m11, y * m12, y * m13),
+        (y * m20, y * m21, x + y * m22, y * m23),
+        (y * m30, y * m31, y * m32, x + y * m33),
     )
 
 
@@ -264,9 +301,7 @@ def eigen_sublattice_pullback(
     if len(roots) != 2:
         raise PreconditionError(f"action has no pair of eigenvalues mod {p}")
     r = roots[eigenvalue_index]
-    at_shift = intmat.mat_sub(
-        intmat.transpose(surface.action), intmat.scalar_mul(r, intmat.identity())
-    )
+    at_shift = _scalar_plus(-r, 1, intmat.transpose(surface.action))
     eigvecs = intmat.kernel_mod_p(at_shift, p)
     if not eigvecs:
         raise InvariantBreach("transposed action has an empty eigenspace")
@@ -287,8 +322,7 @@ def dual_basis(surface: PolarizedRMSurface) -> tuple[IntMat, int]:
     """Canonical basis of the dual lattice E^-1 Z^4 of the gram form, as
     (basis, den) with den = pf^2: the columns of adj(E) span den * L*, which
     contains den * Z^4."""
-    pf = intmat.pfaffian4(surface.gram)
-    den = pf * pf
+    den = surface.pf * surface.pf
     columns = intmat.transpose(intmat.adjugate(surface.gram))
     return intmat.hnf_mod(columns, den), den
 
@@ -301,7 +335,7 @@ def kernel_of_polarization(
     Divisors come paired (d1, d1, d2, d2) with d1 | d2; the group order is
     (d1*d2)^2 = degree.
     """
-    if intmat.pfaffian4(surface.gram) == 0:
+    if surface.pf == 0:
         raise PreconditionError("degenerate gram form")
     divisors = intmat.alternating_divisors(surface.gram)
     kernel = KernelSubgroup(*dual_basis(surface))

@@ -27,6 +27,7 @@ from rmlattice.generator import generate_instance
 from rmlattice.reduction import _branch_decision, reduce_degree_step, squarefree_reduce
 from rmlattice.surface import canonicalize_orientation, polarization_kernel_mod_p
 from test_acceptance import branch_corpus  # noqa: F401  (module-scoped fixture)
+from test_intmat_oracles import mat_add, scalar_mul
 
 
 def symmetric_form_lattice_basis(surface):
@@ -79,8 +80,8 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
     bound = 60
     for c1 in range(-bound, bound + 1):
         for c2 in range(-bound, bound + 1):
-            gram = intmat.mat_add(
-                intmat.scalar_mul(c1, basis[0]), intmat.scalar_mul(c2, basis[1])
+            gram = mat_add(
+                scalar_mul(c1, basis[0]), scalar_mul(c2, basis[1])
             )
             if abs(intmat.pfaffian4(gram)) != p:
                 continue

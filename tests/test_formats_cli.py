@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -363,6 +366,35 @@ def test_cli_verify_rejects_a_certificate_cut_after_a_move(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: replay ends at degree 121: not principal with a maximal order\n"
     )
+
+
+def test_cli_main_repeated_in_one_process_matches_separate_runs(tmp_path, capsys):
+    # main keeps one parser per process: a usage error, then info, then
+    # verify in one process print and return what separate processes do
+    s = generate_instance(5, 3, [11], seed=4)
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    inst.write_text(serialize_instance(s), encoding="utf-8")
+    cert.write_text(serialize_certificate(principalize(s)[1]), encoding="utf-8")
+    runs = [["info"], ["info", str(inst)], ["verify", str(inst), str(cert)]]
+    in_process = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [run[0] for run in in_process] == [2, 0, 0]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    separate = []
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rmlattice.cli", *argv],
+            capture_output=True, encoding="utf-8", env=env, timeout=120,
+        )
+        separate.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == separate
 
 
 def test_cli_info_parse_failure(tmp_path):

@@ -10,7 +10,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from rmlattice import intmat
-from test_intmat_oracles import hnf_column_basis, inverse
+from test_intmat_oracles import hnf_column_basis, inverse, scalar_mul
 
 
 def random_int_matrix(rng, n=4, lo=-9, hi=9):
@@ -36,7 +36,7 @@ def test_det_and_adjugate_against_sympy():
         if sm.det() != 0:
             adj = intmat.adjugate(m)
             prod = intmat.mat_mul(m, adj)
-            assert prod == intmat.scalar_mul(intmat.det(m), intmat.identity())
+            assert prod == scalar_mul(intmat.det(m), intmat.identity())
 
 
 def test_pfaffian_squares_to_determinant():

@@ -1,11 +1,14 @@
 """The fraction-free 4x4 core of intmat.py against slow references.
 
 The references below are the routines the integer core replaced, kept
-verbatim apart from their names as test-only oracles: the recursive
-cofactor det and adjugate (any size), the Fraction inverse, the Euclidean
-row Hermite form and the rational column Hermite basis built on it, and
-Smith divisors from gcds of minors. Other test modules import them from
-here. sympy is a second, independent oracle.
+verbatim apart from their names as test-only oracles: the generic
+elementwise helpers and sum-of-products matrix product, the pairwise
+antisymmetry test, the recursive cofactor det and adjugate (any size),
+the Fraction inverse, the Euclidean row Hermite form and the rational
+column Hermite basis built on it, Smith divisors from gcds of minors, and
+the surface checks built from them: validate as a composition of matrix
+sums and orientation by a permutation matrix. Other test modules import
+them from here. sympy is a second, independent oracle.
 """
 
 from __future__ import annotations
@@ -17,16 +20,85 @@ from math import gcd, lcm
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from rmlattice import intmat, make_order, standard_instance, twist_by_element
+from rmlattice import (
+    PreconditionError,
+    intmat,
+    make_order,
+    standard_instance,
+    twist_by_element,
+    validate,
+)
 from rmlattice.isogeny import divide_by_symmetric
-from rmlattice.surface import element_action
+from rmlattice.surface import PolarizedRMSurface, canonicalize_orientation, element_action
 
 
 # ---------------------------------------------------------------------------
 # the replaced routines
 # ---------------------------------------------------------------------------
+
+
+def zeros(n=4):
+    return tuple((0,) * n for _ in range(n))
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def scalar_mul(c, a):
+    return tuple(tuple(c * x for x in r) for r in a)
+
+
+def mat_mul(a, b):
+    bt = intmat.transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+
+
+def is_antisymmetric(m):
+    n = len(m)
+    return all(m[i][j] == -m[j][i] for i in range(n) for j in range(n))
+
+
+def validate_by_composition(surface):
+    """surface.validate as matrix sums and two products for the symmetry."""
+    e, a = surface.gram, surface.action
+    if not is_antisymmetric(e):
+        return "gram form is not antisymmetric"
+    if e[0][1] * e[2][3] - e[0][2] * e[1][3] + e[0][3] * e[1][2] == 0:
+        return "gram form is degenerate"
+    t, n = surface.order.trace_omega, surface.order.norm_omega
+    lhs = mat_add(
+        mat_sub(mat_mul(a, a), scalar_mul(t, a)),
+        scalar_mul(n, intmat.identity()),
+    )
+    if lhs != zeros():
+        return "action does not satisfy the order's minimal polynomial"
+    if mat_mul(intmat.transpose(a), e) != mat_mul(e, a):
+        return "action is not symmetric for the gram form"
+    return None
+
+
+def orient_by_permutation(order, action, gram):
+    """surface.canonicalize_orientation with the swap of the last two basis
+    vectors done as P A P and P E P."""
+    pf = gram[0][1] * gram[2][3] - gram[0][2] * gram[1][3] + gram[0][3] * gram[1][2]
+    if pf == 0:
+        raise PreconditionError("degenerate gram form")
+    if pf < 0:
+        perm = intmat.freeze(
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]
+        )
+        action = mat_mul(mat_mul(perm, action), perm)
+        gram = mat_mul(mat_mul(perm, gram), perm)
+    return PolarizedRMSurface(order, intmat.freeze(action), intmat.freeze(gram))
 
 
 def det_cofactor(m):
@@ -212,6 +284,110 @@ def test_det_and_adjugate_on_singular_matrices():
 
 
 # ---------------------------------------------------------------------------
+# the straight-line kernel against the generic references, past the digit limit
+# ---------------------------------------------------------------------------
+
+# m * 2^k + r: magnitudes from 0 up to about 2^15000 and either sign, past
+# the interpreter's 4300-digit int/str limit, drawn from a few machine words
+BIG = st.builds(
+    lambda m, k, r: (m << k) + r,
+    st.integers(-(1 << 64), 1 << 64),
+    st.integers(0, 15000),
+    st.integers(-(1 << 64), 1 << 64),
+)
+MATRICES = st.tuples(*[st.tuples(BIG, BIG, BIG, BIG)] * 4)
+
+
+@st.composite
+def alternating(draw, perturb=True):
+    """An antisymmetric matrix, with one entry changed half the time when
+    perturb is set."""
+    m = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            v = draw(BIG)
+            m[i][j], m[j][i] = v, -v
+    if perturb and draw(st.booleans()):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        m[i][j] += draw(st.sampled_from((1, -1))) * (1 + abs(draw(BIG)))
+    return intmat.freeze(m)
+
+
+MAYBE_ALTERNATING = st.one_of(MATRICES, alternating())
+ORDERS = st.sampled_from([make_order(D, f) for D, f in ((5, 1), (13, 1), (2, 3), (17, 7))])
+KERNEL = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@KERNEL
+@given(MATRICES, MATRICES)
+def test_mat_mul_matches_the_generic_product(a, b):
+    assert intmat.mat_mul(a, b) == mat_mul(a, b)
+
+
+@KERNEL
+@given(MAYBE_ALTERNATING)
+def test_is_antisymmetric_and_pfaffian_match_the_pairwise_test(m):
+    assert intmat.is_antisymmetric(m) == is_antisymmetric(m)
+    if is_antisymmetric(m):
+        assert intmat.pfaffian4(m) ** 2 == intmat.det(m)
+    else:
+        with pytest.raises(ValueError):
+            intmat.pfaffian4(m)
+
+
+@st.composite
+def surfaces(draw):
+    """Valid surfaces with huge entries, and the same with a random action
+    or gram swapped in, so every validate branch is reached."""
+    s = standard_instance(draw(ORDERS))
+    el = s.order.element(draw(BIG), draw(BIG))
+    if el.is_zero():
+        el = s.order.one()
+    gram = mat_mul(s.gram, element_action(s, el))  # the twist by el
+    c = draw(BIG)
+    u = ((1, c, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # a shear by c
+    u_inv = ((1, -c, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    action = mat_mul(mat_mul(u_inv, s.action), u)
+    gram = mat_mul(mat_mul(intmat.transpose(u), gram), u)
+    kind = draw(st.sampled_from(("valid", "action", "gram", "alternating", "degenerate")))
+    if kind == "action":
+        action = draw(MATRICES)
+    elif kind == "gram":
+        gram = draw(MATRICES)
+    elif kind == "alternating":
+        gram = draw(alternating())
+    elif kind == "degenerate":  # rows 1-3 pair to zero among themselves: pf = 0
+        (_, e01, e02, e03), _, _, _ = draw(alternating(perturb=False))
+        gram = ((0, e01, e02, e03), (-e01, 0, 0, 0), (-e02, 0, 0, 0), (-e03, 0, 0, 0))
+    return PolarizedRMSurface(s.order, action, gram)
+
+
+@KERNEL
+@given(surfaces())
+def test_validate_matches_the_composition(s):
+    assert validate(s) == validate_by_composition(s)
+
+
+@KERNEL
+@given(ORDERS, MATRICES, alternating(perturb=False))
+def test_orientation_and_element_action_match_the_permutation_matrices(order, action, gram):
+    try:
+        expected = orient_by_permutation(order, action, gram)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            canonicalize_orientation(order, action, gram)
+    else:
+        out = canonicalize_orientation(order, action, gram)
+        assert out == expected
+        assert out.pf == intmat.pfaffian4(out.gram) > 0  # the pfaffian it keeps
+    s = PolarizedRMSurface(order, action, gram)
+    x, y = gram[0][1], gram[2][3]
+    assert element_action(s, order.element(x, y)) == mat_add(
+        scalar_mul(x, intmat.identity()), scalar_mul(y, action)
+    )
+
+
+# ---------------------------------------------------------------------------
 # the integer kernel Hermite form against the rational one
 # ---------------------------------------------------------------------------
 
@@ -248,7 +424,7 @@ def test_hnf_mod_matches_rational_hnf(p):
 
 def test_hnf_mod_full_and_empty_subspace():
     for p in (3, 5, 7, 11, 13):
-        assert intmat.hnf_mod((), p) == intmat.scalar_mul(p, intmat.identity())
+        assert intmat.hnf_mod((), p) == scalar_mul(p, intmat.identity())
         assert intmat.hnf_mod(tuple(intmat.identity()), p) == intmat.identity()
 
 
@@ -303,7 +479,7 @@ def test_conjugate_action_is_the_scaled_adjugate():
             el = s.order.element(x, y)
             adj = adjugate_cofactor(element_action(s, el))
             conj = element_action(s, el.conjugate())
-            assert adj == intmat.scalar_mul(el.norm(), conj)
+            assert adj == scalar_mul(el.norm(), conj)
 
 
 def test_divide_matches_adjugate_division():

@@ -29,6 +29,7 @@ from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.oracle import verify_certificate
 from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE, principal_defect
 from rmlattice.surface import PolarizedRMSurface, apply_unimodular
+from test_intmat_oracles import scalar_mul
 
 
 def _t_values(cert):
@@ -165,7 +166,7 @@ def test_enlarge_order_step_preconditions():
 def test_enlarge_order_step_rejects_loose_orders():
     s1 = standard_instance(make_order(5, 1))
     loose = PolarizedRMSurface(
-        make_order(5, 3), intmat.scalar_mul(3, s1.action), s1.gram
+        make_order(5, 3), scalar_mul(3, s1.action), s1.gram
     )
     with pytest.raises(PreconditionError):
         enlarge_order_step(loose, 3)
@@ -288,6 +289,25 @@ def test_degree_reduction_factors_each_prime_once(monkeypatch):
     assert sorted(calls) == [3, 17]
 
 
+@pytest.mark.parametrize(
+    "args", [(5, 81, [11, 19], 1), (13, 1, [3, 17], 10), (5, 3, [11], 4)]
+)
+def test_pfaffian_is_computed_once_per_surface(monkeypatch, args):
+    # degree() reads the surface's cached pfaffian, so each move costs a
+    # bounded number of pfaffians however often its degrees are read
+    s = generate_instance(*args)
+    calls = []
+    real = intmat.pfaffian4
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(intmat, "pfaffian4", counting)
+    _, cert = principalize(s)
+    assert len(calls) <= 3 * len(cert.steps) + 3
+
+
 def test_principal_defect_validates_first():
     s = standard_instance(make_order(5, 1))
     assert principal_defect(s) is None
@@ -336,7 +356,7 @@ def test_principalize_precondition_errors():
 def test_principalize_rejects_loose_orders():
     s1 = standard_instance(make_order(5, 1))
     loose = PolarizedRMSurface(
-        make_order(5, 3), intmat.scalar_mul(3, s1.action), s1.gram
+        make_order(5, 3), scalar_mul(3, s1.action), s1.gram
     )
     with pytest.raises(PreconditionError) as err:
         principalize(loose)

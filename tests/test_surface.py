@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -34,6 +35,7 @@ from rmlattice.surface import (
     polarization_kernel_mod_p,
     rebase,
 )
+from test_intmat_oracles import mat_add, mat_sub, scalar_mul
 
 ORDERS = [(5, 1), (5, 3), (2, 1), (13, 1), (13, 9), (17, 7), (3, 7)]
 
@@ -54,7 +56,7 @@ def test_validate_diagnostics():
     assert "antisymmetric" in validate(
         PolarizedRMSurface(s.order, s.action, intmat.freeze(bad_gram))
     )
-    bumped = intmat.mat_add(s.action, intmat.identity())
+    bumped = mat_add(s.action, intmat.identity())
     assert "minimal polynomial" in validate(
         PolarizedRMSurface(s.order, bumped, s.gram)
     )
@@ -65,6 +67,39 @@ def test_validate_diagnostics():
     assert "degenerate" in validate(
         PolarizedRMSurface(s.order, s.action, intmat.freeze(flat))
     )
+
+
+def test_repr_of_valid_surfaces():
+    s = standard_instance(make_order(5, 3))
+    assert repr(s) == "PolarizedRMSurface(D=5, conductor=3, degree=1)"
+    tw = twist_by_element(s, s.order.element(3, 0))
+    assert repr(tw) == "PolarizedRMSurface(D=5, conductor=3, degree=81)"
+
+
+def test_repr_never_raises_on_an_invalid_gram():
+    s = standard_instance(make_order(5, 1))
+    skew = [list(r) for r in s.gram]
+    skew[0][0] = 1  # not antisymmetric: pfaffian4 raises ValueError
+    for gram in (intmat.freeze(skew), tuple((0,) * 4 for _ in range(4))):
+        bad = PolarizedRMSurface(s.order, s.action, gram)
+        assert repr(bad) == "PolarizedRMSurface(D=5, conductor=1, degree=invalid)"
+
+
+def test_repr_past_the_digit_limit():
+    s = standard_instance(make_order(5, 1))
+    c = 10**3000  # degree c^4 has 12001 digits
+    big = PolarizedRMSurface(s.order, s.action, tuple(tuple(c * x for x in r) for r in s.gram))
+    assert repr(big) == f"PolarizedRMSurface(D=5, conductor=1, degree=1{'0' * 12000})"
+
+
+def test_cached_pfaffian_is_not_part_of_the_value():
+    s = twist_by_element(standard_instance(make_order(13, 1)), make_order(13, 1).element(2, 1))
+    fresh = PolarizedRMSurface(s.order, s.action, s.gram)
+    assert s.pf == pfaffian(fresh) == 3
+    assert "pf" in vars(s)
+    assert s == fresh and hash(s) == hash(fresh)
+    assert [f.name for f in dataclasses.fields(s)] == ["order", "action", "gram"]
+    assert dataclasses.astuple(s) == dataclasses.astuple(fresh)
 
 
 def test_element_action_examples():
@@ -163,7 +198,7 @@ def test_stabilizer_examples():
     # an action stored at conductor 3 that really is 3 * (conductor-1 action)
     s1 = standard_instance(make_order(5, 1))
     loose = PolarizedRMSurface(
-        make_order(5, 3), intmat.scalar_mul(3, s1.action), s1.gram
+        make_order(5, 3), scalar_mul(3, s1.action), s1.gram
     )
     assert validate(loose) is None
     assert stabilizer_order(loose).conductor == 1
@@ -190,8 +225,8 @@ def _pullback_by_scan(surface, p, eigenvalue_index):
     value-linear root scan it replaced, as the reference."""
     t, n = surface.order.trace_omega, surface.order.norm_omega
     roots = sorted(r for r in range(p) if (r * r - t * r + n) % p == 0)
-    shift = intmat.scalar_mul(roots[eigenvalue_index], intmat.identity())
-    v = intmat.kernel_mod_p(intmat.mat_sub(intmat.transpose(surface.action), shift), p)[0]
+    shift = scalar_mul(roots[eigenvalue_index], intmat.identity())
+    v = intmat.kernel_mod_p(mat_sub(intmat.transpose(surface.action), shift), p)[0]
     return rebase(surface, intmat.hnf_mod(intmat.kernel_mod_p(intmat.freeze([v]), p), p))
 
 
