@@ -25,7 +25,6 @@ from .reduction import principalize
 from .surface import (
     degree,
     kernel_of_polarization,
-    pfaffian,
     stabilizer_order,
     validate,
 )
@@ -132,7 +131,7 @@ def cmd_info(args) -> int:
         f"Δ={surface.order.discriminant} f={stab.conductor} "
         f"deg={deg} divisors={div_text}"
     )
-    pf = abs(pfaffian(surface))
+    pf = abs(surface.pf)
     for q in sorted(factorize(pf)):
         if q == 2 or not is_prime(q):
             print(f"{q}: even or composite (unsupported)")

@@ -20,7 +20,6 @@ from .surface import (
     apply_unimodular,
     degree,
     eigen_sublattice_pullback,
-    pfaffian,
     stabilizer_order,
     standard_instance,
     twist_by_element,
@@ -73,13 +72,13 @@ def generate_instance(
         raise InvariantBreach(f"generated instance invalid: {msg}")
     if stabilizer_order(surface).conductor != conductor:
         raise InvariantBreach("generated instance lost its acting order")
-    if not humbert_nonempty(order.discriminant, pfaffian(surface)):
+    if not humbert_nonempty(order.discriminant, surface.pf):
         # Happens for a repeated ramified prime, whose two twists compose to
         # a scalar: the resulting polarization type fails the Humbert
         # congruence, so no such surface exists and the request is refused.
         raise PreconditionError(
             "requested degree profile fails the Humbert congruence "
-            f"(discriminant {order.discriminant}, pfaffian {pfaffian(surface)})"
+            f"(discriminant {order.discriminant}, pfaffian {surface.pf})"
         )
     return surface
 

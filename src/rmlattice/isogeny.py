@@ -5,28 +5,25 @@ All isogenies are realized in the forward direction as finite-index
 overlattices L <= L'. Descending a polarization to L' is the basis change
 surface.rebase to the kernel's integer pair (basis, den), which succeeds
 exactly when the form is integral on L'. Dividing by a symmetric element
-keeps the lattice and composes the form with the inverse action, which is
-the conjugate's action divided by the norm; dividing by the integer p is
-the scale move. Each primitive returns only the new surface,
-canonically oriented, and checks its own exact degree identity. Twisting
-a polarization by an element is surface.twist_by_element.
+keeps the lattice and twists the form by the conjugate over the norm
+(surface.twist_by_element), since the inverse action is the conjugate's
+action divided by the norm; dividing by the integer p is the scale move.
+Each primitive returns only the new surface, canonically oriented, with
+the pfaffian that rebase or twist_by_element carried by identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intmat
-from .errors import DescentError, InvariantBreach, PreconditionError
+from .errors import PreconditionError
 from .intmat import RatMat
 from .quadratic import OrderElement
 from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
-    canonicalize_orientation,
-    degree,
-    element_action,
     rebase,
+    twist_by_element,
 )
 
 QUOTIENT = "quotient"
@@ -73,11 +70,7 @@ def descend_polarization(
     PreconditionError when the order action does not preserve the
     overlattice. The degree drops by the square of the kernel order.
     """
-    out = rebase(surface, kernel.basis, kernel.den)
-    k = kernel.group_order
-    if degree(out) * k * k != degree(surface):
-        raise InvariantBreach("descended degree does not match the kernel order")
-    return out
+    return rebase(surface, kernel.basis, kernel.den)
 
 
 def divide_by_symmetric(
@@ -86,23 +79,14 @@ def divide_by_symmetric(
     """Divide the polarization by a symmetric non-unit element.
 
     Succeeds exactly when gram @ A_el^-1 is integral (the polarization
-    kernel contains the element's kernel); the degree drops by norm(el)^2.
-    The action satisfies A^2 - tA + n = 0, so A_el @ A_conj(el) = norm(el)
-    and A_el^-1 = A_conj(el) / norm(el): the division is an exact integer
-    one.
+    kernel contains the element's kernel), and raises DescentError
+    otherwise; the degree drops by norm(el)^2. The action satisfies
+    A^2 - tA + n = 0, so A_el @ A_conj(el) = norm(el) and
+    A_el^-1 = A_conj(el) / norm(el): the division is the twist by the
+    conjugate over the norm, an exact integer one.
     """
     if el.is_zero():
         raise PreconditionError("cannot divide by zero")
     if el.is_unit():
         raise PreconditionError("dividing by a unit is the identity; not a step")
-    nm = el.norm()
-    gram = intmat.mat_mul(surface.gram, element_action(surface, el.conjugate()))
-    if any(x % nm for row in gram for x in row):
-        raise DescentError(
-            "polarization kernel does not contain the kernel of the element"
-        )
-    gram = intmat.freeze((x // nm for x in row) for row in gram)
-    out = canonicalize_orientation(surface.order, surface.action, gram)
-    if degree(out) * nm * nm != degree(surface):
-        raise InvariantBreach("division degree bookkeeping failed")
-    return out
+    return twist_by_element(surface, el.conjugate(), el.norm())

@@ -6,12 +6,12 @@ The enumeration and the rank-parity trials are independent brute force:
 the enumeration walks every subspace of (Z/p)^4 in echelon form, and each
 subgroup it keeps must descend through isogeny.descend_polarization.
 Replay is not independent of the pipeline. It re-derives each move with
-the pipeline's own functions, whose primitives check their own degree
-identities, and compares the steps field by field; what it checks on its
-own is that each move starts at the current degree, the validity of the
-input surface, that the replay ends valid and principal with a maximal
-acting order (the check principalize closes with) and an exact match of
-the final surface.
+the pipeline's own functions, which carry the pfaffian by identity, and
+compares the steps field by field; what it checks on its own is that each
+move starts at the current degree, the validity of the input surface,
+that the replay ends valid and principal with a maximal acting order and
+with the carried pfaffian equal to a fresh one (the check principalize
+closes with), and an exact match of the final surface.
 """
 
 from __future__ import annotations

@@ -388,9 +388,8 @@ def _norm_search_bound(order: RealQuadraticOrder, p: int) -> int:
     y_max = ceil(2 * bound / s_lo) + 1
     if y_max > 10**6:
         raise PreconditionError(
-            f"fundamental unit of Q(sqrt({order.D})) is too large for the "
-            f"norm-equation search: its box has {y_max} rows, over the "
-            "limit of 10^6"
+            f"norm-equation search for {p} in Q(sqrt({order.D})) needs a box "
+            f"of {y_max} rows, over the limit of 10^6"
         )
     return y_max
 

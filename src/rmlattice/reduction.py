@@ -9,10 +9,11 @@ quotient step records the rank invariant t of the old generator mod p
 from the degree by dividing by the norm +-p factor whose mod-p kernel is
 the kernel p-torsion, and records the branch on its last step.
 principalize chains the moves, conductor primes first, and returns the
-final surface with its CertificateData. Each degree identity is checked
-once, in the primitive that establishes it; principalize's closing check,
-shared with replay, validates every invariant of the result and requires
-it principal with a maximal acting order.
+final surface with its CertificateData. The moves carry the pfaffian by
+identity and check no degree identity of their own; principalize's
+closing check, shared with replay, validates the result, compares its
+carried pfaffian with a fresh one and requires it principal with a
+maximal acting order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import intmat
-from .arith import factorize, is_prime
+from .arith import factorize, int_text, is_prime
 from .errors import DescentError, InvariantBreach, PreconditionError
 from .isogeny import (
     DIVIDE,
@@ -36,10 +37,10 @@ from .quadratic import factor_prime, make_order
 from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
+    canonicalize_orientation,
     degree,
     element_action,
     kernel_from_subspace,
-    pfaffian,
     polarization_kernel_mod_p,
     stabilizer_order,
     twist_by_element,
@@ -238,7 +239,9 @@ def enlarge_order_step(
     if any(x % p for row in descended.action for x in row):
         raise InvariantBreach("enlarged generator does not act integrally")
     action = intmat.freeze((x // p for x in row) for row in descended.action)
-    out = PolarizedRMSurface(make_order(order.D, f // p), action, descended.gram)
+    out = canonicalize_orientation(
+        make_order(order.D, f // p), action, descended.gram, descended.pf
+    )
     return out, (twist_step, quotient_step)
 
 
@@ -316,10 +319,14 @@ def reduce_degree_step(
 
 def principal_defect(surface: PolarizedRMSurface) -> str | None:
     """None if valid and principal with a maximal acting order, else what
-    is not."""
+    is not. A fresh pfaffian of the gram must equal the carried one, so a
+    wrong carrying identity fails every run."""
     msg = validate(surface)
     if msg is not None:
         return f"with an invalid surface: {msg}"
+    pf = intmat.pfaffian4(surface.gram)
+    if pf != surface.pf:
+        return f"with pfaffian {int_text(pf)}, not the carried {int_text(surface.pf)}"
     deg = degree(surface)
     if deg != 1:
         return f"at degree {deg}"
@@ -331,7 +338,7 @@ def principal_defect(surface: PolarizedRMSurface) -> str | None:
 
 
 def principalize(
-    surface: PolarizedRMSurface, seed: int = 0
+    surface: PolarizedRMSurface,
 ) -> tuple[PolarizedRMSurface, CertificateData]:
     """Produce a principal surface with a maximal acting order, with certificate.
 
@@ -339,7 +346,8 @@ def principalize(
     equal to the acting (stabilizer) conductor. Conductor primes are
     processed in increasing order with multiplicity, then degree primes in
     increasing order. Failure of reducibility at a degree prime raises
-    PreconditionError naming the prime.
+    PreconditionError naming the prime. The pipeline is deterministic, so
+    the certificate always records seed 0.
     """
     msg = validate(surface)
     if msg is not None:
@@ -365,11 +373,11 @@ def principalize(
         for _ in range(mult):
             current, pair = enlarge_order_step(current, p)
             steps.extend(pair)
-    degree_primes = sorted(factorize(abs(pfaffian(surface))))
+    degree_primes = sorted(factorize(abs(surface.pf)))
     for p in degree_primes:
         current, more = reduce_degree_step(current, p)
         steps.extend(more)
     msg = principal_defect(current)
     if msg is not None:
         raise InvariantBreach(f"pipeline ended {msg}")
-    return current, CertificateData(seed=seed, steps=tuple(steps), final=current)
+    return current, CertificateData(seed=0, steps=tuple(steps), final=current)

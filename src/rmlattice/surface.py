@@ -14,12 +14,15 @@ live here. Every move that re-expresses the lattice (descent to an
 overlattice, pull-back to a sublattice, a unimodular scramble) goes
 through rebase. Everything is a pure function on immutable values.
 
-The pfaffian is computed once per surface and kept (the cached property
-`pf`, which is not a dataclass field, so equality, hashing and every
-serialized form see only order, action and gram); degree, validation,
-the dual lattice and the kernel read it. validate checks the minimal
-polynomial A^2 - tA + n = 0 from the one product A^2, and the symmetry
-A^T E = E A from the one product E A, which must be alternating. Element
+The pfaffian is kept on each surface (the cached property `pf`, which is
+not a dataclass field, so equality, hashing and every serialized form see
+only order, action and gram); degree, validation, the dual lattice and
+the kernel read it. rebase and twist_by_element, the only builders of a
+moved surface, carry it by identity (det(B) pf / den^4 and
+norm(el) pf / den^2) instead of recomputing it, and no move re-checks its
+degree. validate checks the minimal polynomial A^2 - tA + n = 0 from the
+one product A^2, and the symmetry A^T E = E A from the one product E A,
+which must be alternating. Element
 actions x*I + y*A and the reorientation that swaps the last two basis
 vectors are written out rather than built from matrix products.
 """
@@ -123,10 +126,6 @@ def validate(surface: PolarizedRMSurface) -> str | None:
     return None
 
 
-def pfaffian(surface: PolarizedRMSurface) -> int:
-    return surface.pf
-
-
 def degree(surface: PolarizedRMSurface) -> int:
     """Polarization degree, the index of the lattice in its dual: pfaffian^2."""
     pf = surface.pf
@@ -136,12 +135,12 @@ def degree(surface: PolarizedRMSurface) -> int:
 
 
 def canonicalize_orientation(
-    order: RealQuadraticOrder, action: IntMat, gram: IntMat
+    order: RealQuadraticOrder, action: IntMat, gram: IntMat, pf: int
 ) -> PolarizedRMSurface:
     """Build a surface with positive pfaffian, swapping the last two basis
-    vectors when needed. The pfaffian computed here is the new surface's
-    `pf`: the swap has determinant -1, so it negates the pfaffian."""
-    pf = intmat.pfaffian4(gram)
+    vectors when needed. pf is the pfaffian of gram as the caller's move
+    carried it, not recomputed here; it becomes the new surface's `pf`,
+    negated by the swap (determinant -1)."""
     if pf == 0:
         raise PreconditionError("degenerate gram form")
     if pf < 0:
@@ -171,7 +170,7 @@ def rebase(
     not integral on the new lattice, and PreconditionError when the order
     action does not preserve it. The gram is checked first, so a
     DescentError means exactly that the form does not descend. The result
-    is canonically oriented.
+    is canonically oriented, with pfaffian det(basis) * pf / den^4.
     """
     gram = intmat.mat_mul(intmat.mat_mul(intmat.transpose(basis), surface.gram), basis)
     den2 = den * den
@@ -193,6 +192,7 @@ def rebase(
         surface.order,
         intmat.freeze((x // d for x in row) for row in action),
         intmat.freeze((x // den2 for x in row) for row in gram),
+        d * surface.pf // (den2 * den2),
     )
 
 
@@ -255,18 +255,23 @@ def _scalar_plus(x: int, y: int, m) -> IntMat:
 
 
 def twist_by_element(
-    surface: PolarizedRMSurface, el: OrderElement
+    surface: PolarizedRMSurface, el: OrderElement, den: int = 1
 ) -> PolarizedRMSurface:
-    """Compose the polarization with the action of el: gram becomes gram @ A_el."""
+    """Compose the polarization with the action of el over den: gram becomes
+    gram @ A_el / den, with pfaffian norm(el) * pf / den^2.
+
+    Raises DescentError when gram @ A_el is not divisible by den.
+    """
     if el.is_zero():
         raise PreconditionError("cannot twist by zero")
-    a_el = element_action(surface, el)
-    gram = intmat.mat_mul(surface.gram, a_el)
-    out = canonicalize_orientation(surface.order, surface.action, gram)
-    nm = el.norm()
-    if degree(out) != nm * nm * degree(surface):
-        raise InvariantBreach("twist degree bookkeeping failed")
-    return out
+    gram = intmat.mat_mul(surface.gram, element_action(surface, el))
+    if any(x % den for row in gram for x in row):
+        raise DescentError(
+            "polarization kernel does not contain the kernel of the element"
+        )
+    gram = intmat.freeze((x // den for x in row) for row in gram)
+    pf = el.norm() * surface.pf // (den * den)
+    return canonicalize_orientation(surface.order, surface.action, gram, pf)
 
 
 def apply_unimodular(surface: PolarizedRMSurface, u: IntMat) -> PolarizedRMSurface:
@@ -307,10 +312,7 @@ def eigen_sublattice_pullback(
         raise InvariantBreach("transposed action has an empty eigenspace")
     v = eigvecs[0]
     hyperplane = intmat.kernel_mod_p(intmat.freeze([v]), p)
-    out = rebase(surface, intmat.hnf_mod(hyperplane, p))
-    if degree(out) != p * p * degree(surface):
-        raise InvariantBreach("sublattice degree bookkeeping failed")
-    return out
+    return rebase(surface, intmat.hnf_mod(hyperplane, p))
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,10 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
             gram = mat_add(
                 scalar_mul(c1, basis[0]), scalar_mul(c2, basis[1])
             )
-            if abs(intmat.pfaffian4(gram)) != p:
+            pf = intmat.pfaffian4(gram)
+            if abs(pf) != p:
                 continue
-            surface = canonicalize_orientation(order, base.action, gram)
+            surface = canonicalize_orientation(order, base.action, gram, pf)
             if rm.validate(surface) is not None:
                 continue
             stable, _ = squarefree_reduce(surface, p)

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from rmlattice import enlarge_order_step, make_order, principalize, standard_instance
+from rmlattice import (
+    PreconditionError,
+    enlarge_order_step,
+    make_order,
+    principalize,
+    solve_norm,
+    standard_instance,
+)
 from rmlattice.cli import main
 from rmlattice.formats import (
     _decode_int,
@@ -238,6 +245,25 @@ def test_cli_generate_in_a_big_unit_field(tmp_path, conductor):
             "--cert-out", str(cert),
         ]) == 0
         assert main(["verify", str(inst), str(cert)]) == 0
+
+
+def test_norm_search_refusal_names_the_prime_the_field_and_the_box(tmp_path, capsys):
+    # The unit of Q(sqrt 5) is the golden ratio; it is the prime that makes
+    # the box too tall.
+    p = 10**12 + 39
+    text = (
+        f"norm-equation search for {p} in Q(sqrt(5)) needs a box of 1137730 "
+        "rows, over the limit of 10^6"
+    )
+    with pytest.raises(PreconditionError) as exc:
+        solve_norm(make_order(5, 1), p)
+    assert str(exc.value) == text
+    capsys.readouterr()
+    code = main([
+        "generate", "--D", "5", "--degree-primes", str(p), "-o", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
 
 
 def test_cli_generate_rejects_inert_prime(tmp_path):

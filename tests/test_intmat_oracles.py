@@ -371,13 +371,14 @@ def test_validate_matches_the_composition(s):
 @KERNEL
 @given(ORDERS, MATRICES, alternating(perturb=False))
 def test_orientation_and_element_action_match_the_permutation_matrices(order, action, gram):
+    pf = intmat.pfaffian4(gram)
     try:
         expected = orient_by_permutation(order, action, gram)
     except PreconditionError:
         with pytest.raises(PreconditionError):
-            canonicalize_orientation(order, action, gram)
+            canonicalize_orientation(order, action, gram, pf)
     else:
-        out = canonicalize_orientation(order, action, gram)
+        out = canonicalize_orientation(order, action, gram, pf)
         assert out == expected
         assert out.pf == intmat.pfaffian4(out.gram) > 0  # the pfaffian it keeps
     s = PolarizedRMSurface(order, action, gram)

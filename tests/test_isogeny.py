@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmlattice import (
     DescentError,
@@ -14,7 +16,11 @@ from rmlattice import (
     degree,
     descend_polarization,
     divide_by_symmetric,
+    eigen_sublattice_pullback,
+    enlarge_order_step,
+    factor_prime,
     make_order,
+    splitting_type,
     standard_instance,
     twist_by_element,
     validate,
@@ -27,6 +33,7 @@ from rmlattice.surface import (
     rebase,
 )
 from rmlattice.generator import generate_instance, random_unimodular
+from rmlattice.quadratic import SPLIT
 from rmlattice.surface import apply_unimodular
 from test_intmat_oracles import hnf_column_basis, inverse, to_fraction
 
@@ -264,3 +271,75 @@ def test_every_operation_output_validates():
                 except PreconditionError:
                     continue  # action-unstable line
                 assert validate(out) is None
+
+
+# ---------------------------------------------------------------------------
+# the pfaffian each primitive carries by identity
+# ---------------------------------------------------------------------------
+
+
+SMALL_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _carries_its_pfaffian(out):
+    """The pfaffian a move carried is the gram's, and positive."""
+    assert out.pf == intmat.pfaffian4(out.gram) > 0
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    D=st.sampled_from([2, 3, 5, 13, 17, 29, 41]),
+    conductor=st.sampled_from([1, 3, 5, 7, 9, 15]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_every_primitive_carries_the_fresh_pfaffian(D, conductor, seed, data):
+    order = make_order(D, conductor)
+    maximal = make_order(D, 1)
+    eligible = [p for p in SMALL_PRIMES if conductor % p and factor_prime(maximal, p)]
+    primes = data.draw(st.lists(st.sampled_from(eligible), max_size=2)) if eligible else []
+    try:
+        s = generate_instance(D, conductor, primes, seed)
+    except PreconditionError:  # a degree profile that fails the Humbert test
+        s = standard_instance(order)
+    rng = random.Random(seed)
+    u = random_unimodular(rng)
+    moved = _carries_its_pfaffian(apply_unimodular(s, u))
+    flipped = intmat.freeze((-row[0], *row[1:]) for row in u)  # determinant -1
+    _carries_its_pfaffian(apply_unimodular(s, flipped))
+
+    coords = st.integers(-40, 40)
+    x, y = data.draw(coords), data.draw(coords)
+    if (x, y) == (0, 0):
+        x = 1
+    el = order.element(x, y)
+    twisted = _carries_its_pfaffian(twist_by_element(moved, el))
+    den = data.draw(st.integers(2, 12))
+    assert _carries_its_pfaffian(
+        twist_by_element(moved, order.element(den * x, den * y), den)
+    ) == twisted
+    try:
+        _carries_its_pfaffian(twist_by_element(twisted, el, den))
+    except DescentError:
+        pass
+    if not el.is_unit():
+        assert _carries_its_pfaffian(divide_by_symmetric(twisted, el)) == moved
+
+    for p in sorted(set(primes)):
+        kernel_p = polarization_kernel_mod_p(moved, p)
+        for basis in [kernel_p, *((v,) for v in kernel_p)]:
+            try:
+                _carries_its_pfaffian(
+                    descend_polarization(moved, kernel_from_subspace(basis, p))
+                )
+            except (DescentError, PreconditionError):
+                pass  # not integral on the overlattice, or not action stable
+    for p in SMALL_PRIMES:
+        if conductor % p and degree(moved) % p and splitting_type(order, p) == SPLIT:
+            index = data.draw(st.sampled_from([0, 1]))
+            _carries_its_pfaffian(eigen_sublattice_pullback(moved, p, index))
+            break
+    if conductor > 1:
+        p = min(q for q in (3, 5, 7) if conductor % q == 0)
+        _carries_its_pfaffian(enlarge_order_step(moved, p)[0])

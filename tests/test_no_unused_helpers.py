@@ -1,8 +1,10 @@
-"""Every module-level function in the package has a caller in the package.
+"""Every module-level function in the package has a caller in the package,
+and every name a module imports is used in that module.
 
 A function that only tests or the package's re-exports use is dead weight
 in src/: delete it or move it into the tests. The exceptions are the
-functions the acceptance criteria call directly.
+functions the acceptance criteria call directly. The package's __init__
+imports only to re-export, so the import check skips it.
 """
 
 from __future__ import annotations
@@ -42,4 +44,21 @@ def test_every_module_function_is_referenced_in_the_package():
         for module, name in defined
         if name not in referenced and name not in CRITERIA_ONLY
     )
+    assert unused == []
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in imported if name not in used]
     assert unused == []

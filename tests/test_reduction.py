@@ -8,6 +8,7 @@ import random
 import pytest
 
 from rmlattice import (
+    InvariantBreach,
     PreconditionError,
     degree,
     eigen_sublattice_pullback,
@@ -293,9 +294,11 @@ def test_degree_reduction_factors_each_prime_once(monkeypatch):
     "args", [(5, 81, [11, 19], 1), (13, 1, [3, 17], 10), (5, 3, [11], 4)]
 )
 def test_pfaffian_is_computed_once_per_surface(monkeypatch, args):
-    # degree() reads the surface's cached pfaffian, so each move costs a
-    # bounded number of pfaffians however often its degrees are read
+    # every move carries the pfaffian by identity; the only fresh ones are
+    # the squarefree check's elementary divisors, once per degree prime,
+    # and the closing comparison in principal_defect
     s = generate_instance(*args)
+    bound = 1 + len(set(args[2]))
     calls = []
     real = intmat.pfaffian4
 
@@ -305,7 +308,38 @@ def test_pfaffian_is_computed_once_per_surface(monkeypatch, args):
 
     monkeypatch.setattr(intmat, "pfaffian4", counting)
     _, cert = principalize(s)
-    assert len(calls) <= 3 * len(cert.steps) + 3
+    assert len(calls) <= bound
+    calls.clear()
+    assert verify_certificate(s, cert)[0]
+    assert len(calls) <= bound
+
+
+def _with_cached_pf(surface, pf):
+    """A copy of surface whose cached pfaffian is pf, right or not."""
+    out = PolarizedRMSurface(surface.order, surface.action, surface.gram)
+    out.__dict__["pf"] = pf
+    return out
+
+
+def test_a_corrupted_carried_pfaffian_is_rejected():
+    s = standard_instance(make_order(5, 1))
+    for pf in (-1, 2):
+        assert principal_defect(_with_cached_pf(s, pf)) == (
+            f"with pfaffian 1, not the carried {pf}"
+        )
+    # A negated pfaffian keeps every degree, so the moves run through and
+    # orient the wrong way; only the closing fresh pfaffian can tell.
+    start = generate_instance(5, 1, [11], 1)
+    _, cert = principalize(start)
+    corrupted = _with_cached_pf(start, -start.pf)
+    ok, msg = verify_certificate(corrupted, cert)
+    assert not ok
+    assert msg == (
+        "replay ends with pfaffian -1, not the carried 1: "
+        "not principal with a maximal order"
+    )
+    with pytest.raises(InvariantBreach, match="not the carried 1"):
+        principalize(corrupted)
 
 
 def test_principal_defect_validates_first():
