@@ -25,7 +25,6 @@ from .surface import (
     degree,
     eigen_sublattice_pullback,
     element_action,
-    kernel_of_polarization,
     standard_instance,
     stabilizer_order,
     twist_by_element,
@@ -68,7 +67,6 @@ __all__ = [
     "factor_prime",
     "fundamental_unit",
     "humbert_nonempty",
-    "kernel_of_polarization",
     "make_order",
     "principalize",
     "reduce_degree_step",

@@ -10,7 +10,7 @@ import argparse
 import sys
 from functools import cache
 
-from .arith import factorize, is_prime
+from .arith import factorize, int_text, is_prime
 from .errors import InvariantBreach, PreconditionError
 from .formats import (
     parse_certificate,
@@ -19,15 +19,11 @@ from .formats import (
     serialize_instance,
 )
 from .generator import generate_instance
+from .intmat import alternating_divisors
 from .oracle import verify_certificate
 from .quadratic import DIVIDES_CONDUCTOR, humbert_nonempty, splitting_type
 from .reduction import principalize
-from .surface import (
-    degree,
-    kernel_of_polarization,
-    stabilizer_order,
-    validate,
-)
+from .surface import degree, stabilizer_order, validate
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -70,7 +66,7 @@ def cmd_generate(args) -> int:
         _write(args.out, serialize_instance(surface))
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    print(f"wrote instance of degree {degree(surface)} to {args.out}")
+    print(f"wrote instance of degree {int_text(degree(surface))} to {args.out}")
     return EXIT_OK
 
 
@@ -96,8 +92,9 @@ def cmd_principalize(args) -> int:
         return _fail(str(exc), EXIT_IO)
     print(
         f"principal surface written to {args.out}; degree "
-        f"{degree(surface)} -> {degree(result)}, "
-        f"conductor {surface.order.conductor} -> {result.order.conductor}"
+        f"{int_text(degree(surface))} -> {int_text(degree(result))}, "
+        f"conductor {int_text(surface.order.conductor)} -> "
+        f"{int_text(result.order.conductor)}"
     )
     return EXIT_OK
 
@@ -125,20 +122,19 @@ def cmd_info(args) -> int:
         return _fail(f"instance does not validate: {msg}", EXIT_IO)
     deg = degree(surface)
     stab = stabilizer_order(surface)
-    _, divisors = kernel_of_polarization(surface)
-    div_text = "(" + ",".join(str(d) for d in divisors) + ")"
+    div_text = ",".join(int_text(d) for d in alternating_divisors(surface.gram))
     print(
-        f"Δ={surface.order.discriminant} f={stab.conductor} "
-        f"deg={deg} divisors={div_text}"
+        f"Δ={int_text(surface.order.discriminant)} f={int_text(stab.conductor)} "
+        f"deg={int_text(deg)} divisors=({div_text})"
     )
     pf = abs(surface.pf)
     for q in sorted(factorize(pf)):
         if q == 2 or not is_prime(q):
-            print(f"{q}: even or composite (unsupported)")
+            print(f"{int_text(q)}: even or composite (unsupported)")
         else:
             kind = splitting_type(surface.order, q)
             label = "divides conductor" if kind == DIVIDES_CONDUCTOR else kind
-            print(f"{q}: {label}")
+            print(f"{int_text(q)}: {label}")
     hum = humbert_nonempty(surface.order.discriminant, pf)
     print(f"humbert: {'true' if hum else 'false'}")
     return EXIT_OK

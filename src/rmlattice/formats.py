@@ -58,16 +58,18 @@ def _decode_int(v) -> int:
     if isinstance(v, bool):
         raise ValueError("expected an integer, got a boolean")
     if isinstance(v, int):
-        value = v
+        value, canonical = v, abs(v) < _BIG
     elif isinstance(v, str):
         if not _INT_TEXT.fullmatch(v):
             raise ValueError(f"integer string {v!r} is not of the form -?[0-9]+")
         value = _text_int(v)
+        # _encode_int writes a string only from 2^53 up, and int_text
+        # writes no leading zero (a nonzero value also rules out "-0")
+        canonical = abs(value) >= _BIG and not v.lstrip("-").startswith("0")
     else:
         raise ValueError(f"expected an integer, got {type(v).__name__}")
-    written = _encode_int(value)
-    if written != v:
-        raise ValueError(f"integer {v!r} is not written as {written!r}")
+    if not canonical:
+        raise ValueError(f"integer {v!r} is not written as {_encode_int(value)!r}")
     return value
 
 

@@ -142,9 +142,6 @@ class OrderElement:
         t, n = self.order.trace_omega, self.order.norm_omega
         return self.x * self.x + t * self.x * self.y + n * self.y * self.y
 
-    def trace(self) -> int:
-        return 2 * self.x + self.order.trace_omega * self.y
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 

@@ -2,18 +2,19 @@
 
 Each move takes a surface and a prime and returns (surface, steps).
 squarefree_reduce shrinks the p-part of the polarization kernel until its
-elementary divisors at p are squarefree. enlarge_order_step enlarges the
-acting order by one conductor prime without changing the degree; its
-quotient step records the rank invariant t of the old generator mod p
-(always 2 on valid input). reduce_degree_step removes a reducible prime
-from the degree by dividing by the norm +-p factor whose mod-p kernel is
-the kernel p-torsion, and records the branch on its last step.
-principalize chains the moves, conductor primes first, and returns the
-final surface with its CertificateData. The moves carry the pfaffian by
-identity and check no degree identity of their own; principalize's
-closing check, shared with replay, validates the result, compares its
-carried pfaffian with a fresh one and requires it principal with a
-maximal acting order.
+elementary divisors at p are squarefree; its closing check reads that from
+the carried pfaffian alone, since the gram's content is prime to p once
+the loop stops. enlarge_order_step enlarges the acting order by one
+conductor prime without changing the degree; its quotient step records the
+rank invariant t of the old generator mod p (always 2 on valid input).
+reduce_degree_step removes a reducible prime from the degree by dividing
+by the norm +-p factor whose mod-p kernel is the kernel p-torsion, and
+records the branch on its last step. principalize chains the moves,
+conductor primes first, and returns the final surface with its
+CertificateData. The moves carry the pfaffian by identity and check no
+degree identity of their own; principalize's closing check, shared with
+replay, validates the result, compares its carried pfaffian with a fresh
+one and requires it principal with a maximal acting order.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class CertificateData:
 
 def _require_odd_prime(p: int) -> None:
     if p == 2 or not is_prime(p):
-        raise PreconditionError(f"{p} is not an odd prime")
+        raise PreconditionError(f"{int_text(p)} is not an odd prime")
 
 
 # ---------------------------------------------------------------------------
@@ -75,29 +76,24 @@ def order_p_squared_subspace(surface: PolarizedRMSurface, p: int):
     """Mod-p classes of p * (kernel p^2-torsion), canonically based.
 
     These classes are exactly the reductions of lattice vectors x with
-    gram^T x = 0 mod p^2, computed by lifting the mod-p kernel: a kernel
-    vector b lifts iff (gram^T b)/p lands in the image of gram^T mod p,
-    which is a linear condition on mod-p coefficients. No big-integer
-    elimination is involved.
+    gram x = 0 mod p^2, computed by lifting the mod-p kernel: a kernel
+    vector b lifts iff (gram b)/p lands in the image of gram mod p, which
+    is a linear condition on mod-p coefficients: (gram b)/p must pair to
+    zero with the mod-p kernel, since the gram is alternating and its
+    image is the kernel's annihilator. No big-integer elimination is
+    involved.
     """
-    e_t = intmat.transpose(surface.gram)
-    base = intmat.kernel_mod_p(intmat.mat_mod(e_t, p), p)
+    base = polarization_kernel_mod_p(surface, p)
     if not base:
         return ()
     carries = [
-        tuple((x // p) % p for x in intmat.mat_vec(e_t, b)) for b in base
+        tuple((x // p) % p for x in intmat.mat_vec(surface.gram, b)) for b in base
     ]
-    cokernel = intmat.kernel_mod_p(intmat.mat_mod(surface.gram, p), p)
-    if cokernel:
-        conditions = intmat.freeze(
-            tuple(sum(u[i] * w[i] for i in range(4)) % p for w in carries)
-            for u in cokernel
-        )
-        coeffs = intmat.kernel_mod_p(conditions, p)
-    else:
-        coeffs = intmat.identity(len(base))
+    conditions = intmat.freeze(
+        tuple(sum(u[i] * w[i] for i in range(4)) % p for w in carries) for u in base
+    )
     vecs = []
-    for c in coeffs:
+    for c in intmat.kernel_mod_p(conditions, p):
         vec = tuple(
             sum(c[i] * base[i][k] for i in range(len(base))) % p for k in range(4)
         )
@@ -112,8 +108,10 @@ def squarefree_reduce(
 
     Move (a): when the whole gram form vanishes mod p, divide it by p.
     Move (b): when the kernel has a point of order p^2, quotient by p times
-    the p^2-torsion of the kernel; descent always succeeds there. Each move
-    strictly lowers the p-valuation of the degree.
+    the p^2-torsion of the kernel; descent always succeeds there. By the
+    carried identities the scale move takes the pfaffian to pf/p^2 and a
+    quotient by a k-dimensional subspace to pf/p^k, so each move strictly
+    lowers the p-valuation of the degree.
     """
     _require_odd_prime(p)
     steps: list[IsogenyStep] = []
@@ -139,7 +137,7 @@ def squarefree_reduce(
                 new_surface = descend_polarization(current, kernel)
             except (DescentError, PreconditionError) as exc:
                 raise InvariantBreach(
-                    f"guaranteed squarefree descent failed at {p}: {exc}"
+                    f"guaranteed squarefree descent failed at {int_text(p)}: {exc}"
                 ) from exc
             steps.append(
                 IsogenyStep(
@@ -150,27 +148,25 @@ def squarefree_reduce(
                     degree_after=degree(new_surface),
                 )
             )
-        if _p_valuation(degree(new_surface), p) >= _p_valuation(deg_before, p):
-            raise InvariantBreach(f"degree p-valuation did not drop at {p}")
         current = new_surface
     _check_squarefree_state(current, p)
     return current, tuple(steps)
 
 
-def _p_valuation(n: int, p: int) -> int:
-    v = 0
+def _check_squarefree_state(surface: PolarizedRMSurface, p: int) -> None:
+    """The divisors (c, c, pf/c, pf/c) have p-parts (1, p^v) with v <= 1.
+
+    c is prime to p because the loop in squarefree_reduce stops only on a
+    gram that is not 0 mod p, so v is the p-valuation of the carried pf.
+    """
+    v, n = 0, surface.pf
     while n % p == 0:
         n //= p
         v += 1
-    return v
-
-
-def _check_squarefree_state(surface: PolarizedRMSurface, p: int) -> None:
-    divisors = intmat.alternating_divisors(surface.gram)
-    v1, v2 = _p_valuation(divisors[1], p), _p_valuation(divisors[3], p)
-    if not (v1 == 0 and v2 <= 1):
+    if v > 1:
         raise InvariantBreach(
-            f"squarefree reduction left divisor p-parts ({p**v1}, {p**v2}) at {p}"
+            "squarefree reduction left divisor p-parts "
+            f"(1, {int_text(p**v)}) at {int_text(p)}"
         )
 
 
@@ -199,17 +195,20 @@ def enlarge_order_step(
     order = surface.order
     f = order.conductor
     if f % p != 0:
-        raise PreconditionError(f"{p} does not divide the conductor {f}")
+        raise PreconditionError(
+            f"{int_text(p)} does not divide the conductor {int_text(f)}"
+        )
     if stabilizer_order(surface).conductor % p != 0:
         raise PreconditionError(
-            f"an order of conductor prime to {p} already acts on the lattice"
+            f"an order of conductor prime to {int_text(p)} already acts on the "
+            "lattice"
         )
     deg = degree(surface)
     if deg % p == 0:
-        raise PreconditionError(f"{p} divides the degree {deg}")
+        raise PreconditionError(f"{int_text(p)} divides the degree {int_text(deg)}")
     t = intmat.rank_mod_p(surface.action, p)
     if t != 2:
-        raise InvariantBreach(f"enlargement rank invariant is {t}, expected 2")
+        raise InvariantBreach(f"enlargement rank invariant is {int_text(t)}, expected 2")
     el_cubed = order.element(p**3, 0)
     twisted = twist_by_element(surface, el_cubed)
     twist_step = IsogenyStep(
@@ -222,7 +221,8 @@ def enlarge_order_step(
     kernel = enlargement_kernel(twisted, p)
     if kernel.group_order != p ** (4 + t):
         raise InvariantBreach(
-            f"enlargement kernel has order {kernel.group_order}, expected {p ** (4 + t)}"
+            f"enlargement kernel has order {int_text(kernel.group_order)}, "
+            f"expected {int_text(p ** (4 + t))}"
         )
     try:
         descended = descend_polarization(twisted, kernel)
@@ -269,7 +269,8 @@ def _branch_decision(surface: PolarizedRMSurface, p: int, factors):
                 return ASSOCIATE_DIVIDE, el
             return SPLIT_DIVIDE, el
     raise InvariantBreach(
-        f"kernel p-torsion at {p} is not the mod-p kernel of a factor of {p}"
+        f"kernel p-torsion at {int_text(p)} is not the mod-p kernel of a "
+        f"factor of {int_text(p)}"
     )
 
 
@@ -286,12 +287,12 @@ def reduce_degree_step(
     _require_odd_prime(p)
     order = surface.order
     if order.conductor % p == 0:
-        raise PreconditionError(f"{p} divides the conductor")
+        raise PreconditionError(f"{int_text(p)} divides the conductor")
     if degree(surface) % p != 0:
-        raise PreconditionError(f"{p} does not divide the degree")
+        raise PreconditionError(f"{int_text(p)} does not divide the degree")
     factors = factor_prime(order, p)
     if factors is None:
-        raise PreconditionError(f"{p} is not reducible in the order")
+        raise PreconditionError(f"{int_text(p)} is not reducible in the order")
     # squarefree_reduce keeps the order, so the factors stay valid.
     current, steps = squarefree_reduce(surface, p)
     if degree(current) % p != 0:
@@ -300,7 +301,9 @@ def reduce_degree_step(
     try:
         new_surface = divide_by_symmetric(current, divide_el)
     except DescentError as exc:
-        raise InvariantBreach(f"guaranteed division failed at {p}: {exc}") from exc
+        raise InvariantBreach(
+            f"guaranteed division failed at {int_text(p)}: {exc}"
+        ) from exc
     move = IsogenyStep(
         kind=DIVIDE,
         prime=p,
@@ -329,7 +332,7 @@ def principal_defect(surface: PolarizedRMSurface) -> str | None:
         return f"with pfaffian {int_text(pf)}, not the carried {int_text(surface.pf)}"
     deg = degree(surface)
     if deg != 1:
-        return f"at degree {deg}"
+        return f"at degree {int_text(deg)}"
     # The stabilizer conductor divides the stored one, so 1 here means the
     # maximal order acts.
     if surface.order.conductor != 1:
@@ -355,16 +358,18 @@ def principalize(
     deg = degree(surface)
     f = surface.order.conductor
     if deg % 2 == 0:
-        raise PreconditionError(f"degree {deg} must be odd")
+        raise PreconditionError(f"degree {int_text(deg)} must be odd")
     if f % 2 == 0:
-        raise PreconditionError(f"conductor {f} must be odd")
+        raise PreconditionError(f"conductor {int_text(f)} must be odd")
     if gcd(deg, f) != 1:
-        raise PreconditionError(f"degree {deg} and conductor {f} share a factor")
+        raise PreconditionError(
+            f"degree {int_text(deg)} and conductor {int_text(f)} share a factor"
+        )
     stab = stabilizer_order(surface)
     if stab.conductor != f:
         raise PreconditionError(
-            f"stored conductor {f} is not tight: the order of conductor "
-            f"{stab.conductor} already acts"
+            f"stored conductor {int_text(f)} is not tight: the order of conductor "
+            f"{int_text(stab.conductor)} already acts"
         )
     steps: list[IsogenyStep] = []
     current = surface

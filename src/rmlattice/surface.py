@@ -8,23 +8,25 @@ nonzero; for a 4x4 alternating form det = pfaffian^2 always holds), action
 satisfying the generator's minimal polynomial, and the symmetry identity
 action^T * gram = gram * action.
 
-Degree, the one change of lattice basis (rebase, on integers), dual
-lattices, kernels, stabilizer orders and the instance constructors all
-live here. Every move that re-expresses the lattice (descent to an
+Degree, the one change of lattice basis (rebase, on integers), kernels
+given by mod-p subspaces, stabilizer orders and the instance constructors
+all live here. Every move that re-expresses the lattice (descent to an
 overlattice, pull-back to a sublattice, a unimodular scramble) goes
 through rebase. Everything is a pure function on immutable values.
 
 The pfaffian is kept on each surface (the cached property `pf`, which is
 not a dataclass field, so equality, hashing and every serialized form see
-only order, action and gram); degree, validation, the dual lattice and
-the kernel read it. rebase and twist_by_element, the only builders of a
-moved surface, carry it by identity (det(B) pf / den^4 and
-norm(el) pf / den^2) instead of recomputing it, and no move re-checks its
-degree. validate checks the minimal polynomial A^2 - tA + n = 0 from the
-one product A^2, and the symmetry A^T E = E A from the one product E A,
-which must be alternating. Element
-actions x*I + y*A and the reorientation that swaps the last two basis
-vectors are written out rather than built from matrix products.
+only order, action and gram); degree and validation read it. With the
+gram's content c it gives the polarization's elementary divisors
+(c, c, pf/c, pf/c) (intmat.alternating_divisors), so no dual lattice is
+ever built. rebase and twist_by_element, the only builders of a moved
+surface, carry it by identity (det(B) pf / den^4 and norm(el) pf / den^2)
+instead of recomputing it, and no move re-checks its degree. validate
+checks the minimal polynomial A^2 - tA + n = 0 from the one product A^2,
+and the symmetry A^T E = E A from the one product E A, which must be
+alternating. Element actions x*I + y*A and the reorientation that swaps
+the last two basis vectors are written out rather than built from matrix
+products.
 """
 
 from __future__ import annotations
@@ -318,32 +320,6 @@ def eigen_sublattice_pullback(
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
-
-
-def dual_basis(surface: PolarizedRMSurface) -> tuple[IntMat, int]:
-    """Canonical basis of the dual lattice E^-1 Z^4 of the gram form, as
-    (basis, den) with den = pf^2: the columns of adj(E) span den * L*, which
-    contains den * Z^4."""
-    den = surface.pf * surface.pf
-    columns = intmat.transpose(intmat.adjugate(surface.gram))
-    return intmat.hnf_mod(columns, den), den
-
-
-def kernel_of_polarization(
-    surface: PolarizedRMSurface,
-) -> tuple[KernelSubgroup, tuple[int, int, int, int]]:
-    """The kernel L*/L of the polarization plus elementary divisors of the gram.
-
-    Divisors come paired (d1, d1, d2, d2) with d1 | d2; the group order is
-    (d1*d2)^2 = degree.
-    """
-    if surface.pf == 0:
-        raise PreconditionError("degenerate gram form")
-    divisors = intmat.alternating_divisors(surface.gram)
-    kernel = KernelSubgroup(*dual_basis(surface))
-    if kernel.group_order != degree(surface):
-        raise InvariantBreach("dual lattice index does not match the degree")
-    return kernel, divisors
 
 
 def polarization_kernel_mod_p(surface: PolarizedRMSurface, p: int):

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 from rmlattice import (
     PreconditionError,
@@ -18,7 +21,9 @@ from rmlattice import (
     principalize,
     solve_norm,
     standard_instance,
+    twist_by_element,
 )
+from rmlattice.arith import int_text
 from rmlattice.cli import main
 from rmlattice.formats import (
     _decode_int,
@@ -29,7 +34,8 @@ from rmlattice.formats import (
     serialize_certificate,
     serialize_instance,
 )
-from rmlattice.generator import generate_instance
+from rmlattice.generator import generate_instance, random_unimodular
+from rmlattice.surface import apply_unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +202,7 @@ def test_cli_round_trip_with_entries_past_the_digit_limit(tmp_path, capsys):
     assert max(len(str(x)) for row in json.loads(inst.read_text())["gram"] for x in row) > 4300
     assert main(["info", str(inst)]) == 0
     assert "f=59049 deg=121 divisors=(1,1,11,11)" in capsys.readouterr().out
+    assert _info_divisors(inst, capsys) == _smith_divisors(parse_instance(inst.read_text()))
     assert main([
         "principalize", str(inst), "-o", str(out), "--cert-out", str(cert),
     ]) == 0
@@ -203,6 +210,60 @@ def test_cli_round_trip_with_entries_past_the_digit_limit(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(
         "certificate replays to an identical surface\n"
     )
+
+
+def _info_divisors(path, capsys) -> tuple[int, ...]:
+    """The divisors that `info` prints for an instance file."""
+    capsys.readouterr()
+    assert main(["info", str(path)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    return tuple(int(d) for d in first.partition("divisors=(")[2].rstrip(")").split(","))
+
+
+def _smith_divisors(surface) -> tuple[int, ...]:
+    smith = smith_normal_form(sympy.Matrix(surface.gram))
+    return tuple(abs(int(smith[i, i])) for i in range(4))
+
+
+def _content_instances():
+    """Surfaces whose gram content is 3, 5 or 15, some with a scrambled basis."""
+    rng = random.Random(7)
+    for D, f, scale, el in [(5, 1, 3, (3, 1)), (13, 9, 5, None), (5, 3, 15, (3, 1))]:
+        s = standard_instance(make_order(D, f))
+        s = twist_by_element(s, s.order.element(scale, 0))
+        if el is not None:
+            s = twist_by_element(s, s.order.element(*el))
+        yield s
+        yield apply_unimodular(s, random_unimodular(rng))
+
+
+def test_info_divisors_match_the_smith_form_when_the_content_exceeds_one(
+    tmp_path, capsys
+):
+    inst = tmp_path / "inst.json"
+    for surface in _content_instances():
+        inst.write_text(serialize_instance(surface))
+        divisors = _info_divisors(inst, capsys)
+        assert divisors[0] > 1
+        assert divisors == _smith_divisors(surface)
+
+
+def test_cli_prints_integers_past_the_digit_limit(tmp_path, capsys):
+    # a discriminant 5 * 3^10000 and a degree 2^14400, both past the
+    # interpreter's int/str digit limit of 4300, once ended info and
+    # principalize in a ValueError traceback instead of output or exit 2
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(standard_instance(make_order(5, 3**5000))))
+    capsys.readouterr()
+    assert main(["info", str(inst)]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"Δ={int_text(5 * 3**10000)} f={int_text(3**5000)} deg=1 divisors=(1,1,1,1)\n"
+    )
+    obj = json.loads(serialize_instance(standard_instance(make_order(5, 1))))
+    obj["gram"] = [[_encode_int(v * 2**3600) for v in row] for row in obj["gram"]]
+    inst.write_text(json.dumps(obj))
+    assert main(["principalize", str(inst), "-o", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"error: degree {int_text(2**14400)} must be odd\n"
 
 
 def test_cli_verify_rejects_a_degree_past_the_digit_limit(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every module-level function in the package has a caller in the package,
-and every name a module imports is used in that module.
+"""Every module-level function and every non-dunder method or property of
+a package class has a caller in the package, and every name a module
+imports is used in that module.
 
 A function that only tests or the package's re-exports use is dead weight
 in src/: delete it or move it into the tests. The exceptions are the
@@ -20,6 +21,7 @@ CRITERIA_ONLY = {
     "bezout_conductor",
     "check_symmetric_rank_even",
     "enumerate_valid_kernels",
+    "is_trivial",
 }
 
 
@@ -31,6 +33,13 @@ def test_every_module_function_is_referenced_in_the_package():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defined.append((path.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [
+                    (path.name, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("__")
+                ]
         if path.name == "__init__.py":
             continue
         for node in ast.walk(tree):
@@ -39,10 +48,11 @@ def test_every_module_function_is_referenced_in_the_package():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert defined, f"no functions found under {PACKAGE}"
+    kept = referenced | CRITERIA_ONLY
     unused = sorted(
         f"{module}:{name}"
         for module, name in defined
-        if name not in referenced and name not in CRITERIA_ONLY
+        if name.rpartition(".")[2] not in kept
     )
     assert unused == []
 

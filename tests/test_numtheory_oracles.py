@@ -171,7 +171,7 @@ def pell_unit(D):
 
 def unit_as_pell(el):
     """(t, u) with el = (t + u*sqrt(disc))/2: u = y and t = trace(el)."""
-    return el.trace(), el.y
+    return 2 * el.x + el.order.trace_omega * el.y, el.y
 
 
 SQUAREFREE = [D for D in range(2, 401) if is_squarefree(D)]

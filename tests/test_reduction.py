@@ -14,7 +14,6 @@ from rmlattice import (
     eigen_sublattice_pullback,
     enlarge_order_step,
     factor_prime,
-    kernel_of_polarization,
     make_order,
     principalize,
     reduce_degree_step,
@@ -25,7 +24,7 @@ from rmlattice import (
     twist_by_element,
     validate,
 )
-from rmlattice import intmat, quadratic
+from rmlattice import intmat, quadratic, reduction
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.oracle import verify_certificate
 from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE, principal_defect
@@ -67,7 +66,7 @@ def test_squarefree_reduce_quotients_order_p2_classes():
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)  # norm 3
     tw = twist_by_element(twist_by_element(s, el), el)
-    assert kernel_of_polarization(tw)[1] == (1, 1, 9, 9)
+    assert intmat.alternating_divisors(tw.gram) == (1, 1, 9, 9)
     out, steps = squarefree_reduce(tw, 3)
     assert [st.kind for st in steps] == ["quotient"]
     assert 1 / intmat.det(steps[0].kernel_overlattice) == 9
@@ -82,10 +81,23 @@ def test_squarefree_reduce_handles_mixed_powers():
     assert degree(tw) == 3**6
     out, steps = squarefree_reduce(tw, 3)
     assert degree(out) in (1, 9)
-    for q, div in [(3, kernel_of_polarization(out)[1])]:
+    for q, div in [(3, intmat.alternating_divisors(out.gram))]:
         v1 = div[1] % q
         assert v1 != 0 or div[1] == 1  # smallest divisor prime to 3
     assert all(st.degree_before > st.degree_after for st in steps)
+
+
+def test_squarefree_check_reports_the_p_parts_left(monkeypatch):
+    # with no p^2-torsion found, the divisors (1, 1, 9, 9) stay and the
+    # closing check names their 3-parts
+    s = standard_instance(make_order(13, 1))
+    el = s.order.element(2, 1)  # norm 3
+    tw = twist_by_element(twist_by_element(s, el), el)
+    monkeypatch.setattr(reduction, "order_p_squared_subspace", lambda surface, p: ())
+    with pytest.raises(
+        InvariantBreach, match=r"^squarefree reduction left divisor p-parts \(1, 9\) at 3$"
+    ):
+        squarefree_reduce(tw, 3)
 
 
 def test_squarefree_reduce_rejects_two():
@@ -294,11 +306,9 @@ def test_degree_reduction_factors_each_prime_once(monkeypatch):
     "args", [(5, 81, [11, 19], 1), (13, 1, [3, 17], 10), (5, 3, [11], 4)]
 )
 def test_pfaffian_is_computed_once_per_surface(monkeypatch, args):
-    # every move carries the pfaffian by identity; the only fresh ones are
-    # the squarefree check's elementary divisors, once per degree prime,
-    # and the closing comparison in principal_defect
+    # every move and the squarefree check read the carried pfaffian; the
+    # only fresh one is the closing comparison in principal_defect
     s = generate_instance(*args)
-    bound = 1 + len(set(args[2]))
     calls = []
     real = intmat.pfaffian4
 
@@ -308,10 +318,10 @@ def test_pfaffian_is_computed_once_per_surface(monkeypatch, args):
 
     monkeypatch.setattr(intmat, "pfaffian4", counting)
     _, cert = principalize(s)
-    assert len(calls) <= bound
+    assert len(calls) == 1
     calls.clear()
     assert verify_certificate(s, cert)[0]
-    assert len(calls) <= bound
+    assert len(calls) == 1
 
 
 def _with_cached_pf(surface, pf):

@@ -17,7 +17,6 @@ from rmlattice import (
     eigen_sublattice_pullback,
     element_action,
     humbert_nonempty,
-    kernel_of_polarization,
     make_order,
     solve_norm,
     splitting_type,
@@ -29,6 +28,7 @@ from rmlattice import (
 from rmlattice import intmat
 from rmlattice.generator import random_unimodular
 from rmlattice.surface import (
+    KernelSubgroup,
     PolarizedRMSurface,
     apply_unimodular,
     polarization_kernel_mod_p,
@@ -145,22 +145,30 @@ def test_twist_canonicalizes_orientation():
     assert degree(tw) == 25
 
 
+def _dual_kernel(surface):
+    """Reference for the polarization kernel L*/L: the dual lattice
+    E^-1 Z^4, whose pf^2 multiple the columns of adj(E) span."""
+    den = surface.pf * surface.pf
+    columns = intmat.transpose(intmat.adjugate(surface.gram))
+    return KernelSubgroup(intmat.hnf_mod(columns, den), den)
+
+
 def test_kernel_of_polarization_divisor_examples():
     s = standard_instance(make_order(5, 1))
-    k, div = kernel_of_polarization(s)
-    assert div == (1, 1, 1, 1)
+    k = _dual_kernel(s)
+    assert intmat.alternating_divisors(s.gram) == (1, 1, 1, 1)
     assert k.group_order == 1 and k.is_trivial()
 
     scaled = twist_by_element(s, s.order.element(3, 0))
-    k3, div3 = kernel_of_polarization(scaled)
-    assert div3 == (3, 3, 3, 3)
-    assert k3.group_order == 81
+    k3 = _dual_kernel(scaled)
+    assert intmat.alternating_divisors(scaled.gram) == (3, 3, 3, 3)
+    assert k3.group_order == 81 == degree(scaled)
     assert lcm(*(Fraction(x).denominator for row in k3.overlattice for x in row)) == 3
 
     tw = twist_by_element(s, s.order.element(3, 1))
-    k11, div11 = kernel_of_polarization(tw)
-    assert div11 == (1, 1, 11, 11)
-    assert k11.group_order == 121
+    k11 = _dual_kernel(tw)
+    assert intmat.alternating_divisors(tw.gram) == (1, 1, 11, 11)
+    assert k11.group_order == 121 == degree(tw)
 
 
 def test_torsion_kernel_even_dimension_for_norm_divisors():
@@ -187,7 +195,9 @@ def test_basis_change_equivariance(D, f):
         assert rebase(s, u) == moved
         assert validate(moved) is None
         assert degree(moved) == degree(s)
-        assert kernel_of_polarization(moved)[1] == kernel_of_polarization(s)[1]
+        assert intmat.alternating_divisors(moved.gram) == intmat.alternating_divisors(
+            s.gram
+        )
         assert stabilizer_order(moved).conductor == stabilizer_order(s).conductor
 
 
