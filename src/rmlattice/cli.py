@@ -122,7 +122,8 @@ def cmd_info(args) -> int:
         return _fail(f"instance does not validate: {msg}", EXIT_IO)
     deg = degree(surface)
     stab = stabilizer_order(surface)
-    div_text = ",".join(int_text(d) for d in alternating_divisors(surface.gram))
+    divisors = alternating_divisors(surface.gram, surface.pf)
+    div_text = ",".join(int_text(d) for d in divisors)
     print(
         f"Δ={int_text(surface.order.discriminant)} f={int_text(stab.conductor)} "
         f"deg={int_text(deg)} divisors=({div_text})"

@@ -8,7 +8,8 @@ decimals of any length convert, also past the interpreter's int/str digit
 limit. The parser accepts each number only in the one form the serializer
 writes it, so no leading zeros, no "-0" and no "3/1". Serialization is
 canonical: serialize(parse(serialize(x))) is byte-identical to
-serialize(x), and parse accepts no other text for x.
+serialize(x), and parse accepts no other text for x. A certificate's
+"seed" is always written as 0 and parsed only as 0; it is not kept.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def serialize_certificate(cert: CertificateData) -> str:
             }
         )
     obj = {
-        "seed": _encode_int(cert.seed),
+        "seed": 0,
         "steps": steps,
         "final": _instance_obj(cert.final),
     }
@@ -241,6 +242,9 @@ def parse_certificate(text: str) -> CertificateData:
             )
         )
     final = _instance_from_obj(obj.get("final"))
-    return CertificateData(
-        seed=_decode_int(obj.get("seed")), steps=tuple(steps), final=final
-    )
+    seed = _decode_int(obj.get("seed"))
+    if seed != 0:
+        raise ValueError(
+            f"seed is {int_text(seed)}; the deterministic pipeline always writes seed 0"
+        )
+    return CertificateData(steps=tuple(steps), final=final)

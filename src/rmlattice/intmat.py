@@ -258,12 +258,13 @@ def snf_with_transforms(m) -> tuple[IntMat, IntMat, IntMat]:
     return freeze(u), freeze(a), freeze(v)
 
 
-def alternating_divisors(m) -> tuple[int, int, int, int]:
+def alternating_divisors(m, pf: int) -> tuple[int, int, int, int]:
     """Elementary divisors (c, c, |pf|/c, |pf|/c) of a nondegenerate 4x4
-    alternating form, c its content: m / c is primitive, and a primitive
-    alternating form has divisors (1, 1, n, n) with n^2 its determinant."""
+    alternating form m with pfaffian pf, c its content: m / c is primitive,
+    and a primitive alternating form has divisors (1, 1, n, n) with n^2 its
+    determinant."""
     c = matrix_content(m)
-    e = abs(pfaffian4(m)) // c
+    e = abs(pf) // c
     return (c, c, e, e)
 
 

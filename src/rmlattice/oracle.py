@@ -5,13 +5,13 @@ certificate replay.
 The enumeration and the rank-parity trials are independent brute force:
 the enumeration walks every subspace of (Z/p)^4 in echelon form, and each
 subgroup it keeps must descend through isogeny.descend_polarization.
-Replay is not independent of the pipeline. It re-derives each move with
-the pipeline's own functions, which carry the pfaffian by identity, and
-compares the steps field by field; what it checks on its own is that each
-move starts at the current degree, the validity of the input surface,
-that the replay ends valid and principal with a maximal acting order and
-with the carried pfaffian equal to a fresh one (the check principalize
-closes with), and an exact match of the final surface.
+Replay is not independent of the pipeline: it re-runs principalize on the
+input surface and compares the certificate it derives with the recorded
+one, step by step and field by field, then the final surface exactly.
+What replay adds to principalize's own checks (the input validates, the
+result is valid and principal with a maximal acting order and its carried
+pfaffian equals a fresh one) is that a certificate the pipeline would not
+write, in any step or in its length, is rejected.
 """
 
 from __future__ import annotations
@@ -24,20 +24,9 @@ from itertools import combinations, product
 from . import intmat
 from .arith import int_text, is_prime
 from .errors import DescentError, InvariantBreach, LatticeModelError, PreconditionError
-from .isogeny import TWIST, descend_polarization
-from .reduction import (
-    CertificateData,
-    enlarge_order_step,
-    principal_defect,
-    reduce_degree_step,
-)
-from .surface import (
-    KernelSubgroup,
-    PolarizedRMSurface,
-    degree,
-    kernel_from_subspace,
-    validate,
-)
+from .isogeny import descend_polarization
+from .reduction import CertificateData, principalize
+from .surface import KernelSubgroup, PolarizedRMSurface, kernel_from_subspace
 
 
 # ---------------------------------------------------------------------------
@@ -169,69 +158,52 @@ def verify_certificate(
 ) -> tuple[bool, str]:
     """Replay a certificate against its input surface.
 
-    Re-derives each move with the pipeline's own functions:
-    enlarge_order_step at a twist step, reduce_degree_step at any other
-    step, at the recorded prime. The steps a move derives must equal the
-    next recorded steps field for field. Checked on their own, not by
-    re-running the pipeline: the seed is 0, the input surface validates,
-    each move starts at the current degree (the recorded degrees chain),
-    no move is cut short, the replayed surface is valid and principal with
-    a maximal acting order, and the final surface matches the recorded one
-    exactly.
-    Returns (ok, message); a rejection names the first divergent step
-    index and, where steps differ, the first differing field.
+    Re-runs principalize on the input surface and compares the steps it
+    derives with the recorded ones, then the surface it reaches with the
+    recorded final surface. A principalize failure rejects the certificate.
+    Returns (ok, message); a rejection names the first step index where
+    the two records part and, where both have a step there, the first
+    differing field.
     """
-    if certificate.seed != 0:
-        return False, (
-            f"seed is {certificate.seed}; deterministic pipeline certificates "
-            "always carry seed 0"
-        )
-    msg = validate(start)
-    if msg is not None:
-        return False, f"input surface invalid: {msg}"
-    current = start
+    try:
+        reached, derived = principalize(start)
+    except LatticeModelError as exc:
+        return False, f"replay aborted: {exc}"
     recorded = certificate.steps
-    idx = 0
-    while idx < len(recorded):
-        step = recorded[idx]
-        label = f"step {idx} ({step.kind} at {int_text(step.prime)})"
-        if step.degree_before != degree(current):
-            return False, (
-                f"{label}: degree_before {int_text(step.degree_before)} does not "
-                f"match the current degree {int_text(degree(current))}"
+    for i, (rec, der) in enumerate(zip(recorded, derived.steps)):
+        if rec != der:
+            name = next(
+                f.name
+                for f in fields(rec)
+                if getattr(rec, f.name) != getattr(der, f.name)
             )
-        move = enlarge_order_step if step.kind == TWIST else reduce_degree_step
-        try:
-            current, derived = move(current, step.prime)
-        except LatticeModelError as exc:
-            return False, f"{label}: replay aborted: {exc}"
-        for i, (rec, der) in enumerate(zip(recorded[idx:], derived), start=idx):
-            if rec != der:
-                name = next(
-                    f.name
-                    for f in fields(rec)
-                    if getattr(rec, f.name) != getattr(der, f.name)
-                )
-                return False, (
-                    f"step {i} ({rec.kind} at {int_text(rec.prime)}): "
-                    f"{name}={_show(getattr(rec, name))} recorded, "
-                    f"replay derives {name}={_show(getattr(der, name))}"
-                )
-        if idx + len(derived) > len(recorded):
-            return False, f"{label}: certificate ends inside this move"
-        idx += len(derived)
-    msg = principal_defect(current)
-    if msg is not None:
-        return False, f"replay ends {msg}: not principal with a maximal order"
+            return False, (
+                f"step {i} ({rec.kind} at {int_text(rec.prime)}): "
+                f"{name}={_show(getattr(rec, name))} recorded, "
+                f"replay derives {name}={_show(getattr(der, name))}"
+            )
+    n = len(derived.steps)
+    if len(recorded) < n:
+        der = derived.steps[len(recorded)]
+        return False, (
+            f"certificate stops before step {len(recorded)} ({der.kind} at "
+            f"{int_text(der.prime)}), which replay derives"
+        )
+    if len(recorded) > n:
+        rec = recorded[n]
+        return False, (
+            f"step {n} ({rec.kind} at {int_text(rec.prime)}): recorded past the "
+            "replay's last step"
+        )
     final = certificate.final
-    if (current.order.D, current.order.conductor) != (
+    if (reached.order.D, reached.order.conductor) != (
         final.order.D,
         final.order.conductor,
     ):
         return False, "final order does not match the replayed order"
-    if current.action != final.action:
+    if reached.action != final.action:
         return False, "final action matrix does not match the replay"
-    if current.gram != final.gram:
+    if reached.gram != final.gram:
         return False, "final gram matrix does not match the replay"
     return True, "certificate replays to an identical surface"
 

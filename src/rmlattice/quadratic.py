@@ -391,54 +391,49 @@ def _norm_search_bound(order: RealQuadraticOrder, p: int) -> int:
     return y_max
 
 
-def _maximal_norm_solutions(maximal: RealQuadraticOrder, p: int) -> list[OrderElement]:
-    """All norm +-p elements of the maximal order inside the search box.
+def _norm_rows(maximal: RealQuadraticOrder, p: int):
+    """The norm +-p elements of the maximal order inside the search box,
+    one list per non-empty row, rows |y| = 1, 2, ... up to the search
+    bound; in a row y = |y| comes before -|y|, norm p before -p.
 
-    Up to sign and unit multiples these represent every solution, which is
-    all the suborder search needs.
+    Up to sign and unit multiples these represent every solution.
     """
     y_max = _norm_search_bound(maximal, p)
-    out = []
-    for y in range(1, y_max + 1):  # y = 0 would need x^2 = +-p, impossible
-        for sy in (y, -y):
+    row = []
+    for ay in range(1, y_max + 1):  # y = 0 would need x^2 = +-p, impossible
+        for y in (ay, -ay):
             for target in (p, -p):
-                out.extend(_norm_solutions_for_y(maximal, sy, target))
-    return out
+                row += _norm_solutions_for_y(maximal, y, target)
+        if row:
+            yield row
+            row = []
 
 
 def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     """The canonical element of the order with norm +-p, or None.
 
-    For the maximal order: scan |y| upward to the search bound and return
-    the solution with lexicographically least (|y|, |x|, signs), the
-    canonical representative. For conductor f > 1: every suborder solution
-    is s*u**k for a box solution s of the maximal order and u its unit, and
-    if s*u**k lies in the order so does s*u**(k-n0), u**n0 the suborder's
-    unit. So the candidates are s*u**k with k the least exponent putting
-    s*u**k in the order, found per seed by a discrete log modulo f
-    (_unit_logs); only that hit is built exactly, by powering. The
-    candidates and their canonical minimum are those of the full orbit.
+    For the maximal order: scan the box rows |y| upward (_norm_rows) and
+    return the solution with lexicographically least (|y|, |x|, signs) in
+    the first non-empty row, the canonical representative. For conductor
+    f > 1: every suborder solution is s*u**k for a box solution s of the
+    maximal order and u its unit, and if s*u**k lies in the order so does
+    s*u**(k-n0), u**n0 the suborder's unit. So the candidates are s*u**k
+    with k the least exponent putting s*u**k in the order, found per seed
+    by a discrete log modulo f (_unit_logs); only that hit is built
+    exactly, by powering. The candidates and their canonical minimum are
+    those of the full orbit.
     """
     if p == 2 or not is_prime(p):
         raise PreconditionError(f"{p} is not an odd prime")
     if order.conductor % p == 0:
         raise PreconditionError(f"{p} divides the conductor {order.conductor}")
     if order.conductor == 1:
-        y_max = _norm_search_bound(order, p)
-        for ay in range(1, y_max + 1):
-            solutions = [
-                el
-                for y in (ay, -ay)
-                for target in (p, -p)
-                for el in _norm_solutions_for_y(order, y, target)
-            ]
-            if solutions:
-                return min(solutions, key=_canonical_key)
-        return None
+        row = next(_norm_rows(order, p), None)
+        return None if row is None else min(row, key=_canonical_key)
     f = order.conductor
     maximal = make_order(order.D, 1)
     unit = fundamental_unit(maximal)
-    seeds = _maximal_norm_solutions(maximal, p)
+    seeds = [el for row in _norm_rows(maximal, p) for el in row]
     candidates = []
     for seed, k in zip(seeds, _unit_logs(order, seeds, p)):
         if k is not None:
@@ -490,12 +485,13 @@ def are_associates_in_maximal(a: OrderElement, b: OrderElement) -> bool:
 
 
 def _reduce_bezout(c, k1, k2):
-    """Canonical small solution c - m1*k1 - m2*k2 over the relation lattice.
+    """A deterministic, size-reduced solution c - m1*k1 - m2*k2 over the
+    relation lattice.
 
     Gauss-reduce the rank-2 relation basis, size-reduce c against it by
-    rounding, then take the exact minimum of the canonical key over a small
-    multiplier window (sufficient once the basis is reduced). Deterministic
-    throughout.
+    rounding, then take the minimum of the key over a small multiplier
+    window around that point. Deterministic throughout; not in general the
+    smallest solution.
     """
 
     def key(vec):
@@ -534,7 +530,8 @@ def _reduce_bezout(c, k1, k2):
 def bezout_conductor(
     a1: OrderElement, a2: OrderElement, order: RealQuadraticOrder
 ) -> tuple[OrderElement, OrderElement]:
-    """Solve conductor = a1*b1 + a2*b2 in the order, canonically smallest.
+    """Solve conductor = a1*b1 + a2*b2 in the order: a deterministic,
+    size-reduced solution, not in general the smallest one.
 
     Raises PreconditionError when the conductor is not in the span, which
     happens exactly when the factors are associates.

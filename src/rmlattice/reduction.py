@@ -11,10 +11,11 @@ reduce_degree_step removes a reducible prime from the degree by dividing
 by the norm +-p factor whose mod-p kernel is the kernel p-torsion, and
 records the branch on its last step. principalize chains the moves,
 conductor primes first, and returns the final surface with its
-CertificateData. The moves carry the pfaffian by identity and check no
-degree identity of their own; principalize's closing check, shared with
-replay, validates the result, compares its carried pfaffian with a fresh
-one and requires it principal with a maximal acting order.
+CertificateData; it is the only code that chains moves, and replay
+re-runs it. The moves carry the pfaffian by identity and check no degree
+identity of their own; principalize's closing check validates the result,
+compares its carried pfaffian with a fresh one and requires it principal
+with a maximal acting order.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class CertificateData:
     """Replayable record of a principalization run: the steps from the
     input surface and the final surface they reach."""
 
-    seed: int
     steps: tuple[IsogenyStep, ...]
     final: PolarizedRMSurface
 
@@ -349,8 +349,7 @@ def principalize(
     equal to the acting (stabilizer) conductor. Conductor primes are
     processed in increasing order with multiplicity, then degree primes in
     increasing order. Failure of reducibility at a degree prime raises
-    PreconditionError naming the prime. The pipeline is deterministic, so
-    the certificate always records seed 0.
+    PreconditionError naming the prime.
     """
     msg = validate(surface)
     if msg is not None:
@@ -385,4 +384,4 @@ def principalize(
     msg = principal_defect(current)
     if msg is not None:
         raise InvariantBreach(f"pipeline ended {msg}")
-    return current, CertificateData(seed=0, steps=tuple(steps), final=current)
+    return current, CertificateData(steps=tuple(steps), final=current)

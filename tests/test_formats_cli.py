@@ -23,6 +23,7 @@ from rmlattice import (
     standard_instance,
     twist_by_element,
 )
+from rmlattice import intmat
 from rmlattice.arith import int_text
 from rmlattice.cli import main
 from rmlattice.formats import (
@@ -248,6 +249,23 @@ def test_info_divisors_match_the_smith_form_when_the_content_exceeds_one(
         assert divisors == _smith_divisors(surface)
 
 
+def test_info_computes_one_pfaffian(tmp_path, capsys, monkeypatch):
+    # validate caches the instance's pfaffian and the divisors read it
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(generate_instance(5, 3, [11], seed=4)))
+    calls = []
+    real = intmat.pfaffian4
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(intmat, "pfaffian4", counting)
+    assert main(["info", str(inst)]) == 0
+    assert "divisors=(1,1,11,11)" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_cli_prints_integers_past_the_digit_limit(tmp_path, capsys):
     # a discriminant 5 * 3^10000 and a degree 2^14400, both past the
     # interpreter's int/str digit limit of 4300, once ended info and
@@ -285,7 +303,10 @@ def test_cli_verify_rejects_a_degree_past_the_digit_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(inst), str(cert)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: step 0 (") and "degree_before 1" + "0" * 5000 + " does" in err
+    assert err == (
+        "error: step 0 (twist at 3): degree_before=1" + "0" * 5000 + " recorded, "
+        "replay derives degree_before=121\n"
+    )
     assert "Traceback" not in err
 
 
@@ -437,7 +458,7 @@ def test_cli_verify_rejects_an_empty_certificate(tmp_path, capsys):
 
     assert _verify_tampered_certificate(tmp_path, tamper) == 1
     assert capsys.readouterr().err == (
-        "error: replay ends at degree 121: not principal with a maximal order\n"
+        "error: certificate stops before step 0 (twist at 3), which replay derives\n"
     )
 
 
@@ -451,7 +472,8 @@ def test_cli_verify_rejects_a_certificate_cut_after_a_move(tmp_path, capsys):
 
     assert _verify_tampered_certificate(tmp_path, tamper) == 1
     assert capsys.readouterr().err == (
-        "error: replay ends at degree 121: not principal with a maximal order\n"
+        "error: certificate stops before step 2 (divide_by_alpha at 11), "
+        "which replay derives\n"
     )
 
 

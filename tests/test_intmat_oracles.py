@@ -459,9 +459,10 @@ def test_alternating_divisors_match_smith_forms():
                 v = scale * rng.randint(-12, 12)
                 m[i][j], m[j][i] = v, -v
         m = intmat.freeze(m)
-        if intmat.pfaffian4(m) == 0:
+        pf = intmat.pfaffian4(m)
+        if pf == 0:
             continue
-        divisors = intmat.alternating_divisors(m)
+        divisors = intmat.alternating_divisors(m, pf)
         assert divisors == snf_divisors(m)
         smith = smith_normal_form(sympy.Matrix(m))
         assert divisors == tuple(abs(int(smith[i, i])) for i in range(4))

@@ -219,7 +219,7 @@ def test_quotient_functoriality():
     el = s.order.element(2, 1)  # norm 3
     tw = twist_by_element(twist_by_element(s, el), el)
     assert degree(tw) == 81
-    assert intmat.alternating_divisors(tw.gram) == (1, 1, 9, 9)
+    assert intmat.alternating_divisors(tw.gram, tw.pf) == (1, 1, 9, 9)
     from rmlattice.reduction import order_p_squared_subspace
 
     sub2 = order_p_squared_subspace(tw, 3)

@@ -26,7 +26,7 @@ from rmlattice.arith import factorize, is_squarefree, sqrt_mod
 from rmlattice.errors import InvariantBreach
 from rmlattice.quadratic import (
     _canonical_key,
-    _maximal_norm_solutions,
+    _norm_rows,
     _norm_search_bound,
     _norm_solutions_for_y,
     _unit_index,
@@ -108,7 +108,7 @@ def walk_solve_norm(order, p):
     maximal = make_order(order.D, 1)
     unit = scan_fundamental_unit(maximal)
     candidates = []
-    for seed in _maximal_norm_solutions(maximal, p):
+    for seed in (el for row in _norm_rows(maximal, p) for el in row):
         current = seed
         seen = set()
         while (current.x % f, current.y % f) not in seen:
@@ -243,7 +243,7 @@ def test_unit_logs_and_unit_index_match_the_walks(D, half, odd, p):
     unit = fundamental_unit(maximal)
     n0 = walk_unit_index(order)
     assert _unit_index(order) == n0
-    seeds = _maximal_norm_solutions(maximal, p)
+    seeds = [el for row in _norm_rows(maximal, p) for el in row]
     walks = [orbit_hit(maximal, seed, unit, f, n0) for seed in seeds]
     assert _unit_logs(order, seeds, p) == walks
 

@@ -23,7 +23,7 @@ from rmlattice.oracle import (
     enumerate_valid_kernels,
     verify_certificate,
 )
-from rmlattice.reduction import CertificateData, enlarge_order_step
+from rmlattice.reduction import CertificateData, enlarge_order_step, reduce_degree_step
 
 
 def test_enumerate_principal_is_trivial():
@@ -123,18 +123,14 @@ def test_verify_rejects_tampering():
     # the seed must stay pinned at zero
     obj = json.loads(text)
     obj["seed"] = 5
-    ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
-    assert not ok and "seed" in msg
+    with pytest.raises(ValueError, match="seed is 5; the deterministic pipeline"):
+        parse_certificate(json.dumps(obj))
 
 
 def test_verify_rejects_reordered_steps():
     s = generate_instance(5, 3, [11], seed=6)
     out, cert = principalize(s)
-    reordered = cert.__class__(
-        seed=cert.seed,
-        steps=tuple(reversed(cert.steps)),
-        final=cert.final,
-    )
+    reordered = CertificateData(steps=tuple(reversed(cert.steps)), final=cert.final)
     ok, msg = verify_certificate(s, reordered)
     assert not ok
 
@@ -213,18 +209,18 @@ def test_verify_rejects_a_certificate_that_ends_inside_a_move():
     s = generate_instance(5, 3, [11], seed=4)
     _, cert = principalize(s)
     assert cert.steps[0].kind == "twist"
-    cut = cert.__class__(seed=0, steps=cert.steps[:1], final=cert.final)
+    cut = CertificateData(steps=cert.steps[:1], final=cert.final)
     ok, msg = verify_certificate(s, cut)
     assert not ok
-    assert msg == "step 0 (twist at 3): certificate ends inside this move"
+    assert msg == "certificate stops before step 1 (quotient at 3), which replay derives"
 
 
 def test_verify_rejects_the_empty_certificate():
     s = generate_instance(5, 3, [11], seed=4)
     assert degree(s) == 121 and s.order.conductor == 3
-    ok, msg = verify_certificate(s, CertificateData(seed=0, steps=(), final=s))
+    ok, msg = verify_certificate(s, CertificateData(steps=(), final=s))
     assert not ok
-    assert msg == "replay ends at degree 121: not principal with a maximal order"
+    assert msg == "certificate stops before step 0 (twist at 3), which replay derives"
 
 
 def test_verify_rejects_a_certificate_cut_after_a_move():
@@ -233,19 +229,41 @@ def test_verify_rejects_a_certificate_cut_after_a_move():
     _, cert = principalize(s)
     mid, pair = enlarge_order_step(s, 3)
     assert cert.steps[:2] == pair and len(cert.steps) > 2
-    cut = CertificateData(seed=0, steps=pair, final=mid)
+    cut = CertificateData(steps=pair, final=mid)
     ok, msg = verify_certificate(s, cut)
     assert not ok
-    assert msg == "replay ends at degree 121: not principal with a maximal order"
+    assert msg == (
+        "certificate stops before step 2 (divide_by_alpha at 11), which replay derives"
+    )
 
     # degree 1, conductor 9: cut after the first enlargement, conductor 3 is left
     s = standard_instance(make_order(5, 9))
     _, cert = principalize(s)
     mid, pair = enlarge_order_step(s, 3)
     assert cert.steps[:2] == pair and len(cert.steps) == 4
-    cut = CertificateData(seed=0, steps=pair, final=mid)
+    cut = CertificateData(steps=pair, final=mid)
     ok, msg = verify_certificate(s, cut)
     assert not ok
-    assert msg == (
-        "replay ends with a non-maximal acting order: not principal with a maximal order"
-    )
+    assert msg == "certificate stops before step 2 (twist at 3), which replay derives"
+
+
+def test_verify_rejects_steps_past_the_replay():
+    s = generate_instance(5, 3, [11], seed=4)
+    _, cert = principalize(s)
+    longer = CertificateData(steps=cert.steps + cert.steps[-1:], final=cert.final)
+    ok, msg = verify_certificate(s, longer)
+    assert not ok
+    assert msg == "step 3 (divide_by_alpha at 11): recorded past the replay's last step"
+
+
+def test_verify_accepts_only_the_pipeline_order():
+    # reducing 29 before 11 also reaches a principal surface, but
+    # principalize takes the degree primes in increasing order, so the
+    # certificate of that chain is not the one replay derives
+    s = generate_instance(5, 1, [11, 29], 3)
+    mid, first = reduce_degree_step(s, 29)
+    end, second = reduce_degree_step(mid, 11)
+    assert degree(end) == 1
+    ok, msg = verify_certificate(s, CertificateData(steps=first + second, final=end))
+    assert not ok
+    assert msg.startswith("step 0 (divide_by_alpha at 29): prime=29 recorded")

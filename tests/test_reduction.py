@@ -66,7 +66,7 @@ def test_squarefree_reduce_quotients_order_p2_classes():
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)  # norm 3
     tw = twist_by_element(twist_by_element(s, el), el)
-    assert intmat.alternating_divisors(tw.gram) == (1, 1, 9, 9)
+    assert intmat.alternating_divisors(tw.gram, tw.pf) == (1, 1, 9, 9)
     out, steps = squarefree_reduce(tw, 3)
     assert [st.kind for st in steps] == ["quotient"]
     assert 1 / intmat.det(steps[0].kernel_overlattice) == 9
@@ -81,7 +81,7 @@ def test_squarefree_reduce_handles_mixed_powers():
     assert degree(tw) == 3**6
     out, steps = squarefree_reduce(tw, 3)
     assert degree(out) in (1, 9)
-    for q, div in [(3, intmat.alternating_divisors(out.gram))]:
+    for q, div in [(3, intmat.alternating_divisors(out.gram, out.pf))]:
         v1 = div[1] % q
         assert v1 != 0 or div[1] == 1  # smallest divisor prime to 3
     assert all(st.degree_before > st.degree_after for st in steps)
@@ -344,10 +344,7 @@ def test_a_corrupted_carried_pfaffian_is_rejected():
     corrupted = _with_cached_pf(start, -start.pf)
     ok, msg = verify_certificate(corrupted, cert)
     assert not ok
-    assert msg == (
-        "replay ends with pfaffian -1, not the carried 1: "
-        "not principal with a maximal order"
-    )
+    assert msg == "replay aborted: pipeline ended with pfaffian -1, not the carried 1"
     with pytest.raises(InvariantBreach, match="not the carried 1"):
         principalize(corrupted)
 

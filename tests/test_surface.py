@@ -156,18 +156,18 @@ def _dual_kernel(surface):
 def test_kernel_of_polarization_divisor_examples():
     s = standard_instance(make_order(5, 1))
     k = _dual_kernel(s)
-    assert intmat.alternating_divisors(s.gram) == (1, 1, 1, 1)
+    assert intmat.alternating_divisors(s.gram, s.pf) == (1, 1, 1, 1)
     assert k.group_order == 1 and k.is_trivial()
 
     scaled = twist_by_element(s, s.order.element(3, 0))
     k3 = _dual_kernel(scaled)
-    assert intmat.alternating_divisors(scaled.gram) == (3, 3, 3, 3)
+    assert intmat.alternating_divisors(scaled.gram, scaled.pf) == (3, 3, 3, 3)
     assert k3.group_order == 81 == degree(scaled)
     assert lcm(*(Fraction(x).denominator for row in k3.overlattice for x in row)) == 3
 
     tw = twist_by_element(s, s.order.element(3, 1))
     k11 = _dual_kernel(tw)
-    assert intmat.alternating_divisors(tw.gram) == (1, 1, 11, 11)
+    assert intmat.alternating_divisors(tw.gram, tw.pf) == (1, 1, 11, 11)
     assert k11.group_order == 121 == degree(tw)
 
 
@@ -195,9 +195,9 @@ def test_basis_change_equivariance(D, f):
         assert rebase(s, u) == moved
         assert validate(moved) is None
         assert degree(moved) == degree(s)
-        assert intmat.alternating_divisors(moved.gram) == intmat.alternating_divisors(
-            s.gram
-        )
+        assert intmat.alternating_divisors(
+            moved.gram, moved.pf
+        ) == intmat.alternating_divisors(s.gram, s.pf)
         assert stabilizer_order(moved).conductor == stabilizer_order(s).conductor
 
 
