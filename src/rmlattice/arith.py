@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -148,29 +147,6 @@ def sqrt_mod(a: int, p: int) -> int:
         s, c = i, b * b % p
         r, t = r * b % p, t * c % p
     return min(r, p - r)
-
-
-def sqrt_upper(n: int, scale: int = 10**8) -> Fraction:
-    """A rational upper bound on sqrt(n), tight to about 1/scale."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    return Fraction(isqrt(n * scale * scale) + 1, scale)
-
-
-def sqrt_lower(n: int, scale: int = 10**8) -> Fraction:
-    """A rational lower bound on sqrt(n)."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    return Fraction(isqrt(n * scale * scale), scale)
-
-
-def sqrt_upper_frac(q: Fraction, scale: int = 10**8) -> Fraction:
-    """A rational upper bound on sqrt(q) for a nonnegative rational q."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    # sqrt(n/d) = sqrt(n*d)/d
-    n, d = q.numerator, q.denominator
-    return Fraction(isqrt(n * d * scale * scale) + 1, d * scale)
 
 
 def int_text(v: int) -> str:

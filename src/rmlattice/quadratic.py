@@ -10,30 +10,26 @@ on. Elements are stored as integer pairs (x, y) meaning x + y*w.
 Besides element arithmetic this module provides prime splitting, the
 fundamental unit, norm equations, prime factorization into norm +-p
 elements, a conductor Bezout identity for non-associate factors, and the
-Humbert congruence test. Norm equations in the maximal order are a
-complete bounded box search. In a conductor-f suborder they reduce to the
-group G = (O_F/f)^*/(Z/f)^*: the suborder's unit is u**n0, n0 the order
-of u in G read off |G| = prod over q^e || f of q^(e-1)*(q - chi(q)), and
-each box solution reaches the suborder at an exponent found by a
-baby-step giant-step discrete log modulo f.
+Humbert congruence test. A norm +-p element generates a prime above p,
+and ideal_generator finds a generator of that prime, or proves there is
+none, by walking the cycle of reduced forms of its norm form; nothing
+scans a box. Every other solution is a unit multiple of it or of its
+conjugate. In a conductor-f suborder the question reduces to the group
+G = (O_F/f)^*/(Z/f)^*: the suborder's unit is u**n0, n0 the order of u
+in G read off |G| = prod over q^e || f of q^(e-1)*(q - chi(q)), and the
+generator reaches the suborder at the exponents k0 + n0*Z, k0 found by a
+baby-step giant-step discrete log modulo f. The canonical solution, the
+least |y| on that progression, is placed from the sizes of the
+embeddings, so only one or two unit powers are built exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, isqrt
+from math import floor, isqrt, log
 
-from .arith import (
-    factorize,
-    is_prime,
-    is_squarefree,
-    legendre,
-    sqrt_lower,
-    sqrt_upper,
-    sqrt_upper_frac,
-)
+from .arith import factorize, is_prime, is_squarefree, legendre, sqrt_mod
 from .errors import PreconditionError
 from .intmat import freeze, snf_with_transforms
 
@@ -167,23 +163,6 @@ class OrderElement:
         return f"{self.x}{self.y:+d}w"
 
 
-def _norm_solutions_for_y(order: RealQuadraticOrder, y: int, target: int) -> list[OrderElement]:
-    """Integer x with norm(x + y*w) == target, by the quadratic formula."""
-    t, n = order.trace_omega, order.norm_omega
-    disc = t * t * y * y - 4 * (n * y * y - target)
-    if disc < 0:
-        return []
-    r = isqrt(disc)
-    if r * r != disc:
-        return []
-    out = []
-    for root in {r, -r}:
-        num = -t * y + root
-        if num % 2 == 0:
-            out.append(order.element(num // 2, y))
-    return out
-
-
 @lru_cache(maxsize=None)
 def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     """The smallest unit > 1 of the order itself (not of the maximal order).
@@ -311,14 +290,13 @@ def _baby_steps(order: RealQuadraticOrder):
     return maximal, u, n0, table, giant, period
 
 
-def _unit_logs(order: RealQuadraticOrder, seeds, p: int) -> list[int | None]:
-    """For each seed, the least k < n0 with seed * u**k in the order, or None.
+def _unit_log(order: RealQuadraticOrder, seed: OrderElement) -> int | None:
+    """The least k < n0 with seed * u**k in the order, or None.
 
-    The seeds are elements of the maximal order of norm +-p, p coprime to
-    the conductor f. seed*u**k lies in the order exactly when its class in
-    G is trivial, which implies rho**k = conj(seed)/seed =
-    conj(seed)^2/N(seed) mod f; p is inverted mod f once for all seeds.
-    Baby-step giant-step (Shanks 1971) finds the least such k0 in
+    seed is an element of the maximal order whose norm is coprime to the
+    conductor f. seed*u**k lies in the order exactly when its class in G is
+    trivial, which implies rho**k = conj(seed)/seed = conj(seed)^2/N(seed)
+    mod f. Baby-step giant-step (Shanks 1971) finds the least such k0 in
     O(sqrt(n0)) products. For odd f, z -> z/conj(z) is one-to-one on G, so
     k0 is the answer. For even f it need not be: the solutions below n0 are
     k0 and, when rho has order n0/2, k0 + n0/2, and each is confirmed by
@@ -328,29 +306,24 @@ def _unit_logs(order: RealQuadraticOrder, seeds, p: int) -> list[int | None]:
     f, t, n = order.conductor, maximal.trace_omega, maximal.norm_omega
     a, b, c, d = giant
     m = len(table)
-    p_inverse = pow(p, -1, f)
-    logs = []
-    for seed in seeds:
-        cx, cy = seed.x + t * seed.y, -seed.y  # conj(seed)
-        scale = p_inverse if seed.norm() > 0 else -p_inverse  # 1/N(seed) mod f
-        x, y = (cx * cx - n * cy * cy) * scale % f, (2 * cx + t * cy) * cy * scale % f
-        for i in range(m):
-            j = table.get((x, y))
-            if j is not None:
-                k = i * m + j
-                break
-            x, y = (x * a + y * b) % f, (x * c + y * d) % f
-        else:
-            k = None
-        if k is not None and f % 2 == 0:
-            s = _residue(seed, f)
-            candidates, k = range(k, n0, period), None
-            for h in candidates:
-                if _mul_mod(maximal, s, _pow_mod(maximal, u, h, f), f)[1] == 0:
-                    k = h
-                    break
-        logs.append(k)
-    return logs
+    cx, cy = seed.x + t * seed.y, -seed.y  # conj(seed)
+    scale = pow(seed.norm(), -1, f)
+    x, y = (cx * cx - n * cy * cy) * scale % f, (2 * cx + t * cy) * cy * scale % f
+    for i in range(m):
+        j = table.get((x, y))
+        if j is not None:
+            k = i * m + j
+            break
+        x, y = (x * a + y * b) % f, (x * c + y * d) % f
+    else:
+        return None
+    if f % 2:
+        return k
+    s = _residue(seed, f)
+    for h in range(k, n0, period):
+        if _mul_mod(maximal, s, _pow_mod(maximal, u, h, f), f)[1] == 0:
+            return h
+    return None
 
 
 def splitting_type(order: RealQuadraticOrder, p: int) -> str:
@@ -363,84 +336,142 @@ def splitting_type(order: RealQuadraticOrder, p: int) -> str:
     return SPLIT if s == 1 else (INERT if s == -1 else RAMIFIED)
 
 
-def _embedding_bounds(order: RealQuadraticOrder) -> tuple[Fraction, Fraction, Fraction]:
-    """Rational bounds (w_lo, w_hi, sqrt_disc_lo) for the positive embedding of w."""
-    disc = order.discriminant
-    s_hi, s_lo = sqrt_upper(disc), sqrt_lower(disc)
-    t = order.trace_omega
-    return (t + s_lo) / 2, (t + s_hi) / 2, s_lo
+def ideal_generator(order: RealQuadraticOrder, a: int, b: int) -> OrderElement | None:
+    """A generator of the ideal with Hermite basis (a, b + w), or None.
 
-
-def _norm_search_bound(order: RealQuadraticOrder, p: int) -> int:
-    """The |y| bound below which a solution must appear if any exists.
-
-    Any element of norm +-p has a unit multiple whose two real embeddings
-    lie in [-B, B] for B = sqrt(p * u0), u0 the fundamental unit value, so
-    a solution exists iff one exists with |y| <= 2B/sqrt(disc).
+    a > 0 must divide N(b + w), and the ideal's norm form below must be
+    primitive, as it is for a prime a. On a basis (alpha, beta) of the
+    ideal the form N(x*alpha + y*beta)/a is (A, B, C), starting from
+    (a, 2b + t, N(b + w)/a). A form with |A| = 1 makes alpha an element of
+    norm +-a in the ideal, a generator. Each rho step (Cohen, A Course in
+    Computational Algebraic Number Theory, §5.6 and §5.8) takes (A, B, C) to
+    (C, r, (r^2 - disc)/4C), r = -B modulo 2C in the normalized range, and
+    the basis to (beta, q*beta - alpha), q = (B + r)/2C. From any form
+    these steps reach a reduced one, |sqrt(disc) - 2|A|| < B < sqrt(disc),
+    and from there run around the cycle of the reduced forms properly
+    equivalent to it. A principal ideal's cycle holds a reduced form
+    (+-1, B, C), so a walk back to the first reduced form without |A| = 1
+    proves the ideal is not principal. The walk is linear in the cycle,
+    which is bounded by the regulator, as the unit computation is.
     """
-    u0 = fundamental_unit(order)
-    _, w_hi, s_lo = _embedding_bounds(order)
-    u0_hi = u0.x + u0.y * w_hi  # u0.y > 0, so this bounds the unit value above
-    bound = sqrt_upper_frac(Fraction(p) * u0_hi)
-    y_max = ceil(2 * bound / s_lo) + 1
-    if y_max > 10**6:
-        raise PreconditionError(
-            f"norm-equation search for {p} in Q(sqrt({order.D})) needs a box "
-            f"of {y_max} rows, over the limit of 10^6"
-        )
-    return y_max
+    t, disc = order.trace_omega, order.discriminant
+    s = isqrt(disc)  # disc is not a square, so sqrt(disc) is never an integer
+    (ax, ay), (bx, by) = (a, 0), (b, 1)
+    form = (a, 2 * b + t, (b * b + t * b + order.norm_omega) // a)
+    first = None
+    while True:
+        A, B, C = form
+        if abs(A) == 1:
+            return order.element(ax, ay)
+        if 0 < B <= s < B + 2 * abs(A) and 2 * abs(A) - B <= s:  # reduced
+            if first is None:
+                first = form
+            elif form == first:
+                return None
+        c2 = 2 * abs(C)
+        if abs(C) > s:  # |C| > sqrt(disc): -|C| < r <= |C|
+            r = -B % c2
+            if r > abs(C):
+                r -= c2
+        else:  # sqrt(disc) - 2|C| < r < sqrt(disc)
+            r = s - (s + B) % c2
+        q = (B + r) // (2 * C)
+        (ax, ay), (bx, by) = (bx, by), (q * bx - ax, q * by - ay)
+        form = (C, r, (r * r - disc) // (4 * C))
 
 
-def _norm_rows(maximal: RealQuadraticOrder, p: int):
-    """The norm +-p elements of the maximal order inside the search box,
-    one list per non-empty row, rows |y| = 1, 2, ... up to the search
-    bound; in a row y = |y| comes before -|y|, norm p before -p.
+def _log_embeddings(el: OrderElement) -> tuple[float, float]:
+    """(log|sigma1(el)|, log|sigma2(el)|) for el of nonzero norm, sigma1
+    sending sqrt(disc) to the positive root.
 
-    Up to sign and unit multiples these represent every solution.
+    sigma = (a +- y*sqrt(disc))/2 with a = 2x + t*y, so the larger absolute
+    value is (|a| + |y|*sqrt(disc))/2, a sum without cancellation, taken
+    from integers scaled by 2^64; the smaller is |norm| over it.
     """
-    y_max = _norm_search_bound(maximal, p)
-    row = []
-    for ay in range(1, y_max + 1):  # y = 0 would need x^2 = +-p, impossible
-        for y in (ay, -ay):
-            for target in (p, -p):
-                row += _norm_solutions_for_y(maximal, y, target)
-        if row:
-            yield row
-            row = []
+    t, disc = el.order.trace_omega, el.order.discriminant
+    a = 2 * el.x + t * el.y
+    big = log(abs(a) * 2**64 + isqrt(el.y * el.y * disc * 2**128)) - 65 * log(2)
+    small = log(abs(el.norm())) - big
+    return (big, small) if a * el.y >= 0 else (small, big)
+
+
+def _least_y_exponents(gen: OrderElement, unit: OrderElement, k0: int, n0: int) -> list[int]:
+    """The exponents k = k0 (mod n0) that can give the least |y(gen*u**k)|.
+
+    u = unit > 1. Along a progression k = start + j*step with N(u**step) =
+    1, the embeddings of gen*u**k are A*e^tau and B*e^-tau for fixed A, B
+    and tau = k*log(u), so |y| = |A*e^tau - B*e^-tau|/sqrt(disc) is a |sinh|
+    or a cosh about the balance point log|B/A|/2: symmetric about it and
+    increasing away from it. Its least value on the progression is at the
+    j nearest the balance point. An exact tie, the balance point at a
+    midpoint, pairs an element with plus or minus its conjugate, which the
+    caller takes anyway. j is located in floating point, with a rounding
+    error of a few units in the last place of the logarithms involved;
+    when the balance point lies within a slack a million times that of a
+    midpoint, both neighbours are returned and the caller compares them
+    exactly, so rounding never picks the farther one.
+    When N(u**n0) = -1 the progression k0 + n0*Z splits into two, of step
+    2*n0, starting at k0 and at k0 + n0.
+    """
+    l1, l2 = _log_embeddings(gen)
+    balance = (l2 - l1) / (2 * _log_embeddings(unit)[0])
+    if unit.norm() == 1 or n0 % 2 == 0:
+        starts, step = (k0,), n0
+    else:
+        starts, step = (k0, k0 + n0), 2 * n0
+    out = []
+    for start in starts:
+        j = balance / step - start / step
+        near = floor(j + 0.5)
+        out.append(start + step * near)
+        slack = 1e-9 * (1 + abs(l1) + abs(l2) + abs(j))
+        if abs(abs(j - near) - 0.5) < slack:
+            out.append(start + step * (near + 1 if j > near else near - 1))
+    return out
 
 
 def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     """The canonical element of the order with norm +-p, or None.
 
-    For the maximal order: scan the box rows |y| upward (_norm_rows) and
-    return the solution with lexicographically least (|y|, |x|, signs) in
-    the first non-empty row, the canonical representative. For conductor
-    f > 1: every suborder solution is s*u**k for a box solution s of the
-    maximal order and u its unit, and if s*u**k lies in the order so does
-    s*u**(k-n0), u**n0 the suborder's unit. So the candidates are s*u**k
-    with k the least exponent putting s*u**k in the order, found per seed
-    by a discrete log modulo f (_unit_logs); only that hit is built
-    exactly, by powering. The candidates and their canonical minimum are
-    those of the full orbit.
+    Canonical means least in (|y|, |x|, y < 0, x < 0) (_canonical_key)
+    among all elements of the order of norm +-p. Each of them generates a
+    prime of the maximal order above p, so it is +-g*u**k or its conjugate,
+    g the generator ideal_generator gives of (p, w - r), r a root of
+    X^2 - tX + n modulo p, and u the maximal order's unit; there is none
+    when p is inert or that prime is not principal. Such an element lies
+    in the conductor-f order exactly for k = k0 (mod n0), k0 from the
+    discrete log _unit_log and u**n0 the suborder's unit (k0 = 0 and
+    n0 = 1 for the maximal order). _least_y_exponents places the least
+    |y| on that progression from the sizes of the embeddings; only those
+    one or two powers per progression are built, and the minimum over them,
+    their negatives and their conjugates is taken exactly.
     """
     if p == 2 or not is_prime(p):
         raise PreconditionError(f"{p} is not an odd prime")
-    if order.conductor % p == 0:
-        raise PreconditionError(f"{p} divides the conductor {order.conductor}")
-    if order.conductor == 1:
-        row = next(_norm_rows(order, p), None)
-        return None if row is None else min(row, key=_canonical_key)
     f = order.conductor
-    maximal = make_order(order.D, 1)
-    unit = fundamental_unit(maximal)
-    seeds = [el for row in _norm_rows(maximal, p) for el in row]
-    candidates = []
-    for seed, k in zip(seeds, _unit_logs(order, seeds, p)):
-        if k is not None:
-            hit = seed * unit**k
-            candidates.append(order.element(hit.x, hit.y // f))
-    if not candidates:
+    if f % p == 0:
+        raise PreconditionError(f"{p} divides the conductor {f}")
+    maximal = order if f == 1 else make_order(order.D, 1)
+    disc = maximal.discriminant
+    if legendre(disc, p) == -1:
         return None
+    r = (maximal.trace_omega + sqrt_mod(disc, p)) * ((p + 1) // 2) % p
+    gen = ideal_generator(maximal, p, -r)
+    if gen is None:
+        return None
+    k0, n0 = 0, 1
+    if f > 1:
+        k0 = _unit_log(order, gen)
+        if k0 is None:
+            return None
+        n0 = _unit_index(order)
+    unit = fundamental_unit(maximal)
+    candidates = []
+    for k in _least_y_exponents(gen, unit, k0, n0):
+        power = unit ** abs(k)  # u**k up to sign: u**-1 = N(u)*conj(u)
+        hit = gen * (power if k >= 0 else power.conjugate())
+        el = order.element(hit.x, hit.y // f)
+        candidates += [el, -el, el.conjugate(), -el.conjugate()]
     return min(candidates, key=_canonical_key)
 
 

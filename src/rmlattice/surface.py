@@ -24,7 +24,9 @@ surface, carry it by identity (det(B) pf / den^4 and norm(el) pf / den^2)
 instead of recomputing it, and no move re-checks its degree. validate
 checks the minimal polynomial A^2 - tA + n = 0 from the one product A^2,
 and the symmetry A^T E = E A from the one product E A, which must be
-alternating. Element actions x*I + y*A and the reorientation that swaps
+alternating; its verdict is kept on the surface the same way (the cached
+property `defect`), so the CLI and principalize check an input once.
+Element actions x*I + y*A and the reorientation that swaps
 the last two basis vectors are written out rather than built from matrix
 products.
 """
@@ -63,6 +65,27 @@ class PolarizedRMSurface:
         every serialized form see only (order, action, gram).
         """
         return intmat.pfaffian4(self.gram)
+
+    @cached_property
+    def defect(self) -> str | None:
+        """None when all invariants hold, else a message naming the first
+        failure; computed on first use and then kept, like pf."""
+        e, a = self.gram, self.action
+        if not intmat.is_antisymmetric(e):
+            return "gram form is not antisymmetric"
+        if self.pf == 0:
+            return "gram form is degenerate"
+        t, n = self.order.trace_omega, self.order.norm_omega
+        # A^2 - tA + n = 0, entry by entry from the one product A^2
+        for i, (row2, row) in enumerate(zip(intmat.mat_mul(a, a), a)):
+            for j, (x2, x) in enumerate(zip(row2, row)):
+                if x2 - t * x + (n if i == j else 0):
+                    return "action does not satisfy the order's minimal polynomial"
+        # E is alternating, so A^T E = -(E A)^T: A^T E = E A exactly when E A
+        # is alternating too
+        if not intmat.is_antisymmetric(intmat.mat_mul(e, a)):
+            return "action is not symmetric for the gram form"
+        return None
 
     def __repr__(self) -> str:
         try:
@@ -109,23 +132,9 @@ class KernelSubgroup:
 
 
 def validate(surface: PolarizedRMSurface) -> str | None:
-    """None when all invariants hold, else a message naming the first failure."""
-    e, a = surface.gram, surface.action
-    if not intmat.is_antisymmetric(e):
-        return "gram form is not antisymmetric"
-    if surface.pf == 0:
-        return "gram form is degenerate"
-    t, n = surface.order.trace_omega, surface.order.norm_omega
-    # A^2 - tA + n = 0, entry by entry from the one product A^2
-    for i, (row2, row) in enumerate(zip(intmat.mat_mul(a, a), a)):
-        for j, (x2, x) in enumerate(zip(row2, row)):
-            if x2 - t * x + (n if i == j else 0):
-                return "action does not satisfy the order's minimal polynomial"
-    # E is alternating, so A^T E = -(E A)^T: A^T E = E A exactly when E A
-    # is alternating too
-    if not intmat.is_antisymmetric(intmat.mat_mul(e, a)):
-        return "action is not symmetric for the gram form"
-    return None
+    """None when all invariants hold, else a message naming the first
+    failure: the surface's kept verdict (PolarizedRMSurface.defect)."""
+    return surface.defect
 
 
 def degree(surface: PolarizedRMSurface) -> int:

@@ -15,11 +15,9 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from rmlattice import (
-    PreconditionError,
     enlarge_order_step,
     make_order,
     principalize,
-    solve_norm,
     standard_instance,
     twist_by_element,
 )
@@ -266,6 +264,27 @@ def test_info_computes_one_pfaffian(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cli_principalize_validates_its_input_once(tmp_path, monkeypatch):
+    # The CLI validates the parsed instance and principalize asks again;
+    # the verdict kept on the surface makes the second ask free, so the CLI
+    # adds no matrix product to those of principalize itself.
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(generate_instance(5, 9, [11], seed=2)))
+    calls = []
+    real = intmat.mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(intmat, "mat_mul", counting)
+    principalize(parse_instance(inst.read_text()))
+    direct = len(calls)
+    calls.clear()
+    assert main(["principalize", str(inst), "-o", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == direct
+
+
 def test_cli_prints_integers_past_the_digit_limit(tmp_path, capsys):
     # a discriminant 5 * 3^10000 and a degree 2^14400, both past the
     # interpreter's int/str digit limit of 4300, once ended info and
@@ -329,23 +348,18 @@ def test_cli_generate_in_a_big_unit_field(tmp_path, conductor):
         assert main(["verify", str(inst), str(cert)]) == 0
 
 
-def test_norm_search_refusal_names_the_prime_the_field_and_the_box(tmp_path, capsys):
-    # The unit of Q(sqrt 5) is the golden ratio; it is the prime that makes
-    # the box too tall.
-    p = 10**12 + 39
-    text = (
-        f"norm-equation search for {p} in Q(sqrt(5)) needs a box of 1137730 "
-        "rows, over the limit of 10^6"
-    )
-    with pytest.raises(PreconditionError) as exc:
-        solve_norm(make_order(5, 1), p)
-    assert str(exc.value) == text
-    capsys.readouterr()
-    code = main([
-        "generate", "--D", "5", "--degree-primes", str(p), "-o", str(tmp_path / "x.json"),
-    ])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {text}\n"
+def test_cli_round_trip_at_a_prime_near_10_to_the_12(tmp_path):
+    # The norm-equation box for this prime over Q(sqrt 5) had 1137730 rows,
+    # and generate refused it with exit 2.
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    assert main([
+        "generate", "--D", "5", "--degree-primes", "1000000000039", "-o", str(inst),
+    ]) == 0
+    assert main([
+        "principalize", str(inst), "-o", str(tmp_path / "out.json"),
+        "--cert-out", str(cert),
+    ]) == 0
+    assert main(["verify", str(inst), str(cert)]) == 0
 
 
 def test_cli_generate_rejects_inert_prime(tmp_path):

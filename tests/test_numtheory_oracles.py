@@ -4,16 +4,21 @@ The scans below are the value-linear algorithms that fundamental_unit,
 solve_norm and humbert_nonempty replaced, kept verbatim apart from their
 names (and the walk calling the old unit scan) as test-only references,
 with the exact real-embedding test embeds_above_one that the unit scan
-needs. orbit_hit and walk_unit_index are the unit-orbit walks modulo the
-conductor that the discrete log _unit_logs and the group-order
-_unit_index replaced.
+needs. box_solve_norm is the norm-equation box scan that the cycle of
+reduced forms (ideal_generator) replaced: it scans the rows |y| = 1, 2, ...
+of a box that holds a unit multiple of every solution, and in a suborder
+lifts every box solution by the discrete log _unit_log. orbit_hit and
+walk_unit_index are the unit-orbit walks modulo the conductor that the
+discrete log _unit_log and the group-order _unit_index replaced.
 sympy is a second, independent oracle, and the only one for sqrt_mod.
 Hypothesis runs derandomized, so every run checks the same cases.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import ceil, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,12 +30,11 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 from rmlattice.arith import factorize, is_squarefree, sqrt_mod
 from rmlattice.errors import InvariantBreach
 from rmlattice.quadratic import (
+    OrderElement,
     _canonical_key,
-    _norm_rows,
-    _norm_search_bound,
-    _norm_solutions_for_y,
     _unit_index,
-    _unit_logs,
+    _unit_log,
+    are_associates_in_maximal,
     fundamental_unit,
     humbert_nonempty,
     make_order,
@@ -44,6 +48,85 @@ ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 # ---------------------------------------------------------------------------
 # the replaced scans
 # ---------------------------------------------------------------------------
+
+
+def sqrt_upper(n: int, scale: int = 10**8) -> Fraction:
+    """A rational upper bound on sqrt(n), tight to about 1/scale."""
+    return Fraction(isqrt(n * scale * scale) + 1, scale)
+
+
+def sqrt_lower(n: int, scale: int = 10**8) -> Fraction:
+    """A rational lower bound on sqrt(n)."""
+    return Fraction(isqrt(n * scale * scale), scale)
+
+
+def sqrt_upper_frac(q: Fraction, scale: int = 10**8) -> Fraction:
+    """A rational upper bound on sqrt(q) for a nonnegative rational q."""
+    n, d = q.numerator, q.denominator
+    return Fraction(isqrt(n * d * scale * scale) + 1, d * scale)
+
+
+def norm_solutions_for_y(order, y: int, target: int):
+    """Integer x with norm(x + y*w) == target, by the quadratic formula."""
+    t, n = order.trace_omega, order.norm_omega
+    disc = t * t * y * y - 4 * (n * y * y - target)
+    if disc < 0:
+        return []
+    r = isqrt(disc)
+    if r * r != disc:
+        return []
+    out = []
+    for root in {r, -r}:
+        num = -t * y + root
+        if num % 2 == 0:
+            out.append(order.element(num // 2, y))
+    return out
+
+
+def norm_search_bound(order, p: int) -> int:
+    """The |y| bound below which a solution must appear if any exists.
+
+    Any element of norm +-p has a unit multiple whose two real embeddings
+    lie in [-B, B] for B = sqrt(p * u0), u0 the fundamental unit value, so
+    a solution exists iff one exists with |y| <= 2B/sqrt(disc).
+    """
+    u0 = fundamental_unit(order)
+    disc, t = order.discriminant, order.trace_omega
+    w_hi, s_lo = (t + sqrt_upper(disc)) / 2, sqrt_lower(disc)
+    u0_hi = u0.x + u0.y * w_hi  # u0.y > 0, so this bounds the unit value above
+    bound = sqrt_upper_frac(Fraction(p) * u0_hi)
+    return ceil(2 * bound / s_lo) + 1
+
+
+def box_norm_rows(maximal, p: int):
+    """The norm +-p elements of the maximal order inside the search box,
+    one list per non-empty row |y| = 1, 2, ...; up to sign and unit
+    multiples they represent every solution."""
+    row = []
+    for ay in range(1, norm_search_bound(maximal, p) + 1):
+        for y in (ay, -ay):
+            for target in (p, -p):
+                row += norm_solutions_for_y(maximal, y, target)
+        if row:
+            yield row
+            row = []
+
+
+def box_solve_norm(order, p):
+    if order.conductor == 1:
+        row = next(box_norm_rows(order, p), None)
+        return None if row is None else min(row, key=_canonical_key)
+    f = order.conductor
+    maximal = make_order(order.D, 1)
+    unit = fundamental_unit(maximal)
+    seeds = [el for row in box_norm_rows(maximal, p) for el in row]
+    candidates = []
+    for seed in seeds:
+        k = _unit_log(order, seed)
+        if k is not None:
+            hit = seed * unit**k
+            candidates.append(order.element(hit.x, hit.y // f))
+    return min(candidates, key=_canonical_key) if candidates else None
 
 
 def _sign_plus_root(a: int, b: int, disc: int) -> int:
@@ -84,7 +167,7 @@ def scan_fundamental_unit(order):
         candidates = [
             el
             for target in (1, -1)
-            for el in _norm_solutions_for_y(order, y, target)
+            for el in norm_solutions_for_y(order, y, target)
             if embeds_above_one(el)
         ]
         if candidates:
@@ -93,13 +176,13 @@ def scan_fundamental_unit(order):
 
 def walk_solve_norm(order, p):
     if order.conductor == 1:
-        y_max = _norm_search_bound(order, p)
+        y_max = norm_search_bound(order, p)
         for ay in range(1, y_max + 1):
             solutions = [
                 el
                 for y in (ay, -ay)
                 for target in (p, -p)
-                for el in _norm_solutions_for_y(order, y, target)
+                for el in norm_solutions_for_y(order, y, target)
             ]
             if solutions:
                 return min(solutions, key=_canonical_key)
@@ -108,7 +191,7 @@ def walk_solve_norm(order, p):
     maximal = make_order(order.D, 1)
     unit = scan_fundamental_unit(maximal)
     candidates = []
-    for seed in (el for row in _norm_rows(maximal, p) for el in row):
+    for seed in (el for row in box_norm_rows(maximal, p) for el in row):
         current = seed
         seen = set()
         while (current.x % f, current.y % f) not in seen:
@@ -243,9 +326,9 @@ def test_unit_logs_and_unit_index_match_the_walks(D, half, odd, p):
     unit = fundamental_unit(maximal)
     n0 = walk_unit_index(order)
     assert _unit_index(order) == n0
-    seeds = [el for row in _norm_rows(maximal, p) for el in row]
+    seeds = [el for row in box_norm_rows(maximal, p) for el in row]
     walks = [orbit_hit(maximal, seed, unit, f, n0) for seed in seeds]
-    assert _unit_logs(order, seeds, p) == walks
+    assert [_unit_log(order, seed) for seed in seeds] == walks
 
 
 @pytest.mark.parametrize(
@@ -261,6 +344,83 @@ def test_unit_logs_and_unit_index_match_the_walks(D, half, odd, p):
 def test_solve_norm_matches_exact_walk_on_fixed_cases(D, f, p):
     order = make_order(D, f)
     assert solve_norm(order, p) == walk_solve_norm(order, p)
+
+
+SMALL_PRIMES = [p for p in range(3, 200, 2) if all(p % q for q in range(3, p, 2))]
+
+
+@pytest.mark.parametrize("D", [D for D in SQUAREFREE if D <= 60] + [94, 139])
+def test_solve_norm_matches_box_scan_on_maximal_orders(D):
+    order = make_order(D, 1)
+    for p in SMALL_PRIMES:
+        assert solve_norm(order, p) == box_solve_norm(order, p), p
+
+
+@ORACLE
+@given(
+    st.sampled_from([2, 3, 5, 6, 10, 13, 15, 17, 33, 46, 94]),
+    st.integers(2, 400),
+    st.sampled_from(SMALL_PRIMES),
+)
+def test_solve_norm_matches_box_scan_on_suborders(D, f, p):
+    assume(f % p)
+    order = make_order(D, f)
+    assert solve_norm(order, p) == box_solve_norm(order, p)
+
+
+def test_solve_norm_pins():
+    # |y| along u = (1+sqrt 5)/2 is 3, 1, 2, 1, 3 around 2+w: not unimodal,
+    # because N(u) = -1; the two minima tie and |x| decides
+    assert solve_norm(make_order(5, 1), 5) == make_order(5, 1).element(2, 1)
+    # the sign normalization: y > 0, then x >= 0
+    assert solve_norm(make_order(2, 1), 7) == make_order(2, 1).element(3, 1)
+    # Q(sqrt 10) has class number 2 and the primes above 3 are not principal
+    assert solve_norm(make_order(10, 1), 3) is None
+    assert box_solve_norm(make_order(10, 1), 3) is None
+
+
+@pytest.mark.parametrize(
+    "D,p",
+    [
+        (5, 10**12 + 39), (5, 10**15 + 91), (5, 10**18 + 9),
+        (2, 10**12 + 39), (2, 10**15 + 159), (2, 10**18 + 9),
+    ],
+)
+def test_solve_norm_at_large_primes_matches_sympy(D, p):
+    # diop_DN gives the least solution of each class of X^2 - D*Y^2 = +-4p
+    # for D = 1 (mod 4), an element (X - Y)/2 + Y*w, and of X^2 - D*Y^2 =
+    # +-p otherwise, an element X + Y*w
+    order = make_order(D, 1)
+    scale = 4 if order.trace_omega else 1
+    solutions = []
+    for n in (p, -p):
+        for X, Y in diop_DN(D, scale * n):
+            el = order.element((X - Y) // 2 if scale == 4 else X, Y)
+            solutions += [el, -el, el.conjugate(), -el.conjugate()]
+    assert solutions
+    el = solve_norm(order, p)
+    assert el == min(solutions, key=_canonical_key)
+    assert abs(el.norm()) == p
+    assert all(
+        are_associates_in_maximal(el, other)
+        or are_associates_in_maximal(el.conjugate(), other)
+        for other in solutions
+    )
+
+
+def test_suborder_solve_norm_builds_few_unit_powers(monkeypatch):
+    # The box scan lifted each of its 24 seeds by its own unit power.
+    calls = []
+    real = OrderElement.__pow__
+
+    def counting(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(OrderElement, "__pow__", counting)
+    el = solve_norm(make_order(5, 3**12), 11)
+    assert abs(el.norm()) == 11
+    assert len(calls) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from rmlattice import (
     solve_norm,
     splitting_type,
 )
+from rmlattice import generator
 from rmlattice.generator import generate_instance
 from rmlattice.oracle import verify_certificate
 from test_numtheory_oracles import embeds_above_one
@@ -245,6 +246,24 @@ def test_suborder_search_at_a_ten_million_conductor():
         True, "certificate replays to an identical surface"
     )
     assert time.perf_counter() - start < 5.0
+
+
+def test_generate_solves_each_degree_prime_once(monkeypatch):
+    # Over conductor 1 the precondition check and the degree raise ask for
+    # the same solve; a repeated prime asks again.
+    calls = []
+    real = generator.factor_prime
+
+    def counting(order, p):
+        calls.append((order.conductor, p))
+        return real(order, p)
+
+    monkeypatch.setattr(generator, "factor_prime", counting)
+    generate_instance(5, 1, [11, 19, 11], 3)
+    assert calls == [(1, 11), (1, 19)]
+    calls.clear()
+    generate_instance(5, 3, [11, 11], 3)
+    assert calls == [(1, 11), (3, 11)]
 
 
 # ---------------------------------------------------------------------------
