@@ -5,11 +5,15 @@ from __future__ import annotations
 from itertools import count
 from math import gcd
 
+from .errors import PreconditionError
+
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # factorize trial-divides below this bound and splits larger cofactors by rho.
 _TRIAL_BOUND = 1000
+# Pollard-Brent rho gives up on a cofactor after this many steps of its map.
+_RHO_BUDGET = 1 << 22
 
 
 def is_prime(n: int) -> bool:
@@ -35,13 +39,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise PreconditionError(f"{int_text(p)} is not an odd prime")
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization, {prime: exponent}.
 
     Trial division by 2, 3 and 6k+-1 up to _TRIAL_BOUND, testing the
     cofactor for primality at the start and again only after a division
     has shrunk it. A composite cofactor left after trial division has no
-    prime below the bound and is split by Pollard-Brent rho.
+    prime below the bound and is split by Pollard-Brent rho, which raises
+    PreconditionError when _RHO_BUDGET steps find no divisor: a product of
+    two primes near 10^24 is refused in seconds rather than run for years.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -84,10 +95,18 @@ def _brent_divisor(n: int) -> int:
 
     Deterministic: the map y -> y^2 + c runs with c = 1, 2, ... until a run
     ends with a proper divisor. Products of 128 differences share one gcd.
+    A round of r steps is charged 2r against _RHO_BUDGET before it starts.
     """
+    budget = _RHO_BUDGET
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                raise PreconditionError(
+                    f"cannot factor {int_text(n)}: Pollard-Brent rho found no "
+                    f"divisor in {_RHO_BUDGET} steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

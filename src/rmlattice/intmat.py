@@ -15,7 +15,8 @@ Conventions:
   * the canonical basis of a column lattice is its column-style Hermite
     normal form: lower triangular, positive diagonal, and every entry to
     the left of a diagonal entry reduced into [0, diagonal);
-  * Smith normal form divisors are nonnegative with d1 | d2 | ... .
+  * elementary divisors are listed as in the Smith normal form: positive,
+    with d1 | d2 | ... .
 """
 
 from __future__ import annotations
@@ -167,95 +168,6 @@ def hnf_mod(columns, d: int) -> IntMat:
             if q:
                 pivots[k] = [x - q * y for x, y in zip(pivots[k], pivots[i])]
     return transpose(pivots)
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-
-def snf_with_transforms(m) -> tuple[IntMat, IntMat, IntMat]:
-    """Return (u, s, v) with u @ m @ v = s in Smith normal form.
-
-    u and v are unimodular; s is diagonal with nonnegative divisors
-    d1 | d2 | ... . Works for any rectangular integer matrix.
-    """
-    a = [list(r) for r in m]
-    nrows, ncols = len(a), len(a[0])
-    u = [list(r) for r in identity(nrows)]
-    v = [list(r) for r in identity(ncols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in a:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # Locate a minimal nonzero entry in the trailing block.
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        # Clear the pivot row and column; restart if a remainder appears.
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-        # Enforce divisibility of the rest of the block by the pivot.
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # pulls the offending row into row t
-            continue
-        if p < 0:
-            row_negate(t)
-        t += 1
-    return freeze(u), freeze(a), freeze(v)
 
 
 def alternating_divisors(m, pf: int) -> tuple[int, int, int, int]:

@@ -87,6 +87,7 @@ def divide_by_symmetric(
     """
     if el.is_zero():
         raise PreconditionError("cannot divide by zero")
-    if el.is_unit():
+    n = el.norm()
+    if abs(n) == 1:
         raise PreconditionError("dividing by a unit is the identity; not a step")
-    return twist_by_element(surface, el.conjugate(), el.norm())
+    return twist_by_element(surface, el.conjugate(), n)

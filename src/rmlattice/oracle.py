@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import intmat
-from .arith import int_text, is_prime
+from .arith import int_text, is_prime, require_odd_prime
 from .errors import DescentError, InvariantBreach, LatticeModelError, PreconditionError
 from .isogeny import descend_polarization
 from .reduction import CertificateData, principalize
@@ -119,8 +119,7 @@ def check_symmetric_rank_even(p: int, trials: int, seed: int = 0) -> bool:
     have image of even rank, with each image vector pairing to zero with its
     preimage. Returns True when every seeded trial confirms both.
     """
-    if p == 2 or not is_prime(p):
-        raise PreconditionError(f"{p} is not an odd prime")
+    require_odd_prime(p)
     rng = random.Random(seed)
     for _ in range(trials):
         while True:

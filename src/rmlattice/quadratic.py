@@ -9,12 +9,14 @@ on. Elements are stored as integer pairs (x, y) meaning x + y*w.
 
 Besides element arithmetic this module provides prime splitting, the
 fundamental unit, norm equations, prime factorization into norm +-p
-elements, a conductor Bezout identity for non-associate factors, and the
-Humbert congruence test. A norm +-p element generates a prime above p,
-and ideal_generator finds a generator of that prime, or proves there is
-none, by walking the cycle of reduced forms of its norm form; nothing
-scans a box. Every other solution is a unit multiple of it or of its
-conjugate. In a conductor-f suborder the question reduces to the group
+elements, a conductor Bezout identity for non-associate factors, solved
+on a two-row Hermite form, and the Humbert congruence test. One walk
+around a cycle of reduced forms (_reduced_cycle) gives both the unit,
+from the cycle of the principal form, and the generator of a prime above
+p, or a proof that there is none, from the cycle of the prime's norm
+form; nothing scans a box. A norm +-p element generates such a prime,
+and every other solution is a unit multiple of it or of its conjugate.
+In a conductor-f suborder the question reduces to the group
 G = (O_F/f)^*/(Z/f)^*: the suborder's unit is u**n0, n0 the order of u
 in G read off |G| = prod over q^e || f of q^(e-1)*(q - chi(q)), and the
 generator reaches the suborder at the exponents k0 + n0*Z, k0 found by a
@@ -29,9 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import floor, isqrt, log
 
-from .arith import factorize, is_prime, is_squarefree, legendre, sqrt_mod
+from .arith import factorize, is_squarefree, legendre, require_odd_prime, sqrt_mod
 from .errors import PreconditionError
-from .intmat import freeze, snf_with_transforms
 
 SPLIT = "split"
 INERT = "inert"
@@ -167,14 +168,14 @@ class OrderElement:
 def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     """The smallest unit > 1 of the order itself (not of the maximal order).
 
-    For the maximal order, by the continued fraction of the reduced
-    quadratic irrational a0 = (b + sqrt(disc))/2, b the largest integer
-    below sqrt(disc) of the parity of disc (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 5.7.2). Its expansion is
-    purely periodic, and over the first period of length k the unit
-    q_{k-1}*a0 + q_{k-2}, q the convergent denominators, is the fundamental
-    unit of the order Z[a0] = Z[w]. The work is linear in the period, which
-    is O(sqrt(disc) log disc), however large the unit is.
+    For the maximal order, from the cycle of reduced forms (_reduced_cycle)
+    of the order as an ideal, started at the principal form (1, B, C), B
+    the largest integer below sqrt(disc) of the parity of disc. The next
+    form with |A| = 1 on the cycle puts a unit of norm A first in the
+    basis, and it is the fundamental unit up to sign and conjugation; of
+    those four the one > 1 has trace and y both positive. The work is
+    linear in the cycle, which is O(sqrt(disc) log disc), however large the
+    unit is.
 
     For conductor f > 1 the unit group is the cyclic subgroup of
     maximal-order units landing in the order, so the answer is u**n0 for
@@ -183,22 +184,14 @@ def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     if order.conductor > 1:
         power = fundamental_unit(make_order(order.D, 1)) ** _unit_index(order)
         return order.element(power.x, power.y // order.conductor)
-    disc = order.discriminant
+    t, disc = order.trace_omega, order.discriminant
     s = isqrt(disc)
-    b = s if (disc - s) % 2 == 0 else s - 1
-    p_num, q_den = b, 2  # a_i = (p_num + sqrt(disc)) / q_den
-    q_prev, q_prev2 = 0, 1  # q_{i-1}, q_{i-2}
-    while True:
-        a = (p_num + s) // q_den
-        q_prev, q_prev2 = a * q_prev + q_prev2, q_prev
-        p_num = a * q_den - p_num
-        q_den = (disc - p_num * p_num) // q_den
-        if (p_num, q_den) == (b, 2):
-            break
-    # a0 = w + c with c = (b - trace_omega)/2, an integer: b, disc and the
-    # trace share a parity.
-    c = (b - order.trace_omega) // 2
-    return order.element(q_prev * c + q_prev2, q_prev)
+    b = s if (disc - s) % 2 == 0 else s - 1  # b, disc and t share a parity
+    cycle = _reduced_cycle(order, 1, (b - t) // 2)
+    next(cycle)  # the principal form itself, with the basis element 1
+    x, y = next(el for (A, _, _), el in cycle if abs(A) == 1)
+    a = 2 * x + t * y  # the unit is (a + y*sqrt(disc))/2
+    return order.element((abs(a) - t * abs(y)) // 2, abs(y))
 
 
 # Residues of the maximal order modulo the conductor f are pairs (x, y)
@@ -328,31 +321,29 @@ def _unit_log(order: RealQuadraticOrder, seed: OrderElement) -> int | None:
 
 def splitting_type(order: RealQuadraticOrder, p: int) -> str:
     """Behavior of an odd prime: split, inert, ramified, or divides_conductor."""
-    if p == 2 or not is_prime(p):
-        raise PreconditionError(f"{p} is not an odd prime")
+    require_odd_prime(p)
     if order.conductor % p == 0:
         return DIVIDES_CONDUCTOR
     s = legendre(order.fundamental_discriminant, p)
     return SPLIT if s == 1 else (INERT if s == -1 else RAMIFIED)
 
 
-def ideal_generator(order: RealQuadraticOrder, a: int, b: int) -> OrderElement | None:
-    """A generator of the ideal with Hermite basis (a, b + w), or None.
+def _reduced_cycle(order: RealQuadraticOrder, a: int, b: int):
+    """Yield (form, alpha) along the rho steps from the ideal with Hermite
+    basis (a, b + w), through one full cycle of reduced forms.
 
     a > 0 must divide N(b + w), and the ideal's norm form below must be
     primitive, as it is for a prime a. On a basis (alpha, beta) of the
     ideal the form N(x*alpha + y*beta)/a is (A, B, C), starting from
-    (a, 2b + t, N(b + w)/a). A form with |A| = 1 makes alpha an element of
-    norm +-a in the ideal, a generator. Each rho step (Cohen, A Course in
-    Computational Algebraic Number Theory, §5.6 and §5.8) takes (A, B, C) to
+    (a, 2b + t, N(b + w)/a), so alpha has norm A*a; alpha is yielded as its
+    coordinates (x, y). Each rho step (Cohen, A Course in Computational
+    Algebraic Number Theory, §5.6 and §5.8) takes (A, B, C) to
     (C, r, (r^2 - disc)/4C), r = -B modulo 2C in the normalized range, and
     the basis to (beta, q*beta - alpha), q = (B + r)/2C. From any form
     these steps reach a reduced one, |sqrt(disc) - 2|A|| < B < sqrt(disc),
     and from there run around the cycle of the reduced forms properly
-    equivalent to it. A principal ideal's cycle holds a reduced form
-    (+-1, B, C), so a walk back to the first reduced form without |A| = 1
-    proves the ideal is not principal. The walk is linear in the cycle,
-    which is bounded by the regulator, as the unit computation is.
+    equivalent to it. The walk ends after yielding the first reduced form
+    again.
     """
     t, disc = order.trace_omega, order.discriminant
     s = isqrt(disc)  # disc is not a square, so sqrt(disc) is never an integer
@@ -360,14 +351,13 @@ def ideal_generator(order: RealQuadraticOrder, a: int, b: int) -> OrderElement |
     form = (a, 2 * b + t, (b * b + t * b + order.norm_omega) // a)
     first = None
     while True:
+        yield form, (ax, ay)
         A, B, C = form
-        if abs(A) == 1:
-            return order.element(ax, ay)
         if 0 < B <= s < B + 2 * abs(A) and 2 * abs(A) - B <= s:  # reduced
             if first is None:
                 first = form
             elif form == first:
-                return None
+                return
         c2 = 2 * abs(C)
         if abs(C) > s:  # |C| > sqrt(disc): -|C| < r <= |C|
             r = -B % c2
@@ -378,6 +368,21 @@ def ideal_generator(order: RealQuadraticOrder, a: int, b: int) -> OrderElement |
         q = (B + r) // (2 * C)
         (ax, ay), (bx, by) = (bx, by), (q * bx - ax, q * by - ay)
         form = (C, r, (r * r - disc) // (4 * C))
+
+
+def ideal_generator(order: RealQuadraticOrder, a: int, b: int) -> OrderElement | None:
+    """A generator of the ideal with Hermite basis (a, b + w), or None.
+
+    On the walk _reduced_cycle, a form with |A| = 1 makes alpha an element
+    of norm +-a in the ideal, a generator. A principal ideal's cycle holds
+    a reduced form (+-1, B, C), so a walk that closes its cycle without
+    |A| = 1 proves the ideal is not principal. The walk is linear in the
+    cycle, which is bounded by the regulator, as the unit computation is.
+    """
+    for (A, _, _), (x, y) in _reduced_cycle(order, a, b):
+        if abs(A) == 1:
+            return order.element(x, y)
+    return None
 
 
 def _log_embeddings(el: OrderElement) -> tuple[float, float]:
@@ -446,8 +451,7 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     one or two powers per progression are built, and the minimum over them,
     their negatives and their conjugates is taken exactly.
     """
-    if p == 2 or not is_prime(p):
-        raise PreconditionError(f"{p} is not an odd prime")
+    require_odd_prime(p)
     f = order.conductor
     if f % p == 0:
         raise PreconditionError(f"{p} divides the conductor {f}")
@@ -482,17 +486,14 @@ def _canonical_key(el: OrderElement) -> tuple[int, int, int, int]:
 def factor_prime(order: RealQuadraticOrder, p: int) -> tuple[OrderElement, OrderElement] | None:
     """Factor p = a1 * a2 with |norm(a1)| = |norm(a2)| = p, or None.
 
-    a1 is the canonical solve_norm output and a2 the exact cofactor p / a1,
-    which is a unit multiple of the conjugate of a1 and lies in the order.
+    a1 is the canonical solve_norm output and a2 the exact cofactor p / a1:
+    a1 * conj(a1) = N(a1) = +-p, so a2 is conj(a1) or its negative, by the
+    sign of N(a1).
     """
     a1 = solve_norm(order, p)
     if a1 is None:
         return None
-    n = a1.norm()
-    a2 = a1.conjugate() if n == p else -a1.conjugate()
-    prod = a1 * a2
-    assert prod == order.element(p, 0), "cofactor does not multiply back to p"
-    assert abs(a2.norm()) == p
+    a2 = a1.conjugate() if a1.norm() > 0 else -a1.conjugate()
     return a1, a2
 
 
@@ -564,6 +565,14 @@ def bezout_conductor(
     """Solve conductor = a1*b1 + a2*b2 in the order: a deterministic,
     size-reduced solution, not in general the smallest one.
 
+    The columns of G = (a1, a1*w, a2, a2*w), as (x, y) pairs, span the
+    ideal a1*O + a2*O. Column Euclid on the y row and then on the x row,
+    tracked in a unimodular V, leaves G*V with columns (h, g_y), (g_x, 0),
+    0, 0: a Hermite form of the ideal. So (f, 0) is in the span exactly
+    when g_y != 0 and g_x divides f, the solution (f/g_x)*V[:, 1] is
+    unique up to the relations V[:, 2] and V[:, 3], and _reduce_bezout
+    size-reduces it against them.
+
     Raises PreconditionError when the conductor is not in the span, which
     happens exactly when the factors are associates.
     """
@@ -573,38 +582,24 @@ def bezout_conductor(
     if a2.is_unit():
         return (order.element(0, 0), a2.inverse_unit() * f)
     w = order.omega()
-    gens = [a1, a1 * w, a2, a2 * w]
-    g = freeze([[el.x for el in gens], [el.y for el in gens]])
-    u, s, v = snf_with_transforms(g)
-    target = (f, 0)
-    ut = (
-        u[0][0] * target[0] + u[0][1] * target[1],
-        u[1][0] * target[0] + u[1][1] * target[1],
-    )
-    yvec = [0, 0, 0, 0]
-    for i in range(2):
-        d = s[i][i]
-        if d == 0:
-            if ut[i] != 0:
-                raise PreconditionError(
-                    "conductor is not in the span of the factors (associate factors)"
-                )
-        else:
-            if ut[i] % d:
-                raise PreconditionError(
-                    "conductor is not in the span of the factors (associate factors)"
-                )
-            yvec[i] = ut[i] // d
-    c = [sum(v[r][k] * yvec[k] for k in range(4)) for r in range(4)]
-    # Relation lattice: columns of v beyond the rank (s has rank <= 2 here).
-    rank = sum(1 for i in range(2) if s[i][i] != 0)
-    if rank < 2:
+    # each column is (x, y) of G over the matching column of V
+    cols = [
+        [el.x, el.y] + [int(i == j) for i in range(4)]
+        for j, el in enumerate((a1, a1 * w, a2, a2 * w))
+    ]
+    for row, pivot in ((1, 0), (0, 1)):  # the y row into column 0, the x row into 1
+        for j in range(pivot + 1, 4):
+            u, v = cols[pivot], cols[j]
+            while v[row]:
+                k = u[row] // v[row]
+                u, v = v, [a - k * b for a, b in zip(u, v)]
+            cols[pivot], cols[j] = u, v
+    g_y, g_x = cols[0][1], cols[1][0]
+    if g_y == 0 or f % g_x:
         raise PreconditionError(
             "conductor is not in the span of the factors (associate factors)"
         )
-    k1 = [v[r][2] for r in range(4)]
-    k2 = [v[r][3] for r in range(4)]
-    c = _reduce_bezout(c, k1, k2)
+    c = _reduce_bezout([f // g_x * v for v in cols[1][2:]], cols[2][2:], cols[3][2:])
     b1 = order.element(c[0], c[1])
     b2 = order.element(c[2], c[3])
     assert a1 * b1 + a2 * b2 == order.element(f, 0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import intmat
-from .arith import factorize, int_text, is_prime
+from .arith import factorize, int_text, require_odd_prime
 from .errors import DescentError, InvariantBreach, PreconditionError
 from .isogeny import (
     DIVIDE,
@@ -60,11 +60,6 @@ class CertificateData:
 
     steps: tuple[IsogenyStep, ...]
     final: PolarizedRMSurface
-
-
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise PreconditionError(f"{int_text(p)} is not an odd prime")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +108,7 @@ def squarefree_reduce(
     quotient by a k-dimensional subspace to pf/p^k, so each move strictly
     lowers the p-valuation of the degree.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     steps: list[IsogenyStep] = []
     current = surface
     while True:
@@ -191,7 +186,7 @@ def enlarge_order_step(
     rank of the action mod p and any value other than 2 is an invariant
     breach, never something to continue past.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     order = surface.order
     f = order.conductor
     if f % p != 0:
@@ -284,7 +279,7 @@ def reduce_degree_step(
     step carries the branch label, unless squarefree reduction alone
     cleared p.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     order = surface.order
     if order.conductor % p == 0:
         raise PreconditionError(f"{int_text(p)} divides the conductor")

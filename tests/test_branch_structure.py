@@ -27,7 +27,7 @@ from rmlattice.generator import generate_instance
 from rmlattice.reduction import _branch_decision, reduce_degree_step, squarefree_reduce
 from rmlattice.surface import canonicalize_orientation, polarization_kernel_mod_p
 from test_acceptance import branch_corpus  # noqa: F401  (module-scoped fixture)
-from test_intmat_oracles import mat_add, scalar_mul
+from test_intmat_oracles import mat_add, scalar_mul, snf_with_transforms
 
 
 def symmetric_form_lattice_basis(surface):
@@ -50,7 +50,7 @@ def symmetric_form_lattice_basis(surface):
                     val += a[i][c]
                 row.append(val)
             rows.append(tuple(row))
-    _, snf, v = intmat.snf_with_transforms(intmat.freeze(rows))
+    _, snf, v = snf_with_transforms(intmat.freeze(rows))
     basis = []
     for j in range(6):
         divisor = snf[j][j] if j < len(snf) else 0

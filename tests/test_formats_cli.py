@@ -21,7 +21,7 @@ from rmlattice import (
     standard_instance,
     twist_by_element,
 )
-from rmlattice import intmat
+from rmlattice import arith, intmat
 from rmlattice.arith import int_text
 from rmlattice.cli import main
 from rmlattice.formats import (
@@ -375,6 +375,26 @@ def test_cli_generate_rejects_even_conductor(tmp_path):
         "generate", "--D", "5", "--conductor", "2", "-o", str(tmp_path / "x.json"),
     ])
     assert code == 2
+
+
+def test_cli_refuses_a_field_whose_D_rho_cannot_factor(tmp_path, capsys, monkeypatch):
+    # D is the product of two primes near 10^24 and 3*10^24. The full rho
+    # budget refuses it in seconds; a small one takes the same exits.
+    D = (10**24 + 7) * (3 * 10**24 + 17)
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+    code = main([
+        "generate", "--D", str(D), "--degree-primes", "3", "-o", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert f"cannot factor {D}" in capsys.readouterr().err
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--D", "5", "--seed", "1", "-o", str(inst)]) == 0
+    obj = json.loads(inst.read_text(encoding="utf-8"))
+    obj["order"]["D"] = str(D)
+    inst.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["info", str(inst)]) == 1
+    assert f"cannot factor {D}" in capsys.readouterr().err
 
 
 def test_cli_principalize_exit_codes(tmp_path):

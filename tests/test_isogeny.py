@@ -25,7 +25,8 @@ from rmlattice import (
     twist_by_element,
     validate,
 )
-from rmlattice import intmat
+from rmlattice import intmat, isogeny
+from rmlattice.quadratic import OrderElement
 from rmlattice.surface import (
     KernelSubgroup,
     kernel_from_subspace,
@@ -158,6 +159,23 @@ def test_divide_rejections():
         divide_by_symmetric(s, s.order.element(0, 1))  # omega is a unit here
     with pytest.raises(PreconditionError):
         divide_by_symmetric(s, s.order.element(0, 0))
+
+
+def test_divide_by_symmetric_takes_one_norm(monkeypatch):
+    s = standard_instance(make_order(5, 1))
+    el = s.order.element(3, 1)
+    calls, twists = [], []
+    real = OrderElement.norm
+
+    def norm(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(OrderElement, "norm", norm)
+    monkeypatch.setattr(isogeny, "twist_by_element", lambda *args: twists.append(args))
+    divide_by_symmetric(s, el)
+    assert calls == [el]
+    assert twists == [(s, el.conjugate(), 11)]
 
 
 def test_scale_polarization():

@@ -10,6 +10,10 @@ of a box that holds a unit multiple of every solution, and in a suborder
 lifts every box solution by the discrete log _unit_log. orbit_hit and
 walk_unit_index are the unit-orbit walks modulo the conductor that the
 discrete log _unit_log and the group-order _unit_index replaced.
+cf_fundamental_unit is the continued-fraction unit (Cohen, Alg. 5.7.2)
+that the walk around the principal cycle of reduced forms replaced, and
+snf_bezout_conductor the conductor identity solved on a general Smith
+form, which the two-row Hermite form replaced.
 sympy is a second, independent oracle, and the only one for sqrt_mod.
 Hypothesis runs derandomized, so every run checks the same cases.
 """
@@ -23,23 +27,28 @@ from math import ceil, isqrt
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import factorint, is_quad_residue, nextprime, prevprime
+from sympy import factorint, is_quad_residue, isprime, nextprime, prevprime
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from sympy.solvers.diophantine.diophantine import diop_DN
 
+from rmlattice import intmat
 from rmlattice.arith import factorize, is_squarefree, sqrt_mod
-from rmlattice.errors import InvariantBreach
+from rmlattice.errors import InvariantBreach, PreconditionError
 from rmlattice.quadratic import (
     OrderElement,
     _canonical_key,
+    _reduce_bezout,
     _unit_index,
     _unit_log,
     are_associates_in_maximal,
+    bezout_conductor,
+    factor_prime,
     fundamental_unit,
     humbert_nonempty,
     make_order,
     solve_norm,
 )
+from test_intmat_oracles import snf_with_transforms
 
 ORACLE = settings(derandomize=True, deadline=None, max_examples=200)
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -174,6 +183,73 @@ def scan_fundamental_unit(order):
             return min(candidates, key=lambda el: el.x)
 
 
+def cf_fundamental_unit(order):
+    """The fundamental unit of a maximal order, by the continued fraction of
+    a0 = (b + sqrt(disc))/2: over the first period of length k the unit is
+    q_{k-1}*a0 + q_{k-2}, q the convergent denominators."""
+    disc = order.discriminant
+    s = isqrt(disc)
+    b = s if (disc - s) % 2 == 0 else s - 1
+    p_num, q_den = b, 2  # a_i = (p_num + sqrt(disc)) / q_den
+    q_prev, q_prev2 = 0, 1  # q_{i-1}, q_{i-2}
+    while True:
+        a = (p_num + s) // q_den
+        q_prev, q_prev2 = a * q_prev + q_prev2, q_prev
+        p_num = a * q_den - p_num
+        q_den = (disc - p_num * p_num) // q_den
+        if (p_num, q_den) == (b, 2):
+            break
+    # a0 = w + c with c = (b - trace_omega)/2, an integer: b, disc and the
+    # trace share a parity.
+    c = (b - order.trace_omega) // 2
+    return order.element(q_prev * c + q_prev2, q_prev)
+
+
+def snf_bezout_conductor(a1, a2, order):
+    f = order.conductor
+    if a1.is_unit():
+        return (a1.inverse_unit() * f, order.element(0, 0))
+    if a2.is_unit():
+        return (order.element(0, 0), a2.inverse_unit() * f)
+    w = order.omega()
+    gens = [a1, a1 * w, a2, a2 * w]
+    g = intmat.freeze([[el.x for el in gens], [el.y for el in gens]])
+    u, s, v = snf_with_transforms(g)
+    target = (f, 0)
+    ut = (
+        u[0][0] * target[0] + u[0][1] * target[1],
+        u[1][0] * target[0] + u[1][1] * target[1],
+    )
+    yvec = [0, 0, 0, 0]
+    for i in range(2):
+        d = s[i][i]
+        if d == 0:
+            if ut[i] != 0:
+                raise PreconditionError(
+                    "conductor is not in the span of the factors (associate factors)"
+                )
+        else:
+            if ut[i] % d:
+                raise PreconditionError(
+                    "conductor is not in the span of the factors (associate factors)"
+                )
+            yvec[i] = ut[i] // d
+    c = [sum(v[r][k] * yvec[k] for k in range(4)) for r in range(4)]
+    # Relation lattice: columns of v beyond the rank (s has rank <= 2 here).
+    rank = sum(1 for i in range(2) if s[i][i] != 0)
+    if rank < 2:
+        raise PreconditionError(
+            "conductor is not in the span of the factors (associate factors)"
+        )
+    k1 = [v[r][2] for r in range(4)]
+    k2 = [v[r][3] for r in range(4)]
+    c = _reduce_bezout(c, k1, k2)
+    b1 = order.element(c[0], c[1])
+    b2 = order.element(c[2], c[3])
+    assert a1 * b1 + a2 * b2 == order.element(f, 0)
+    return b1, b2
+
+
 def walk_solve_norm(order, p):
     if order.conductor == 1:
         y_max = norm_search_bound(order, p)
@@ -285,6 +361,14 @@ def test_fundamental_unit_of_large_unit_fields(D):
     u = fundamental_unit(order)
     assert abs(u.norm()) == 1 and embeds_above_one(u)
     assert unit_as_pell(u) == pell_unit(D)
+
+
+def test_fundamental_unit_matches_the_continued_fraction():
+    # every squarefree D below 2000, the large-unit fields named explicitly
+    fields = {D for D in range(2, 2000) if is_squarefree(D)}
+    for D in sorted(fields | {94, 139, 166, 211, 331, 409, 1621}):
+        order = make_order(D, 1)
+        assert fundamental_unit(order) == cf_fundamental_unit(order), D
 
 
 @ORACLE
@@ -424,6 +508,48 @@ def test_suborder_solve_norm_builds_few_unit_powers(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the conductor identity
+# ---------------------------------------------------------------------------
+
+
+def bezout_key(b1, b2):
+    """_reduce_bezout's key of the solution (b1, b2)."""
+    vec = (b1.x, b1.y, b2.x, b2.y)
+    return (max(abs(v) for v in vec), sum(abs(v) for v in vec), vec)
+
+
+def test_bezout_conductor_is_no_larger_than_the_smith_form_solution():
+    # the orders of acceptance criterion 9, over the primes below 110
+    primes = [p for p in range(3, 110, 2) if all(p % q for q in range(3, p, 2))]
+    checked = 0
+    for D, f in ((5, 1), (5, 3), (13, 9), (17, 7), (2, 9), (3, 7)):
+        order = make_order(D, f)
+        for p in primes:
+            factors = None if f % p == 0 else factor_prime(order, p)
+            if factors is None:
+                continue
+            a1, a2 = factors
+            if are_associates_in_maximal(a1, a2):
+                for solve in (bezout_conductor, snf_bezout_conductor):
+                    with pytest.raises(PreconditionError):
+                        solve(a1, a2, order)
+                continue
+            b1, b2 = bezout_conductor(a1, a2, order)
+            assert a1 * b1 + a2 * b2 == order.element(f, 0), (D, f, p)
+            reference = snf_bezout_conductor(a1, a2, order)
+            assert bezout_key(b1, b2) <= bezout_key(*reference), (D, f, p)
+            checked += 1
+    assert checked > 50
+
+
+def test_bezout_conductor_pins_where_the_smith_form_solution_was_larger():
+    order = make_order(5, 3)
+    b1, b2 = bezout_conductor(*factor_prime(order, 19), order)
+    assert bezout_key(b1, b2)[0] == 2
+    assert bezout_key(*snf_bezout_conductor(*factor_prime(order, 19), order))[0] == 78
+
+
+# ---------------------------------------------------------------------------
 # Humbert congruence
 # ---------------------------------------------------------------------------
 
@@ -473,6 +599,14 @@ def test_factorize_of_a_large_semiprime_returns():
     # Trial division needed about 10^9 steps here.
     p, q = nextprime(10**9), nextprime(2 * 10**9)
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_factorize_refuses_a_semiprime_beyond_the_rho_budget():
+    # two primes near 10^24 and 3*10^24: rho needs about 10^12 steps
+    p, q = 10**24 + 7, 3 * 10**24 + 17
+    assert isprime(p) and isprime(q)
+    with pytest.raises(PreconditionError, match=f"cannot factor {p * q}: .* 4194304 steps"):
+        factorize(p * q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from rmlattice import (
     PreconditionError,
     are_associates_in_maximal,
     bezout_conductor,
+    enlarge_order_step,
     factor_prime,
     fundamental_unit,
     humbert_nonempty,
@@ -18,10 +19,13 @@ from rmlattice import (
     principalize,
     solve_norm,
     splitting_type,
+    standard_instance,
 )
-from rmlattice import generator
+from rmlattice import generator, quadratic
+from rmlattice.arith import int_text
 from rmlattice.generator import generate_instance
-from rmlattice.oracle import verify_certificate
+from rmlattice.oracle import check_symmetric_rank_even, verify_certificate
+from rmlattice.quadratic import OrderElement
 from test_numtheory_oracles import embeds_above_one
 
 
@@ -293,6 +297,46 @@ def test_factor_prime_norms():
             assert abs(a1.norm()) == p and abs(a2.norm()) == p
             assert a1 * a2 == o.element(p, 0)
             assert splitting_type(o, p) in ("split", "ramified")
+
+
+@pytest.mark.parametrize("D,el,p", [(5, (3, 1), 11), (2, (1, 2), 7)])
+def test_factor_prime_takes_one_norm_and_no_product(monkeypatch, D, el, p):
+    # norm +11 and norm -7: the cofactor is conj(a1), or its negative
+    order = make_order(D, 1)
+    a1 = order.element(*el)
+    monkeypatch.setattr(quadratic, "solve_norm", lambda order, p: a1)
+    calls = []
+    real_norm, real_mul = OrderElement.norm, OrderElement.__mul__
+
+    def norm(self):
+        calls.append("norm")
+        return real_norm(self)
+
+    def mul(self, other):
+        calls.append("mul")
+        return real_mul(self, other)
+
+    monkeypatch.setattr(OrderElement, "norm", norm)
+    monkeypatch.setattr(OrderElement, "__mul__", mul)
+    out = factor_prime(order, p)
+    assert calls == ["norm"]
+    monkeypatch.undo()
+    assert out[0] == a1 and out[0] * out[1] == order.element(p, 0)
+
+
+def test_odd_prime_checks_share_one_message():
+    order = make_order(5, 1)
+    checks = (
+        lambda p: splitting_type(order, p),
+        lambda p: solve_norm(order, p),
+        lambda p: check_symmetric_rank_even(p, 1),
+        lambda p: enlarge_order_step(standard_instance(make_order(5, 3)), p),
+    )
+    for p in (2, 9, 10**5000):
+        for check in checks:
+            with pytest.raises(PreconditionError) as info:
+                check(p)
+            assert str(info.value) == f"{int_text(p)} is not an odd prime"
 
 
 def test_split_but_irreducible_prime_exists():

@@ -29,7 +29,7 @@ from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.oracle import verify_certificate
 from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE, principal_defect
 from rmlattice.surface import PolarizedRMSurface, apply_unimodular
-from test_intmat_oracles import scalar_mul
+from test_intmat_oracles import scalar_mul, snf_with_transforms
 
 
 def _t_values(cert):
@@ -124,7 +124,7 @@ def test_order_p_squared_subspace_matches_smith_route():
                 tw = twist_by_element(tw, el)
             moved = apply_unimodular(tw, random_unimodular(rng))
             fast = order_p_squared_subspace(moved, p)
-            _, smith, v = intmat.snf_with_transforms(moved.gram)
+            _, smith, v = snf_with_transforms(moved.gram)
             vecs = [
                 tuple(v[i][j] % p for i in range(4))
                 for j in range(4)
