@@ -1,4 +1,5 @@
-"""Small exact integer helpers: primality, factorization, square parts."""
+"""Small exact integer helpers: primality (exact to psi_13, see is_prime),
+factorization, square parts, and decimal text of any length, both ways."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ from math import gcd
 
 from .errors import PreconditionError
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses and the trial divisors of is_prime: the primes to 43.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 # factorize trial-divides below this bound and splits larger cofactors by rho.
 _TRIAL_BOUND = 1000
@@ -17,9 +18,13 @@ _RHO_BUDGET = 1 << 22
 
 
 def is_prime(n: int) -> bool:
+    """Strong probable-prime test to the prime bases 2..43: exact for every
+    n <= psi_13 = 3317044064679887385961981, the least strong pseudoprime
+    to the bases 2..41, which fails base 43 (Sorenson and Webster 2015);
+    a 14-base probable-prime test above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -183,3 +188,16 @@ def int_text(v: int) -> str:
         k, power = 2 * k, power * power
     hi, lo = divmod(v, power)
     return int_text(hi) + int_text(lo).zfill(k)
+
+
+def _text_int(text: str) -> int:
+    """The integer a -?[0-9]+ text writes, of any length: the built-in
+    conversion below the digit limit, and above it halves of the text."""
+    try:
+        return int(text, 10)
+    except ValueError:
+        pass
+    if text.startswith("-"):
+        return -_text_int(text[1:])
+    k = len(text) // 2
+    return _text_int(text[:-k]) * 10**k + _text_int(text[-k:])

@@ -1,7 +1,8 @@
 """Command-line front end: generate, principalize, verify, info.
 
 Exit codes: 0 success, 1 I/O or parse or verification failure, 2 violated
-hypothesis, 3 internal invariant breach.
+hypothesis or a limit hit, 3 internal invariant breach. main maps the errors
+the commands raise onto them; verify returns 1 for a rejected certificate.
 """
 
 from __future__ import annotations
@@ -41,104 +42,73 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def cmd_generate(args) -> int:
-    primes = []
-    if args.degree_primes:
-        for part in args.degree_primes.split(","):
-            part = part.strip()
-            if part:
-                try:
-                    primes.append(int(part))
-                except ValueError:
-                    return _fail(f"bad prime {part!r} in --degree-primes", EXIT_IO)
-    try:
-        surface = generate_instance(args.D, args.conductor, primes, args.seed)
-    except PreconditionError as exc:
-        return _fail(str(exc), EXIT_HYPOTHESIS)
-    except InvariantBreach as exc:
-        return _fail(str(exc), EXIT_BREACH)
-    try:
-        _write(args.out, serialize_instance(surface))
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    print(f"wrote instance of degree {int_text(degree(surface))} to {args.out}")
-    return EXIT_OK
-
-
-def cmd_principalize(args) -> int:
-    try:
-        surface = parse_instance(_read(args.instance))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_IO)
+def _instance(path: str):
+    """The instance in the file at path, parsed and validated."""
+    surface = parse_instance(_read(path))
     msg = validate(surface)
     if msg is not None:
-        return _fail(f"instance does not validate: {msg}", EXIT_IO)
-    try:
-        result, certificate = principalize(surface)
-    except PreconditionError as exc:
-        return _fail(str(exc), EXIT_HYPOTHESIS)
-    except InvariantBreach as exc:
-        return _fail(str(exc), EXIT_BREACH)
-    try:
-        _write(args.out, serialize_instance(result))
-        if args.cert_out:
-            _write(args.cert_out, serialize_certificate(certificate))
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+        raise ValueError(f"instance does not validate: {msg}")
+    return surface
+
+
+def cmd_generate(args) -> None:
+    primes = []
+    for part in args.degree_primes.split(","):
+        part = part.strip()
+        if part:
+            try:
+                primes.append(int(part))
+            except ValueError:
+                raise ValueError(f"bad prime {part!r} in --degree-primes") from None
+    surface = generate_instance(args.D, args.conductor, primes, args.seed)
+    _write(args.out, serialize_instance(surface))
+    print(f"wrote instance of degree {int_text(degree(surface))} to {args.out}")
+
+
+def cmd_principalize(args) -> None:
+    surface = _instance(args.instance)
+    result, certificate = principalize(surface)
+    _write(args.out, serialize_instance(result))
+    if args.cert_out:
+        _write(args.cert_out, serialize_certificate(certificate))
     print(
         f"principal surface written to {args.out}; degree "
         f"{int_text(degree(surface))} -> {int_text(degree(result))}, "
         f"conductor {int_text(surface.order.conductor)} -> "
         f"{int_text(result.order.conductor)}"
     )
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    try:
-        surface = parse_instance(_read(args.instance))
-        certificate = parse_certificate(_read(args.certificate))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_IO)
+def cmd_verify(args) -> int | None:
+    surface = parse_instance(_read(args.instance))
+    certificate = parse_certificate(_read(args.certificate))
     ok, message = verify_certificate(surface, certificate)
     if not ok:
-        return _fail(message, EXIT_IO)
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_IO
     print(message)
-    return EXIT_OK
 
 
-def cmd_info(args) -> int:
-    try:
-        surface = parse_instance(_read(args.instance))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_IO)
-    msg = validate(surface)
-    if msg is not None:
-        return _fail(f"instance does not validate: {msg}", EXIT_IO)
-    deg = degree(surface)
+def cmd_info(args) -> None:
+    """Print an instance's invariants, all computed before the first line."""
+    surface = _instance(args.instance)
     stab = stabilizer_order(surface)
-    divisors = alternating_divisors(surface.gram, surface.pf)
-    div_text = ",".join(int_text(d) for d in divisors)
-    print(
+    divisors = ",".join(int_text(d) for d in alternating_divisors(surface.gram, surface.pf))
+    lines = [
         f"Δ={int_text(surface.order.discriminant)} f={int_text(stab.conductor)} "
-        f"deg={int_text(deg)} divisors=({div_text})"
-    )
+        f"deg={int_text(degree(surface))} divisors=({divisors})"
+    ]
     pf = abs(surface.pf)
     for q in sorted(factorize(pf)):
         if q == 2 or not is_prime(q):
-            print(f"{int_text(q)}: even or composite (unsupported)")
+            lines.append(f"{int_text(q)}: even or composite (unsupported)")
         else:
             kind = splitting_type(surface.order, q)
             label = "divides conductor" if kind == DIVIDES_CONDUCTOR else kind
-            print(f"{int_text(q)}: {label}")
+            lines.append(f"{int_text(q)}: {label}")
     hum = humbert_nonempty(surface.order.discriminant, pf)
-    print(f"humbert: {'true' if hum else 'false'}")
-    return EXIT_OK
+    lines.append(f"humbert: {'true' if hum else 'false'}")
+    print("\n".join(lines))
 
 
 @cache
@@ -186,7 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args) or EXIT_OK
+    except (OSError, ValueError) as exc:
+        code, error = EXIT_IO, exc
+    except PreconditionError as exc:
+        code, error = EXIT_HYPOTHESIS, exc
+    except InvariantBreach as exc:
+        code, error = EXIT_BREACH, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,17 +10,21 @@ writes it, so no leading zeros, no "-0" and no "3/1". Serialization is
 canonical: serialize(parse(serialize(x))) is byte-identical to
 serialize(x), and parse accepts no other text for x. A certificate's
 "seed" is always written as 0 and parsed only as 0; it is not kept.
+
+Every object holds exactly the keys the serializer writes, nulls included;
+a step's are the IsogenyStep fields of the table _STEP_FIELDS, which both
+directions loop over. An extra or missing key is a ValueError naming the
+object.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from fractions import Fraction
 
-from . import intmat
-from .arith import int_text
-from .intmat import RatMat
+from .arith import _text_int, int_text
 from .errors import PreconditionError
 from .isogeny import IsogenyStep
 from .quadratic import make_order
@@ -36,19 +40,6 @@ _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # ---------------------------------------------------------------------------
 # integer and matrix codecs
 # ---------------------------------------------------------------------------
-
-
-def _text_int(text: str) -> int:
-    """The integer a -?[0-9]+ text writes, of any length: the built-in
-    conversion below the digit limit, and above it halves of the text."""
-    try:
-        return int(text, 10)
-    except ValueError:
-        pass
-    if text.startswith("-"):
-        return -_text_int(text[1:])
-    k = len(text) // 2
-    return _text_int(text[:-k]) * 10**k + _text_int(text[-k:])
 
 
 def _encode_int(v: int):
@@ -74,45 +65,68 @@ def _decode_int(v) -> int:
     return value
 
 
-def _encode_int_matrix(m):
-    return [[_encode_int(x) for x in row] for row in m]
+def _decode_rational(x) -> Fraction:
+    if not isinstance(x, str) or not _RATIONAL_TEXT.fullmatch(x):
+        raise ValueError(f"rational entry {x!r} is not a string like '-3/4'")
+    # from the two integers: Fraction's own text parser matches a second regex
+    numerator, _, denominator = x.partition("/")
+    try:
+        value = Fraction(int(numerator), int(denominator or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"rational entry {x!r} has a zero denominator") from None
+    if str(value) != x:
+        raise ValueError(f"rational entry {x!r} is not written as {str(value)!r}")
+    return value
 
 
-def _decode_int_matrix(obj) -> intmat.IntMat:
-    if not isinstance(obj, list) or len(obj) != 4:
+def _decode_str(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {type(v).__name__}")
+    return v
+
+
+def _encode_matrix(m, entry) -> list:
+    return [[entry(x) for x in row] for row in m]
+
+
+def _decode_matrix(obj, entry) -> tuple:
+    """A 4x4 matrix whose entries the decoder `entry` reads."""
+    if not isinstance(obj, list) or len(obj) != 4 or not all(
+        isinstance(row, list) and len(row) == 4 for row in obj
+    ):
         raise ValueError("matrix must be a 4x4 array")
-    rows = []
-    for row in obj:
-        if not isinstance(row, list) or len(row) != 4:
-            raise ValueError("matrix must be a 4x4 array")
-        rows.append(tuple(_decode_int(x) for x in row))
-    return tuple(rows)
+    return tuple(tuple(map(entry, row)) for row in obj)
 
 
-def _encode_rational_matrix(m):
-    return [[str(Fraction(x)) for x in row] for row in m]
+def _encode_alpha(alpha):
+    return [_encode_int(alpha[0]), _encode_int(alpha[1])]
 
 
-def _decode_rational_matrix(obj) -> RatMat:
-    if not isinstance(obj, list) or len(obj) != 4:
-        raise ValueError("rational matrix must be a 4x4 array")
-    rows = []
-    for row in obj:
-        if not isinstance(row, list) or len(row) != 4:
-            raise ValueError("rational matrix must be a 4x4 array")
-        out = []
-        for x in row:
-            if not isinstance(x, str) or not _RATIONAL_TEXT.fullmatch(x):
-                raise ValueError(f"rational entry {x!r} is not a string like '-3/4'")
-            try:
-                value = Fraction(x)
-            except ZeroDivisionError:
-                raise ValueError(f"rational entry {x!r} has a zero denominator") from None
-            if str(value) != x:
-                raise ValueError(f"rational entry {x!r} is not written as {str(value)!r}")
-            out.append(value)
-        rows.append(tuple(out))
-    return tuple(rows)
+def _decode_alpha(obj) -> tuple[int, int]:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError("alpha must be a two-element array")
+    return (_decode_int(obj[0]), _decode_int(obj[1]))
+
+
+def _values(obj, what: str, keys) -> list:
+    """The values of a JSON object that holds exactly these keys, in order."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if obj.keys() != set(keys):
+        extra = [k for k in obj if k not in keys]
+        missing = [k for k in keys if k not in obj]
+        raise ValueError(
+            f"{what} must have exactly the keys {', '.join(keys)}; "
+            f"extra {extra}, missing {missing}"
+        )
+    return [obj[k] for k in keys]
+
+
+def _load(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON: {exc}") from exc
 
 
 def _dump(obj) -> str:
@@ -130,29 +144,26 @@ def _instance_obj(surface: PolarizedRMSurface) -> dict:
             "D": _encode_int(surface.order.D),
             "conductor": _encode_int(surface.order.conductor),
         },
-        "omega_action": _encode_int_matrix(surface.action),
-        "gram": _encode_int_matrix(surface.gram),
+        "omega_action": _encode_matrix(surface.action, _encode_int),
+        "gram": _encode_matrix(surface.gram, _encode_int),
         "format_version": FORMAT_VERSION,
     }
 
 
 def _instance_from_obj(obj) -> PolarizedRMSurface:
-    if not isinstance(obj, dict):
-        raise ValueError("instance file must hold a JSON object")
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise ValueError("unsupported or missing format_version")
-    order_obj = obj.get("order")
-    if not isinstance(order_obj, dict):
-        raise ValueError("missing order object")
+    order_obj, action, gram, version = _values(
+        obj, "instance", ("order", "omega_action", "gram", "format_version")
+    )
+    if version != FORMAT_VERSION:
+        raise ValueError("unsupported format_version")
+    D, conductor = _values(order_obj, "order", ("D", "conductor"))
     try:
-        order = make_order(
-            _decode_int(order_obj.get("D")), _decode_int(order_obj.get("conductor"))
-        )
+        order = make_order(_decode_int(D), _decode_int(conductor))
     except PreconditionError as exc:
         raise ValueError(f"instance order is invalid: {exc}") from exc
-    action = _decode_int_matrix(obj.get("omega_action"))
-    gram = _decode_int_matrix(obj.get("gram"))
-    return PolarizedRMSurface(order, action, gram)
+    return PolarizedRMSurface(
+        order, _decode_matrix(action, _decode_int), _decode_matrix(gram, _decode_int)
+    )
 
 
 def serialize_instance(surface: PolarizedRMSurface) -> str:
@@ -160,89 +171,61 @@ def serialize_instance(surface: PolarizedRMSurface) -> str:
 
 
 def parse_instance(text: str) -> PolarizedRMSurface:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON: {exc}") from exc
-    return _instance_from_obj(obj)
+    return _instance_from_obj(_load(text))
 
 
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
 
+# Each IsogenyStep field in dataclass order, with the encoder and decoder of
+# its non-null value; a field whose default is None is written as null when
+# unset. A step object has exactly these keys.
+_STEP_FIELDS = (
+    ("kind", str, _decode_str),
+    ("prime", _encode_int, _decode_int),
+    (
+        "kernel_overlattice",
+        lambda m: _encode_matrix(m, str),
+        lambda obj: _decode_matrix(obj, _decode_rational),
+    ),
+    ("alpha", _encode_alpha, _decode_alpha),
+    ("degree_before", _encode_int, _decode_int),
+    ("degree_after", _encode_int, _decode_int),
+    ("t", _encode_int, _decode_int),
+    ("branch", str, _decode_str),
+)
+_STEP_KEYS = tuple(name for name, _, _ in _STEP_FIELDS)
+_NULLABLE = frozenset(f.name for f in fields(IsogenyStep) if f.default is None)
+
 
 def serialize_certificate(cert: CertificateData) -> str:
-    steps = []
-    for s in cert.steps:
-        steps.append(
-            {
-                "kind": s.kind,
-                "prime": _encode_int(s.prime),
-                "kernel_overlattice": (
-                    None
-                    if s.kernel_overlattice is None
-                    else _encode_rational_matrix(s.kernel_overlattice)
-                ),
-                "alpha": None if s.alpha is None else [_encode_int(s.alpha[0]), _encode_int(s.alpha[1])],
-                "degree_before": _encode_int(s.degree_before),
-                "degree_after": _encode_int(s.degree_after),
-                "t": None if s.t is None else _encode_int(s.t),
-                "branch": s.branch,
-            }
-        )
-    obj = {
-        "seed": 0,
-        "steps": steps,
-        "final": _instance_obj(cert.final),
-    }
-    return _dump(obj)
+    steps = [
+        {
+            name: None if (v := getattr(s, name)) is None else encode(v)
+            for name, encode, _ in _STEP_FIELDS
+        }
+        for s in cert.steps
+    ]
+    return _dump({"seed": 0, "steps": steps, "final": _instance_obj(cert.final)})
 
 
 def parse_certificate(text: str) -> CertificateData:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError("certificate file must hold a JSON object")
-    steps_obj = obj.get("steps")
+    seed_obj, steps_obj, final_obj = _values(
+        _load(text), "certificate", ("seed", "steps", "final")
+    )
     if not isinstance(steps_obj, list):
-        raise ValueError("missing steps array")
+        raise ValueError("certificate steps must be an array")
     steps = []
-    for s in steps_obj:
-        if not isinstance(s, dict):
-            raise ValueError("each step must be an object")
-        kind = s.get("kind")
-        branch = s.get("branch")
-        if not isinstance(kind, str):
-            raise ValueError("step kind must be a string")
-        if branch is not None and not isinstance(branch, str):
-            raise ValueError("step branch must be a string or null")
-        alpha_obj = s.get("alpha")
-        if alpha_obj is not None:
-            if not isinstance(alpha_obj, list) or len(alpha_obj) != 2:
-                raise ValueError("alpha must be a two-element array")
-            alpha = (_decode_int(alpha_obj[0]), _decode_int(alpha_obj[1]))
-        else:
-            alpha = None
-        kernel_obj = s.get("kernel_overlattice")
-        kernel = None if kernel_obj is None else _decode_rational_matrix(kernel_obj)
-        t_obj = s.get("t")
-        steps.append(
-            IsogenyStep(
-                kind=kind,
-                prime=_decode_int(s.get("prime")),
-                kernel_overlattice=kernel,
-                alpha=alpha,
-                degree_before=_decode_int(s.get("degree_before")),
-                degree_after=_decode_int(s.get("degree_after")),
-                t=None if t_obj is None else _decode_int(t_obj),
-                branch=branch,
-            )
-        )
-    final = _instance_from_obj(obj.get("final"))
-    seed = _decode_int(obj.get("seed"))
+    for i, s in enumerate(steps_obj):
+        values = _values(s, f"step {i}", _STEP_KEYS)
+        step = {
+            name: None if v is None and name in _NULLABLE else decode(v)
+            for (name, _, decode), v in zip(_STEP_FIELDS, values)
+        }
+        steps.append(IsogenyStep(**step))
+    final = _instance_from_obj(final_obj)
+    seed = _decode_int(seed_obj)
     if seed != 0:
         raise ValueError(
             f"seed is {int_text(seed)}; the deterministic pipeline always writes seed 0"

@@ -27,13 +27,13 @@ from .surface import (
 )
 
 
-def random_unimodular(rng: random.Random, size: int = 4, ops: int = 8) -> intmat.IntMat:
-    """A determinant-one integer matrix built from random shear operations."""
-    u = [list(r) for r in intmat.identity(size)]
-    for _ in range(ops):
-        i, j = rng.sample(range(size), 2)
+def random_unimodular(rng: random.Random) -> intmat.IntMat:
+    """A 4x4 determinant-one integer matrix built from eight random shears."""
+    u = [list(r) for r in intmat.identity()]
+    for _ in range(8):
+        i, j = rng.sample(range(4), 2)
         c = rng.choice((-2, -1, 1, 2))
-        for r in range(size):
+        for r in range(4):
             u[r][i] += c * u[r][j]
     return intmat.freeze(u)
 

@@ -34,8 +34,8 @@ def freeze(rows: Iterable[Sequence]) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-def identity(n: int = 4) -> IntMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def identity() -> IntMat:
+    return ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def transpose(m):

@@ -34,19 +34,19 @@ from .surface import KernelSubgroup, PolarizedRMSurface, kernel_from_subspace
 # ---------------------------------------------------------------------------
 
 
-def _echelon_subspaces(p: int, n: int = 4):
+def _echelon_subspaces(p: int):
     """Yield a basis (tuple of row vectors) for every nonzero subspace of
-    (Z/p)^n, one reduced echelon basis per subspace."""
-    for k in range(1, n + 1):
-        for pivots in combinations(range(n), k):
+    (Z/p)^4, one reduced echelon basis per subspace."""
+    for k in range(1, 5):
+        for pivots in combinations(range(4), k):
             free_positions = [
                 (i, j)
                 for i in range(k)
-                for j in range(pivots[i] + 1, n)
+                for j in range(pivots[i] + 1, 4)
                 if j not in pivots
             ]
             for values in product(range(p), repeat=len(free_positions)):
-                rows = [[0] * n for _ in range(k)]
+                rows = [[0] * 4 for _ in range(k)]
                 for i in range(k):
                     rows[i][pivots[i]] = 1
                 for (i, j), v in zip(free_positions, values):

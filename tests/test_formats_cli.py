@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -25,8 +26,10 @@ from rmlattice import arith, intmat
 from rmlattice.arith import int_text
 from rmlattice.cli import main
 from rmlattice.formats import (
+    _STEP_FIELDS,
     _decode_int,
-    _decode_rational_matrix,
+    _decode_matrix,
+    _decode_rational,
     _encode_int,
     parse_certificate,
     parse_instance,
@@ -34,6 +37,8 @@ from rmlattice.formats import (
     serialize_instance,
 )
 from rmlattice.generator import generate_instance, random_unimodular
+from rmlattice.isogeny import IsogenyStep
+from rmlattice.quadratic import factor_prime
 from rmlattice.surface import apply_unimodular
 
 
@@ -91,7 +96,7 @@ def test_rational_strings_only_in_the_written_form(entry):
     matrix = [["0"] * 4 for _ in range(4)]
     matrix[2][1] = entry
     with pytest.raises(ValueError):
-        _decode_rational_matrix(matrix)
+        _decode_matrix(matrix, _decode_rational)
 
 
 def test_instance_roundtrip_byte_identical():
@@ -397,6 +402,36 @@ def test_cli_refuses_a_field_whose_D_rho_cannot_factor(tmp_path, capsys, monkeyp
     assert f"cannot factor {D}" in capsys.readouterr().err
 
 
+def test_cli_info_refuses_a_pfaffian_rho_cannot_factor_before_printing(
+    tmp_path, capsys, monkeypatch
+):
+    # A valid instance whose pfaffian is the product of two primes near
+    # 10^16. info printed its first line and then died in a traceback where
+    # principalize exits 2; it factors before it prints, so it prints
+    # nothing and refuses with principalize's line. A small rho budget takes
+    # the same exits as the real one.
+    s = standard_instance(make_order(5, 1))
+    for p in (10000000000000061, 10000000000000069):
+        s = twist_by_element(s, factor_prime(s.order, p)[0])
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(s), encoding="utf-8")
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+    assert main(["principalize", str(inst), "-o", str(tmp_path / "out.json")]) == 2
+    refusal = capsys.readouterr()
+    assert refusal.err.startswith(f"error: cannot factor {abs(s.pf)}: ")
+    assert main(["info", str(inst)]) == 2
+    assert capsys.readouterr() == ("", refusal.err)
+
+
+def test_cli_generate_refuses_a_strong_pseudoprime_to_the_bases_to_37(tmp_path, capsys):
+    # 399165290221 * 798330580441 passed is_prime, and generate wrote an
+    # instance with it as a split degree prime
+    n = 318665857834031151167461
+    code = main(["generate", "--D", "13", "--degree-primes", str(n), "-o", str(tmp_path / "x.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: degree prime {n} must be an odd prime\n"
+
+
 def test_cli_principalize_exit_codes(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope", encoding="utf-8")
@@ -509,6 +544,57 @@ def test_cli_verify_rejects_a_certificate_cut_after_a_move(tmp_path, capsys):
         "error: certificate stops before step 2 (divide_by_alpha at 11), "
         "which replay derives\n"
     )
+
+
+def test_step_table_lists_the_step_fields_in_order():
+    assert [name for name, _, _ in _STEP_FIELDS] == [
+        f.name for f in dataclasses.fields(IsogenyStep)
+    ]
+
+
+def test_cli_verify_rejects_a_step_with_an_extra_key(tmp_path, capsys):
+    def tamper(obj, start):
+        obj["steps"][0]["note"] = "ignored"
+
+    assert _verify_tampered_certificate(tmp_path, tamper) == 1
+    assert capsys.readouterr().err == (
+        "error: step 0 must have exactly the keys kind, prime, kernel_overlattice, "
+        "alpha, degree_before, degree_after, t, branch; extra ['note'], missing []\n"
+    )
+
+
+def test_cli_verify_rejects_a_step_without_its_null_keys(tmp_path, capsys):
+    def tamper(obj, start):
+        step = obj["steps"][0]
+        nulls = [key for key, value in step.items() if value is None]
+        assert nulls == ["kernel_overlattice", "t", "branch"]
+        for key in nulls:
+            del step[key]
+
+    assert _verify_tampered_certificate(tmp_path, tamper) == 1
+    assert capsys.readouterr().err.endswith(
+        "; extra [], missing ['kernel_overlattice', 't', 'branch']\n"
+    )
+
+
+def test_cli_verify_rejects_a_certificate_with_an_extra_key(tmp_path, capsys):
+    def tamper(obj, start):
+        obj["note"] = "ignored"
+
+    assert _verify_tampered_certificate(tmp_path, tamper) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: certificate must have exactly the keys seed, steps, final; "
+    )
+
+
+@pytest.mark.parametrize("where", ["instance", "order"])
+def test_cli_rejects_an_instance_with_an_extra_key(tmp_path, capsys, where):
+    inst = tmp_path / "inst.json"
+    obj = json.loads(serialize_instance(generate_instance(5, 3, [11], seed=4)))
+    (obj if where == "instance" else obj["order"])["note"] = "ignored"
+    inst.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["info", str(inst)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where} must have exactly the keys ")
 
 
 def test_cli_main_repeated_in_one_process_matches_separate_runs(tmp_path, capsys):

@@ -17,12 +17,12 @@ def random_int_matrix(rng, n=4, lo=-9, hi=9):
     return intmat.freeze([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
 
-def random_unimodular(rng, n=4, ops=10):
-    u = [list(r) for r in intmat.identity(n)]
+def random_unimodular(rng, ops=10):
+    u = [list(r) for r in intmat.identity()]
     for _ in range(ops):
-        i, j = rng.sample(range(n), 2)
+        i, j = rng.sample(range(4), 2)
         c = rng.choice((-2, -1, 1, 2))
-        for r in range(n):
+        for r in range(4):
             u[r][i] += c * u[r][j]
     return intmat.freeze(u)
 

@@ -253,8 +253,8 @@ def snf_with_transforms(m):
     """
     a = [list(r) for r in m]
     nrows, ncols = len(a), len(a[0])
-    u = [list(r) for r in intmat.identity(nrows)]
-    v = [list(r) for r in intmat.identity(ncols)]
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]

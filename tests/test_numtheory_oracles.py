@@ -32,7 +32,7 @@ from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from sympy.solvers.diophantine.diophantine import diop_DN
 
 from rmlattice import intmat
-from rmlattice.arith import factorize, is_squarefree, sqrt_mod
+from rmlattice.arith import factorize, is_prime, is_squarefree, sqrt_mod
 from rmlattice.errors import InvariantBreach, PreconditionError
 from rmlattice.quadratic import (
     OrderElement,
@@ -607,6 +607,30 @@ def test_factorize_refuses_a_semiprime_beyond_the_rho_budget():
     assert isprime(p) and isprime(q)
     with pytest.raises(PreconditionError, match=f"cannot factor {p * q}: .* 4194304 steps"):
         factorize(p * q)
+
+
+# The least strong pseudoprimes to all prime bases up to 37 and up to 41
+# (Sorenson and Webster 2015).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_rejects_the_least_strong_pseudoprimes_to_the_bases_to_41():
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    assert [a for a in bases if not _strong_probable_prime(PSI_12, a)] == [41, 43]
+    assert [a for a in bases if not _strong_probable_prime(PSI_13, a)] == [43]
+    assert not isprime(PSI_12) and not isprime(PSI_13)
+    assert not is_prime(PSI_12)
+    assert not is_prime(PSI_13)
+    assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
 
 
 # ---------------------------------------------------------------------------
