@@ -1,8 +1,10 @@
 """Small exact integer helpers: primality (exact to psi_13, see is_prime),
-factorization, square parts, and decimal text of any length, both ways."""
+factorization, square parts, and decimal text of any length, both ways,
+in subquadratic time past the interpreter's int/str digit limit."""
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import count
 from math import gcd
 
@@ -175,29 +177,68 @@ def sqrt_mod(a: int, p: int) -> int:
 
 def int_text(v: int) -> str:
     """Decimal text of v of any size: the built-in conversion below the
-    interpreter's int/str digit limit, and above it divide and conquer on
-    the powers 10^(2^k)."""
+    interpreter's int/str digit limit, and above it a decimal.Decimal built
+    by divide and conquer on powers of two, in subquadratic time."""
     try:
         return str(v)
     except ValueError:
         pass
     if v < 0:
         return "-" + int_text(-v)
-    k, power = 1, 10
-    while power * power <= v:
-        k, power = 2 * k, power * power
-    hi, lo = divmod(v, power)
-    return int_text(hi) + int_text(lo).zfill(k)
+    return format(_int_decimal(v), "f")
+
+
+# The leaves of _int_decimal: Decimal(n) for n below 2^_LEAF_BITS converts
+# directly, and its 617 digits are within any int/str digit limit.
+_LEAF_BITS = 2048
+
+
+def _int_decimal(n: int) -> Decimal:
+    """n >= 0 as an exact Decimal: n = hi * 2^k + lo with k = _LEAF_BITS * 2^i,
+    the largest such k below n's bit length, each 2^k built once by squaring.
+    decimal multiplies big coefficients by a number-theoretic transform, so
+    this is subquadratic; CPython 3.12's Lib/_pylong.py (gh-90716) converts
+    the same way. A rounding would raise, never give a wrong digit."""
+    ctx = Context(
+        prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded]
+    )
+    powers = [Decimal(1 << _LEAF_BITS)]  # powers[i] = 2^(_LEAF_BITS * 2^i)
+
+    def build(n: int) -> Decimal:
+        bits = n.bit_length()
+        if bits <= _LEAF_BITS:
+            return Decimal(n)
+        i = ((bits - 1) // _LEAF_BITS).bit_length() - 1
+        while len(powers) <= i:
+            powers.append(ctx.multiply(powers[-1], powers[-1]))
+        hi = n >> (_LEAF_BITS << i)
+        lo = n - (hi << (_LEAF_BITS << i))
+        return ctx.add(ctx.multiply(build(hi), powers[i]), build(lo))
+
+    return build(n)
 
 
 def _text_int(text: str) -> int:
     """The integer a -?[0-9]+ text writes, of any length: the built-in
-    conversion below the digit limit, and above it halves of the text."""
+    conversion below the digit limit, and above it halves of the text
+    joined by powers of ten, each computed once per split size."""
     try:
         return int(text, 10)
     except ValueError:
         pass
     if text.startswith("-"):
         return -_text_int(text[1:])
-    k = len(text) // 2
-    return _text_int(text[:-k]) * 10**k + _text_int(text[-k:])
+    powers: dict[int, int] = {}
+
+    def join(digits: str) -> int:
+        try:
+            return int(digits, 10)
+        except ValueError:
+            pass
+        k = len(digits) // 2
+        power = powers.get(k)
+        if power is None:
+            power = powers[k] = 10**k
+        return join(digits[:-k]) * power + join(digits[-k:])
+
+    return join(text)

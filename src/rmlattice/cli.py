@@ -80,7 +80,7 @@ def cmd_principalize(args) -> None:
 
 
 def cmd_verify(args) -> int | None:
-    surface = parse_instance(_read(args.instance))
+    surface = _instance(args.instance)
     certificate = parse_certificate(_read(args.certificate))
     ok, message = verify_certificate(surface, certificate)
     if not ok:

@@ -1,20 +1,23 @@
 """Stable JSON formats for instances and certificates.
 
-Instances carry exact integers only; certificates carry rationals as
-"p/q" strings so nothing ever passes through floats. Integers of magnitude
-at least 2^53 are serialized as decimal strings -?[0-9]+, smaller ones as
-JSON numbers; rationals as -?[0-9]+(/[0-9]+)? in lowest terms. Integer
-decimals of any length convert, also past the interpreter's int/str digit
-limit. The parser accepts each number only in the one form the serializer
-writes it, so no leading zeros, no "-0" and no "3/1". Serialization is
-canonical: serialize(parse(serialize(x))) is byte-identical to
-serialize(x), and parse accepts no other text for x. A certificate's
-"seed" is always written as 0 and parsed only as 0; it is not kept.
+Files are JSON as json.dumps(obj, indent=2, ensure_ascii=False) lays it
+out, plus a final newline; the writer emits that text directly, with no
+intermediate objects. Instances carry exact integers only; certificates
+carry rationals as "p/q" strings so nothing ever passes through floats.
+Integers of magnitude at least 2^53 are serialized as decimal strings
+-?[0-9]+, smaller ones as JSON numbers; rationals as -?[0-9]+(/[0-9]+)?
+in lowest terms. Integer decimals of any length convert, also past the
+interpreter's int/str digit limit, in subquadratic time. The parser
+accepts each number only in the one form the serializer writes it, so no
+leading zeros, no "-0" and no "3/1". Serialization is canonical:
+serialize(parse(serialize(x))) is byte-identical to serialize(x), and
+parse accepts no other text for x. A certificate's "seed" is always
+written as 0 and parsed only as 0; it is not kept.
 
 Every object holds exactly the keys the serializer writes, nulls included;
 a step's are the IsogenyStep fields of the table _STEP_FIELDS, which both
 directions loop over. An extra or missing key is a ValueError naming the
-object.
+object, and so is a key that appears twice in one object.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import re
 from dataclasses import fields
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .arith import _text_int, int_text
 from .errors import PreconditionError
@@ -38,15 +42,55 @@ _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
-# integer and matrix codecs
+# writer: JSON text laid out as json.dumps(obj, indent=2, ensure_ascii=False)
+# lays it out. `pad` is the indentation of the line a container opens on.
 # ---------------------------------------------------------------------------
 
 
-def _encode_int(v: int):
-    return v if abs(v) < _BIG else int_text(v)
+def _int_token(v: int) -> str:
+    return repr(v) if -_BIG < v < _BIG else '"' + int_text(v) + '"'
+
+
+def _rational_token(q: Fraction) -> str:
+    return '"' + str(q) + '"'
+
+
+def _array(tokens, pad: str) -> str:
+    inner = "\n" + pad + "  "
+    body = ("," + inner).join(tokens)
+    return "[" + inner + body + "\n" + pad + "]" if body else "[]"
+
+
+def _object(pairs, pad: str) -> str:
+    inner = "\n" + pad + "  "
+    body = ("," + inner).join(
+        [encode_basestring(key) + ": " + token for key, token in pairs]
+    )
+    return "{" + inner + body + "\n" + pad + "}"
+
+
+def _matrix(m, token, pad: str) -> str:
+    inner = "\n" + pad + "    "
+    sep, close = "," + inner, "\n" + pad + "  ]"
+    return _array(["[" + inner + sep.join(map(token, row)) + close for row in m], pad)
+
+
+def _int_matrix(m, pad: str) -> str:
+    # repr writes each entry at once when all are below 2^53, as they mostly are
+    small = -_BIG < min(map(min, m)) and max(map(max, m)) < _BIG
+    return _matrix(m, repr if small else _int_token, pad)
+
+
+# ---------------------------------------------------------------------------
+# reader
+# ---------------------------------------------------------------------------
 
 
 def _decode_int(v) -> int:
+    # most entries are JSON numbers below 2^53, taken as they stand; a bool
+    # is not of type int
+    if type(v) is int and -_BIG < v < _BIG:
+        return v
     if isinstance(v, bool):
         raise ValueError("expected an integer, got a boolean")
     if isinstance(v, int):
@@ -55,13 +99,14 @@ def _decode_int(v) -> int:
         if not _INT_TEXT.fullmatch(v):
             raise ValueError(f"integer string {v!r} is not of the form -?[0-9]+")
         value = _text_int(v)
-        # _encode_int writes a string only from 2^53 up, and int_text
+        # the writer quotes an integer only from 2^53 up, and int_text
         # writes no leading zero (a nonzero value also rules out "-0")
         canonical = abs(value) >= _BIG and not v.lstrip("-").startswith("0")
     else:
         raise ValueError(f"expected an integer, got {type(v).__name__}")
     if not canonical:
-        raise ValueError(f"integer {v!r} is not written as {_encode_int(value)!r}")
+        written = value if abs(value) < _BIG else int_text(value)
+        raise ValueError(f"integer {v!r} is not written as {written!r}")
     return value
 
 
@@ -85,21 +130,15 @@ def _decode_str(v) -> str:
     return v
 
 
-def _encode_matrix(m, entry) -> list:
-    return [[entry(x) for x in row] for row in m]
-
-
 def _decode_matrix(obj, entry) -> tuple:
     """A 4x4 matrix whose entries the decoder `entry` reads."""
-    if not isinstance(obj, list) or len(obj) != 4 or not all(
-        isinstance(row, list) and len(row) == 4 for row in obj
+    if (
+        type(obj) is not list
+        or [*map(type, obj)] != [list] * 4
+        or [*map(len, obj)] != [4] * 4
     ):
         raise ValueError("matrix must be a 4x4 array")
     return tuple(tuple(map(entry, row)) for row in obj)
-
-
-def _encode_alpha(alpha):
-    return [_encode_int(alpha[0]), _encode_int(alpha[1])]
 
 
 def _decode_alpha(obj) -> tuple[int, int]:
@@ -122,15 +161,27 @@ def _values(obj, what: str, keys) -> list:
     return [obj[k] for k in keys]
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of these pairs, refusing a key that appears twice."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in obj if keys.count(k) > 1)
+        raise ValueError(
+            f"duplicate key {key!r} in the JSON object with keys {', '.join(obj)}"
+        )
+    return obj
+
+
+# One decoder for every parse: json.loads with a hook builds a new one per call.
+_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load(text: str):
     try:
-        return json.loads(text)
+        return _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +189,19 @@ def _dump(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _instance_obj(surface: PolarizedRMSurface) -> dict:
-    return {
-        "order": {
-            "D": _encode_int(surface.order.D),
-            "conductor": _encode_int(surface.order.conductor),
-        },
-        "omega_action": _encode_matrix(surface.action, _encode_int),
-        "gram": _encode_matrix(surface.gram, _encode_int),
-        "format_version": FORMAT_VERSION,
-    }
+def _instance_text(surface: PolarizedRMSurface, pad: str) -> str:
+    inner = pad + "  "
+    D, conductor = surface.order.D, surface.order.conductor
+    order = _object((("D", _int_token(D)), ("conductor", _int_token(conductor))), inner)
+    return _object(
+        (
+            ("order", order),
+            ("omega_action", _int_matrix(surface.action, inner)),
+            ("gram", _int_matrix(surface.gram, inner)),
+            ("format_version", repr(FORMAT_VERSION)),
+        ),
+        pad,
+    )
 
 
 def _instance_from_obj(obj) -> PolarizedRMSurface:
@@ -167,7 +221,7 @@ def _instance_from_obj(obj) -> PolarizedRMSurface:
 
 
 def serialize_instance(surface: PolarizedRMSurface) -> str:
-    return _dump(_instance_obj(surface))
+    return _instance_text(surface, "") + "\n"
 
 
 def parse_instance(text: str) -> PolarizedRMSurface:
@@ -178,22 +232,36 @@ def parse_instance(text: str) -> PolarizedRMSurface:
 # certificates
 # ---------------------------------------------------------------------------
 
-# Each IsogenyStep field in dataclass order, with the encoder and decoder of
-# its non-null value; a field whose default is None is written as null when
-# unset. A step object has exactly these keys.
+# A step's fields sit three levels deep: certificate, steps, step.
+_STEP_PAD = " " * 6
+
+
+def _scalar(decode):
+    """A step-field reader that needs no rational reader."""
+    return lambda v, rational: decode(v)
+
+
+# Each IsogenyStep field in dataclass order, with the writer of its non-null
+# value as JSON text and its reader; a field whose default is None is
+# written as null when unset. A reader takes the value and the parse's
+# rational reader. A step object has exactly these keys.
 _STEP_FIELDS = (
-    ("kind", str, _decode_str),
-    ("prime", _encode_int, _decode_int),
+    ("kind", encode_basestring, _scalar(_decode_str)),
+    ("prime", _int_token, _scalar(_decode_int)),
     (
         "kernel_overlattice",
-        lambda m: _encode_matrix(m, str),
-        lambda obj: _decode_matrix(obj, _decode_rational),
+        lambda m: _matrix(m, _rational_token, _STEP_PAD),
+        _decode_matrix,
     ),
-    ("alpha", _encode_alpha, _decode_alpha),
-    ("degree_before", _encode_int, _decode_int),
-    ("degree_after", _encode_int, _decode_int),
-    ("t", _encode_int, _decode_int),
-    ("branch", str, _decode_str),
+    (
+        "alpha",
+        lambda alpha: _array(map(_int_token, alpha), _STEP_PAD),
+        _scalar(_decode_alpha),
+    ),
+    ("degree_before", _int_token, _scalar(_decode_int)),
+    ("degree_after", _int_token, _scalar(_decode_int)),
+    ("t", _int_token, _scalar(_decode_int)),
+    ("branch", encode_basestring, _scalar(_decode_str)),
 )
 _STEP_KEYS = tuple(name for name, _, _ in _STEP_FIELDS)
 _NULLABLE = frozenset(f.name for f in fields(IsogenyStep) if f.default is None)
@@ -201,13 +269,23 @@ _NULLABLE = frozenset(f.name for f in fields(IsogenyStep) if f.default is None)
 
 def serialize_certificate(cert: CertificateData) -> str:
     steps = [
-        {
-            name: None if (v := getattr(s, name)) is None else encode(v)
-            for name, encode, _ in _STEP_FIELDS
-        }
+        _object(
+            [
+                (name, "null" if (v := getattr(s, name)) is None else encode(v))
+                for name, encode, _ in _STEP_FIELDS
+            ],
+            "    ",
+        )
         for s in cert.steps
     ]
-    return _dump({"seed": 0, "steps": steps, "final": _instance_obj(cert.final)})
+    return _object(
+        (
+            ("seed", "0"),
+            ("steps", _array(steps, "  ")),
+            ("final", _instance_text(cert.final, "  ")),
+        ),
+        "",
+    ) + "\n"
 
 
 def parse_certificate(text: str) -> CertificateData:
@@ -216,11 +294,20 @@ def parse_certificate(text: str) -> CertificateData:
     )
     if not isinstance(steps_obj, list):
         raise ValueError("certificate steps must be an array")
+    rationals: dict[str, Fraction] = {}
+
+    def rational(x) -> Fraction:
+        """_decode_rational, reading each distinct text once per certificate."""
+        value = rationals.get(x) if type(x) is str else None
+        if value is None:
+            value = rationals[x] = _decode_rational(x)
+        return value
+
     steps = []
     for i, s in enumerate(steps_obj):
         values = _values(s, f"step {i}", _STEP_KEYS)
         step = {
-            name: None if v is None and name in _NULLABLE else decode(v)
+            name: None if v is None and name in _NULLABLE else decode(v, rational)
             for (name, _, decode), v in zip(_STEP_FIELDS, values)
         }
         steps.append(IsogenyStep(**step))

@@ -23,7 +23,7 @@ from itertools import combinations, product
 
 from . import intmat
 from .arith import int_text, is_prime, require_odd_prime
-from .errors import DescentError, InvariantBreach, LatticeModelError, PreconditionError
+from .errors import DescentError, InvariantBreach, PreconditionError
 from .isogeny import descend_polarization
 from .reduction import CertificateData, principalize
 from .surface import KernelSubgroup, PolarizedRMSurface, kernel_from_subspace
@@ -159,14 +159,17 @@ def verify_certificate(
 
     Re-runs principalize on the input surface and compares the steps it
     derives with the recorded ones, then the surface it reaches with the
-    recorded final surface. A principalize failure rejects the certificate.
-    Returns (ok, message); a rejection names the first step index where
-    the two records part and, where both have a step there, the first
-    differing field.
+    recorded final surface. An InvariantBreach or DescentError in the
+    replay rejects the certificate. A PreconditionError propagates: the
+    replay runs on the input surface alone, so a violated hypothesis or a
+    limit hit there is no verdict on the certificate. Returns (ok,
+    message); a rejection names the first step index where the two
+    records part and, where both have a step there, the first differing
+    field.
     """
     try:
         reached, derived = principalize(start)
-    except LatticeModelError as exc:
+    except (InvariantBreach, DescentError) as exc:
         return False, f"replay aborted: {exc}"
     recorded = certificate.steps
     for i, (rec, der) in enumerate(zip(recorded, derived.steps)):

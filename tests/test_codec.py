@@ -1,0 +1,277 @@
+"""The direct JSON writer and the decimal conversions against the code they
+replaced, kept here as references: the writer against json.dumps of the
+former object builders, byte for byte, and int_text and _text_int against
+divide and conquer on powers of ten by divmod. Every refusal of the reader
+keeps its message."""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rmlattice.arith import _text_int, int_text
+from rmlattice.formats import (
+    FORMAT_VERSION,
+    parse_certificate,
+    parse_instance,
+    serialize_certificate,
+    serialize_instance,
+)
+from rmlattice.generator import generate_instance
+from rmlattice.isogeny import IsogenyStep
+from rmlattice.quadratic import make_order
+from rmlattice.reduction import CertificateData, principalize
+from rmlattice.surface import PolarizedRMSurface
+
+# ---------------------------------------------------------------------------
+# references: the former decimal conversions and writer
+# ---------------------------------------------------------------------------
+
+
+def reference_int_text(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:
+        pass
+    if v < 0:
+        return "-" + reference_int_text(-v)
+    k, power = 1, 10
+    while power * power <= v:
+        k, power = 2 * k, power * power
+    hi, lo = divmod(v, power)
+    return reference_int_text(hi) + reference_int_text(lo).zfill(k)
+
+
+def reference_text_int(text: str) -> int:
+    try:
+        return int(text, 10)
+    except ValueError:
+        pass
+    if text.startswith("-"):
+        return -reference_text_int(text[1:])
+    k = len(text) // 2
+    return reference_text_int(text[:-k]) * 10**k + reference_text_int(text[-k:])
+
+
+def _encode_int(v: int):
+    return v if abs(v) < 2**53 else reference_int_text(v)
+
+
+def _encode_matrix(m, entry) -> list:
+    return [[entry(x) for x in row] for row in m]
+
+
+def _instance_obj(surface) -> dict:
+    return {
+        "order": {
+            "D": _encode_int(surface.order.D),
+            "conductor": _encode_int(surface.order.conductor),
+        },
+        "omega_action": _encode_matrix(surface.action, _encode_int),
+        "gram": _encode_matrix(surface.gram, _encode_int),
+        "format_version": FORMAT_VERSION,
+    }
+
+
+_REFERENCE_STEP_ENCODERS = (
+    ("kind", str),
+    ("prime", _encode_int),
+    ("kernel_overlattice", lambda m: _encode_matrix(m, str)),
+    ("alpha", lambda alpha: [_encode_int(alpha[0]), _encode_int(alpha[1])]),
+    ("degree_before", _encode_int),
+    ("degree_after", _encode_int),
+    ("t", _encode_int),
+    ("branch", str),
+)
+
+
+def _dump(obj) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def reference_serialize_instance(surface) -> str:
+    return _dump(_instance_obj(surface))
+
+
+def reference_serialize_certificate(cert) -> str:
+    steps = [
+        {
+            name: None if (v := getattr(s, name)) is None else encode(v)
+            for name, encode in _REFERENCE_STEP_ENCODERS
+        }
+        for s in cert.steps
+    ]
+    return _dump({"seed": 0, "steps": steps, "final": _instance_obj(cert.final)})
+
+
+# ---------------------------------------------------------------------------
+# the writer
+# ---------------------------------------------------------------------------
+
+_near_2_53 = st.builds(
+    lambda sign, d: sign * (2**53 + d), st.sampled_from((1, -1)), st.integers(-2, 2)
+)
+_ints = st.one_of(
+    st.integers(-1000, 1000),
+    _near_2_53,
+    st.integers(-(2**80), 2**80),
+    st.integers(1, 15000).flatmap(lambda b: st.integers(-(2**b), 2**b)),
+)
+_rationals = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)
+)
+
+
+def _matrices(entries):
+    return st.tuples(*[st.tuples(*[entries] * 4)] * 4)
+
+
+_orders = st.builds(
+    make_order,
+    st.sampled_from((2, 5, 13, 2**61 - 1)),
+    st.one_of(st.integers(1, 99), st.integers(2**53 - 2, 2**53 + 2), st.just(3**9000)),
+)
+_surfaces = st.builds(PolarizedRMSurface, _orders, _matrices(_ints), _matrices(_ints))
+_steps = st.builds(
+    IsogenyStep,
+    kind=st.one_of(st.sampled_from(("quotient", "twist")), st.text(max_size=8)),
+    prime=_ints,
+    kernel_overlattice=st.none() | _matrices(_rationals),
+    alpha=st.none() | st.tuples(_ints, _ints),
+    degree_before=_ints,
+    degree_after=_ints,
+    t=st.none() | _ints,
+    branch=st.none() | st.text(max_size=8),
+)
+_certificates = st.builds(
+    CertificateData, st.lists(_steps, max_size=4).map(tuple), _surfaces
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_surfaces, _certificates)
+def test_writer_matches_json_dumps_of_the_former_objects(surface, cert):
+    assert serialize_instance(surface) == reference_serialize_instance(surface)
+    assert serialize_certificate(cert) == reference_serialize_certificate(cert)
+
+
+def test_writer_matches_json_dumps_on_pipeline_certificates():
+    for params, seed in [((5, 3, [11]), 42), ((13, 9, [17]), 3), ((5, 59049, [11]), 1)]:
+        start = generate_instance(*params, seed=seed)
+        result, cert = principalize(start)
+        assert serialize_instance(result) == reference_serialize_instance(result)
+        assert serialize_certificate(cert) == reference_serialize_certificate(cert)
+    empty = CertificateData(steps=(), final=start)
+    assert '"steps": [],' in serialize_certificate(empty)
+    assert serialize_certificate(empty) == reference_serialize_certificate(empty)
+
+
+# ---------------------------------------------------------------------------
+# decimal text both ways
+# ---------------------------------------------------------------------------
+
+
+def _digit_cases():
+    rng = random.Random(2024)
+    cases = [0, 1, -1, 9, -10, 2**53, -(2**53)]
+    for digits in (4299, 4300, 4301, 8600, 30000):
+        cases += [10**digits, 10**digits - 1, -(10**digits), 1 - 10**digits]
+    # 4300 digits, the default limit, and 4301, the first past it
+    cases += [10**4299 + rng.getrandbits(1000), 10**4300 + rng.getrandbits(1000)]
+    for _ in range(24):
+        bits = int(2 ** rng.uniform(4, 18.2))  # up to about 300k bits
+        cases.append(rng.choice((1, -1)) * rng.getrandbits(bits))
+    cases.append(rng.getrandbits(300_000))
+    return cases
+
+
+def test_int_text_and_text_int_match_the_divmod_reference():
+    for v in _digit_cases():
+        text = int_text(v)
+        assert text == reference_int_text(v)
+        assert _text_int(text) == v == reference_text_int(text)
+
+
+# ---------------------------------------------------------------------------
+# the reader's refusals keep their messages
+# ---------------------------------------------------------------------------
+
+_INSTANCE_REFUSALS = [
+    (True, "expected an integer, got a boolean"),
+    (2**53, "integer 9007199254740992 is not written as '9007199254740992'"),
+    (1.0, "expected an integer, got float"),
+    ("-0", "integer '-0' is not written as 0"),
+    ("007", "integer '007' is not written as 7"),
+    ("3/1", "integer string '3/1' is not of the form -?[0-9]+"),
+    ("2/4", "integer string '2/4' is not of the form -?[0-9]+"),
+    ("1/0", "integer string '1/0' is not of the form -?[0-9]+"),
+]
+_KERNEL_REFUSALS = [
+    (True, "rational entry True is not a string like '-3/4'"),
+    (2**53, "rational entry 9007199254740992 is not a string like '-3/4'"),
+    (1.0, "rational entry 1.0 is not a string like '-3/4'"),
+    ([1], "rational entry [1] is not a string like '-3/4'"),
+    ("-0", "rational entry '-0' is not written as '0'"),
+    ("007", "rational entry '007' is not written as '7'"),
+    ("3/1", "rational entry '3/1' is not written as '3'"),
+    ("2/4", "rational entry '2/4' is not written as '1/2'"),
+    ("1/0", "rational entry '1/0' has a zero denominator"),
+]
+
+
+def _seed_files():
+    start = generate_instance(5, 3, [11], seed=42)
+    cert = principalize(start)[1]
+    return json.loads(serialize_instance(start)), json.loads(serialize_certificate(cert))
+
+
+@pytest.mark.parametrize("entry, message", _INSTANCE_REFUSALS)
+def test_an_instance_entry_is_refused_with_its_message(entry, message):
+    inst, _ = _seed_files()
+    # the row holds valid entries too, some already read when the bad one is
+    inst["gram"][2][3] = entry
+    with pytest.raises(ValueError) as info:
+        parse_instance(json.dumps(inst))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry, message", _KERNEL_REFUSALS)
+def test_a_kernel_entry_is_refused_with_its_message(entry, message):
+    _, cert = _seed_files()
+    kernel = cert["steps"][1]["kernel_overlattice"]
+    # the entry's row and the rows before it are read first, so a text seen
+    # before the bad one is already decoded
+    kernel[3][2] = entry
+    with pytest.raises(ValueError) as info:
+        parse_certificate(json.dumps(cert))
+    assert str(info.value) == message
+
+
+def test_rational_texts_read_once_per_certificate_are_still_exact():
+    _, cert = _seed_files()
+    kernel = cert["steps"][1]["kernel_overlattice"]
+    texts = [x for row in kernel for x in row]
+    assert len(set(texts)) < len(texts)  # texts repeat within one kernel
+    parsed = parse_certificate(json.dumps(cert)).steps[1].kernel_overlattice
+    assert [x for row in parsed for x in row] == [Fraction(x) for x in texts]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a": 1, "a": 2}', "duplicate key 'a' in the JSON object with keys a"),
+        (
+            '{"b": [{"c": 1, "d": 2, "c": 3}]}',
+            "duplicate key 'c' in the JSON object with keys c, d",
+        ),
+    ],
+)
+def test_duplicate_keys_are_refused_with_the_key(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_instance(text)
+    assert str(info.value) == message

@@ -30,7 +30,6 @@ from rmlattice.formats import (
     _decode_int,
     _decode_matrix,
     _decode_rational,
-    _encode_int,
     parse_certificate,
     parse_instance,
     serialize_certificate,
@@ -45,6 +44,13 @@ from rmlattice.surface import apply_unimodular
 # ---------------------------------------------------------------------------
 # codecs
 # ---------------------------------------------------------------------------
+
+
+def _encode_int(v: int):
+    """The JSON value the writer gives an integer: a number below 2^53 in
+    magnitude, else its decimal string (the writer's former helper, kept
+    as the reference these tests compare with)."""
+    return v if abs(v) < 2**53 else int_text(v)
 
 
 def test_int_codec_small_and_big():
@@ -421,6 +427,47 @@ def test_cli_info_refuses_a_pfaffian_rho_cannot_factor_before_printing(
     assert refusal.err.startswith(f"error: cannot factor {abs(s.pf)}: ")
     assert main(["info", str(inst)]) == 2
     assert capsys.readouterr() == ("", refusal.err)
+
+
+def test_cli_verify_exits_2_on_a_limit_hit_in_the_replay(tmp_path, capsys, monkeypatch):
+    # The replay runs on the instance, not on the certificate: a pfaffian
+    # rho cannot factor stops it where principalize stops, with exit 2 and
+    # the same line, whatever the certificate holds. verify once printed
+    # "error: replay aborted: cannot factor ..." and exited 1.
+    s = standard_instance(make_order(5, 1))
+    for p in (10000000000000061, 10000000000000069):
+        s = twist_by_element(s, factor_prime(s.order, p)[0])
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    inst.write_text(serialize_instance(s), encoding="utf-8")
+    seed = generate_instance(5, 3, [11], seed=42)
+    cert.write_text(serialize_certificate(principalize(seed)[1]), encoding="utf-8")
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+    assert main(["principalize", str(inst), "-o", str(tmp_path / "out.json")]) == 2
+    refusal = capsys.readouterr()
+    assert refusal.err.startswith(f"error: cannot factor {abs(s.pf)}: ")
+    assert main(["verify", str(inst), str(cert)]) == 2
+    assert capsys.readouterr() == ("", refusal.err)
+
+
+def test_cli_verify_rejects_a_certificate_with_a_duplicate_key(tmp_path, capsys):
+    # json.loads keeps the last of two equal keys, so this file verified
+    # as the certificate without the inserted key
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    assert main([
+        "generate", "--D", "5", "--conductor", "3", "--degree-primes", "11",
+        "--seed", "42", "-o", str(inst),
+    ]) == 0
+    assert main(["principalize", str(inst), "-o", str(tmp_path / "out.json"),
+                 "--cert-out", str(cert)]) == 0
+    text = cert.read_text(encoding="utf-8")
+    assert text.count('"prime": 3,') == 2
+    cert.write_text(text.replace('"prime": 3,', '"prime": 999,\n      "prime": 3,', 1))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(cert)]) == 1
+    assert capsys.readouterr().err == (
+        "error: duplicate key 'prime' in the JSON object with keys kind, prime, "
+        "kernel_overlattice, alpha, degree_before, degree_after, t, branch\n"
+    )
 
 
 def test_cli_generate_refuses_a_strong_pseudoprime_to_the_bases_to_37(tmp_path, capsys):
