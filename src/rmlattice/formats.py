@@ -76,7 +76,8 @@ def _matrix(m, token, pad: str) -> str:
 
 
 def _int_matrix(m, pad: str) -> str:
-    # repr writes each entry at once when all are below 2^53, as they mostly are
+    # when every entry is below 2^53, as is usual, repr writes them with no
+    # Python call per entry
     small = -_BIG < min(map(min, m)) and max(map(max, m)) < _BIG
     return _matrix(m, repr if small else _int_token, pad)
 
