@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -242,9 +241,9 @@ def _scalar(decode):
     return lambda v, rational: decode(v)
 
 
-# Each IsogenyStep field in dataclass order, with the writer of its non-null
-# value as JSON text and its reader; a field whose default is None is
-# written as null when unset. A reader takes the value and the parse's
+# Each IsogenyStep field in the order of IsogenyStep._fields, with the
+# writer of its non-null value as JSON text and its reader; a field whose
+# default is None is written as null when unset. A reader takes the value and the parse's
 # rational reader. A step object has exactly these keys.
 _STEP_FIELDS = (
     ("kind", encode_basestring, _scalar(_decode_str)),
@@ -265,7 +264,9 @@ _STEP_FIELDS = (
     ("branch", encode_basestring, _scalar(_decode_str)),
 )
 _STEP_KEYS = tuple(name for name, _, _ in _STEP_FIELDS)
-_NULLABLE = frozenset(f.name for f in fields(IsogenyStep) if f.default is None)
+_NULLABLE = frozenset(
+    name for name, default in IsogenyStep.__init__.__kwdefaults__.items() if default is None
+)
 
 
 def serialize_certificate(cert: CertificateData) -> str:

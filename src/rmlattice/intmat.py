@@ -21,9 +21,9 @@ Conventions:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
 
 IntMat = tuple[tuple[int, ...], ...]
 RatMat = tuple[tuple[Fraction, ...], ...]

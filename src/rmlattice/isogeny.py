@@ -14,11 +14,9 @@ the pfaffian that rebase or twist_by_element carried by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .intmat import RatMat
-from .quadratic import OrderElement
+from .quadratic import OrderElement, Record
 from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
@@ -32,8 +30,7 @@ SCALE = "scale"
 TWIST = "twist"
 
 
-@dataclass(frozen=True, kw_only=True)
-class IsogenyStep:
+class IsogenyStep(Record):
     """One replayable move in an isogeny chain, with the degree it starts
     and ends at.
 
@@ -46,14 +43,25 @@ class IsogenyStep:
     exactly these fields.
     """
 
-    kind: str
-    prime: int
-    kernel_overlattice: RatMat | None = None
-    alpha: tuple[int, int] | None = None
-    degree_before: int
-    degree_after: int
-    t: int | None = None
-    branch: str | None = None
+    __slots__ = _fields = (
+        "kind", "prime", "kernel_overlattice", "alpha", "degree_before", "degree_after", "t", "branch"
+    )
+
+    def __init__(
+        self,
+        *,
+        kind: str,
+        prime: int,
+        kernel_overlattice: RatMat | None = None,
+        alpha: tuple[int, int] | None = None,
+        degree_before: int,
+        degree_after: int,
+        t: int | None = None,
+        branch: str | None = None,
+    ) -> None:
+        self.__setstate__(
+            (kind, prime, kernel_overlattice, alpha, degree_before, degree_after, t, branch)
+        )
 
 
 # ---------------------------------------------------------------------------

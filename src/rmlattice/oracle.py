@@ -17,7 +17,6 @@ write, in any step or in its length, is rejected.
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -174,11 +173,7 @@ def verify_certificate(
     recorded = certificate.steps
     for i, (rec, der) in enumerate(zip(recorded, derived.steps)):
         if rec != der:
-            name = next(
-                f.name
-                for f in fields(rec)
-                if getattr(rec, f.name) != getattr(der, f.name)
-            )
+            name = next(n for n in rec._fields if getattr(rec, n) != getattr(der, n))
             return False, (
                 f"step {i} ({rec.kind} at {int_text(rec.prime)}): "
                 f"{name}={_show(getattr(rec, name))} recorded, "

@@ -23,11 +23,13 @@ generator reaches the suborder at the exponents k0 + n0*Z, k0 found by a
 baby-step giant-step discrete log modulo f. The canonical solution, the
 least |y| on that progression, is placed from the sizes of the
 embeddings, so only one or two unit powers are built exactly.
+
+Record, the base of the package's six value types, is defined here, in
+the lowest module that defines one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import floor, isqrt, log
 
@@ -39,9 +41,53 @@ INERT = "inert"
 RAMIFIED = "ramified"
 DIVIDES_CONDUCTOR = "divides_conductor"
 
+# Sets one field of a Record past its refusing __setattr__.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class RealQuadraticOrder:
+
+class Record:
+    """An immutable value whose fields, named in `_fields`, are its whole value.
+
+    A subclass lists its fields in `_fields` and `__slots__`, and its
+    __init__ sets them through __setstate__. Equality and hashing are over
+    the field tuple, between instances of the same class only; assignment
+    and deletion raise AttributeError; pickle and copy rebuild an instance
+    from its field tuple. (A dataclass would import inspect with it.)
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values()
+
+    def __setstate__(self, values: tuple) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+
+class RealQuadraticOrder(Record):
     """The order of conductor `conductor` in Q(sqrt(D)).
 
     trace_omega and norm_omega are the trace and norm of the generator, so
@@ -49,12 +95,22 @@ class RealQuadraticOrder:
     discriminant is trace_omega^2 - 4*norm_omega = conductor^2 * d_F.
     """
 
-    D: int
-    conductor: int
-    fundamental_discriminant: int
-    discriminant: int
-    trace_omega: int
-    norm_omega: int
+    __slots__ = _fields = (
+        "D", "conductor", "fundamental_discriminant", "discriminant", "trace_omega", "norm_omega"
+    )
+
+    def __init__(
+        self,
+        D: int,
+        conductor: int,
+        fundamental_discriminant: int,
+        discriminant: int,
+        trace_omega: int,
+        norm_omega: int,
+    ) -> None:
+        self.__setstate__(
+            (D, conductor, fundamental_discriminant, discriminant, trace_omega, norm_omega)
+        )
 
     def element(self, x: int, y: int) -> "OrderElement":
         return OrderElement(self, x, y)
@@ -88,13 +144,16 @@ def make_order(D: int, conductor: int = 1) -> RealQuadraticOrder:
     return RealQuadraticOrder(D, conductor, d_f, disc, t, n)
 
 
-@dataclass(frozen=True)
-class OrderElement:
+class OrderElement(Record):
     """x + y*w relative to a fixed real quadratic order with generator w."""
 
-    order: RealQuadraticOrder
-    x: int
-    y: int
+    __slots__ = _fields = ("order", "x", "y")
+
+    def __init__(self, order: RealQuadraticOrder, x: int, y: int) -> None:
+        # field by field rather than through __setstate__: the hot constructor
+        _set(self, "order", order)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def __add__(self, other: "OrderElement") -> "OrderElement":
         self._check_same_order(other)

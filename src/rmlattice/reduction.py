@@ -20,7 +20,6 @@ with a maximal acting order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import intmat
@@ -35,7 +34,7 @@ from .isogeny import (
     descend_polarization,
     divide_by_symmetric,
 )
-from .quadratic import factor_prime, make_order
+from .quadratic import Record, factor_prime, make_order
 from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
@@ -53,13 +52,14 @@ SPLIT_DIVIDE = "split_divide"
 ASSOCIATE_DIVIDE = "associate_divide"
 
 
-@dataclass(frozen=True)
-class CertificateData:
+class CertificateData(Record):
     """Replayable record of a principalization run: the steps from the
     input surface and the final surface they reach."""
 
-    steps: tuple[IsogenyStep, ...]
-    final: PolarizedRMSurface
+    __slots__ = _fields = ("steps", "final")
+
+    def __init__(self, steps: tuple[IsogenyStep, ...], final: PolarizedRMSurface) -> None:
+        self.__setstate__((steps, final))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ overlattice, pull-back to a sublattice, a unimodular scramble) goes
 through rebase. Everything is a pure function on immutable values.
 
 The pfaffian is kept on each surface (the cached property `pf`, which is
-not a dataclass field, so equality, hashing and every serialized form see
-only order, action and gram); degree and validation read it. With the
-gram's content c it gives the polarization's elementary divisors
+not one of its fields, so equality, hashing, pickling and every serialized
+form see only order, action and gram); degree and validation read it.
+With the gram's content c it gives the polarization's elementary divisors
 (c, c, pf/c, pf/c) (intmat.alternating_divisors), so no dual lattice is
 ever built. rebase and twist_by_element, the only builders of a moved
 surface, carry it by identity (det(B) pf / den^4 and norm(el) pf / den^2)
@@ -33,7 +33,6 @@ products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -46,23 +45,26 @@ from .quadratic import (
     SPLIT,
     OrderElement,
     RealQuadraticOrder,
+    Record,
     make_order,
     splitting_type,
 )
 
 
-@dataclass(frozen=True)
-class PolarizedRMSurface:
-    order: RealQuadraticOrder
-    action: IntMat
-    gram: IntMat
+class PolarizedRMSurface(Record):
+    # __dict__ holds the cached properties pf and defect, outside the fields
+    __slots__ = ("order", "action", "gram", "__dict__")
+    _fields = ("order", "action", "gram")
+
+    def __init__(self, order: RealQuadraticOrder, action: IntMat, gram: IntMat) -> None:
+        self.__setstate__((order, action, gram))
 
     @cached_property
     def pf(self) -> int:
         """Pfaffian of the gram form, computed on first use and then kept.
 
-        Not a dataclass field, so equality, hashing, the constructor and
-        every serialized form see only (order, action, gram).
+        Not one of the fields, so equality, hashing, pickling, the
+        constructor and every serialized form see only (order, action, gram).
         """
         return intmat.pfaffian4(self.gram)
 
@@ -98,8 +100,7 @@ class PolarizedRMSurface:
         )
 
 
-@dataclass(frozen=True)
-class KernelSubgroup:
+class KernelSubgroup(Record):
     """A finite subgroup of torsion, stored as its overlattice L' with L <= L'.
 
     L' is basis / den: basis is the canonical (column Hermite form) basis of
@@ -107,8 +108,10 @@ class KernelSubgroup:
     is den^4 / det(basis).
     """
 
-    basis: IntMat
-    den: int
+    __slots__ = _fields = ("basis", "den")
+
+    def __init__(self, basis: IntMat, den: int) -> None:
+        self.__setstate__((basis, den))
 
     @property
     def overlattice(self) -> RatMat:

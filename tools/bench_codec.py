@@ -14,47 +14,39 @@ replacing an earlier run of the same code (same src digest). A run holds:
 - arith.int_text and arith._text_int in seconds on random integers of
   150k, 840k and 3.6M bits, with the log-log slope fitted over them.
 
-Every time is the median of RUNS runs. The run records the Python version,
-the commit (with "-dirty" when src/ differs from it) and a digest of
-src/rmlattice/*.py.
+Every time is the median of RUNS runs, each scaled by the host_ms()
+readings around it (tools/benchlib.py); the run records the median reading
+as host_ms. Runs without host_ms were timed unscaled. The run records the
+Python version, the commit (with "-dirty" when src/ differs from it) and a
+digest of src/rmlattice/*.py.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import platform
 import random
 import statistics
-import subprocess
-import sys
-from pathlib import Path
-from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+from benchlib import ROOT, HostClock, add_run, identity
 
-import workloads  # noqa: E402
-from rmlattice import arith, formats  # noqa: E402
-from rmlattice.errors import PreconditionError  # noqa: E402
-from rmlattice.generator import generate_instance  # noqa: E402
-from rmlattice.reduction import principalize  # noqa: E402
+# benchlib has put src/ and perfbench/ on sys.path
+import workloads
+from rmlattice import arith, formats
+from rmlattice.errors import PreconditionError
+from rmlattice.generator import generate_instance
+from rmlattice.reduction import principalize
 
 RUNS = 5
 SEED = 1
 WORKLOADS = ("pool", "conductor", "numtheory")
 BITS = (150_000, 840_000, 3_600_000)
 OUT = ROOT / "BENCH_codec.json"
+CLOCK = HostClock()
 
 
 def _median_s(fn) -> float:
-    times = []
-    for _ in range(RUNS):
-        start = perf_counter()
-        fn()
-        times.append(perf_counter() - start)
-    return statistics.median(times)
+    return CLOCK.median_seconds(fn, RUNS)
 
 
 def codec_point(workload: str) -> dict:
@@ -122,29 +114,15 @@ def digits_points() -> dict:
     }
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
-
-
 def main() -> None:
-    src = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "rmlattice").glob("*.py")):
-        src.update(path.name.encode() + b"\0" + path.read_bytes())
-    dirty = _git("status", "--porcelain", "--", "src") != ""
     run = {
-        "commit": _git("rev-parse", "--short=12", "HEAD") + ("-dirty" if dirty else ""),
-        "src_sha256": src.hexdigest(),
-        "python": platform.python_version(),
+        **identity(),
         "runs_per_point": RUNS,
         "codec": {w: codec_point(w) for w in WORKLOADS},
         "digits": digits_points(),
     }
-    print(json.dumps(run, indent=2))
-    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
-    runs = [r for r in runs if r["src_sha256"] != run["src_sha256"]] + [run]
-    OUT.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+    run["host_ms"] = CLOCK.median_host_ms()
+    add_run(OUT, run, ("src_sha256",))
 
 
 if __name__ == "__main__":
