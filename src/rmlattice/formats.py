@@ -243,8 +243,8 @@ def _scalar(decode):
 
 # Each IsogenyStep field in the order of IsogenyStep._fields, with the
 # writer of its non-null value as JSON text and its reader; a field whose
-# default is None is written as null when unset. A reader takes the value and the parse's
-# rational reader. A step object has exactly these keys.
+# default is None is written as null when unset. A reader takes the value
+# and the parse's rational reader. A step object has exactly these keys.
 _STEP_FIELDS = (
     ("kind", encode_basestring, _scalar(_decode_str)),
     ("prime", _int_token, _scalar(_decode_int)),
