@@ -46,7 +46,7 @@ CLOCK = HostClock()
 
 
 def _median_s(fn) -> float:
-    return CLOCK.median_seconds(fn, RUNS)
+    return statistics.median(CLOCK.seconds(fn) for _ in range(RUNS))
 
 
 def codec_point(workload: str) -> dict:

@@ -41,9 +41,6 @@ class HostClock:
         self.readings += [before, after]
         return elapsed * REFERENCE_MS / ((before + after) / 2)
 
-    def median_seconds(self, fn, runs: int) -> float:
-        return statistics.median(self.seconds(fn) for _ in range(runs))
-
     def median_host_ms(self) -> float:
         return round(statistics.median(self.readings), 4)
 
