@@ -31,7 +31,7 @@ IntVec = tuple[int, ...]
 
 
 def freeze(rows: Iterable[Sequence]) -> tuple:
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 def identity() -> IntMat:
@@ -58,7 +58,9 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(r, v)) for r in a)
+    """Product of a matrix with rows of length 4 and a vector, written out."""
+    v0, v1, v2, v3 = v
+    return tuple([x0 * v0 + x1 * v1 + x2 * v2 + x3 * v3 for x0, x1, x2, x3 in a])
 
 
 def mat_mod(a, m: int):
@@ -186,27 +188,36 @@ def alternating_divisors(m, pf: int) -> tuple[int, int, int, int]:
 
 
 def rref_mod_p(m, p: int) -> tuple[IntMat, tuple[int, ...]]:
-    """Reduced row echelon form over the field Z/p; returns (rref, pivot columns)."""
+    """Reduced row echelon form over the field Z/p; returns (rref, pivot columns).
+
+    Entries are reduced into [0, p) once, on entry, and every row operation
+    keeps them there.
+    """
     a = [[x % p for x in r] for r in m]
     nrows, ncols = len(a), len(a[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] % p), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if a[pr][c]:
+                break
+        else:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
+        row = a[pr]
+        a[pr] = a[r]
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            row = [x * inv % p for x in row]
+        a[r] = row
         for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return freeze(a), tuple(pivots)
+    return tuple(map(tuple, a)), tuple(pivots)
 
 
 def rank_mod_p(m, p: int) -> int:

@@ -24,6 +24,15 @@ baby-step giant-step discrete log modulo f. The canonical solution, the
 least |y| on that progression, is placed from the sizes of the
 embeddings, so only one or two unit powers are built exactly.
 
+Five pure functions of immutable values keep their results per process,
+each in an unbounded functools.lru_cache: make_order (so each D is
+factored once), fundamental_unit, _unit_index, _baby_steps and
+solve_norm (so each prime's norm equation is solved once per order,
+however many runs of generate, principalize and replay ask for it).
+factor_prime stays a thin uncached wrapper, so every request still
+passes through solve_norm. make_order and solve_norm key on argument
+types too (typed=True); a refusal raises and is never kept.
+
 Record, the base of the package's six value types, is defined here, in
 the lowest module that defines one.
 """
@@ -127,8 +136,19 @@ class RealQuadraticOrder(Record):
         return f"RealQuadraticOrder(D={self.D}, conductor={self.conductor})"
 
 
+@lru_cache(maxsize=None, typed=True)
 def make_order(D: int, conductor: int = 1) -> RealQuadraticOrder:
-    """Construct the order of the given conductor in Q(sqrt(D))."""
+    """Construct the order of the given conductor in Q(sqrt(D)).
+
+    D and conductor must be of type int exactly: a float or a bool would
+    become a field of the order (5.0, or a conductor True that the writer
+    would not turn into a JSON integer).
+    """
+    if type(D) is not int or type(conductor) is not int:
+        raise PreconditionError(
+            f"D and conductor must be integers, got {type(D).__name__} "
+            f"and {type(conductor).__name__}"
+        )
     if D < 2 or not is_squarefree(D):
         raise PreconditionError(f"D = {D} must be a squarefree integer >= 2")
     if conductor < 1:
@@ -496,6 +516,7 @@ def _least_y_exponents(gen: OrderElement, unit: OrderElement, k0: int, n0: int) 
     return out
 
 
+@lru_cache(maxsize=None, typed=True)
 def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     """The canonical element of the order with norm +-p, or None.
 

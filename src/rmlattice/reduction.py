@@ -8,8 +8,14 @@ the loop stops. enlarge_order_step enlarges the acting order by one
 conductor prime without changing the degree; its quotient step records the
 rank invariant t of the old generator mod p (always 2 on valid input).
 reduce_degree_step removes a reducible prime from the degree by dividing
-by the norm +-p factor whose mod-p kernel is the kernel p-torsion, and
-records the branch on its last step. principalize chains the moves,
+by the norm +-p factor whose mod-p kernel is the kernel p-torsion K, and
+records the branch on its last step. It finds that factor as the first
+whose action kills K, with K 2-dimensional: p does not divide the
+conductor and the factor's norm is +-p, so its mod-p kernel always has
+dimension 2 (for split and for ramified p), and a 2-dimensional K inside
+it is all of it. K is computed once per step: the squarefree loop's last
+pass asks for it on the surface the branch decision then reads, which
+keeps it (surface.polarization_kernel_mod_p). principalize chains the moves,
 conductor primes first, and returns the final surface with its
 CertificateData; it is the only code that chains moves, and replay
 re-runs it. The moves carry the pfaffian by identity and check no degree
@@ -249,20 +255,23 @@ def _branch_decision(surface: PolarizedRMSurface, p: int, factors):
     """Decide the degree-reduction move on a squarefree-stable surface.
 
     factors is the factor_prime pair of p in the surface's order. Returns
-    (branch, element): element is the factor of p, a1 tried first,
-    whose mod-p kernel is the kernel p-torsion (both are canonical
-    kernel_mod_p bases, so tuples compare), and the branch is associate
-    exactly when p divides the discriminant. With p prime to the conductor
-    the lattice is locally free of rank 2 at p, so such a factor always
-    exists; its absence is an invariant breach.
+    (branch, element): element is the first factor, a1 tried first, whose
+    action kills every vector of the kernel p-torsion K, and the branch is
+    associate exactly when p divides the discriminant. That is the factor
+    whose mod-p kernel is K: with p prime to the conductor the lattice is
+    locally free of rank 2 at p, and an element of norm +-p has a kernel of
+    dimension 1 on O/p, so its mod-p kernel on L/pL always has dimension 2;
+    K of dimension 2 inside it is all of it. Such a factor always exists;
+    its absence, or a K of another dimension, is an invariant breach.
     """
     kernel_p = polarization_kernel_mod_p(surface, p)
-    for el in factors:
-        ker_el = intmat.kernel_mod_p(intmat.mat_mod(element_action(surface, el), p), p)
-        if ker_el == kernel_p:
-            if surface.order.discriminant % p == 0:
-                return ASSOCIATE_DIVIDE, el
-            return SPLIT_DIVIDE, el
+    if len(kernel_p) == 2:
+        for el in factors:
+            action = element_action(surface, el)
+            if all(x % p == 0 for v in kernel_p for x in intmat.mat_vec(action, v)):
+                if surface.order.discriminant % p == 0:
+                    return ASSOCIATE_DIVIDE, el
+                return SPLIT_DIVIDE, el
     raise InvariantBreach(
         f"kernel p-torsion at {int_text(p)} is not the mod-p kernel of a "
         f"factor of {int_text(p)}"

@@ -11,6 +11,12 @@ structure on the seeded branch corpus: only divide branches, the kernel
 equal to the divide element's mod-p kernel, and both factor arms taken at
 split primes.
 
+_branch_decision picks the factor whose action kills the kernel p-torsion,
+which must be 2-dimensional; kernel_equality_branch_decision, the former
+test, compares the two canonical mod-p kernel bases instead, and both give
+the same branch and element on every class of the scan, on the branch
+corpus and on split and ramified primes over D in {2, 3, 5, 13, 17}.
+
 Where the kernel splits across two non-associate factor kernels, the
 conductor identity f = a1*b1 + a2*b2 always has a solution, on the branch
 corpus and in suborders of conductor 3, 5 and 9; degree reduction
@@ -19,15 +25,39 @@ therefore does not call bezout_conductor as an existence check.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import rmlattice as rm
 from rmlattice import intmat
-from rmlattice.generator import generate_instance
+from rmlattice.errors import InvariantBreach
+from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.reduction import _branch_decision, reduce_degree_step, squarefree_reduce
-from rmlattice.surface import canonicalize_orientation, polarization_kernel_mod_p
+from rmlattice.surface import (
+    apply_unimodular,
+    canonicalize_orientation,
+    eigen_sublattice_pullback,
+    polarization_kernel_mod_p,
+)
 from test_acceptance import branch_corpus  # noqa: F401  (module-scoped fixture)
-from test_intmat_oracles import mat_add, scalar_mul, snf_with_transforms
+from test_intmat_oracles import mat_add, mat_mul, scalar_mul, snf_with_transforms
+
+
+def kernel_equality_branch_decision(surface, p, factors):
+    """The former _branch_decision, kept as the reference: the factor, a1
+    tried first, whose canonical mod-p kernel basis equals the kernel
+    p-torsion's, with the kernel of the gram mod p computed afresh."""
+    kernel_p = intmat.kernel_mod_p(intmat.mat_mod(surface.gram, p), p)
+    for el in factors:
+        ker_el = intmat.kernel_mod_p(intmat.mat_mod(rm.element_action(surface, el), p), p)
+        if ker_el == kernel_p:
+            if surface.order.discriminant % p == 0:
+                return "associate_divide", el
+            return "split_divide", el
+    raise InvariantBreach(
+        f"kernel p-torsion at {p} is not the mod-p kernel of a factor of {p}"
+    )
 
 
 def symmetric_form_lattice_basis(surface):
@@ -92,6 +122,7 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
             stable, _ = squarefree_reduce(surface, p)
             assert rm.degree(stable) == p * p
             branch, element = _branch_decision(stable, p, factors)
+            assert (branch, element) == kernel_equality_branch_decision(stable, p, factors)
             kernel_el = intmat.kernel_mod_p(
                 intmat.mat_mod(rm.element_action(stable, element), p), p
             )
@@ -100,6 +131,88 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
             classes += 1
     assert classes > 0
     assert branches <= {"split_divide", "associate_divide"}
+
+
+def _same_branch_decision(surface, p):
+    """Whether squarefree reduction leaves p in the degree; if so, assert
+    that _branch_decision and the reference agree on the result."""
+    stable, _ = squarefree_reduce(surface, p)
+    if rm.degree(stable) % p:
+        return False
+    factors = rm.factor_prime(stable.order, p)
+    assert _branch_decision(stable, p, factors) == kernel_equality_branch_decision(
+        stable, p, factors
+    )
+    return True
+
+
+def test_branch_decision_matches_kernel_equality_on_the_branch_corpus(branch_corpus):
+    assert sum(_same_branch_decision(c["surface"], c["prime"]) for c in branch_corpus) > 0
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 13, 17])
+def test_branch_decision_matches_kernel_equality_at_split_and_ramified_primes(D):
+    # each factor's twist and, at a split prime, both eigen-sublattice
+    # pull-backs, each also under two random changes of basis
+    rng = random.Random(D)
+    order = rm.make_order(D, 1)
+    base = rm.standard_instance(order)
+    kinds = set()
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        kind = rm.splitting_type(order, p)
+        if kind == "inert":
+            continue
+        surfaces = [rm.twist_by_element(base, el) for el in rm.factor_prime(order, p)]
+        if kind == "split":
+            surfaces += [eigen_sublattice_pullback(base, p, i) for i in (0, 1)]
+        for s in surfaces:
+            for moved in (s, apply_unimodular(s, random_unimodular(rng)),
+                          apply_unimodular(s, random_unimodular(rng))):
+                if _same_branch_decision(moved, p):
+                    kinds.add(kind)
+    assert kinds == ({"split"} if D == 2 else {"split", "ramified"})
+
+
+def _lines(plane, p):
+    """A spanning vector of each line of the plane with basis `plane` over Z/p."""
+    a, b = plane
+    return [tuple((x + t * y) % p for x, y in zip(a, b)) for t in range(p)] + [b]
+
+
+@pytest.mark.parametrize("D,p", [(13, 3), (5, 5), (2, 7), (17, 13)])
+def test_branch_decision_refuses_a_kernel_that_is_no_factor_kernel(D, p):
+    # kernel p-torsion of dimension 0 (p prime to the degree), of dimension
+    # 4 (the gram 0 mod p), and at a split prime, on grams no valid surface
+    # has, spanned by any line of one factor's kernel and any of the
+    # other's: every factor kills the first, none the second, and each
+    # kills one line of the others; both decisions refuse them all
+    order = rm.make_order(D, 1)
+    base = rm.standard_instance(order)
+    factors = rm.factor_prime(order, p)
+    surfaces = [
+        base,
+        canonicalize_orientation(order, base.action, scalar_mul(p, base.gram), p * p),
+    ]
+    if rm.splitting_type(order, p) == "split":
+        k1, k2 = (
+            intmat.kernel_mod_p(intmat.mat_mod(rm.element_action(base, el), p), p)
+            for el in factors
+        )
+        for v in _lines(k1, p):
+            for w in _lines(k2, p):
+                m = intmat.kernel_mod_p((v, w), p)  # 2 x 4, with kernel span(v, w)
+                gram = mat_add(
+                    mat_mul(intmat.transpose(m), mat_mul(((0, 1), (-1, 0)), m)),
+                    scalar_mul(p, base.gram),
+                )
+                kernel = intmat.kernel_mod_p(intmat.mat_mod(gram, p), p)
+                assert intmat.span_mod_p(kernel, p) == intmat.span_mod_p((v, w), p)
+                pf = intmat.pfaffian4(gram)
+                surfaces.append(canonicalize_orientation(order, base.action, gram, pf))
+    for surface in surfaces:
+        for decide in (_branch_decision, kernel_equality_branch_decision):
+            with pytest.raises(InvariantBreach, match="is not the mod-p kernel of a factor"):
+                decide(surface, p, factors)
 
 
 def _bezout_where_kernel_splits(stable, p):

@@ -670,6 +670,27 @@ def test_cli_main_repeated_in_one_process_matches_separate_runs(tmp_path, capsys
     assert in_process == separate
 
 
+def test_a_fresh_cli_principalize_writes_what_warm_caches_write(tmp_path):
+    # norm equations and orders are kept per process: a certificate written
+    # after they are all kept equals one a fresh interpreter writes
+    s = generate_instance(5, 3, [11, 19], seed=2)
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(s), encoding="utf-8")
+    principalize(s)
+    warm = ["principalize", str(inst), "-o", str(tmp_path / "warm_out.json"),
+            "--cert-out", str(tmp_path / "warm.json")]
+    assert main(warm) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    cold = ["principalize", str(inst), "-o", str(tmp_path / "cold_out.json"),
+            "--cert-out", str(tmp_path / "cold.json")]
+    subprocess.run([sys.executable, "-m", "rmlattice.cli", *cold], env=env, timeout=120, check=True)
+    for name in ("", "_out"):
+        warm_bytes = (tmp_path / f"warm{name}.json").read_bytes()
+        assert warm_bytes == (tmp_path / f"cold{name}.json").read_bytes()
+    assert parse_certificate((tmp_path / "cold.json").read_text(encoding="utf-8")).steps
+
+
 def test_cli_info_parse_failure(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[]", encoding="utf-8")

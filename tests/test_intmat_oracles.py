@@ -2,16 +2,17 @@
 
 The references below are the routines the integer core replaced, kept
 verbatim apart from their names as test-only oracles: the generic
-elementwise helpers and sum-of-products matrix product, the pairwise
-antisymmetry test, the recursive cofactor det and adjugate (any size),
-the Fraction inverse, the Euclidean row Hermite form and the rational
+elementwise helpers and the sum-of-products matrix and matrix-vector
+products, the pairwise antisymmetry test, the recursive cofactor det and
+adjugate (any size), the Fraction inverse, the row reduction over Z/p
+with a generator pivot search and every entry reduced again (the former
+freeze written in), the Euclidean row Hermite form and the rational
 column Hermite basis built on it, Smith divisors from gcds of minors, the
 general Smith form with transforms (the conductor Bezout identity now
 solves its 2x4 system on a two-row Hermite form), and the surface checks
 built from them: validate as a composition of matrix sums and orientation
 by a permutation matrix. Other test modules import them from here. sympy
-is a second, independent oracle.
-"""
+is a second, independent oracle."""
 
 from __future__ import annotations
 
@@ -62,6 +63,10 @@ def scalar_mul(c, a):
 def mat_mul(a, b):
     bt = intmat.transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(r, v)) for r in a)
 
 
 def is_antisymmetric(m):
@@ -145,6 +150,30 @@ def inverse(m):
         raise ValueError("singular matrix")
     adj = adjugate_cofactor(m)
     return tuple(tuple(Fraction(x) / d for x in r) for r in adj)
+
+
+def rref_mod_p(m, p):
+    """Reduced row echelon form over the field Z/p; returns (rref, pivot columns)."""
+    a = [[x % p for x in r] for r in m]
+    nrows, ncols = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c] % p), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(r) for r in a), tuple(pivots)
 
 
 def hnf_rows(m):
@@ -411,6 +440,12 @@ def test_mat_mul_matches_the_generic_product(a, b):
 
 
 @KERNEL
+@given(MATRICES, st.tuples(BIG, BIG, BIG, BIG))
+def test_mat_vec_matches_the_generic_product(a, v):
+    assert intmat.mat_vec(a, v) == mat_vec(a, v)
+
+
+@KERNEL
 @given(MAYBE_ALTERNATING)
 def test_is_antisymmetric_and_pfaffian_match_the_pairwise_test(m):
     assert intmat.is_antisymmetric(m) == is_antisymmetric(m)
@@ -472,6 +507,43 @@ def test_orientation_and_element_action_match_the_permutation_matrices(order, ac
     assert element_action(s, order.element(x, y)) == mat_add(
         scalar_mul(x, intmat.identity()), scalar_mul(y, action)
     )
+
+
+# ---------------------------------------------------------------------------
+# row reduction over Z/p against the former one
+# ---------------------------------------------------------------------------
+
+ODD_PRIMES = [p for p in range(3, 102) if all(p % q for q in range(2, p))]
+# machine-word entries of either sign, and small ones, so that zeros,
+# units and repeated residues all occur
+ENTRIES = st.one_of(st.integers(-(1 << 64), 1 << 64), st.integers(-2, 2))
+
+
+@st.composite
+def mod_p_systems(draw):
+    """(m, p): 1-5 rows of 4 or 8 columns, some of them zero and some small
+    combinations of earlier rows, so that every rank occurs."""
+    p = draw(st.sampled_from(ODD_PRIMES))
+    ncols = draw(st.sampled_from((4, 8)))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("entries", "zero", "combination")))
+        if kind == "zero":
+            rows.append((0,) * ncols)
+        elif kind == "combination" and rows:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append(tuple(c * x + d * y for x, y in zip(u, v)))
+        else:
+            rows.append(tuple(draw(ENTRIES) for _ in range(ncols)))
+    return tuple(rows), p
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mod_p_systems())
+def test_rref_mod_p_matches_the_former_row_reduction(system):
+    m, p = system
+    assert intmat.rref_mod_p(m, p) == rref_mod_p(m, p)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,19 @@ def test_make_order_rejects(D, f):
         make_order(D, f)
 
 
+@pytest.mark.parametrize("D,f", [(5.0, 1), (5, 1.0), (5, True), (5.0, True), (13, 3.0)])
+def test_make_order_refuses_arguments_that_are_not_ints(D, f):
+    # before and after make_order(5, 1) is kept, so the refusal does not
+    # depend on which call came first
+    make_order.cache_clear()
+    with pytest.raises(PreconditionError, match="must be integers"):
+        make_order(D, f)
+    make_order(5, 1)
+    make_order(13, 3)
+    with pytest.raises(PreconditionError, match="must be integers"):
+        make_order(D, f)
+
+
 def test_element_arithmetic_properties():
     rng = random.Random(11)
     for D, f in [(5, 1), (5, 3), (2, 1), (13, 9), (3, 7)]:
@@ -268,6 +281,45 @@ def test_generate_solves_each_degree_prime_once(monkeypatch):
     calls.clear()
     generate_instance(5, 3, [11, 11], 3)
     assert calls == [(1, 11), (3, 11)]
+
+
+SQUAREFREE_D = [D for D in range(2, 200) if all(D % (q * q) for q in range(2, 15))]
+ODD_PRIMES = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
+
+
+def test_kept_solve_norm_and_make_order_equal_the_functions_they_wrap():
+    for D in SQUAREFREE_D:
+        for f in (1, 3, 9, 25):
+            order = make_order(D, f)
+            assert order == make_order.__wrapped__(D, f)
+            assert make_order(D, f) is order
+            for p in ODD_PRIMES:
+                if f % p:
+                    el = solve_norm(order, p)
+                    assert el == solve_norm.__wrapped__(order, p), (D, f, p)
+                    assert solve_norm(order, p) is el
+
+
+def test_a_refusal_is_not_kept():
+    order = make_order(5, 3)
+    solves, orders = solve_norm.cache_info().currsize, make_order.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="divides the conductor"):
+            solve_norm(order, 3)
+        with pytest.raises(PreconditionError, match="is not an odd prime"):
+            solve_norm(order, 9)
+        with pytest.raises(PreconditionError, match="squarefree"):
+            make_order(12, 1)
+    assert solve_norm.cache_info().currsize == solves
+    assert make_order.cache_info().currsize == orders
+
+
+def test_principalize_and_verify_after_generate_solve_no_norm_equation():
+    s = generate_instance(13, 1, [3, 17], 10)
+    misses = solve_norm.cache_info().misses
+    _, cert = principalize(s)
+    assert verify_certificate(s, cert)[0]
+    assert solve_norm.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------
