@@ -570,13 +570,17 @@ def factor_prime(order: RealQuadraticOrder, p: int) -> tuple[OrderElement, Order
 
     a1 is the canonical solve_norm output and a2 the exact cofactor p / a1:
     a1 * conj(a1) = N(a1) = +-p, so a2 is conj(a1) or its negative, by the
-    sign of N(a1).
+    sign of N(a1). p is odd, so p and -p differ mod 4, and the sign is read
+    from the norm form mod 4 without the full-size norm.
     """
     a1 = solve_norm(order, p)
     if a1 is None:
         return None
-    a2 = a1.conjugate() if a1.norm() > 0 else -a1.conjugate()
-    return a1, a2
+    x, y = a1.x % 4, a1.y % 4
+    t, n = order.trace_omega % 4, order.norm_omega % 4
+    if (x * x + t * x * y + n * y * y - p) % 4 == 0:
+        return a1, a1.conjugate()
+    return a1, -a1.conjugate()
 
 
 def are_associates_in_maximal(a: OrderElement, b: OrderElement) -> bool:

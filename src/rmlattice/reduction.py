@@ -5,8 +5,11 @@ squarefree_reduce shrinks the p-part of the polarization kernel until its
 elementary divisors at p are squarefree; its closing check reads that from
 the carried pfaffian alone, since the gram's content is prime to p once
 the loop stops. enlarge_order_step enlarges the acting order by one
-conductor prime without changing the degree; its quotient step records the
-rank invariant t of the old generator mod p (always 2 on valid input).
+conductor prime without changing the degree, building one surface per
+move: its twist by p^3 is recorded from the scalar identities, not built,
+and the descent and the division of the action by p are one change of
+basis (surface.change_basis); its quotient step records the rank
+invariant t of the old generator mod p (always 2 on valid input).
 reduce_degree_step removes a reducible prime from the degree by dividing
 by the norm +-p factor whose mod-p kernel is the kernel p-torsion K, and
 records the branch on its last step. It finds that factor as the first
@@ -45,12 +48,12 @@ from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
     canonicalize_orientation,
+    change_basis,
     degree,
     element_action,
     kernel_from_subspace,
     polarization_kernel_mod_p,
     stabilizer_order,
-    twist_by_element,
     validate,
 )
 
@@ -188,9 +191,16 @@ def enlarge_order_step(
     """One conductor-prime enlargement: twist the gram by p^3, quotient by the
     canonical kernel of order p^6, divide the action by p.
 
-    Preserves the degree exactly; t, recorded on the quotient step, is the
-    rank of the action mod p and any value other than 2 is an invariant
-    breach, never something to continue past.
+    The twist is recorded, not built: a twist by the scalar p^3 keeps the
+    action and multiplies the gram by p^3 and the pfaffian by p^6, so its
+    step (alpha (p^3, 0), degree deg -> deg * p^12) follows from those
+    identities. The kernel (enlargement_kernel) depends on the action
+    alone, and the descent of p^3 E to kernel.basis / p^2 is
+    kernel.basis^T E kernel.basis / p, which change_basis computes with
+    the action in one pass; the action is divided by p before the one
+    canonicalize_orientation. Preserves the degree exactly; t, recorded
+    on the quotient step, is the rank of the action mod p and any value
+    other than 2 is an invariant breach, never something to continue past.
     """
     require_odd_prime(p)
     order = surface.order
@@ -210,39 +220,36 @@ def enlarge_order_step(
     t = intmat.rank_mod_p(surface.action, p)
     if t != 2:
         raise InvariantBreach(f"enlargement rank invariant is {int_text(t)}, expected 2")
-    el_cubed = order.element(p**3, 0)
-    twisted = twist_by_element(surface, el_cubed)
+    if surface.pf < 0:  # the twisted surface is canonically oriented
+        surface = canonicalize_orientation(order, surface.action, surface.gram, surface.pf)
+    p3 = p**3
+    twisted_deg = deg * p3**4
     twist_step = IsogenyStep(
-        kind=TWIST,
-        prime=p,
-        alpha=(el_cubed.x, el_cubed.y),
-        degree_before=deg,
-        degree_after=degree(twisted),
+        kind=TWIST, prime=p, alpha=(p3, 0), degree_before=deg, degree_after=twisted_deg
     )
-    kernel = enlargement_kernel(twisted, p)
+    kernel = enlargement_kernel(surface, p)
     if kernel.group_order != p ** (4 + t):
         raise InvariantBreach(
             f"enlargement kernel has order {int_text(kernel.group_order)}, "
             f"expected {int_text(p ** (4 + t))}"
         )
     try:
-        descended = descend_polarization(twisted, kernel)
+        action, gram, d = change_basis(surface, kernel.basis, p)
     except (DescentError, PreconditionError) as exc:
         raise InvariantBreach(f"guaranteed enlargement descent failed: {exc}") from exc
+    pf = d * surface.pf // (p * p)  # det(basis) * p^6 pf / p^8
     quotient_step = IsogenyStep(
         kind=QUOTIENT,
         prime=p,
         kernel_overlattice=kernel.overlattice,
-        degree_before=degree(twisted),
-        degree_after=degree(descended),
+        degree_before=twisted_deg,
+        degree_after=pf * pf,
         t=t,
     )
-    if any(x % p for row in descended.action for x in row):
+    if any(x % p for row in action for x in row):
         raise InvariantBreach("enlarged generator does not act integrally")
-    action = intmat.freeze((x // p for x in row) for row in descended.action)
-    out = canonicalize_orientation(
-        make_order(order.D, f // p), action, descended.gram, descended.pf
-    )
+    action = intmat.freeze((x // p for x in row) for row in action)
+    out = canonicalize_orientation(make_order(order.D, f // p), action, gram, pf)
     return out, (twist_step, quotient_step)
 
 

@@ -8,26 +8,32 @@ nonzero; for a 4x4 alternating form det = pfaffian^2 always holds), action
 satisfying the generator's minimal polynomial, and the symmetry identity
 action^T * gram = gram * action.
 
-Degree, the one change of lattice basis (rebase, on integers), kernels
-given by mod-p subspaces, stabilizer orders and the instance constructors
-all live here. Every move that re-expresses the lattice (descent to an
-overlattice, pull-back to a sublattice, a unimodular scramble) goes
-through rebase. Everything is a pure function on immutable values.
+Degree, the one change of lattice basis (change_basis, on integers, and
+rebase around it), kernels given by mod-p subspaces, stabilizer orders and
+the instance constructors all live here. Every move that re-expresses the
+lattice (descent to an overlattice, pull-back to a sublattice, a
+unimodular scramble) goes through rebase, except the order enlargement,
+which calls change_basis itself to descend its unbuilt twist p^3 E as
+B^T E B / p and divide the action by p before it builds its one surface.
+Everything is a pure function on immutable values. A kernel's overlattice
+entries, Hermite residues over its den, come from one bounded
+process-wide lru_cache (_kernel_rational), so each value is one shared
+Fraction.
 
 The pfaffian is kept on each surface (the cached property `pf`, which is
 not one of its fields, so equality, hashing, pickling and every serialized
 form see only order, action and gram); degree and validation read it.
 With the gram's content c it gives the polarization's elementary divisors
 (c, c, pf/c, pf/c) (intmat.alternating_divisors), so no dual lattice is
-ever built. rebase and twist_by_element, the only builders of a moved
-surface, carry it by identity (det(B) pf / den^4 and norm(el) pf / den^2)
-instead of recomputing it, and no move re-checks its degree. validate
-checks the minimal polynomial A^2 - tA + n = 0 from the one product A^2,
-and the symmetry A^T E = E A from the one product E A, which must be
-alternating; its verdict is kept on the surface the same way (the cached
-property `defect`), so the CLI and principalize check an input once.
-polarization_kernel_mod_p keeps its answer for the last prime asked in
-the same place.
+ever built. rebase, twist_by_element and the enlargement move, the only
+builders of a moved surface, carry it by identity (det(B) pf / den^4,
+norm(el) pf / den^2 and det(B) pf / p^2) instead of recomputing it, and
+no move re-checks its degree. validate checks the minimal polynomial
+A^2 - tA + n = 0 from the one product A^2, and the symmetry A^T E = E A
+from the one product E A, which must be alternating; its verdict is kept
+on the surface the same way (the cached property `defect`), so the CLI
+and principalize check an input once. polarization_kernel_mod_p keeps its
+answer for the last prime asked in the same place.
 Element actions x*I + y*A and the reorientation that swaps
 the last two basis vectors are written out rather than built from matrix
 products.
@@ -36,7 +42,7 @@ products.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from . import intmat
@@ -103,6 +109,13 @@ class PolarizedRMSurface(Record):
         )
 
 
+@lru_cache(maxsize=4096)
+def _kernel_rational(x: int, den: int) -> Fraction:
+    """Fraction(x, den), one shared object per value: Fractions are
+    immutable, and a kernel's few residues recur in every step."""
+    return Fraction(x, den)
+
+
 class KernelSubgroup(Record):
     """A finite subgroup of torsion, stored as its overlattice L' with L <= L'.
 
@@ -118,8 +131,13 @@ class KernelSubgroup(Record):
 
     @property
     def overlattice(self) -> RatMat:
-        """The canonical basis of L' as rationals, as certificates record it."""
-        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.basis)
+        """The canonical basis of L' as rationals, as certificates record it.
+
+        The entries are Hermite residues in [0, den], so the same few values
+        recur from step to step; each is taken from _kernel_rational.
+        """
+        den = self.den
+        return tuple(tuple(_kernel_rational(x, den) for x in row) for row in self.basis)
 
     @property
     def group_order(self) -> int:
@@ -173,28 +191,25 @@ def _swap_last_two(m) -> IntMat:
     return tuple((r[0], r[1], r[3], r[2]) for r in (r0, r1, r3, r2))
 
 
-def rebase(
-    surface: PolarizedRMSurface, basis: IntMat, den: int = 1
-) -> PolarizedRMSurface:
-    """The same polarized lattice in the basis given by the columns of
-    basis / den.
+def change_basis(
+    surface: PolarizedRMSurface, basis: IntMat, gram_den: int
+) -> tuple[IntMat, IntMat, int]:
+    """(action, gram, det(basis)) of the surface in the basis given by the
+    columns of the nonsingular integer matrix basis, with the gram divided
+    by gram_den: adj(basis) A basis / det(basis) and basis^T E basis /
+    gram_den, both on integers. The core of rebase, and of the enlargement
+    move, whose form p^3 E on basis / p^2 is basis^T E basis / p.
 
-    basis is a nonsingular integer matrix in the coordinates of the current
-    lattice; basis / den may span an overlattice or a sublattice. The new
-    gram is basis^T E basis / den^2 and the new action
-    adj(basis) A basis / det(basis), both computed on integers. Raises
-    DescentError, naming the first non-integral pairing, when the form is
-    not integral on the new lattice, and PreconditionError when the order
-    action does not preserve it. The gram is checked first, so a
-    DescentError means exactly that the form does not descend. The result
-    is canonically oriented, with pfaffian det(basis) * pf / den^4.
+    Raises DescentError, naming the first pairing that gram_den does not
+    divide, and then PreconditionError when the action does not preserve
+    the lattice. The gram is checked first, so a DescentError means
+    exactly that the form does not descend.
     """
     gram = intmat.mat_mul(intmat.mat_mul(intmat.transpose(basis), surface.gram), basis)
-    den2 = den * den
     for i in range(4):
         for j in range(4):
-            if gram[i][j] % den2:
-                q = Fraction(gram[i][j], den2)
+            if gram[i][j] % gram_den:
+                q = Fraction(gram[i][j], gram_den)
                 raise DescentError(
                     "polarization does not descend: pairing of overlattice "
                     f"generators {i} and {j} is {int_text(q.numerator)}/"
@@ -205,11 +220,32 @@ def rebase(
     action = intmat.mat_mul(intmat.mat_mul(adj, surface.action), basis)
     if any(x % d for row in action for x in row):
         raise PreconditionError("order action does not preserve the lattice")
-    return canonicalize_orientation(
-        surface.order,
+    return (
         intmat.freeze((x // d for x in row) for row in action),
-        intmat.freeze((x // den2 for x in row) for row in gram),
-        d * surface.pf // (den2 * den2),
+        intmat.freeze((x // gram_den for x in row) for row in gram),
+        d,
+    )
+
+
+def rebase(
+    surface: PolarizedRMSurface, basis: IntMat, den: int = 1
+) -> PolarizedRMSurface:
+    """The same polarized lattice in the basis given by the columns of
+    basis / den.
+
+    basis is a nonsingular integer matrix in the coordinates of the current
+    lattice; basis / den may span an overlattice or a sublattice. The new
+    gram is basis^T E basis / den^2 and the new action
+    adj(basis) A basis / det(basis) (change_basis). Raises DescentError,
+    naming the first non-integral pairing, when the form is not integral
+    on the new lattice, and PreconditionError when the order action does
+    not preserve it. The result is canonically oriented, with pfaffian
+    det(basis) * pf / den^4.
+    """
+    den2 = den * den
+    action, gram, d = change_basis(surface, basis, den2)
+    return canonicalize_orientation(
+        surface.order, action, gram, d * surface.pf // (den2 * den2)
     )
 
 

@@ -352,8 +352,9 @@ def test_factor_prime_norms():
 
 
 @pytest.mark.parametrize("D,el,p", [(5, (3, 1), 11), (2, (1, 2), 7)])
-def test_factor_prime_takes_one_norm_and_no_product(monkeypatch, D, el, p):
-    # norm +11 and norm -7: the cofactor is conj(a1), or its negative
+def test_factor_prime_takes_no_norm_and_no_product(monkeypatch, D, el, p):
+    # norm +11 and norm -7: the cofactor is conj(a1), or its negative, by a
+    # sign read mod 4
     order = make_order(D, 1)
     a1 = order.element(*el)
     monkeypatch.setattr(quadratic, "solve_norm", lambda order, p: a1)
@@ -371,9 +372,28 @@ def test_factor_prime_takes_one_norm_and_no_product(monkeypatch, D, el, p):
     monkeypatch.setattr(OrderElement, "norm", norm)
     monkeypatch.setattr(OrderElement, "__mul__", mul)
     out = factor_prime(order, p)
-    assert calls == ["norm"]
+    assert calls == []
     monkeypatch.undo()
     assert out[0] == a1 and out[0] * out[1] == order.element(p, 0)
+
+
+def test_factor_prime_reads_the_sign_of_the_norm_mod_4():
+    signs = set()
+    for D in SQUAREFREE_D:
+        for f in (1, 3, 9, 25):
+            order = make_order(D, f)
+            for p in ODD_PRIMES:
+                if f % p == 0:
+                    continue
+                out = factor_prime(order, p)
+                if out is None:
+                    continue
+                a1, a2 = out
+                n = a1.norm()
+                assert abs(n) == p, (D, f, p)
+                assert a2 == (a1.conjugate() if n > 0 else -a1.conjugate()), (D, f, p)
+                signs.add(n > 0)
+    assert signs == {True, False}
 
 
 def test_odd_prime_checks_share_one_message():
