@@ -154,6 +154,7 @@ def test_enlargement_equals_the_reference_along_the_conductor(D, f, primes, seed
             new = _outcome(enlarge_order_step, s, p)
             ref = _outcome(reference_enlarge_order_step, s, p)
             assert new == ref
+            assert isinstance(new[0], PolarizedRMSurface), new
             s = new[0]
     assert s.order.conductor == 1 and degree(s) == start_degree
 
