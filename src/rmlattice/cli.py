@@ -11,7 +11,7 @@ import argparse
 import sys
 from functools import cache
 
-from .arith import factorize, int_text, is_prime
+from .arith import factorize, int_text
 from .errors import InvariantBreach, PreconditionError
 from .formats import (
     parse_certificate,
@@ -100,7 +100,7 @@ def cmd_info(args) -> None:
     ]
     pf = abs(surface.pf)
     for q in sorted(factorize(pf)):
-        if q == 2 or not is_prime(q):
+        if q == 2:
             lines.append(f"{int_text(q)}: even or composite (unsupported)")
         else:
             kind = splitting_type(surface.order, q)

@@ -17,7 +17,8 @@ written as 0 and parsed only as 0; it is not kept.
 Every object holds exactly the keys the serializer writes, nulls included;
 a step's are the IsogenyStep fields of the table _STEP_FIELDS, which both
 directions loop over. An extra or missing key is a ValueError naming the
-object, and so is a key that appears twice in one object.
+object, and so is a key that appears twice in one object. Text nested too
+deeply for the JSON decoder is a ValueError too, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def _load(text: str):
         return _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("malformed JSON: arrays or objects nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

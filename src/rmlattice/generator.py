@@ -53,26 +53,19 @@ def generate_instance(
     order = make_order(D, conductor)
     maximal = make_order(D, 1)
     primes = list(degree_primes)
-    maximal_factors = {}
     for p in primes:
         if p == 2 or not is_prime(p):
             raise PreconditionError(f"degree prime {p} must be an odd prime")
         if conductor % p == 0:
             raise PreconditionError(f"degree prime {p} divides the conductor")
-        if p not in maximal_factors:
-            maximal_factors[p] = factor_prime(maximal, p)
-        if maximal_factors[p] is None:
+        if factor_prime(maximal, p) is None:
             raise PreconditionError(
                 f"{p} is not reducible in the maximal order of Q(sqrt({D}))"
             )
     rng = random.Random(seed)
     surface = standard_instance(order)
-    # each prime is solved once; over the maximal order the check above did it
-    factors = maximal_factors if conductor == 1 else {}
     for p in primes:
-        if p not in factors:
-            factors[p] = factor_prime(order, p)
-        surface = _raise_degree(surface, p, factors[p], rng)
+        surface = _raise_degree(surface, p, rng)
     surface = apply_unimodular(surface, random_unimodular(rng))
     msg = validate(surface)
     if msg is not None:
@@ -91,10 +84,12 @@ def generate_instance(
 
 
 def _raise_degree(
-    surface: PolarizedRMSurface, p: int, factors, rng: random.Random
+    surface: PolarizedRMSurface, p: int, rng: random.Random
 ) -> PolarizedRMSurface:
-    """Raise the degree by p^2; factors is factor_prime(surface.order, p)."""
+    """Raise the degree by p^2. solve_norm keeps its answers, so asking
+    factor_prime again for a repeated prime solves nothing twice."""
     options = []
+    factors = factor_prime(surface.order, p)
     if factors is not None:
         options.append(("twist", factors[0]))
         options.append(("twist", factors[1]))

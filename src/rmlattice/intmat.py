@@ -253,8 +253,7 @@ def subspace_contains(basis, vec, p: int) -> bool:
     """Whether vec lies in the span of `basis` over Z/p."""
     if not basis:
         return all(x % p == 0 for x in vec)
-    stacked = freeze(list(basis) + [vec])
-    return rank_mod_p(stacked, p) == rank_mod_p(freeze(basis), p)
+    return rank_mod_p([*basis, vec], p) == rank_mod_p(basis, p)
 
 
 def span_mod_p(vectors, p: int) -> tuple[IntVec, ...]:
@@ -262,5 +261,5 @@ def span_mod_p(vectors, p: int) -> tuple[IntVec, ...]:
     vecs = [v for v in vectors if any(x % p for x in v)]
     if not vecs:
         return ()
-    rref, pivots = rref_mod_p(freeze(vecs), p)
+    rref, pivots = rref_mod_p(vecs, p)
     return tuple(rref[i] for i in range(len(pivots)))

@@ -14,8 +14,10 @@ on a two-row Hermite form, and the Humbert congruence test. One walk
 around a cycle of reduced forms (_reduced_cycle) gives both the unit,
 from the cycle of the principal form, and the generator of a prime above
 p, or a proof that there is none, from the cycle of the prime's norm
-form; nothing scans a box. A norm +-p element generates such a prime,
-and every other solution is a unit multiple of it or of its conjugate.
+form; nothing scans a box. A cycle is about sqrt(disc) long, so a walk
+stops after _WALK_BUDGET rho steps with a PreconditionError naming D and
+the budget. A norm +-p element generates such a prime, and every other
+solution is a unit multiple of it or of its conjugate.
 In a conductor-f suborder the question reduces to the group
 G = (O_F/f)^*/(Z/f)^*: the suborder's unit is u**n0, n0 the order of u
 in G read off |G| = prod over q^e || f of q^(e-1)*(q - chi(q)), and the
@@ -40,10 +42,15 @@ the lowest module that defines one.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from math import floor, isqrt, log
 
-from .arith import factorize, is_squarefree, legendre, require_odd_prime, sqrt_mod
+from .arith import factorize, int_text, is_squarefree, legendre, require_odd_prime, sqrt_mod
 from .errors import PreconditionError
+
+# A walk along reduced forms gives up after this many rho steps. A cycle is
+# about sqrt(disc) long, so without a bound D near 10^18 would walk for days.
+_WALK_BUDGET = 1 << 18
 
 SPLIT = "split"
 INERT = "inert"
@@ -181,10 +188,6 @@ class OrderElement(Record):
         self._check_same_order(other)
         return OrderElement(self.order, self.x + other.x, self.y + other.y)
 
-    def __sub__(self, other: "OrderElement") -> "OrderElement":
-        self._check_same_order(other)
-        return OrderElement(self.order, self.x - other.x, self.y - other.y)
-
     def __neg__(self) -> "OrderElement":
         return OrderElement(self.order, -self.x, -self.y)
 
@@ -241,9 +244,6 @@ class OrderElement(Record):
         if (self.order.D, self.order.conductor) != (other.order.D, other.order.conductor):
             raise PreconditionError("elements belong to different orders")
 
-    def __str__(self) -> str:
-        return f"{self.x}{self.y:+d}w"
-
 
 @lru_cache(maxsize=None)
 def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
@@ -256,7 +256,7 @@ def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     basis, and it is the fundamental unit up to sign and conjugation; of
     those four the one > 1 has trace and y both positive. The work is
     linear in the cycle, which is O(sqrt(disc) log disc), however large the
-    unit is.
+    unit is; past _WALK_BUDGET rho steps the walk refuses the field.
 
     For conductor f > 1 the unit group is the cyclic subgroup of
     maximal-order units landing in the order, so the answer is u**n0 for
@@ -424,14 +424,15 @@ def _reduced_cycle(order: RealQuadraticOrder, a: int, b: int):
     these steps reach a reduced one, |sqrt(disc) - 2|A|| < B < sqrt(disc),
     and from there run around the cycle of the reduced forms properly
     equivalent to it. The walk ends after yielding the first reduced form
-    again.
+    again, and raises PreconditionError, naming D and the budget, when
+    _WALK_BUDGET rho steps have not got there.
     """
     t, disc = order.trace_omega, order.discriminant
     s = isqrt(disc)  # disc is not a square, so sqrt(disc) is never an integer
     (ax, ay), (bx, by) = (a, 0), (b, 1)
     form = (a, 2 * b + t, (b * b + t * b + order.norm_omega) // a)
     first = None
-    while True:
+    for steps in count():
         yield form, (ax, ay)
         A, B, C = form
         if 0 < B <= s < B + 2 * abs(A) and 2 * abs(A) - B <= s:  # reduced
@@ -439,6 +440,11 @@ def _reduced_cycle(order: RealQuadraticOrder, a: int, b: int):
                 first = form
             elif form == first:
                 return
+        if steps == _WALK_BUDGET:
+            raise PreconditionError(
+                f"the walk along reduced forms of Q(sqrt({int_text(order.D)})) "
+                f"passed its budget of {steps} rho steps"
+            )
         c2 = 2 * abs(C)
         if abs(C) > s:  # |C| > sqrt(disc): -|C| < r <= |C|
             r = -B % c2

@@ -77,7 +77,7 @@ class CertificateData(Record):
 
 
 def order_p_squared_subspace(surface: PolarizedRMSurface, p: int):
-    """Mod-p classes of p * (kernel p^2-torsion), canonically based.
+    """Mod-p classes of p * (kernel p^2-torsion), as a basis of their span.
 
     These classes are exactly the reductions of lattice vectors x with
     gram x = 0 mod p^2, computed by lifting the mod-p kernel: a kernel
@@ -85,7 +85,8 @@ def order_p_squared_subspace(surface: PolarizedRMSurface, p: int):
     is a linear condition on mod-p coefficients: (gram b)/p must pair to
     zero with the mod-p kernel, since the gram is alternating and its
     image is the kernel's annihilator. No big-integer elimination is
-    involved.
+    involved. The basis is not canonical: kernel_from_subspace's Hermite
+    form makes the kernel so.
     """
     base = polarization_kernel_mod_p(surface, p)
     if not base:
@@ -93,16 +94,11 @@ def order_p_squared_subspace(surface: PolarizedRMSurface, p: int):
     carries = [
         tuple((x // p) % p for x in intmat.mat_vec(surface.gram, b)) for b in base
     ]
-    conditions = intmat.freeze(
-        tuple(sum(u[i] * w[i] for i in range(4)) % p for w in carries) for u in base
+    conditions = [[sum(u[i] * w[i] for i in range(4)) % p for w in carries] for u in base]
+    return tuple(
+        tuple(sum(c[i] * base[i][k] for i in range(len(base))) % p for k in range(4))
+        for c in intmat.kernel_mod_p(conditions, p)
     )
-    vecs = []
-    for c in intmat.kernel_mod_p(conditions, p):
-        vec = tuple(
-            sum(c[i] * base[i][k] for i in range(len(base))) % p for k in range(4)
-        )
-        vecs.append(vec)
-    return intmat.span_mod_p(vecs, p)
 
 
 def squarefree_reduce(
@@ -383,8 +379,7 @@ def principalize(
         )
     steps: list[IsogenyStep] = []
     current = surface
-    conductor_primes = sorted(factorize(f).items()) if f > 1 else []
-    for p, mult in conductor_primes:
+    for p, mult in sorted(factorize(f).items()):
         for _ in range(mult):
             current, pair = enlarge_order_step(current, p)
             steps.extend(pair)

@@ -175,12 +175,13 @@ def canonicalize_orientation(
     """Build a surface with positive pfaffian, swapping the last two basis
     vectors when needed. pf is the pfaffian of gram as the caller's move
     carried it, not recomputed here; it becomes the new surface's `pf`,
-    negated by the swap (determinant -1)."""
+    negated by the swap (determinant -1). action and gram are taken as
+    given, tuples of tuples as every builder makes them, not copied."""
     if pf == 0:
         raise PreconditionError("degenerate gram form")
     if pf < 0:
         action, gram = _swap_last_two(action), _swap_last_two(gram)
-    surface = PolarizedRMSurface(order, intmat.freeze(action), intmat.freeze(gram))
+    surface = PolarizedRMSurface(order, action, gram)
     surface.__dict__["pf"] = abs(pf)  # where cached_property keeps its value
     return surface
 
@@ -364,7 +365,7 @@ def eigen_sublattice_pullback(
     if not eigvecs:
         raise InvariantBreach("transposed action has an empty eigenspace")
     v = eigvecs[0]
-    hyperplane = intmat.kernel_mod_p(intmat.freeze([v]), p)
+    hyperplane = intmat.kernel_mod_p([v], p)
     return rebase(surface, intmat.hnf_mod(hyperplane, p))
 
 
@@ -382,7 +383,7 @@ def polarization_kernel_mod_p(surface: PolarizedRMSurface, p: int):
     """
     kept = surface.__dict__.get("kernel_mod_p")
     if kept is None or kept[0] != p:
-        kept = (p, intmat.kernel_mod_p(intmat.mat_mod(surface.gram, p), p))
+        kept = (p, intmat.kernel_mod_p(surface.gram, p))
         surface.__dict__["kernel_mod_p"] = kept
     return kept[1]
 

@@ -252,6 +252,22 @@ def test_a_kernel_entry_is_refused_with_its_message(entry, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("kind", 3, "expected a string, got int"),
+        ("branch", ["split_divide"], "expected a string, got list"),
+        ("alpha", [1, 0, 0], "alpha must be a two-element array"),
+    ],
+)
+def test_a_step_field_is_refused_with_its_message(field, value, message):
+    _, cert = _seed_files()
+    cert["steps"][-1][field] = value  # the divide step, which has a branch
+    with pytest.raises(ValueError) as info:
+        parse_certificate(json.dumps(cert))
+    assert str(info.value) == message
+
+
 def test_rational_texts_read_once_per_certificate_are_still_exact():
     _, cert = _seed_files()
     kernel = cert["steps"][1]["kernel_overlattice"]

@@ -15,13 +15,14 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from rmlattice import (
+    eigen_sublattice_pullback,
     enlarge_order_step,
     make_order,
     principalize,
     standard_instance,
     twist_by_element,
 )
-from rmlattice import arith, intmat
+from rmlattice import arith, intmat, quadratic
 from rmlattice.arith import int_text
 from rmlattice.cli import main
 from rmlattice.formats import (
@@ -446,6 +447,67 @@ def test_cli_verify_exits_2_on_a_limit_hit_in_the_replay(tmp_path, capsys, monke
     assert refusal.err.startswith(f"error: cannot factor {abs(s.pf)}: ")
     assert main(["verify", str(inst), str(cert)]) == 2
     assert capsys.readouterr() == ("", refusal.err)
+
+
+def test_cli_refuses_a_field_whose_reduced_form_walk_passes_its_budget(
+    tmp_path, capsys, monkeypatch
+):
+    # A cycle of reduced forms is about sqrt(disc) long: generate over
+    # D = 10^18 + 3 walked for days. Each walk stops at its budget, and
+    # generate, principalize and verify exit 2 with one line naming D and
+    # the budget. A small budget takes the same exits as the real one on a
+    # field whose unit is 40480 steps away; the instance comes from an
+    # eigen-sublattice, which solves no norm equation.
+    D = 1000000087
+    s = eigen_sublattice_pullback(standard_instance(make_order(D, 1)), 3, 0)
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    inst.write_text(serialize_instance(s), encoding="utf-8")
+    seed = generate_instance(5, 3, [11], seed=42)
+    cert.write_text(serialize_certificate(principalize(seed)[1]), encoding="utf-8")
+    monkeypatch.setattr(quadratic, "_WALK_BUDGET", 64)
+    refusal = (
+        f"error: the walk along reduced forms of Q(sqrt({D})) passed its budget "
+        "of 64 rho steps\n"
+    )
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["generate", "--D", str(D), "--degree-primes", "3", "-o", out],
+        ["principalize", str(inst), "-o", out],
+        ["verify", str(inst), str(cert)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", refusal)
+
+
+@pytest.mark.parametrize("where", ["instance", "certificate"])
+def test_cli_refuses_deeply_nested_json_with_one_line(tmp_path, capsys, where):
+    # the decoder raises RecursionError on deep nesting, which escaped main
+    # as a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    if where == "instance":
+        argv = ["info", str(deep)]
+    else:
+        inst = tmp_path / "inst.json"
+        inst.write_text(serialize_instance(generate_instance(5, 3, [11], seed=4)))
+        argv = ["verify", str(inst), str(deep)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: malformed JSON: arrays or objects nested too deeply\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--degree-primes", "2"], "degree prime 2 must be an odd prime"),
+        (["--conductor", "33", "--degree-primes", "11"], "degree prime 11 divides the conductor"),
+    ],
+)
+def test_cli_generate_refuses_a_degree_prime_with_its_message(tmp_path, capsys, args, message):
+    out = str(tmp_path / "x.json")
+    assert main(["generate", "--D", "5", *args, "-o", out]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_verify_rejects_a_certificate_with_a_duplicate_key(tmp_path, capsys):

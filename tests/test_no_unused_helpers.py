@@ -22,6 +22,7 @@ CRITERIA_ONLY = {
     "check_symmetric_rank_even",
     "enumerate_valid_kernels",
     "is_trivial",
+    "span_mod_p",
 }
 
 

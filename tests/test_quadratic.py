@@ -21,7 +21,7 @@ from rmlattice import (
     splitting_type,
     standard_instance,
 )
-from rmlattice import generator, quadratic
+from rmlattice import quadratic
 from rmlattice.arith import int_text
 from rmlattice.generator import generate_instance
 from rmlattice.oracle import check_symmetric_rank_even, verify_certificate
@@ -170,6 +170,22 @@ def test_fundamental_unit_minimality_certificate():
                     assert not embeds_above_one(el), (D, f, x, y)
 
 
+def test_the_unit_walk_is_charged_one_step_per_rho_step(monkeypatch):
+    # Q(sqrt 94) reaches its unit in 16 rho steps: a budget of 16 walks
+    # there, one of 15 stops with the limit named. The kept unit is
+    # bypassed, so the walk runs each time.
+    order = make_order(94, 1)
+    unit = fundamental_unit(order)
+    monkeypatch.setattr(quadratic, "_WALK_BUDGET", 16)
+    assert fundamental_unit.__wrapped__(order) == unit
+    monkeypatch.setattr(quadratic, "_WALK_BUDGET", 15)
+    with pytest.raises(PreconditionError) as info:
+        fundamental_unit.__wrapped__(order)
+    assert str(info.value) == (
+        "the walk along reduced forms of Q(sqrt(94)) passed its budget of 15 rho steps"
+    )
+
+
 def test_fundamental_unit_of_suborder_is_a_power():
     o = make_order(17, 9)
     u = fundamental_unit(o)
@@ -265,22 +281,21 @@ def test_suborder_search_at_a_ten_million_conductor():
     assert time.perf_counter() - start < 5.0
 
 
-def test_generate_solves_each_degree_prime_once(monkeypatch):
+def test_generate_solves_each_degree_prime_once():
     # Over conductor 1 the precondition check and the degree raise ask for
-    # the same solve; a repeated prime asks again.
-    calls = []
-    real = generator.factor_prime
-
-    def counting(order, p):
-        calls.append((order.conductor, p))
-        return real(order, p)
-
-    monkeypatch.setattr(generator, "factor_prime", counting)
-    generate_instance(5, 1, [11, 19, 11], 3)
-    assert calls == [(1, 11), (1, 19)]
-    calls.clear()
-    generate_instance(5, 3, [11, 11], 3)
-    assert calls == [(1, 11), (3, 11)]
+    # the same solve, and a repeated prime asks again; solve_norm's memo
+    # answers every repeat, so each distinct (order, p) is one cache miss.
+    for f, primes, solved in (
+        (1, [11, 19, 11], [(1, 11), (1, 19)]),
+        (3, [11, 11], [(1, 11), (3, 11)]),
+    ):
+        solve_norm.cache_clear()
+        generate_instance(5, f, primes, 3)
+        assert solve_norm.cache_info().misses == len(solved)
+        # and the misses were these pairs: each is kept now
+        for conductor, p in solved:
+            solve_norm(make_order(5, conductor), p)
+        assert solve_norm.cache_info().misses == len(solved)
 
 
 SQUAREFREE_D = [D for D in range(2, 200) if all(D % (q * q) for q in range(2, 15))]

@@ -108,7 +108,8 @@ def test_squarefree_reduce_rejects_two():
 
 def test_order_p_squared_subspace_matches_smith_route():
     # independent route: columns of the Smith transform whose divisor is
-    # divisible by p^2 span the same mod-p subspace
+    # divisible by p^2 span the same mod-p subspace; the fast route's basis
+    # is not canonical, so the two spans are compared
     from rmlattice.reduction import order_p_squared_subspace
 
     rng = random.Random(31)
@@ -131,7 +132,8 @@ def test_order_p_squared_subspace_matches_smith_route():
                 if abs(smith[j][j]) % (p * p) == 0
             ]
             slow = intmat.span_mod_p(vecs, p)
-            assert fast == slow, (D, p, reps)
+            assert len(fast) == len(slow)
+            assert intmat.span_mod_p(fast, p) == slow, (D, p, reps)
             checked += 1
     assert checked >= 9
 
