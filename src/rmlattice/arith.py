@@ -15,6 +15,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 # factorize trial-divides below this bound and splits larger cofactors by rho.
 _TRIAL_BOUND = 1000
+# 2, 3 and each 6k+-1 below the bound: every prime below it, and some composites.
+_TRIAL_DIVISORS = (2, 3) + tuple(p for f in range(5, _TRIAL_BOUND, 6) for p in (f, f + 2))
 # Pollard-Brent rho gives up on a cofactor after this many steps of its map.
 _RHO_BUDGET = 1 << 22
 
@@ -54,47 +56,32 @@ def require_odd_prime(p: int) -> None:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization, {prime: exponent}.
 
-    Trial division by 2, 3 and 6k+-1 up to _TRIAL_BOUND, testing the
-    cofactor for primality at the start and again only after a division
-    has shrunk it. A composite cofactor left after trial division has no
-    prime below the bound and is split by Pollard-Brent rho, which raises
+    One trial pass divides by 2, 3 and 6k+-1 below _TRIAL_BOUND while
+    p^2 <= n, with no primality test. Every part left after it has no prime
+    below the bound, so a part below _TRIAL_BOUND^2 is prime untested; a
+    larger part takes one is_prime and, if composite, is split by
+    Pollard-Brent rho, both halves going back on the worklist. Rho raises
     PreconditionError when _RHO_BUDGET steps find no divisor: a product of
     two primes near 10^24 is refused in seconds rather than run for years.
     """
     if n < 1:
-        raise ValueError(f"cannot factor {n}")
+        raise ValueError(f"cannot factor {int_text(n)}")
     out: dict[int, int] = {}
-    for p in (2, 3):
+    for p in _TRIAL_DIVISORS:
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # n has no prime factor below f, so below f^2 it is 1 or a prime and
-    # needs no test.
-    cofactor_prime = n >= 25 and is_prime(n)
-    f = 5
-    while not cofactor_prime and f <= _TRIAL_BOUND and f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                while n % p == 0:
-                    out[p] = out.get(p, 0) + 1
-                    n //= p
-                cofactor_prime = n > p * p and is_prime(n)
-        f += 6
-    if cofactor_prime or 1 < n < f * f:
-        out[n] = 1
-    elif n > 1:
-        _factor_composite(n, out)
-    return out
-
-
-def _factor_composite(n: int, out: dict[int, int]) -> None:
-    """Add the primes of a composite n that has no prime below _TRIAL_BOUND."""
-    d = _brent_divisor(n)
-    for m in (d, n // d):
-        if is_prime(m):
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
-            _factor_composite(m, out)
+            d = _brent_divisor(m)
+            parts += (m // d, d)
+    return out
 
 
 def _brent_divisor(n: int) -> int:

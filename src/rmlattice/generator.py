@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from . import intmat
-from .arith import is_prime
+from .arith import int_text, is_prime
 from .errors import InvariantBreach, PreconditionError
 from .quadratic import SPLIT, factor_prime, humbert_nonempty, make_order, splitting_type
 from .surface import (
@@ -55,12 +55,12 @@ def generate_instance(
     primes = list(degree_primes)
     for p in primes:
         if p == 2 or not is_prime(p):
-            raise PreconditionError(f"degree prime {p} must be an odd prime")
+            raise PreconditionError(f"degree prime {int_text(p)} must be an odd prime")
         if conductor % p == 0:
-            raise PreconditionError(f"degree prime {p} divides the conductor")
+            raise PreconditionError(f"degree prime {int_text(p)} divides the conductor")
         if factor_prime(maximal, p) is None:
             raise PreconditionError(
-                f"{p} is not reducible in the maximal order of Q(sqrt({D}))"
+                f"{int_text(p)} is not reducible in the maximal order of Q(sqrt({int_text(D)}))"
             )
     rng = random.Random(seed)
     surface = standard_instance(order)
@@ -78,7 +78,7 @@ def generate_instance(
         # congruence, so no such surface exists and the request is refused.
         raise PreconditionError(
             "requested degree profile fails the Humbert congruence "
-            f"(discriminant {order.discriminant}, pfaffian {surface.pf})"
+            f"(discriminant {int_text(order.discriminant)}, pfaffian {int_text(surface.pf)})"
         )
     return surface
 
@@ -98,9 +98,9 @@ def _raise_degree(
         options.append(("pullback", 1))
     if not options:
         raise PreconditionError(
-            f"cannot realize degree prime {p} at conductor "
-            f"{surface.order.conductor}: no norm ±{p} element in the order "
-            "and no split eigen-sublattice available"
+            f"cannot realize degree prime {int_text(p)} at conductor "
+            f"{int_text(surface.order.conductor)}: no norm ±{int_text(p)} element "
+            "in the order and no split eigen-sublattice available"
         )
     kind, arg = rng.choice(options)
     if kind == "twist":

@@ -78,14 +78,6 @@ def is_antisymmetric(m) -> bool:
     )
 
 
-def matrix_content(m) -> int:
-    g = 0
-    for r in m:
-        for x in r:
-            g = gcd(g, x)
-    return g
-
-
 def _wedge(r, s):
     """The six 2x2 minors of rows r, s over column pairs 01, 02, 03, 12, 13, 23."""
     (r0, r1, r2, r3), (s0, s1, s2, s3) = r, s
@@ -176,8 +168,9 @@ def alternating_divisors(m, pf: int) -> tuple[int, int, int, int]:
     """Elementary divisors (c, c, |pf|/c, |pf|/c) of a nondegenerate 4x4
     alternating form m with pfaffian pf, c its content: m / c is primitive,
     and a primitive alternating form has divisors (1, 1, n, n) with n^2 its
-    determinant."""
-    c = matrix_content(m)
+    determinant. The content divides pf, so a gcd seeded with pf is c and
+    stops joining once it reaches 1."""
+    c = gcd(pf, *m[0], *m[1], *m[2], *m[3])
     e = abs(pf) // c
     return (c, c, e, e)
 

@@ -157,9 +157,9 @@ def make_order(D: int, conductor: int = 1) -> RealQuadraticOrder:
             f"and {type(conductor).__name__}"
         )
     if D < 2 or not is_squarefree(D):
-        raise PreconditionError(f"D = {D} must be a squarefree integer >= 2")
+        raise PreconditionError(f"D = {int_text(D)} must be a squarefree integer >= 2")
     if conductor < 1:
-        raise PreconditionError(f"conductor must be >= 1, got {conductor}")
+        raise PreconditionError(f"conductor must be >= 1, got {int_text(conductor)}")
     if D % 4 == 1:
         d_f = D
         tr1, nm1 = 1, (1 - D) // 4
@@ -542,7 +542,7 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     require_odd_prime(p)
     f = order.conductor
     if f % p == 0:
-        raise PreconditionError(f"{p} divides the conductor {f}")
+        raise PreconditionError(f"{int_text(p)} divides the conductor {int_text(f)}")
     maximal = order if f == 1 else make_order(order.D, 1)
     disc = maximal.discriminant
     if legendre(disc, p) == -1:
@@ -708,9 +708,9 @@ def humbert_nonempty(disc: int, d: int) -> bool:
     lifting; for q = 2 it is r = 1 modulo 2^min(3, e-v).
     """
     if disc <= 0 or disc % 4 not in (0, 1):
-        raise PreconditionError(f"invalid discriminant {disc}")
+        raise PreconditionError(f"invalid discriminant {int_text(disc)}")
     if d < 1:
-        raise PreconditionError(f"invalid degree root {d}")
+        raise PreconditionError(f"invalid degree root {int_text(d)}")
     for q, e in factorize(4 * d).items():
         v, r = 0, disc
         while v < e and r % q == 0:

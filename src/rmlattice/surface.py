@@ -350,15 +350,15 @@ def eigen_sublattice_pullback(
     if eigenvalue_index not in (0, 1):
         raise PreconditionError("eigenvalue_index must be 0 or 1")
     if splitting_type(order, p) != SPLIT:
-        raise PreconditionError(f"{p} is not split in the field")
+        raise PreconditionError(f"{int_text(p)} is not split in the field")
     if degree(surface) % p == 0:
-        raise PreconditionError(f"{p} already divides the degree")
+        raise PreconditionError(f"{int_text(p)} already divides the degree")
     t, n = order.trace_omega, order.norm_omega
     s = sqrt_mod(t * t - 4 * n, p)
     half = (p + 1) // 2  # the inverse of 2 mod p
     roots = sorted({(t + s) * half % p, (t - s) * half % p})
     if len(roots) != 2:
-        raise PreconditionError(f"action has no pair of eigenvalues mod {p}")
+        raise PreconditionError(f"action has no pair of eigenvalues mod {int_text(p)}")
     r = roots[eigenvalue_index]
     at_shift = _scalar_plus(-r, 1, intmat.transpose(surface.action))
     eigvecs = intmat.kernel_mod_p(at_shift, p)
@@ -398,9 +398,10 @@ def stabilizer_order(surface: PolarizedRMSurface) -> RealQuadraticOrder:
 
     With generators scaled linearly by the conductor, the conductor-g
     generator acts by (g/f) * action, so integrality is a matrix content
-    test.
+    test. Only gcd(f, content) is needed, so the gcd chain starts from f
+    and its running value never exceeds f.
     """
     f = surface.order.conductor
-    content = intmat.matrix_content(surface.action)
-    g = f // gcd(f, content)
+    a = surface.action
+    g = f // gcd(f, *a[0], *a[1], *a[2], *a[3])
     return make_order(surface.order.D, g)

@@ -314,6 +314,21 @@ def test_cli_prints_integers_past_the_digit_limit(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: degree {int_text(2**14400)} must be odd\n"
 
 
+def test_cli_info_refuses_a_D_past_the_digit_limit(tmp_path, capsys):
+    # D = 10^5000 is not squarefree; the refusal once died in the int/str
+    # digit-limit ValueError, "Exceeds the limit (4300 digits) ...".
+    inst = tmp_path / "inst.json"
+    obj = json.loads(serialize_instance(standard_instance(make_order(5, 1))))
+    obj["order"]["D"] = "1" + "0" * 5000
+    inst.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["info", str(inst)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: instance order is invalid: D = {int_text(10**5000)} must be a "
+        "squarefree integer >= 2\n"
+    )
+
+
 def test_cli_verify_rejects_a_degree_past_the_digit_limit(tmp_path, capsys):
     # a tampered degree_before of 5001 digits: the mismatch message once
     # raised ValueError from the interpreter's int/str digit limit

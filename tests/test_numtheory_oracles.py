@@ -13,7 +13,9 @@ discrete log _unit_log and the group-order _unit_index replaced.
 cf_fundamental_unit is the continued-fraction unit (Cohen, Alg. 5.7.2)
 that the walk around the principal cycle of reduced forms replaced, and
 snf_bezout_conductor the conductor identity solved on a general Smith
-form, which the two-row Hermite form replaced.
+form, which the two-row Hermite form replaced. reference_factorize is the
+factorization that re-tested the whole cofactor for primality after each
+factor it found, which one trial pass and a rho worklist replaced.
 sympy is a second, independent oracle, and the only one for sqrt_mod.
 Hypothesis runs derandomized, so every run checks the same cases.
 """
@@ -22,18 +24,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, isqrt
+from math import ceil, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import factorint, is_quad_residue, isprime, nextprime, prevprime
+from sympy import factorint, is_quad_residue, isprime, nextprime, prevprime, primerange
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from sympy.solvers.diophantine.diophantine import diop_DN
 
-from rmlattice import intmat
+from rmlattice import arith, intmat
 from rmlattice.arith import factorize, is_prime, is_squarefree, sqrt_mod
 from rmlattice.errors import InvariantBreach, PreconditionError
+from rmlattice.generator import generate_instance
 from rmlattice.quadratic import (
     OrderElement,
     _canonical_key,
@@ -308,6 +311,42 @@ def orbit_hit(maximal, seed, unit, f, steps):
             return k
         x, y = (x * ux + y * yx) % f, (x * uy + y * yy) % f
     return None
+
+
+def reference_factorize(n: int) -> dict[int, int]:
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    # n has no prime factor below f, so below f^2 it is 1 or a prime and
+    # needs no test.
+    cofactor_prime = n >= 25 and arith.is_prime(n)
+    f = 5
+    while not cofactor_prime and f <= arith._TRIAL_BOUND and f * f <= n:
+        for p in (f, f + 2):
+            if n % p == 0:
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+                cofactor_prime = n > p * p and arith.is_prime(n)
+        f += 6
+    if cofactor_prime or 1 < n < f * f:
+        out[n] = 1
+    elif n > 1:
+        _reference_factor_composite(n, out)
+    return out
+
+
+def _reference_factor_composite(n: int, out: dict[int, int]) -> None:
+    d = arith._brent_divisor(n)
+    for m in (d, n // d):
+        if arith.is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            _reference_factor_composite(m, out)
 
 
 def scan_humbert_nonempty(disc, d):
@@ -593,6 +632,71 @@ def test_factorize_semiprimes_near_1e18(a, b):
     p, q = nextprime(a), prevprime(b)
     for n in (p * q, p * p):
         assert factorize(n) == factorint(n)
+
+
+def _prime_powers(primes, max_exponent, max_size):
+    return st.lists(st.tuples(primes, st.integers(1, max_exponent)), max_size=max_size)
+
+
+# Primes below 1000, from 1000 to 10^6 and from 10^6 to 10^12. Rho takes
+# about sqrt(p) steps to split off a prime p, so at most one prime of a draw,
+# to the first power, lies past 10^9; the others keep rho near 3*10^4 steps.
+PRIMES_SMALL = st.sampled_from(list(primerange(2, 1000)))
+PRIMES_MEDIUM = st.integers(1000, 10**6 - 100).map(nextprime)
+PRIMES_LARGE = st.integers(10**6, 10**9).map(nextprime)
+PRIMES_TOP = st.integers(10**9, 10**12).map(nextprime)
+
+
+@settings(ORACLE, max_examples=100)
+@given(
+    _prime_powers(PRIMES_SMALL, 6, 6),
+    _prime_powers(PRIMES_MEDIUM, 3, 4),
+    _prime_powers(PRIMES_LARGE, 2, 2),
+    st.lists(PRIMES_TOP, max_size=1),
+)
+def test_factorize_matches_the_reference_on_products_of_prime_powers(
+    small, medium, large, top
+):
+    n = 1
+    for p, e in small + medium + large + [(q, 1) for q in top]:
+        n *= p**e
+    expected = reference_factorize(n)
+    assert factorize(n) == expected
+    assert expected == factorint(n)
+
+
+def _count_is_prime(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    real = arith.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    return calls
+
+
+def test_factorize_trial_pass_runs_no_primality_test(monkeypatch):
+    # The odd primes below 1000 all leave in the trial pass, where the
+    # reference tested the cofactor for primality after each of them.
+    calls = _count_is_prime(monkeypatch)
+    n = prod(primerange(3, 1000))
+    assert factorize(n) == dict.fromkeys(primerange(3, 1000), 1)
+    assert len(calls) == 0
+    assert reference_factorize(n) == factorize(n)
+    assert len(calls) == 165
+
+
+def test_factorize_tests_the_256_prime_pfaffian_fewer_times_than_primes(monkeypatch):
+    # The first 256 primes from 7 that split in Q(sqrt(5)), 7 to 3719: one
+    # test per composite part past the trial bound, none per prime.
+    primes = [p for p in primerange(7, 3720) if p % 5 in (1, 4)]
+    assert len(primes) == 256
+    pf = abs(generate_instance(5, 1, primes, seed=1).pf)
+    calls = _count_is_prime(monkeypatch)
+    assert factorize(pf) == dict.fromkeys(primes, 1)
+    assert len(calls) < 256
 
 
 def test_factorize_of_a_large_semiprime_returns():

@@ -426,6 +426,26 @@ def test_odd_prime_checks_share_one_message():
             assert str(info.value) == f"{int_text(p)} is not an odd prime"
 
 
+def test_refusals_print_integers_past_the_digit_limit():
+    # Each message once raised the interpreter's int/str digit-limit
+    # ValueError in place of its PreconditionError.
+    big = 10**5000
+    refusals = (
+        (lambda: make_order(big), f"D = {int_text(big)} must be a squarefree integer >= 2"),
+        (lambda: make_order(5, -big), f"conductor must be >= 1, got {int_text(-big)}"),
+        (
+            lambda: solve_norm(make_order(5, 3**10000), 3),
+            f"3 divides the conductor {int_text(3**10000)}",
+        ),
+        (lambda: humbert_nonempty(-big, 1), f"invalid discriminant {int_text(-big)}"),
+        (lambda: humbert_nonempty(5, -big), f"invalid degree root {int_text(-big)}"),
+    )
+    for refusal, message in refusals:
+        with pytest.raises(PreconditionError) as info:
+            refusal()
+        assert str(info.value) == message
+
+
 def test_split_but_irreducible_prime_exists():
     # 3 splits in Q(sqrt(10)) but the primes above it are non-principal
     # (class number 2), so reducibility is strictly stronger than splitting.
