@@ -22,7 +22,7 @@ from .formats import (
 from .generator import generate_instance
 from .intmat import alternating_divisors
 from .oracle import verify_certificate
-from .quadratic import DIVIDES_CONDUCTOR, humbert_nonempty, splitting_type
+from .quadratic import DIVIDES_CONDUCTOR, _humbert_holds, splitting_type
 from .reduction import principalize
 from .surface import degree, stabilizer_order, validate
 
@@ -98,15 +98,15 @@ def cmd_info(args) -> None:
         f"Δ={int_text(surface.order.discriminant)} f={int_text(stab.conductor)} "
         f"deg={int_text(degree(surface))} divisors=({divisors})"
     ]
-    pf = abs(surface.pf)
-    for q in sorted(factorize(pf)):
+    factors = factorize(abs(surface.pf))
+    for q in sorted(factors):
         if q == 2:
             lines.append(f"{int_text(q)}: even or composite (unsupported)")
         else:
             kind = splitting_type(surface.order, q)
             label = "divides conductor" if kind == DIVIDES_CONDUCTOR else kind
             lines.append(f"{int_text(q)}: {label}")
-    hum = humbert_nonempty(surface.order.discriminant, pf)
+    hum = _humbert_holds(surface.order.discriminant, factors)
     lines.append(f"humbert: {'true' if hum else 'false'}")
     print("\n".join(lines))
 

@@ -176,9 +176,15 @@ def _unique_keys(pairs: list) -> dict:
 
 # One decoder for every parse: json.loads with a hook builds a new one per call.
 _JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# A JSON string, matched whole so that the scan skips what it holds, or an
+# unquoted number -0, which the decoder would read as 0.
+_STRING_OR_MINUS_ZERO = re.compile(r'"(?:[^"\\]|\\.)*"|-0(?![0-9.eE/])')
 
 
 def _load(text: str):
+    # no canonical text holds "-0" at all, so the scan runs only on one that does
+    if "-0" in text and any(m[0][0] == "-" for m in _STRING_OR_MINUS_ZERO.finditer(text)):
+        raise ValueError("integer -0 is not written as 0")
     try:
         return _JSON.decode(text)
     except json.JSONDecodeError as exc:
@@ -211,7 +217,7 @@ def _instance_from_obj(obj) -> PolarizedRMSurface:
     order_obj, action, gram, version = _values(
         obj, "instance", ("order", "omega_action", "gram", "format_version")
     )
-    if version != FORMAT_VERSION:
+    if _decode_int(version) != FORMAT_VERSION:
         raise ValueError("unsupported format_version")
     D, conductor = _values(order_obj, "order", ("D", "conductor"))
     try:

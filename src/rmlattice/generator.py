@@ -10,6 +10,7 @@ presentation without touching any invariant.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from . import intmat
 from .arith import int_text, is_prime
@@ -91,18 +92,13 @@ def _raise_degree(
     options = []
     factors = factor_prime(surface.order, p)
     if factors is not None:
-        options.append(("twist", factors[0]))
-        options.append(("twist", factors[1]))
+        options += [partial(twist_by_element, surface, el) for el in factors]
     if splitting_type(surface.order, p) == SPLIT and degree(surface) % p != 0:
-        options.append(("pullback", 0))
-        options.append(("pullback", 1))
+        options += [partial(eigen_sublattice_pullback, surface, p, i) for i in (0, 1)]
     if not options:
         raise PreconditionError(
             f"cannot realize degree prime {int_text(p)} at conductor "
             f"{int_text(surface.order.conductor)}: no norm ±{int_text(p)} element "
             "in the order and no split eigen-sublattice available"
         )
-    kind, arg = rng.choice(options)
-    if kind == "twist":
-        return twist_by_element(surface, arg)
-    return eigen_sublattice_pullback(surface, p, arg)
+    return rng.choice(options)()

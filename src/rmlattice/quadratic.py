@@ -11,13 +11,15 @@ Besides element arithmetic this module provides prime splitting, the
 fundamental unit, norm equations, prime factorization into norm +-p
 elements, a conductor Bezout identity for non-associate factors, solved
 on a two-row Hermite form, and the Humbert congruence test. One walk
-around a cycle of reduced forms (_reduced_cycle) gives both the unit,
+around a cycle of reduced forms, ideal_generator, gives both the unit,
 from the cycle of the principal form, and the generator of a prime above
 p, or a proof that there is none, from the cycle of the prime's norm
-form; nothing scans a box. A cycle is about sqrt(disc) long, so a walk
-stops after _WALK_BUDGET rho steps with a PreconditionError naming D and
-the budget. A norm +-p element generates such a prime, and every other
-solution is a unit multiple of it or of its conjugate.
+form; nothing scans a box. It keeps only the forms and the rho quotients,
+building the generator from them once it finds one. A cycle is about
+sqrt(disc) long, so a walk stops after _WALK_BUDGET rho steps with a
+PreconditionError naming D and the budget. A norm +-p element generates
+such a prime, and every other solution is a unit multiple of it or of its
+conjugate.
 In a conductor-f suborder the question reduces to the group
 G = (O_F/f)^*/(Z/f)^*: the suborder's unit is u**n0, n0 the order of u
 in G read off |G| = prod over q^e || f of q^(e-1)*(q - chi(q)), and the
@@ -249,14 +251,14 @@ class OrderElement(Record):
 def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     """The smallest unit > 1 of the order itself (not of the maximal order).
 
-    For the maximal order, from the cycle of reduced forms (_reduced_cycle)
-    of the order as an ideal, started at the principal form (1, B, C), B
-    the largest integer below sqrt(disc) of the parity of disc. The next
-    form with |A| = 1 on the cycle puts a unit of norm A first in the
-    basis, and it is the fundamental unit up to sign and conjugation; of
-    those four the one > 1 has trace and y both positive. The work is
-    linear in the cycle, which is O(sqrt(disc) log disc), however large the
-    unit is; past _WALK_BUDGET rho steps the walk refuses the field.
+    For the maximal order, the generator ideal_generator finds for the
+    order as an ideal, walked from the principal form (1, B, C), B the
+    largest integer below sqrt(disc) of the parity of disc. The next form
+    with |A| = 1 on the cycle puts a unit of norm A first in the basis, and
+    it is the fundamental unit up to sign and conjugation; of those four
+    the one > 1 has trace and y both positive. The work is linear in the
+    cycle, which is O(sqrt(disc) log disc), however large the unit is; past
+    _WALK_BUDGET rho steps the walk refuses the field.
 
     For conductor f > 1 the unit group is the cyclic subgroup of
     maximal-order units landing in the order, so the answer is u**n0 for
@@ -268,10 +270,8 @@ def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     t, disc = order.trace_omega, order.discriminant
     s = isqrt(disc)
     b = s if (disc - s) % 2 == 0 else s - 1  # b, disc and t share a parity
-    cycle = _reduced_cycle(order, 1, (b - t) // 2)
-    next(cycle)  # the principal form itself, with the basis element 1
-    x, y = next(el for (A, _, _), el in cycle if abs(A) == 1)
-    a = 2 * x + t * y  # the unit is (a + y*sqrt(disc))/2
+    unit = ideal_generator(order, 1, (b - t) // 2)
+    a, y = 2 * unit.x + t * unit.y, unit.y  # the unit is (a + y*sqrt(disc))/2
     return order.element((abs(a) - t * abs(y)) // 2, abs(y))
 
 
@@ -409,37 +409,50 @@ def splitting_type(order: RealQuadraticOrder, p: int) -> str:
     return SPLIT if s == 1 else (INERT if s == -1 else RAMIFIED)
 
 
-def _reduced_cycle(order: RealQuadraticOrder, a: int, b: int):
-    """Yield (form, alpha) along the rho steps from the ideal with Hermite
-    basis (a, b + w), through one full cycle of reduced forms.
+def _roots_mod_p(order: RealQuadraticOrder, p: int) -> tuple[int, int]:
+    """The roots (t + s)/2 and (t - s)/2 of X^2 - tX + n modulo an odd
+    prime p that does not stay inert, s = sqrt_mod(disc, p)."""
+    t, s, half = order.trace_omega, sqrt_mod(order.discriminant, p), (p + 1) // 2
+    return (t + s) * half % p, (t - s) * half % p
 
-    a > 0 must divide N(b + w), and the ideal's norm form below must be
-    primitive, as it is for a prime a. On a basis (alpha, beta) of the
-    ideal the form N(x*alpha + y*beta)/a is (A, B, C), starting from
-    (a, 2b + t, N(b + w)/a), so alpha has norm A*a; alpha is yielded as its
-    coordinates (x, y). Each rho step (Cohen, A Course in Computational
-    Algebraic Number Theory, §5.6 and §5.8) takes (A, B, C) to
-    (C, r, (r^2 - disc)/4C), r = -B modulo 2C in the normalized range, and
-    the basis to (beta, q*beta - alpha), q = (B + r)/2C. From any form
+
+def ideal_generator(order: RealQuadraticOrder, a: int, b: int) -> OrderElement | None:
+    """A generator of the ideal with Hermite basis (a, b + w), or None.
+
+    The one walk around a cycle of reduced forms. a > 0 must divide
+    N(b + w), and the ideal's norm form must be primitive, as it is for a
+    prime a. On a basis (alpha, beta) of the ideal the form
+    N(x*alpha + y*beta)/a is (A, B, C), starting from (a, 2b + t,
+    N(b + w)/a), so alpha has norm A*a. Each rho step (Cohen, A Course in
+    Computational Algebraic Number Theory, §5.6 and §5.8) takes (A, B, C)
+    to (C, r, (r^2 - disc)/4C), r = -B modulo 2C in the normalized range,
+    and the basis to (beta, q*beta - alpha), q = (B + r)/2C. From any form
     these steps reach a reduced one, |sqrt(disc) - 2|A|| < B < sqrt(disc),
-    and from there run around the cycle of the reduced forms properly
-    equivalent to it. The walk ends after yielding the first reduced form
-    again, and raises PreconditionError, naming D and the budget, when
-    _WALK_BUDGET rho steps have not got there.
+    and then run around the cycle of the reduced forms properly equivalent
+    to it. The walk keeps only the forms and the quotients q; at the first
+    form after the start with |A| = 1 it folds them into the basis, and
+    alpha, of norm +-a, generates the ideal. A principal ideal's cycle
+    holds a form (+-1, B, C), so a walk back at its first reduced form
+    returns None, and one past _WALK_BUDGET rho steps raises
+    PreconditionError naming D and the budget; neither builds an element.
+    The walk is linear in the cycle, which is bounded by the regulator.
     """
     t, disc = order.trace_omega, order.discriminant
     s = isqrt(disc)  # disc is not a square, so sqrt(disc) is never an integer
-    (ax, ay), (bx, by) = (a, 0), (b, 1)
-    form = (a, 2 * b + t, (b * b + t * b + order.norm_omega) // a)
+    A, B, C = form = (a, 2 * b + t, (b * b + t * b + order.norm_omega) // a)
+    quotients = []
     first = None
     for steps in count():
-        yield form, (ax, ay)
-        A, B, C = form
+        if steps and abs(A) == 1:
+            (ax, ay), (bx, by) = (a, 0), (b, 1)
+            for q in quotients:
+                (ax, ay), (bx, by) = (bx, by), (q * bx - ax, q * by - ay)
+            return order.element(ax, ay)
         if 0 < B <= s < B + 2 * abs(A) and 2 * abs(A) - B <= s:  # reduced
             if first is None:
                 first = form
             elif form == first:
-                return
+                return None
         if steps == _WALK_BUDGET:
             raise PreconditionError(
                 f"the walk along reduced forms of Q(sqrt({int_text(order.D)})) "
@@ -452,24 +465,8 @@ def _reduced_cycle(order: RealQuadraticOrder, a: int, b: int):
                 r -= c2
         else:  # sqrt(disc) - 2|C| < r < sqrt(disc)
             r = s - (s + B) % c2
-        q = (B + r) // (2 * C)
-        (ax, ay), (bx, by) = (bx, by), (q * bx - ax, q * by - ay)
-        form = (C, r, (r * r - disc) // (4 * C))
-
-
-def ideal_generator(order: RealQuadraticOrder, a: int, b: int) -> OrderElement | None:
-    """A generator of the ideal with Hermite basis (a, b + w), or None.
-
-    On the walk _reduced_cycle, a form with |A| = 1 makes alpha an element
-    of norm +-a in the ideal, a generator. A principal ideal's cycle holds
-    a reduced form (+-1, B, C), so a walk that closes its cycle without
-    |A| = 1 proves the ideal is not principal. The walk is linear in the
-    cycle, which is bounded by the regulator, as the unit computation is.
-    """
-    for (A, _, _), (x, y) in _reduced_cycle(order, a, b):
-        if abs(A) == 1:
-            return order.element(x, y)
-    return None
+        quotients.append((B + r) // (2 * C))
+        A, B, C = form = (C, r, (r * r - disc) // (4 * C))
 
 
 def _log_embeddings(el: OrderElement) -> tuple[float, float]:
@@ -544,11 +541,9 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     if f % p == 0:
         raise PreconditionError(f"{int_text(p)} divides the conductor {int_text(f)}")
     maximal = order if f == 1 else make_order(order.D, 1)
-    disc = maximal.discriminant
-    if legendre(disc, p) == -1:
+    if legendre(maximal.discriminant, p) == -1:
         return None
-    r = (maximal.trace_omega + sqrt_mod(disc, p)) * ((p + 1) // 2) % p
-    gen = ideal_generator(maximal, p, -r)
+    gen = ideal_generator(maximal, p, -_roots_mod_p(maximal, p)[0])
     if gen is None:
         return None
     k0, n0 = 0, 1
@@ -699,7 +694,16 @@ def bezout_conductor(
 
 
 def humbert_nonempty(disc: int, d: int) -> bool:
-    """Whether disc is a square modulo 4d (0 counts as a square).
+    """Whether disc is a square modulo 4d (0 counts as a square)."""
+    if disc <= 0 or disc % 4 not in (0, 1):
+        raise PreconditionError(f"invalid discriminant {int_text(disc)}")
+    if d < 1:
+        raise PreconditionError(f"invalid degree root {int_text(d)}")
+    return _humbert_holds(disc, factorize(d))
+
+
+def _humbert_holds(disc: int, factors: dict[int, int]) -> bool:
+    """humbert_nonempty(disc, d) from the factorization of d.
 
     Decided prime by prime on the factorization of 4d, by the Chinese
     remainder theorem: x^2 = disc has a root modulo q^e iff q^e | disc, or
@@ -707,11 +711,7 @@ def humbert_nonempty(disc: int, d: int) -> bool:
     q^(e-v). For odd q that is the Legendre symbol (r/q) = 1, by Hensel
     lifting; for q = 2 it is r = 1 modulo 2^min(3, e-v).
     """
-    if disc <= 0 or disc % 4 not in (0, 1):
-        raise PreconditionError(f"invalid discriminant {int_text(disc)}")
-    if d < 1:
-        raise PreconditionError(f"invalid degree root {int_text(d)}")
-    for q, e in factorize(4 * d).items():
+    for q, e in {**factors, 2: factors.get(2, 0) + 2}.items():
         v, r = 0, disc
         while v < e and r % q == 0:
             v, r = v + 1, r // q

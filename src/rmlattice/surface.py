@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from . import intmat
-from .arith import int_text, sqrt_mod
+from .arith import int_text
 from .errors import DescentError, InvariantBreach, PreconditionError
 from .intmat import IntMat, RatMat
 from .quadratic import (
@@ -54,6 +54,7 @@ from .quadratic import (
     OrderElement,
     RealQuadraticOrder,
     Record,
+    _roots_mod_p,
     make_order,
     splitting_type,
 )
@@ -353,13 +354,8 @@ def eigen_sublattice_pullback(
         raise PreconditionError(f"{int_text(p)} is not split in the field")
     if degree(surface) % p == 0:
         raise PreconditionError(f"{int_text(p)} already divides the degree")
-    t, n = order.trace_omega, order.norm_omega
-    s = sqrt_mod(t * t - 4 * n, p)
-    half = (p + 1) // 2  # the inverse of 2 mod p
-    roots = sorted({(t + s) * half % p, (t - s) * half % p})
-    if len(roots) != 2:
-        raise PreconditionError(f"action has no pair of eigenvalues mod {int_text(p)}")
-    r = roots[eigenvalue_index]
+    # p is split, so it does not divide disc and the two roots differ
+    r = sorted(_roots_mod_p(order, p))[eigenvalue_index]
     at_shift = _scalar_plus(-r, 1, intmat.transpose(surface.action))
     eigvecs = intmat.kernel_mod_p(at_shift, p)
     if not eigvecs:

@@ -201,11 +201,17 @@ def test_int_text_and_text_int_match_the_divmod_reference():
 # the reader's refusals keep their messages
 # ---------------------------------------------------------------------------
 
+
+class _Unquoted(str):
+    """An entry written into the JSON text as it stands, not as a string."""
+
+
 _INSTANCE_REFUSALS = [
     (True, "expected an integer, got a boolean"),
     (2**53, "integer 9007199254740992 is not written as '9007199254740992'"),
     (1.0, "expected an integer, got float"),
     ("-0", "integer '-0' is not written as 0"),
+    (_Unquoted("-0"), "integer -0 is not written as 0"),  # the decoder reads 0
     ("007", "integer '007' is not written as 7"),
     ("3/1", "integer string '3/1' is not of the form -?[0-9]+"),
     ("2/4", "integer string '2/4' is not of the form -?[0-9]+"),
@@ -230,13 +236,42 @@ def _seed_files():
     return json.loads(serialize_instance(start)), json.loads(serialize_certificate(cert))
 
 
+def _text_with(root, path, entry) -> str:
+    """The JSON text of root with the entry at path, a tuple of keys and
+    indices, replaced by `entry`."""
+    *outer, last = path
+    obj = root
+    for key in outer:
+        obj = obj[key]
+    unquoted = isinstance(entry, _Unquoted)
+    obj[last] = "@entry" if unquoted else entry
+    text = json.dumps(root)
+    return text.replace('"@entry"', entry) if unquoted else text
+
+
 @pytest.mark.parametrize("entry, message", _INSTANCE_REFUSALS)
 def test_an_instance_entry_is_refused_with_its_message(entry, message):
     inst, _ = _seed_files()
     # the row holds valid entries too, some already read when the bad one is
-    inst["gram"][2][3] = entry
+    text = _text_with(inst, ("gram", 2, 3), entry)
     with pytest.raises(ValueError) as info:
-        parse_instance(json.dumps(inst))
+        parse_instance(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (True, "expected an integer, got a boolean"),
+        (1.0, "expected an integer, got float"),
+        (_Unquoted("1e0"), "expected an integer, got float"),
+    ],
+)
+def test_a_format_version_other_than_the_integer_1_is_refused(entry, message):
+    inst, _ = _seed_files()
+    text = _text_with(inst, ("format_version",), entry)
+    with pytest.raises(ValueError) as info:
+        parse_instance(text)
     assert str(info.value) == message
 
 

@@ -22,7 +22,7 @@ from rmlattice import (
     standard_instance,
     twist_by_element,
 )
-from rmlattice import arith, intmat, quadratic
+from rmlattice import InvariantBreach, arith, cli, intmat, quadratic
 from rmlattice.arith import int_text
 from rmlattice.cli import main
 from rmlattice.formats import (
@@ -273,6 +273,57 @@ def test_info_computes_one_pfaffian(tmp_path, capsys, monkeypatch):
     assert main(["info", str(inst)]) == 0
     assert "divisors=(1,1,11,11)" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_info_factors_the_pfaffian_once(tmp_path, capsys, monkeypatch):
+    # the prime lines and the Humbert test share one factorization
+    surface = generate_instance(5, 3, [11, 19], seed=4)
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(surface))
+    calls = []
+    real = arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "factorize", counting)
+    monkeypatch.setattr(quadratic, "factorize", counting)
+    assert main(["info", str(inst)]) == 0
+    assert capsys.readouterr().out.endswith("11: split\n19: split\nhumbert: true\n")
+    assert [n for n in calls if n % surface.pf == 0] == [abs(surface.pf)]
+
+
+def test_cli_info_refuses_an_instance_that_does_not_validate(tmp_path, capsys):
+    obj = json.loads(serialize_instance(standard_instance(make_order(5, 1))))
+    obj["gram"][0][0] = 1
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["info", str(inst)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: instance does not validate: gram form is not antisymmetric\n"
+    )
+
+
+def test_cli_info_marks_an_even_pfaffian_unsupported(tmp_path, capsys):
+    order = make_order(17, 1)
+    surface = twist_by_element(standard_instance(order), order.element(1, 1))  # norm -2
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(surface))
+    assert main(["info", str(inst)]) == 0
+    assert "\n2: even or composite (unsupported)\n" in capsys.readouterr().out
+
+
+def test_cli_maps_an_invariant_breach_to_exit_3(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(standard_instance(make_order(5, 1))))
+
+    def breach(surface):
+        raise InvariantBreach("pipeline ended with a broken surface")
+
+    monkeypatch.setattr(cli, "principalize", breach)
+    assert main(["principalize", str(inst), "-o", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr() == ("", "error: pipeline ended with a broken surface\n")
 
 
 def test_cli_principalize_validates_its_input_once(tmp_path, monkeypatch):

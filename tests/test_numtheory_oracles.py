@@ -16,6 +16,10 @@ snf_bezout_conductor the conductor identity solved on a general Smith
 form, which the two-row Hermite form replaced. reference_factorize is the
 factorization that re-tested the whole cofactor for primality after each
 factor it found, which one trial pass and a rho worklist replaced.
+reference_reduced_cycle is the walk that carried a basis element through
+every rho step while its two callers, the unit and the ideal generator,
+filtered what it yielded; ideal_generator, which keeps only the quotients
+and builds the generator once it is found, replaced it.
 sympy is a second, independent oracle, and the only one for sqrt_mod.
 Hypothesis runs derandomized, so every run checks the same cases.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import ceil, isqrt, prod
 
 import pytest
@@ -33,7 +38,7 @@ from sympy import factorint, is_quad_residue, isprime, nextprime, prevprime, pri
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 from sympy.solvers.diophantine.diophantine import diop_DN
 
-from rmlattice import arith, intmat
+from rmlattice import arith, intmat, quadratic
 from rmlattice.arith import factorize, is_prime, is_squarefree, sqrt_mod
 from rmlattice.errors import InvariantBreach, PreconditionError
 from rmlattice.generator import generate_instance
@@ -48,6 +53,7 @@ from rmlattice.quadratic import (
     factor_prime,
     fundamental_unit,
     humbert_nonempty,
+    ideal_generator,
     make_order,
     solve_norm,
 )
@@ -206,6 +212,60 @@ def cf_fundamental_unit(order):
     # trace share a parity.
     c = (b - order.trace_omega) // 2
     return order.element(q_prev * c + q_prev2, q_prev)
+
+
+def reference_reduced_cycle(order, a: int, b: int):
+    """Yield (form, alpha) along the rho steps from the ideal with Hermite
+    basis (a, b + w), through one full cycle of reduced forms, alpha the
+    coordinates of the first basis element; stop after yielding the first
+    reduced form again."""
+    t, disc = order.trace_omega, order.discriminant
+    s = isqrt(disc)
+    (ax, ay), (bx, by) = (a, 0), (b, 1)
+    form = (a, 2 * b + t, (b * b + t * b + order.norm_omega) // a)
+    first = None
+    for steps in count():
+        yield form, (ax, ay)
+        A, B, C = form
+        if 0 < B <= s < B + 2 * abs(A) and 2 * abs(A) - B <= s:  # reduced
+            if first is None:
+                first = form
+            elif form == first:
+                return
+        if steps == quadratic._WALK_BUDGET:
+            raise PreconditionError(
+                f"the walk along reduced forms of Q(sqrt({order.D})) "
+                f"passed its budget of {steps} rho steps"
+            )
+        c2 = 2 * abs(C)
+        if abs(C) > s:
+            r = -B % c2
+            if r > abs(C):
+                r -= c2
+        else:
+            r = s - (s + B) % c2
+        q = (B + r) // (2 * C)
+        (ax, ay), (bx, by) = (bx, by), (q * bx - ax, q * by - ay)
+        form = (C, r, (r * r - disc) // (4 * C))
+
+
+def reference_ideal_generator(order, a: int, b: int):
+    for (A, _, _), (x, y) in reference_reduced_cycle(order, a, b):
+        if abs(A) == 1:
+            return order.element(x, y)
+    return None
+
+
+def reference_fundamental_unit(order):
+    """The unit of a maximal order from the walk of its principal form."""
+    t, disc = order.trace_omega, order.discriminant
+    s = isqrt(disc)
+    b = s if (disc - s) % 2 == 0 else s - 1
+    cycle = reference_reduced_cycle(order, 1, (b - t) // 2)
+    next(cycle)  # the principal form itself, with the basis element 1
+    x, y = next(el for (A, _, _), el in cycle if abs(A) == 1)
+    a = 2 * x + t * y
+    return order.element((abs(a) - t * abs(y)) // 2, abs(y))
 
 
 def snf_bezout_conductor(a1, a2, order):
@@ -410,6 +470,13 @@ def test_fundamental_unit_matches_the_continued_fraction():
         assert fundamental_unit(order) == cf_fundamental_unit(order), D
 
 
+def test_fundamental_unit_matches_the_reduced_cycle_reference():
+    for D in range(2, 3000):
+        if is_squarefree(D):
+            order = make_order(D, 1)
+            assert fundamental_unit(order) == reference_fundamental_unit(order), D
+
+
 @ORACLE
 @given(st.sampled_from([2, 3, 5, 13, 17, 33, 46, 94]), st.integers(2, 300))
 def test_suborder_unit_matches_power_scan(D, f):
@@ -477,6 +544,23 @@ def test_solve_norm_matches_box_scan_on_maximal_orders(D):
     order = make_order(D, 1)
     for p in SMALL_PRIMES:
         assert solve_norm(order, p) == box_solve_norm(order, p), p
+
+
+def test_ideal_generator_matches_the_reduced_cycle_reference():
+    # both primes above each p that does not stay inert, over the grid of
+    # the box-scan test above; the non-principal ones give None
+    missing = 0
+    for D in [D for D in SQUAREFREE if D <= 60] + [94, 139]:
+        order = make_order(D, 1)
+        for p in SMALL_PRIMES:
+            if arith.legendre(order.discriminant, p) == -1:
+                continue
+            for r in {sqrt_mod(order.discriminant, p), -sqrt_mod(order.discriminant, p) % p}:
+                b = -(order.trace_omega + r) * ((p + 1) // 2) % p
+                gen = ideal_generator(order, p, b)
+                assert gen == reference_ideal_generator(order, p, b), (D, p, b)
+                missing += gen is None
+    assert missing > 0
 
 
 @ORACLE

@@ -396,6 +396,16 @@ def test_principalize_precondition_errors():
         principalize(bad)
 
 
+def test_principalize_refuses_a_surface_that_does_not_validate():
+    s = standard_instance(make_order(5, 1))
+    gram = [list(row) for row in s.gram]
+    gram[0][0] = 1
+    bad = PolarizedRMSurface(s.order, s.action, intmat.freeze(gram))
+    with pytest.raises(PreconditionError) as info:
+        principalize(bad)
+    assert str(info.value) == "invalid surface: gram form is not antisymmetric"
+
+
 def test_principalize_rejects_loose_orders():
     s1 = standard_instance(make_order(5, 1))
     loose = PolarizedRMSurface(
