@@ -1,10 +1,12 @@
 """Small exact integer helpers: primality (exact to psi_13, see is_prime),
-factorization, square parts, and decimal text of any length, both ways,
-in subquadratic time past the interpreter's int/str digit limit."""
+factorization, square parts, and decimal text of integers and rationals of
+any length, both ways, in subquadratic time past the interpreter's int/str
+digit limit."""
 
 from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from fractions import Fraction
 from itertools import count
 from math import gcd
 
@@ -173,6 +175,17 @@ def int_text(v: int) -> str:
     if v < 0:
         return "-" + int_text(-v)
     return format(_int_decimal(v), "f")
+
+
+def rational_text(q: Fraction) -> str:
+    """Text of the rational q as str(q) writes it, "n" or "n/d" in lowest
+    terms, of any size: int_text for each part past the digit limit."""
+    try:
+        return str(q)
+    except ValueError:
+        pass
+    text = int_text(q.numerator)
+    return text if q.denominator == 1 else text + "/" + int_text(q.denominator)
 
 
 # The leaves of _int_decimal: Decimal(n) for n below 2^_LEAF_BITS converts

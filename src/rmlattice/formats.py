@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .arith import _text_int, int_text
+from .arith import _text_int, int_text, rational_text
 from .errors import PreconditionError
 from .isogeny import IsogenyStep
 from .quadratic import make_order
@@ -52,7 +52,7 @@ def _int_token(v: int) -> str:
 
 
 def _rational_token(q: Fraction) -> str:
-    return '"' + str(q) + '"'
+    return '"' + rational_text(q) + '"'
 
 
 def _array(tokens, pad: str) -> str:
@@ -117,11 +117,12 @@ def _decode_rational(x) -> Fraction:
     # from the two integers: Fraction's own text parser matches a second regex
     numerator, _, denominator = x.partition("/")
     try:
-        value = Fraction(int(numerator), int(denominator or 1))
+        value = Fraction(_text_int(numerator), _text_int(denominator or "1"))
     except ZeroDivisionError:
         raise ValueError(f"rational entry {x!r} has a zero denominator") from None
-    if str(value) != x:
-        raise ValueError(f"rational entry {x!r} is not written as {str(value)!r}")
+    written = rational_text(value)
+    if written != x:
+        raise ValueError(f"rational entry {x!r} is not written as {written!r}")
     return value
 
 

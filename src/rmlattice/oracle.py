@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import intmat
-from .arith import int_text, is_prime, require_odd_prime
+from .arith import int_text, is_prime, rational_text, require_odd_prime
 from .errors import DescentError, InvariantBreach, PreconditionError
 from .isogeny import descend_polarization
 from .reduction import CertificateData, principalize
@@ -211,7 +211,5 @@ def _show(value) -> str:
     if isinstance(value, tuple):
         return "(" + ", ".join(_show(x) for x in value) + ")"
     if isinstance(value, (int, Fraction)):
-        q = Fraction(value)
-        text = int_text(q.numerator)
-        return text if q.denominator == 1 else f"{text}/{int_text(q.denominator)}"
+        return rational_text(Fraction(value))
     return str(value)

@@ -2,29 +2,28 @@
 
 Each move takes a surface and a prime and returns (surface, steps).
 squarefree_reduce shrinks the p-part of the polarization kernel until its
-elementary divisors at p are squarefree; its closing check reads that from
-the carried pfaffian alone, since the gram's content is prime to p once
-the loop stops. enlarge_order_step enlarges the acting order by one
-conductor prime without changing the degree, building one surface per
-move: its twist by p^3 is recorded from the scalar identities, not built,
-and the descent and the division of the action by p are one change of
-basis (surface.change_basis); its quotient step records the rank
-invariant t of the old generator mod p (always 2 on valid input).
-reduce_degree_step removes a reducible prime from the degree by dividing
-by the norm +-p factor whose mod-p kernel is the kernel p-torsion K, and
-records the branch on its last step. It finds that factor as the first
-whose action kills K, with K 2-dimensional: p does not divide the
-conductor and the factor's norm is +-p, so its mod-p kernel always has
+elementary divisors at p are squarefree; once the gram's content is prime
+to p, the carried pfaffian alone says whether a quotient move is left, so
+the loop stops without another pass over the gram. enlarge_order_step
+enlarges the acting order by one conductor prime without changing the
+degree, building one surface per move: its twist by p^3 is recorded from
+the scalar identities, not built, and the descent and the division of the
+action by p are one change of basis (surface.change_basis); its quotient
+step records the rank invariant t of the old generator mod p (always 2 on
+valid input). reduce_degree_step removes a reducible prime from the degree
+by dividing by the norm +-p factor whose mod-p kernel is the kernel
+p-torsion K, and records the branch on its last step. It finds that factor
+as the first whose action kills K, with K 2-dimensional: p does not divide
+the conductor and the factor's norm is +-p, so its mod-p kernel always has
 dimension 2 (for split and for ramified p), and a 2-dimensional K inside
-it is all of it. K is computed once per step: the squarefree loop's last
-pass asks for it on the surface the branch decision then reads, which
-keeps it (surface.polarization_kernel_mod_p). principalize chains the moves,
-conductor primes first, and returns the final surface with its
-CertificateData; it is the only code that chains moves, and replay
-re-runs it. The moves carry the pfaffian by identity and check no degree
-identity of their own; principalize's closing check validates the result,
-compares its carried pfaffian with a fresh one and requires it principal
-with a maximal acting order.
+it is all of it. K is row-reduced once per step, by the branch decision:
+the squarefree loop stops on the pfaffian without asking for it.
+principalize chains the moves, conductor primes first, and returns the
+final surface with its CertificateData; it is the only code that chains
+moves, and replay re-runs it. The moves carry the pfaffian by identity and
+check no degree identity of their own; principalize's closing check
+validates the result, compares its carried pfaffian with a fresh one and
+requires it principal with a maximal acting order.
 """
 
 from __future__ import annotations
@@ -111,7 +110,11 @@ def squarefree_reduce(
     the p^2-torsion of the kernel; descent always succeeds there. By the
     carried identities the scale move takes the pfaffian to pf/p^2 and a
     quotient by a k-dimensional subspace to pf/p^k, so each move strictly
-    lowers the p-valuation of the degree.
+    lowers the p-valuation of the degree. Once the gram's content c is
+    prime to p, the divisors (c, c, pf/c, pf/c) put (Z/p^v)^2 in the
+    kernel, v the p-valuation of the carried pf, so move (b) is taken
+    exactly when p^2 divides pf; finding no p^2-torsion there is an
+    invariant breach.
     """
     require_odd_prime(p)
     steps: list[IsogenyStep] = []
@@ -128,10 +131,17 @@ def squarefree_reduce(
                     degree_after=degree(new_surface),
                 )
             )
-        else:
+        elif current.pf % (p * p) == 0:
             subspace = order_p_squared_subspace(current, p)
             if not subspace:
-                break
+                v, n = 0, current.pf
+                while n % p == 0:
+                    n //= p
+                    v += 1
+                raise InvariantBreach(
+                    "squarefree reduction left divisor p-parts "
+                    f"(1, {int_text(p**v)}) at {int_text(p)}"
+                )
             kernel = kernel_from_subspace(subspace, p)
             try:
                 new_surface = descend_polarization(current, kernel)
@@ -148,26 +158,9 @@ def squarefree_reduce(
                     degree_after=degree(new_surface),
                 )
             )
+        else:
+            return current, tuple(steps)
         current = new_surface
-    _check_squarefree_state(current, p)
-    return current, tuple(steps)
-
-
-def _check_squarefree_state(surface: PolarizedRMSurface, p: int) -> None:
-    """The divisors (c, c, pf/c, pf/c) have p-parts (1, p^v) with v <= 1.
-
-    c is prime to p because the loop in squarefree_reduce stops only on a
-    gram that is not 0 mod p, so v is the p-valuation of the carried pf.
-    """
-    v, n = 0, surface.pf
-    while n % p == 0:
-        n //= p
-        v += 1
-    if v > 1:
-        raise InvariantBreach(
-            "squarefree reduction left divisor p-parts "
-            f"(1, {int_text(p**v)}) at {int_text(p)}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ no move re-checks its degree. validate checks the minimal polynomial
 A^2 - tA + n = 0 from the one product A^2, and the symmetry A^T E = E A
 from the one product E A, which must be alternating; its verdict is kept
 on the surface the same way (the cached property `defect`), so the CLI
-and principalize check an input once. polarization_kernel_mod_p keeps its
-answer for the last prime asked in the same place.
+and principalize check an input once. Nothing else is kept on a surface.
 Element actions x*I + y*A and the reorientation that swaps
 the last two basis vectors are written out rather than built from matrix
 products.
@@ -61,8 +60,7 @@ from .quadratic import (
 
 
 class PolarizedRMSurface(Record):
-    # __dict__ holds the cached properties pf and defect, and the kept
-    # kernel mod p, outside the fields
+    # __dict__ holds the cached properties pf and defect, outside the fields
     __slots__ = ("order", "action", "gram", "__dict__")
     _fields = ("order", "action", "gram")
 
@@ -371,17 +369,8 @@ def eigen_sublattice_pullback(
 
 
 def polarization_kernel_mod_p(surface: PolarizedRMSurface, p: int):
-    """The p-torsion of the polarization kernel as a subspace of L/pL.
-
-    Kept on the surface for the last p asked, like pf: degree reduction
-    asks for it in the last pass of its squarefree loop and again, on the
-    same surface, to choose its branch.
-    """
-    kept = surface.__dict__.get("kernel_mod_p")
-    if kept is None or kept[0] != p:
-        kept = (p, intmat.kernel_mod_p(surface.gram, p))
-        surface.__dict__["kernel_mod_p"] = kept
-    return kept[1]
+    """The p-torsion of the polarization kernel as a subspace of L/pL."""
+    return intmat.kernel_mod_p(surface.gram, p)
 
 
 def kernel_from_subspace(basis, p: int) -> KernelSubgroup:

@@ -37,6 +37,7 @@ from rmlattice.formats import (
 )
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import IsogenyStep
+from rmlattice.oracle import verify_certificate
 from rmlattice.quadratic import factor_prime
 from rmlattice.surface import apply_unimodular
 
@@ -220,6 +221,29 @@ def test_cli_round_trip_with_entries_past_the_digit_limit(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(
         "certificate replays to an identical surface\n"
     )
+
+
+def test_round_trip_with_rationals_past_a_lowered_digit_limit():
+    # the enlargement kernel of f = 2^1279 - 1 has entries k/p^2 whose
+    # denominators have 771 digits, past a limit of 640: the certificate is
+    # written and read, and its text is the one the default limit gives
+    s = standard_instance(make_order(5, 2**1279 - 1))
+    final, record = principalize(s)
+    text = serialize_certificate(record)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        start = parse_instance(serialize_instance(s))
+        reached, again = principalize(start)
+        lowered = serialize_certificate(again)
+        cert = parse_certificate(lowered)
+        ok, message = verify_certificate(start, cert)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert start == s and reached == final
+    assert lowered == text
+    assert cert == record
+    assert ok, message
 
 
 def _info_divisors(path, capsys) -> tuple[int, ...]:

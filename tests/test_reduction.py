@@ -3,6 +3,7 @@ removal, and the full pipeline."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -26,9 +27,17 @@ from rmlattice import (
 )
 from rmlattice import intmat, quadratic, reduction
 from rmlattice.generator import generate_instance, random_unimodular
+from rmlattice.isogeny import (
+    DIVIDE,
+    QUOTIENT,
+    SCALE,
+    IsogenyStep,
+    descend_polarization,
+    divide_by_symmetric,
+)
 from rmlattice.oracle import verify_certificate
 from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE, principal_defect
-from rmlattice.surface import PolarizedRMSurface, apply_unimodular
+from rmlattice.surface import PolarizedRMSurface, apply_unimodular, kernel_from_subspace
 from test_intmat_oracles import scalar_mul, snf_with_transforms
 
 
@@ -98,6 +107,96 @@ def test_squarefree_check_reports_the_p_parts_left(monkeypatch):
         InvariantBreach, match=r"^squarefree reduction left divisor p-parts \(1, 9\) at 3$"
     ):
         squarefree_reduce(tw, 3)
+
+
+def reference_squarefree_reduce(surface, p):
+    """The squarefree loop as it was before it stopped on the pfaffian: it
+    ends on a pass that finds no p^2-torsion, then reads the p-parts left
+    from the carried pfaffian."""
+    steps = []
+    current = surface
+    while True:
+        deg_before = degree(current)
+        if all(x % p == 0 for row in current.gram for x in row):
+            new_surface = divide_by_symmetric(current, current.order.element(p, 0))
+            steps.append(
+                IsogenyStep(
+                    kind=SCALE,
+                    prime=p,
+                    degree_before=deg_before,
+                    degree_after=degree(new_surface),
+                )
+            )
+        else:
+            subspace = reduction.order_p_squared_subspace(current, p)
+            if not subspace:
+                break
+            kernel = kernel_from_subspace(subspace, p)
+            new_surface = descend_polarization(current, kernel)
+            steps.append(
+                IsogenyStep(
+                    kind=QUOTIENT,
+                    prime=p,
+                    kernel_overlattice=kernel.overlattice,
+                    degree_before=deg_before,
+                    degree_after=degree(new_surface),
+                )
+            )
+        current = new_surface
+    v, n = 0, current.pf
+    while n % p == 0:
+        n //= p
+        v += 1
+    assert v <= 1
+    return current, tuple(steps)
+
+
+def test_squarefree_reduce_matches_the_reference_loop():
+    # words of up to three twists, each by a norm +-p element or by p, in a
+    # scrambled basis: the pfaffian stop gives the same surface and steps
+    rng = random.Random(24)
+    kinds = set()
+    for D, p in [(13, 3), (5, 5), (2, 7), (5, 11), (17, 13)]:
+        s = standard_instance(make_order(D, 1))
+        el = solve_norm(s.order, p)
+        letters = (el, el.conjugate(), s.order.element(p, 0))
+        for length in range(4):
+            for word in itertools.product(letters, repeat=length):
+                tw = s
+                for letter in word:
+                    tw = twist_by_element(tw, letter)
+                moved = apply_unimodular(tw, random_unimodular(rng))
+                out, steps = squarefree_reduce(moved, p)
+                ref_out, ref_steps = reference_squarefree_reduce(moved, p)
+                assert out == ref_out and out.pf == ref_out.pf, (D, p, word)
+                assert steps == ref_steps, (D, p, word)
+                kinds.add(tuple(sorted({st.kind for st in steps})))
+    assert {(SCALE,), (QUOTIENT,), (QUOTIENT, SCALE)} <= kinds
+
+
+def test_reduce_degree_step_row_reduces_mod_p_once(monkeypatch):
+    # a degree-p^2 surface needs no squarefree move, so the branch decision's
+    # kernel of the gram mod p is the step's one row reduction
+    rng = random.Random(5)
+    cases = []
+    for D, p in [(13, 3), (2, 7), (5, 11)]:
+        s = standard_instance(make_order(D, 1))
+        tw = twist_by_element(s, solve_norm(s.order, p))
+        cases.append((apply_unimodular(tw, random_unimodular(rng)), p))
+    calls = []
+    real = intmat.kernel_mod_p
+
+    def counting(m, q):
+        calls.append(q)
+        return real(m, q)
+
+    monkeypatch.setattr(intmat, "kernel_mod_p", counting)
+    for tw, p in cases:
+        assert degree(tw) == p * p
+        calls.clear()
+        out, steps = reduce_degree_step(tw, p)
+        assert calls == [p]
+        assert degree(out) == 1 and [st.kind for st in steps] == [DIVIDE]
 
 
 def test_squarefree_reduce_rejects_two():
@@ -308,8 +407,8 @@ def test_degree_reduction_factors_each_prime_once(monkeypatch):
     "args", [(5, 81, [11, 19], 1), (13, 1, [3, 17], 10), (5, 3, [11], 4)]
 )
 def test_pfaffian_is_computed_once_per_surface(monkeypatch, args):
-    # every move and the squarefree check read the carried pfaffian; the
-    # only fresh one is the closing comparison in principal_defect
+    # every move, squarefree reduction's stop included, reads the carried
+    # pfaffian; the only fresh one is the closing comparison in principal_defect
     s = generate_instance(*args)
     calls = []
     real = intmat.pfaffian4

@@ -100,17 +100,18 @@ def test_cached_pfaffian_is_not_part_of_the_value():
     assert s._values() == fresh._values()
 
 
-def test_polarization_kernel_is_kept_for_the_last_prime_asked():
+def test_polarization_kernel_is_the_kernel_of_the_gram_mod_p():
     # a degree-51^2 surface, asked in turn at 3, 17 and 7: each answer is the
-    # fresh kernel of the gram mod p, and a repeat at the last prime is kept
+    # kernel of the gram mod p, and nothing is kept on the surface
     o = make_order(13, 1)
     s = twist_by_element(twist_by_element(standard_instance(o), solve_norm(o, 3)), solve_norm(o, 17))
     assert s.pf == 3 * 17
+    kept = dict(vars(s))
     for p in (3, 17, 17, 3, 7, 3):
         kernel = polarization_kernel_mod_p(s, p)
         assert kernel == intmat.kernel_mod_p(intmat.mat_mod(s.gram, p), p)
-        assert polarization_kernel_mod_p(s, p) is kernel
         assert len(kernel) == (0 if p == 7 else 2)
+    assert vars(s) == kept
     assert s == PolarizedRMSurface(s.order, s.action, s.gram)
 
 
