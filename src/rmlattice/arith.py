@@ -179,11 +179,7 @@ def int_text(v: int) -> str:
 
 def rational_text(q: Fraction) -> str:
     """Text of the rational q as str(q) writes it, "n" or "n/d" in lowest
-    terms, of any size: int_text for each part past the digit limit."""
-    try:
-        return str(q)
-    except ValueError:
-        pass
+    terms, of any size: int_text for each part."""
     text = int_text(q.numerator)
     return text if q.denominator == 1 else text + "/" + int_text(q.denominator)
 
