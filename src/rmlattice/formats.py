@@ -199,18 +199,17 @@ def _load(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _instance_text(surface: PolarizedRMSurface, pad: str) -> str:
-    inner = pad + "  "
+def _instance_text(surface: PolarizedRMSurface) -> str:
     D, conductor = surface.order.D, surface.order.conductor
-    order = _object((("D", _int_token(D)), ("conductor", _int_token(conductor))), inner)
+    order = _object((("D", _int_token(D)), ("conductor", _int_token(conductor))), "  ")
     return _object(
         (
             ("order", order),
-            ("omega_action", _int_matrix(surface.action, inner)),
-            ("gram", _int_matrix(surface.gram, inner)),
+            ("omega_action", _int_matrix(surface.action, "  ")),
+            ("gram", _int_matrix(surface.gram, "  ")),
             ("format_version", repr(FORMAT_VERSION)),
         ),
-        pad,
+        "",
     )
 
 
@@ -231,7 +230,7 @@ def _instance_from_obj(obj) -> PolarizedRMSurface:
 
 
 def serialize_instance(surface: PolarizedRMSurface) -> str:
-    return _instance_text(surface, "") + "\n"
+    return _instance_text(surface) + "\n"
 
 
 def parse_instance(text: str) -> PolarizedRMSurface:
@@ -279,7 +278,14 @@ _NULLABLE = frozenset(
 )
 
 
-def serialize_certificate(cert: CertificateData) -> str:
+def serialize_certificate(cert: CertificateData, instance_text: str | None = None) -> str:
+    """The certificate's text. Its `final` block is the final surface's
+    instance text indented by two spaces: instance_text, when the caller
+    has already written it by serialize_instance(cert.final), else that
+    text rendered here. No token holds a newline, so the indent is one
+    replace."""
+    if instance_text is None:
+        instance_text = serialize_instance(cert.final)
     steps = [
         _object(
             [
@@ -294,7 +300,7 @@ def serialize_certificate(cert: CertificateData) -> str:
         (
             ("seed", "0"),
             ("steps", _array(steps, "  ")),
-            ("final", _instance_text(cert.final, "  ")),
+            ("final", instance_text[:-1].replace("\n", "\n  ")),
         ),
         "",
     ) + "\n"

@@ -15,7 +15,14 @@ from functools import partial
 from . import intmat
 from .arith import int_text, is_prime
 from .errors import InvariantBreach, PreconditionError
-from .quadratic import SPLIT, factor_prime, humbert_nonempty, make_order, splitting_type
+from .quadratic import (
+    SPLIT,
+    factor_prime,
+    humbert_nonempty,
+    make_order,
+    prime_norm,
+    splitting_type,
+)
 from .surface import (
     PolarizedRMSurface,
     apply_unimodular,
@@ -92,7 +99,9 @@ def _raise_degree(
     options = []
     factors = factor_prime(surface.order, p)
     if factors is not None:
-        options += [partial(twist_by_element, surface, el) for el in factors]
+        # both factors have the norm of the first: a2 = +-conj(a1)
+        norm = prime_norm(factors[0], p)
+        options += [partial(twist_by_element, surface, el, norm) for el in factors]
     if splitting_type(surface.order, p) == SPLIT and degree(surface) % p != 0:
         options += [partial(eigen_sublattice_pullback, surface, p, i) for i in (0, 1)]
     if not options:

@@ -571,17 +571,23 @@ def factor_prime(order: RealQuadraticOrder, p: int) -> tuple[OrderElement, Order
 
     a1 is the canonical solve_norm output and a2 the exact cofactor p / a1:
     a1 * conj(a1) = N(a1) = +-p, so a2 is conj(a1) or its negative, by the
-    sign of N(a1). p is odd, so p and -p differ mod 4, and the sign is read
-    from the norm form mod 4 without the full-size norm.
+    sign of N(a1), which prime_norm reads mod 4.
     """
     a1 = solve_norm(order, p)
     if a1 is None:
         return None
-    x, y = a1.x % 4, a1.y % 4
-    t, n = order.trace_omega % 4, order.norm_omega % 4
-    if (x * x + t * x * y + n * y * y - p) % 4 == 0:
+    if prime_norm(a1, p) == p:
         return a1, a1.conjugate()
     return a1, -a1.conjugate()
+
+
+def prime_norm(el: OrderElement, p: int) -> int:
+    """The norm of an element whose norm is +-p, for an odd prime p: p and
+    -p differ mod 4, so the sign is read from the norm form mod 4, without
+    the full-size norm."""
+    x, y = el.x % 4, el.y % 4
+    t, n = el.order.trace_omega % 4, el.order.norm_omega % 4
+    return p if (x * x + t * x * y + n * y * y - p) % 4 == 0 else -p
 
 
 def are_associates_in_maximal(a: OrderElement, b: OrderElement) -> bool:

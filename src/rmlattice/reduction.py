@@ -235,9 +235,9 @@ def enlarge_order_step(
         degree_after=pf * pf,
         t=t,
     )
-    if any(x % p for row in action for x in row):
+    action = intmat.div_exact(action, p)
+    if action is None:
         raise InvariantBreach("enlarged generator does not act integrally")
-    action = intmat.freeze((x // p for x in row) for row in action)
     out = canonicalize_orientation(make_order(order.D, f // p), action, gram, pf)
     return out, (twist_step, quotient_step)
 

@@ -15,6 +15,11 @@ lattice (descent to an overlattice, pull-back to a sublattice, a
 unimodular scramble) goes through rebase, except the order enlargement,
 which calls change_basis itself to descend its unbuilt twist p^3 E as
 B^T E B / p and divide the action by p before it builds its one surface.
+change_basis requires an alternating gram, as every caller's validated
+surface has: it computes only the six pairings above the diagonal of
+B^T E B (intmat.alternating_congruence). It divides the gram and the
+action with the written-out exact division intmat.div_exact, as
+twist_by_element divides its gram unless den is 1.
 Everything is a pure function on immutable values. A kernel's overlattice
 entries, Hermite residues over its den, come from one bounded
 process-wide lru_cache (_kernel_rational), so each value is one shared
@@ -27,15 +32,15 @@ With the gram's content c it gives the polarization's elementary divisors
 (c, c, pf/c, pf/c) (intmat.alternating_divisors), so no dual lattice is
 ever built. rebase, twist_by_element and the enlargement move, the only
 builders of a moved surface, carry it by identity (det(B) pf / den^4,
-norm(el) pf / den^2 and det(B) pf / p^2) instead of recomputing it, and
-no move re-checks its degree. validate checks the minimal polynomial
-A^2 - tA + n = 0 from the one product A^2, and the symmetry A^T E = E A
-from the one product E A, which must be alternating; its verdict is kept
-on the surface the same way (the cached property `defect`), so the CLI
-and principalize check an input once. Nothing else is kept on a surface.
-Element actions x*I + y*A and the reorientation that swaps
-the last two basis vectors are written out rather than built from matrix
-products.
+norm(el) pf / den^2 with the norm from the caller, and det(B) pf / p^2)
+instead of recomputing it, and no move re-checks its degree. validate
+checks the minimal polynomial A^2 - tA + n = 0 from the one product A^2,
+and the symmetry A^T E = E A from the one product E A, which must be
+alternating; its verdict is kept on the surface the same way (the cached
+property `defect`), so the CLI and principalize check an input once.
+Nothing else is kept on a surface. Element actions x*I + y*A and the
+reorientation that swaps the last two basis vectors are written out
+rather than built from matrix products.
 """
 
 from __future__ import annotations
@@ -200,31 +205,31 @@ def change_basis(
     gram_den, both on integers. The core of rebase, and of the enlargement
     move, whose form p^3 E on basis / p^2 is basis^T E basis / p.
 
-    Raises DescentError, naming the first pairing that gram_den does not
-    divide, and then PreconditionError when the action does not preserve
-    the lattice. The gram is checked first, so a DescentError means
-    exactly that the form does not descend.
+    The surface's gram must be alternating, as on every validated surface:
+    only the six pairings above the diagonal are computed
+    (intmat.alternating_congruence). Raises DescentError, naming the first
+    pairing that gram_den does not divide, and then PreconditionError when
+    the action does not preserve the lattice. The gram is checked first,
+    so a DescentError means exactly that the form does not descend.
     """
-    gram = intmat.mat_mul(intmat.mat_mul(intmat.transpose(basis), surface.gram), basis)
-    for i in range(4):
-        for j in range(4):
-            if gram[i][j] % gram_den:
-                q = Fraction(gram[i][j], gram_den)
-                raise DescentError(
-                    "polarization does not descend: pairing of overlattice "
-                    f"generators {i} and {j} is {int_text(q.numerator)}/"
-                    f"{int_text(q.denominator)}, not integral"
-                )
+    full = intmat.alternating_congruence(surface.gram, basis)
+    gram = intmat.div_exact(full, gram_den)
+    if gram is None:
+        i, j = next((i, j) for i in range(4) for j in range(4) if full[i][j] % gram_den)
+        q = Fraction(full[i][j], gram_den)
+        raise DescentError(
+            "polarization does not descend: pairing of overlattice "
+            f"generators {i} and {j} is {int_text(q.numerator)}/"
+            f"{int_text(q.denominator)}, not integral"
+        )
     adj = intmat.adjugate(basis)
-    d = sum(basis[0][k] * adj[k][0] for k in range(4))  # (basis @ adj)[0][0]
-    action = intmat.mat_mul(intmat.mat_mul(adj, surface.action), basis)
-    if any(x % d for row in action for x in row):
+    (a0, _, _, _), (a1, _, _, _), (a2, _, _, _), (a3, _, _, _) = adj
+    b0, b1, b2, b3 = basis[0]
+    d = b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3  # (basis @ adj)[0][0]
+    action = intmat.div_exact(intmat.mat_mul(intmat.mat_mul(adj, surface.action), basis), d)
+    if action is None:
         raise PreconditionError("order action does not preserve the lattice")
-    return (
-        intmat.freeze((x // d for x in row) for row in action),
-        intmat.freeze((x // gram_den for x in row) for row in gram),
-        d,
-    )
+    return action, gram, d
 
 
 def rebase(
@@ -308,22 +313,25 @@ def _scalar_plus(x: int, y: int, m) -> IntMat:
 
 
 def twist_by_element(
-    surface: PolarizedRMSurface, el: OrderElement, den: int = 1
+    surface: PolarizedRMSurface, el: OrderElement, norm: int, den: int = 1
 ) -> PolarizedRMSurface:
     """Compose the polarization with the action of el over den: gram becomes
-    gram @ A_el / den, with pfaffian norm(el) * pf / den^2.
+    gram @ A_el / den, with pfaffian norm * pf / den^2.
 
-    Raises DescentError when gram @ A_el is not divisible by den.
+    norm is el's norm, which every caller already holds, so none is
+    computed here. Raises DescentError when gram @ A_el is not divisible
+    by den.
     """
     if el.is_zero():
         raise PreconditionError("cannot twist by zero")
     gram = intmat.mat_mul(surface.gram, element_action(surface, el))
-    if any(x % den for row in gram for x in row):
-        raise DescentError(
-            "polarization kernel does not contain the kernel of the element"
-        )
-    gram = intmat.freeze((x // den for x in row) for row in gram)
-    pf = el.norm() * surface.pf // (den * den)
+    if den != 1:
+        gram = intmat.div_exact(gram, den)
+        if gram is None:
+            raise DescentError(
+                "polarization kernel does not contain the kernel of the element"
+            )
+    pf = norm * surface.pf // (den * den)
     return canonicalize_orientation(surface.order, surface.action, gram, pf)
 
 

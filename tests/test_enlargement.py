@@ -66,7 +66,7 @@ def reference_enlarge_order_step(surface, p):
     if t != 2:
         raise InvariantBreach(f"enlargement rank invariant is {int_text(t)}, expected 2")
     el_cubed = order.element(p**3, 0)
-    twisted = twist_by_element(surface, el_cubed)
+    twisted = twist_by_element(surface, el_cubed, el_cubed.norm())
     twist_step = IsogenyStep(
         kind=TWIST,
         prime=p,

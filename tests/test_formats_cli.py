@@ -22,7 +22,7 @@ from rmlattice import (
     standard_instance,
     twist_by_element,
 )
-from rmlattice import InvariantBreach, arith, cli, intmat, quadratic
+from rmlattice import InvariantBreach, arith, cli, formats, intmat, quadratic
 from rmlattice.arith import int_text
 from rmlattice.cli import main
 from rmlattice.formats import (
@@ -223,6 +223,32 @@ def test_cli_round_trip_with_entries_past_the_digit_limit(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "D, f, primes, seed",
+    [(5, 3**10, [11], 1), (13, 5 * 7, [3], 2), (2, 1, [7, 17], 3)],
+)
+def test_cli_principalize_writes_the_in_process_texts(tmp_path, monkeypatch, D, f, primes, seed):
+    # f = 3^10 puts the entries past the default int/str digit limit; the
+    # CLI renders the final surface once and indents that text into the
+    # certificate's final block
+    inst, out, cert = tmp_path / "inst.json", tmp_path / "out.json", tmp_path / "cert.json"
+    inst.write_text(serialize_instance(generate_instance(D, f, primes, seed)))
+    result, report = principalize(parse_instance(inst.read_text()))
+    renders = []
+    real = formats._instance_text
+
+    def counting(surface):
+        renders.append(surface)
+        return real(surface)
+
+    monkeypatch.setattr(formats, "_instance_text", counting)
+    assert main(["principalize", str(inst), "-o", str(out), "--cert-out", str(cert)]) == 0
+    assert len(renders) == 1
+    monkeypatch.undo()
+    assert out.read_text() == serialize_instance(result)
+    assert cert.read_text() == serialize_certificate(report)
+
+
 def test_round_trip_with_rationals_past_a_lowered_digit_limit():
     # the enlargement kernel of f = 2^1279 - 1 has entries k/p^2 whose
     # denominators have 771 digits, past a limit of 640: the certificate is
@@ -264,9 +290,10 @@ def _content_instances():
     rng = random.Random(7)
     for D, f, scale, el in [(5, 1, 3, (3, 1)), (13, 9, 5, None), (5, 3, 15, (3, 1))]:
         s = standard_instance(make_order(D, f))
-        s = twist_by_element(s, s.order.element(scale, 0))
+        s = twist_by_element(s, s.order.element(scale, 0), scale * scale)
         if el is not None:
-            s = twist_by_element(s, s.order.element(*el))
+            el = s.order.element(*el)
+            s = twist_by_element(s, el, el.norm())
         yield s
         yield apply_unimodular(s, random_unimodular(rng))
 
@@ -331,7 +358,7 @@ def test_cli_info_refuses_an_instance_that_does_not_validate(tmp_path, capsys):
 
 def test_cli_info_marks_an_even_pfaffian_unsupported(tmp_path, capsys):
     order = make_order(17, 1)
-    surface = twist_by_element(standard_instance(order), order.element(1, 1))  # norm -2
+    surface = twist_by_element(standard_instance(order), order.element(1, 1), -2)
     inst = tmp_path / "inst.json"
     inst.write_text(serialize_instance(surface))
     assert main(["info", str(inst)]) == 0
@@ -508,7 +535,8 @@ def test_cli_info_refuses_a_pfaffian_rho_cannot_factor_before_printing(
     # the same exits as the real one.
     s = standard_instance(make_order(5, 1))
     for p in (10000000000000061, 10000000000000069):
-        s = twist_by_element(s, factor_prime(s.order, p)[0])
+        el = factor_prime(s.order, p)[0]
+        s = twist_by_element(s, el, el.norm())
     inst = tmp_path / "inst.json"
     inst.write_text(serialize_instance(s), encoding="utf-8")
     monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
@@ -526,7 +554,8 @@ def test_cli_verify_exits_2_on_a_limit_hit_in_the_replay(tmp_path, capsys, monke
     # "error: replay aborted: cannot factor ..." and exited 1.
     s = standard_instance(make_order(5, 1))
     for p in (10000000000000061, 10000000000000069):
-        s = twist_by_element(s, factor_prime(s.order, p)[0])
+        el = factor_prime(s.order, p)[0]
+        s = twist_by_element(s, el, el.norm())
     inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
     inst.write_text(serialize_instance(s), encoding="utf-8")
     seed = generate_instance(5, 3, [11], seed=42)

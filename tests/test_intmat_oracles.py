@@ -3,16 +3,19 @@
 The references below are the routines the integer core replaced, kept
 verbatim apart from their names as test-only oracles: the generic
 elementwise helpers and the sum-of-products matrix and matrix-vector
-products, the pairwise antisymmetry test, the recursive cofactor det and
-adjugate (any size), the Fraction inverse, the row reduction over Z/p
-with a generator pivot search and every entry reduced again (the former
-freeze written in), the Euclidean row Hermite form and the rational
-column Hermite basis built on it, Smith divisors from gcds of minors, the
-general Smith form with transforms (the conductor Bezout identity now
-solves its 2x4 system on a two-row Hermite form), and the surface checks
-built from them: validate as a composition of matrix sums and orientation
-by a permutation matrix. Other test modules import them from here. sympy
-is a second, independent oracle."""
+products, the exact division by an entry scan and a frozen quotient and
+the sixteen-entry congruence b^T e b with its row-order scan for the
+first pairing that does not descend, the pairwise antisymmetry test,
+the recursive cofactor det and adjugate (any size), the Fraction
+inverse, the row reduction over Z/p with a generator pivot search and
+every entry reduced again (the former freeze written in), the Euclidean
+row Hermite form and the rational column Hermite basis built on it,
+Smith divisors from gcds of minors, the general Smith form with
+transforms (the conductor Bezout identity now solves its 2x4 system on a
+two-row Hermite form), and the surface checks built from them: validate
+as a composition of matrix sums and orientation by a permutation matrix.
+Other test modules import them from here. sympy is a second, independent
+oracle."""
 
 from __future__ import annotations
 
@@ -28,15 +31,24 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from rmlattice import (
+    DescentError,
     PreconditionError,
+    descend_polarization,
     intmat,
     make_order,
     standard_instance,
     twist_by_element,
     validate,
 )
+from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import divide_by_symmetric
-from rmlattice.surface import PolarizedRMSurface, canonicalize_orientation, element_action
+from rmlattice.surface import (
+    PolarizedRMSurface,
+    apply_unimodular,
+    canonicalize_orientation,
+    element_action,
+    kernel_from_subspace,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +521,127 @@ def test_orientation_and_element_action_match_the_permutation_matrices(order, ac
     )
 
 
+def divide_generic(m, d):
+    """The former exact division: a scan of every entry, then the quotient
+    frozen from generators; None when d does not divide them all."""
+    if any(x % d for row in m for x in row):
+        return None
+    return intmat.freeze((x // d for x in row) for row in m)
+
+
+def congruence_generic(e, b):
+    """The former change of form: all sixteen entries of b^T e b."""
+    return mat_mul(mat_mul(intmat.transpose(b), e), b)
+
+
+def _negative_determinant(b):
+    """-|det(b)|: the determinant of b, or of b with its first row negated,
+    whichever is negative; 0 for a singular b."""
+    return -abs(intmat.det(b))
+
+
+@st.composite
+def exact_divisions(draw):
+    """(m, d, kind): d of either sign, small, past 2^64 or the determinant
+    of a basis with det < 0; m a multiple of d, that multiple with one
+    entry moved off it, or any matrix."""
+    d = draw(st.one_of(
+        st.integers(-12, 12),
+        BIG,
+        MATRICES.map(_negative_determinant),
+    ))
+    if d == 0:
+        d = -7
+    kind = draw(st.sampled_from(("multiple", "all but one", "any")))
+    if kind == "any":
+        return draw(MATRICES), d, kind
+    m = [[d * x for x in row] for row in draw(MATRICES)]
+    if kind == "all but one":
+        if abs(d) == 1:
+            d, m = 3 * d, [[3 * x for x in row] for row in m]
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        m[i][j] += draw(st.integers(1, abs(d) - 1))
+    return intmat.freeze(m), d, kind
+
+
+@KERNEL
+@given(exact_divisions())
+def test_div_exact_matches_the_generic_division(case):
+    m, d, kind = case
+    out = intmat.div_exact(m, d)
+    assert out == divide_generic(m, d)
+    if kind == "multiple":
+        assert out is not None and scalar_mul(d, out) == m
+    elif kind == "all but one":
+        assert out is None
+
+
+@KERNEL
+@given(alternating(perturb=False), MATRICES)
+def test_alternating_congruence_matches_the_generic_product(e, b):
+    out = intmat.alternating_congruence(e, b)
+    assert out == congruence_generic(e, b)
+    assert is_antisymmetric(out)
+
+
+def descent_message_generic(surface, basis, den):
+    """The DescentError text of the former change of basis: the first
+    pairing in row order of the full product that den does not divide."""
+    gram = congruence_generic(surface.gram, basis)
+    for i in range(4):
+        for j in range(4):
+            if gram[i][j] % den:
+                q = Fraction(gram[i][j], den)
+                return (
+                    "polarization does not descend: pairing of overlattice "
+                    f"generators {i} and {j} is {q.numerator}/{q.denominator}, "
+                    "not integral"
+                )
+    return None
+
+
+# kernels of generate_instance(13, 1, [3, 17], 5) that do not descend, and
+# the pairing each names, one per pair above the diagonal but (1, 3)
+@pytest.mark.parametrize(
+    "p, vectors, pairing",
+    [
+        (3, [(1, 2, 1, 2)], "0 and 1 is 103/3"),
+        (17, [(16, 12, 3, 16), (8, 13, 7, 9)], "0 and 2 is 342/17"),
+        (3, [(2, 2, 1, 1), (2, 0, 0, 2)], "0 and 3 is 41/3"),
+        (3, [(0, 2, 0, 0)], "1 and 2 is 55/3"),
+        (3, [(0, 0, 1, 1)], "2 and 3 is -38/3"),
+    ],
+)
+def test_a_kernel_that_does_not_descend_names_its_first_pairing(p, vectors, pairing):
+    s = generate_instance(13, 1, [3, 17], 5)
+    with pytest.raises(DescentError) as err:
+        descend_polarization(s, kernel_from_subspace(vectors, p))
+    assert str(err.value) == (
+        f"polarization does not descend: pairing of overlattice generators {pairing}, "
+        "not integral"
+    )
+
+
+@KERNEL
+@given(
+    instance=st.sampled_from([(13, 1, [3, 17], 5), (5, 9, [11], 1), (2, 1, [7], 2)]),
+    p=st.sampled_from([3, 7, 11, 17]),
+    vectors=st.lists(st.tuples(*[st.integers(0, 16)] * 4), min_size=1, max_size=3),
+)
+def test_descent_names_the_pairing_the_generic_scan_names(instance, p, vectors):
+    s = apply_unimodular(generate_instance(*instance), random_unimodular(random.Random(p)))
+    kernel = kernel_from_subspace(vectors, p)
+    expected = descent_message_generic(s, kernel.basis, kernel.den**2)
+    try:
+        descend_polarization(s, kernel)
+    except DescentError as exc:
+        assert str(exc) == expected
+    except PreconditionError:  # the action does not preserve the overlattice
+        assert expected is None
+    else:
+        assert expected is None
+
+
 # ---------------------------------------------------------------------------
 # row reduction over Z/p against the former one
 # ---------------------------------------------------------------------------
@@ -645,7 +778,8 @@ def test_conjugate_action_is_the_scaled_adjugate():
 def test_divide_matches_adjugate_division():
     for D, coords, by in ((5, (3, 1), (3, 1)), (13, (2, 1), (2, 1)), (5, (9, 0), (3, 0))):
         s = standard_instance(make_order(D, 1))
-        tw = twist_by_element(s, s.order.element(*coords))
+        twisting = s.order.element(*coords)
+        tw = twist_by_element(s, twisting, twisting.norm())
         el = s.order.element(*by)
         det_el = el.norm() ** 2
         gram = intmat.mat_mul(tw.gram, adjugate_cofactor(element_action(tw, el)))

@@ -33,8 +33,8 @@ from rmlattice.surface import (
     polarization_kernel_mod_p,
     rebase,
 )
-from rmlattice.generator import generate_instance, random_unimodular
-from rmlattice.quadratic import SPLIT
+from rmlattice.generator import _raise_degree, generate_instance, random_unimodular
+from rmlattice.quadratic import SPLIT, prime_norm
 from rmlattice.surface import apply_unimodular
 from test_intmat_oracles import hnf_column_basis, inverse, to_fraction
 
@@ -96,7 +96,7 @@ def test_quotient_full_torsion_is_scalar():
         tuple(Fraction(1, 3) if i == j else Fraction(0) for j in range(4))
         for i in range(4)
     )
-    scaled = twist_by_element(s, s.order.element(9, 0))  # gram 9E
+    scaled = twist_by_element(s, s.order.element(9, 0), 81)  # gram 9E
     out = rebase(scaled, k.basis, k.den)
     assert out.action == s.action  # scalar rebasing commutes
     assert out.gram == s.gram
@@ -107,7 +107,7 @@ def test_quotient_rejects_unstable_kernel():
     # x^2 - x - 1 is irreducible mod 3, so no line is action stable
     k = kernel_from_subspace(((1, 0, 0, 0),), 3)
     # on gram 3E the form descends to the line's overlattice; the action does not
-    tripled = twist_by_element(s, s.order.element(3, 0))
+    tripled = twist_by_element(s, s.order.element(3, 0), 9)
     assert can_descend(tripled, k)
     with pytest.raises(PreconditionError):
         rebase(tripled, k.basis, k.den)
@@ -116,7 +116,7 @@ def test_quotient_rejects_unstable_kernel():
 def test_descend_scalar_example():
     # gram 9E descends along the full 3-torsion to a principal surface
     s = standard_instance(make_order(5, 1))
-    scaled = twist_by_element(s, s.order.element(9, 0))
+    scaled = twist_by_element(s, s.order.element(9, 0), 81)
     assert degree(scaled) == 9**4
     k = full_torsion_kernel(scaled, 3)
     out = descend_polarization(scaled, k)
@@ -127,7 +127,8 @@ def test_descend_scalar_example():
 
 def test_descend_fails_on_principal():
     s = standard_instance(make_order(5, 1))
-    tw = twist_by_element(s, s.order.element(3, 1))
+    el = s.order.element(3, 1)
+    tw = twist_by_element(s, el, el.norm())
     lam = polarization_kernel_mod_p(tw, 11)  # action stable, but not in ker
     with pytest.raises(DescentError, match="pairing of overlattice generators"):
         descend_polarization(s, kernel_from_subspace(lam, 11))
@@ -145,7 +146,7 @@ def test_divide_undoes_twist():
     for D, coords in [(5, (3, 1)), (5, (-1, 2)), (13, (2, 1))]:
         s = standard_instance(make_order(D, 1))
         el = s.order.element(*coords)
-        tw = twist_by_element(s, el)
+        tw = twist_by_element(s, el, el.norm())
         back = divide_by_symmetric(tw, el)
         assert back.gram == s.gram and back.action == s.action
         assert validate(back) is None
@@ -175,12 +176,12 @@ def test_divide_by_symmetric_takes_one_norm(monkeypatch):
     monkeypatch.setattr(isogeny, "twist_by_element", lambda *args: twists.append(args))
     divide_by_symmetric(s, el)
     assert calls == [el]
-    assert twists == [(s, el.conjugate(), 11)]
+    assert twists == [(s, el.conjugate(), 11, 11)]
 
 
 def test_scale_polarization():
     s = standard_instance(make_order(5, 1))
-    scaled = twist_by_element(s, s.order.element(3, 0))
+    scaled = twist_by_element(s, s.order.element(3, 0), 9)
     out = divide_by_symmetric(scaled, s.order.element(3, 0))
     assert out.gram == s.gram
     assert degree(scaled) == 3**4 * degree(out)
@@ -197,7 +198,7 @@ def test_descent_criteria_agree_on_random_subgroups():
 
         el = solve_norm(s.order, p)
         if el is not None:
-            surfaces.append((twist_by_element(s, el), p))
+            surfaces.append((twist_by_element(s, el, el.norm()), p))
         surfaces.append((s, p))
     checked = 0
     for s, p in surfaces * 25:
@@ -235,7 +236,7 @@ def test_quotient_functoriality():
     # quotient by K1 then by K2/K1 lands on the same overlattice as K2
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)  # norm 3
-    tw = twist_by_element(twist_by_element(s, el), el)
+    tw = twist_by_element(twist_by_element(s, el, el.norm()), el, el.norm())
     assert degree(tw) == 81
     assert intmat.alternating_divisors(tw.gram, tw.pf) == (1, 1, 9, 9)
     from rmlattice.reduction import order_p_squared_subspace
@@ -274,7 +275,7 @@ def test_every_operation_output_validates():
         from rmlattice import solve_norm
 
         el = solve_norm(s.order, p)
-        tw = twist_by_element(s, el)
+        tw = twist_by_element(s, el, el.norm())
         moved = apply_unimodular(tw, random_unimodular(rng))
         assert validate(moved) is None
         lam = polarization_kernel_mod_p(moved, p)
@@ -300,6 +301,45 @@ def _carries_its_pfaffian(out):
     """The pfaffian a move carried is the gram's, and positive."""
     assert out.pf == intmat.pfaffian4(out.gram) > 0
     return out
+
+
+class _Pick:
+    """In place of the generator's rng: picks the option at index i."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def choice(self, options):
+        return options[self.i]
+
+
+@pytest.mark.parametrize(
+    "D, p, norm", [(3, 11, -11), (13, 3, -3), (13, 13, -13), (5, 11, 11), (2, 7, 7)]
+)
+def test_both_twist_callers_carry_the_fresh_pfaffian_from_their_norm(D, p, norm, monkeypatch):
+    # _raise_degree twists by each factor of p with the norm prime_norm
+    # reads mod 4, and divide_by_symmetric divides by it again with the one
+    # norm it computes; twist_by_element computes none
+    s = apply_unimodular(standard_instance(make_order(D, 1)), random_unimodular(random.Random(p)))
+    factors = factor_prime(s.order, p)
+    assert prime_norm(factors[0], p) == norm
+    calls = []
+    real = OrderElement.norm
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(OrderElement, "norm", counting)
+    for i, el in enumerate(factors):
+        raised = _carries_its_pfaffian(_raise_degree(s, p, _Pick(i)))
+        assert calls == []
+        assert raised.pf == p
+        assert _carries_its_pfaffian(divide_by_symmetric(raised, el)) == s
+        assert calls == [el]
+        calls.clear()
+    monkeypatch.undo()
+    assert [el.norm() for el in factors] == [norm, norm]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -329,13 +369,13 @@ def test_every_primitive_carries_the_fresh_pfaffian(D, conductor, seed, data):
     if (x, y) == (0, 0):
         x = 1
     el = order.element(x, y)
-    twisted = _carries_its_pfaffian(twist_by_element(moved, el))
+    twisted = _carries_its_pfaffian(twist_by_element(moved, el, el.norm()))
     den = data.draw(st.integers(2, 12))
     assert _carries_its_pfaffian(
-        twist_by_element(moved, order.element(den * x, den * y), den)
+        twist_by_element(moved, order.element(den * x, den * y), den * den * el.norm(), den)
     ) == twisted
     try:
-        _carries_its_pfaffian(twist_by_element(twisted, el, den))
+        _carries_its_pfaffian(twist_by_element(twisted, el, el.norm(), den))
     except DescentError:
         pass
     if not el.is_unit():
