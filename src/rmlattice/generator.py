@@ -74,6 +74,11 @@ def generate_instance(
     surface = standard_instance(order)
     for p in primes:
         surface = _raise_degree(surface, p, rng)
+        # change_basis, in the next move and the scramble, computes only the
+        # alternating half of its gram, so it would hide a twist that broke
+        # alternation from the validate below
+        if not intmat.is_antisymmetric(surface.gram):
+            raise InvariantBreach("generated instance invalid: gram form is not antisymmetric")
     surface = apply_unimodular(surface, random_unimodular(rng))
     msg = validate(surface)
     if msg is not None:
@@ -101,7 +106,7 @@ def _raise_degree(
     if factors is not None:
         # both factors have the norm of the first: a2 = +-conj(a1)
         norm = prime_norm(factors[0], p)
-        options += [partial(twist_by_element, surface, el, norm) for el in factors]
+        options += [partial(twist_by_element, surface, el, norm=norm) for el in factors]
     if splitting_type(surface.order, p) == SPLIT and degree(surface) % p != 0:
         options += [partial(eigen_sublattice_pullback, surface, p, i) for i in (0, 1)]
     if not options:

@@ -98,4 +98,4 @@ def divide_by_symmetric(
     n = el.norm()
     if abs(n) == 1:
         raise PreconditionError("dividing by a unit is the identity; not a step")
-    return twist_by_element(surface, el.conjugate(), n, n)
+    return twist_by_element(surface, el.conjugate(), n, norm=n)

@@ -313,13 +313,13 @@ def _scalar_plus(x: int, y: int, m) -> IntMat:
 
 
 def twist_by_element(
-    surface: PolarizedRMSurface, el: OrderElement, norm: int, den: int = 1
+    surface: PolarizedRMSurface, el: OrderElement, den: int = 1, *, norm: int
 ) -> PolarizedRMSurface:
     """Compose the polarization with the action of el over den: gram becomes
     gram @ A_el / den, with pfaffian norm * pf / den^2.
 
-    norm is el's norm, which every caller already holds, so none is
-    computed here. Raises DescentError when gram @ A_el is not divisible
+    norm, keyword-only, is el's norm, which every caller already holds,
+    so none is computed here. Raises DescentError when gram @ A_el is not divisible
     by den.
     """
     if el.is_zero():

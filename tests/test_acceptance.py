@@ -246,8 +246,8 @@ def branch_corpus():
                 factors = factor_prime(order, p)
                 assert factors is not None, (D, p)
                 builders = [
-                    lambda s=base, el=factors[0]: twist_by_element(s, el, el.norm()),
-                    lambda s=base, el=factors[1]: twist_by_element(s, el, el.norm()),
+                    lambda s=base, el=factors[0]: twist_by_element(s, el, norm=el.norm()),
+                    lambda s=base, el=factors[1]: twist_by_element(s, el, norm=el.norm()),
                 ]
                 if kind == "split":
                     builders += [
@@ -368,9 +368,9 @@ def test_criterion_5_squarefree_postcondition(corpus):
         # add stacked powers: degree p^4 and p^6 at one prime
         s13 = standard_instance(make_order(13, 1))
         el = s13.order.element(2, 1)
-        stacked = twist_by_element(twist_by_element(s13, el, el.norm()), el, el.norm())
+        stacked = twist_by_element(twist_by_element(s13, el, norm=el.norm()), el, norm=el.norm())
         samples.append(stacked)
-        samples.append(twist_by_element(stacked, el, el.norm()))
+        samples.append(twist_by_element(stacked, el, norm=el.norm()))
         for surface in samples:
             deg = degree(surface)
             for p in {q for q in DEGREE_PRIME_POOL if deg % q == 0}:

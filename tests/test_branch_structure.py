@@ -162,7 +162,7 @@ def test_branch_decision_matches_kernel_equality_at_split_and_ramified_primes(D)
         kind = rm.splitting_type(order, p)
         if kind == "inert":
             continue
-        surfaces = [rm.twist_by_element(base, el, el.norm()) for el in rm.factor_prime(order, p)]
+        surfaces = [rm.twist_by_element(base, el, norm=el.norm()) for el in rm.factor_prime(order, p)]
         if kind == "split":
             surfaces += [eigen_sublattice_pullback(base, p, i) for i in (0, 1)]
         for s in surfaces:

@@ -66,7 +66,7 @@ def reference_enlarge_order_step(surface, p):
     if t != 2:
         raise InvariantBreach(f"enlargement rank invariant is {int_text(t)}, expected 2")
     el_cubed = order.element(p**3, 0)
-    twisted = twist_by_element(surface, el_cubed, el_cubed.norm())
+    twisted = twist_by_element(surface, el_cubed, norm=el_cubed.norm())
     twist_step = IsogenyStep(
         kind=TWIST,
         prime=p,
@@ -235,9 +235,9 @@ def test_principalize_builds_no_twisted_surface_inside_enlargement(monkeypatch):
     inside = [False]
     real_twist, real_enlarge = surface.twist_by_element, reduction.enlarge_order_step
 
-    def counting_twist(*args):
+    def counting_twist(*args, **kw):
         calls["inside" if inside[0] else "outside"] += 1
-        return real_twist(*args)
+        return real_twist(*args, **kw)
 
     def flagged_enlarge(*args):
         calls["enlargements"] += 1

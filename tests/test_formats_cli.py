@@ -290,10 +290,10 @@ def _content_instances():
     rng = random.Random(7)
     for D, f, scale, el in [(5, 1, 3, (3, 1)), (13, 9, 5, None), (5, 3, 15, (3, 1))]:
         s = standard_instance(make_order(D, f))
-        s = twist_by_element(s, s.order.element(scale, 0), scale * scale)
+        s = twist_by_element(s, s.order.element(scale, 0), norm=scale * scale)
         if el is not None:
             el = s.order.element(*el)
-            s = twist_by_element(s, el, el.norm())
+            s = twist_by_element(s, el, norm=el.norm())
         yield s
         yield apply_unimodular(s, random_unimodular(rng))
 
@@ -358,7 +358,7 @@ def test_cli_info_refuses_an_instance_that_does_not_validate(tmp_path, capsys):
 
 def test_cli_info_marks_an_even_pfaffian_unsupported(tmp_path, capsys):
     order = make_order(17, 1)
-    surface = twist_by_element(standard_instance(order), order.element(1, 1), -2)
+    surface = twist_by_element(standard_instance(order), order.element(1, 1), norm=-2)
     inst = tmp_path / "inst.json"
     inst.write_text(serialize_instance(surface))
     assert main(["info", str(inst)]) == 0
@@ -536,7 +536,7 @@ def test_cli_info_refuses_a_pfaffian_rho_cannot_factor_before_printing(
     s = standard_instance(make_order(5, 1))
     for p in (10000000000000061, 10000000000000069):
         el = factor_prime(s.order, p)[0]
-        s = twist_by_element(s, el, el.norm())
+        s = twist_by_element(s, el, norm=el.norm())
     inst = tmp_path / "inst.json"
     inst.write_text(serialize_instance(s), encoding="utf-8")
     monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
@@ -555,7 +555,7 @@ def test_cli_verify_exits_2_on_a_limit_hit_in_the_replay(tmp_path, capsys, monke
     s = standard_instance(make_order(5, 1))
     for p in (10000000000000061, 10000000000000069):
         el = factor_prime(s.order, p)[0]
-        s = twist_by_element(s, el, el.norm())
+        s = twist_by_element(s, el, norm=el.norm())
     inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
     inst.write_text(serialize_instance(s), encoding="utf-8")
     seed = generate_instance(5, 3, [11], seed=42)

@@ -779,7 +779,7 @@ def test_divide_matches_adjugate_division():
     for D, coords, by in ((5, (3, 1), (3, 1)), (13, (2, 1), (2, 1)), (5, (9, 0), (3, 0))):
         s = standard_instance(make_order(D, 1))
         twisting = s.order.element(*coords)
-        tw = twist_by_element(s, twisting, twisting.norm())
+        tw = twist_by_element(s, twisting, norm=twisting.norm())
         el = s.order.element(*by)
         det_el = el.norm() ** 2
         gram = intmat.mat_mul(tw.gram, adjugate_cofactor(element_action(tw, el)))

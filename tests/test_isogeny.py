@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rmlattice import (
     DescentError,
+    InvariantBreach,
     PreconditionError,
     degree,
     descend_polarization,
@@ -25,10 +26,11 @@ from rmlattice import (
     twist_by_element,
     validate,
 )
-from rmlattice import intmat, isogeny
+from rmlattice import generator, intmat, isogeny
 from rmlattice.quadratic import OrderElement
 from rmlattice.surface import (
     KernelSubgroup,
+    PolarizedRMSurface,
     kernel_from_subspace,
     polarization_kernel_mod_p,
     rebase,
@@ -96,7 +98,7 @@ def test_quotient_full_torsion_is_scalar():
         tuple(Fraction(1, 3) if i == j else Fraction(0) for j in range(4))
         for i in range(4)
     )
-    scaled = twist_by_element(s, s.order.element(9, 0), 81)  # gram 9E
+    scaled = twist_by_element(s, s.order.element(9, 0), norm=81)  # gram 9E
     out = rebase(scaled, k.basis, k.den)
     assert out.action == s.action  # scalar rebasing commutes
     assert out.gram == s.gram
@@ -107,7 +109,7 @@ def test_quotient_rejects_unstable_kernel():
     # x^2 - x - 1 is irreducible mod 3, so no line is action stable
     k = kernel_from_subspace(((1, 0, 0, 0),), 3)
     # on gram 3E the form descends to the line's overlattice; the action does not
-    tripled = twist_by_element(s, s.order.element(3, 0), 9)
+    tripled = twist_by_element(s, s.order.element(3, 0), norm=9)
     assert can_descend(tripled, k)
     with pytest.raises(PreconditionError):
         rebase(tripled, k.basis, k.den)
@@ -116,7 +118,7 @@ def test_quotient_rejects_unstable_kernel():
 def test_descend_scalar_example():
     # gram 9E descends along the full 3-torsion to a principal surface
     s = standard_instance(make_order(5, 1))
-    scaled = twist_by_element(s, s.order.element(9, 0), 81)
+    scaled = twist_by_element(s, s.order.element(9, 0), norm=81)
     assert degree(scaled) == 9**4
     k = full_torsion_kernel(scaled, 3)
     out = descend_polarization(scaled, k)
@@ -128,7 +130,7 @@ def test_descend_scalar_example():
 def test_descend_fails_on_principal():
     s = standard_instance(make_order(5, 1))
     el = s.order.element(3, 1)
-    tw = twist_by_element(s, el, el.norm())
+    tw = twist_by_element(s, el, norm=el.norm())
     lam = polarization_kernel_mod_p(tw, 11)  # action stable, but not in ker
     with pytest.raises(DescentError, match="pairing of overlattice generators"):
         descend_polarization(s, kernel_from_subspace(lam, 11))
@@ -146,7 +148,7 @@ def test_divide_undoes_twist():
     for D, coords in [(5, (3, 1)), (5, (-1, 2)), (13, (2, 1))]:
         s = standard_instance(make_order(D, 1))
         el = s.order.element(*coords)
-        tw = twist_by_element(s, el, el.norm())
+        tw = twist_by_element(s, el, norm=el.norm())
         back = divide_by_symmetric(tw, el)
         assert back.gram == s.gram and back.action == s.action
         assert validate(back) is None
@@ -173,15 +175,17 @@ def test_divide_by_symmetric_takes_one_norm(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(OrderElement, "norm", norm)
-    monkeypatch.setattr(isogeny, "twist_by_element", lambda *args: twists.append(args))
+    monkeypatch.setattr(
+        isogeny, "twist_by_element", lambda *args, **kw: twists.append((args, kw))
+    )
     divide_by_symmetric(s, el)
     assert calls == [el]
-    assert twists == [(s, el.conjugate(), 11, 11)]
+    assert twists == [((s, el.conjugate(), 11), {"norm": 11})]
 
 
 def test_scale_polarization():
     s = standard_instance(make_order(5, 1))
-    scaled = twist_by_element(s, s.order.element(3, 0), 9)
+    scaled = twist_by_element(s, s.order.element(3, 0), norm=9)
     out = divide_by_symmetric(scaled, s.order.element(3, 0))
     assert out.gram == s.gram
     assert degree(scaled) == 3**4 * degree(out)
@@ -198,7 +202,7 @@ def test_descent_criteria_agree_on_random_subgroups():
 
         el = solve_norm(s.order, p)
         if el is not None:
-            surfaces.append((twist_by_element(s, el, el.norm()), p))
+            surfaces.append((twist_by_element(s, el, norm=el.norm()), p))
         surfaces.append((s, p))
     checked = 0
     for s, p in surfaces * 25:
@@ -236,7 +240,7 @@ def test_quotient_functoriality():
     # quotient by K1 then by K2/K1 lands on the same overlattice as K2
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)  # norm 3
-    tw = twist_by_element(twist_by_element(s, el, el.norm()), el, el.norm())
+    tw = twist_by_element(twist_by_element(s, el, norm=el.norm()), el, norm=el.norm())
     assert degree(tw) == 81
     assert intmat.alternating_divisors(tw.gram, tw.pf) == (1, 1, 9, 9)
     from rmlattice.reduction import order_p_squared_subspace
@@ -275,7 +279,7 @@ def test_every_operation_output_validates():
         from rmlattice import solve_norm
 
         el = solve_norm(s.order, p)
-        tw = twist_by_element(s, el, el.norm())
+        tw = twist_by_element(s, el, norm=el.norm())
         moved = apply_unimodular(tw, random_unimodular(rng))
         assert validate(moved) is None
         lam = polarization_kernel_mod_p(moved, p)
@@ -342,6 +346,21 @@ def test_both_twist_callers_carry_the_fresh_pfaffian_from_their_norm(D, p, norm,
     assert [el.norm() for el in factors] == [norm, norm]
 
 
+def test_generate_refuses_a_twist_that_breaks_alternation(monkeypatch):
+    # the next move and the scramble compute only the alternating half of
+    # their gram, so the generator checks alternation after each move
+    def broken_twist(surface, el, den=1, *, norm):
+        tw = twist_by_element(surface, el, den, norm=norm)
+        (r0, *rest) = tw.gram
+        gram = ((r0[0], r0[1] + 1, *r0[2:]), *rest)
+        return PolarizedRMSurface(tw.order, tw.action, gram)
+
+    monkeypatch.setattr(generator, "twist_by_element", broken_twist)
+    # 5 is ramified in Q(sqrt(5)), so its only options are the two twists
+    with pytest.raises(InvariantBreach, match="gram form is not antisymmetric"):
+        generate_instance(5, 1, [5, 11], 0)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     D=st.sampled_from([2, 3, 5, 13, 17, 29, 41]),
@@ -369,13 +388,13 @@ def test_every_primitive_carries_the_fresh_pfaffian(D, conductor, seed, data):
     if (x, y) == (0, 0):
         x = 1
     el = order.element(x, y)
-    twisted = _carries_its_pfaffian(twist_by_element(moved, el, el.norm()))
+    twisted = _carries_its_pfaffian(twist_by_element(moved, el, norm=el.norm()))
     den = data.draw(st.integers(2, 12))
     assert _carries_its_pfaffian(
-        twist_by_element(moved, order.element(den * x, den * y), den * den * el.norm(), den)
+        twist_by_element(moved, order.element(den * x, den * y), den, norm=den * den * el.norm())
     ) == twisted
     try:
-        _carries_its_pfaffian(twist_by_element(twisted, el, el.norm(), den))
+        _carries_its_pfaffian(twist_by_element(twisted, el, den, norm=el.norm()))
     except DescentError:
         pass
     if not el.is_unit():

@@ -37,7 +37,7 @@ def test_enumerate_twist_kernels_are_the_kernel_lines():
     for D, p in [(5, 5), (13, 3), (3, 3)]:
         s = standard_instance(make_order(D, 1))
         el = solve_norm(s.order, p)
-        tw = twist_by_element(s, el, el.norm())
+        tw = twist_by_element(s, el, norm=el.norm())
         kernels = enumerate_valid_kernels(tw, p)
         nontrivial = [k for k in kernels if not k.is_trivial()]
         assert len(nontrivial) == p + 1  # all lines of the rank-2 kernel
@@ -52,7 +52,7 @@ def test_enumerate_scaled_gram_lists_isotropic_stable_subgroups():
     # but its pairing is nondegenerate there, so the full torsion does not
     # descend; only its isotropic action-stable subgroups appear.
     s = standard_instance(make_order(5, 1))
-    scaled = twist_by_element(s, s.order.element(3, 0), 9)
+    scaled = twist_by_element(s, s.order.element(3, 0), norm=9)
     kernels = enumerate_valid_kernels(scaled, 3)
     orders = sorted(k.group_order for k in kernels)
     assert orders[0] == 1
@@ -160,7 +160,7 @@ def test_reduction_kernels_member_of_enumeration():
 
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)
-    tw = twist_by_element(twist_by_element(s, el, el.norm()), el, el.norm())
+    tw = twist_by_element(twist_by_element(s, el, norm=el.norm()), el, norm=el.norm())
     out, steps = squarefree_reduce(tw, 3)
     quotients = [st for st in steps if st.kind == "quotient"]
     assert quotients
@@ -175,7 +175,7 @@ def test_verify_rejects_a_merged_non_prime_scale_step():
     # scale steps into one "scale 9" reaches the same surface with a
     # telescoping ledger, but scale factors of the pipeline are odd primes.
     s = generate_instance(13, 1, [17], seed=1)
-    start = twist_by_element(s, s.order.element(9, 0), 81)
+    start = twist_by_element(s, s.order.element(9, 0), norm=81)
     _, cert = principalize(start)
     obj = json.loads(serialize_certificate(cert))
     first, second, last = obj["steps"]

@@ -246,7 +246,7 @@ def test_pickle_and_deepcopy_round_trip(name, data):
 
 def test_the_cached_pfaffian_is_not_part_of_the_pickled_value():
     order = make_order(13, 1)
-    s = twist_by_element(standard_instance(order), order.element(2, 1), 3)
+    s = twist_by_element(standard_instance(order), order.element(2, 1), norm=3)
     fresh = PolarizedRMSurface(s.order, s.action, s.gram)
     assert s.pf == 3 and s.defect is None and "pf" in vars(s)
     assert "pf" not in vars(fresh)

@@ -64,7 +64,7 @@ def test_squarefree_reduce_noop_on_principal():
 
 def test_squarefree_reduce_scales_divisible_gram():
     s = standard_instance(make_order(5, 1))
-    scaled = twist_by_element(s, s.order.element(3, 0), 9)  # gram 3E
+    scaled = twist_by_element(s, s.order.element(3, 0), norm=9)  # gram 3E
     out, steps = squarefree_reduce(scaled, 3)
     assert degree(out) == 1
     assert [st.kind for st in steps] == ["scale"]
@@ -74,7 +74,7 @@ def test_squarefree_reduce_scales_divisible_gram():
 def test_squarefree_reduce_quotients_order_p2_classes():
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)  # norm 3
-    tw = twist_by_element(twist_by_element(s, el, el.norm()), el, el.norm())
+    tw = twist_by_element(twist_by_element(s, el, norm=el.norm()), el, norm=el.norm())
     assert intmat.alternating_divisors(tw.gram, tw.pf) == (1, 1, 9, 9)
     out, steps = squarefree_reduce(tw, 3)
     assert [st.kind for st in steps] == ["quotient"]
@@ -86,7 +86,7 @@ def test_squarefree_reduce_quotients_order_p2_classes():
 def test_squarefree_reduce_handles_mixed_powers():
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)
-    tw = twist_by_element(twist_by_element(twist_by_element(s, el, 3), el, 3), el, 3)
+    tw = twist_by_element(twist_by_element(twist_by_element(s, el, norm=3), el, norm=3), el, norm=3)
     assert degree(tw) == 3**6
     out, steps = squarefree_reduce(tw, 3)
     assert degree(out) in (1, 9)
@@ -101,7 +101,7 @@ def test_squarefree_check_reports_the_p_parts_left(monkeypatch):
     # closing check names their 3-parts
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)  # norm 3
-    tw = twist_by_element(twist_by_element(s, el, el.norm()), el, el.norm())
+    tw = twist_by_element(twist_by_element(s, el, norm=el.norm()), el, norm=el.norm())
     monkeypatch.setattr(reduction, "order_p_squared_subspace", lambda surface, p: ())
     with pytest.raises(
         InvariantBreach, match=r"^squarefree reduction left divisor p-parts \(1, 9\) at 3$"
@@ -164,7 +164,7 @@ def test_squarefree_reduce_matches_the_reference_loop():
             for word in itertools.product(letters, repeat=length):
                 tw = s
                 for letter in word:
-                    tw = twist_by_element(tw, letter, letter.norm())
+                    tw = twist_by_element(tw, letter, norm=letter.norm())
                 moved = apply_unimodular(tw, random_unimodular(rng))
                 out, steps = squarefree_reduce(moved, p)
                 ref_out, ref_steps = reference_squarefree_reduce(moved, p)
@@ -182,7 +182,7 @@ def test_reduce_degree_step_row_reduces_mod_p_once(monkeypatch):
     for D, p in [(13, 3), (2, 7), (5, 11)]:
         s = standard_instance(make_order(D, 1))
         el = solve_norm(s.order, p)
-        tw = twist_by_element(s, el, el.norm())
+        tw = twist_by_element(s, el, norm=el.norm())
         cases.append((apply_unimodular(tw, random_unimodular(rng)), p))
     calls = []
     real = intmat.kernel_mod_p
@@ -222,7 +222,7 @@ def test_order_p_squared_subspace_matches_smith_route():
         for reps in (1, 2, 3):
             tw = s
             for _ in range(reps):
-                tw = twist_by_element(tw, el, el.norm())
+                tw = twist_by_element(tw, el, norm=el.norm())
             moved = apply_unimodular(tw, random_unimodular(rng))
             fast = order_p_squared_subspace(moved, p)
             _, smith, v = snf_with_transforms(moved.gram)
@@ -273,7 +273,7 @@ def test_enlarge_order_step_preconditions():
         enlarge_order_step(standard_instance(make_order(5, 3)), 5)
     # degree divisible by the conductor prime is rejected
     s = standard_instance(make_order(13, 3))
-    tw = twist_by_element(s, s.order.element(3, 0), 9)  # degree 81
+    tw = twist_by_element(s, s.order.element(3, 0), norm=9)  # degree 81
     with pytest.raises(PreconditionError):
         enlarge_order_step(tw, 3)
 
@@ -290,7 +290,7 @@ def test_enlarge_order_step_rejects_loose_orders():
 def test_enlarge_preserves_degree_with_nontrivial_polarization():
     s = standard_instance(make_order(5, 3))
     el = solve_norm(s.order, 11)
-    tw = twist_by_element(s, el, el.norm())
+    tw = twist_by_element(s, el, norm=el.norm())
     out, steps = enlarge_order_step(tw, 3)
     assert steps[-1].t == 2
     assert degree(out) == 121
@@ -307,7 +307,7 @@ def test_reduce_degree_twist_cases():
     s = standard_instance(make_order(5, 1))
     a1, a2 = factor_prime(s.order, 11)
     for el in (a1, a2):
-        tw = twist_by_element(s, el, el.norm())
+        tw = twist_by_element(s, el, norm=el.norm())
         out, steps = reduce_degree_step(tw, 11)
         assert steps[-1].branch == SPLIT_DIVIDE
         assert degree(out) == 1
@@ -317,7 +317,7 @@ def test_reduce_degree_twist_cases():
 def test_reduce_degree_ramified_case():
     s = standard_instance(make_order(5, 1))
     el = solve_norm(s.order, 5)
-    tw = twist_by_element(s, el, el.norm())
+    tw = twist_by_element(s, el, norm=el.norm())
     out, steps = reduce_degree_step(tw, 5)
     assert steps[-1].branch == ASSOCIATE_DIVIDE
     assert degree(out) == 1
@@ -336,7 +336,7 @@ def test_reduce_degree_eigen_pullback_case():
 def test_reduce_degree_pure_squarefree_clears():
     s = standard_instance(make_order(13, 1))
     el = s.order.element(2, 1)
-    tw = twist_by_element(twist_by_element(s, el, el.norm()), el, el.norm())
+    tw = twist_by_element(twist_by_element(s, el, norm=el.norm()), el, norm=el.norm())
     out, steps = reduce_degree_step(tw, 3)
     assert all(st.branch is None for st in steps)
     assert degree(out) == 1
@@ -362,7 +362,7 @@ def test_reduce_degree_preconditions():
         reduce_degree_step(s, 11)  # degree 1
     s53 = standard_instance(make_order(5, 3))
     el = solve_norm(make_order(5, 3), 11)
-    tw = twist_by_element(s53, el, el.norm())
+    tw = twist_by_element(s53, el, norm=el.norm())
     with pytest.raises(PreconditionError):
         reduce_degree_step(tw, 3)  # 3 divides the conductor
 
@@ -477,7 +477,7 @@ def test_principalize_precondition_errors():
     el = s.order.element(1, 1)  # norm -1? check: 1 + 1 - 3 = -1, a unit
     assert el.is_unit()
     one_plus_w = s.order.element(0, 1) + s.order.element(1, 0)
-    even = twist_by_element(s, one_plus_w, one_plus_w.norm())
+    even = twist_by_element(s, one_plus_w, norm=one_plus_w.norm())
     # ensure an even degree input errors: twist by an element of even norm
     two_norm = None
     for x in range(-4, 5):
@@ -488,13 +488,13 @@ def test_principalize_precondition_errors():
                 break
         if two_norm:
             break
-    tw = twist_by_element(s, two_norm, two_norm.norm())
+    tw = twist_by_element(s, two_norm, norm=two_norm.norm())
     with pytest.raises(PreconditionError):
         principalize(tw)
     # shared factor between degree and conductor
     s53 = standard_instance(make_order(5, 3))
     el3 = solve_norm(make_order(5, 3), 11)
-    bad = twist_by_element(s53, s53.order.element(3, 0), 9)
+    bad = twist_by_element(s53, s53.order.element(3, 0), norm=9)
     with pytest.raises(PreconditionError):
         principalize(bad)
 

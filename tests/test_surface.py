@@ -70,7 +70,7 @@ def test_validate_diagnostics():
 def test_repr_of_valid_surfaces():
     s = standard_instance(make_order(5, 3))
     assert repr(s) == "PolarizedRMSurface(D=5, conductor=3, degree=1)"
-    tw = twist_by_element(s, s.order.element(3, 0), 9)
+    tw = twist_by_element(s, s.order.element(3, 0), norm=9)
     assert repr(tw) == "PolarizedRMSurface(D=5, conductor=3, degree=81)"
 
 
@@ -91,7 +91,7 @@ def test_repr_past_the_digit_limit():
 
 
 def test_cached_pfaffian_is_not_part_of_the_value():
-    s = twist_by_element(standard_instance(make_order(13, 1)), make_order(13, 1).element(2, 1), 3)
+    s = twist_by_element(standard_instance(make_order(13, 1)), make_order(13, 1).element(2, 1), norm=3)
     fresh = PolarizedRMSurface(s.order, s.action, s.gram)
     assert s.pf == fresh.pf == 3
     assert "pf" in vars(s)
@@ -107,7 +107,7 @@ def test_polarization_kernel_is_the_kernel_of_the_gram_mod_p():
     s = standard_instance(o)
     for p in (3, 17):
         el = solve_norm(o, p)
-        s = twist_by_element(s, el, el.norm())
+        s = twist_by_element(s, el, norm=el.norm())
     assert s.pf == 3 * 17
     kept = dict(vars(s))
     for p in (3, 17, 17, 3, 7, 3):
@@ -144,20 +144,20 @@ def test_element_action_is_multiplicative():
 def test_twist_degree_and_inverse_examples():
     s = standard_instance(make_order(5, 1))
     o = s.order
-    assert twist_by_element(s, o.one(), o.one().norm()) == s
-    tw3 = twist_by_element(s, o.element(3, 0), 9)
+    assert twist_by_element(s, o.one(), norm=o.one().norm()) == s
+    tw3 = twist_by_element(s, o.element(3, 0), norm=9)
     assert degree(tw3) == 3**4  # gram becomes 3E; norm(3)^2 = 81
     a = o.element(3, 1)
-    tw = twist_by_element(s, a, a.norm())
+    tw = twist_by_element(s, a, norm=a.norm())
     assert degree(tw) == 121
     assert validate(tw) is None
     with pytest.raises(PreconditionError):
-        twist_by_element(s, o.element(0, 0), 0)
+        twist_by_element(s, o.element(0, 0), norm=0)
 
 
 def test_twist_canonicalizes_orientation():
     s = standard_instance(make_order(5, 1))
-    tw = twist_by_element(s, s.order.element(-1, 2), -5)
+    tw = twist_by_element(s, s.order.element(-1, 2), norm=-5)
     assert tw.pf > 0
     assert degree(tw) == 25
 
@@ -176,14 +176,14 @@ def test_kernel_of_polarization_divisor_examples():
     assert intmat.alternating_divisors(s.gram, s.pf) == (1, 1, 1, 1)
     assert k.group_order == 1 and k.is_trivial()
 
-    scaled = twist_by_element(s, s.order.element(3, 0), 9)
+    scaled = twist_by_element(s, s.order.element(3, 0), norm=9)
     k3 = _dual_kernel(scaled)
     assert intmat.alternating_divisors(scaled.gram, scaled.pf) == (3, 3, 3, 3)
     assert k3.group_order == 81 == degree(scaled)
     assert lcm(*(Fraction(x).denominator for row in k3.overlattice for x in row)) == 3
 
     el = s.order.element(3, 1)
-    tw = twist_by_element(s, el, el.norm())
+    tw = twist_by_element(s, el, norm=el.norm())
     k11 = _dual_kernel(tw)
     assert intmat.alternating_divisors(tw.gram, tw.pf) == (1, 1, 11, 11)
     assert k11.group_order == 121 == degree(tw)
@@ -207,7 +207,7 @@ def test_basis_change_equivariance(D, f):
     s = standard_instance(make_order(D, f))
     if solve_norm(s.order, 11) is not None:
         el = solve_norm(s.order, 11)
-        s = twist_by_element(s, el, el.norm())
+        s = twist_by_element(s, el, norm=el.norm())
     for _ in range(5):
         u = random_unimodular(rng)
         moved = apply_unimodular(s, u)
@@ -288,7 +288,7 @@ def test_generated_instances_satisfy_humbert():
         s = standard_instance(make_order(D, f))
         el = solve_norm(s.order, 11) if splitting_type(s.order, 11) != "inert" else None
         if el is not None:
-            s = twist_by_element(s, el, el.norm())
+            s = twist_by_element(s, el, norm=el.norm())
         assert humbert_nonempty(s.order.discriminant, s.pf)
 
 
