@@ -319,8 +319,8 @@ def twist_by_element(
     gram @ A_el / den, with pfaffian norm * pf / den^2.
 
     norm, keyword-only, is el's norm, which every caller already holds,
-    so none is computed here. Raises DescentError when gram @ A_el is not divisible
-    by den.
+    so none is computed here. Raises DescentError when gram @ A_el is not
+    divisible by den.
     """
     if el.is_zero():
         raise PreconditionError("cannot twist by zero")
