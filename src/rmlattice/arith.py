@@ -1,7 +1,8 @@
 """Small exact integer helpers: primality (exact to psi_13, see is_prime),
 factorization, square parts, and decimal text of integers and rationals of
-any length, both ways, in subquadratic time past the interpreter's int/str
-digit limit."""
+any length, both ways, in subquadratic time whatever the interpreter's
+int/str digit limit: the built-in conversions only up to 617 digits, where
+no limit applies, and divide and conquer above."""
 
 from __future__ import annotations
 
@@ -165,13 +166,12 @@ def sqrt_mod(a: int, p: int) -> int:
 
 
 def int_text(v: int) -> str:
-    """Decimal text of v of any size: the built-in conversion below the
-    interpreter's int/str digit limit, and above it a decimal.Decimal built
-    by divide and conquer on powers of two, in subquadratic time."""
-    try:
+    """Decimal text of v of any size: the built-in conversion up to
+    _LEAF_BITS bits, and above it a decimal.Decimal built by divide and
+    conquer on powers of two, in subquadratic time whatever the
+    interpreter's int/str digit limit (the built-in one is quadratic)."""
+    if v.bit_length() <= _LEAF_BITS:
         return str(v)
-    except ValueError:
-        pass
     if v < 0:
         return "-" + int_text(-v)
     return format(_int_decimal(v), "f")
@@ -184,9 +184,11 @@ def rational_text(q: Fraction) -> str:
     return text if q.denominator == 1 else text + "/" + int_text(q.denominator)
 
 
-# The leaves of _int_decimal: Decimal(n) for n below 2^_LEAF_BITS converts
-# directly, and its 617 digits are within any int/str digit limit.
+# The size up to which int_text and _text_int use the built-in conversions,
+# and the leaves of _int_decimal: n below 2^_LEAF_BITS has at most 617
+# digits, within any int/str digit limit (640 is the least one accepted).
 _LEAF_BITS = 2048
+_LEAF_DIGITS = 617
 
 
 def _int_decimal(n: int) -> Decimal:
@@ -216,21 +218,17 @@ def _int_decimal(n: int) -> Decimal:
 
 def _text_int(text: str) -> int:
     """The integer a -?[0-9]+ text writes, of any length: the built-in
-    conversion below the digit limit, and above it halves of the text
-    joined by powers of ten, each computed once per split size."""
-    try:
+    conversion up to _LEAF_DIGITS characters, and above it halves of the
+    text joined by powers of ten, each computed once per split size."""
+    if len(text) <= _LEAF_DIGITS:
         return int(text, 10)
-    except ValueError:
-        pass
     if text.startswith("-"):
         return -_text_int(text[1:])
     powers: dict[int, int] = {}
 
     def join(digits: str) -> int:
-        try:
+        if len(digits) <= _LEAF_DIGITS:
             return int(digits, 10)
-        except ValueError:
-            pass
         k = len(digits) // 2
         power = powers.get(k)
         if power is None:

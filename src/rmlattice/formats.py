@@ -19,6 +19,13 @@ a step's are the IsogenyStep fields of the table _STEP_FIELDS, which both
 directions loop over. An extra or missing key is a ValueError naming the
 object, and so is a key that appears twice in one object. Text nested too
 deeply for the JSON decoder is a ValueError too, not a RecursionError.
+
+A kernel entry's text is read through one bounded process-wide lru_cache
+(_shared_rational): on a miss it runs the full canonical check, and it
+returns the one Fraction object of that value (surface.shared_fraction)
+that the pipeline and replay use, so replay compares recorded and derived
+entries by identity. The writer formats a rational whose parts are below
+2^53 with one %-format.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring
 
 from .arith import _text_int, int_text, rational_text
@@ -33,7 +41,7 @@ from .errors import PreconditionError
 from .isogeny import IsogenyStep
 from .quadratic import make_order
 from .reduction import CertificateData
-from .surface import PolarizedRMSurface
+from .surface import PolarizedRMSurface, shared_fraction
 
 FORMAT_VERSION = 1
 _BIG = 2**53
@@ -52,6 +60,9 @@ def _int_token(v: int) -> str:
 
 
 def _rational_token(q: Fraction) -> str:
+    n, d = q.numerator, q.denominator
+    if -_BIG < n < _BIG and d < _BIG:
+        return '"%d"' % n if d == 1 else '"%d/%d"' % (n, d)
     return '"' + rational_text(q) + '"'
 
 
@@ -124,6 +135,21 @@ def _decode_rational(x) -> Fraction:
     if written != x:
         raise ValueError(f"rational entry {x!r} is not written as {written!r}")
     return value
+
+
+@lru_cache(maxsize=4096)
+def _shared_rational(text: str) -> Fraction:
+    """The shared_fraction a canonical rational text writes: each text is
+    checked once per process (a refusal raises, so it is never cached),
+    and its value is the object the pipeline and replay use too."""
+    value = _decode_rational(text)
+    return shared_fraction(value.numerator, value.denominator)
+
+
+def _read_rational(x) -> Fraction:
+    # only a str reaches the cache: an unhashable entry would raise TypeError
+    # there, and any other one is refused by _decode_rational
+    return _shared_rational(x) if type(x) is str else _decode_rational(x)
 
 
 def _decode_str(v) -> str:
@@ -245,32 +271,23 @@ def parse_instance(text: str) -> PolarizedRMSurface:
 _STEP_PAD = " " * 6
 
 
-def _scalar(decode):
-    """A step-field reader that needs no rational reader."""
-    return lambda v, rational: decode(v)
-
-
 # Each IsogenyStep field in the order of IsogenyStep._fields, with the
 # writer of its non-null value as JSON text and its reader; a field whose
-# default is None is written as null when unset. A reader takes the value
-# and the parse's rational reader. A step object has exactly these keys.
+# default is None is written as null when unset. A step object has exactly
+# these keys.
 _STEP_FIELDS = (
-    ("kind", encode_basestring, _scalar(_decode_str)),
-    ("prime", _int_token, _scalar(_decode_int)),
+    ("kind", encode_basestring, _decode_str),
+    ("prime", _int_token, _decode_int),
     (
         "kernel_overlattice",
         lambda m: _matrix(m, _rational_token, _STEP_PAD),
-        _decode_matrix,
+        lambda m: _decode_matrix(m, _read_rational),
     ),
-    (
-        "alpha",
-        lambda alpha: _array(map(_int_token, alpha), _STEP_PAD),
-        _scalar(_decode_alpha),
-    ),
-    ("degree_before", _int_token, _scalar(_decode_int)),
-    ("degree_after", _int_token, _scalar(_decode_int)),
-    ("t", _int_token, _scalar(_decode_int)),
-    ("branch", encode_basestring, _scalar(_decode_str)),
+    ("alpha", lambda alpha: _array(map(_int_token, alpha), _STEP_PAD), _decode_alpha),
+    ("degree_before", _int_token, _decode_int),
+    ("degree_after", _int_token, _decode_int),
+    ("t", _int_token, _decode_int),
+    ("branch", encode_basestring, _decode_str),
 )
 _STEP_KEYS = tuple(name for name, _, _ in _STEP_FIELDS)
 _NULLABLE = frozenset(
@@ -312,20 +329,11 @@ def parse_certificate(text: str) -> CertificateData:
     )
     if not isinstance(steps_obj, list):
         raise ValueError("certificate steps must be an array")
-    rationals: dict[str, Fraction] = {}
-
-    def rational(x) -> Fraction:
-        """_decode_rational, reading each distinct text once per certificate."""
-        value = rationals.get(x) if type(x) is str else None
-        if value is None:
-            value = rationals[x] = _decode_rational(x)
-        return value
-
     steps = []
     for i, s in enumerate(steps_obj):
         values = _values(s, f"step {i}", _STEP_KEYS)
         step = {
-            name: None if v is None and name in _NULLABLE else decode(v, rational)
+            name: None if v is None and name in _NULLABLE else decode(v)
             for (name, _, decode), v in zip(_STEP_FIELDS, values)
         }
         steps.append(IsogenyStep(**step))

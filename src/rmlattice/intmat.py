@@ -9,9 +9,10 @@ e b and six more sums above the diagonal, the exact division by an
 integer as four divisibility tests and four quotients per row, the
 alternating test as six pair comparisons and a zero diagonal, det and
 adjugate are closed-form expansions in the twelve 2x2 minors (all exact
-on Fraction entries too), a lattice between d*Z^4 and Z^4 is put into
-Hermite form from residues mod d, and the elementary divisors of an
-alternating form are read off its content and pfaffian.
+on Fraction entries too), a lattice between p*Z^4 and Z^4 for a prime p
+is put into Hermite form by one elimination over Z/p (hnf_mod_p), and the
+elementary divisors of an alternating form are read off its content and
+pfaffian.
 
 Conventions:
   * lattices are column lattices (a basis is the tuple of matrix columns);
@@ -169,36 +170,22 @@ def pfaffian4(m) -> int:
 # ---------------------------------------------------------------------------
 
 
-def hnf_mod(columns, d: int) -> IntMat:
+def hnf_mod_p(columns, p: int) -> IntMat:
     """Canonical column Hermite form of the lattice spanned by `columns`
-    and d * Z^4.
+    and p * Z^4, for a prime p.
 
-    Because d * e_j lies in the lattice, every generator is reduced mod d
-    throughout, so no entry exceeds d (the "HNF modulo D" of Cohen, Alg.
-    2.4.8). Row i's pivot starts as d * e_i and absorbs each generator's
-    i-th entry by Euclid's algorithm on the pair; the remainders, zero in
-    coordinates up to i, carry on to the next row.
+    Over the field Z/p the Hermite form is the reduced echelon form of the
+    generators: column j is the echelon row whose pivot is j, and p * e_j
+    where j is no pivot (the prime case of Cohen's "HNF modulo D", Alg.
+    2.4.8). So one rref_mod_p builds it, and the rank of the generators
+    mod p is the number of unit diagonal entries.
     """
-    gens = [[x % d for x in c] for c in columns]
-    pivots = []
-    for i in range(4):
-        v = [d if k == i else 0 for k in range(4)]
-        rest = []
-        for w in gens:
-            while w[i]:
-                q = v[i] // w[i]
-                v, w = w, [(x - q * y) % d for x, y in zip(v, w)]
-            if any(w):
-                rest.append(w)
-        pivots.append(v)
-        gens = rest
-    for i in range(4):
-        g = pivots[i][i]
-        for k in range(i):
-            q = pivots[k][i] // g
-            if q:
-                pivots[k] = [x - q * y for x, y in zip(pivots[k], pivots[i])]
-    return transpose(pivots)
+    basis = [(p, 0, 0, 0), (0, p, 0, 0), (0, 0, p, 0), (0, 0, 0, p)]
+    if columns:  # zero generators give no pivot
+        rref, pivots = rref_mod_p(columns, p)
+        for row, j in zip(rref, pivots):
+            basis[j] = row
+    return transpose(basis)
 
 
 def alternating_divisors(m, pf: int) -> tuple[int, int, int, int]:

@@ -10,7 +10,8 @@ degree, building one surface per move: its twist by p^3 is recorded from
 the scalar identities, not built, and the descent and the division of the
 action by p are one change of basis (surface.change_basis); its quotient
 step records the rank invariant t of the old generator mod p (always 2 on
-valid input). reduce_degree_step removes a reducible prime from the degree
+valid input), read off the kernel's Hermite form, so a move row-reduces
+mod p once. reduce_degree_step removes a reducible prime from the degree
 by dividing by the norm +-p factor whose mod-p kernel is the kernel
 p-torsion K, and records the branch on its last step. It finds that factor
 as the first whose action kills K, with K 2-dimensional: p does not divide
@@ -170,8 +171,9 @@ def squarefree_reduce(
 
 def enlargement_kernel(surface: PolarizedRMSurface, p: int) -> KernelSubgroup:
     """The canonical kernel (1/p)L + (1/p^2)(action)L of the enlargement move:
-    (pL + (action)L) / p^2, whose Hermite form needs the action mod p only."""
-    return KernelSubgroup(intmat.hnf_mod(intmat.transpose(surface.action), p), p * p)
+    (pL + (action)L) / p^2, whose Hermite form is one elimination of the
+    action's columns mod p; its unit diagonal entries count their rank."""
+    return KernelSubgroup(intmat.hnf_mod_p(intmat.transpose(surface.action), p), p * p)
 
 
 def enlarge_order_step(
@@ -188,8 +190,10 @@ def enlarge_order_step(
     kernel.basis^T E kernel.basis / p, which change_basis computes with
     the action in one pass; the action is divided by p before the one
     canonicalize_orientation. Preserves the degree exactly; t, recorded
-    on the quotient step, is the rank of the action mod p and any value
-    other than 2 is an invariant breach, never something to continue past.
+    on the quotient step, is the rank of the action mod p, read off the
+    kernel's Hermite form (its unit diagonal entries), so each move row-
+    reduces mod p once; any value other than 2 is an invariant breach,
+    never something to continue past.
     """
     require_odd_prime(p)
     order = surface.order
@@ -206,24 +210,27 @@ def enlarge_order_step(
     deg = degree(surface)
     if deg % p == 0:
         raise PreconditionError(f"{int_text(p)} divides the degree {int_text(deg)}")
-    t = intmat.rank_mod_p(surface.action, p)
-    if t != 2:
-        raise InvariantBreach(f"enlargement rank invariant is {int_text(t)}, expected 2")
     if surface.pf < 0:  # the twisted surface is canonically oriented
         surface = canonicalize_orientation(order, surface.action, surface.gram, surface.pf)
+    # t, the action's rank mod p (which the reorientation keeps), is the
+    # number of unit diagonal entries of the kernel's Hermite form
+    kernel = enlargement_kernel(surface, p)
+    basis = kernel.basis
+    t = (basis[0][0], basis[1][1], basis[2][2], basis[3][3]).count(1)
+    if t != 2:
+        raise InvariantBreach(f"enlargement rank invariant is {int_text(t)}, expected 2")
     p3 = p**3
     twisted_deg = deg * p3**4
     twist_step = IsogenyStep(
         kind=TWIST, prime=p, alpha=(p3, 0), degree_before=deg, degree_after=twisted_deg
     )
-    kernel = enlargement_kernel(surface, p)
     if kernel.group_order != p ** (4 + t):
         raise InvariantBreach(
             f"enlargement kernel has order {int_text(kernel.group_order)}, "
             f"expected {int_text(p ** (4 + t))}"
         )
     try:
-        action, gram, d = change_basis(surface, kernel.basis, p)
+        action, gram, d = change_basis(surface, basis, p)
     except (DescentError, PreconditionError) as exc:
         raise InvariantBreach(f"guaranteed enlargement descent failed: {exc}") from exc
     pf = d * surface.pf // (p * p)  # det(basis) * p^6 pf / p^8

@@ -22,8 +22,12 @@ action with the written-out exact division intmat.div_exact, as
 twist_by_element divides its gram unless den is 1.
 Everything is a pure function on immutable values. A kernel's overlattice
 entries, Hermite residues over its den, come from one bounded
-process-wide lru_cache (_kernel_rational), so each value is one shared
-Fraction.
+process-wide lru_cache (_kernel_rational) on the pair, which takes each
+value from a second one on the reduced pair (shared_fraction); the
+certificate reader takes its rationals from the same one, so a kernel
+value is one shared Fraction from the pipeline to replay. Kernels given
+by mod-p subspaces take their Hermite form from one elimination over Z/p
+(intmat.hnf_mod_p).
 
 The pfaffian is kept on each surface (the cached property `pf`, which is
 not one of its fields, so equality, hashing, pickling and every serialized
@@ -114,10 +118,20 @@ class PolarizedRMSurface(Record):
 
 
 @lru_cache(maxsize=4096)
+def shared_fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for n/d in lowest terms with d > 0, one shared object
+    per value: Fractions are immutable, so every kernel entry of one value,
+    computed or parsed (formats), can be the same object, and comparing two
+    records of it never calls Fraction.__eq__."""
+    return Fraction(n, d)
+
+
+@lru_cache(maxsize=4096)
 def _kernel_rational(x: int, den: int) -> Fraction:
-    """Fraction(x, den), one shared object per value: Fractions are
-    immutable, and a kernel's few residues recur in every step."""
-    return Fraction(x, den)
+    """x/den as the shared_fraction of its value: a kernel's few residues
+    recur in every step."""
+    g = gcd(x, den)
+    return shared_fraction(x // g, den // g)
 
 
 class KernelSubgroup(Record):
@@ -140,8 +154,8 @@ class KernelSubgroup(Record):
         The entries are Hermite residues in [0, den], so the same few values
         recur from step to step; each is taken from _kernel_rational.
         """
-        den = self.den
-        return tuple(tuple(_kernel_rational(x, den) for x in row) for row in self.basis)
+        dens = (self.den,) * 4
+        return tuple([tuple(map(_kernel_rational, row, dens)) for row in self.basis])
 
     @property
     def group_order(self) -> int:
@@ -368,7 +382,7 @@ def eigen_sublattice_pullback(
         raise InvariantBreach("transposed action has an empty eigenspace")
     v = eigvecs[0]
     hyperplane = intmat.kernel_mod_p([v], p)
-    return rebase(surface, intmat.hnf_mod(hyperplane, p))
+    return rebase(surface, intmat.hnf_mod_p(hyperplane, p))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +397,7 @@ def polarization_kernel_mod_p(surface: PolarizedRMSurface, p: int):
 
 def kernel_from_subspace(basis, p: int) -> KernelSubgroup:
     """KernelSubgroup spanned by p-torsion classes with the given mod-p basis."""
-    return KernelSubgroup(intmat.hnf_mod(basis, p), p)
+    return KernelSubgroup(intmat.hnf_mod_p(basis, p), p)
 
 
 def stabilizer_order(surface: PolarizedRMSurface) -> RealQuadraticOrder:

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmlattice import formats, surface
 from rmlattice.arith import _text_int, int_text
 from rmlattice.formats import (
     FORMAT_VERSION,
@@ -122,8 +124,12 @@ _ints = st.one_of(
     st.integers(-(2**80), 2**80),
     st.integers(1, 15000).flatmap(lambda b: st.integers(-(2**b), 2**b)),
 )
+# parts on both sides of 2^53, where the writer's %-format gives way to
+# rational_text
 _rationals = st.builds(
-    Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)
+    Fraction,
+    st.one_of(st.integers(-(10**6), 10**6), _near_2_53, st.integers(-(2**80), 2**80)),
+    st.one_of(st.integers(1, 10**6), st.integers(2**53 - 2, 2**53 + 2), st.integers(1, 2**80)),
 )
 
 
@@ -222,6 +228,9 @@ _KERNEL_REFUSALS = [
     (2**53, "rational entry 9007199254740992 is not a string like '-3/4'"),
     (1.0, "rational entry 1.0 is not a string like '-3/4'"),
     ([1], "rational entry [1] is not a string like '-3/4'"),
+    ([], "rational entry [] is not a string like '-3/4'"),
+    ({"n": 1}, "rational entry {'n': 1} is not a string like '-3/4'"),
+    (3, "rational entry 3 is not a string like '-3/4'"),
     ("-0", "rational entry '-0' is not written as '0'"),
     ("007", "rational entry '007' is not written as '7'"),
     ("3/1", "rational entry '3/1' is not written as '3'"),
@@ -310,6 +319,110 @@ def test_rational_texts_read_once_per_certificate_are_still_exact():
     assert len(set(texts)) < len(texts)  # texts repeat within one kernel
     parsed = parse_certificate(json.dumps(cert)).steps[1].kernel_overlattice
     assert [x for row in parsed for x in row] == [Fraction(x) for x in texts]
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("3/1", "rational entry '3/1' is not written as '3'"),
+        ("01/3", "rational entry '01/3' is not written as '1/3'"),
+        ("1/0", "rational entry '1/0' has a zero denominator"),
+        ("-0", "rational entry '-0' is not written as '0'"),
+    ],
+)
+def test_a_refused_rational_text_is_refused_again(entry, message):
+    # the reader's cache keeps values only: a refusal is never remembered
+    _, cert = _seed_files()
+    cert["steps"][1]["kernel_overlattice"][0][0] = entry
+    text = json.dumps(cert)
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            parse_certificate(text)
+        assert str(info.value) == message
+
+
+def test_parsed_kernel_entries_are_the_objects_replay_derives():
+    start = generate_instance(5, 3**4 * 5, [11], seed=1)
+    _, cert = principalize(start)
+    parsed = parse_certificate(serialize_certificate(cert))
+    _, derived = principalize(start)
+    kernels = 0
+    for rec, der in zip(parsed.steps, derived.steps, strict=True):
+        if rec.kernel_overlattice is not None:
+            kernels += 1
+            assert all(
+                a is b
+                for r1, r2 in zip(rec.kernel_overlattice, der.kernel_overlattice)
+                for a, b in zip(r1, r2)
+            )
+    assert kernels >= 5  # one per conductor prime, with multiplicity
+
+
+@pytest.mark.parametrize("cache", [surface.shared_fraction, formats._shared_rational])
+def test_the_shared_rational_caches_are_bounded(cache):
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 2**16
+    for x in range(maxsize + 10):
+        n = 2 * x + 1
+        value = cache(n, 2) if cache is surface.shared_fraction else cache(f"{n}/2")
+        assert value == Fraction(n, 2)
+    assert cache.cache_info().currsize == maxsize
+    cache.cache_clear()
+
+
+def _with_big_kernel(cert, step: int, entries) -> CertificateData:
+    """cert with the kernel of step `step` replaced by these 16 rationals."""
+    steps = list(cert.steps)
+    it = iter(entries)
+    kernel = tuple(tuple(next(it) for _ in range(4)) for _ in range(4))
+    fields = dict(zip(IsogenyStep._fields, steps[step]._values()))
+    steps[step] = IsogenyStep(**{**fields, "kernel_overlattice": kernel})
+    return CertificateData(steps=tuple(steps), final=cert.final)
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+def test_rationals_past_2_53_and_the_digit_limit_round_trip(limit):
+    _, cert = principalize(generate_instance(5, 3, [11], seed=42))
+    big = [2**53 - 1, 2**53, 2**53 + 1, 3**700, 10**700 + 1, 7**1200]
+    entries = [Fraction(n, d) for n in big[:4] for d in (1, 2**53 - 1, 2**53 + 7, 11**800)]
+    entries = [-q if i % 3 else q for i, q in enumerate(entries)]
+    cert = _with_big_kernel(cert, 1, entries)
+    text = reference_serialize_certificate(cert)
+    old = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        written = serialize_certificate(cert)
+        back = parse_certificate(written)
+        again = serialize_certificate(back)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert written == again == text
+    assert back == cert
+
+
+def test_codec_round_trips_with_the_digit_limit_off():
+    # with no limit the built-in conversions would take every size; the codec
+    # chooses its path by size, so the texts are the ones the default limit gives
+    start = generate_instance(5, 3**10, [11], seed=1)
+    final, cert = principalize(start)
+    instance, certificate = serialize_instance(start), serialize_certificate(cert)
+    values = [v for v in _digit_cases() if abs(v) < 10**9000]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        texts = [int_text(v) for v in values]
+        read = [_text_int(t) for t in texts]
+        inst_back = parse_instance(instance)
+        cert_back = parse_certificate(certificate)
+        written = serialize_instance(inst_back), serialize_certificate(cert_back)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert max(map(len, texts)) > 4300
+    assert texts == [reference_int_text(v) for v in values]
+    assert read == values
+    assert written == (instance, certificate)
+    assert inst_back == start and cert_back == cert
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,27 @@ def test_interned_overlattice_entries_equal_fresh_fractions():
                 s, _ = enlarge_order_step(s, p)
 
 
+def test_an_enlargement_move_row_reduces_mod_p_once(monkeypatch):
+    # t is read off the kernel's Hermite form, not from a second elimination
+    calls = []
+    real = intmat.rref_mod_p
+
+    def counting(m, p):
+        calls.append(p)
+        return real(m, p)
+
+    def refused(m, p):
+        raise AssertionError("rank_mod_p called by an enlargement move")
+
+    monkeypatch.setattr(intmat, "rref_mod_p", counting)
+    monkeypatch.setattr(intmat, "rank_mod_p", refused)
+    s = generate_instance(13, 5 * 7 * 11, [3], 1)
+    for p in (5, 7, 11):
+        calls.clear()
+        s, (_, quotient) = enlarge_order_step(s, p)
+        assert calls == [p] and quotient.t == 2
+
+
 def test_the_kernel_rational_cache_is_bounded():
     cache = surface._kernel_rational
     maxsize = cache.cache_info().maxsize

@@ -8,8 +8,10 @@ the sixteen-entry congruence b^T e b with its row-order scan for the
 first pairing that does not descend, the pairwise antisymmetry test,
 the recursive cofactor det and adjugate (any size), the Fraction
 inverse, the row reduction over Z/p with a generator pivot search and
-every entry reduced again (the former freeze written in), the Euclidean
-row Hermite form and the rational column Hermite basis built on it,
+every entry reduced again (the former freeze written in), the Hermite
+form modulo any d by Euclid's algorithm on residues (reference_hnf_mod,
+which the Hermite form modulo a prime replaced), the Euclidean row Hermite
+form and the rational column Hermite basis built on it,
 Smith divisors from gcds of minors, the general Smith form with
 transforms (the conductor Bezout identity now solves its 2x4 system on a
 two-row Hermite form), and the surface checks built from them: validate
@@ -255,6 +257,38 @@ def hnf_column_basis(columns):
     return tuple(
         tuple(Fraction(basis_rows[j][i], den) for j in range(n)) for i in range(n)
     )
+
+
+def reference_hnf_mod(columns, d: int):
+    """Canonical column Hermite form of the lattice spanned by `columns`
+    and d * Z^4, for any modulus d >= 2.
+
+    Because d * e_j lies in the lattice, every generator is reduced mod d
+    throughout, so no entry exceeds d (the "HNF modulo D" of Cohen, Alg.
+    2.4.8). Row i's pivot starts as d * e_i and absorbs each generator's
+    i-th entry by Euclid's algorithm on the pair; the remainders, zero in
+    coordinates up to i, carry on to the next row.
+    """
+    gens = [[x % d for x in c] for c in columns]
+    pivots = []
+    for i in range(4):
+        v = [d if k == i else 0 for k in range(4)]
+        rest = []
+        for w in gens:
+            while w[i]:
+                q = v[i] // w[i]
+                v, w = w, [(x - q * y) % d for x, y in zip(v, w)]
+            if any(w):
+                rest.append(w)
+        pivots.append(v)
+        gens = rest
+    for i in range(4):
+        g = pivots[i][i]
+        for k in range(i):
+            q = pivots[k][i] // g
+            if q:
+                pivots[k] = [x - q * y for x, y in zip(pivots[k], pivots[i])]
+    return intmat.transpose(pivots)
 
 
 def snf_divisors(m):
@@ -706,18 +740,18 @@ def test_hnf_mod_matches_rational_hnf(p):
     ]
     for gens in cases:
         expected = hnf_column_basis(list(gens) + torsion)
-        assert to_fraction(intmat.hnf_mod(gens, p)) == expected
+        assert to_fraction(intmat.hnf_mod_p(gens, p)) == expected
         # the kernel overlattice (gens + pZ^4) / p, as kernel_from_subspace builds it
         scaled = [tuple(Fraction(x, p) for x in c) for c in gens]
         scaled += list(to_fraction(intmat.identity()))
-        h = intmat.hnf_mod(gens, p)
+        h = intmat.hnf_mod_p(gens, p)
         assert tuple(tuple(Fraction(x, p) for x in r) for r in h) == hnf_column_basis(scaled)
 
 
 def test_hnf_mod_full_and_empty_subspace():
     for p in (3, 5, 7, 11, 13):
-        assert intmat.hnf_mod((), p) == scalar_mul(p, intmat.identity())
-        assert intmat.hnf_mod(tuple(intmat.identity()), p) == intmat.identity()
+        assert intmat.hnf_mod_p((), p) == scalar_mul(p, intmat.identity())
+        assert intmat.hnf_mod_p(tuple(intmat.identity()), p) == intmat.identity()
 
 
 def test_hnf_mod_with_composite_modulus():
@@ -731,7 +765,60 @@ def test_hnf_mod_with_composite_modulus():
         cols = intmat.transpose(m)
         torsion = [tuple(d if i == j else 0 for i in range(4)) for j in range(4)]
         expected = hnf_column_basis(list(cols) + torsion)
-        assert to_fraction(intmat.hnf_mod(cols, d)) == expected
+        assert to_fraction(reference_hnf_mod(cols, d)) == expected
+
+
+# the primes of the Hermite form modulo a prime: small ones, where every
+# residue recurs, and a machine-word and a past-word one
+HNF_PRIMES = [3, 5, 7, 11, 13, 65537, 2**61 - 1]
+
+
+@st.composite
+def prime_hermite_systems(draw):
+    """(columns, p): 0-6 generators of Z^4, some zero, some multiples of p,
+    some small combinations of earlier ones, entries of either sign and not
+    reduced mod p, so that every rank from 0 to 4 occurs."""
+    p = draw(st.sampled_from(HNF_PRIMES))
+    cols = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("entries", "zero", "multiple", "combination", "unit")))
+        if kind == "zero":
+            cols.append((0,) * 4)
+        elif kind == "multiple":
+            cols.append(tuple(p * draw(ENTRIES) for _ in range(4)))
+        elif kind == "combination" and cols:
+            u, v = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            cols.append(tuple(c * x + d * y for x, y in zip(u, v)))
+        elif kind == "unit":
+            j = draw(st.integers(0, 3))
+            cols.append(tuple(draw(st.integers(-2, 2)) * p + (k == j) for k in range(4)))
+        else:
+            cols.append(tuple(draw(ENTRIES) for _ in range(4)))
+    return tuple(cols), p
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(prime_hermite_systems())
+def test_hnf_mod_p_matches_the_euclid_reference(system):
+    cols, p = system
+    h = intmat.hnf_mod_p(cols, p)
+    assert h == reference_hnf_mod(cols, p)
+    # its unit diagonal entries count the rank of the generators mod p
+    rank = intmat.rank_mod_p(cols, p) if cols else 0
+    assert [h[i][i] for i in range(4)].count(1) == rank
+    assert {h[i][i] for i in range(4)} <= {1, p}
+
+
+def test_hnf_mod_p_on_full_dependent_and_negative_generators():
+    for p in HNF_PRIMES:
+        full = tuple(tuple(-p - 1 if i == j else 3 * p for i in range(4)) for j in range(4))
+        assert intmat.hnf_mod_p(full, p) == intmat.identity() == reference_hnf_mod(full, p)
+        u, v = (1, -2, p + 3, -1), (-p, p - 1, 5, 2 * p)
+        dependent = (u, v, tuple(2 * x - 3 * y for x, y in zip(u, v)), (0,) * 4)
+        h = intmat.hnf_mod_p(dependent, p)
+        assert h == reference_hnf_mod(dependent, p)
+        assert [h[i][i] for i in range(4)].count(1) == 2 == intmat.rank_mod_p(dependent, p)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from rmlattice.surface import (
 from rmlattice.generator import _raise_degree, generate_instance, random_unimodular
 from rmlattice.quadratic import SPLIT, prime_norm
 from rmlattice.surface import apply_unimodular
-from test_intmat_oracles import hnf_column_basis, inverse, to_fraction
+from test_intmat_oracles import hnf_column_basis, inverse, reference_hnf_mod, to_fraction
 
 
 def _exponent(kernel):
@@ -262,7 +262,7 @@ def test_quotient_functoriality():
     # (moved columns + Z^4) as the integer pair (HNF of den * it, den)
     den = lcm(*(Fraction(x).denominator for c in moved for x in c))
     scaled = [tuple(int(x * den) for x in c) for c in moved]
-    rest = KernelSubgroup(intmat.hnf_mod(scaled, den), den)
+    rest = KernelSubgroup(reference_hnf_mod(scaled, den), den)
     out2, reb2 = _descend_with_basis(mid, rest)
     direct, reb_direct = _descend_with_basis(tw, k2)
     combined = intmat.mat_mul(reb1, reb2)
