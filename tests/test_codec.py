@@ -375,7 +375,7 @@ def _with_big_kernel(cert, step: int, entries) -> CertificateData:
     steps = list(cert.steps)
     it = iter(entries)
     kernel = tuple(tuple(next(it) for _ in range(4)) for _ in range(4))
-    fields = dict(zip(IsogenyStep._fields, steps[step]._values()))
+    fields = {name: getattr(steps[step], name) for name in IsogenyStep._fields}
     steps[step] = IsogenyStep(**{**fields, "kernel_overlattice": kernel})
     return CertificateData(steps=tuple(steps), final=cert.final)
 
@@ -383,8 +383,8 @@ def _with_big_kernel(cert, step: int, entries) -> CertificateData:
 @pytest.mark.parametrize("limit", [None, 640])
 def test_rationals_past_2_53_and_the_digit_limit_round_trip(limit):
     _, cert = principalize(generate_instance(5, 3, [11], seed=42))
-    big = [2**53 - 1, 2**53, 2**53 + 1, 3**700, 10**700 + 1, 7**1200]
-    entries = [Fraction(n, d) for n in big[:4] for d in (1, 2**53 - 1, 2**53 + 7, 11**800)]
+    numerators = (2**53 - 1, 2**53, 3**700, 7**1200)
+    entries = [Fraction(n, d) for n in numerators for d in (1, 2**53 - 1, 2**53 + 7, 11**800)]
     entries = [-q if i % 3 else q for i, q in enumerate(entries)]
     cert = _with_big_kernel(cert, 1, entries)
     text = reference_serialize_certificate(cert)
