@@ -68,10 +68,9 @@ def cmd_generate(args) -> None:
 def cmd_principalize(args) -> None:
     surface = _instance(args.instance)
     result, certificate = principalize(surface)
-    text = serialize_instance(result)
-    _write(args.out, text)
+    _write(args.out, serialize_instance(result))
     if args.cert_out:
-        _write(args.cert_out, serialize_certificate(certificate, text))
+        _write(args.cert_out, serialize_certificate(certificate))
     print(
         f"principal surface written to {args.out}; degree "
         f"{int_text(degree(surface))} -> {int_text(degree(result))}, "

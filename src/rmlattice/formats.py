@@ -14,6 +14,12 @@ serialize(parse(serialize(x))) is byte-identical to serialize(x), and
 parse accepts no other text for x. A certificate's "seed" is always
 written as 0 and parsed only as 0; it is not kept.
 
+The writer renders each surface object once and keeps the text in its
+__dict__ beside pf, outside the fields that equality, hashing, pickle and
+copy see; so the -o instance and the certificate's final block share one
+render. Equal surfaces built apart each render, and the parser keeps no
+text, as its input need not be canonical.
+
 Every object holds exactly the keys the serializer writes, nulls included;
 a step's are the IsogenyStep fields of the table _STEP_FIELDS, which both
 directions loop over. An extra or missing key is a ValueError naming the
@@ -256,7 +262,11 @@ def _instance_from_obj(obj) -> PolarizedRMSurface:
 
 
 def serialize_instance(surface: PolarizedRMSurface) -> str:
-    return _instance_text(surface) + "\n"
+    """The surface's instance text, rendered once per object and kept."""
+    text = surface.__dict__.get("text")
+    if text is None:
+        text = surface.__dict__["text"] = _instance_text(surface) + "\n"
+    return text
 
 
 def parse_instance(text: str) -> PolarizedRMSurface:
@@ -295,14 +305,9 @@ _NULLABLE = frozenset(
 )
 
 
-def serialize_certificate(cert: CertificateData, instance_text: str | None = None) -> str:
-    """The certificate's text. Its `final` block is the final surface's
-    instance text indented by two spaces: instance_text, when the caller
-    has already written it by serialize_instance(cert.final), else that
-    text rendered here. No token holds a newline, so the indent is one
-    replace."""
-    if instance_text is None:
-        instance_text = serialize_instance(cert.final)
+def serialize_certificate(cert: CertificateData) -> str:
+    """The certificate's text. Its `final` block is serialize_instance(cert.final)
+    indented by two spaces, one replace, as no token holds a newline."""
     steps = [
         _object(
             [
@@ -317,7 +322,7 @@ def serialize_certificate(cert: CertificateData, instance_text: str | None = Non
         (
             ("seed", "0"),
             ("steps", _array(steps, "  ")),
-            ("final", instance_text[:-1].replace("\n", "\n  ")),
+            ("final", serialize_instance(cert.final)[:-1].replace("\n", "\n  ")),
         ),
         "",
     ) + "\n"

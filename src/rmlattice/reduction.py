@@ -224,11 +224,6 @@ def enlarge_order_step(
     twist_step = IsogenyStep(
         kind=TWIST, prime=p, alpha=(p3, 0), degree_before=deg, degree_after=twisted_deg
     )
-    if kernel.group_order != p ** (4 + t):
-        raise InvariantBreach(
-            f"enlargement kernel has order {int_text(kernel.group_order)}, "
-            f"expected {int_text(p ** (4 + t))}"
-        )
     try:
         action, gram, d = change_basis(surface, basis, p)
     except (DescentError, PreconditionError) as exc:

@@ -42,9 +42,10 @@ checks the minimal polynomial A^2 - tA + n = 0 from the one product A^2,
 and the symmetry A^T E = E A from the one product E A, which must be
 alternating; its verdict is kept on the surface the same way (the cached
 property `defect`), so the CLI and principalize check an input once.
-Nothing else is kept on a surface. Element actions x*I + y*A and the
-reorientation that swaps the last two basis vectors are written out
-rather than built from matrix products.
+The only other thing kept on a surface is its instance text, which
+formats.serialize_instance keeps as `text` the same way. Element actions
+x*I + y*A and the reorientation that swaps the last two basis vectors are
+written out rather than built from matrix products.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .quadratic import (
 
 
 class PolarizedRMSurface(Record):
-    # __dict__ holds the cached properties pf and defect, outside the fields
+    # __dict__ holds pf, defect and the kept instance text, outside the fields
     __slots__ = ("order", "action", "gram", "__dict__")
     _fields = ("order", "action", "gram")
 

@@ -178,6 +178,72 @@ def test_writer_matches_json_dumps_on_pipeline_certificates():
 
 
 # ---------------------------------------------------------------------------
+# the instance text kept on a surface
+# ---------------------------------------------------------------------------
+
+
+def _counting_renders(monkeypatch) -> list:
+    """The surfaces formats._instance_text renders from now on, in order."""
+    renders = []
+    real = formats._instance_text
+
+    def counting(s):
+        renders.append(s)
+        return real(s)
+
+    monkeypatch.setattr(formats, "_instance_text", counting)
+    return renders
+
+
+def test_the_library_path_renders_the_final_surface_once(monkeypatch):
+    result, report = principalize(generate_instance(5, 3**3 * 5, [11], 1))
+    assert report.final is result
+    renders = _counting_renders(monkeypatch)
+    text = serialize_instance(result)
+    cert = serialize_certificate(report)
+    assert len(renders) == 1 and renders[0] is result
+    assert cert.endswith('\n  "final": ' + text[:-1].replace("\n", "\n  ") + "\n}\n")
+    assert cert == reference_serialize_certificate(report)
+
+
+def test_a_kept_text_is_a_fresh_render_of_an_equal_surface(monkeypatch):
+    params = (13, 5 * 7, [3], 2)
+    kept = principalize(generate_instance(*params))[0]
+    text = serialize_instance(kept)
+    assert vars(kept)["text"] is text
+    twin = principalize(generate_instance(*params))[0]
+    assert twin == kept and twin is not kept and "text" not in vars(twin)
+    renders = _counting_renders(monkeypatch)
+    assert serialize_instance(twin) == text == reference_serialize_instance(twin)
+    assert serialize_instance(kept) is text
+    assert renders == [twin]
+
+
+def test_a_parsed_surface_renders_anew(monkeypatch):
+    s = generate_instance(5, 9, [11], 3)
+    canonical = serialize_instance(s)
+    # keys reordered and laid out with other whitespace: the parser accepts it
+    obj = json.loads(canonical)
+    loose = json.dumps(dict(reversed(list(obj.items()))), separators=(" ,", " : "))
+    renders = _counting_renders(monkeypatch)
+    for text in (canonical, loose):
+        back = parse_instance(text)
+        assert back == s and "text" not in vars(back)
+        assert serialize_instance(back) == canonical
+    assert len(renders) == 2
+
+
+def test_a_kept_text_is_outside_equality_hashing_and_repr():
+    s = generate_instance(5, 3, [11], 42)
+    bare = PolarizedRMSurface(s.order, s.action, s.gram)
+    serialize_instance(s)
+    assert "text" in vars(s) and "text" not in vars(bare)
+    assert s == bare and bare == s and not s != bare
+    assert hash(s) == hash(bare) and repr(s) == repr(bare)
+    assert len({s, bare}) == 1
+
+
+# ---------------------------------------------------------------------------
 # decimal text both ways
 # ---------------------------------------------------------------------------
 

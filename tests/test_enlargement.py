@@ -241,6 +241,33 @@ def test_an_enlargement_move_row_reduces_mod_p_once(monkeypatch):
         assert calls == [p] and quotient.t == 2
 
 
+def test_an_enlargement_move_takes_no_determinant_outside_change_basis(monkeypatch):
+    # the kernel's Hermite form has t unit and 4 - t diagonal entries p, so
+    # its order p^(4+t) needs no determinant once t is checked
+    outside, depth = [], []
+    real_det, real_change_basis = intmat.det, reduction.change_basis
+
+    def counting_det(m):
+        if not depth:
+            outside.append(m)
+        return real_det(m)
+
+    def inside_change_basis(*args):
+        depth.append(1)
+        try:
+            return real_change_basis(*args)
+        finally:
+            depth.pop()
+
+    s = generate_instance(13, 5 * 7 * 11, [3], 1)
+    monkeypatch.setattr(intmat, "det", counting_det)
+    monkeypatch.setattr(reduction, "change_basis", inside_change_basis)
+    for p in (5, 7, 11):
+        s, (_, quotient) = enlarge_order_step(s, p)
+        assert quotient.t == 2
+    assert outside == []
+
+
 def test_the_kernel_rational_cache_is_bounded():
     cache = surface._kernel_rational
     maxsize = cache.cache_info().maxsize

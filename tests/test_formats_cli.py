@@ -228,9 +228,10 @@ def test_cli_round_trip_with_entries_past_the_digit_limit(tmp_path, capsys):
     [(5, 3**10, [11], 1), (13, 5 * 7, [3], 2), (2, 1, [7, 17], 3)],
 )
 def test_cli_principalize_writes_the_in_process_texts(tmp_path, monkeypatch, D, f, primes, seed):
-    # f = 3^10 puts the entries past the default int/str digit limit; the
-    # CLI renders the final surface once and indents that text into the
-    # certificate's final block
+    # f = 3^10 puts the entries past the default int/str digit limit;
+    # serialize_instance keeps the final surface's text, and
+    # serialize_certificate indents that kept text into its final block, so
+    # the CLI renders the final surface once
     inst, out, cert = tmp_path / "inst.json", tmp_path / "out.json", tmp_path / "cert.json"
     inst.write_text(serialize_instance(generate_instance(D, f, primes, seed)))
     result, report = principalize(parse_instance(inst.read_text()))

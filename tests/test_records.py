@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmlattice.formats import serialize_instance
 from rmlattice.generator import generate_instance
 from rmlattice.isogeny import IsogenyStep
 from rmlattice.quadratic import OrderElement, RealQuadraticOrder, make_order
@@ -254,6 +255,17 @@ def test_the_cached_pfaffian_is_not_part_of_the_pickled_value():
     for clone in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
         assert clone == s and vars(clone) == {}
         assert clone.pf == 3
+
+
+def test_the_kept_instance_text_is_not_part_of_the_pickled_or_copied_value():
+    s = principalize(generate_instance(5, 3, [11], 42))[0]
+    bare = PolarizedRMSurface(s.order, s.action, s.gram)
+    text = serialize_instance(s)
+    assert vars(s)["text"] is text
+    assert pickle.dumps(s) == pickle.dumps(bare)
+    for clone in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert clone == s and clone is not s and "text" not in vars(clone)
+        assert serialize_instance(clone) == text
 
 
 def test_a_pipeline_certificate_survives_pickle_and_deepcopy():

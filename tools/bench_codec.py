@@ -4,29 +4,36 @@ big integers both ways.
     python3 tools/bench_codec.py
 
 Adds this checkout's run to BENCH_codec.json at the repository root,
-replacing an earlier run of the same code (same src digest). A run holds:
+replacing an earlier run of the same code (same src digest) under the same
+int/str digit limit. A run holds:
 
 - per workload (pool, conductor, numtheory; the first pass of seed 1, as
   perfbench/workloads.py builds it): microseconds per chain to serialize
   the principal instance and the certificate, and to parse the certificate
   and the input instance, with a digest of every text written, which is
-  equal across runs whose writers agree byte for byte;
+  equal across runs whose writers agree byte for byte. The writer keeps
+  each surface's text, so the instance and the certificate's final block
+  share one render, and each run serializes fresh copies of the principal
+  surfaces, made outside the timed call;
 - arith.int_text and arith._text_int in seconds on random integers of
   150k, 840k and 3.6M bits, with the log-log slope fitted over them.
 
 Every time is the median of RUNS runs, each scaled by the host_ms()
 readings around it (tools/benchlib.py); the run records the median reading
 as host_ms. Runs without host_ms were timed unscaled. The run records the
-Python version, the commit (with "-dirty" when src/ differs from it) and a
-digest of src/rmlattice/*.py.
+Python version, the commit (with "-dirty" when src/ differs from it), a
+digest of src/rmlattice/*.py and the interpreter's int/str digit limit as
+int_max_str_digits (0 when it is off, or on a Python without one).
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import random
 import statistics
+import sys
 
 from benchlib import ROOT, HostClock, add_run, identity
 
@@ -35,7 +42,7 @@ import workloads
 from rmlattice import arith, formats
 from rmlattice.errors import PreconditionError
 from rmlattice.generator import generate_instance
-from rmlattice.reduction import principalize
+from rmlattice.reduction import CertificateData, principalize
 
 RUNS = 5
 SEED = 1
@@ -45,8 +52,14 @@ OUT = ROOT / "BENCH_codec.json"
 CLOCK = HostClock()
 
 
-def _median_s(fn) -> float:
-    return statistics.median(CLOCK.seconds(fn) for _ in range(RUNS))
+def _median_s(fn, fresh=lambda: ()) -> float:
+    """The median of RUNS scaled times of fn(*fresh()), each fresh() called
+    before its timing starts."""
+    times = []
+    for _ in range(RUNS):
+        args = fresh()
+        times.append(CLOCK.seconds(lambda: fn(*args)))
+    return statistics.median(times)
 
 
 def codec_point(workload: str) -> dict:
@@ -69,9 +82,20 @@ def codec_point(workload: str) -> dict:
         digest.update(cert_text.encode())
         digest.update(inst_text.encode())
 
-    def serialize():
-        for result, cert, _, _ in chains:
-            formats.serialize_instance(result)
+    def fresh() -> tuple[list]:
+        # the writer has kept the text on each result above; a copy keeps
+        # none, and the certificate on it refers to it as principalize's does
+        certs = [
+            CertificateData(steps=cert.steps, final=copy.copy(result))
+            for result, cert, _, _ in chains
+        ]
+        if any("text" in vars(cert.final) for cert in certs):
+            raise SystemExit("a copied surface holds its instance text")
+        return (certs,)
+
+    def serialize(certs):
+        for cert in certs:
+            formats.serialize_instance(cert.final)
             formats.serialize_certificate(cert)
 
     def parse():
@@ -82,7 +106,7 @@ def codec_point(workload: str) -> dict:
     n = len(chains)
     return {
         "chains": n,
-        "serialize_us_per_chain": round(_median_s(serialize) * 1e6 / n, 1),
+        "serialize_us_per_chain": round(_median_s(serialize, fresh) * 1e6 / n, 1),
         "parse_us_per_chain": round(_median_s(parse) * 1e6 / n, 1),
         "output_sha256": digest.hexdigest(),
     }
@@ -117,12 +141,13 @@ def digits_points() -> dict:
 def main() -> None:
     run = {
         **identity(),
+        "int_max_str_digits": getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         "runs_per_point": RUNS,
         "codec": {w: codec_point(w) for w in WORKLOADS},
         "digits": digits_points(),
     }
     run["host_ms"] = CLOCK.median_host_ms()
-    add_run(OUT, run, ("src_sha256",))
+    add_run(OUT, run, ("src_sha256", "int_max_str_digits"))
 
 
 if __name__ == "__main__":
