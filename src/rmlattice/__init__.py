@@ -14,7 +14,7 @@ from .quadratic import (
     bezout_conductor,
     factor_prime,
     fundamental_unit,
-    humbert_nonempty,
+    humbert_holds,
     make_order,
     solve_norm,
     splitting_type,
@@ -66,7 +66,7 @@ __all__ = [
     "enlarge_order_step",
     "factor_prime",
     "fundamental_unit",
-    "humbert_nonempty",
+    "humbert_holds",
     "make_order",
     "principalize",
     "reduce_degree_step",

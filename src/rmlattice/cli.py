@@ -22,7 +22,7 @@ from .formats import (
 from .generator import generate_instance
 from .intmat import alternating_divisors
 from .oracle import verify_certificate
-from .quadratic import DIVIDES_CONDUCTOR, _humbert_holds, splitting_type
+from .quadratic import DIVIDES_CONDUCTOR, humbert_holds, splitting_type
 from .reduction import principalize
 from .surface import degree, stabilizer_order, validate
 
@@ -106,7 +106,7 @@ def cmd_info(args) -> None:
             kind = splitting_type(surface.order, q)
             label = "divides conductor" if kind == DIVIDES_CONDUCTOR else kind
             lines.append(f"{int_text(q)}: {label}")
-    hum = _humbert_holds(surface.order.discriminant, factors)
+    hum = humbert_holds(surface.order.discriminant, factors)
     lines.append(f"humbert: {'true' if hum else 'false'}")
     print("\n".join(lines))
 

@@ -10,6 +10,7 @@ presentation without touching any invariant.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import partial
 
 from . import intmat
@@ -18,7 +19,7 @@ from .errors import InvariantBreach, PreconditionError
 from .quadratic import (
     SPLIT,
     factor_prime,
-    humbert_nonempty,
+    humbert_holds,
     make_order,
     prime_norm,
     splitting_type,
@@ -85,10 +86,11 @@ def generate_instance(
         raise InvariantBreach(f"generated instance invalid: {msg}")
     if stabilizer_order(surface).conductor != conductor:
         raise InvariantBreach("generated instance lost its acting order")
-    if not humbert_nonempty(order.discriminant, surface.pf):
-        # Happens for a repeated ramified prime, whose two twists compose to
-        # a scalar: the resulting polarization type fails the Humbert
-        # congruence, so no such surface exists and the request is refused.
+    # Each move multiplies |pf| by its prime and the scramble only flips its
+    # sign, so the requested primes are the factorization of |pf|. The test
+    # fails for a repeated ramified prime, whose two twists compose to a
+    # scalar: no surface of that polarization type exists, so it is refused.
+    if not humbert_holds(order.discriminant, Counter(primes)):
         raise PreconditionError(
             "requested degree profile fails the Humbert congruence "
             f"(discriminant {int_text(order.discriminant)}, pfaffian {int_text(surface.pf)})"

@@ -164,7 +164,7 @@ def verify_certificate(
     limit hit there is no verdict on the certificate. Returns (ok,
     message); a rejection names the first step index where the two
     records part and, where both have a step there, the first differing
-    field.
+    field, or else the first differing field of the final surface.
     """
     try:
         reached, derived = principalize(start)
@@ -173,7 +173,7 @@ def verify_certificate(
     recorded = certificate.steps
     for i, (rec, der) in enumerate(zip(recorded, derived.steps)):
         if rec != der:
-            name = next(n for n in rec._fields if getattr(rec, n) != getattr(der, n))
+            name = _first_difference(rec, der)
             return False, (
                 f"step {i} ({rec.kind} at {int_text(rec.prime)}): "
                 f"{name}={_show(getattr(rec, name))} recorded, "
@@ -192,17 +192,15 @@ def verify_certificate(
             f"step {n} ({rec.kind} at {int_text(rec.prime)}): recorded past the "
             "replay's last step"
         )
-    final = certificate.final
-    if (reached.order.D, reached.order.conductor) != (
-        final.order.D,
-        final.order.conductor,
-    ):
-        return False, "final order does not match the replayed order"
-    if reached.action != final.action:
-        return False, "final action matrix does not match the replay"
-    if reached.gram != final.gram:
-        return False, "final gram matrix does not match the replay"
+    if reached != certificate.final:
+        name = _first_difference(certificate.final, reached)
+        return False, f"final {name} does not match the replay"
     return True, "certificate replays to an identical surface"
+
+
+def _first_difference(a, b) -> str:
+    """The first field in which two unequal records of one class differ."""
+    return next(n for n in a._fields if getattr(a, n) != getattr(b, n))
 
 
 def _show(value) -> str:

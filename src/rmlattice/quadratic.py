@@ -699,17 +699,10 @@ def bezout_conductor(
     return b1, b2
 
 
-def humbert_nonempty(disc: int, d: int) -> bool:
-    """Whether disc is a square modulo 4d (0 counts as a square)."""
-    if disc <= 0 or disc % 4 not in (0, 1):
-        raise PreconditionError(f"invalid discriminant {int_text(disc)}")
-    if d < 1:
-        raise PreconditionError(f"invalid degree root {int_text(d)}")
-    return _humbert_holds(disc, factorize(d))
-
-
-def _humbert_holds(disc: int, factors: dict[int, int]) -> bool:
-    """humbert_nonempty(disc, d) from the factorization of d.
+def humbert_holds(disc: int, factors: dict[int, int]) -> bool:
+    """Whether disc is a square modulo 4d (0 counts as a square), given the
+    factorization {q: e} of d >= 1. Callers pass the factorization they
+    hold, so nothing here factors d.
 
     Decided prime by prime on the factorization of 4d, by the Chinese
     remainder theorem: x^2 = disc has a root modulo q^e iff q^e | disc, or
@@ -717,6 +710,8 @@ def _humbert_holds(disc: int, factors: dict[int, int]) -> bool:
     q^(e-v). For odd q that is the Legendre symbol (r/q) = 1, by Hensel
     lifting; for q = 2 it is r = 1 modulo 2^min(3, e-v).
     """
+    if disc <= 0 or disc % 4 not in (0, 1):
+        raise PreconditionError(f"invalid discriminant {int_text(disc)}")
     for q, e in {**factors, 2: factors.get(2, 0) + 2}.items():
         v, r = 0, disc
         while v < e and r % q == 0:

@@ -19,7 +19,7 @@ from rmlattice import (
     descend_polarization,
     eigen_sublattice_pullback,
     factor_prime,
-    humbert_nonempty,
+    humbert_holds,
     make_order,
     principalize,
     solve_norm,
@@ -29,6 +29,7 @@ from rmlattice import (
     twist_by_element,
 )
 from rmlattice import intmat
+from rmlattice.arith import factorize
 from rmlattice.formats import (
     parse_certificate,
     parse_instance,
@@ -401,13 +402,13 @@ def test_criterion_7_humbert_consistency(corpus):
             surface = run["input"]
             pf = intmat.pfaffian4(surface.gram)
             assert pf > 0
-            assert humbert_nonempty(surface.order.discriminant, pf)
+            assert humbert_holds(surface.order.discriminant, factorize(pf))
         for disc in range(1, 201):
             if disc % 4 not in (0, 1):
                 continue
             for d in range(1, 21):
                 expected = any((x * x - disc) % (4 * d) == 0 for x in range(4 * d))
-                assert humbert_nonempty(disc, d) is expected
+                assert humbert_holds(disc, factorize(d)) is expected
 
 
 def _integer_paths(node, path=()):

@@ -15,12 +15,14 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from rmlattice import (
+    degree,
     eigen_sublattice_pullback,
     enlarge_order_step,
     make_order,
     principalize,
     standard_instance,
     twist_by_element,
+    validate,
 )
 from rmlattice import InvariantBreach, arith, cli, formats, intmat, quadratic
 from rmlattice.arith import int_text
@@ -38,7 +40,6 @@ from rmlattice.formats import (
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import IsogenyStep
 from rmlattice.oracle import verify_certificate
-from rmlattice.quadratic import factor_prime
 from rmlattice.surface import apply_unimodular
 
 
@@ -534,10 +535,7 @@ def test_cli_info_refuses_a_pfaffian_rho_cannot_factor_before_printing(
     # principalize exits 2; it factors before it prints, so it prints
     # nothing and refuses with principalize's line. A small rho budget takes
     # the same exits as the real one.
-    s = standard_instance(make_order(5, 1))
-    for p in (10000000000000061, 10000000000000069):
-        el = factor_prime(s.order, p)[0]
-        s = twist_by_element(s, el, norm=el.norm())
+    s = generate_instance(5, 1, [10000000000000061, 10000000000000069], seed=1)
     inst = tmp_path / "inst.json"
     inst.write_text(serialize_instance(s), encoding="utf-8")
     monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
@@ -553,10 +551,7 @@ def test_cli_verify_exits_2_on_a_limit_hit_in_the_replay(tmp_path, capsys, monke
     # rho cannot factor stops it where principalize stops, with exit 2 and
     # the same line, whatever the certificate holds. verify once printed
     # "error: replay aborted: cannot factor ..." and exited 1.
-    s = standard_instance(make_order(5, 1))
-    for p in (10000000000000061, 10000000000000069):
-        el = factor_prime(s.order, p)[0]
-        s = twist_by_element(s, el, norm=el.norm())
+    s = generate_instance(5, 1, [10000000000000061, 10000000000000069], seed=1)
     inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
     inst.write_text(serialize_instance(s), encoding="utf-8")
     seed = generate_instance(5, 3, [11], seed=42)
@@ -567,6 +562,23 @@ def test_cli_verify_exits_2_on_a_limit_hit_in_the_replay(tmp_path, capsys, monke
     assert refusal.err.startswith(f"error: cannot factor {abs(s.pf)}: ")
     assert main(["verify", str(inst), str(cert)]) == 2
     assert capsys.readouterr() == ("", refusal.err)
+
+
+def test_cli_generate_takes_the_pfaffian_factorization_from_its_primes(
+    tmp_path, capsys, monkeypatch
+):
+    # rho cannot split this pfaffian, and generate needs not to: the
+    # requested primes are its factorization
+    p, q = 10000000000000061, 10000000000000069
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+    inst = tmp_path / "inst.json"
+    code = main([
+        "generate", "--D", "5", "--degree-primes", f"{p},{q}", "--seed", "1", "-o", str(inst),
+    ])
+    assert (code, capsys.readouterr().err) == (0, "")
+    s = parse_instance(inst.read_text(encoding="utf-8"))
+    assert validate(s) is None
+    assert degree(s) == (p * q) ** 2
 
 
 def test_cli_refuses_a_field_whose_reduced_form_walk_passes_its_budget(

@@ -1,7 +1,7 @@
 """The number theory in quadratic.py and arith.py against slow references.
 
 The scans below are the value-linear algorithms that fundamental_unit,
-solve_norm and humbert_nonempty replaced, kept verbatim apart from their
+solve_norm and humbert_holds replaced, kept verbatim apart from their
 names (and the walk calling the old unit scan) as test-only references,
 with the exact real-embedding test embeds_above_one that the unit scan
 needs. box_solve_norm is the norm-equation box scan that the cycle of
@@ -52,7 +52,7 @@ from rmlattice.quadratic import (
     bezout_conductor,
     factor_prime,
     fundamental_unit,
-    humbert_nonempty,
+    humbert_holds,
     ideal_generator,
     make_order,
     solve_norm,
@@ -681,14 +681,15 @@ def test_humbert_matches_scan_on_grid():
     for disc in range(1, 200):
         if disc % 4 in (0, 1):
             for d in range(1, 100):
-                assert humbert_nonempty(disc, d) == scan_humbert_nonempty(disc, d), (disc, d)
+                expected = scan_humbert_nonempty(disc, d)
+                assert humbert_holds(disc, factorize(d)) == expected, (disc, d)
 
 
 @ORACLE
 @given(st.integers(1, 10**5), st.integers(1, 3000))
 def test_humbert_matches_scan_on_random_pairs(k, d):
     disc = 4 * k if k % 2 else 4 * k + 1  # both residues of a discriminant
-    assert humbert_nonempty(disc, d) == scan_humbert_nonempty(disc, d)
+    assert humbert_holds(disc, factorize(d)) == scan_humbert_nonempty(disc, d)
 
 
 def test_humbert_with_a_large_degree_root_returns():
@@ -696,7 +697,7 @@ def test_humbert_with_a_large_degree_root_returns():
     q = nextprime(10**12)
     for disc in (45, 60, 4 * 10**12 + 1):
         expected = scan_humbert_nonempty(disc, 9) and is_quad_residue(disc, q)
-        assert humbert_nonempty(disc, 9 * q) == expected, disc
+        assert humbert_holds(disc, factorize(9 * q)) == expected, disc
 
 
 # ---------------------------------------------------------------------------

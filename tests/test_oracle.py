@@ -95,6 +95,16 @@ def test_verify_rejects_tampering():
     ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
     assert not ok and "final" in msg
 
+    # the final order, as another valid field, and the final action
+    obj = json.loads(text)
+    obj["final"]["order"]["D"] = 13
+    ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
+    assert (ok, msg) == (False, "final order does not match the replay")
+    obj = json.loads(text)
+    obj["final"]["omega_action"][0][0] += 1
+    ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
+    assert (ok, msg) == (False, "final action does not match the replay")
+
     # a degree in the middle of the ledger
     obj = json.loads(text)
     obj["steps"][1]["degree_after"] += 11

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,15 +15,15 @@ from rmlattice import (
     enlarge_order_step,
     factor_prime,
     fundamental_unit,
-    humbert_nonempty,
+    humbert_holds,
     make_order,
     principalize,
     solve_norm,
     splitting_type,
     standard_instance,
 )
-from rmlattice import quadratic
-from rmlattice.arith import int_text
+from rmlattice import arith, quadratic
+from rmlattice.arith import factorize, int_text
 from rmlattice.generator import generate_instance
 from rmlattice.oracle import check_symmetric_rank_even, verify_certificate
 from rmlattice.quadratic import OrderElement
@@ -437,8 +438,7 @@ def test_refusals_print_integers_past_the_digit_limit():
             lambda: solve_norm(make_order(5, 3**10000), 3),
             f"3 divides the conductor {int_text(3**10000)}",
         ),
-        (lambda: humbert_nonempty(-big, 1), f"invalid discriminant {int_text(-big)}"),
-        (lambda: humbert_nonempty(5, -big), f"invalid degree root {int_text(-big)}"),
+        (lambda: humbert_holds(-big, factorize(1)), f"invalid discriminant {int_text(-big)}"),
     )
     for refusal, message in refusals:
         with pytest.raises(PreconditionError) as info:
@@ -521,10 +521,53 @@ def test_bezout_identity_across_orders():
 
 @pytest.mark.parametrize("disc,d,expected", [(5, 1, True), (5, 2, False), (8, 2, True)])
 def test_humbert_examples(disc, d, expected):
-    assert humbert_nonempty(disc, d) is expected
+    assert humbert_holds(disc, factorize(d)) is expected
 
 
 def test_humbert_rejects_bad_discriminants():
     for disc in (-4, 0, 3, 6):
         with pytest.raises(PreconditionError):
-            humbert_nonempty(disc, 1)
+            humbert_holds(disc, factorize(1))
+
+
+def test_the_requested_primes_factor_the_generated_pfaffian():
+    # generate decides the Humbert congruence on Counter(primes): each twist
+    # or pull-back multiplies |pf| by its prime, repeats included
+    rng = random.Random(7)
+    checked = 0
+    for D, f in ((5, 1), (5, 3), (13, 1), (13, 7), (17, 1), (21, 1), (29, 9)):
+        maximal = make_order(D, 1)
+        eligible = [p for p in (3, 5, 7, 11, 13, 17, 19, 29) if f % p and factor_prime(maximal, p)]
+        for seed in range(6):
+            primes = [rng.choice(eligible) for _ in range(rng.randrange(4))]
+            try:
+                s = generate_instance(D, f, primes, seed)
+            except PreconditionError:
+                continue
+            assert factorize(abs(s.pf)) == Counter(primes), (D, f, primes, seed)
+            checked += 1
+    assert checked >= 30
+
+
+def test_generate_does_not_factor_its_pfaffian(monkeypatch):
+    calls = []
+    real = arith.factorize
+
+    def recording(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(quadratic, "factorize", recording)
+    monkeypatch.setattr(arith, "factorize", recording)
+    s = generate_instance(5, 1, [11, 19, 29], seed=1)
+    assert abs(s.pf) == 11 * 19 * 29
+    assert abs(s.pf) not in calls
+
+
+def test_generate_refuses_a_profile_that_fails_the_humbert_congruence():
+    # two twists at the ramified prime 5 compose to the scalar 5
+    with pytest.raises(PreconditionError) as info:
+        generate_instance(5, 1, [5, 5], seed=0)
+    assert str(info.value) == (
+        "requested degree profile fails the Humbert congruence (discriminant 5, pfaffian 25)"
+    )

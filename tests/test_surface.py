@@ -15,7 +15,7 @@ from rmlattice import (
     degree,
     eigen_sublattice_pullback,
     element_action,
-    humbert_nonempty,
+    humbert_holds,
     make_order,
     solve_norm,
     splitting_type,
@@ -25,6 +25,7 @@ from rmlattice import (
     validate,
 )
 from rmlattice import intmat
+from rmlattice.arith import factorize
 from rmlattice.generator import random_unimodular
 from rmlattice.surface import (
     KernelSubgroup,
@@ -289,7 +290,7 @@ def test_generated_instances_satisfy_humbert():
         el = solve_norm(s.order, 11) if splitting_type(s.order, 11) != "inert" else None
         if el is not None:
             s = twist_by_element(s, el, norm=el.norm())
-        assert humbert_nonempty(s.order.discriminant, s.pf)
+        assert humbert_holds(s.order.discriminant, factorize(s.pf))
 
 
 def test_degree_is_pfaffian_squared_both_ways():
