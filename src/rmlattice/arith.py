@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import gcd
 
@@ -51,7 +52,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=4096, typed=True)
 def require_odd_prime(p: int) -> None:
+    """Refuse p unless it is an odd prime. A bounded process-wide cache
+    proves each prime once; a refusal raises and is not kept."""
     if p == 2 or not is_prime(p):
         raise PreconditionError(f"{int_text(p)} is not an odd prime")
 

@@ -692,7 +692,7 @@ def test_cli_principalize_exit_codes(tmp_path):
     ]) == 2  # even degree now
 
 
-def test_cli_verify_exit_codes(tmp_path):
+def test_cli_verify_exit_codes(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     out = tmp_path / "out.json"
     cert = tmp_path / "cert.json"
@@ -705,6 +705,22 @@ def test_cli_verify_exit_codes(tmp_path):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["verify", str(inst), str(tampered)]) == 1
+    obj = json.loads(cert.read_text(encoding="utf-8"))
+    obj["steps"].reverse()
+    tampered.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(tampered)]) == 1
+    assert capsys.readouterr().err == (
+        "error: step 0 (divide_by_alpha at 17): kind=divide_by_alpha recorded, "
+        "replay derives kind=twist\n"
+    )
+    obj = json.loads(cert.read_text(encoding="utf-8"))
+    obj["seed"] = 1
+    tampered.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", str(inst), str(tampered)]) == 1
+    assert capsys.readouterr().err == (
+        "error: seed is 1; the deterministic pipeline always writes seed 0\n"
+    )
     other = tmp_path / "other.json"
     main(["generate", "--D", "13", "--conductor", "9", "--degree-primes", "17",
           "--seed", "4", "-o", str(other)])
@@ -885,10 +901,16 @@ def test_a_fresh_cli_principalize_writes_what_warm_caches_write(tmp_path):
     assert parse_certificate((tmp_path / "cold.json").read_text(encoding="utf-8")).steps
 
 
-def test_cli_info_parse_failure(tmp_path):
+def test_cli_info_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[]", encoding="utf-8")
     assert main(["info", str(bad)]) == 1
+    obj = json.loads(serialize_instance(generate_instance(5, 3, [11], seed=4)))
+    obj["format_version"] = True
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["info", str(bad)]) == 1
+    assert capsys.readouterr() == ("", "error: expected an integer, got a boolean\n")
 
 
 def test_cli_generate_rejects_malformed_prime_list(tmp_path):

@@ -18,9 +18,11 @@ from rmlattice import (
     humbert_holds,
     make_order,
     principalize,
+    reduce_degree_step,
     solve_norm,
     splitting_type,
     standard_instance,
+    twist_by_element,
 )
 from rmlattice import arith, quadratic
 from rmlattice.arith import factorize, int_text
@@ -420,11 +422,37 @@ def test_odd_prime_checks_share_one_message():
         lambda p: check_symmetric_rank_even(p, 1),
         lambda p: enlarge_order_step(standard_instance(make_order(5, 3)), p),
     )
+    kept = arith.require_odd_prime.cache_info().currsize
     for p in (2, 9, 10**5000):
         for check in checks:
-            with pytest.raises(PreconditionError) as info:
-                check(p)
-            assert str(info.value) == f"{int_text(p)} is not an odd prime"
+            for _ in range(2):  # a refusal is not kept, so it repeats
+                with pytest.raises(PreconditionError) as info:
+                    check(p)
+                assert str(info.value) == f"{int_text(p)} is not an odd prime"
+    assert arith.require_odd_prime.cache_info().currsize == kept
+
+
+def test_each_prime_is_proven_once(monkeypatch):
+    tested = Counter()
+    real = arith.is_prime
+
+    def counting(n):
+        tested[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    s = standard_instance(make_order(5, 1))
+    el = factor_prime(s.order, 11)[0]
+    twisted = twist_by_element(s, el, norm=el.norm())
+    arith.require_odd_prime.cache_clear()
+    tested.clear()
+    reduce_degree_step(twisted, 11)
+    assert tested == {11: 1}
+    instance = generate_instance(5, 1, [11, 19, 29], seed=1)
+    arith.require_odd_prime.cache_clear()
+    tested.clear()
+    principalize(instance)
+    assert tested == {11: 1, 19: 1, 29: 1}
 
 
 def test_refusals_print_integers_past_the_digit_limit():
