@@ -21,17 +21,26 @@ render. Equal surfaces built apart each render, and the parser keeps no
 text, as its input need not be canonical.
 
 Every object holds exactly the keys the serializer writes, nulls included;
-a step's are the IsogenyStep fields of the table _STEP_FIELDS, which both
-directions loop over. An extra or missing key is a ValueError naming the
-object, and so is a key that appears twice in one object. Text nested too
-deeply for the JSON decoder is a ValueError too, not a RecursionError.
+a step's are the IsogenyStep fields of the table _STEP_FIELDS, the one place
+that names them, with each field's writer and reader. An extra or missing key
+is a ValueError naming the object, and so is a key that appears twice in one
+object. Text nested too deeply for the JSON decoder is a ValueError too, not
+a RecursionError.
+
+A step is written as one %-format of a template built from the table's keys,
+and its kernel as one of a 16-slot template. A kernel entry whose parts are
+below 2^53 is written with one %-format, and its token is kept in a bounded
+memo keyed by the id of its Fraction, whose entries keep their objects
+alive; so a shared entry written before costs one dict lookup.
+A step is read with one comparison of its keys against the table's, and
+built from its field values without a keyword dict.
 
 A kernel entry's text is read through one bounded process-wide lru_cache
-(_shared_rational): on a miss it runs the full canonical check, and it
-returns the one Fraction object of that value (surface.shared_fraction)
-that the pipeline and replay use, so replay compares recorded and derived
-entries by identity. The writer formats a rational whose parts are below
-2^53 with one %-format.
+(_shared_rational), mapped over each row as it stands: on a miss it runs the
+full canonical check, and it returns the one Fraction object of that value
+(surface.shared_fraction) that the pipeline and replay use, so replay
+compares recorded and derived entries by identity. An entry the cache cannot
+hash is refused by the per-entry check.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring
 
 from .arith import _text_int, int_text, rational_text
@@ -63,13 +73,6 @@ _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def _int_token(v: int) -> str:
     return repr(v) if -_BIG < v < _BIG else '"' + int_text(v) + '"'
-
-
-def _rational_token(q: Fraction) -> str:
-    n, d = q.numerator, q.denominator
-    if -_BIG < n < _BIG and d < _BIG:
-        return '"%d"' % n if d == 1 else '"%d/%d"' % (n, d)
-    return '"' + rational_text(q) + '"'
 
 
 def _array(tokens, pad: str) -> str:
@@ -152,12 +155,6 @@ def _shared_rational(text: str) -> Fraction:
     return shared_fraction(value.numerator, value.denominator)
 
 
-def _read_rational(x) -> Fraction:
-    # only a str reaches the cache: an unhashable entry would raise TypeError
-    # there, and any other one is refused by _decode_rational
-    return _shared_rational(x) if type(x) is str else _decode_rational(x)
-
-
 def _decode_str(v) -> str:
     if not isinstance(v, str):
         raise ValueError(f"expected a string, got {type(v).__name__}")
@@ -172,7 +169,18 @@ def _decode_matrix(obj, entry) -> tuple:
         or [*map(len, obj)] != [4] * 4
     ):
         raise ValueError("matrix must be a 4x4 array")
-    return tuple(tuple(map(entry, row)) for row in obj)
+    return tuple([tuple(map(entry, row)) for row in obj])
+
+
+def _decode_kernel(obj) -> tuple:
+    """A kernel matrix, each entry the _shared_rational of its text. The
+    cache is mapped over the rows as it stands, so a hit runs no Python
+    code; an entry that is not hashable raises TypeError there, and the
+    rows are read again by _decode_rational to refuse it."""
+    try:
+        return _decode_matrix(obj, _shared_rational)
+    except TypeError:
+        return _decode_matrix(obj, _decode_rational)
 
 
 def _decode_alpha(obj) -> tuple[int, int]:
@@ -280,6 +288,39 @@ def parse_instance(text: str) -> PolarizedRMSurface:
 # A step's fields sit three levels deep: certificate, steps, step.
 _STEP_PAD = " " * 6
 
+# The token of each small kernel entry written lately, by the id of its
+# Fraction: kernels share one object per value (shared_fraction), so an entry
+# written before costs one dict lookup. Each entry holds its object, so while
+# the entry stands no other object can have its id; the memo is emptied when
+# it reaches _TOKENS_MAX entries, and an object that later takes a freed id
+# finds no entry.
+_TOKENS: dict[int, tuple[str, Fraction]] = {}
+_TOKENS_MAX = 4096
+_TOKEN = itemgetter(0)
+_KERNEL_TEXT = _matrix([["%s"] * 4] * 4, str, _STEP_PAD)
+
+
+def _rational_token(q: Fraction) -> str:
+    entry = _TOKENS.get(id(q))
+    if entry is not None:
+        return entry[0]
+    n, d = q.numerator, q.denominator
+    if not (-_BIG < n < _BIG and d < _BIG):
+        return '"' + rational_text(q) + '"'
+    token = '"%d"' % n if d == 1 else '"%d/%d"' % (n, d)
+    if len(_TOKENS) >= _TOKENS_MAX:
+        _TOKENS.clear()
+    _TOKENS[id(q)] = (token, q)
+    return token
+
+
+def _kernel_text(m) -> str:
+    entries = (*m[0], *m[1], *m[2], *m[3])
+    hits = (*map(_TOKENS.get, map(id, entries)),)
+    if None in hits:
+        return _KERNEL_TEXT % (*map(_rational_token, entries),)
+    return _KERNEL_TEXT % (*map(_TOKEN, hits),)
+
 
 # Each IsogenyStep field in the order of IsogenyStep._fields, with the
 # writer of its non-null value as JSON text and its reader; a field whose
@@ -288,11 +329,7 @@ _STEP_PAD = " " * 6
 _STEP_FIELDS = (
     ("kind", encode_basestring, _decode_str),
     ("prime", _int_token, _decode_int),
-    (
-        "kernel_overlattice",
-        lambda m: _matrix(m, _rational_token, _STEP_PAD),
-        lambda m: _decode_matrix(m, _read_rational),
-    ),
+    ("kernel_overlattice", _kernel_text, _decode_kernel),
     ("alpha", lambda alpha: _array(map(_int_token, alpha), _STEP_PAD), _decode_alpha),
     ("degree_before", _int_token, _decode_int),
     ("degree_after", _int_token, _decode_int),
@@ -300,28 +337,45 @@ _STEP_FIELDS = (
     ("branch", encode_basestring, _decode_str),
 )
 _STEP_KEYS = tuple(name for name, _, _ in _STEP_FIELDS)
-_NULLABLE = frozenset(
-    name for name, default in IsogenyStep.__init__.__kwdefaults__.items() if default is None
+_STEP_KEY_SET = frozenset(_STEP_KEYS)
+_STEP_TEXT = _object([(name, "%s") for name in _STEP_KEYS], "    ")
+_STEP_VALUES = attrgetter(*_STEP_KEYS)
+_STEP_ITEMS = itemgetter(*_STEP_KEYS)
+_STEP_WRITERS = tuple(write for _, write, _ in _STEP_FIELDS)
+# (reader, nullable) per field: a field with a default, which is always None,
+# reads null as None
+_STEP_READERS = tuple(
+    (read, name in IsogenyStep.__init__.__kwdefaults__) for name, _, read in _STEP_FIELDS
 )
+
+
+def _step_text(s: IsogenyStep) -> str:
+    return _STEP_TEXT % tuple(
+        ["null" if v is None else write(v) for write, v in zip(_STEP_WRITERS, _STEP_VALUES(s))]
+    )
+
+
+def _step_from_obj(obj, i: int) -> IsogenyStep:
+    if not isinstance(obj, dict) or obj.keys() != _STEP_KEY_SET:
+        _values(obj, f"step {i}", _STEP_KEYS)  # raises, naming the keys
+    # built from its field values as pickle rebuilds a Record
+    step = object.__new__(IsogenyStep)
+    step.__setstate__(
+        [
+            None if v is None and nullable else read(v)
+            for (read, nullable), v in zip(_STEP_READERS, _STEP_ITEMS(obj))
+        ]
+    )
+    return step
 
 
 def serialize_certificate(cert: CertificateData) -> str:
     """The certificate's text. Its `final` block is serialize_instance(cert.final)
     indented by two spaces, one replace, as no token holds a newline."""
-    steps = [
-        _object(
-            [
-                (name, "null" if (v := getattr(s, name)) is None else encode(v))
-                for name, encode, _ in _STEP_FIELDS
-            ],
-            "    ",
-        )
-        for s in cert.steps
-    ]
     return _object(
         (
             ("seed", "0"),
-            ("steps", _array(steps, "  ")),
+            ("steps", _array(map(_step_text, cert.steps), "  ")),
             ("final", serialize_instance(cert.final)[:-1].replace("\n", "\n  ")),
         ),
         "",
@@ -334,18 +388,11 @@ def parse_certificate(text: str) -> CertificateData:
     )
     if not isinstance(steps_obj, list):
         raise ValueError("certificate steps must be an array")
-    steps = []
-    for i, s in enumerate(steps_obj):
-        values = _values(s, f"step {i}", _STEP_KEYS)
-        step = {
-            name: None if v is None and name in _NULLABLE else decode(v)
-            for (name, _, decode), v in zip(_STEP_FIELDS, values)
-        }
-        steps.append(IsogenyStep(**step))
+    steps = tuple(map(_step_from_obj, steps_obj, range(len(steps_obj))))
     final = _instance_from_obj(final_obj)
     seed = _decode_int(seed_obj)
     if seed != 0:
         raise ValueError(
             f"seed is {int_text(seed)}; the deterministic pipeline always writes seed 0"
         )
-    return CertificateData(steps=tuple(steps), final=final)
+    return CertificateData(steps=steps, final=final)
