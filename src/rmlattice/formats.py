@@ -49,8 +49,8 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring
+from operator import attrgetter, itemgetter
 
 from .arith import _text_int, int_text, rational_text
 from .errors import PreconditionError
@@ -296,7 +296,6 @@ _STEP_PAD = " " * 6
 # finds no entry.
 _TOKENS: dict[int, tuple[str, Fraction]] = {}
 _TOKENS_MAX = 4096
-_TOKEN = itemgetter(0)
 _KERNEL_TEXT = _matrix([["%s"] * 4] * 4, str, _STEP_PAD)
 
 
@@ -315,11 +314,7 @@ def _rational_token(q: Fraction) -> str:
 
 
 def _kernel_text(m) -> str:
-    entries = (*m[0], *m[1], *m[2], *m[3])
-    hits = (*map(_TOKENS.get, map(id, entries)),)
-    if None in hits:
-        return _KERNEL_TEXT % (*map(_rational_token, entries),)
-    return _KERNEL_TEXT % (*map(_TOKEN, hits),)
+    return _KERNEL_TEXT % (*map(_rational_token, (*m[0], *m[1], *m[2], *m[3])),)
 
 
 # Each IsogenyStep field in the order of IsogenyStep._fields, with the
