@@ -4,7 +4,12 @@ Starting from the principal standard instance, each requested prime raises
 the degree by p^2, either by twisting with a norm +-p element of the order
 or by restricting to an eigen-sublattice (split primes only), chosen by the
 seeded generator. A final seeded unimodular basis change scrambles the
-presentation without touching any invariant.
+presentation without touching any invariant: eight shears, each drawn as
+rng.sample(range(4), 2) and rng.choice((-2, -1, 1, 2)) would draw it,
+from the generator's _randbelow directly, so every seed gives the same
+matrix and leaves the generator in the same state as those calls. The
+standard instance comes from its per-order cache (surface.py), and each
+requested prime is proven once per process (arith.require_odd_prime).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from collections import Counter
 from functools import partial
 
 from . import intmat
-from .arith import int_text, is_prime
+from .arith import int_text, require_odd_prime
 from .errors import InvariantBreach, PreconditionError
 from .quadratic import (
     SPLIT,
@@ -39,9 +44,15 @@ from .surface import (
 def random_unimodular(rng: random.Random) -> intmat.IntMat:
     """A 4x4 determinant-one integer matrix built from eight random shears."""
     u = [list(r) for r in intmat.identity()]
+    # the draws rng.sample(range(4), 2) and rng.choice((-2, -1, 1, 2)) make,
+    # without sample's type checks and list copies: the same values and the
+    # same generator state afterwards
+    below = rng._randbelow
     for _ in range(8):
-        i, j = rng.sample(range(4), 2)
-        c = rng.choice((-2, -1, 1, 2))
+        i, j = below(4), below(3)
+        if j == i:  # sample's pool moved its last entry into i's place
+            j = 3
+        c = (-2, -1, 1, 2)[below(4)]
         for r in range(4):
             u[r][i] += c * u[r][j]
     return intmat.freeze(u)
@@ -63,8 +74,10 @@ def generate_instance(
     maximal = make_order(D, 1)
     primes = list(degree_primes)
     for p in primes:
-        if p == 2 or not is_prime(p):
-            raise PreconditionError(f"degree prime {int_text(p)} must be an odd prime")
+        try:
+            require_odd_prime(p)  # proven once per process, as splitting_type asks again
+        except PreconditionError:
+            raise PreconditionError(f"degree prime {int_text(p)} must be an odd prime") from None
         if conductor % p == 0:
             raise PreconditionError(f"degree prime {int_text(p)} divides the conductor")
         if factor_prime(maximal, p) is None:

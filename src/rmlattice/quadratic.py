@@ -28,14 +28,16 @@ baby-step giant-step discrete log modulo f. The canonical solution, the
 least |y| on that progression, is placed from the sizes of the
 embeddings, so only one or two unit powers are built exactly.
 
-Five pure functions of immutable values keep their results per process,
+Six pure functions of immutable values keep their results per process,
 each in an unbounded functools.lru_cache: make_order (so each D is
-factored once), fundamental_unit, _unit_index, _baby_steps and
-solve_norm (so each prime's norm equation is solved once per order,
-however many runs of generate, principalize and replay ask for it).
-factor_prime stays a thin uncached wrapper, so every request still
-passes through solve_norm. make_order and solve_norm key on argument
-types too (typed=True); a refusal raises and is never kept.
+factored once), fundamental_unit, _unit_index, _baby_steps, solve_norm
+(so each prime's norm equation is solved once per order, however many
+runs of generate, principalize and replay ask for it) and _roots_mod_p
+(so each eigen-sublattice pull-back at a repeated (order, p) takes its
+square root mod p once). factor_prime stays a thin uncached wrapper, so
+every request still passes through solve_norm. make_order, solve_norm and
+_roots_mod_p key on argument types too (typed=True); a refusal raises and
+is never kept.
 
 Record, the base of the package's six value types, is defined here, in
 the lowest module that defines one.
@@ -409,6 +411,7 @@ def splitting_type(order: RealQuadraticOrder, p: int) -> str:
     return SPLIT if s == 1 else (INERT if s == -1 else RAMIFIED)
 
 
+@lru_cache(maxsize=None, typed=True)
 def _roots_mod_p(order: RealQuadraticOrder, p: int) -> tuple[int, int]:
     """The roots (t + s)/2 and (t - s)/2 of X^2 - tX + n modulo an odd
     prime p that does not stay inert, s = sqrt_mod(disc, p)."""

@@ -27,7 +27,10 @@ value from a second one on the reduced pair (shared_fraction); the
 certificate reader takes its rationals from the same one, so a kernel
 value is one shared Fraction from the pipeline to replay. Kernels given
 by mod-p subspaces take their Hermite form from one elimination over Z/p
-(intmat.hnf_mod_p).
+(intmat.hnf_mod_p); the eigen-sublattice pull-back's hyperplane, the one
+kernel of a single linear form, has its Hermite basis written in closed
+form (_hyperplane_basis). standard_instance is kept per order in an
+unbounded lru_cache, so generate builds and validates it once per order.
 
 The pfaffian is kept on each surface (the cached property `pf`, which is
 not one of its fields, so equality, hashing, pickling and every serialized
@@ -274,12 +277,15 @@ def rebase(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def standard_instance(order: RealQuadraticOrder) -> PolarizedRMSurface:
     """The principal surface on R + R^dual with the trace pairing.
 
     Basis (1, w) of the first summand and the trace-dual basis of the
     second; the generator acts blockwise by its multiplication matrix and
-    the pairing Tr(a*b' - a'*b) has pfaffian exactly 1.
+    the pairing Tr(a*b' - a'*b) has pfaffian exactly 1. A pure function of
+    an immutable order, so each order's surface is built and validated
+    once per process; a refusal raises and is never kept.
     """
     t, n = order.trace_omega, order.norm_omega
     m = ((0, -n), (1, t))
@@ -381,9 +387,21 @@ def eigen_sublattice_pullback(
     eigvecs = intmat.kernel_mod_p(at_shift, p)
     if not eigvecs:
         raise InvariantBreach("transposed action has an empty eigenspace")
-    v = eigvecs[0]
-    hyperplane = intmat.kernel_mod_p([v], p)
-    return rebase(surface, intmat.hnf_mod_p(hyperplane, p))
+    return rebase(surface, _hyperplane_basis(eigvecs[0], p))
+
+
+def _hyperplane_basis(v, p: int) -> IntMat:
+    """The column Hermite form of {x : v.x = 0 (mod p)} for v nonzero mod p,
+    written out: with l the last index where v_l is nonzero mod p, column
+    j != l is e_j + (-v_j / v_l mod p) e_l and column l is p e_l. The
+    Hermite form is unique, so this is hnf_mod_p(kernel_mod_p([v], p), p)."""
+    l = max(j for j in range(4) if v[j] % p)
+    scale = -pow(v[l], -1, p)
+    last = [v[j] * scale % p for j in range(4)]
+    last[l] = p
+    rows = list(intmat.identity())
+    rows[l] = tuple(last)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
