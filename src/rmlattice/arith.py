@@ -7,7 +7,6 @@ no limit applies, and divide and conquer above."""
 from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd
@@ -181,11 +180,12 @@ def int_text(v: int) -> str:
     return format(_int_decimal(v), "f")
 
 
-def rational_text(q: Fraction) -> str:
-    """Text of the rational q as str(q) writes it, "n" or "n/d" in lowest
-    terms, of any size: int_text for each part."""
-    text = int_text(q.numerator)
-    return text if q.denominator == 1 else text + "/" + int_text(q.denominator)
+def rational_text(n: int, d: int) -> str:
+    """Text of the rational n/d, d > 0, as str(Fraction(n, d)) writes it,
+    "n" or "n/d" in lowest terms, of any size: int_text for each part."""
+    g = gcd(n, d)
+    text = int_text(n // g)
+    return text if d == g else text + "/" + int_text(d // g)
 
 
 # The size up to which int_text and _text_int use the built-in conversions,

@@ -28,36 +28,38 @@ object. Text nested too deeply for the JSON decoder is a ValueError too, not
 a RecursionError.
 
 A step is written as one %-format of a template built from the table's keys,
-and its kernel as one of a 16-slot template. A kernel entry whose parts are
-below 2^53 is written with one %-format, and its token is kept in a bounded
-memo keyed by the id of its Fraction, whose entries keep their objects
-alive; so a shared entry written before costs one dict lookup.
-A step is read with one comparison of its keys against the table's, and
-built from its field values without a keyword dict.
+and its kernel, the integer pair (basis, den) of surface.KernelSubgroup, as
+one of a 16-slot template: entry x is the text of x/den in lowest terms,
+whose token is kept in a bounded memo on (x, den) (_kernel_token), as a
+kernel's few Hermite residues recur from step to step. A step is read with
+one comparison of its keys against the table's, and built from its field
+values without a keyword dict.
 
-A kernel entry's text is read through one bounded process-wide lru_cache
-(_shared_rational), mapped over each row as it stands: on a miss it runs the
-full canonical check, and it returns the one Fraction object of that value
-(surface.shared_fraction) that the pipeline and replay use, so replay
-compares recorded and derived entries by identity. An entry the cache cannot
-hash is refused by the per-entry check.
+A kernel is read back as a pair: den is the lcm of its entries'
+denominators, which is the den of every kernel the pipeline records (each
+has an entry 1/den), and basis is den times the entries. Two bounded memos
+serve the reader: the parts of each entry's text, checked once
+(_rational_parts), and the kernel of each 16 texts (_kernel_of_texts), so a
+kernel read before costs one lookup. A refusal raises and is never kept,
+and an entry the memos cannot hash is refused by the uncached check.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring
-from operator import attrgetter, itemgetter
+from math import lcm
+from operator import attrgetter, floordiv, itemgetter, mul
 
 from .arith import _text_int, int_text, rational_text
 from .errors import PreconditionError
 from .isogeny import IsogenyStep
 from .quadratic import make_order
 from .reduction import CertificateData
-from .surface import PolarizedRMSurface, shared_fraction
+from .surface import KernelSubgroup, PolarizedRMSurface
 
 FORMAT_VERSION = 1
 _BIG = 2**53
@@ -131,28 +133,34 @@ def _decode_int(v) -> int:
     return value
 
 
-def _decode_rational(x) -> Fraction:
+@lru_cache(maxsize=4096)
+def _rational_parts(x) -> tuple[int, int]:
+    """The numerator and denominator of a kernel entry's canonical text;
+    each text is checked once per process (a refusal raises, so it is never
+    kept)."""
     if not isinstance(x, str) or not _RATIONAL_TEXT.fullmatch(x):
         raise ValueError(f"rational entry {x!r} is not a string like '-3/4'")
-    # from the two integers: Fraction's own text parser matches a second regex
     numerator, _, denominator = x.partition("/")
-    try:
-        value = Fraction(_text_int(numerator), _text_int(denominator or "1"))
-    except ZeroDivisionError:
-        raise ValueError(f"rational entry {x!r} has a zero denominator") from None
-    written = rational_text(value)
+    n, d = _text_int(numerator), _text_int(denominator or "1")
+    if d == 0:
+        raise ValueError(f"rational entry {x!r} has a zero denominator")
+    written = rational_text(n, d)
     if written != x:
         raise ValueError(f"rational entry {x!r} is not written as {written!r}")
-    return value
+    return n, d
 
 
-@lru_cache(maxsize=4096)
-def _shared_rational(text: str) -> Fraction:
-    """The shared_fraction a canonical rational text writes: each text is
-    checked once per process (a refusal raises, so it is never cached),
-    and its value is the object the pipeline and replay use too."""
-    value = _decode_rational(text)
-    return shared_fraction(value.numerator, value.denominator)
+# An entry holds its 16 texts and the pair, about 1.2 KB. The perfbench pool
+# run at seed 1 meets 262 distinct kernels in its four passes, and at this
+# bound it finds every repeat it would find with no bound.
+@lru_cache(maxsize=256)
+def _kernel_of_texts(texts: tuple) -> KernelSubgroup:
+    """The kernel whose 16 entries, row by row, have these texts: den is
+    the lcm of their denominators and basis is den times the entries."""
+    numerators, denominators = zip(*map(_rational_parts, texts))
+    den = lcm(*denominators)
+    entries = map(mul, numerators, map(floordiv, repeat(den), denominators))
+    return KernelSubgroup(tuple(zip(entries, entries, entries, entries)), den)
 
 
 def _decode_str(v) -> str:
@@ -161,26 +169,35 @@ def _decode_str(v) -> str:
     return v
 
 
-def _decode_matrix(obj, entry) -> tuple:
-    """A 4x4 matrix whose entries the decoder `entry` reads."""
+def _rows(obj) -> list:
+    """obj, refused unless it is a 4x4 array."""
     if (
         type(obj) is not list
         or [*map(type, obj)] != [list] * 4
         or [*map(len, obj)] != [4] * 4
     ):
         raise ValueError("matrix must be a 4x4 array")
-    return tuple([tuple(map(entry, row)) for row in obj])
+    return obj
 
 
-def _decode_kernel(obj) -> tuple:
-    """A kernel matrix, each entry the _shared_rational of its text. The
-    cache is mapped over the rows as it stands, so a hit runs no Python
-    code; an entry that is not hashable raises TypeError there, and the
-    rows are read again by _decode_rational to refuse it."""
+def _decode_matrix(obj, entry) -> tuple:
+    """A 4x4 matrix whose entries the decoder `entry` reads."""
+    return tuple([tuple(map(entry, row)) for row in _rows(obj)])
+
+
+def _decode_kernel(obj) -> KernelSubgroup:
+    """A kernel from its 16 entry texts through _kernel_of_texts. A texts
+    tuple the memo cannot hash holds an entry that is not a string; the
+    entries are then checked in order, uncached, and the first bad one
+    refused."""
+    r0, r1, r2, r3 = _rows(obj)
+    texts = (*r0, *r1, *r2, *r3)
     try:
-        return _decode_matrix(obj, _shared_rational)
+        return _kernel_of_texts(texts)
     except TypeError:
-        return _decode_matrix(obj, _decode_rational)
+        for x in texts:
+            _rational_parts.__wrapped__(x)
+        raise
 
 
 def _decode_alpha(obj) -> tuple[int, int]:
@@ -288,33 +305,17 @@ def parse_instance(text: str) -> PolarizedRMSurface:
 # A step's fields sit three levels deep: certificate, steps, step.
 _STEP_PAD = " " * 6
 
-# The token of each small kernel entry written lately, by the id of its
-# Fraction: kernels share one object per value (shared_fraction), so an entry
-# written before costs one dict lookup. Each entry holds its object, so while
-# the entry stands no other object can have its id; the memo is emptied when
-# it reaches _TOKENS_MAX entries, and an object that later takes a freed id
-# finds no entry.
-_TOKENS: dict[int, tuple[str, Fraction]] = {}
-_TOKENS_MAX = 4096
 _KERNEL_TEXT = _matrix([["%s"] * 4] * 4, str, _STEP_PAD)
 
 
-def _rational_token(q: Fraction) -> str:
-    entry = _TOKENS.get(id(q))
-    if entry is not None:
-        return entry[0]
-    n, d = q.numerator, q.denominator
-    if not (-_BIG < n < _BIG and d < _BIG):
-        return '"' + rational_text(q) + '"'
-    token = '"%d"' % n if d == 1 else '"%d/%d"' % (n, d)
-    if len(_TOKENS) >= _TOKENS_MAX:
-        _TOKENS.clear()
-    _TOKENS[id(q)] = (token, q)
-    return token
+@lru_cache(maxsize=4096)
+def _kernel_token(x: int, den: int) -> str:
+    return '"' + rational_text(x, den) + '"'
 
 
-def _kernel_text(m) -> str:
-    return _KERNEL_TEXT % (*map(_rational_token, (*m[0], *m[1], *m[2], *m[3])),)
+def _kernel_text(k: KernelSubgroup) -> str:
+    (b0, b1, b2, b3), den = k.basis, k.den
+    return _KERNEL_TEXT % (*map(_kernel_token, (*b0, *b1, *b2, *b3), repeat(den)),)
 
 
 # Each IsogenyStep field in the order of IsogenyStep._fields, with the

@@ -26,11 +26,9 @@ Conventions:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd
 
 IntMat = tuple[tuple[int, ...], ...]
-RatMat = tuple[tuple[Fraction, ...], ...]
 IntVec = tuple[int, ...]
 
 

@@ -15,7 +15,6 @@ the pfaffian that rebase or twist_by_element carried by identity.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .intmat import RatMat
 from .quadratic import OrderElement, Record
 from .surface import (
     KernelSubgroup,
@@ -36,7 +35,8 @@ class IsogenyStep(Record):
 
     kind is one of quotient, divide_by_alpha, scale, twist. For scale steps
     `prime` doubles as the scale factor. `kernel_overlattice` is the
-    quotient kernel's overlattice, `alpha` the (x, y) coordinates of the
+    quotient kernel itself, its integer pair (basis, den), whose
+    overlattice is basis / den; `alpha` the (x, y) coordinates of the
     twisting or dividing element, `t` marks the quotient of an
     order-enlargement move (where the action is also divided by the prime),
     and `branch` labels degree-reduction moves. Certificates serialize
@@ -52,7 +52,7 @@ class IsogenyStep(Record):
         *,
         kind: str,
         prime: int,
-        kernel_overlattice: RatMat | None = None,
+        kernel_overlattice: KernelSubgroup | None = None,
         alpha: tuple[int, int] | None = None,
         degree_before: int,
         degree_after: int,

@@ -17,7 +17,6 @@ write, in any step or in its length, is rejected.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations, product
 
 from . import intmat
@@ -61,7 +60,8 @@ def enumerate_valid_kernels(
     Exhaustive over all subspaces of (Z/p)^4 (echelon enumeration), keeping
     those that are action stable, inside the polarization kernel, and
     isotropic for the kernel pairing. The trivial subgroup is included.
-    Ordered by overlattice for reproducibility.
+    Ordered by Hermite basis for reproducibility; every kernel listed has
+    den p, so this is the order of their overlattices.
     """
     if p == 2 or not is_prime(p) or p > 7:
         raise PreconditionError(f"enumeration requires an odd prime <= 7, got {p}")
@@ -95,7 +95,7 @@ def enumerate_valid_kernels(
                 "kernel passed the congruence filters but fails descent"
             ) from exc
         results.append(kernel)
-    return tuple(sorted(results, key=lambda k: k.overlattice))
+    return tuple(sorted(results, key=lambda k: k.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +203,14 @@ def _first_difference(a, b) -> str:
     return next(n for n in a._fields if getattr(a, n) != getattr(b, n))
 
 
-def _show(value) -> str:
-    """A step field as text: rationals as p/q, matrices as nested tuples,
-    integers of any size in decimal."""
+def _show(value, den: int = 1) -> str:
+    """A step field as text: a kernel (basis, den) as the matrix of its
+    overlattice's rationals basis / den, each p/q in lowest terms, other
+    tuples nested the same way, integers of any size in decimal."""
+    if isinstance(value, KernelSubgroup):
+        return _show(value.basis, value.den)
     if isinstance(value, tuple):
-        return "(" + ", ".join(_show(x) for x in value) + ")"
-    if isinstance(value, (int, Fraction)):
-        return rational_text(Fraction(value))
+        return "(" + ", ".join(_show(x, den) for x in value) + ")"
+    if isinstance(value, int):
+        return rational_text(value, den)
     return str(value)

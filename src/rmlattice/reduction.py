@@ -154,7 +154,7 @@ def squarefree_reduce(
                 IsogenyStep(
                     kind=QUOTIENT,
                     prime=p,
-                    kernel_overlattice=kernel.overlattice,
+                    kernel_overlattice=kernel,
                     degree_before=deg_before,
                     degree_after=degree(new_surface),
                 )
@@ -232,7 +232,7 @@ def enlarge_order_step(
     quotient_step = IsogenyStep(
         kind=QUOTIENT,
         prime=p,
-        kernel_overlattice=kernel.overlattice,
+        kernel_overlattice=kernel,
         degree_before=twisted_deg,
         degree_after=pf * pf,
         t=t,

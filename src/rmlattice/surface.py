@@ -20,12 +20,9 @@ surface has: it computes only the six pairings above the diagonal of
 B^T E B (intmat.alternating_congruence). It divides the gram and the
 action with the written-out exact division intmat.div_exact, as
 twist_by_element divides its gram unless den is 1.
-Everything is a pure function on immutable values. A kernel's overlattice
-entries, Hermite residues over its den, come from one bounded
-process-wide lru_cache (_kernel_rational) on the pair, which takes each
-value from a second one on the reduced pair (shared_fraction); the
-certificate reader takes its rationals from the same one, so a kernel
-value is one shared Fraction from the pipeline to replay. Kernels given
+Everything is a pure function on immutable integer values. A kernel is
+its pair (basis, den), which the step record holds as it is and replay
+compares as integers; only formats spells it as rationals. Kernels given
 by mod-p subspaces take their Hermite form from one elimination over Z/p
 (intmat.hnf_mod_p); the eigen-sublattice pull-back's hyperplane, the one
 kernel of a single linear form, has its Hermite basis written in closed
@@ -53,14 +50,13 @@ written out rather than built from matrix products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
 from . import intmat
-from .arith import int_text
+from .arith import int_text, rational_text
 from .errors import DescentError, InvariantBreach, PreconditionError
-from .intmat import IntMat, RatMat
+from .intmat import IntMat
 from .quadratic import (
     SPLIT,
     OrderElement,
@@ -121,45 +117,18 @@ class PolarizedRMSurface(Record):
         )
 
 
-@lru_cache(maxsize=4096)
-def shared_fraction(n: int, d: int) -> Fraction:
-    """Fraction(n, d) for n/d in lowest terms with d > 0, one shared object
-    per value: Fractions are immutable, so every kernel entry of one value,
-    computed or parsed (formats), can be the same object, and comparing two
-    records of it never calls Fraction.__eq__."""
-    return Fraction(n, d)
-
-
-@lru_cache(maxsize=4096)
-def _kernel_rational(x: int, den: int) -> Fraction:
-    """x/den as the shared_fraction of its value: a kernel's few residues
-    recur in every step."""
-    g = gcd(x, den)
-    return shared_fraction(x // g, den // g)
-
-
 class KernelSubgroup(Record):
     """A finite subgroup of torsion, stored as its overlattice L' with L <= L'.
 
     L' is basis / den: basis is the canonical (column Hermite form) basis of
     den * L' in the coordinates of L, an integer matrix, so the group order
-    is den^4 / det(basis).
+    is den^4 / det(basis). A quotient step records the pair as it is.
     """
 
     __slots__ = _fields = ("basis", "den")
 
     def __init__(self, basis: IntMat, den: int) -> None:
         self.__setstate__((basis, den))
-
-    @property
-    def overlattice(self) -> RatMat:
-        """The canonical basis of L' as rationals, as certificates record it.
-
-        The entries are Hermite residues in [0, den], so the same few values
-        recur from step to step; each is taken from _kernel_rational.
-        """
-        dens = (self.den,) * 4
-        return tuple([tuple(map(_kernel_rational, row, dens)) for row in self.basis])
 
     @property
     def group_order(self) -> int:
@@ -234,11 +203,10 @@ def change_basis(
     gram = intmat.div_exact(full, gram_den)
     if gram is None:
         i, j = next((i, j) for i in range(4) for j in range(4) if full[i][j] % gram_den)
-        q = Fraction(full[i][j], gram_den)
         raise DescentError(
             "polarization does not descend: pairing of overlattice "
-            f"generators {i} and {j} is {int_text(q.numerator)}/"
-            f"{int_text(q.denominator)}, not integral"
+            f"generators {i} and {j} is {rational_text(full[i][j], gram_den)}, "
+            "not integral"
         )
     adj = intmat.adjugate(basis)
     (a0, _, _, _), (a1, _, _, _), (a2, _, _, _), (a3, _, _, _) = adj

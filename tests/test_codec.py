@@ -10,12 +10,13 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmlattice import formats, surface
+from rmlattice import formats
 from rmlattice.arith import _text_int, int_text
 from rmlattice.formats import (
     FORMAT_VERSION,
@@ -28,7 +29,7 @@ from rmlattice.generator import generate_instance
 from rmlattice.isogeny import IsogenyStep
 from rmlattice.quadratic import make_order
 from rmlattice.reduction import CertificateData, principalize
-from rmlattice.surface import PolarizedRMSurface
+from rmlattice.surface import KernelSubgroup, PolarizedRMSurface
 
 # ---------------------------------------------------------------------------
 # references: the former decimal conversions and writer
@@ -83,7 +84,10 @@ def _instance_obj(surface) -> dict:
 _REFERENCE_STEP_ENCODERS = (
     ("kind", str),
     ("prime", _encode_int),
-    ("kernel_overlattice", lambda m: _encode_matrix(m, str)),
+    (
+        "kernel_overlattice",
+        lambda k: _encode_matrix(k.basis, lambda x: str(Fraction(x, k.den))),
+    ),
     ("alpha", lambda alpha: [_encode_int(alpha[0]), _encode_int(alpha[1])]),
     ("degree_before", _encode_int),
     ("degree_after", _encode_int),
@@ -124,17 +128,20 @@ _ints = st.one_of(
     st.integers(-(2**80), 2**80),
     st.integers(1, 15000).flatmap(lambda b: st.integers(-(2**b), 2**b)),
 )
-# parts on both sides of 2^53, where the writer's %-format gives way to
-# rational_text
-_rationals = st.builds(
-    Fraction,
-    st.one_of(st.integers(-(10**6), 10**6), _near_2_53, st.integers(-(2**80), 2**80)),
-    st.one_of(st.integers(1, 10**6), st.integers(2**53 - 2, 2**53 + 2), st.integers(1, 2**80)),
-)
 
 
 def _matrices(entries):
     return st.tuples(*[st.tuples(*[entries] * 4)] * 4)
+
+
+# kernels (basis, den) with entries and den on both sides of 2^53
+_kernels = st.builds(
+    KernelSubgroup,
+    _matrices(
+        st.one_of(st.integers(-(10**6), 10**6), _near_2_53, st.integers(-(2**80), 2**80))
+    ),
+    st.one_of(st.integers(1, 10**6), st.integers(2**53 - 2, 2**53 + 2), st.integers(1, 2**80)),
+)
 
 
 _orders = st.builds(
@@ -147,7 +154,7 @@ _steps = st.builds(
     IsogenyStep,
     kind=st.one_of(st.sampled_from(("quotient", "twist")), st.text(max_size=8)),
     prime=_ints,
-    kernel_overlattice=st.none() | _matrices(_rationals),
+    kernel_overlattice=st.none() | _kernels,
     alpha=st.none() | st.tuples(_ints, _ints),
     degree_before=_ints,
     degree_after=_ints,
@@ -384,7 +391,9 @@ def test_rational_texts_read_once_per_certificate_are_still_exact():
     texts = [x for row in kernel for x in row]
     assert len(set(texts)) < len(texts)  # texts repeat within one kernel
     parsed = parse_certificate(json.dumps(cert)).steps[1].kernel_overlattice
-    assert [x for row in parsed for x in row] == [Fraction(x) for x in texts]
+    assert [Fraction(x, parsed.den) for row in parsed.basis for x in row] == [
+        Fraction(x) for x in texts
+    ]
 
 
 @pytest.mark.parametrize(
@@ -416,31 +425,36 @@ def test_parsed_kernel_entries_are_the_objects_replay_derives():
     for rec, der in zip(parsed.steps, derived.steps, strict=True):
         if rec.kernel_overlattice is not None:
             kernels += 1
-            assert all(
-                a is b
-                for r1, r2 in zip(rec.kernel_overlattice, der.kernel_overlattice)
-                for a, b in zip(r1, r2)
-            )
+            assert rec.kernel_overlattice == der.kernel_overlattice
     assert kernels >= 5  # one per conductor prime, with multiplicity
 
 
-@pytest.mark.parametrize("cache", [surface.shared_fraction, formats._shared_rational])
-def test_the_shared_rational_caches_are_bounded(cache):
-    maxsize = cache.cache_info().maxsize
+@pytest.mark.parametrize(
+    "memo, key",
+    [
+        (formats._kernel_token, lambda i: (2 * i + 1, 2)),
+        (formats._rational_parts, lambda i: (f"{2 * i + 1}/2",)),
+        (formats._kernel_of_texts, lambda i: ((f"{2 * i + 1}/2",) + ("0",) * 15,)),
+    ],
+    ids=["_kernel_token", "_rational_parts", "_kernel_of_texts"],
+)
+def test_the_codec_memos_are_bounded(memo, key):
+    memo.cache_clear()
+    maxsize = memo.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 2**16
-    for x in range(maxsize + 10):
-        n = 2 * x + 1
-        value = cache(n, 2) if cache is surface.shared_fraction else cache(f"{n}/2")
-        assert value == Fraction(n, 2)
-    assert cache.cache_info().currsize == maxsize
-    cache.cache_clear()
+    for i in range(maxsize + 10):
+        memo(*key(i))
+    assert memo.cache_info().currsize == maxsize
+    memo.cache_clear()
 
 
 def _with_big_kernel(cert, step: int, entries) -> CertificateData:
-    """cert with the kernel of step `step` replaced by these 16 rationals."""
+    """cert with the kernel of step `step` replaced by the one of these 16
+    rationals: den the lcm of their denominators, as the reader takes it."""
     steps = list(cert.steps)
-    it = iter(entries)
-    kernel = tuple(tuple(next(it) for _ in range(4)) for _ in range(4))
+    den = lcm(*(q.denominator for q in entries))
+    it = iter([int(q * den) for q in entries])
+    kernel = KernelSubgroup(tuple(tuple(next(it) for _ in range(4)) for _ in range(4)), den)
     fields = {name: getattr(steps[step], name) for name in IsogenyStep._fields}
     steps[step] = IsogenyStep(**{**fields, "kernel_overlattice": kernel})
     return CertificateData(steps=tuple(steps), final=cert.final)

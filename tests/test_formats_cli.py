@@ -30,8 +30,7 @@ from rmlattice.cli import main
 from rmlattice.formats import (
     _STEP_FIELDS,
     _decode_int,
-    _decode_matrix,
-    _decode_rational,
+    _decode_kernel,
     parse_certificate,
     parse_instance,
     serialize_certificate,
@@ -104,7 +103,7 @@ def test_rational_strings_only_in_the_written_form(entry):
     matrix = [["0"] * 4 for _ in range(4)]
     matrix[2][1] = entry
     with pytest.raises(ValueError):
-        _decode_matrix(matrix, _decode_rational)
+        _decode_kernel(matrix)
 
 
 def test_instance_roundtrip_byte_identical():

@@ -158,6 +158,11 @@ def to_fraction(m):
     return tuple(tuple(Fraction(x) for x in r) for r in m)
 
 
+def overlattice(kernel):
+    """The kernel's overlattice basis / den as a matrix of rationals."""
+    return tuple(tuple(Fraction(x, kernel.den) for x in r) for r in kernel.basis)
+
+
 def inverse(m):
     d = Fraction(det_cofactor(m))
     if d == 0:

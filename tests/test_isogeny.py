@@ -38,12 +38,18 @@ from rmlattice.surface import (
 from rmlattice.generator import _raise_degree, generate_instance, random_unimodular
 from rmlattice.quadratic import SPLIT, prime_norm
 from rmlattice.surface import apply_unimodular
-from test_intmat_oracles import hnf_column_basis, inverse, reference_hnf_mod, to_fraction
+from test_intmat_oracles import (
+    hnf_column_basis,
+    inverse,
+    overlattice,
+    reference_hnf_mod,
+    to_fraction,
+)
 
 
 def _exponent(kernel):
     """The least m with m*L' <= L: the lcm of the overlattice denominators."""
-    return lcm(*(Fraction(x).denominator for row in kernel.overlattice for x in row))
+    return lcm(*(Fraction(x).denominator for row in overlattice(kernel) for x in row))
 
 
 def can_descend(surface, kernel):
@@ -62,7 +68,7 @@ def descends_by_containment(surface, kernel):
     """The kernel-side descent criterion can_descend is checked against: K
     inside the polarization kernel and the kernel pairing trivial on K x K,
     checked on overlattice generators."""
-    h = kernel.overlattice
+    h = overlattice(kernel)
     e = to_fraction(surface.gram)
     cols = [tuple(h[i][j] for i in range(4)) for j in range(4)]
     for col in cols:
@@ -85,7 +91,7 @@ def full_torsion_kernel(surface, p):
 def test_quotient_trivial_kernel():
     s = standard_instance(make_order(5, 1))
     k = kernel_from_subspace((), 3)
-    assert k.overlattice == to_fraction(intmat.identity())
+    assert overlattice(k) == to_fraction(intmat.identity())
     assert rebase(s, k.basis, k.den) == s
     assert rebase(s, intmat.identity()) == s
 
@@ -94,7 +100,7 @@ def test_quotient_full_torsion_is_scalar():
     s = standard_instance(make_order(5, 1))
     k = full_torsion_kernel(s, 3)
     assert k.group_order == 81 and _exponent(k) == 3
-    assert k.overlattice == tuple(
+    assert overlattice(k) == tuple(
         tuple(Fraction(1, 3) if i == j else Fraction(0) for j in range(4))
         for i in range(4)
     )
@@ -229,7 +235,7 @@ def _descend_with_basis(surface, kernel):
     in the old coordinates): the kernel's overlattice basis, its last two
     columns swapped when that makes the pfaffian positive."""
     out = descend_polarization(surface, kernel)
-    basis = kernel.overlattice
+    basis = overlattice(kernel)
     if intmat.pfaffian4(_gram_on(surface, basis)) < 0:
         basis = tuple(row[:2] + (row[3], row[2]) for row in basis)
     assert _gram_on(surface, basis) == to_fraction(out.gram)
@@ -256,7 +262,7 @@ def test_quotient_functoriality():
     # K2/K1 inside the quotient: classes of k2 columns in the new basis
     reb1_inv = inverse(reb1)
     cols = [
-        tuple(k2.overlattice[i][j] for i in range(4)) for j in range(4)
+        tuple(overlattice(k2)[i][j] for i in range(4)) for j in range(4)
     ]
     moved = [intmat.mat_vec(reb1_inv, c) for c in cols]
     # (moved columns + Z^4) as the integer pair (HNF of den * it, den)

@@ -24,6 +24,7 @@ from rmlattice.oracle import (
     verify_certificate,
 )
 from rmlattice.reduction import CertificateData, enlarge_order_step, reduce_degree_step
+from test_intmat_oracles import overlattice
 
 
 def test_enumerate_principal_is_trivial():
@@ -62,6 +63,21 @@ def test_enumerate_scaled_gram_lists_isotropic_stable_subgroups():
             continue
         out = descend_polarization(scaled, k)
         assert degree(out) * k.group_order**2 == degree(scaled)
+
+
+def test_enumeration_is_in_the_order_of_the_overlattices():
+    # sorted on the Hermite basis: every kernel listed has den p, so this is
+    # the order of their rational overlattices
+    s = standard_instance(make_order(5, 1))
+    cases = [(twist_by_element(s, s.order.element(3, 0), norm=9), 3)]
+    for D, p in [(5, 5), (13, 3), (3, 3)]:
+        t = standard_instance(make_order(D, 1))
+        el = solve_norm(t.order, p)
+        cases.append((twist_by_element(t, el, norm=el.norm()), p))
+    for surface, p in cases:
+        kernels = enumerate_valid_kernels(surface, p)
+        assert len(kernels) > 2 and {k.den for k in kernels} == {p}
+        assert list(kernels) == sorted(kernels, key=overlattice)
 
 
 def test_enumerate_rejects_large_primes():
@@ -117,12 +133,25 @@ def test_verify_rejects_tampering():
     ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
     assert not ok and "t=" in msg
 
-    # a kernel overlattice entry
+    # a kernel overlattice entry, named with both kernels as rationals
+    derived = (
+        "kernel_overlattice=((1/9, 0, 0, 0), (0, 1/9, 0, 0), (2/9, 0, 1/3, 0), (1/9, 0, 0, 1/3))"
+    )
     obj = json.loads(text)
-    row = obj["steps"][1]["kernel_overlattice"][0]
-    row[0] = "2/3" if row[0] != "2/3" else "1/3"
+    obj["steps"][1]["kernel_overlattice"][0][0] = "2/3"
     ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
-    assert not ok
+    assert (ok, msg) == (False, (
+        "step 1 (quotient at 3): kernel_overlattice=((2/3, 0, 0, 0), (0, 1/9, 0, 0), "
+        "(2/9, 0, 1/3, 0), (1/9, 0, 0, 1/3)) recorded, replay derives " + derived
+    ))
+    # an entry whose denominator changes the recorded den to 63
+    obj = json.loads(text)
+    obj["steps"][1]["kernel_overlattice"][2][1] = "5/7"
+    ok, msg = verify_certificate(s, parse_certificate(json.dumps(obj)))
+    assert (ok, msg) == (False, (
+        "step 1 (quotient at 3): kernel_overlattice=((1/9, 0, 0, 0), (0, 1/9, 0, 0), "
+        "(2/9, 5/7, 1/3, 0), (1/9, 0, 0, 1/3)) recorded, replay derives " + derived
+    ))
 
     # a quotient label on the dividing move
     obj = json.loads(text)
@@ -176,7 +205,7 @@ def test_reduction_kernels_member_of_enumeration():
     assert quotients
     listed = enumerate_valid_kernels(tw, 3)
     assert any(
-        st.kernel_overlattice == k.overlattice for st in quotients for k in listed
+        st.kernel_overlattice == k for st in quotients for k in listed
     )
 
 

@@ -16,7 +16,6 @@ import pickle
 import subprocess
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -73,7 +72,7 @@ class RefKernelSubgroup:
 class RefIsogenyStep:
     kind: str
     prime: int
-    kernel_overlattice: tuple | None = None
+    kernel_overlattice: KernelSubgroup | None = None
     alpha: tuple[int, int] | None = None
     degree_before: int
     degree_after: int
@@ -114,14 +113,12 @@ _int = st.one_of(_small, st.integers(-(2**70), 2**70))
 _matrix = st.tuples(*[st.tuples(_small, _small, _small, _small)] * 4)
 _orders = st.builds(make_order, st.sampled_from([2, 3, 5, 13]), st.integers(1, 9))
 _text = st.text(max_size=6)
-_rational_matrix = st.tuples(
-    *[st.tuples(*[st.builds(Fraction, _small, st.integers(1, 5))] * 4)] * 4
-)
+_kernels = st.builds(KernelSubgroup, _matrix, st.integers(1, 5))
 _surfaces = st.builds(PolarizedRMSurface, _orders, _matrix, _matrix)
 _step_values = st.tuples(
     st.sampled_from(["quotient", "divide_by_alpha", "scale", "twist"]),
     _int,
-    st.none() | _rational_matrix,
+    st.none() | _kernels,
     st.none() | st.tuples(_int, _int),
     _int,
     _int,

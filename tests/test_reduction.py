@@ -38,7 +38,7 @@ from rmlattice.isogeny import (
 from rmlattice.oracle import verify_certificate
 from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE, principal_defect
 from rmlattice.surface import PolarizedRMSurface, apply_unimodular, kernel_from_subspace
-from test_intmat_oracles import scalar_mul, snf_with_transforms
+from test_intmat_oracles import overlattice, scalar_mul, snf_with_transforms
 
 
 def _t_values(cert):
@@ -78,7 +78,7 @@ def test_squarefree_reduce_quotients_order_p2_classes():
     assert intmat.alternating_divisors(tw.gram, tw.pf) == (1, 1, 9, 9)
     out, steps = squarefree_reduce(tw, 3)
     assert [st.kind for st in steps] == ["quotient"]
-    assert 1 / intmat.det(steps[0].kernel_overlattice) == 9
+    assert 1 / intmat.det(overlattice(steps[0].kernel_overlattice)) == 9
     assert degree(out) == 1
     assert validate(out) is None
 
@@ -137,7 +137,7 @@ def reference_squarefree_reduce(surface, p):
                 IsogenyStep(
                     kind=QUOTIENT,
                     prime=p,
-                    kernel_overlattice=kernel.overlattice,
+                    kernel_overlattice=kernel,
                     degree_before=deg_before,
                     degree_after=degree(new_surface),
                 )
@@ -249,7 +249,7 @@ def test_enlarge_order_step_example():
     assert degree(out) == 1
     assert out.order.conductor == 1
     assert stabilizer_order(out).conductor == 1
-    assert 1 / intmat.det(quot.kernel_overlattice) == 3**6
+    assert 1 / intmat.det(overlattice(quot.kernel_overlattice)) == 3**6
     assert quot.t == 2
     assert twist.alpha == (27, 0)
     assert twist.degree_after == 3**12

@@ -1,13 +1,15 @@
 """The certificate's step writer and reader against the field-by-field code
 they replaced, kept here as references: the texts written and the records
-read must be the same, and so must every refusal's message. The writer's
-token memo stays bounded and never gives an object a token of another."""
+read must be the same, and so must every refusal's message. A kernel, the
+integer pair (basis, den), is written as the rationals basis / den and read
+back as the same pair. The writer's token memo stays bounded and never
+gives an entry a token of another."""
 
 from __future__ import annotations
 
 import json
-import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,28 +17,27 @@ from hypothesis import strategies as st
 
 from rmlattice import formats
 from rmlattice.formats import (
+    _RATIONAL_TEXT,
     _array,
     _decode_alpha,
     _decode_int,
     _decode_matrix,
-    _decode_rational,
     _decode_str,
     _instance_from_obj,
     _int_token,
     _load,
     _matrix,
     _object,
-    _shared_rational,
     _values,
     parse_certificate,
     serialize_certificate,
     serialize_instance,
 )
-from rmlattice.arith import int_text, rational_text
+from rmlattice.arith import _text_int, int_text, rational_text
 from rmlattice.generator import generate_instance
 from rmlattice.isogeny import IsogenyStep
 from rmlattice.reduction import CertificateData, principalize
-from rmlattice.surface import shared_fraction
+from rmlattice.surface import KernelSubgroup
 
 # ---------------------------------------------------------------------------
 # references: the step table both directions looped over, field by field
@@ -50,21 +51,38 @@ def _reference_rational_token(q: Fraction) -> str:
     n, d = q.numerator, q.denominator
     if -_BIG < n < _BIG and d < _BIG:
         return '"%d"' % n if d == 1 else '"%d/%d"' % (n, d)
-    return '"' + rational_text(q) + '"'
+    return '"' + rational_text(n, d) + '"'
+
+
+def _reference_write_kernel(k: KernelSubgroup) -> str:
+    rationals = [[Fraction(x, k.den) for x in row] for row in k.basis]
+    return _matrix(rationals, _reference_rational_token, _PAD)
 
 
 def _reference_read_rational(x) -> Fraction:
-    return _shared_rational(x) if type(x) is str else _decode_rational(x)
+    if not isinstance(x, str) or not _RATIONAL_TEXT.fullmatch(x):
+        raise ValueError(f"rational entry {x!r} is not a string like '-3/4'")
+    numerator, _, denominator = x.partition("/")
+    try:
+        value = Fraction(_text_int(numerator), _text_int(denominator or "1"))
+    except ZeroDivisionError:
+        raise ValueError(f"rational entry {x!r} has a zero denominator") from None
+    written = rational_text(value.numerator, value.denominator)
+    if written != x:
+        raise ValueError(f"rational entry {x!r} is not written as {written!r}")
+    return value
+
+
+def _reference_read_kernel(m) -> KernelSubgroup:
+    rows = _decode_matrix(m, _reference_read_rational)
+    den = lcm(*(q.denominator for row in rows for q in row))
+    return KernelSubgroup(tuple(tuple(int(q * den) for q in row) for row in rows), den)
 
 
 _REFERENCE_STEP_FIELDS = (
     ("kind", json.encoder.encode_basestring, _decode_str),
     ("prime", _int_token, _decode_int),
-    (
-        "kernel_overlattice",
-        lambda m: _matrix(m, _reference_rational_token, _PAD),
-        lambda m: _decode_matrix(m, _reference_read_rational),
-    ),
+    ("kernel_overlattice", _reference_write_kernel, _reference_read_kernel),
     ("alpha", lambda alpha: _array(map(_int_token, alpha), _PAD), _decode_alpha),
     ("degree_before", _int_token, _decode_int),
     ("degree_after", _int_token, _decode_int),
@@ -148,21 +166,20 @@ _denominators = st.one_of(
 
 
 @st.composite
-def _kernel_entries(draw):
-    """A rational drawn as the shared object of its value or as a distinct
-    Fraction equal to it."""
-    q = Fraction(draw(_parts), draw(_denominators))
-    if draw(st.booleans()):
-        return shared_fraction(q.numerator, q.denominator)
-    return Fraction(q.numerator, q.denominator)
+def _kernels(draw):
+    """A pair (basis, den) as the reader takes it: den the lcm of the
+    denominators of basis / den, that is gcd(den, basis) = 1."""
+    basis = draw(st.tuples(*[st.tuples(*[_parts] * 4)] * 4))
+    den = draw(_denominators)
+    g = gcd(den, *basis[0], *basis[1], *basis[2], *basis[3])
+    return KernelSubgroup(tuple(tuple(x // g for x in row) for row in basis), den // g)
 
 
-_kernels = st.tuples(*[st.tuples(*[_kernel_entries()] * 4)] * 4)
 _steps = st.builds(
     IsogenyStep,
     kind=st.one_of(st.sampled_from(("quotient", "twist", "scale")), st.text(max_size=6)),
     prime=_ints,
-    kernel_overlattice=st.none() | _kernels,
+    kernel_overlattice=st.none() | _kernels(),
     alpha=st.none() | st.tuples(_ints, _ints),
     degree_before=_ints,
     degree_after=_ints,
@@ -179,11 +196,6 @@ def test_both_directions_match_the_references(steps):
     assert text == reference_serialize_certificate(cert)
     parsed, reference = parse_certificate(text), reference_parse_certificate(text)
     assert parsed == reference == cert
-    # both take every kernel entry from the one cache of shared objects
-    for step, ref in zip(parsed.steps, reference.steps):
-        if step.kernel_overlattice is not None:
-            for row, ref_row in zip(step.kernel_overlattice, ref.kernel_overlattice):
-                assert all(map(operator.is_, row, ref_row))
 
 
 def test_pipeline_certificates_match_the_references():
@@ -284,11 +296,6 @@ def test_a_duplicate_step_key_is_refused_as_the_reference_refuses_it():
 # ---------------------------------------------------------------------------
 
 
-def _kernel_of(entries) -> tuple:
-    it = iter(entries)
-    return tuple(tuple(next(it) for _ in range(4)) for _ in range(4))
-
-
 def _certificate_with(kernel) -> CertificateData:
     step = IsogenyStep(
         kind="quotient", prime=3, kernel_overlattice=kernel, degree_before=9, degree_after=1
@@ -297,33 +304,54 @@ def _certificate_with(kernel) -> CertificateData:
 
 
 def test_the_token_memo_is_bounded_and_never_stale():
-    bound = formats._TOKENS_MAX
-    assert 0 < bound <= 2**16
-    # fresh Fraction objects, each dropped after its kernel is written, so
-    # the ids of evicted entries are free to be reused by the next ones
-    for k in range(bound // 16 + 20):
-        kernel = _kernel_of(Fraction(16 * k + i, 7) for i in range(16))
-        cert = _certificate_with(kernel)
-        assert serialize_certificate(cert) == reference_serialize_certificate(cert)
-        assert len(formats._TOKENS) <= bound
-    # the memo was filled past its bound and emptied: fresh objects equal to
-    # evicted values, and others that may take an evicted id, render anew
-    assert len(formats._TOKENS) < bound
-    for k in range(bound // 16 + 20):
-        kernel = _kernel_of(Fraction(-(16 * k + i), 11 + (k + i) % 2) for i in range(16))
-        cert = _certificate_with(kernel)
-        assert serialize_certificate(cert) == reference_serialize_certificate(cert)
-        again = _kernel_of(Fraction(16 * k + i, 7) for i in range(16))
-        cert = _certificate_with(again)
-        assert serialize_certificate(cert) == reference_serialize_certificate(cert)
-    formats._TOKENS.clear()
+    memo = formats._kernel_token
+    bound = memo.cache_info().maxsize
+    assert bound is not None and 0 < bound <= 2**16
+    kernels = [
+        KernelSubgroup(tuple(tuple(range(x, x + 4)) for x in range(16 * k, 16 * k + 16, 4)), 7)
+        for k in range(bound // 16 + 20)
+    ]
+    # filled past its bound, the memo evicts; a kernel written again after
+    # its entries were evicted, or while they stand, renders the same
+    for _ in range(2):
+        for kernel in kernels:
+            cert = _certificate_with(kernel)
+            assert serialize_certificate(cert) == reference_serialize_certificate(cert)
+            assert memo.cache_info().currsize <= bound
+    assert memo.cache_info().currsize == bound
+    memo.cache_clear()
 
 
-def test_the_token_memo_keeps_no_big_rational():
-    formats._TOKENS.clear()
-    big = Fraction(3**1300, 7)
-    kernel = _kernel_of([big] + [shared_fraction(1, 3)] * 15)
+# ---------------------------------------------------------------------------
+# a kernel's pair against its rationals
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _hermite_kernels(draw):
+    """A column Hermite basis of den L' with L <= L' <= L / den: lower
+    triangular, each diagonal entry a divisor of den and the entries left of
+    it reduced below it; with gcd(den, basis) = 1, as every kernel the
+    pipeline records has a unit diagonal entry."""
+    den = draw(
+        st.one_of(st.integers(2, 10**4), st.integers(2**53 - 2, 2**53 + 2), st.integers(2, 2**200))
+    )
+    rows = []
+    for i in range(4):
+        d = gcd(den, draw(st.integers(0, 2**64)))
+        rows.append(tuple(draw(st.integers(0, d - 1)) for _ in range(i)) + (d,) + (0,) * (3 - i))
+    if gcd(den, *rows[0], *rows[1], *rows[2], *rows[3]) != 1:
+        rows[0] = (1, 0, 0, 0)
+    return KernelSubgroup(tuple(rows), den)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_hermite_kernels())
+def test_a_hermite_kernel_is_written_as_its_rationals_and_read_back_as_its_pair(kernel):
+    text = formats._kernel_text(kernel)
+    rationals = [[str(Fraction(x, kernel.den)) for x in row] for row in kernel.basis]
+    assert json.loads(text) == rationals
+    assert text == _reference_write_kernel(kernel)
+    assert formats._decode_kernel(json.loads(text)) == kernel
     cert = _certificate_with(kernel)
-    assert serialize_certificate(cert) == reference_serialize_certificate(cert)
-    assert [q for _, q in formats._TOKENS.values()] == [shared_fraction(1, 3)]
-    formats._TOKENS.clear()
+    assert parse_certificate(serialize_certificate(cert)) == cert

@@ -34,7 +34,7 @@ from rmlattice.surface import (
     polarization_kernel_mod_p,
     rebase,
 )
-from test_intmat_oracles import mat_add, mat_sub, reference_hnf_mod, scalar_mul
+from test_intmat_oracles import mat_add, mat_sub, overlattice, reference_hnf_mod, scalar_mul
 
 ORDERS = [(5, 1), (5, 3), (2, 1), (13, 1), (13, 9), (17, 7), (3, 7)]
 
@@ -181,7 +181,7 @@ def test_kernel_of_polarization_divisor_examples():
     k3 = _dual_kernel(scaled)
     assert intmat.alternating_divisors(scaled.gram, scaled.pf) == (3, 3, 3, 3)
     assert k3.group_order == 81 == degree(scaled)
-    assert lcm(*(Fraction(x).denominator for row in k3.overlattice for x in row)) == 3
+    assert lcm(*(Fraction(x).denominator for row in overlattice(k3) for x in row)) == 3
 
     el = s.order.element(3, 1)
     tw = twist_by_element(s, el, norm=el.norm())
