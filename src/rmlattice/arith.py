@@ -6,7 +6,6 @@ no limit applies, and divide and conquer above."""
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from functools import lru_cache
 from itertools import count
 from math import gcd
@@ -201,9 +200,9 @@ def _int_decimal(n: int) -> Decimal:
     decimal multiplies big coefficients by a number-theoretic transform, so
     this is subquadratic; CPython 3.12's Lib/_pylong.py (gh-90716) converts
     the same way. A rounding would raise, never give a wrong digit."""
-    ctx = Context(
-        prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded]
-    )
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
     powers = [Decimal(1 << _LEAF_BITS)]  # powers[i] = 2^(_LEAF_BITS * 2^i)
 
     def build(n: int) -> Decimal:

@@ -48,6 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count
 from math import floor, isqrt, log
+from operator import attrgetter
 
 from .arith import factorize, int_text, is_squarefree, legendre, require_odd_prime, sqrt_mod
 from .errors import PreconditionError
@@ -68,9 +69,10 @@ _set = object.__setattr__
 class Record:
     """An immutable value whose fields, named in `_fields`, are its whole value.
 
-    A subclass lists its fields in `_fields` and `__slots__`, and its
-    __init__ sets them through __setstate__. Equality and hashing are over
-    the field tuple, between instances of the same class only; assignment
+    A subclass lists its fields (two or more) in `_fields` and `__slots__`,
+    and its __init__ sets them through __setstate__. Equality and hashing
+    are over the field tuple, which a per-class attrgetter reads in one C
+    call; they hold between instances of the same class only. Assignment
     and deletion raise AttributeError; pickle and copy rebuild an instance
     from its field tuple. (A dataclass would import inspect with it.)
     """
@@ -78,18 +80,16 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        # from a list: tuple() of a generator builds a tuple of a guessed size
-        # and resizes it, which raised the pool workload's peak RSS by 2%
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if type(other) is type(self):
-            return self._values() == other._values()
+            return self._key(self) == other._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -102,7 +102,9 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> tuple:
-        return self._values()
+        return self._key(self)
+
+    _values = __getstate__
 
     def __setstate__(self, values: tuple) -> None:
         for name, value in zip(self._fields, values):
@@ -117,9 +119,10 @@ class RealQuadraticOrder(Record):
     discriminant is trace_omega^2 - 4*norm_omega = conductor^2 * d_F.
     """
 
-    __slots__ = _fields = (
+    _fields = (
         "D", "conductor", "fundamental_discriminant", "discriminant", "trace_omega", "norm_omega"
     )
+    __slots__ = _fields + ("_hash",)  # the hash, computed once: orders key the caches
 
     def __init__(
         self,
@@ -133,6 +136,13 @@ class RealQuadraticOrder(Record):
         self.__setstate__(
             (D, conductor, fundamental_discriminant, discriminant, trace_omega, norm_omega)
         )
+
+    def __setstate__(self, values: tuple) -> None:
+        Record.__setstate__(self, values)
+        _set(self, "_hash", hash(self._key(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def element(self, x: int, y: int) -> "OrderElement":
         return OrderElement(self, x, y)

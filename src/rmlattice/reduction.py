@@ -11,14 +11,11 @@ the scalar identities, not built, and the descent and the division of the
 action by p are one change of basis (surface.change_basis); its quotient
 step records the rank invariant t of the old generator mod p (always 2 on
 valid input), read off the kernel's Hermite form, so a move row-reduces
-mod p once. reduce_degree_step removes a reducible prime from the degree
-by dividing by the norm +-p factor whose mod-p kernel is the kernel
-p-torsion K, and records the branch on its last step. It finds that factor
-as the first whose action kills K, with K 2-dimensional: p does not divide
-the conductor and the factor's norm is +-p, so its mod-p kernel always has
-dimension 2 (for split and for ramified p), and a 2-dimensional K inside
-it is all of it. K is row-reduced once per step, by the branch decision:
-the squarefree loop stops on the pfaffian without asking for it.
+mod p once. reduce_degree_step divides by the norm +-p factor el whose
+mod-p kernel is the kernel p-torsion K, recording the branch, and row-
+reduces nothing mod p: K is 2-dimensional exactly when p | pf and the gram
+is not 0 mod p, and ker(A_el) = im(A_conj(el)) on L/pL, so el kills K
+exactly when the division by el, which _branch_decision attempts, is exact.
 principalize chains the moves, conductor primes first, and returns the
 final surface with its CertificateData; it is the only code that chains
 moves, and replay re-runs it. The moves carry the pfaffian by identity and
@@ -50,7 +47,6 @@ from .surface import (
     canonicalize_orientation,
     change_basis,
     degree,
-    element_action,
     kernel_from_subspace,
     polarization_kernel_mod_p,
     stabilizer_order,
@@ -250,26 +246,27 @@ def enlarge_order_step(
 
 
 def _branch_decision(surface: PolarizedRMSurface, p: int, factors):
-    """Decide the degree-reduction move on a squarefree-stable surface.
+    """Decide and make the degree-reduction move on a squarefree-stable surface.
 
     factors is the factor_prime pair of p in the surface's order. Returns
-    (branch, element): element is the first factor, a1 tried first, whose
-    action kills every vector of the kernel p-torsion K, and the branch is
-    associate exactly when p divides the discriminant. That is the factor
-    whose mod-p kernel is K: with p prime to the conductor the lattice is
-    locally free of rank 2 at p, and an element of norm +-p has a kernel of
-    dimension 1 on O/p, so its mod-p kernel on L/pL always has dimension 2;
-    K of dimension 2 inside it is all of it. Such a factor always exists;
+    (branch, element, divided surface) for the first factor, a1 tried
+    first, by which the division is exact; the branch is associate exactly
+    when p divides the discriminant. That factor kills the kernel p-torsion
+    K: an alternating form mod p has even rank, so K is 2-dimensional
+    exactly when p | pf and the gram is not 0 mod p, and with p prime to
+    the conductor ker(A_el) = im(A_conj(el)) on L/pL, both 2-dimensional,
+    so A_el kills K exactly when gram A_conj(el) = 0 mod p, that is when
+    divide_by_symmetric(surface, el) is exact. Such a factor always exists;
     its absence, or a K of another dimension, is an invariant breach.
     """
-    kernel_p = polarization_kernel_mod_p(surface, p)
-    if len(kernel_p) == 2:
+    if surface.pf % p == 0 and any(x % p for row in surface.gram for x in row):
         for el in factors:
-            action = element_action(surface, el)
-            if all(x % p == 0 for v in kernel_p for x in intmat.mat_vec(action, v)):
-                if surface.order.discriminant % p == 0:
-                    return ASSOCIATE_DIVIDE, el
-                return SPLIT_DIVIDE, el
+            try:
+                divided = divide_by_symmetric(surface, el)
+            except DescentError:
+                continue
+            branch = ASSOCIATE_DIVIDE if surface.order.discriminant % p == 0 else SPLIT_DIVIDE
+            return branch, el, divided
     raise InvariantBreach(
         f"kernel p-torsion at {int_text(p)} is not the mod-p kernel of a "
         f"factor of {int_text(p)}"
@@ -282,9 +279,9 @@ def reduce_degree_step(
     """Remove the prime p from the degree at a prime not dividing the conductor.
 
     Runs squarefree reduction at p first; if p still divides the degree,
-    divides by the norm +-p factor that _branch_decision picks. The last
-    step carries the branch label, unless squarefree reduction alone
-    cleared p.
+    keeps the exact division that _branch_decision found: exact exactly for
+    the factor that kills the 2-dimensional kernel p-torsion, so nothing is
+    row-reduced mod p. The divide step, if taken, is last and carries the branch.
     """
     require_odd_prime(p)
     order = surface.order
@@ -299,13 +296,7 @@ def reduce_degree_step(
     current, steps = squarefree_reduce(surface, p)
     if degree(current) % p != 0:
         return current, steps
-    branch, divide_el = _branch_decision(current, p, factors)
-    try:
-        new_surface = divide_by_symmetric(current, divide_el)
-    except DescentError as exc:
-        raise InvariantBreach(
-            f"guaranteed division failed at {int_text(p)}: {exc}"
-        ) from exc
+    branch, divide_el, new_surface = _branch_decision(current, p, factors)
     move = IsogenyStep(
         kind=DIVIDE,
         prime=p,

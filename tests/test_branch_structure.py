@@ -11,11 +11,16 @@ structure on the seeded branch corpus: only divide branches, the kernel
 equal to the divide element's mod-p kernel, and both factor arms taken at
 split primes.
 
-_branch_decision picks the factor whose action kills the kernel p-torsion,
-which must be 2-dimensional; kernel_equality_branch_decision, the former
-test, compares the two canonical mod-p kernel bases instead, and both give
-the same branch and element on every class of the scan, on the branch
-corpus and on split and ramified primes over D in {2, 3, 5, 13, 17}.
+_branch_decision attempts the division by each factor, on a kernel
+p-torsion that the pfaffian and the gram mod p show to be 2-dimensional,
+and returns the first exact one. Two former decisions are kept here as
+references: kill_kernel_branch_decision, the factor whose action kills the
+row-reduced kernel p-torsion, and kernel_equality_branch_decision, the
+factor whose canonical mod-p kernel basis equals it. All three give the
+same branch and element, and the returned surface is the division by that
+element, on every class of the scan, on the branch corpus, and on
+scrambled twists and pull-backs at split and ramified primes in orders of
+conductor 1, 3 and 9.
 
 Where the kernel splits across two non-associate factor kernels, the
 conductor identity f = a1*b1 + a2*b2 always has a solution, on the branch
@@ -28,11 +33,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmlattice as rm
 from rmlattice import intmat
 from rmlattice.errors import InvariantBreach
 from rmlattice.generator import generate_instance, random_unimodular
+from rmlattice.isogeny import divide_by_symmetric
 from rmlattice.reduction import _branch_decision, reduce_degree_step, squarefree_reduce
 from rmlattice.surface import (
     apply_unimodular,
@@ -58,6 +66,33 @@ def kernel_equality_branch_decision(surface, p, factors):
     raise InvariantBreach(
         f"kernel p-torsion at {p} is not the mod-p kernel of a factor of {p}"
     )
+
+
+def kill_kernel_branch_decision(surface, p, factors):
+    """The former _branch_decision, kept as the second reference: the
+    factor, a1 tried first, whose action kills every vector of the
+    row-reduced kernel p-torsion K, with K 2-dimensional."""
+    kernel_p = polarization_kernel_mod_p(surface, p)
+    if len(kernel_p) == 2:
+        for el in factors:
+            action = rm.element_action(surface, el)
+            if all(x % p == 0 for v in kernel_p for x in intmat.mat_vec(action, v)):
+                if surface.order.discriminant % p == 0:
+                    return "associate_divide", el
+                return "split_divide", el
+    raise InvariantBreach(
+        f"kernel p-torsion at {p} is not the mod-p kernel of a factor of {p}"
+    )
+
+
+def _decide_like_both_references(stable, p, factors):
+    """_branch_decision on a squarefree-stable surface, checked against both
+    references and against a fresh division by the element it picks."""
+    branch, element, divided = _branch_decision(stable, p, factors)
+    assert (branch, element) == kernel_equality_branch_decision(stable, p, factors)
+    assert (branch, element) == kill_kernel_branch_decision(stable, p, factors)
+    assert divided == divide_by_symmetric(stable, element)
+    return branch, element
 
 
 def symmetric_form_lattice_basis(surface):
@@ -121,8 +156,7 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
                 continue
             stable, _ = squarefree_reduce(surface, p)
             assert rm.degree(stable) == p * p
-            branch, element = _branch_decision(stable, p, factors)
-            assert (branch, element) == kernel_equality_branch_decision(stable, p, factors)
+            branch, element = _decide_like_both_references(stable, p, factors)
             kernel_el = intmat.kernel_mod_p(
                 intmat.mat_mod(rm.element_action(stable, element), p), p
             )
@@ -135,14 +169,11 @@ def test_every_degree_p2_class_takes_a_divide_branch(D, p):
 
 def _same_branch_decision(surface, p):
     """Whether squarefree reduction leaves p in the degree; if so, assert
-    that _branch_decision and the reference agree on the result."""
+    that _branch_decision and both references agree on the result."""
     stable, _ = squarefree_reduce(surface, p)
     if rm.degree(stable) % p:
         return False
-    factors = rm.factor_prime(stable.order, p)
-    assert _branch_decision(stable, p, factors) == kernel_equality_branch_decision(
-        stable, p, factors
-    )
+    _decide_like_both_references(stable, p, rm.factor_prime(stable.order, p))
     return True
 
 
@@ -171,6 +202,44 @@ def test_branch_decision_matches_kernel_equality_at_split_and_ramified_primes(D)
                 if _same_branch_decision(moved, p):
                     kinds.add(kind)
     assert kinds == ({"split"} if D == 2 else {"split", "ramified"})
+
+
+def _scrambled_cases():
+    """(D, f, p, kind, surface) for each factor's twist of the standard
+    instance and, at a split prime, both eigen-sublattice pull-backs, in
+    orders of conductor 1, 3 and 9 at the primes with a norm +-p element."""
+    cases = []
+    for D in (2, 3, 5, 13, 17):
+        for f in (1, 3, 9):
+            order = rm.make_order(D, f)
+            base = rm.standard_instance(order)
+            for p in (3, 5, 7, 11, 13, 17):
+                kind = rm.splitting_type(order, p)
+                factors = rm.factor_prime(order, p) if kind in ("split", "ramified") else None
+                if factors is None:
+                    continue
+                surfaces = [rm.twist_by_element(base, el, norm=el.norm()) for el in factors]
+                if kind == "split":
+                    surfaces += [eigen_sublattice_pullback(base, p, i) for i in (0, 1)]
+                cases += [(D, f, p, kind, s) for s in surfaces]
+    return cases
+
+
+SCRAMBLED = _scrambled_cases()
+
+
+def test_the_scrambled_cases_cover_split_and_ramified_primes_in_every_conductor():
+    assert {(f, kind) for _, f, _, kind, _ in SCRAMBLED} == {
+        (f, kind) for f in (1, 3, 9) for kind in ("split", "ramified")
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=st.sampled_from(SCRAMBLED), seed=st.integers(0, 2**32 - 1))
+def test_branch_decision_matches_both_references_on_scrambled_twists_and_pullbacks(case, seed):
+    _, _, p, _, surface = case
+    moved = apply_unimodular(surface, random_unimodular(random.Random(seed)))
+    assert _same_branch_decision(moved, p)
 
 
 def _lines(plane, p):

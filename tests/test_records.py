@@ -1,6 +1,7 @@
 """The package's value types as plain Record classes: the same semantics as
 the frozen dataclasses they replaced, and a CLI import that loads neither
-dataclasses nor inspect, ast or typing.
+dataclasses nor inspect, ast or typing, nor decimal, which only the codec
+of integers past 2^2048 uses.
 
 The six former dataclass definitions are kept here as references, fields
 only. A Record and its reference built from the same field values must
@@ -148,7 +149,8 @@ def test_the_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
     # -S so that site preloads nothing; the package comes from src alone
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import rmlattice.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules))))"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'typing', 'decimal'}"
+        " & set(sys.modules))))"
     )
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(

@@ -174,9 +174,9 @@ def test_squarefree_reduce_matches_the_reference_loop():
     assert {(SCALE,), (QUOTIENT,), (QUOTIENT, SCALE)} <= kinds
 
 
-def test_reduce_degree_step_row_reduces_mod_p_once(monkeypatch):
-    # a degree-p^2 surface needs no squarefree move, so the branch decision's
-    # kernel of the gram mod p is the step's one row reduction
+def test_a_divide_step_makes_no_mod_p_elimination(monkeypatch):
+    # a degree-p^2 surface needs no squarefree move, and the branch decision
+    # attempts the divisions instead of row-reducing the gram mod p
     rng = random.Random(5)
     cases = []
     for D, p in [(13, 3), (2, 7), (5, 11)]:
@@ -185,18 +185,19 @@ def test_reduce_degree_step_row_reduces_mod_p_once(monkeypatch):
         tw = twist_by_element(s, el, norm=el.norm())
         cases.append((apply_unimodular(tw, random_unimodular(rng)), p))
     calls = []
-    real = intmat.kernel_mod_p
+    for name in ("kernel_mod_p", "rref_mod_p"):
+        real = getattr(intmat, name)
 
-    def counting(m, q):
-        calls.append(q)
-        return real(m, q)
+        def counting(m, q, name=name, real=real):
+            calls.append(name)
+            return real(m, q)
 
-    monkeypatch.setattr(intmat, "kernel_mod_p", counting)
+        monkeypatch.setattr(intmat, name, counting)
     for tw, p in cases:
         assert degree(tw) == p * p
         calls.clear()
         out, steps = reduce_degree_step(tw, p)
-        assert calls == [p]
+        assert calls == []
         assert degree(out) == 1 and [st.kind for st in steps] == [DIVIDE]
 
 
