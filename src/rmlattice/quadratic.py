@@ -104,8 +104,6 @@ class Record:
     def __getstate__(self) -> tuple:
         return self._key(self)
 
-    _values = __getstate__
-
     def __setstate__(self, values: tuple) -> None:
         for name, value in zip(self._fields, values):
             _set(self, name, value)

@@ -3,15 +3,16 @@
 Each move takes a surface and a prime and returns (surface, steps).
 squarefree_reduce shrinks the p-part of the polarization kernel until its
 elementary divisors at p are squarefree; once the gram's content is prime
-to p, the carried pfaffian alone says whether a quotient move is left, so
-the loop stops without another pass over the gram. enlarge_order_step
-enlarges the acting order by one conductor prime without changing the
-degree, building one surface per move: its twist by p^3 is recorded from
-the scalar identities, not built, and the descent and the division of the
-action by p are one change of basis (surface.change_basis); its quotient
-step records the rank invariant t of the old generator mod p (always 2 on
-valid input), read off the kernel's Hermite form, so a move row-reduces
-mod p once. reduce_degree_step divides by the norm +-p factor el whose
+to p, the carried pfaffian alone says whether a quotient move is left, and
+its kernel is the mod-p kernel of the gram, since the kernel's p-part is
+then (Z/p^v)^2 with v >= 2, whose p-torsion is p times its p^2-torsion.
+enlarge_order_step enlarges the acting order by one conductor prime
+without changing the degree, building one surface per move: its twist by
+p^3 is recorded from the scalar identities, not built, and the descent and
+the division of the action by p are one change of basis
+(surface.change_basis); its quotient step records the rank invariant t of
+the old generator mod p (always 2 on valid input), read off the kernel's
+Hermite form, so a move row-reduces mod p once. reduce_degree_step divides by the norm +-p factor el whose
 mod-p kernel is the kernel p-torsion K, recording the branch, and row-
 reduces nothing mod p: K is 2-dimensional exactly when p | pf and the gram
 is not 0 mod p, and ker(A_el) = im(A_conj(el)) on L/pL, so el kills K
@@ -72,46 +73,21 @@ class CertificateData(Record):
 # ---------------------------------------------------------------------------
 
 
-def order_p_squared_subspace(surface: PolarizedRMSurface, p: int):
-    """Mod-p classes of p * (kernel p^2-torsion), as a basis of their span.
-
-    These classes are exactly the reductions of lattice vectors x with
-    gram x = 0 mod p^2, computed by lifting the mod-p kernel: a kernel
-    vector b lifts iff (gram b)/p lands in the image of gram mod p, which
-    is a linear condition on mod-p coefficients: (gram b)/p must pair to
-    zero with the mod-p kernel, since the gram is alternating and its
-    image is the kernel's annihilator. No big-integer elimination is
-    involved. The basis is not canonical: kernel_from_subspace's Hermite
-    form makes the kernel so.
-    """
-    base = polarization_kernel_mod_p(surface, p)
-    if not base:
-        return ()
-    carries = [
-        tuple((x // p) % p for x in intmat.mat_vec(surface.gram, b)) for b in base
-    ]
-    conditions = [[sum(u[i] * w[i] for i in range(4)) % p for w in carries] for u in base]
-    return tuple(
-        tuple(sum(c[i] * base[i][k] for i in range(len(base))) % p for k in range(4))
-        for c in intmat.kernel_mod_p(conditions, p)
-    )
-
-
 def squarefree_reduce(
     surface: PolarizedRMSurface, p: int
 ) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, ...]]:
     """Scale and quotient until the p-part of the kernel divisors is (1, p) or (1, 1).
 
     Move (a): when the whole gram form vanishes mod p, divide it by p.
-    Move (b): when the kernel has a point of order p^2, quotient by p times
-    the p^2-torsion of the kernel; descent always succeeds there. By the
-    carried identities the scale move takes the pfaffian to pf/p^2 and a
-    quotient by a k-dimensional subspace to pf/p^k, so each move strictly
-    lowers the p-valuation of the degree. Once the gram's content c is
-    prime to p, the divisors (c, c, pf/c, pf/c) put (Z/p^v)^2 in the
-    kernel, v the p-valuation of the carried pf, so move (b) is taken
-    exactly when p^2 divides pf; finding no p^2-torsion there is an
-    invariant breach.
+    Move (b): otherwise, when p^2 divides the carried pfaffian, quotient by
+    the kernel p-torsion, ker(gram mod p); descent always succeeds there.
+    The gram's content c is then prime to p, so the divisors (c, c, pf/c,
+    pf/c) put (Z/p^v)^2 in the kernel, v >= 2 the p-valuation of pf: its
+    p-torsion is p times its p^2-torsion, and ker(gram mod p) is that
+    2-dimensional subspace (an alternating form mod p has even rank). By
+    the carried identities either move takes the pfaffian to pf/p^2, so
+    each strictly lowers the p-valuation of the degree, and the loop stops
+    once p^2 no longer divides pf.
     """
     require_odd_prime(p)
     steps: list[IsogenyStep] = []
@@ -129,17 +105,7 @@ def squarefree_reduce(
                 )
             )
         elif current.pf % (p * p) == 0:
-            subspace = order_p_squared_subspace(current, p)
-            if not subspace:
-                v, n = 0, current.pf
-                while n % p == 0:
-                    n //= p
-                    v += 1
-                raise InvariantBreach(
-                    "squarefree reduction left divisor p-parts "
-                    f"(1, {int_text(p**v)}) at {int_text(p)}"
-                )
-            kernel = kernel_from_subspace(subspace, p)
+            kernel = kernel_from_subspace(polarization_kernel_mod_p(current, p), p)
             try:
                 new_surface = descend_polarization(current, kernel)
             except (DescentError, PreconditionError) as exc:

@@ -45,6 +45,7 @@ from test_intmat_oracles import (
     reference_hnf_mod,
     to_fraction,
 )
+from test_reduction import order_p_squared_subspace
 
 
 def _exponent(kernel):
@@ -249,8 +250,6 @@ def test_quotient_functoriality():
     tw = twist_by_element(twist_by_element(s, el, norm=el.norm()), el, norm=el.norm())
     assert degree(tw) == 81
     assert intmat.alternating_divisors(tw.gram, tw.pf) == (1, 1, 9, 9)
-    from rmlattice.reduction import order_p_squared_subspace
-
     sub2 = order_p_squared_subspace(tw, 3)
     assert len(sub2) == 2
     k2 = kernel_from_subspace(sub2, 3)

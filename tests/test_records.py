@@ -241,7 +241,7 @@ def test_pickle_and_deepcopy_round_trip(name, data):
     for clone in clones:
         assert type(clone) is cls
         assert clone == rec and hash(clone) == hash(rec) and repr(clone) == repr(rec)
-        assert clone._values() == rec._values()
+        assert clone.__getstate__() == rec.__getstate__()
 
 
 def test_the_cached_pfaffian_is_not_part_of_the_pickled_value():

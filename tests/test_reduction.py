@@ -7,6 +7,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmlattice import (
     InvariantBreach,
@@ -19,13 +21,14 @@ from rmlattice import (
     principalize,
     reduce_degree_step,
     solve_norm,
+    splitting_type,
     squarefree_reduce,
     stabilizer_order,
     standard_instance,
     twist_by_element,
     validate,
 )
-from rmlattice import intmat, quadratic, reduction
+from rmlattice import intmat, quadratic
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import (
     DIVIDE,
@@ -37,7 +40,12 @@ from rmlattice.isogeny import (
 )
 from rmlattice.oracle import verify_certificate
 from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE, principal_defect
-from rmlattice.surface import PolarizedRMSurface, apply_unimodular, kernel_from_subspace
+from rmlattice.surface import (
+    PolarizedRMSurface,
+    apply_unimodular,
+    kernel_from_subspace,
+    polarization_kernel_mod_p,
+)
 from test_intmat_oracles import overlattice, scalar_mul, snf_with_transforms
 
 
@@ -96,23 +104,35 @@ def test_squarefree_reduce_handles_mixed_powers():
     assert all(st.degree_before > st.degree_after for st in steps)
 
 
-def test_squarefree_check_reports_the_p_parts_left(monkeypatch):
-    # with no p^2-torsion found, the divisors (1, 1, 9, 9) stay and the
-    # closing check names their 3-parts
-    s = standard_instance(make_order(13, 1))
-    el = s.order.element(2, 1)  # norm 3
-    tw = twist_by_element(twist_by_element(s, el, norm=el.norm()), el, norm=el.norm())
-    monkeypatch.setattr(reduction, "order_p_squared_subspace", lambda surface, p: ())
-    with pytest.raises(
-        InvariantBreach, match=r"^squarefree reduction left divisor p-parts \(1, 9\) at 3$"
-    ):
-        squarefree_reduce(tw, 3)
+def order_p_squared_subspace(surface, p):
+    """Mod-p classes of p * (kernel p^2-torsion), as a basis of their span.
+
+    These classes are exactly the reductions of lattice vectors x with
+    gram x = 0 mod p^2, computed by lifting the mod-p kernel: a kernel
+    vector b lifts iff (gram b)/p lands in the image of gram mod p, which
+    is a linear condition on mod-p coefficients: (gram b)/p must pair to
+    zero with the mod-p kernel, since the gram is alternating and its
+    image is the kernel's annihilator. The basis is not canonical:
+    kernel_from_subspace's Hermite form makes the kernel so.
+    """
+    base = polarization_kernel_mod_p(surface, p)
+    if not base:
+        return ()
+    carries = [
+        tuple((x // p) % p for x in intmat.mat_vec(surface.gram, b)) for b in base
+    ]
+    conditions = [[sum(u[i] * w[i] for i in range(4)) % p for w in carries] for u in base]
+    return tuple(
+        tuple(sum(c[i] * base[i][k] for i in range(len(base))) % p for k in range(4))
+        for c in intmat.kernel_mod_p(conditions, p)
+    )
 
 
-def reference_squarefree_reduce(surface, p):
-    """The squarefree loop as it was before it stopped on the pfaffian: it
-    ends on a pass that finds no p^2-torsion, then reads the p-parts left
-    from the carried pfaffian."""
+def reference_squarefree_reduce(surface, p, states=None):
+    """The squarefree loop as it was before it stopped on the pfaffian and
+    took the mod-p kernel: it quotients by p times the kernel p^2-torsion,
+    ends on a pass that finds none, then reads the p-parts left from the
+    carried pfaffian. Each surface it quotients is appended to `states`."""
     steps = []
     current = surface
     while True:
@@ -128,9 +148,11 @@ def reference_squarefree_reduce(surface, p):
                 )
             )
         else:
-            subspace = reduction.order_p_squared_subspace(current, p)
+            subspace = order_p_squared_subspace(current, p)
             if not subspace:
                 break
+            if states is not None:
+                states.append(current)
             kernel = kernel_from_subspace(subspace, p)
             new_surface = descend_polarization(current, kernel)
             steps.append(
@@ -174,6 +196,74 @@ def test_squarefree_reduce_matches_the_reference_loop():
     assert {(SCALE,), (QUOTIENT,), (QUOTIENT, SCALE)} <= kinds
 
 
+def _stacked_cases():
+    """(f, p, kind, surface) for each word of two or three twists by a
+    factor of p and its conjugate (el^k and mixes of el with conj(el)) on
+    the standard instance and, at a split prime, of one or two on both
+    eigen-sublattice pull-backs, in orders of conductor 1, 3 and 9."""
+    cases = []
+    for D in (2, 3, 5, 13, 17):
+        for f in (1, 3, 9):
+            order = make_order(D, f)
+            base = standard_instance(order)
+            for p in (3, 5, 7, 11, 13):
+                kind = splitting_type(order, p)
+                if kind not in ("split", "ramified"):
+                    continue
+                el = factor_prime(order, p)[0]
+                letters = (el, el.conjugate())
+                starts = [(base, (2, 3))]
+                if kind == "split":
+                    starts += [(eigen_sublattice_pullback(base, p, i), (1, 2)) for i in (0, 1)]
+                for start, lengths in starts:
+                    for length in lengths:
+                        for word in itertools.product(letters, repeat=length):
+                            tw = start
+                            for letter in word:
+                                tw = twist_by_element(tw, letter, norm=letter.norm())
+                            cases.append((f, p, kind, tw))
+    return cases
+
+
+STACKED = _stacked_cases()
+
+
+def test_the_stacked_cases_cover_split_and_ramified_primes_in_every_conductor():
+    # at a ramified prime el^2 is p times a unit, so the stacked twists
+    # reach only scale moves there; at a split prime both moves arise
+    moves = {(f, kind): set() for f in (1, 3, 9) for kind in ("split", "ramified")}
+    for f, p, kind, surface in STACKED:
+        moves[f, kind] |= {step.kind for step in squarefree_reduce(surface, p)[1]}
+    assert moves == {
+        (f, kind): {SCALE, QUOTIENT} if kind == "split" else {SCALE}
+        for f, kind in moves
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=st.sampled_from(STACKED), seed=st.integers(0, 2**32 - 1))
+def test_squarefree_quotients_by_the_mod_p_kernel_on_scrambled_stacked_twists(case, seed):
+    # at every quotient state of the loop (gram not 0 mod p, p^2 | pf), p
+    # times the kernel p^2-torsion spans ker(gram mod p), so both give the
+    # same kernel, and squarefree_reduce returns the reference loop's result
+    _, p, _, surface = case
+    moved = apply_unimodular(surface, random_unimodular(random.Random(seed)))
+    states = []
+    ref_out, ref_steps = reference_squarefree_reduce(moved, p, states)
+    for state in states:
+        assert any(x % p for row in state.gram for x in row)
+        assert state.pf % (p * p) == 0
+        lifted = order_p_squared_subspace(state, p)
+        mod_p = polarization_kernel_mod_p(state, p)
+        assert len(mod_p) == 2
+        assert intmat.span_mod_p(lifted, p) == intmat.span_mod_p(mod_p, p)
+        assert kernel_from_subspace(lifted, p) == kernel_from_subspace(mod_p, p)
+    out, steps = squarefree_reduce(moved, p)
+    assert out == ref_out and out.pf == ref_out.pf
+    assert steps == ref_steps
+    assert sum(step.kind == QUOTIENT for step in steps) == len(states)
+
+
 def test_a_divide_step_makes_no_mod_p_elimination(monkeypatch):
     # a degree-p^2 surface needs no squarefree move, and the branch decision
     # attempts the divisions instead of row-reducing the gram mod p
@@ -211,8 +301,6 @@ def test_order_p_squared_subspace_matches_smith_route():
     # independent route: columns of the Smith transform whose divisor is
     # divisible by p^2 span the same mod-p subspace; the fast route's basis
     # is not canonical, so the two spans are compared
-    from rmlattice.reduction import order_p_squared_subspace
-
     rng = random.Random(31)
     checked = 0
     for D, p in [(13, 3), (5, 5), (5, 11), (3, 3)]:

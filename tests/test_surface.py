@@ -98,7 +98,7 @@ def test_cached_pfaffian_is_not_part_of_the_value():
     assert "pf" in vars(s)
     assert s == fresh and hash(s) == hash(fresh)
     assert list(PolarizedRMSurface._fields) == ["order", "action", "gram"]
-    assert s._values() == fresh._values()
+    assert s.__getstate__() == fresh.__getstate__()
 
 
 def test_polarization_kernel_is_the_kernel_of_the_gram_mod_p():
