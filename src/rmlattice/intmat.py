@@ -1,4 +1,4 @@
-"""Exact linear algebra on small integer and rational matrices.
+"""Exact linear algebra on small integer matrices.
 
 Everything here is sized for the rank-4 lattices used by the rest of the
 package: matrices are tuples of tuples, integers are arbitrary precision,
@@ -8,11 +8,10 @@ products, the congruence b^T e b of an alternating e as that product
 e b and six more sums above the diagonal, the exact division by an
 integer as four divisibility tests and four quotients per row, the
 alternating test as six pair comparisons and a zero diagonal, det and
-adjugate are closed-form expansions in the twelve 2x2 minors (all exact
-on Fraction entries too), a lattice between p*Z^4 and Z^4 for a prime p
-is put into Hermite form by one elimination over Z/p (hnf_mod_p), and the
-elementary divisors of an alternating form are read off its content and
-pfaffian.
+adjugate are closed-form expansions in the twelve 2x2 minors, a lattice
+between p*Z^4 and Z^4 for a prime p is put into Hermite form by one
+elimination over Z/p (hnf_mod_p), and the elementary divisors of an
+alternating form are read off its content and pfaffian.
 
 Conventions:
   * lattices are column lattices (a basis is the tuple of matrix columns);
@@ -137,17 +136,16 @@ def _cofactors(v, w):
 
 
 def det(m):
-    """Determinant of a 4x4 matrix by Laplace expansion along rows 0-1;
-    exact for int or Fraction entries."""
+    """Determinant of a 4x4 integer matrix by Laplace expansion along rows
+    0-1."""
     s01, s02, s03, s12, s13, s23 = _wedge(m[0], m[1])
     c01, c02, c03, c12, c13, c23 = _wedge(m[2], m[3])
     return s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01
 
 
 def adjugate(m):
-    """Adjugate of a 4x4 matrix, satisfying m @ adj(m) = det(m) * I, from
-    the twelve 2x2 minors of rows 0-1 and rows 2-3; exact for int or
-    Fraction entries."""
+    """Adjugate of a 4x4 integer matrix, satisfying m @ adj(m) = det(m) * I,
+    from the twelve 2x2 minors of rows 0-1 and rows 2-3."""
     a, b, c, d = m
     low, high = _wedge(a, b), _wedge(c, d)
     x, y, z, w = _cofactors(b, high), _cofactors(a, high), _cofactors(d, low), _cofactors(c, low)

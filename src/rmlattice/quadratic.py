@@ -20,9 +20,9 @@ sqrt(disc) long, so a walk stops after _WALK_BUDGET rho steps with a
 PreconditionError naming D and the budget. A norm +-p element generates
 such a prime, and every other solution is a unit multiple of it or of its
 conjugate.
-In a conductor-f suborder the question reduces to the group
+In a suborder of odd conductor f the question reduces to the group
 G = (O_F/f)^*/(Z/f)^*: the suborder's unit is u**n0, n0 the order of u
-in G read off |G| = prod over q^e || f of q^(e-1)*(q - chi(q)), and the
+in G read off |G| = prod over q^e || f of q^(e-1)*(q - (d_F/q)), and the
 generator reaches the suborder at the exponents k0 + n0*Z, k0 found by a
 baby-step giant-step discrete log modulo f. The canonical solution, the
 least |y| on that progression, is placed from the sizes of the
@@ -270,9 +270,10 @@ def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     cycle, which is O(sqrt(disc) log disc), however large the unit is; past
     _WALK_BUDGET rho steps the walk refuses the field.
 
-    For conductor f > 1 the unit group is the cyclic subgroup of
+    For an odd conductor f > 1 the unit group is the cyclic subgroup of
     maximal-order units landing in the order, so the answer is u**n0 for
-    n0 the order of the class of u in (O_F/f)^*/(Z/f)^*, from _unit_index.
+    n0 the order of the class of u in (O_F/f)^*/(Z/f)^*, from _unit_index
+    (which refuses an even f).
     """
     if order.conductor > 1:
         power = fundamental_unit(make_order(order.D, 1)) ** _unit_index(order)
@@ -313,29 +314,25 @@ def _residue(el: OrderElement, f: int) -> tuple[int, int]:
     return el.x % f, el.y % f
 
 
-def _kronecker(d: int, q: int) -> int:
-    """The Kronecker symbol (d/q) at a prime q, for a discriminant d."""
-    if q == 2:
-        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
-    return legendre(d, q)
-
-
 @lru_cache(maxsize=None)
 def _unit_index(order: RealQuadraticOrder) -> int:
     """The least n0 >= 1 with u**n0 in the order, u the maximal order's unit.
 
     n0 is the order of the class of u in G = (O_F/f)^*/(Z/f)^*, whose size
-    is |G| = prod over q^e || f of q^(e-1)*(q - chi(q)), chi the Kronecker
-    symbol of d_F (also at q = 2). n0 divides |G|, so it is |G| with each
-    prime stripped for as long as the power of u stays a scalar modulo f:
-    O(log^2 f) modular powers once |G| is factored.
+    is |G| = prod over q^e || f of q^(e-1)*(q - (d_F/q)) for odd f; an even
+    f raises PreconditionError, the one refusal of fundamental_unit and
+    solve_norm. n0 divides |G|, so it is |G| with each prime stripped for
+    as long as the power of u stays a scalar modulo f: O(log^2 f) modular
+    powers once |G| is factored.
     """
-    maximal = make_order(order.D, 1)
     f = order.conductor
+    if f % 2 == 0:
+        raise PreconditionError(f"conductor {int_text(f)} must be odd")
+    maximal = make_order(order.D, 1)
     u = _residue(fundamental_unit(maximal), f)
     n0 = 1
     for q, e in factorize(f).items():
-        n0 *= q ** (e - 1) * (q - _kronecker(order.fundamental_discriminant, q))
+        n0 *= q ** (e - 1) * (q - legendre(order.fundamental_discriminant, q))
     for q in factorize(n0):
         while n0 % q == 0 and _pow_mod(maximal, u, n0 // q, f)[1] == 0:
             n0 //= q
@@ -344,14 +341,14 @@ def _unit_index(order: RealQuadraticOrder) -> int:
 
 @lru_cache(maxsize=None)
 def _baby_steps(order: RealQuadraticOrder):
-    """(maximal, u, n0, table, giant, period) for discrete logs base rho mod f.
+    """(maximal, table, giant) for discrete logs base rho mod an odd f.
 
-    u is the residue of the maximal order's unit and rho = u/conj(u) =
-    N(u)*u^2. The map z -> z/conj(z) kills (Z/f)^*, so it is defined on G.
-    It is one-to-one there for odd f; for even f it can be two-to-one, so
-    rho has order period = n0 or n0/2. The table maps rho**j to j for
-    j < m = ceil(sqrt(period)), m distinct powers as m <= period, and
-    giant is the matrix of multiplication by rho**(-m) = conj(rho**m).
+    rho = u/conj(u) = N(u)*u^2 for u the residue of the maximal order's
+    unit. The map z -> z/conj(z) kills (Z/f)^*, so it is defined on G, and
+    for odd f it is one-to-one there, so rho has the order n0 of u. The
+    table maps rho**j to j for j < m = ceil(sqrt(n0)), m distinct powers as
+    m <= n0, and giant is the matrix of multiplication by
+    rho**(-m) = conj(rho**m).
     """
     maximal = make_order(order.D, 1)
     f = order.conductor
@@ -360,33 +357,29 @@ def _baby_steps(order: RealQuadraticOrder):
     x, y = _mul_mod(maximal, u, u, f)
     rho = (x * unit.norm() % f, y * unit.norm() % f)
     n0 = _unit_index(order)
-    half = n0 // 2
-    period = half if n0 % 2 == 0 and _pow_mod(maximal, rho, half, f) == (1, 0) else n0
     table = {}
     power = (1, 0)
-    for j in range(isqrt(period - 1) + 1):
+    for j in range(isqrt(n0 - 1) + 1):
         table[power] = j
         power = _mul_mod(maximal, power, rho, f)
     # giant = conj(power) = gx + gy*w, kept as the matrix of z -> z*giant
     x, y = power
     gx, gy = (x + maximal.trace_omega * y) % f, -y % f
     giant = (gx, -maximal.norm_omega * gy % f, gy, (gx + maximal.trace_omega * gy) % f)
-    return maximal, u, n0, table, giant, period
+    return maximal, table, giant
 
 
 def _unit_log(order: RealQuadraticOrder, seed: OrderElement) -> int | None:
     """The least k < n0 with seed * u**k in the order, or None.
 
     seed is an element of the maximal order whose norm is coprime to the
-    conductor f. seed*u**k lies in the order exactly when its class in G is
-    trivial, which implies rho**k = conj(seed)/seed = conj(seed)^2/N(seed)
-    mod f. Baby-step giant-step (Shanks 1971) finds the least such k0 in
-    O(sqrt(n0)) products. For odd f, z -> z/conj(z) is one-to-one on G, so
-    k0 is the answer. For even f it need not be: the solutions below n0 are
-    k0 and, when rho has order n0/2, k0 + n0/2, and each is confirmed by
-    one modular power.
+    odd conductor f. seed*u**k lies in the order exactly when its class in
+    G is trivial, that is, as z -> z/conj(z) is one-to-one on G for odd f,
+    when rho**k = conj(seed)/seed = conj(seed)^2/N(seed) mod f.
+    Baby-step giant-step (Shanks 1971) finds the least such k in
+    O(sqrt(n0)) products.
     """
-    maximal, u, n0, table, giant, period = _baby_steps(order)
+    maximal, table, giant = _baby_steps(order)
     f, t, n = order.conductor, maximal.trace_omega, maximal.norm_omega
     a, b, c, d = giant
     m = len(table)
@@ -396,17 +389,8 @@ def _unit_log(order: RealQuadraticOrder, seed: OrderElement) -> int | None:
     for i in range(m):
         j = table.get((x, y))
         if j is not None:
-            k = i * m + j
-            break
+            return i * m + j
         x, y = (x * a + y * b) % f, (x * c + y * d) % f
-    else:
-        return None
-    if f % 2:
-        return k
-    s = _residue(seed, f)
-    for h in range(k, n0, period):
-        if _mul_mod(maximal, s, _pow_mod(maximal, u, h, f), f)[1] == 0:
-            return h
     return None
 
 
@@ -540,12 +524,13 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     g the generator ideal_generator gives of (p, w - r), r a root of
     X^2 - tX + n modulo p, and u the maximal order's unit; there is none
     when p is inert or that prime is not principal. Such an element lies
-    in the conductor-f order exactly for k = k0 (mod n0), k0 from the
-    discrete log _unit_log and u**n0 the suborder's unit (k0 = 0 and
-    n0 = 1 for the maximal order). _least_y_exponents places the least
-    |y| on that progression from the sizes of the embeddings; only those
-    one or two powers per progression are built, and the minimum over them,
-    their negatives and their conjugates is taken exactly.
+    in the order of odd conductor f (_unit_index refuses an even one) exactly
+    for k = k0 (mod n0), k0 from the discrete log _unit_log and u**n0 the
+    suborder's unit (k0 = 0 and n0 = 1 for the maximal order).
+    _least_y_exponents places the least |y| on that progression from the
+    sizes of the embeddings; only those one or two powers per progression
+    are built, and the minimum over them, their negatives and their
+    conjugates is taken exactly.
     """
     require_odd_prime(p)
     f = order.conductor

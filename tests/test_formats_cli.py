@@ -499,11 +499,27 @@ def test_cli_generate_rejects_inert_prime(tmp_path):
     assert code == 2
 
 
-def test_cli_generate_rejects_even_conductor(tmp_path):
+def test_cli_generate_rejects_even_conductor(tmp_path, capsys):
     code = main([
         "generate", "--D", "5", "--conductor", "2", "-o", str(tmp_path / "x.json"),
     ])
     assert code == 2
+    assert capsys.readouterr() == ("", "error: conductor must be odd\n")
+
+
+def test_cli_principalize_refuses_and_info_reads_an_even_conductor(tmp_path, capsys):
+    # principalize refuses an even conductor before any unit is computed;
+    # info computes none and prints the instance
+    order = make_order(5, 2)
+    inst = tmp_path / "inst.json"
+    surface = twist_by_element(standard_instance(order), order.element(3, 1), norm=11)
+    inst.write_text(serialize_instance(surface))
+    assert main(["principalize", str(inst), "-o", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr() == ("", "error: conductor 2 must be odd\n")
+    assert main(["info", str(inst)]) == 0
+    assert capsys.readouterr() == (
+        "Δ=20 f=2 deg=121 divisors=(1,1,11,11)\n11: split\nhumbert: true\n", ""
+    )
 
 
 def test_cli_refuses_a_field_whose_D_rho_cannot_factor(tmp_path, capsys, monkeypatch):
