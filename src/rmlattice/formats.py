@@ -27,13 +27,18 @@ is a ValueError naming the object, and so is a key that appears twice in one
 object. Text nested too deeply for the JSON decoder is a ValueError too, not
 a RecursionError.
 
-A step is written as one %-format of a template built from the table's keys,
-and its kernel, the integer pair (basis, den) of surface.KernelSubgroup, as
-one of a 16-slot template: entry x is the text of x/den in lowest terms,
-whose token is kept in a bounded memo on (x, den) (_kernel_token), as a
-kernel's few Hermite residues recur from step to step. A step is read with
-one comparison of its keys against the table's, and built from its field
-values without a keyword dict.
+An instance is written as one %-format of a template built at import, its
+32 matrix entries by repr when all lie below 2^53 in magnitude and by
+_int_token otherwise; a matrix whose entries are all such ints is read in
+one C-level pass (the set of entry types, min and max), any other entry by
+entry. A step is written as one %-format of a template built from the
+table's keys, and its kernel, the integer pair (basis, den) of
+surface.KernelSubgroup, as one of a 16-slot template: entry x is the text
+of x/den in lowest terms, whose token is kept in a bounded memo on
+(x, den) (_kernel_token), as a kernel's few Hermite residues recur from
+step to step. A step is read with one comparison of its keys against the
+table's, and its fields are set through the slot setters, without a
+keyword dict.
 
 A kernel is read back as a pair: den is the lcm of its entries'
 denominators, which is the den of every kernel the pipeline records (each
@@ -95,13 +100,6 @@ def _matrix(m, token, pad: str) -> str:
     inner = "\n" + pad + "    "
     sep, close = "," + inner, "\n" + pad + "  ]"
     return _array(["[" + inner + sep.join(map(token, row)) + close for row in m], pad)
-
-
-def _int_matrix(m, pad: str) -> str:
-    # when every entry is below 2^53, as is usual, repr writes them with no
-    # Python call per entry
-    small = -_BIG < min(map(min, m)) and max(map(max, m)) < _BIG
-    return _matrix(m, repr if small else _int_token, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,12 @@ def _rows(obj) -> list:
 
 def _decode_matrix(obj, entry) -> tuple:
     """A 4x4 matrix whose entries the decoder `entry` reads."""
-    return tuple([tuple(map(entry, row)) for row in _rows(obj)])
+    r0, r1, r2, r3 = rows = _rows(obj)
+    if entry is _decode_int:
+        entries = (*r0, *r1, *r2, *r3)
+        if set(map(type, entries)) == {int} and -_BIG < min(entries) and max(entries) < _BIG:
+            return (tuple(r0), tuple(r1), tuple(r2), tuple(r3))
+    return tuple([tuple(map(entry, row)) for row in rows])
 
 
 def _decode_kernel(obj) -> KernelSubgroup:
@@ -256,18 +259,23 @@ def _load(text: str):
 # ---------------------------------------------------------------------------
 
 
+_INSTANCE_TEXT = _object(
+    (
+        ("order", _object((("D", "%s"), ("conductor", "%s")), "  ")),
+        ("omega_action", _matrix([["%s"] * 4] * 4, str, "  ")),
+        ("gram", _matrix([["%s"] * 4] * 4, str, "  ")),
+        ("format_version", repr(FORMAT_VERSION)),
+    ),
+    "",
+)
+
+
 def _instance_text(surface: PolarizedRMSurface) -> str:
-    D, conductor = surface.order.D, surface.order.conductor
-    order = _object((("D", _int_token(D)), ("conductor", _int_token(conductor))), "  ")
-    return _object(
-        (
-            ("order", order),
-            ("omega_action", _int_matrix(surface.action, "  ")),
-            ("gram", _int_matrix(surface.gram, "  ")),
-            ("format_version", repr(FORMAT_VERSION)),
-        ),
-        "",
-    )
+    (a0, a1, a2, a3), (g0, g1, g2, g3) = surface.action, surface.gram
+    entries = (*a0, *a1, *a2, *a3, *g0, *g1, *g2, *g3)
+    small = -_BIG < min(entries) and max(entries) < _BIG
+    order, token = surface.order, repr if small else _int_token
+    return _INSTANCE_TEXT % (_int_token(order.D), _int_token(order.conductor), *map(token, entries))
 
 
 def _instance_from_obj(obj) -> PolarizedRMSurface:
@@ -338,10 +346,11 @@ _STEP_TEXT = _object([(name, "%s") for name in _STEP_KEYS], "    ")
 _STEP_VALUES = attrgetter(*_STEP_KEYS)
 _STEP_ITEMS = itemgetter(*_STEP_KEYS)
 _STEP_WRITERS = tuple(write for _, write, _ in _STEP_FIELDS)
-# (reader, nullable) per field: a field with a default, which is always None,
-# reads null as None
+# (slot setter, reader, nullable) per field: a field with a default, which is
+# always None, reads null as None
 _STEP_READERS = tuple(
-    (read, name in IsogenyStep.__init__.__kwdefaults__) for name, _, read in _STEP_FIELDS
+    (set_field, read, name in IsogenyStep.__init__.__kwdefaults__)
+    for set_field, (name, _, read) in zip(IsogenyStep._setters, _STEP_FIELDS)
 )
 
 
@@ -354,14 +363,10 @@ def _step_text(s: IsogenyStep) -> str:
 def _step_from_obj(obj, i: int) -> IsogenyStep:
     if not isinstance(obj, dict) or obj.keys() != _STEP_KEY_SET:
         _values(obj, f"step {i}", _STEP_KEYS)  # raises, naming the keys
-    # built from its field values as pickle rebuilds a Record
+    # built field by field through the slot setters, as pickle rebuilds a Record
     step = object.__new__(IsogenyStep)
-    step.__setstate__(
-        [
-            None if v is None and nullable else read(v)
-            for (read, nullable), v in zip(_STEP_READERS, _STEP_ITEMS(obj))
-        ]
-    )
+    for (set_field, read, nullable), v in zip(_STEP_READERS, _STEP_ITEMS(obj)):
+        set_field(step, None if v is None and nullable else read(v))
     return step
 
 

@@ -6,8 +6,9 @@ or by restricting to an eigen-sublattice (split primes only), chosen by the
 seeded generator. A final seeded unimodular basis change scrambles the
 presentation without touching any invariant: eight shears, each drawn as
 rng.sample(range(4), 2) and rng.choice((-2, -1, 1, 2)) would draw it,
-from the generator's _randbelow directly, so every seed gives the same
-matrix and leaves the generator in the same state as those calls. The
+each _randbelow(n) of theirs written out as getrandbits(n.bit_length())
+with the same rejection loop, so every seed gives the same matrix and
+leaves the generator in the same state as those calls. The
 standard instance comes from its per-order cache (surface.py), and each
 requested prime is proven once per process (arith.require_odd_prime).
 """
@@ -45,14 +46,20 @@ def random_unimodular(rng: random.Random) -> intmat.IntMat:
     """A 4x4 determinant-one integer matrix built from eight random shears."""
     u = [list(r) for r in intmat.identity()]
     # the draws rng.sample(range(4), 2) and rng.choice((-2, -1, 1, 2)) make,
-    # without sample's type checks and list copies: the same values and the
-    # same generator state afterwards
-    below = rng._randbelow
+    # without sample's type checks, list copies and _randbelow calls: the
+    # same values and the same generator state afterwards
+    bits = rng.getrandbits
     for _ in range(8):
-        i, j = below(4), below(3)
+        i = j = k = 4
+        while i >= 4:
+            i = bits(3)
+        while j >= 3:
+            j = bits(2)
         if j == i:  # sample's pool moved its last entry into i's place
             j = 3
-        c = (-2, -1, 1, 2)[below(4)]
+        while k >= 4:
+            k = bits(3)
+        c = (-2, -1, 1, 2)[k]
         for r in range(4):
             u[r][i] += c * u[r][j]
     return intmat.freeze(u)

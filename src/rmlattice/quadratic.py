@@ -70,7 +70,8 @@ class Record:
     """An immutable value whose fields, named in `_fields`, are its whole value.
 
     A subclass lists its fields (two or more) in `_fields` and `__slots__`,
-    and its __init__ sets them through __setstate__. Equality and hashing
+    and its __init__ sets them through __setstate__, which calls each
+    field's slot setter (`_setters`, one per class). Equality and hashing
     are over the field tuple, which a per-class attrgetter reads in one C
     call; they hold between instances of the same class only. Assignment
     and deletion raise AttributeError; pickle and copy rebuild an instance
@@ -82,6 +83,7 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -105,8 +107,8 @@ class Record:
         return self._key(self)
 
     def __setstate__(self, values: tuple) -> None:
-        for name, value in zip(self._fields, values):
-            _set(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
 
 class RealQuadraticOrder(Record):

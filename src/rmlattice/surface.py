@@ -38,10 +38,11 @@ ever built. rebase, twist_by_element and the enlargement move, the only
 builders of a moved surface, carry it by identity (det(B) pf / den^4,
 norm(el) pf / den^2 with the norm from the caller, and det(B) pf / p^2)
 instead of recomputing it, and no move re-checks its degree. validate
-checks the minimal polynomial A^2 - tA + n = 0 from the one product A^2,
-and the symmetry A^T E = E A from the one product E A, which must be
-alternating; its verdict is kept on the surface the same way (the cached
-property `defect`), so the CLI and principalize check an input once.
+checks the minimal polynomial as A^2 = tA - n, one tuple comparison of
+the one product A^2 with tA - n written out, and the symmetry A^T E = E A
+from the one product E A, which must be alternating; its verdict is kept
+on the surface the same way (the cached property `defect`), so the CLI
+and principalize check an input once.
 The only other thing kept on a surface is its instance text, which
 formats.serialize_instance keeps as `text` the same way. Element actions
 x*I + y*A and the reorientation that swaps the last two basis vectors are
@@ -95,11 +96,9 @@ class PolarizedRMSurface(Record):
         if self.pf == 0:
             return "gram form is degenerate"
         t, n = self.order.trace_omega, self.order.norm_omega
-        # A^2 - tA + n = 0, entry by entry from the one product A^2
-        for i, (row2, row) in enumerate(zip(intmat.mat_mul(a, a), a)):
-            for j, (x2, x) in enumerate(zip(row2, row)):
-                if x2 - t * x + (n if i == j else 0):
-                    return "action does not satisfy the order's minimal polynomial"
+        # A^2 = tA - n, one tuple comparison against the one product A^2
+        if intmat.mat_mul(a, a) != _scalar_plus(-n, t, a):
+            return "action does not satisfy the order's minimal polynomial"
         # E is alternating, so A^T E = -(E A)^T: A^T E = E A exactly when E A
         # is alternating too
         if not intmat.is_antisymmetric(intmat.mat_mul(e, a)):

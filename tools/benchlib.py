@@ -1,5 +1,5 @@
-"""What the bench_* tools share: host-speed scaling, the identity of a run
-and the committed file of runs.
+"""What the bench_* tools share: host-speed scaling, one perfbench/run.py
+run in a subprocess, the identity of a run and the committed file of runs.
 
 A time is scaled as perfbench/worker.py scales its samples: by the
 host_ms() readings taken just before and just after it, to the host speed
@@ -45,22 +45,54 @@ class HostClock:
         return round(statistics.median(self.readings), 4)
 
 
-def _git(*args: str) -> str:
+def seeds(text: str) -> list[int]:
+    """The seeds of a range a-b, or the one seed a."""
+    low, _, high = text.partition("-")
+    return list(range(int(low), int(high or low) + 1))
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles; the quartiles are the median itself for one value."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def run_workload(root: Path, workload: str, seed: int, seconds: str) -> tuple[dict, dict]:
+    """(result, record) of one `perfbench/run.py --trace 0` run of the checkout
+    at root: its last line and its RECORD line."""
+    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", seconds, "--trace", "0"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{workload} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
+    record = next(json.loads(line[len("RECORD "):]) for line in lines if line.startswith("RECORD "))
+    return json.loads(lines[-1]), record
+
+
+def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
 
 
+def src_sha256(root: Path) -> str:
+    """A digest of src/rmlattice/*.py in the checkout at root."""
+    src = hashlib.sha256()
+    for path in sorted((root / "src" / "rmlattice").glob("*.py")):
+        src.update(path.name.encode() + b"\0" + path.read_bytes())
+    return src.hexdigest()
+
+
 def identity() -> dict:
     """The commit (with "-dirty" when src/ differs from it), a digest of
     src/rmlattice/*.py and the Python version."""
-    src = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "rmlattice").glob("*.py")):
-        src.update(path.name.encode() + b"\0" + path.read_bytes())
-    dirty = _git("status", "--porcelain", "--", "src") != ""
+    dirty = git("status", "--porcelain", "--", "src") != ""
     return {
-        "commit": _git("rev-parse", "--short=12", "HEAD") + ("-dirty" if dirty else ""),
-        "src_sha256": src.hexdigest(),
+        "commit": git("rev-parse", "--short=12", "HEAD") + ("-dirty" if dirty else ""),
+        "src_sha256": src_sha256(ROOT),
         "python": platform.python_version(),
     }
 
