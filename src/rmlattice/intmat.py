@@ -10,8 +10,9 @@ integer as four divisibility tests and four quotients per row, the
 alternating test as six pair comparisons and a zero diagonal, det and
 adjugate are closed-form expansions in the twelve 2x2 minors, a lattice
 between p*Z^4 and Z^4 for a prime p is put into Hermite form by one
-elimination over Z/p (hnf_mod_p), and the elementary divisors of an
-alternating form are read off its content and pfaffian.
+elimination over Z/p (hnf_mod_p), which rref_mod_p also views, and the
+elementary divisors of an alternating form are read off its content and
+pfaffian.
 
 Conventions:
   * lattices are column lattices (a basis is the tuple of matrix columns);
@@ -173,15 +174,16 @@ def hnf_mod_p(columns, p: int) -> IntMat:
     Over the field Z/p the Hermite form is the reduced echelon form of the
     generators: column j is the echelon row whose pivot is j, and p * e_j
     where j is no pivot (the prime case of Cohen's "HNF modulo D", Alg.
-    2.4.8). So one rref_mod_p builds it, and the rank of the generators
-    mod p is the number of unit diagonal entries.
+    2.4.8). So one elimination (_eliminate_mod_p) builds it, reading the
+    generators one at a time from any iterable, such as zip(*action) for the
+    columns of a matrix, and each pivot row it leaves is written straight
+    into the basis; the rank of the generators mod p is the number of unit
+    diagonal entries.
     """
     basis = [(p, 0, 0, 0), (0, p, 0, 0), (0, 0, p, 0), (0, 0, 0, p)]
-    if columns:  # zero generators give no pivot
-        rref, pivots = rref_mod_p(columns, p)
-        for row, j in zip(rref, pivots):
-            basis[j] = row
-    return transpose(basis)
+    for j, row in _eliminate_mod_p(columns, p).items():
+        basis[j] = row
+    return tuple(zip(*basis))
 
 
 def alternating_divisors(m, pf: int) -> tuple[int, int, int, int]:
@@ -200,41 +202,53 @@ def alternating_divisors(m, pf: int) -> tuple[int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def rref_mod_p(m, p: int) -> tuple[IntMat, tuple[int, ...]]:
-    """Reduced row echelon form over the field Z/p; returns (rref, pivot columns).
+def _eliminate_mod_p(vectors, p: int) -> dict[int, list[int]]:
+    """Gauss-Jordan elimination over the field Z/p of the vectors, read one
+    at a time: the reduced echelon rows of their span, each a list with
+    entries in [0, p), keyed by pivot column in the order they were found.
 
-    Entries are reduced into [0, p) once, on entry, and every row operation
-    keeps them there.
+    A vector read is reduced into [0, p) by its first subtraction of a
+    pivot row, or on its own when no pivot row has a nonzero entry in it;
+    a new pivot row is scaled to a leading 1 and cleared from the rows
+    before it, so the rows kept are always reduced.
     """
-    a = [[x % p for x in r] for r in m]
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for pr in range(r, nrows):
-            if a[pr][c]:
-                break
-        else:
+    rows: dict[int, list[int]] = {}
+    for v in vectors:
+        reduced = False
+        for c, row in rows.items():
+            f = v[c] % p
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+                reduced = True
+        if not reduced:
+            v = [x % p for x in v]
+        lead = next(filter(None, v), 0)
+        if not lead:
             continue
-        row = a[pr]
-        a[pr] = a[r]
-        inv = pow(row[c], -1, p)
-        if inv != 1:
-            row = [x * inv % p for x in row]
-        a[r] = row
-        for i in range(nrows):
-            f = a[i][c]
-            if f and i != r:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(map(tuple, a)), tuple(pivots)
+        j = v.index(lead)  # the entries before the first nonzero one are 0
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            v = [x * inv % p for x in v]
+        for c, row in rows.items():
+            f = row[j]
+            if f:
+                rows[c] = [(x - f * y) % p for x, y in zip(row, v)]
+        rows[j] = v
+    return rows
+
+
+def rref_mod_p(m, p: int) -> tuple[IntMat, tuple[int, ...]]:
+    """Reduced row echelon form over the field Z/p; returns (rref, pivot
+    columns): the rows of _eliminate_mod_p in pivot order, then a zero row
+    for each row of m that the elimination left dependent."""
+    rows = _eliminate_mod_p(m, p)
+    pivots = tuple(sorted(rows))
+    zero = (0,) * len(m[0])
+    return tuple([tuple(rows[c]) for c in pivots] + [zero] * (len(m) - len(pivots))), pivots
 
 
 def rank_mod_p(m, p: int) -> int:
-    return len(rref_mod_p(m, p)[1])
+    return len(_eliminate_mod_p(m, p))
 
 
 def inv_mod_p(m, p: int) -> IntMat:

@@ -134,8 +134,9 @@ def squarefree_reduce(
 def enlargement_kernel(surface: PolarizedRMSurface, p: int) -> KernelSubgroup:
     """The canonical kernel (1/p)L + (1/p^2)(action)L of the enlargement move:
     (pL + (action)L) / p^2, whose Hermite form is one elimination of the
-    action's columns mod p; its unit diagonal entries count their rank."""
-    return KernelSubgroup(intmat.hnf_mod_p(intmat.transpose(surface.action), p), p * p)
+    action's columns mod p, read from the action as zip(*action) gives them,
+    not from a transposed copy; its unit diagonal entries count their rank."""
+    return KernelSubgroup(intmat.hnf_mod_p(zip(*surface.action), p), p * p)
 
 
 def enlarge_order_step(

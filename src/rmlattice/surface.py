@@ -8,18 +8,24 @@ nonzero; for a 4x4 alternating form det = pfaffian^2 always holds), action
 satisfying the generator's minimal polynomial, and the symmetry identity
 action^T * gram = gram * action.
 
-Degree, the one change of lattice basis (change_basis, on integers, and
-rebase around it), kernels given by mod-p subspaces, stabilizer orders and
+Degree, the one change of lattice basis to a Hermite basis (change_basis,
+on integers, and rebase around it), the unimodular scramble
+(apply_unimodular), kernels given by mod-p subspaces, stabilizer orders and
 the instance constructors all live here. Every move that re-expresses the
-lattice (descent to an overlattice, pull-back to a sublattice, a
-unimodular scramble) goes through rebase, except the order enlargement,
-which calls change_basis itself to descend its unbuilt twist p^3 E as
-B^T E B / p and divide the action by p before it builds its one surface.
-change_basis requires an alternating gram, as every caller's validated
-surface has: it computes only the six pairings above the diagonal of
-B^T E B (intmat.alternating_congruence). It divides the gram and the
-action with the written-out exact division intmat.div_exact, as
-twist_by_element divides its gram unless den is 1.
+lattice (descent to an overlattice, pull-back to a sublattice) goes through
+rebase, except the order enlargement, which calls change_basis itself to
+descend its unbuilt twist p^3 E as B^T E B / p and divide the action by p
+before it builds its one surface. Each such basis B is a column Hermite
+form, lower triangular with a positive diagonal, and change_basis takes
+no other: it solves B M = A B for the new action by forward substitution,
+one exact division by b_ii per row, and takes det(B) as the diagonal's
+product. The generator's scramble U, the one basis that is not
+triangular, has its own body: U^-1 A U as det(U) adj(U) A U, with no
+division. change_basis requires an alternating gram, as every caller's
+validated surface has: it computes only the six pairings above the
+diagonal of B^T E B (intmat.alternating_congruence). It divides the gram
+with the written-out exact division intmat.div_exact, as twist_by_element
+divides its gram unless den is 1.
 Everything is a pure function on immutable integer values. A kernel is
 its pair (basis, den), which the step record holds as it is and replay
 compares as integers; only formats spells it as rationals. Kernels given
@@ -34,9 +40,10 @@ not one of its fields, so equality, hashing, pickling and every serialized
 form see only order, action and gram); degree and validation read it.
 With the gram's content c it gives the polarization's elementary divisors
 (c, c, pf/c, pf/c) (intmat.alternating_divisors), so no dual lattice is
-ever built. rebase, twist_by_element and the enlargement move, the only
-builders of a moved surface, carry it by identity (det(B) pf / den^4,
-norm(el) pf / den^2 with the norm from the caller, and det(B) pf / p^2)
+ever built. rebase, apply_unimodular, twist_by_element and the
+enlargement move, the only builders of a moved surface, carry it by
+identity (det(B) pf / den^4, det(U) pf, norm(el) pf / den^2 with the norm
+from the caller, and det(B) pf / p^2)
 instead of recomputing it, and no move re-checks its degree. validate
 checks the minimal polynomial as A^2 = tA - n, one tuple comparison of
 the one product A^2 with tA - n written out, and the symmetry A^T E = E A
@@ -57,7 +64,7 @@ from math import gcd
 from . import intmat
 from .arith import int_text, rational_text
 from .errors import DescentError, InvariantBreach, PreconditionError
-from .intmat import IntMat
+from .intmat import IntMat, IntVec
 from .quadratic import (
     SPLIT,
     OrderElement,
@@ -186,18 +193,29 @@ def change_basis(
     surface: PolarizedRMSurface, basis: IntMat, gram_den: int
 ) -> tuple[IntMat, IntMat, int]:
     """(action, gram, det(basis)) of the surface in the basis given by the
-    columns of the nonsingular integer matrix basis, with the gram divided
-    by gram_den: adj(basis) A basis / det(basis) and basis^T E basis /
-    gram_den, both on integers. The core of rebase, and of the enlargement
-    move, whose form p^3 E on basis / p^2 is basis^T E basis / p.
+    columns of basis, a lower-triangular integer matrix with a positive
+    diagonal (a column Hermite form, as every kernel and hyperplane basis
+    is), with the gram divided by gram_den: basis^-1 A basis and
+    basis^T E basis / gram_den, both on integers. The core of rebase, and
+    of the enlargement move, whose form p^3 E on basis / p^2 is
+    basis^T E basis / p.
 
+    The new action M solves basis M = A basis, one row at a time by forward
+    substitution: row i is row i of A basis, less b_ik times each row k < i
+    of M, divided exactly by b_ii; det(basis) is the diagonal's product.
     The surface's gram must be alternating, as on every validated surface:
     only the six pairings above the diagonal are computed
-    (intmat.alternating_congruence). Raises DescentError, naming the first
-    pairing that gram_den does not divide, and then PreconditionError when
-    the action does not preserve the lattice. The gram is checked first,
-    so a DescentError means exactly that the form does not descend.
+    (intmat.alternating_congruence). Raises PreconditionError for any
+    other basis; then DescentError, naming the first pairing that gram_den
+    does not divide; then PreconditionError when the action does not
+    preserve the lattice. The gram is checked first, so a DescentError
+    means exactly that the form does not descend.
     """
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = basis
+    if b01 or b02 or b03 or b12 or b13 or b23 or min(b00, b11, b22, b33) <= 0:
+        raise PreconditionError(
+            "a change of basis needs a lower-triangular basis with a positive diagonal"
+        )
     full = intmat.alternating_congruence(surface.gram, basis)
     gram = intmat.div_exact(full, gram_den)
     if gram is None:
@@ -207,14 +225,37 @@ def change_basis(
             f"generators {i} and {j} is {rational_text(full[i][j], gram_den)}, "
             "not integral"
         )
-    adj = intmat.adjugate(basis)
-    (a0, _, _, _), (a1, _, _, _), (a2, _, _, _), (a3, _, _, _) = adj
-    b0, b1, b2, b3 = basis[0]
-    d = b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3  # (basis @ adj)[0][0]
-    action = intmat.div_exact(intmat.mat_mul(intmat.mat_mul(adj, surface.action), basis), d)
-    if action is None:
+    (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23), (x30, x31, x32, x33) = (
+        intmat.mat_mul(surface.action, basis)
+    )
+    m0 = m00, m01, m02, m03 = _exact_row(b00, x00, x01, x02, x03)
+    m1 = m10, m11, m12, m13 = _exact_row(
+        b11, x10 - b10 * m00, x11 - b10 * m01, x12 - b10 * m02, x13 - b10 * m03
+    )
+    m2 = m20, m21, m22, m23 = _exact_row(
+        b22,
+        x20 - b20 * m00 - b21 * m10,
+        x21 - b20 * m01 - b21 * m11,
+        x22 - b20 * m02 - b21 * m12,
+        x23 - b20 * m03 - b21 * m13,
+    )
+    m3 = _exact_row(
+        b33,
+        x30 - b30 * m00 - b31 * m10 - b32 * m20,
+        x31 - b30 * m01 - b31 * m11 - b32 * m21,
+        x32 - b30 * m02 - b31 * m12 - b32 * m22,
+        x33 - b30 * m03 - b31 * m13 - b32 * m23,
+    )
+    return (m0, m1, m2, m3), gram, b00 * b11 * b22 * b33
+
+
+def _exact_row(d: int, y0: int, y1: int, y2: int, y3: int) -> IntVec:
+    """(y0, y1, y2, y3) / d for a row of change_basis's action, four tests
+    then four quotients; PreconditionError when d does not divide it, as
+    then the action does not preserve the lattice."""
+    if y0 % d or y1 % d or y2 % d or y3 % d:
         raise PreconditionError("order action does not preserve the lattice")
-    return action, gram, d
+    return y0 // d, y1 // d, y2 // d, y3 // d
 
 
 def rebase(
@@ -223,14 +264,15 @@ def rebase(
     """The same polarized lattice in the basis given by the columns of
     basis / den.
 
-    basis is a nonsingular integer matrix in the coordinates of the current
-    lattice; basis / den may span an overlattice or a sublattice. The new
-    gram is basis^T E basis / den^2 and the new action
-    adj(basis) A basis / det(basis) (change_basis). Raises DescentError,
-    naming the first non-integral pairing, when the form is not integral
-    on the new lattice, and PreconditionError when the order action does
-    not preserve it. The result is canonically oriented, with pfaffian
-    det(basis) * pf / den^4.
+    basis is a lower-triangular integer matrix with a positive diagonal in
+    the coordinates of the current lattice, as a column Hermite form is;
+    basis / den may span an overlattice or a sublattice. The new gram is
+    basis^T E basis / den^2 and the new action basis^-1 A basis
+    (change_basis). Raises PreconditionError for any other basis,
+    DescentError, naming the first non-integral pairing, when the form is
+    not integral on the new lattice, and PreconditionError when the order
+    action does not preserve it. The result is canonically oriented, with
+    pfaffian det(basis) * pf / den^4.
     """
     den2 = den * den
     action, gram, d = change_basis(surface, basis, den2)
@@ -325,10 +367,15 @@ def twist_by_element(
 
 def apply_unimodular(surface: PolarizedRMSurface, u: IntMat) -> PolarizedRMSurface:
     """Change basis by a unimodular matrix: (A, E) -> (U^-1 A U, U^T E U),
-    canonically oriented."""
-    if intmat.det(u) not in (1, -1):
+    canonically oriented, with pfaffian det(U) pf. U^-1 is det(U) adj(U),
+    as det(U) = +-1, so nothing is divided."""
+    d = intmat.det(u)
+    if d not in (1, -1):
         raise PreconditionError("basis change must be unimodular")
-    return rebase(surface, u)
+    inverse = _scalar_plus(0, d, intmat.adjugate(u))
+    action = intmat.mat_mul(intmat.mat_mul(inverse, surface.action), u)
+    gram = intmat.alternating_congruence(surface.gram, u)
+    return canonicalize_orientation(surface.order, action, gram, d * surface.pf)
 
 
 def eigen_sublattice_pullback(

@@ -203,9 +203,10 @@ def test_any_corrupted_action_gives_the_references_outcome(instance, changes):
 
 
 def test_an_enlargement_move_row_reduces_mod_p_once(monkeypatch):
-    # t is read off the kernel's Hermite form, not from a second elimination
+    # t is read off the kernel's Hermite form, not from a second elimination;
+    # hnf_mod_p, rref_mod_p and rank_mod_p all run the one _eliminate_mod_p
     calls = []
-    real = intmat.rref_mod_p
+    real = intmat._eliminate_mod_p
 
     def counting(m, p):
         calls.append(p)
@@ -214,7 +215,7 @@ def test_an_enlargement_move_row_reduces_mod_p_once(monkeypatch):
     def refused(m, p):
         raise AssertionError("rank_mod_p called by an enlargement move")
 
-    monkeypatch.setattr(intmat, "rref_mod_p", counting)
+    monkeypatch.setattr(intmat, "_eliminate_mod_p", counting)
     monkeypatch.setattr(intmat, "rank_mod_p", refused)
     s = generate_instance(13, 5 * 7 * 11, [3], 1)
     for p in (5, 7, 11):

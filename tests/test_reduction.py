@@ -275,7 +275,7 @@ def test_a_divide_step_makes_no_mod_p_elimination(monkeypatch):
         tw = twist_by_element(s, el, norm=el.norm())
         cases.append((apply_unimodular(tw, random_unimodular(rng)), p))
     calls = []
-    for name in ("kernel_mod_p", "rref_mod_p"):
+    for name in ("kernel_mod_p", "_eliminate_mod_p"):
         real = getattr(intmat, name)
 
         def counting(m, q, name=name, real=real):

@@ -212,7 +212,10 @@ def test_basis_change_equivariance(D, f):
     for _ in range(5):
         u = random_unimodular(rng)
         moved = apply_unimodular(s, u)
-        assert rebase(s, u) == moved
+        # rebase takes only Hermite bases; a unimodular one is the identity
+        with pytest.raises(PreconditionError, match="lower-triangular basis"):
+            rebase(s, u)
+        assert rebase(moved, intmat.identity()) == moved
         assert validate(moved) is None
         assert degree(moved) == degree(s)
         assert intmat.alternating_divisors(
