@@ -10,9 +10,9 @@ integer as four divisibility tests and four quotients per row, the
 alternating test as six pair comparisons and a zero diagonal, det and
 adjugate are closed-form expansions in the twelve 2x2 minors, a lattice
 between p*Z^4 and Z^4 for a prime p is put into Hermite form by one
-elimination over Z/p (hnf_mod_p), which rref_mod_p also views, and the
-elementary divisors of an alternating form are read off its content and
-pfaffian.
+elimination over Z/p (hnf_mod_p), whose pivot rows kernel_mod_p,
+span_mod_p and rank_mod_p read in place too, and the elementary divisors
+of an alternating form are read off its content and pfaffian.
 
 Conventions:
   * lattices are column lattices (a basis is the tuple of matrix columns);
@@ -237,56 +237,29 @@ def _eliminate_mod_p(vectors, p: int) -> dict[int, list[int]]:
     return rows
 
 
-def rref_mod_p(m, p: int) -> tuple[IntMat, tuple[int, ...]]:
-    """Reduced row echelon form over the field Z/p; returns (rref, pivot
-    columns): the rows of _eliminate_mod_p in pivot order, then a zero row
-    for each row of m that the elimination left dependent."""
-    rows = _eliminate_mod_p(m, p)
-    pivots = tuple(sorted(rows))
-    zero = (0,) * len(m[0])
-    return tuple([tuple(rows[c]) for c in pivots] + [zero] * (len(m) - len(pivots))), pivots
-
-
 def rank_mod_p(m, p: int) -> int:
     return len(_eliminate_mod_p(m, p))
 
 
-def inv_mod_p(m, p: int) -> IntMat:
-    """Inverse of a matrix over Z/p, via row reduction of [m | I]."""
-    n = len(m)
-    aug = tuple(tuple(m[i]) + tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    rref, pivots = rref_mod_p(aug, p)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
-        raise ValueError("matrix is singular mod p")
-    return tuple(tuple(r[n:]) for r in rref)
-
-
 def kernel_mod_p(m, p: int) -> tuple[IntVec, ...]:
-    """Canonical basis of the kernel of m acting on (Z/p)^n column vectors."""
-    rref, pivots = rref_mod_p(m, p)
+    """Canonical basis of the kernel of m acting on (Z/p)^n column vectors:
+    for each non-pivot column c of the elimination in increasing order, the
+    vector with 1 at c and -row[c] at each pivot row's column."""
+    rows = _eliminate_mod_p(m, p)
     ncols = len(m[0])
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rref[r][fc]) % p
-        basis.append(tuple(vec))
+    for c in range(ncols):
+        if c not in rows:
+            vec = [0] * ncols
+            vec[c] = 1
+            for j, row in rows.items():
+                vec[j] = -row[c] % p
+            basis.append(tuple(vec))
     return tuple(basis)
 
 
-def subspace_contains(basis, vec, p: int) -> bool:
-    """Whether vec lies in the span of `basis` over Z/p."""
-    if not basis:
-        return all(x % p == 0 for x in vec)
-    return rank_mod_p([*basis, vec], p) == rank_mod_p(basis, p)
-
-
 def span_mod_p(vectors, p: int) -> tuple[IntVec, ...]:
-    """Canonical (RREF) basis for the span of row vectors over Z/p."""
-    vecs = [v for v in vectors if any(x % p for x in v)]
-    if not vecs:
-        return ()
-    rref, pivots = rref_mod_p(vecs, p)
-    return tuple(rref[i] for i in range(len(pivots)))
+    """Canonical (reduced echelon) basis of the span of row vectors over
+    Z/p: the elimination's pivot rows in pivot order."""
+    rows = _eliminate_mod_p(vectors, p)
+    return tuple(tuple(rows[c]) for c in sorted(rows))

@@ -68,12 +68,9 @@ def enumerate_valid_kernels(
     e_t = intmat.transpose(surface.gram)
     results = [kernel_from_subspace((), p)]
     for basis in _echelon_subspaces(p):
-        if not all(
-            intmat.subspace_contains(
-                basis, tuple(x % p for x in intmat.mat_vec(surface.action, v)), p
-            )
-            for v in basis
-        ):
+        if intmat.rank_mod_p(
+            [*basis, *(intmat.mat_vec(surface.action, v) for v in basis)], p
+        ) != len(basis):
             continue
         if not all(
             all(x % p == 0 for x in intmat.mat_vec(e_t, v)) for v in basis
@@ -123,13 +120,15 @@ def check_symmetric_rank_even(p: int, trials: int, seed: int = 0) -> bool:
     for _ in range(trials):
         while True:
             b = _random_antisymmetric(rng, p)
-            if intmat.det(b) % p:
+            d = intmat.det(b) % p
+            if d:
                 break
         while True:
             s = _random_antisymmetric(rng, p)
             if any(x for row in s for x in row):
                 break
-        b_inv = intmat.inv_mod_p(b, p)
+        d_inv = pow(d, -1, p)
+        b_inv = tuple(tuple(x * d_inv % p for x in row) for row in intmat.adjugate(b))
         eps = intmat.mat_mod(intmat.mat_mul(b_inv, s), p)
         sym_left = intmat.mat_mod(intmat.mat_mul(intmat.transpose(eps), b), p)
         sym_right = intmat.mat_mod(intmat.mat_mul(b, eps), p)

@@ -1,7 +1,7 @@
 """The change of basis by forward substitution on Hermite bases against the
 adjugate route it replaced, the unimodular scramble against the same
 reference, the refusal of any other basis, and the one elimination mod p
-(hnf_mod_p, rref_mod_p) against sympy.
+(hnf_mod_p, span_mod_p and rank_mod_p) against sympy.
 
 reference_change_basis is surface.change_basis as it stood before forward
 substitution: the closed-form adjugate, two full 4x4 products and an exact
@@ -33,6 +33,7 @@ from rmlattice.surface import (
     rebase,
     standard_instance,
 )
+from test_intmat_oracles import mod_p_rows
 
 NOT_HERMITE = "a change of basis needs a lower-triangular basis with a positive diagonal"
 PRIMES = (3, 5, 7, 11)
@@ -205,14 +206,6 @@ def test_rebase_refuses_a_basis_that_is_no_hermite_form():
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def mod_p_rows(draw, ncols=4):
-    p = draw(st.sampled_from((2, 3, 5, 7, 11, 65537, 2**61 - 1)))
-    entries = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
-    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
-    return tuple(map(tuple, rows)), p
-
-
 def _sympy_rref(m, p):
     field = GF(p, symmetric=False)
     dm = DomainMatrix([[field(x) for x in row] for row in m], (len(m), len(m[0])), field)
@@ -235,7 +228,9 @@ def _sympy_hnf_mod_p(columns, p):
 @given(mod_p_rows(ncols=4) | mod_p_rows(ncols=8) | mod_p_rows(ncols=2))
 def test_rref_mod_p_matches_sympy(system):
     m, p = system
-    assert intmat.rref_mod_p(m, p) == _sympy_rref(m, p)
+    rref, pivots = _sympy_rref(m, p)
+    assert intmat.span_mod_p(m, p) == rref[: len(pivots)]
+    assert intmat.rank_mod_p(m, p) == len(pivots)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

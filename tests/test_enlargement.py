@@ -204,7 +204,8 @@ def test_any_corrupted_action_gives_the_references_outcome(instance, changes):
 
 def test_an_enlargement_move_row_reduces_mod_p_once(monkeypatch):
     # t is read off the kernel's Hermite form, not from a second elimination;
-    # hnf_mod_p, rref_mod_p and rank_mod_p all run the one _eliminate_mod_p
+    # hnf_mod_p, kernel_mod_p, span_mod_p and rank_mod_p all read the one
+    # _eliminate_mod_p
     calls = []
     real = intmat._eliminate_mod_p
 

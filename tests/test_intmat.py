@@ -135,17 +135,3 @@ def test_kernel_mod_p_by_enumeration():
         assert len(brute) == p ** len(basis)
         for v in basis:
             assert all(x % p == 0 for x in intmat.mat_vec(m, v))
-
-
-def test_inv_mod_p():
-    rng = random.Random(7)
-    p = 5
-    count = 0
-    while count < 15:
-        m = intmat.mat_mod(random_int_matrix(rng), p)
-        if intmat.det(m) % p == 0:
-            continue
-        count += 1
-        inv = intmat.inv_mod_p(m, p)
-        assert intmat.mat_mod(intmat.mat_mul(m, inv), p) == intmat.identity()
-

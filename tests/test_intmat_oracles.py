@@ -8,7 +8,8 @@ the sixteen-entry congruence b^T e b with its row-order scan for the
 first pairing that does not descend, the pairwise antisymmetry test,
 the recursive cofactor det and adjugate (any size), the Fraction
 inverse, the row reduction over Z/p with a generator pivot search and
-every entry reduced again (the former freeze written in), the Hermite
+every entry reduced again (the former freeze written in) and the kernel
+basis and inverse mod p that intmat once read off it, the Hermite
 form modulo any d by Euclid's algorithm on residues (reference_hnf_mod,
 which the Hermite form modulo a prime replaced), the Euclidean row Hermite
 form and the rational column Hermite basis built on it,
@@ -193,6 +194,32 @@ def rref_mod_p(m, p):
         if r == nrows:
             break
     return tuple(tuple(r) for r in a), tuple(pivots)
+
+
+def kernel_mod_p(m, p):
+    """Canonical basis of the kernel of m acting on (Z/p)^n column vectors,
+    read off the padded reduced echelon form and its pivot tuple."""
+    rref, pivots = rref_mod_p(m, p)
+    ncols = len(m[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = (-rref[r][fc]) % p
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def inv_mod_p(m, p):
+    """Inverse of a matrix over Z/p, via row reduction of [m | I]."""
+    n = len(m)
+    aug = tuple(tuple(m[i]) + tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    rref, pivots = rref_mod_p(aug, p)
+    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+        raise ValueError("matrix is singular mod p")
+    return tuple(tuple(r[n:]) for r in rref)
 
 
 def hnf_rows(m):
@@ -711,11 +738,24 @@ def mod_p_systems(draw):
     return tuple(rows), p
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(mod_p_systems())
+@st.composite
+def mod_p_rows(draw, ncols=4):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 65537, 2**61 - 1)))
+    entries = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
+    return tuple(map(tuple, rows)), p
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(mod_p_systems() | mod_p_rows(ncols=4) | mod_p_rows(ncols=8) | mod_p_rows(ncols=2))
 def test_rref_mod_p_matches_the_former_row_reduction(system):
+    # span_mod_p, rank_mod_p and kernel_mod_p read the elimination's pivot
+    # rows in place; the former padded echelon form and pivot tuple agree
     m, p = system
-    assert intmat.rref_mod_p(m, p) == rref_mod_p(m, p)
+    rref, pivots = rref_mod_p(m, p)
+    assert intmat.span_mod_p(m, p) == rref[: len(pivots)]
+    assert intmat.rank_mod_p(m, p) == len(pivots)
+    assert intmat.kernel_mod_p(m, p) == kernel_mod_p(m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +767,7 @@ def _spanning_subspace(rng, p, dim):
     basis = []
     while len(basis) < dim:
         v = tuple(rng.randrange(p) for _ in range(4))
-        if any(v) and not intmat.subspace_contains(tuple(basis), v, p):
+        if any(v) and intmat.rank_mod_p([*basis, v], p) > len(basis):
             basis.append(v)
     return tuple(basis)
 

@@ -4,7 +4,8 @@ imports is used in that module.
 
 A function that only tests or the package's re-exports use is dead weight
 in src/: delete it or move it into the tests. The exceptions are the
-functions the acceptance criteria call directly. The package's __init__
+functions the acceptance criteria call directly, and each of them must
+still be defined in src/ with no caller there. The package's __init__
 imports only to re-export, so the import check skips it.
 """
 
@@ -26,7 +27,10 @@ CRITERIA_ONLY = {
 }
 
 
-def test_every_module_function_is_referenced_in_the_package():
+def _definitions_and_references():
+    """(module, name) of every function and non-dunder method defined in the
+    package, and every name or attribute its modules other than __init__
+    read."""
     defined = []
     referenced = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -49,6 +53,11 @@ def test_every_module_function_is_referenced_in_the_package():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert defined, f"no functions found under {PACKAGE}"
+    return defined, referenced
+
+
+def test_every_module_function_is_referenced_in_the_package():
+    defined, referenced = _definitions_and_references()
     kept = referenced | CRITERIA_ONLY
     unused = sorted(
         f"{module}:{name}"
@@ -56,6 +65,14 @@ def test_every_module_function_is_referenced_in_the_package():
         if name.rpartition(".")[2] not in kept
     )
     assert unused == []
+
+
+def test_every_exception_is_defined_and_has_no_package_caller():
+    # a stale entry names nothing in src/; a needless one has a caller there
+    defined, referenced = _definitions_and_references()
+    names = {name.rpartition(".")[2] for _, name in defined}
+    assert sorted(CRITERIA_ONLY - names) == []
+    assert sorted(CRITERIA_ONLY & referenced) == []
 
 
 def test_every_imported_name_is_used_in_its_module():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from rmlattice import (
     PreconditionError,
     degree,
     descend_polarization,
+    intmat,
     make_order,
     principalize,
     solve_norm,
@@ -19,12 +21,13 @@ from rmlattice import (
 from rmlattice.formats import parse_certificate, serialize_certificate
 from rmlattice.generator import generate_instance
 from rmlattice.oracle import (
+    _random_antisymmetric,
     check_symmetric_rank_even,
     enumerate_valid_kernels,
     verify_certificate,
 )
 from rmlattice.reduction import CertificateData, enlarge_order_step, reduce_degree_step
-from test_intmat_oracles import overlattice
+from test_intmat_oracles import inv_mod_p, overlattice
 
 
 def test_enumerate_principal_is_trivial():
@@ -90,6 +93,23 @@ def test_rank_parity_trials():
     assert check_symmetric_rank_even(3, 120, seed=7)
     assert check_symmetric_rank_even(5, 120, seed=8)
     assert check_symmetric_rank_even(7, 120, seed=9)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_rank_parity_inverts_b_by_its_adjugate(p):
+    # b drawn as check_symmetric_rank_even draws it; adj(b) det(b)^-1 mod p
+    # is the inverse a row reduction of [b | I] gives
+    for seed in range(10):
+        rng = random.Random(seed)
+        while True:
+            b = _random_antisymmetric(rng, p)
+            d = intmat.det(b) % p
+            if d:
+                break
+        d_inv = pow(d, -1, p)
+        b_inv = tuple(tuple(x * d_inv % p for x in row) for row in intmat.adjugate(b))
+        assert b_inv == inv_mod_p(b, p)
+        assert intmat.mat_mod(intmat.mat_mul(b, b_inv), p) == intmat.identity()
 
 
 def test_verify_accepts_genuine_certificates():

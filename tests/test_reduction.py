@@ -3,8 +3,10 @@ removal, and the full pipeline."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from rmlattice import (
     validate,
 )
 from rmlattice import intmat, quadratic
+from rmlattice.formats import serialize_certificate, serialize_instance
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import (
     DIVIDE,
@@ -638,3 +641,28 @@ def test_principalize_across_scrambles():
         assert degree(out) == 1
         assert stabilizer_order(out).conductor == 1
         assert _t_values(cert) == ((3, 2), (3, 2))
+
+
+def test_scale_moves_and_squarefree_quotients_keep_their_bytes():
+    # No benchmark workload runs a scale move or a squarefree quotient (which
+    # reads kernel_mod_p), so this corpus pins their bytes: the sha256 of each
+    # generated instance's text, then its certificate's text, in loop order.
+    digest = hashlib.sha256()
+    chains = 0
+    moves = Counter()
+    primes = [q for q in range(3, 38, 2) if all(q % d for d in range(3, q, 2))]
+    for D, f, q, shape, seed in itertools.product(
+        (2, 3, 5, 13, 17, 21, 29, 33, 37, 41), (1, 3, 5, 7, 9, 25), primes, range(3), (0, 1)
+    ):
+        try:
+            start = generate_instance(D, f, ((q, q), (q, q, q), (q, q, 11))[shape], seed)
+            _, cert = principalize(start)
+        except PreconditionError:
+            continue
+        digest.update(serialize_instance(start).encode())
+        digest.update(serialize_certificate(cert).encode())
+        chains += 1
+        # neither an enlargement quotient (t) nor a degree-reduction move (branch)
+        moves.update(st.kind for st in cert.steps if st.t is None and st.branch is None)
+    assert (chains, moves[SCALE], moves[QUOTIENT]) == (718, 631, 87)
+    assert digest.hexdigest() == "f4f049cb3ad7dfef510edc1edaa1398c84b1e867d6ddf47dcb849e13e25f50a7"

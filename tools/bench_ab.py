@@ -18,8 +18,11 @@ src/ differs from it), the digests of both src/rmlattice/*.py, the Python
 version, the seeds and the run length. Per workload it holds whether every
 run of both sides was correct, the failed operation counts of each side,
 and per end-to-end metric: the pairs, how many of them head won and lost,
-as the metric's "better" in BENCHMARK.json reads, and the median and
-quartiles of the ratio head/base over the pairs.
+as the metric's "better" in BENCHMARK.json reads, the median and
+quartiles of the ratio head/base over the pairs, and under "base" and
+"head" the median and quartiles of each side's own values, so that a
+claimed gain can be checked: head's median should beat base's by more
+than base's q3 - q1.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ def _compare(base: list[float], head: list[float], better: str) -> dict:
         "won": won,
         "lost": lost,
         **{f"ratio_{k}": round(v, 4) for k, v in spread(ratios).items()},
+        **{side: {k: round(v, 4) for k, v in spread(values).items()}
+           for side, values in (("base", base), ("head", head))},
     }
 
 
