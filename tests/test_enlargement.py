@@ -121,7 +121,7 @@ def _reoriented(s):
 def _conductor_shapes():
     """The (D, f, primes) shapes of the benchmark's conductor workload."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    spec = importlib.util.spec_from_file_location("perfbench_workload_shapes", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads.conductor()

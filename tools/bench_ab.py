@@ -15,14 +15,15 @@ speed and pins itself to one CPU, the same one for both.
 Adds one run to BENCH_ab.json (or --out) at the repository root. A run
 holds base, BASE's commit, and head, this checkout's (with "-dirty" when
 src/ differs from it), the digests of both src/rmlattice/*.py, the Python
-version, the seeds and the run length. Per workload it holds whether every
-run of both sides was correct, the failed operation counts of each side,
-and per end-to-end metric: the pairs, how many of them head won and lost,
-as the metric's "better" in BENCHMARK.json reads, the median and
-quartiles of the ratio head/base over the pairs, and under "base" and
-"head" the median and quartiles of each side's own values, so that a
-claimed gain can be checked: head's median should beat base's by more
-than base's q3 - q1.
+version, the seeds as a-b and the run length. Per workload it holds,
+under "base" and "head", whether every run of that side was correct, its
+attempted and failed operation counts summed over the seeds and the
+median host_ms of its RECORD lines; and per end-to-end metric: the pairs,
+how many of them head won and lost, as the metric's "better" in
+BENCHMARK.json reads, the median and quartiles of the ratio head/base over
+the pairs, and under "base" and "head" the median and quartiles of each
+side's own values, so that a claimed gain can be checked: head's median
+should beat base's by more than base's q3 - q1.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -39,8 +41,6 @@ from pathlib import Path
 from benchlib import ROOT, add_run, git, identity, run_workload, seeds, spread, src_sha256
 
 WORKLOADS = ("pool", "conductor", "numtheory", "cli")
-
-
 PARTS = ("src", "perfbench")
 
 
@@ -73,12 +73,24 @@ def _compare(base: list[float], head: list[float], better: str) -> dict:
     }
 
 
+def _side(runs: list[tuple[dict, dict]]) -> dict:
+    """Whether every (result, record) run was correct, the summed operation
+    counts and the median host_ms reading."""
+    return {
+        "correct": all(result["correct"] for result, _ in runs),
+        "attempted": sum(result["attempted"] for result, _ in runs),
+        "failed": sum(result["failed"] for result, _ in runs),
+        "host_ms": round(statistics.median(record["host_ms"] for _, record in runs), 4),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="the commit to compare against, as git names it")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma-separated workloads (default all four)")
-    parser.add_argument("--seeds", default="7-12", help="a seed or a range a-b (default 7-12)")
+    parser.add_argument("--seeds", type=seeds, default="7-12",
+                        help="a seed or a range a-b (default 7-12)")
     parser.add_argument("--seconds", default="20", help="run.py's --seconds (default 20)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_ab.json")
     args = parser.parse_args()
@@ -99,28 +111,25 @@ def main() -> None:
         results = {}
         for workload in workloads:
             sides = {"base": [], "head": []}
-            for seed in seeds(args.seeds):
+            for seed in args.seeds:
                 order = [("base", base_root), ("head", head_root)]
                 if rounds % 2:
                     order.reverse()
                 rounds += 1
                 for side, root in order:
-                    result, _ = run_workload(root, workload, seed, args.seconds)
-                    sides[side].append(result)
+                    sides[side].append(run_workload(root, workload, seed, args.seconds))
                 print(f"{workload} seed {seed}: " + "  ".join(
-                    f"{side} correct={r[-1]['correct']} failed={r[-1]['failed']}"
-                    for side, r in sides.items()), file=sys.stderr)
+                    f"{side} correct={runs[-1][0]['correct']} failed={runs[-1][0]['failed']}"
+                    for side, runs in sides.items()), file=sys.stderr)
             metrics = {}
-            for name in sides["head"][0]["metrics"]:
+            for name in sides["head"][0][0]["metrics"]:
                 base_values, head_values = (
-                    [r["metrics"][name]["value"] for r in sides[side]] for side in ("base", "head")
+                    [result["metrics"][name]["value"] for result, _ in sides[side]]
+                    for side in ("base", "head")
                 )
                 metrics[name] = _compare(base_values, head_values, better[name])
-            results[workload] = {
-                "correct": all(r["correct"] for runs in sides.values() for r in runs),
-                "failed": {side: sum(r["failed"] for r in runs) for side, runs in sides.items()},
-                "metrics": metrics,
-            }
+            results[workload] = {side: _side(runs) for side, runs in sides.items()}
+            results[workload]["metrics"] = metrics
 
     run = {
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -129,7 +138,7 @@ def main() -> None:
         "head": head["commit"],
         "head_src_sha256": head["src_sha256"],
         "python": head["python"],
-        "seeds": args.seeds,
+        "seeds": f"{args.seeds[0]}-{args.seeds[-1]}",
         "seconds": float(args.seconds),
         "workloads": results,
     }

@@ -20,10 +20,14 @@ int/str digit limit. A run holds:
 
 Every time is the median of RUNS runs, each scaled by the host_ms()
 readings around it (tools/benchlib.py); the run records the median reading
-as host_ms. Runs without host_ms were timed unscaled. The run records the
-Python version, the commit (with "-dirty" when src/ differs from it), a
-digest of src/rmlattice/*.py and the interpreter's int/str digit limit as
-int_max_str_digits (0 when it is off, or on a Python without one).
+as host_ms. Runs without host_ms were timed unscaled. The per-chain codec
+times are descriptive only: runs of the same code minutes apart differ by
+up to about 15%. A codec gain is claimed from tools/bench_ab.py's
+principalize_p50_ms, which includes the writer, and verify_p50_ms, which
+includes the reader. The run records the Python version, the commit (with
+"-dirty" when src/ differs from it), a digest of src/rmlattice/*.py and
+the interpreter's int/str digit limit as int_max_str_digits (0 when it is
+off, or on a Python without one).
 """
 
 from __future__ import annotations

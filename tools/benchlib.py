@@ -1,5 +1,6 @@
-"""What the bench_* tools share: host-speed scaling, one perfbench/run.py
-run in a subprocess, the identity of a run and the committed file of runs.
+"""What bench_ab.py and bench_codec.py share: host-speed scaling, the
+--seeds type, one perfbench/run.py run in a subprocess, the identity of a
+run and the committed file of runs.
 
 A time is scaled as perfbench/worker.py scales its samples: by the
 host_ms() readings taken just before and just after it, to the host speed
@@ -9,6 +10,7 @@ slower or faster stay comparable.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import platform
@@ -30,13 +32,13 @@ class HostClock:
     def __init__(self) -> None:
         self.readings: list[float] = []
 
-    def seconds(self, fn, own_time: bool = False) -> float:
-        """fn()'s wall time in seconds, or with own_time the seconds fn()
-        returns, scaled by the readings just before and after the call."""
+    def seconds(self, fn) -> float:
+        """fn()'s wall time in seconds, scaled by the readings just before
+        and after the call."""
         before = host_ms()
         start = perf_counter()
-        value = fn()
-        elapsed = value if own_time else perf_counter() - start
+        fn()
+        elapsed = perf_counter() - start
         after = host_ms()
         self.readings += [before, after]
         return elapsed * REFERENCE_MS / ((before + after) / 2)
@@ -45,10 +47,17 @@ class HostClock:
         return round(statistics.median(self.readings), 4)
 
 
-def seeds(text: str) -> list[int]:
-    """The seeds of a range a-b, or the one seed a."""
-    low, _, high = text.partition("-")
-    return list(range(int(low), int(high or low) + 1))
+def seeds(text: str) -> range:
+    """The seeds of a range a-b, or the one seed a; as an argparse type, it
+    refuses a text that names no seed."""
+    low, dash, high = text.partition("-")
+    try:
+        span = range(int(low), int(high if dash else low) + 1)
+    except ValueError:
+        span = range(0)
+    if not span:
+        raise argparse.ArgumentTypeError(f"{text!r} is neither a seed nor a range a-b with a <= b")
+    return span
 
 
 def spread(values: list[float]) -> dict:
