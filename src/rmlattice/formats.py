@@ -178,14 +178,13 @@ def _rows(obj) -> list:
     return obj
 
 
-def _decode_matrix(obj, entry) -> tuple:
-    """A 4x4 matrix whose entries the decoder `entry` reads."""
+def _decode_matrix(obj) -> tuple:
+    """A 4x4 matrix of integers, each read by _decode_int."""
     r0, r1, r2, r3 = rows = _rows(obj)
-    if entry is _decode_int:
-        entries = (*r0, *r1, *r2, *r3)
-        if set(map(type, entries)) == {int} and -_BIG < min(entries) and max(entries) < _BIG:
-            return (tuple(r0), tuple(r1), tuple(r2), tuple(r3))
-    return tuple([tuple(map(entry, row)) for row in rows])
+    entries = (*r0, *r1, *r2, *r3)
+    if set(map(type, entries)) == {int} and -_BIG < min(entries) and max(entries) < _BIG:
+        return (tuple(r0), tuple(r1), tuple(r2), tuple(r3))
+    return tuple([tuple(map(_decode_int, row)) for row in rows])
 
 
 def _decode_kernel(obj) -> KernelSubgroup:
@@ -289,9 +288,7 @@ def _instance_from_obj(obj) -> PolarizedRMSurface:
         order = make_order(_decode_int(D), _decode_int(conductor))
     except PreconditionError as exc:
         raise ValueError(f"instance order is invalid: {exc}") from exc
-    return PolarizedRMSurface(
-        order, _decode_matrix(action, _decode_int), _decode_matrix(gram, _decode_int)
-    )
+    return PolarizedRMSurface(order, _decode_matrix(action), _decode_matrix(gram))
 
 
 def serialize_instance(surface: PolarizedRMSurface) -> str:

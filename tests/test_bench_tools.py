@@ -1,6 +1,7 @@
 """The arithmetic of tools/bench_ab.py, on which every gain claim rests:
 pairs won and lost as a metric's "better" reads, ratio and side quartiles,
-and the --seeds ranges it refuses."""
+and the --seeds ranges and bases it refuses; and the growth slope that
+tools/bench_codec.py fits."""
 
 from __future__ import annotations
 
@@ -18,12 +19,12 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 
 
-def _load_bench_ab():
-    """tools/bench_ab.py as a module; sys.path is as it was afterwards."""
+def _load_tool(name: str):
+    """tools/<name>.py as a module; sys.path is as it was afterwards."""
     saved = list(sys.path)
     sys.path.insert(0, str(TOOLS))
     try:
-        spec = importlib.util.spec_from_file_location("bench_ab", TOOLS / "bench_ab.py")
+        spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
@@ -31,7 +32,8 @@ def _load_bench_ab():
     return module
 
 
-bench_ab = _load_bench_ab()
+bench_ab = _load_tool("bench_ab")
+bench_codec = _load_tool("bench_codec")
 
 BASE = [100.0, 200.0, 400.0, 800.0]
 HEAD = [110.0, 180.0, 400.0, 1000.0]  # ratios 1.1, 0.9, 1.0 (a tie), 1.25
@@ -46,7 +48,13 @@ QUARTILES = {
 
 def test_bench_ab_loads_without_changing_sys_path():
     before = list(sys.path)
-    _load_bench_ab()
+    _load_tool("bench_ab")
+    assert sys.path == before
+
+
+def test_bench_codec_loads_without_changing_sys_path():
+    before = list(sys.path)
+    _load_tool("bench_codec")
     assert sys.path == before
 
 
@@ -86,17 +94,41 @@ def test_seeds_refuses_a_text_naming_no_seed(text):
         bench_ab.seeds(text)
 
 
-@pytest.mark.parametrize("text", ["3-1", "a"])
-def test_bad_seeds_exit_2_before_anything_is_exported(text, monkeypatch, capsys, tmp_path):
+def _refused(argv, monkeypatch, capsys, tmp_path) -> str:
+    """bench_ab's stderr when main refuses argv with exit 2, having
+    exported no tree and written no file."""
     def export(*args):
         raise AssertionError("a tree was exported")
 
     monkeypatch.setattr(bench_ab, "_export", export)
     monkeypatch.setattr(bench_ab, "_copy", export)
     out = tmp_path / "ab.json"
-    monkeypatch.setattr(sys, "argv", ["bench_ab.py", "HEAD", "--seeds", text, "--out", str(out)])
+    monkeypatch.setattr(sys, "argv", ["bench_ab.py", *argv, "--out", str(out)])
     with pytest.raises(SystemExit) as exit_:
         bench_ab.main()
     assert exit_.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: ")
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    return err
+
+
+@pytest.mark.parametrize("text", ["3-1", "a"])
+def test_bad_seeds_exit_2_before_anything_is_exported(text, monkeypatch, capsys, tmp_path):
+    _refused(["HEAD", "--seeds", text], monkeypatch, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("base", ["nosuchcommit", "HEAD^{tree}"])
+def test_a_base_naming_no_commit_exits_2_before_anything_is_exported(
+    base, monkeypatch, capsys, tmp_path
+):
+    err = _refused([base], monkeypatch, capsys, tmp_path)
+    assert err.endswith(f"bench_ab.py: error: {base!r} names no commit\n")
+
+
+@pytest.mark.parametrize("exponent", [1.0, 1.5])
+def test_slope_of_a_power_law_is_its_exponent(exponent):
+    # rounded as a run records it: the fit itself is exact only up to float
+    # rounding (1.5000000000000004 at these points)
+    points = [(b, b**exponent) for b in bench_codec.BITS]
+    assert round(bench_codec._slope(points), 3) == exponent

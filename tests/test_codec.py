@@ -6,11 +6,14 @@ keeps its message."""
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import random
 import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from rmlattice import formats
 from rmlattice.arith import _text_int, int_text
+from rmlattice.errors import PreconditionError
 from rmlattice.formats import (
     FORMAT_VERSION,
     parse_certificate,
@@ -182,6 +186,38 @@ def test_writer_matches_json_dumps_on_pipeline_certificates():
     empty = CertificateData(steps=(), final=start)
     assert '"steps": [],' in serialize_certificate(empty)
     assert serialize_certificate(empty) == reference_serialize_certificate(empty)
+
+
+def _load_workloads():
+    """perfbench/workloads.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workload_shapes", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+# sha256 of every chain's result instance, certificate and input instance
+# texts, in that order, over the first pass of seed 1
+_WORKLOAD_DIGESTS = {
+    "pool": "ff7e9f4108adf4dff3a26143ad87caaaeb6c0407ea7c2bdb9ce71d0786ba74c1",
+    "conductor": "9d569e30b8ca4161e78c00b80010296b068dbd046d84e67d7acce21971756965",
+    "numtheory": "3b22c454edb59e39933a14a958232a80ced6e8a66d4c5a73aaec642fa2583b19",
+}
+
+
+@pytest.mark.parametrize("workload", list(_WORKLOAD_DIGESTS))
+def test_the_workloads_write_their_pinned_bytes(workload):
+    digest = hashlib.sha256()
+    for req in _load_workloads().build(workload, 1, 1)[0]:
+        try:
+            start = generate_instance(req.D, req.f, list(req.primes), req.gen_seed)
+        except PreconditionError:
+            continue
+        result, cert = principalize(start)
+        for text in (serialize_instance(result), serialize_certificate(cert), serialize_instance(start)):
+            digest.update(text.encode())
+    assert digest.hexdigest() == _WORKLOAD_DIGESTS[workload]
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def test_the_one_pass_read_matches_the_entry_reader(entry):
             matrices.append(m)
     for m in matrices:
         expected = _read(reference_decode_matrix, m)
-        got = _read(lambda obj: _decode_matrix(obj, _decode_int), m)
+        got = _read(_decode_matrix, m)
         assert got == expected
         value = got[0]
         if value is not None:
@@ -214,7 +214,7 @@ def test_the_one_pass_read_matches_the_entry_reader(entry):
 
 def test_the_one_pass_read_keeps_the_first_refusal_in_row_order():
     m = [[1, 2, 3, 4], [5, True, 7, 8], [9, 10, 1.5, 12], [13, 14, 15, _BIG]]
-    assert _read(lambda obj: _decode_matrix(obj, _decode_int), m) == (
+    assert _read(_decode_matrix, m) == (
         None, "expected an integer, got a boolean"
     )
 

@@ -21,13 +21,13 @@ from rmlattice.formats import (
     _array,
     _decode_alpha,
     _decode_int,
-    _decode_matrix,
     _decode_str,
     _instance_from_obj,
     _int_token,
     _load,
     _matrix,
     _object,
+    _rows,
     _values,
     parse_certificate,
     serialize_certificate,
@@ -74,7 +74,7 @@ def _reference_read_rational(x) -> Fraction:
 
 
 def _reference_read_kernel(m) -> KernelSubgroup:
-    rows = _decode_matrix(m, _reference_read_rational)
+    rows = [[*map(_reference_read_rational, row)] for row in _rows(m)]
     den = lcm(*(q.denominator for row in rows for q in row))
     return KernelSubgroup(tuple(tuple(int(q * den) for q in row) for row in rows), den)
 

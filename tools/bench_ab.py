@@ -38,7 +38,7 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
-from benchlib import ROOT, add_run, git, identity, run_workload, seeds, spread, src_sha256
+from benchlib import ROOT, add_run, identity, run_workload, seeds, spread, src_sha256
 
 WORKLOADS = ("pool", "conductor", "numtheory", "cli")
 PARTS = ("src", "perfbench")
@@ -99,7 +99,12 @@ def main() -> None:
         parser.error(f"--workloads must name some of {', '.join(WORKLOADS)}")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    base_commit = git("rev-parse", "--short=12", args.base)
+    base_commit = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", "--short=12", f"{args.base}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True,
+    ).stdout.strip()
+    if not base_commit:
+        parser.error(f"{args.base!r} names no commit")
     head = identity()
 
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:

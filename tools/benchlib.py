@@ -1,6 +1,7 @@
-"""What bench_ab.py and bench_codec.py share: host-speed scaling, the
---seeds type, one perfbench/run.py run in a subprocess, the identity of a
-run and the committed file of runs.
+"""The helpers of the timing tools. bench_ab.py and bench_codec.py share
+host-speed scaling, the identity of a run and the committed file of runs;
+bench_ab.py alone uses the --seeds type, the quartiles and one
+perfbench/run.py run in a subprocess.
 
 A time is scaled as perfbench/worker.py scales its samples: by the
 host_ms() readings taken just before and just after it, to the host speed
