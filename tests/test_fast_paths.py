@@ -214,9 +214,7 @@ def test_the_one_pass_read_matches_the_entry_reader(entry):
 
 def test_the_one_pass_read_keeps_the_first_refusal_in_row_order():
     m = [[1, 2, 3, 4], [5, True, 7, 8], [9, 10, 1.5, 12], [13, 14, 15, _BIG]]
-    assert _read(_decode_matrix, m) == (
-        None, "expected an integer, got a boolean"
-    )
+    assert _read(_decode_matrix, m) == (None, "expected an integer, got a boolean")
 
 
 def test_a_parsed_instance_holds_the_values_written():

@@ -13,11 +13,6 @@ run records the Python version, the commit (with "-dirty" when src/
 differs from it), a digest of src/rmlattice/*.py and the interpreter's
 int/str digit limit as int_max_str_digits (0 when it is off, or on a
 Python without one).
-
-Earlier runs in the file also hold "codec", per-chain writer and reader
-times that were descriptive only: the writer and the reader are timed by
-tools/bench_ab.py's principalize_p50_ms and verify_p50_ms, and
-tests/test_codec.py pins the bytes those runs digested.
 """
 
 from __future__ import annotations
