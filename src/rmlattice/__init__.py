@@ -31,12 +31,12 @@ from .surface import (
     validate,
 )
 from .isogeny import (
+    CertificateData,
     IsogenyStep,
     descend_polarization,
     divide_by_symmetric,
 )
 from .reduction import (
-    CertificateData,
     enlarge_order_step,
     principalize,
     reduce_degree_step,

@@ -21,23 +21,23 @@ render. Equal surfaces built apart each render, and the parser keeps no
 text, as its input need not be canonical.
 
 Every object holds exactly the keys the serializer writes, nulls included;
-a step's are the IsogenyStep fields of the table _STEP_FIELDS, the one place
-that names them, with each field's writer and reader. An extra or missing key
-is a ValueError naming the object, and so is a key that appears twice in one
-object. Text nested too deeply for the JSON decoder is a ValueError too, not
-a RecursionError.
+a step's are the IsogenyStep fields, in the order IsogenyStep._fields gives
+them, each with its writer and reader in the table _STEP_FIELDS. An extra or
+missing key is a ValueError naming the object, and so is a key that appears
+twice in one object. Text nested too deeply for the JSON decoder is a
+ValueError too, not a RecursionError.
 
 An instance is written as one %-format of a template built at import, its
 32 matrix entries by repr when all lie below 2^53 in magnitude and by
 _int_token otherwise; a matrix whose entries are all such ints is read in
 one C-level pass (the set of entry types, min and max), any other entry by
-entry. A step is written as one %-format of a template built from the
-table's keys, and its kernel, the integer pair (basis, den) of
+entry. A step is written as one %-format of a template built from
+IsogenyStep._fields, and its kernel, the integer pair (basis, den) of
 surface.KernelSubgroup, as one of a 16-slot template: entry x is the text
 of x/den in lowest terms, whose token is kept in a bounded memo on
 (x, den) (_kernel_token), as a kernel's few Hermite residues recur from
 step to step. A step is read with one comparison of its keys against the
-table's, and its fields are set through the slot setters, without a
+field names, and its fields are set through the slot setters, without a
 keyword dict.
 
 A kernel is read back as a pair: den is the lcm of its entries'
@@ -61,9 +61,8 @@ from operator import attrgetter, floordiv, itemgetter, mul
 
 from .arith import _text_int, int_text, rational_text
 from .errors import PreconditionError
-from .isogeny import IsogenyStep
+from .isogeny import CertificateData, IsogenyStep
 from .quadratic import make_order
-from .reduction import CertificateData
 from .surface import KernelSubgroup, PolarizedRMSurface
 
 FORMAT_VERSION = 1
@@ -323,31 +322,28 @@ def _kernel_text(k: KernelSubgroup) -> str:
     return _KERNEL_TEXT % (*map(_kernel_token, (*b0, *b1, *b2, *b3), repeat(den)),)
 
 
-# Each IsogenyStep field in the order of IsogenyStep._fields, with the
-# writer of its non-null value as JSON text and its reader; a field whose
-# default is None is written as null when unset. A step object has exactly
-# these keys.
-_STEP_FIELDS = (
-    ("kind", encode_basestring, _decode_str),
-    ("prime", _int_token, _decode_int),
-    ("kernel_overlattice", _kernel_text, _decode_kernel),
-    ("alpha", lambda alpha: _array(map(_int_token, alpha), _STEP_PAD), _decode_alpha),
-    ("degree_before", _int_token, _decode_int),
-    ("degree_after", _int_token, _decode_int),
-    ("t", _int_token, _decode_int),
-    ("branch", encode_basestring, _decode_str),
-)
-_STEP_KEYS = tuple(name for name, _, _ in _STEP_FIELDS)
-_STEP_KEY_SET = frozenset(_STEP_KEYS)
-_STEP_TEXT = _object([(name, "%s") for name in _STEP_KEYS], "    ")
-_STEP_VALUES = attrgetter(*_STEP_KEYS)
-_STEP_ITEMS = itemgetter(*_STEP_KEYS)
-_STEP_WRITERS = tuple(write for _, write, _ in _STEP_FIELDS)
+# Each IsogenyStep field, with the writer of its non-null value as JSON text
+# and its reader; a field whose default is None is written as null when
+# unset. A step object has exactly these keys, in IsogenyStep._fields order.
+_STEP_FIELDS = {
+    "kind": (encode_basestring, _decode_str),
+    "prime": (_int_token, _decode_int),
+    "kernel_overlattice": (_kernel_text, _decode_kernel),
+    "alpha": (lambda alpha: _array(map(_int_token, alpha), _STEP_PAD), _decode_alpha),
+    "degree_before": (_int_token, _decode_int),
+    "degree_after": (_int_token, _decode_int),
+    "t": (_int_token, _decode_int),
+    "branch": (encode_basestring, _decode_str),
+}
+_STEP_TEXT = _object([(name, "%s") for name in IsogenyStep._fields], "    ")
+_STEP_VALUES = attrgetter(*IsogenyStep._fields)
+_STEP_ITEMS = itemgetter(*IsogenyStep._fields)
+_STEP_WRITERS = tuple(_STEP_FIELDS[name][0] for name in IsogenyStep._fields)
 # (slot setter, reader, nullable) per field: a field with a default, which is
 # always None, reads null as None
 _STEP_READERS = tuple(
-    (set_field, read, name in IsogenyStep.__init__.__kwdefaults__)
-    for set_field, (name, _, read) in zip(IsogenyStep._setters, _STEP_FIELDS)
+    (set_field, _STEP_FIELDS[name][1], name in IsogenyStep.__init__.__kwdefaults__)
+    for set_field, name in zip(IsogenyStep._setters, IsogenyStep._fields)
 )
 
 
@@ -358,8 +354,8 @@ def _step_text(s: IsogenyStep) -> str:
 
 
 def _step_from_obj(obj, i: int) -> IsogenyStep:
-    if not isinstance(obj, dict) or obj.keys() != _STEP_KEY_SET:
-        _values(obj, f"step {i}", _STEP_KEYS)  # raises, naming the keys
+    if not isinstance(obj, dict) or obj.keys() != _STEP_FIELDS.keys():
+        _values(obj, f"step {i}", IsogenyStep._fields)  # raises, naming the keys
     # built field by field through the slot setters, as pickle rebuilds a Record
     step = object.__new__(IsogenyStep)
     for (set_field, read, nullable), v in zip(_STEP_READERS, _STEP_ITEMS(obj)):

@@ -3,21 +3,21 @@
 Starting from the principal standard instance, each requested prime raises
 the degree by p^2, either by twisting with a norm +-p element of the order
 or by restricting to an eigen-sublattice (split primes only), chosen by the
-seeded generator. A final seeded unimodular basis change scrambles the
+seeded generator, which draws a move before building it, so a pull-back
+builds no unit power. A final seeded unimodular basis change scrambles the
 presentation without touching any invariant: eight shears, each drawn as
-rng.sample(range(4), 2) and rng.choice((-2, -1, 1, 2)) would draw it,
-each _randbelow(n) of theirs written out as getrandbits(n.bit_length())
-with the same rejection loop, so every seed gives the same matrix and
-leaves the generator in the same state as those calls. The
-standard instance comes from its per-order cache (surface.py), and each
-requested prime is proven once per process (arith.require_odd_prime).
+rng.sample(range(4), 2) and rng.choice((-2, -1, 1, 2)) would draw it, each
+_randbelow(n) of theirs written out as getrandbits(n.bit_length()) with the
+same rejection loop, so every seed gives the same matrix and leaves the
+generator in the same state as those calls. The standard instance comes
+from its per-order cache (surface.py), and each requested prime is proven
+once per process (arith.require_odd_prime).
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import partial
 
 from . import intmat
 from .arith import int_text, require_odd_prime
@@ -27,6 +27,7 @@ from .quadratic import (
     factor_prime,
     humbert_holds,
     make_order,
+    norm_solvable,
     prime_norm,
     splitting_type,
 )
@@ -122,20 +123,21 @@ def generate_instance(
 def _raise_degree(
     surface: PolarizedRMSurface, p: int, rng: random.Random
 ) -> PolarizedRMSurface:
-    """Raise the degree by p^2. solve_norm keeps its answers, so asking
-    factor_prime again for a repeated prime solves nothing twice."""
-    options = []
-    factors = factor_prime(surface.order, p)
-    if factors is not None:
-        # both factors have the norm of the first: a2 = +-conj(a1)
-        norm = prime_norm(factors[0], p)
-        options += [partial(twist_by_element, surface, el, norm=norm) for el in factors]
-    if splitting_type(surface.order, p) == SPLIT and degree(surface) % p != 0:
-        options += [partial(eigen_sublattice_pullback, surface, p, i) for i in (0, 1)]
-    if not options:
+    """Raise the degree by p^2 by one move, drawn as rng.choice draws from a
+    list before it is built: two twists if the order has a norm +-p element,
+    then two pull-backs if p splits and does not divide the degree."""
+    order = surface.order
+    twists = 2 if norm_solvable(order, p) else 0
+    n = twists + (2 if splitting_type(order, p) == SPLIT and degree(surface) % p else 0)
+    if not n:
         raise PreconditionError(
             f"cannot realize degree prime {int_text(p)} at conductor "
-            f"{int_text(surface.order.conductor)}: no norm ±{int_text(p)} element "
+            f"{int_text(order.conductor)}: no norm ±{int_text(p)} element "
             "in the order and no split eigen-sublattice available"
         )
-    return rng.choice(options)()
+    i = rng.choice(range(n))
+    if i >= twists:
+        return eigen_sublattice_pullback(surface, p, i - twists)
+    # both factors have the norm of the first: a2 = +-conj(a1)
+    factors = factor_prime(order, p)
+    return twist_by_element(surface, factors[i], norm=prime_norm(factors[0], p))

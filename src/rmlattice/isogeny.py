@@ -1,5 +1,5 @@
 """Isogenies as lattice moves: descent along a kernel and division of
-polarizations, plus the replayable step record.
+polarizations, plus the certificate and its replayable step records.
 
 All isogenies are realized in the forward direction as finite-index
 overlattices L <= L'. Descending a polarization to L' is the basis change
@@ -27,6 +27,8 @@ QUOTIENT = "quotient"
 DIVIDE = "divide_by_alpha"
 SCALE = "scale"
 TWIST = "twist"
+SPLIT_DIVIDE = "split_divide"
+ASSOCIATE_DIVIDE = "associate_divide"
 
 
 class IsogenyStep(Record):
@@ -62,6 +64,15 @@ class IsogenyStep(Record):
         self.__setstate__(
             (kind, prime, kernel_overlattice, alpha, degree_before, degree_after, t, branch)
         )
+
+
+class CertificateData(Record):
+    """The replayable record of a principalization: its steps and the end."""
+
+    __slots__ = _fields = ("steps", "final")
+
+    def __init__(self, steps: tuple[IsogenyStep, ...], final: PolarizedRMSurface) -> None:
+        self.__setstate__((steps, final))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from itertools import combinations, product
 from . import intmat
 from .arith import int_text, is_prime, rational_text, require_odd_prime
 from .errors import DescentError, InvariantBreach, PreconditionError
-from .isogeny import descend_polarization
-from .reduction import CertificateData, principalize
+from .isogeny import CertificateData, descend_polarization
+from .reduction import principalize
 from .surface import KernelSubgroup, PolarizedRMSurface, kernel_from_subspace
 
 

@@ -26,18 +26,20 @@ in G read off |G| = prod over q^e || f of q^(e-1)*(q - (d_F/q)), and the
 generator reaches the suborder at the exponents k0 + n0*Z, k0 found by a
 baby-step giant-step discrete log modulo f. The canonical solution, the
 least |y| on that progression, is placed from the sizes of the
-embeddings, so only one or two unit powers are built exactly.
+embeddings, so only one or two unit powers are built exactly. A baby-step
+table past _TABLE_BUDGET entries and a unit power past about _POWER_BITS
+bits are refused before they are built.
 
-Six pure functions of immutable values keep their results per process,
+Seven pure functions of immutable values keep their results per process,
 each in an unbounded functools.lru_cache: make_order (so each D is
 factored once), fundamental_unit, _unit_index, _baby_steps, solve_norm
 (so each prime's norm equation is solved once per order, however many
-runs of generate, principalize and replay ask for it) and _roots_mod_p
-(so each eigen-sublattice pull-back at a repeated (order, p) takes its
-square root mod p once). factor_prime stays a thin uncached wrapper, so
-every request still passes through solve_norm. make_order, solve_norm and
-_roots_mod_p key on argument types too (typed=True); a refusal raises and
-is never kept.
+runs of generate, principalize and replay ask for it), norm_solvable and
+_roots_mod_p (so each eigen-sublattice pull-back at a repeated (order, p)
+takes its square root mod p once). factor_prime stays a thin uncached
+wrapper, so every request still passes through solve_norm. make_order,
+solve_norm, norm_solvable and _roots_mod_p key on argument types too
+(typed=True); a refusal raises and is never kept.
 
 Record, the base of the package's six value types, is defined here, in
 the lowest module that defines one.
@@ -56,6 +58,14 @@ from .errors import PreconditionError
 # A walk along reduced forms gives up after this many rho steps. A cycle is
 # about sqrt(disc) long, so without a bound D near 10^18 would walk for days.
 _WALK_BUDGET = 1 << 18
+# A discrete log modulo the conductor f gives up rather than fill a table of
+# more than this many entries. The table holds about sqrt(f) residues, so
+# without a bound f near 10^20 would ask for 10^10 of them.
+_TABLE_BUDGET = 1 << 18
+# solve_norm gives up rather than build a unit power of more than about this
+# many bits. The power's exponent is below n0, which is near f for a prime
+# conductor, so without a bound f near 10^10 would ask for 5*10^9 bits.
+_POWER_BITS = 1 << 23
 
 SPLIT = "split"
 INERT = "inert"
@@ -119,10 +129,9 @@ class RealQuadraticOrder(Record):
     discriminant is trace_omega^2 - 4*norm_omega = conductor^2 * d_F.
     """
 
-    _fields = (
+    __slots__ = _fields = (
         "D", "conductor", "fundamental_discriminant", "discriminant", "trace_omega", "norm_omega"
     )
-    __slots__ = _fields + ("_hash",)  # the hash, computed once: orders key the caches
 
     def __init__(
         self,
@@ -136,13 +145,6 @@ class RealQuadraticOrder(Record):
         self.__setstate__(
             (D, conductor, fundamental_discriminant, discriminant, trace_omega, norm_omega)
         )
-
-    def __setstate__(self, values: tuple) -> None:
-        Record.__setstate__(self, values)
-        _set(self, "_hash", hash(self._key(self)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def element(self, x: int, y: int) -> "OrderElement":
         return OrderElement(self, x, y)
@@ -350,18 +352,24 @@ def _baby_steps(order: RealQuadraticOrder):
     for odd f it is one-to-one there, so rho has the order n0 of u. The
     table maps rho**j to j for j < m = ceil(sqrt(n0)), m distinct powers as
     m <= n0, and giant is the matrix of multiplication by
-    rho**(-m) = conj(rho**m).
+    rho**(-m) = conj(rho**m). A table past _TABLE_BUDGET is refused unfilled.
     """
-    maximal = make_order(order.D, 1)
     f = order.conductor
+    m = isqrt(_unit_index(order) - 1) + 1
+    if m > _TABLE_BUDGET:
+        raise PreconditionError(
+            f"the discrete log modulo the conductor {int_text(f)} of "
+            f"Q(sqrt({int_text(order.D)})) needs a table of {m} entries, "
+            f"past its budget of {_TABLE_BUDGET}"
+        )
+    maximal = make_order(order.D, 1)
     unit = fundamental_unit(maximal)
     u = _residue(unit, f)
     x, y = _mul_mod(maximal, u, u, f)
     rho = (x * unit.norm() % f, y * unit.norm() % f)
-    n0 = _unit_index(order)
     table = {}
     power = (1, 0)
-    for j in range(isqrt(n0 - 1) + 1):
+    for j in range(m):
         table[power] = j
         power = _mul_mod(maximal, power, rho, f)
     # giant = conj(power) = gx + gy*w, kept as the matrix of z -> z*giant
@@ -532,7 +540,8 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
     _least_y_exponents places the least |y| on that progression from the
     sizes of the embeddings; only those one or two powers per progression
     are built, and the minimum over them, their negatives and their
-    conjugates is taken exactly.
+    conjugates is taken exactly; a power past _POWER_BITS bits, its size read
+    from the embeddings, is refused unbuilt.
     """
     require_odd_prime(p)
     f = order.conductor
@@ -551,13 +560,29 @@ def solve_norm(order: RealQuadraticOrder, p: int) -> OrderElement | None:
             return None
         n0 = _unit_index(order)
     unit = fundamental_unit(maximal)
+    unit_bits = _log_embeddings(unit)[0] / log(2)
     candidates = []
     for k in _least_y_exponents(gen, unit, k0, n0):
+        if abs(k) * unit_bits > _POWER_BITS:
+            raise PreconditionError(
+                f"the norm ±{int_text(p)} element of the conductor {int_text(f)} order "
+                f"of Q(sqrt({int_text(order.D)})) needs the fundamental unit to the power "
+                f"{abs(k)}, past the budget of {_POWER_BITS} bits"
+            )
         power = unit ** abs(k)  # u**k up to sign: u**-1 = N(u)*conj(u)
         hit = gen * (power if k >= 0 else power.conjugate())
         el = order.element(hit.x, hit.y // f)
         candidates += [el, -el, el.conjugate(), -el.conjugate()]
     return min(candidates, key=_canonical_key)
+
+
+@lru_cache(maxsize=None, typed=True)
+def norm_solvable(order: RealQuadraticOrder, p: int) -> bool:
+    """solve_norm(order, p) is not None, for an odd prime p prime to the
+    conductor, decided without building the element: in a suborder, by the
+    discrete log of the maximal order's solution (+-g*u**k or its conjugate)."""
+    a1 = solve_norm(make_order(order.D, 1), p)
+    return a1 is not None and (order.conductor == 1 or _unit_log(order, a1) is not None)
 
 
 def _canonical_key(el: OrderElement) -> tuple[int, int, int, int]:

@@ -1,4 +1,4 @@
-"""The three reduction moves, the principalization pipeline and its record.
+"""The three reduction moves and the principalization pipeline.
 
 Each move takes a surface and a prime and returns (surface, steps).
 squarefree_reduce shrinks the p-part of the polarization kernel until its
@@ -33,15 +33,18 @@ from . import intmat
 from .arith import factorize, int_text, require_odd_prime
 from .errors import DescentError, InvariantBreach, PreconditionError
 from .isogeny import (
+    ASSOCIATE_DIVIDE,
     DIVIDE,
     QUOTIENT,
     SCALE,
+    SPLIT_DIVIDE,
     TWIST,
+    CertificateData,
     IsogenyStep,
     descend_polarization,
     divide_by_symmetric,
 )
-from .quadratic import Record, factor_prime, make_order
+from .quadratic import factor_prime, make_order
 from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
@@ -53,20 +56,6 @@ from .surface import (
     stabilizer_order,
     validate,
 )
-
-SPLIT_DIVIDE = "split_divide"
-ASSOCIATE_DIVIDE = "associate_divide"
-
-
-class CertificateData(Record):
-    """Replayable record of a principalization run: the steps from the
-    input surface and the final surface they reach."""
-
-    __slots__ = _fields = ("steps", "final")
-
-    def __init__(self, steps: tuple[IsogenyStep, ...], final: PolarizedRMSurface) -> None:
-        self.__setstate__((steps, final))
-
 
 # ---------------------------------------------------------------------------
 # squarefree reduction of the kernel at one prime

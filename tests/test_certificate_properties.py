@@ -24,7 +24,8 @@ from rmlattice.cli import main
 from rmlattice.formats import parse_certificate, serialize_certificate, serialize_instance
 from rmlattice.generator import generate_instance
 from rmlattice.oracle import verify_certificate
-from rmlattice.reduction import CertificateData, enlarge_order_step, reduce_degree_step
+from rmlattice.isogeny import CertificateData
+from rmlattice.reduction import enlarge_order_step, reduce_degree_step
 
 SQUAREFREE_D = [D for D in range(2, 201) if is_squarefree(D)]
 CONDUCTORS = [1, 3, 5, 7, 9, 15]

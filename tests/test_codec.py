@@ -30,9 +30,9 @@ from rmlattice.formats import (
     serialize_instance,
 )
 from rmlattice.generator import generate_instance
-from rmlattice.isogeny import IsogenyStep
+from rmlattice.isogeny import CertificateData, IsogenyStep
 from rmlattice.quadratic import make_order
-from rmlattice.reduction import CertificateData, principalize
+from rmlattice.reduction import principalize
 from rmlattice.surface import KernelSubgroup, PolarizedRMSurface
 
 # ---------------------------------------------------------------------------

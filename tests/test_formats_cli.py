@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -626,6 +627,48 @@ def test_cli_refuses_a_field_whose_reduced_form_walk_passes_its_budget(
         assert capsys.readouterr() == ("", refusal)
 
 
+def test_cli_generate_at_a_deep_prime_conductor_builds_only_the_drawn_move(tmp_path, capsys):
+    # generate built the norm ±11 element of the conductor-f order before it
+    # drew a move, about 5*10^9 bits at f = 10000000019, and ran for hours.
+    # Seed 0 draws a pull-back, which builds no element; seed 1 draws a
+    # twist, which the bit budget refuses before it builds the unit power.
+    inst = tmp_path / "inst.json"
+    argv = ["generate", "--D", "5", "--conductor", "10000000019", "--degree-primes", "11"]
+    assert main(argv + ["--seed", "0", "-o", str(inst)]) == 0
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(inst.read_bytes()).hexdigest() == (
+        "f1c8dfa1edcd50893419b9bbd94cf350258042db5846fa525b12342ef215c3e0"
+    )
+    assert main(argv + ["--seed", "1", "-o", str(tmp_path / "twist.json")]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: the norm ±11 element of the conductor 10000000019 order of "
+        "Q(sqrt(5)) needs the fundamental unit to the power 2459670593, past the "
+        "budget of 8388608 bits\n",
+    )
+    assert not (tmp_path / "twist.json").exists()
+
+
+def test_cli_refuses_a_discrete_log_table_past_its_budget(tmp_path, capsys, monkeypatch):
+    # The baby-step table holds about sqrt(f) residues, 10^10 of them at
+    # f near 10^20. A table past its budget is refused before it is filled;
+    # a small budget takes the same exit as the real one. No other test asks
+    # for this order, so no kept table answers first.
+    monkeypatch.setattr(quadratic, "_TABLE_BUDGET", 64)
+    argv = [
+        "generate", "--D", "13", "--conductor", "999983", "--degree-primes", "3",
+        "-o", str(tmp_path / "x.json"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: the discrete log modulo the conductor 999983 of Q(sqrt(13)) needs "
+        "a table of 1000 entries, past its budget of 64\n",
+    )
+    monkeypatch.undo()  # the refusal was not kept: the real budget answers
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("where", ["instance", "certificate"])
 def test_cli_refuses_deeply_nested_json_with_one_line(tmp_path, capsys, where):
     # the decoder raises RecursionError on deep nesting, which escaped main
@@ -817,8 +860,11 @@ def test_cli_verify_rejects_a_certificate_cut_after_a_move(tmp_path, capsys):
     )
 
 
-def test_step_table_lists_the_step_fields_in_order():
-    assert [name for name, _, _ in _STEP_FIELDS] == list(IsogenyStep._fields)
+def test_step_table_holds_exactly_the_step_fields():
+    # the codec takes the order from IsogenyStep._fields; its table must
+    # name every field once and nothing else
+    assert sorted(_STEP_FIELDS) == sorted(IsogenyStep._fields)
+    assert len(set(IsogenyStep._fields)) == len(IsogenyStep._fields)
 
 
 def test_cli_verify_rejects_a_step_with_an_extra_key(tmp_path, capsys):

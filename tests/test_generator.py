@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import partial
+from unittest import mock
 
 import pytest
 import sympy
@@ -138,22 +139,33 @@ def reference_generate_instance(D: int, conductor: int, degree_primes, seed: int
 
 
 def _outcome(generate, D, f, primes, seed):
-    """The instance text, or ("refused", message) for a PreconditionError."""
-    try:
-        return serialize_instance(generate(D, f, primes, seed))
-    except PreconditionError as exc:
-        return ("refused", str(exc))
+    """The instance text, or ("refused", message) for a PreconditionError,
+    and the state each random.Random the call made ends in."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, x):
+            super().__init__(x)
+            made.append(self)
+
+    with mock.patch.object(random, "Random", Recording):
+        try:
+            out = serialize_instance(generate(D, f, primes, seed))
+        except PreconditionError as exc:
+            out = ("refused", str(exc))
+    return out, [rng.getstate() for rng in made]
 
 
 def _assert_same(cases) -> Counter:
-    """Both generators agree on every (D, f, primes, seed); returns how many
-    of the cases each gave an instance and a refusal."""
+    """Both generators agree on every (D, f, primes, seed), in output and in
+    their generator's final state; returns how many of the cases each gave
+    an instance and a refusal."""
     seen = Counter()
     for D, f, primes, seed in cases:
         want = _outcome(reference_generate_instance, D, f, primes, seed)
         got = _outcome(generate_instance, D, f, primes, seed)
         assert got == want, (D, f, primes, seed)
-        seen["refused" if isinstance(want, tuple) else "built"] += 1
+        seen["refused" if isinstance(want[0], tuple) else "built"] += 1
     return seen
 
 
@@ -222,6 +234,11 @@ def test_generator_bytes_over_conductors():
         D = FIELDS[k % len(FIELDS)]
         for primes in ([], _reducible_primes(D, 11, 1), _reducible_primes(D, 13, 2)):
             cases += [(D, f, primes, seed) for seed in SEEDS]
+    # prime conductors, where n0 is near f and a twist's unit power is large:
+    # the generator decides a twist without building it, and builds it only
+    # when it draws one
+    for f in (sympy.nextprime(10**5), sympy.nextprime(10**6)):
+        cases += [(5, f, [11], seed) for seed in range(4)]
     seen = _assert_same(cases)
     assert seen["built"] > 200 and seen["refused"] > 5
 

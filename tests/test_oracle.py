@@ -26,7 +26,8 @@ from rmlattice.oracle import (
     enumerate_valid_kernels,
     verify_certificate,
 )
-from rmlattice.reduction import CertificateData, enlarge_order_step, reduce_degree_step
+from rmlattice.isogeny import CertificateData
+from rmlattice.reduction import enlarge_order_step, reduce_degree_step
 from test_intmat_oracles import inv_mod_p, overlattice
 
 

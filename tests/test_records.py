@@ -25,9 +25,9 @@ from hypothesis import strategies as st
 
 from rmlattice.formats import serialize_instance
 from rmlattice.generator import generate_instance
-from rmlattice.isogeny import IsogenyStep
+from rmlattice.isogeny import CertificateData, IsogenyStep
 from rmlattice.quadratic import OrderElement, RealQuadraticOrder, make_order
-from rmlattice.reduction import CertificateData, principalize
+from rmlattice.reduction import principalize
 from rmlattice.surface import KernelSubgroup, PolarizedRMSurface, standard_instance, twist_by_element
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -168,6 +168,12 @@ def test_the_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
 def test_the_references_list_the_record_fields_in_order():
     for cls, ref, _ in CLASSES.values():
         assert cls._fields == tuple(ref.__dataclass_fields__)
+
+
+def test_an_order_holds_its_six_fields_and_nothing_else():
+    # no cached hash beside the fields: Record's hash and pickle state serve
+    assert RealQuadraticOrder.__slots__ == RealQuadraticOrder._fields
+    assert {"__hash__", "__setstate__"}.isdisjoint(vars(RealQuadraticOrder))
 
 
 @pytest.mark.parametrize("name", list(CLASSES))

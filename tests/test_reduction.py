@@ -34,15 +34,17 @@ from rmlattice import intmat, quadratic
 from rmlattice.formats import serialize_certificate, serialize_instance
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import (
+    ASSOCIATE_DIVIDE,
     DIVIDE,
     QUOTIENT,
     SCALE,
+    SPLIT_DIVIDE,
     IsogenyStep,
     descend_polarization,
     divide_by_symmetric,
 )
 from rmlattice.oracle import verify_certificate
-from rmlattice.reduction import ASSOCIATE_DIVIDE, SPLIT_DIVIDE, principal_defect
+from rmlattice.reduction import principal_defect
 from rmlattice.surface import (
     PolarizedRMSurface,
     apply_unimodular,
