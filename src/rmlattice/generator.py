@@ -96,10 +96,10 @@ def generate_instance(
     surface = standard_instance(order)
     for p in primes:
         surface = _raise_degree(surface, p, rng)
-        # a pull-back in the next move and the scramble compute only the
-        # alternating half of their gram (intmat.alternating_congruence), so
-        # they would hide a twist that broke alternation from the validate
-        # below
+        # a pull-back in the next move (surface.change_basis) and the
+        # scramble (intmat.alternating_congruence) compute only the
+        # alternating half of their gram, so they would hide a twist that
+        # broke alternation from the validate below
         if not intmat.is_antisymmetric(surface.gram):
             raise InvariantBreach("generated instance invalid: gram form is not antisymmetric")
     surface = apply_unimodular(surface, random_unimodular(rng))

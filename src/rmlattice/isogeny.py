@@ -61,9 +61,16 @@ class IsogenyStep(Record):
         t: int | None = None,
         branch: str | None = None,
     ) -> None:
-        self.__setstate__(
-            (kind, prime, kernel_overlattice, alpha, degree_before, degree_after, t, branch)
-        )
+        # slot by slot, not through __setstate__: a hot constructor
+        s_kind, s_prime, s_kernel, s_alpha, s_before, s_after, s_t, s_branch = self._setters
+        s_kind(self, kind)
+        s_prime(self, prime)
+        s_kernel(self, kernel_overlattice)
+        s_alpha(self, alpha)
+        s_before(self, degree_before)
+        s_after(self, degree_after)
+        s_t(self, t)
+        s_branch(self, branch)
 
 
 class CertificateData(Record):

@@ -62,9 +62,10 @@ _WALK_BUDGET = 1 << 18
 # more than this many entries. The table holds about sqrt(f) residues, so
 # without a bound f near 10^20 would ask for 10^10 of them.
 _TABLE_BUDGET = 1 << 18
-# solve_norm gives up rather than build a unit power of more than about this
-# many bits. The power's exponent is below n0, which is near f for a prime
-# conductor, so without a bound f near 10^10 would ask for 5*10^9 bits.
+# solve_norm and fundamental_unit give up rather than build a unit power of
+# more than about this many bits. The power's exponent is at most n0, which is
+# near f for a prime conductor, so without a bound f near 10^10 would ask for
+# 5*10^9 bits.
 _POWER_BITS = 1 << 23
 
 SPLIT = "split"
@@ -72,20 +73,20 @@ INERT = "inert"
 RAMIFIED = "ramified"
 DIVIDES_CONDUCTOR = "divides_conductor"
 
-# Sets one field of a Record past its refusing __setattr__.
-_set = object.__setattr__
-
 
 class Record:
     """An immutable value whose fields, named in `_fields`, are its whole value.
 
     A subclass lists its fields (two or more) in `_fields` and `__slots__`,
-    and its __init__ sets them through __setstate__, which calls each
-    field's slot setter (`_setters`, one per class). Equality and hashing
-    are over the field tuple, which a per-class attrgetter reads in one C
-    call; they hold between instances of the same class only. Assignment
-    and deletion raise AttributeError; pickle and copy rebuild an instance
-    from its field tuple. (A dataclass would import inspect with it.)
+    and `_setters` holds each field's slot setter, one tuple per class. An
+    __init__ sets the fields through __setstate__, which calls each setter
+    in turn, or, in the hot constructors (OrderElement, PolarizedRMSurface,
+    KernelSubgroup and IsogenyStep), calls the setters one by one without
+    building the field tuple. Equality and hashing are over the field
+    tuple, which a per-class attrgetter reads in one C call; they hold
+    between instances of the same class only. Assignment and deletion raise
+    AttributeError; pickle and copy rebuild an instance from its field tuple
+    through __setstate__. (A dataclass would import inspect with it.)
     """
 
     __slots__ = ()
@@ -195,10 +196,11 @@ class OrderElement(Record):
     __slots__ = _fields = ("order", "x", "y")
 
     def __init__(self, order: RealQuadraticOrder, x: int, y: int) -> None:
-        # field by field rather than through __setstate__: the hot constructor
-        _set(self, "order", order)
-        _set(self, "x", x)
-        _set(self, "y", y)
+        # slot by slot, not through __setstate__: a hot constructor
+        set_order, set_x, set_y = self._setters
+        set_order(self, order)
+        set_x(self, x)
+        set_y(self, y)
 
     def __add__(self, other: "OrderElement") -> "OrderElement":
         self._check_same_order(other)
@@ -277,11 +279,22 @@ def fundamental_unit(order: RealQuadraticOrder) -> OrderElement:
     For an odd conductor f > 1 the unit group is the cyclic subgroup of
     maximal-order units landing in the order, so the answer is u**n0 for
     n0 the order of the class of u in (O_F/f)^*/(Z/f)^*, from _unit_index
-    (which refuses an even f).
+    (which refuses an even f). A power past _POWER_BITS bits, its size
+    n0 log2(u) read from the embeddings as solve_norm reads it, is refused
+    unbuilt.
     """
-    if order.conductor > 1:
-        power = fundamental_unit(make_order(order.D, 1)) ** _unit_index(order)
-        return order.element(power.x, power.y // order.conductor)
+    f = order.conductor
+    if f > 1:
+        unit = fundamental_unit(make_order(order.D, 1))
+        n0 = _unit_index(order)
+        if n0 * _log_embeddings(unit)[0] / log(2) > _POWER_BITS:
+            raise PreconditionError(
+                f"the fundamental unit of the conductor {int_text(f)} order of "
+                f"Q(sqrt({int_text(order.D)})) is the maximal order's unit to the power "
+                f"{n0}, past the budget of {_POWER_BITS} bits"
+            )
+        power = unit**n0
+        return order.element(power.x, power.y // f)
     t, disc = order.trace_omega, order.discriminant
     s = isqrt(disc)
     b = s if (disc - s) % 2 == 0 else s - 1  # b, disc and t share a parity

@@ -23,9 +23,14 @@ product. The generator's scramble U, the one basis that is not
 triangular, has its own body: U^-1 A U as det(U) adj(U) A U, with no
 division. change_basis requires an alternating gram, as every caller's
 validated surface has: it computes only the six pairings above the
-diagonal of B^T E B (intmat.alternating_congruence). It divides the gram
-with the written-out exact division intmat.div_exact, as twist_by_element
-divides its gram unless den is 1.
+diagonal of B^T E B, tests each for divisibility by the gram's divisor
+and divides it in place. Its three products are written out without the
+zeros known in advance, B's above its diagonal and the gram's on its
+diagonal: of E B only the columns 1-3 the pairings read (18 products
+where the full product takes 64), the pairings themselves from those (17
+where the six sums of four take 24), and A B (40 where the full product
+takes 64). apply_unimodular, whose U is not triangular, takes the full
+congruence (intmat.alternating_congruence).
 Everything is a pure function on immutable integer values. A kernel is
 its pair (basis, den), which the step record holds as it is and replay
 compares as integers; only formats spells it as rationals. Kernels given
@@ -82,7 +87,11 @@ class PolarizedRMSurface(Record):
     _fields = ("order", "action", "gram")
 
     def __init__(self, order: RealQuadraticOrder, action: IntMat, gram: IntMat) -> None:
-        self.__setstate__((order, action, gram))
+        # slot by slot, not through __setstate__: a hot constructor
+        set_order, set_action, set_gram = self._setters
+        set_order(self, order)
+        set_action(self, action)
+        set_gram(self, gram)
 
     @cached_property
     def pf(self) -> int:
@@ -134,7 +143,10 @@ class KernelSubgroup(Record):
     __slots__ = _fields = ("basis", "den")
 
     def __init__(self, basis: IntMat, den: int) -> None:
-        self.__setstate__((basis, den))
+        # slot by slot, not through __setstate__: a hot constructor
+        set_basis, set_den = self._setters
+        set_basis(self, basis)
+        set_den(self, den)
 
     @property
     def group_order(self) -> int:
@@ -204,30 +216,74 @@ def change_basis(
     substitution: row i is row i of A basis, less b_ik times each row k < i
     of M, divided exactly by b_ii; det(basis) is the diagonal's product.
     The surface's gram must be alternating, as on every validated surface:
-    only the six pairings above the diagonal are computed
-    (intmat.alternating_congruence). Raises PreconditionError for any
-    other basis; then DescentError, naming the first pairing that gram_den
-    does not divide; then PreconditionError when the action does not
-    preserve the lattice. The gram is checked first, so a DescentError
-    means exactly that the form does not descend.
+    only the six pairings above the diagonal are computed, from columns
+    1-3 of E basis, and each is tested for divisibility by gram_den and
+    divided in place; the entries below the diagonal are their negatives.
+    Every product (E basis, the pairings, A basis) is written out without
+    the entries known to be zero: basis's above its diagonal and E's on
+    its diagonal. Raises PreconditionError for any other basis; then
+    DescentError, naming the first pairing that gram_den does not divide
+    in row order of the full form; then PreconditionError when the action
+    does not preserve the lattice. The gram is checked first, so a
+    DescentError means exactly that the form does not descend.
     """
     (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = basis
     if b01 or b02 or b03 or b12 or b13 or b23 or min(b00, b11, b22, b33) <= 0:
         raise PreconditionError(
             "a change of basis needs a lower-triangular basis with a positive diagonal"
         )
-    full = intmat.alternating_congruence(surface.gram, basis)
-    gram = intmat.div_exact(full, gram_den)
-    if gram is None:
-        i, j = next((i, j) for i in range(4) for j in range(4) if full[i][j] % gram_den)
-        raise DescentError(
-            "polarization does not descend: pairing of overlattice "
-            f"generators {i} and {j} is {rational_text(full[i][j], gram_den)}, "
-            "not integral"
-        )
-    (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23), (x30, x31, x32, x33) = (
-        intmat.mat_mul(surface.action, basis)
+    # E B, columns 1-3 only (the pairings read no other), without B's zeros
+    # and E's zero diagonal
+    (_, e01, e02, e03), (e10, _, e12, e13), (e20, e21, _, e23), (e30, e31, e32, _) = surface.gram
+    y01 = e01 * b11 + e02 * b21 + e03 * b31
+    y11 = e12 * b21 + e13 * b31
+    y21 = e21 * b11 + e23 * b31
+    y31 = e31 * b11 + e32 * b21
+    y02 = e02 * b22 + e03 * b32
+    y12 = e12 * b22 + e13 * b32
+    y22 = e23 * b32
+    y32 = e32 * b22
+    y03, y13, y23 = e03 * b33, e13 * b33, e23 * b33
+    # the six pairings above the diagonal of B^T (E B), without B's zeros
+    g01 = b00 * y01 + b10 * y11 + b20 * y21 + b30 * y31
+    g02 = b00 * y02 + b10 * y12 + b20 * y22 + b30 * y32
+    g03 = b00 * y03 + b10 * y13 + b20 * y23
+    g12 = b11 * y12 + b21 * y22 + b31 * y32
+    g13 = b11 * y13 + b21 * y23
+    g23 = b22 * y23
+    d = gram_den
+    if g01 % d or g02 % d or g03 % d or g12 % d or g13 % d or g23 % d:
+        # the first in row order of the full form, whose entries below the
+        # diagonal are the negatives of those above
+        pairings = (0, 1, g01), (0, 2, g02), (0, 3, g03), (1, 2, g12), (1, 3, g13), (2, 3, g23)
+        for i, j, g in pairings:
+            if g % d:
+                raise DescentError(
+                    "polarization does not descend: pairing of overlattice "
+                    f"generators {i} and {j} is {rational_text(g, d)}, not integral"
+                )
+    g01, g02, g03, g12, g13, g23 = g01 // d, g02 // d, g03 // d, g12 // d, g13 // d, g23 // d
+    gram = (0, g01, g02, g03), (-g01, 0, g12, g13), (-g02, -g12, 0, g23), (-g03, -g13, -g23, 0)
+    # A B, without B's zeros
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = (
+        surface.action
     )
+    x00 = a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30
+    x01 = a01 * b11 + a02 * b21 + a03 * b31
+    x02 = a02 * b22 + a03 * b32
+    x03 = a03 * b33
+    x10 = a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30
+    x11 = a11 * b11 + a12 * b21 + a13 * b31
+    x12 = a12 * b22 + a13 * b32
+    x13 = a13 * b33
+    x20 = a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30
+    x21 = a21 * b11 + a22 * b21 + a23 * b31
+    x22 = a22 * b22 + a23 * b32
+    x23 = a23 * b33
+    x30 = a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30
+    x31 = a31 * b11 + a32 * b21 + a33 * b31
+    x32 = a32 * b22 + a33 * b32
+    x33 = a33 * b33
     m0 = m00, m01, m02, m03 = _exact_row(b00, x00, x01, x02, x03)
     m1 = m10, m11, m12, m13 = _exact_row(
         b11, x10 - b10 * m00, x11 - b10 * m01, x12 - b10 * m02, x13 - b10 * m03

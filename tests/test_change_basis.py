@@ -1,11 +1,16 @@
 """The change of basis by forward substitution on Hermite bases against the
-adjugate route it replaced, the unimodular scramble against the same
-reference, the refusal of any other basis, and the one elimination mod p
-(hnf_mod_p, span_mod_p and rank_mod_p) against sympy.
+adjugate route it replaced and against the full-product route, the
+unimodular scramble against the adjugate reference, the refusal of any
+other basis, and the one elimination mod p (hnf_mod_p, span_mod_p and
+rank_mod_p) against sympy.
 
 reference_change_basis is surface.change_basis as it stood before forward
 substitution: the closed-form adjugate, two full 4x4 products and an exact
 division by the determinant, for any nonsingular basis.
+full_product_change_basis is the forward substitution on full products:
+the whole congruence (intmat.alternating_congruence) divided by the gram's
+divisor (intmat.div_exact), and the whole product A basis, where
+change_basis leaves out the basis's zeros and the gram's zero diagonal.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from rmlattice.errors import DescentError, PreconditionError
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.reduction import enlargement_kernel
 from rmlattice.surface import (
+    PolarizedRMSurface,
+    _exact_row,
     _hyperplane_basis,
     apply_unimodular,
     canonicalize_orientation,
@@ -57,6 +64,29 @@ def reference_change_basis(surface, basis, gram_den):
     if action is None:
         raise PreconditionError("order action does not preserve the lattice")
     return action, gram, d
+
+
+def full_product_change_basis(surface, basis, gram_den):
+    """change_basis by forward substitution on the full products."""
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = basis
+    if b01 or b02 or b03 or b12 or b13 or b23 or min(b00, b11, b22, b33) <= 0:
+        raise PreconditionError(NOT_HERMITE)
+    full = intmat.alternating_congruence(surface.gram, basis)
+    gram = intmat.div_exact(full, gram_den)
+    if gram is None:
+        i, j = next((i, j) for i in range(4) for j in range(4) if full[i][j] % gram_den)
+        raise DescentError(
+            "polarization does not descend: pairing of overlattice "
+            f"generators {i} and {j} is {rational_text(full[i][j], gram_den)}, "
+            "not integral"
+        )
+    x = intmat.mat_mul(surface.action, basis)
+    m = []
+    for i in range(4):
+        m.append(_exact_row(basis[i][i], *(
+            x[i][j] - sum(basis[i][k] * m[k][j] for k in range(i)) for j in range(4)
+        )))
+    return tuple(m), gram, b00 * b11 * b22 * b33
 
 
 def reference_apply_unimodular(surface, u):
@@ -146,6 +176,76 @@ def test_each_outcome_of_the_reference_is_reached():
     assert got["not preserved"] == (
         PreconditionError, "order action does not preserve the lattice"
     )
+
+
+def _random_case(rng):
+    """(surface, basis, gram_den) for change_basis with no surface behind it:
+    an alternating gram with entries up to 2^200, a lower-triangular basis
+    with a positive diagonal (one in ten broken above the diagonal or on
+    it), an action that preserves the lattice, misses it by one entry or is
+    arbitrary, and gram_den 1, p or p^2. Entries are often 0, p or p^2
+    times a random one, so that every pairing can be the first that
+    gram_den does not divide."""
+    p = rng.choice(PRIMES)
+
+    def entry(bits):
+        return rng.choice((0, 0, 1, p, p * p)) * rng.randint(-(2**bits), 2**bits)
+
+    diag = [rng.choice((1, p, p * p, rng.randint(1, 2**20))) for _ in range(4)]
+    basis = [
+        [diag[i] if i == j else entry(rng.choice((4, 64))) if j < i else 0 for j in range(4)]
+        for i in range(4)
+    ]
+    if rng.random() < 0.1:
+        i, j = rng.choice([(i, j) for i in range(4) for j in range(i, 4)])
+        basis[i][j] = rng.randint(-3, 0) if i == j else rng.choice((-1, 1)) * rng.randint(1, 9)
+    basis = intmat.freeze(basis)
+    upper = {(i, j): entry(200) for i in range(4) for j in range(i + 1, 4)}
+    gram = intmat.freeze(
+        [upper[i, j] if i < j else -upper[j, i] if i > j else 0 for j in range(4)]
+        for i in range(4)
+    )
+    action = [[rng.randint(-(2**200), 2**200) for _ in range(4)] for _ in range(4)]
+    kind = rng.choice(("arbitrary", "preserving", "off by one"))
+    if kind != "arbitrary" and min(basis[i][i] for i in range(4)) > 0:
+        # basis N adj(basis) acts on the lattice by det(basis) N
+        action = intmat.mat_mul(intmat.mat_mul(basis, action), intmat.adjugate(basis))
+        action = [list(row) for row in action]
+        if kind == "off by one":
+            action[rng.randrange(4)][rng.randrange(4)] += 1
+    surface = PolarizedRMSurface(make_order(5, 1), intmat.freeze(action), gram)
+    return surface, basis, rng.choice((1, p, p * p))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_change_basis_matches_the_full_product_route(seed):
+    case = _random_case(random.Random(seed))
+    assert _outcome(change_basis, *case) == _outcome(full_product_change_basis, *case)
+
+
+def test_the_random_cases_reach_every_outcome():
+    # a success, each of the six pairings as the first non-integral one, an
+    # action that does not preserve the lattice and a basis refused, each the
+    # same as the full-product route's
+    seen = set()
+    for seed in range(600):
+        case = _random_case(random.Random(seed))
+        got = _outcome(change_basis, *case)
+        assert got == _outcome(full_product_change_basis, *case)
+        if got[0] is DescentError:
+            seen.add(got[1][: got[1].index(" is ")])
+        else:
+            seen.add(got[1] if got[0] is PreconditionError else "changed")
+    assert seen == {
+        "changed",
+        NOT_HERMITE,
+        "order action does not preserve the lattice",
+        *(
+            f"polarization does not descend: pairing of overlattice generators {i} and {j}"
+            for i in range(4) for j in range(i + 1, 4)
+        ),
+    }
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

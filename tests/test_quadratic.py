@@ -206,6 +206,41 @@ def test_fundamental_unit_of_suborder_is_a_power():
     raise AssertionError("suborder unit is not a power of the field unit")
 
 
+def test_a_suborder_unit_past_the_bit_budget_is_refused_unbuilt():
+    # u**n0 with n0 = 100000008 would have about 6.9*10^7 bits and took
+    # past 30 s to build; its size is read from the embeddings instead.
+    # Neither refusal is kept, so the second call is refused again.
+    order = make_order(5, 100000007)
+    for _ in range(2):
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError) as info:
+            fundamental_unit(order)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "the fundamental unit of the conductor 100000007 order of Q(sqrt(5)) is the "
+            "maximal order's unit to the power 100000008, past the budget of 8388608 bits"
+        )
+
+
+def test_the_suborder_unit_budget_is_charged_its_bit_size(monkeypatch):
+    # Q(sqrt 94)'s unit has about 22.03 bits and n0 = 10 at conductor 25, so
+    # the power has about 220.3 bits (its x has 220): a budget of 221 builds
+    # it, one of 220 refuses it. The kept unit is bypassed, so the check runs
+    # each time.
+    order = make_order(94, 25)
+    unit = fundamental_unit(order)
+    assert unit.x.bit_length() == 220
+    monkeypatch.setattr(quadratic, "_POWER_BITS", 221)
+    assert fundamental_unit.__wrapped__(order) == unit
+    monkeypatch.setattr(quadratic, "_POWER_BITS", 220)
+    with pytest.raises(PreconditionError) as info:
+        fundamental_unit.__wrapped__(order)
+    assert str(info.value) == (
+        "the fundamental unit of the conductor 25 order of Q(sqrt(94)) is the "
+        "maximal order's unit to the power 10, past the budget of 220 bits"
+    )
+
+
 # ---------------------------------------------------------------------------
 # norm equations
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ of integers past 2^2048 uses.
 The six former dataclass definitions are kept here as references, fields
 only. A Record and its reference built from the same field values must
 agree on ==, != and hash, and on repr wherever the class has no repr of
-its own. Hypothesis runs derandomized, so every run checks the same cases.
+its own. The constructors that set their slots one by one must build the
+same value that __setstate__, which pickle and copy use, builds from the
+same fields. Hypothesis runs derandomized, so every run checks the same
+cases.
 """
 
 from __future__ import annotations
@@ -248,6 +251,53 @@ def test_pickle_and_deepcopy_round_trip(name, data):
         assert type(clone) is cls
         assert clone == rec and hash(clone) == hash(rec) and repr(clone) == repr(rec)
         assert clone.__getstate__() == rec.__getstate__()
+
+
+def _through_setstate(cls, values: tuple):
+    """cls built as pickle and copy build it: __setstate__ on a bare instance."""
+    rec = object.__new__(cls)
+    rec.__setstate__(values)
+    return rec
+
+
+@pytest.mark.parametrize("name", ["PolarizedRMSurface", "KernelSubgroup", "IsogenyStep"])
+@PROPERTY
+@given(data=st.data())
+def test_a_hot_constructor_builds_what_setstate_builds(name, data):
+    # these __init__s call the slot setters one by one; pickle and copy
+    # still go through __setstate__, and the two must be one value
+    cls, _, _ = CLASSES[name]
+    values = data.draw(VALUES[name])
+    built, restored = _build(cls, values), _through_setstate(cls, values)
+    assert built.__getstate__() == restored.__getstate__() == values
+    assert built == restored and not built != restored
+    assert hash(built) == hash(restored) and repr(built) == repr(restored)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    clones = [pickle.loads(pickle.dumps(built, protocol)) for protocol in protocols]
+    clones += [copy.copy(built), copy.deepcopy(built)]
+    for clone in clones:
+        assert type(clone) is cls and clone is not built
+        assert clone == restored and hash(clone) == hash(restored) and repr(clone) == repr(restored)
+    for rec in (built, restored):
+        for field in cls._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(rec, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(rec, field)
+    assert built == restored == _build(cls, values)
+
+
+def test_a_surface_keeps_pf_defect_and_text_outside_its_fields():
+    s = principalize(generate_instance(5, 3, [11], 42))[0]
+    assert s.pf == 1 and s.defect is None
+    serialize_instance(s)
+    assert set(vars(s)) == {"pf", "defect", "text"}
+    assert s.__getstate__() == (s.order, s.action, s.gram)
+    restored = _through_setstate(PolarizedRMSurface, s.__getstate__())
+    built = PolarizedRMSurface(s.order, s.action, s.gram)
+    for bare in (restored, built):
+        assert vars(bare) == {} and bare == s and hash(bare) == hash(s) and repr(bare) == repr(s)
+        assert pickle.dumps(bare) == pickle.dumps(s)
 
 
 def test_the_cached_pfaffian_is_not_part_of_the_pickled_value():
