@@ -12,11 +12,18 @@ p^3 is recorded from the scalar identities, not built, and the descent and
 the division of the action by p are one change of basis
 (surface.change_basis); its quotient step records the rank invariant t of
 the old generator mod p (always 2 on valid input), read off the kernel's
-Hermite form, so a move row-reduces mod p once. reduce_degree_step divides by the norm +-p factor el whose
-mod-p kernel is the kernel p-torsion K, recording the branch, and row-
-reduces nothing mod p: K is 2-dimensional exactly when p | pf and the gram
-is not 0 mod p, and ker(A_el) = im(A_conj(el)) on L/pL, so el kills K
-exactly when the division by el, which _branch_decision attempts, is exact.
+Hermite form, so a move row-reduces mod p once.
+Degree reduction divides by the norm +-p factor el whose mod-p kernel is
+the kernel p-torsion K, recording the branch, and row-reduces nothing mod
+p: K is 2-dimensional exactly when p | pf and the gram is not 0 mod p,
+and ker(A_el) = im(A_conj(el)) on L/pL, so el kills K exactly when
+gram A_conj(el) = x E + y E A is 0 mod p, for conj(el) = x + y w
+(_branch_decision). A divide step keeps the lattice and the divisions
+commute, so one pass over all the degree primes (_reduce_degree) decides
+each factor mod p on the surface built so far, records its step from the
+pfaffian ledger, and makes one exact division by the product of the
+factors before each squarefree reduction and at the end;
+reduce_degree_step is that pass over one prime.
 principalize chains the moves, conductor primes first, and returns the
 final surface with its CertificateData; it is the only code that chains
 moves, and replay re-runs it. The moves carry the pfaffian by identity and
@@ -27,7 +34,7 @@ requires it principal with a maximal acting order.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from . import intmat
 from .arith import factorize, int_text, require_odd_prime
@@ -202,66 +209,137 @@ def enlarge_order_step(
 
 
 def _branch_decision(surface: PolarizedRMSurface, p: int, factors):
-    """Decide and make the degree-reduction move on a squarefree-stable surface.
+    """Decide the degree-reduction move at p on a squarefree-stable surface.
 
     factors is the factor_prime pair of p in the surface's order. Returns
-    (branch, element, divided surface) for the first factor, a1 tried
-    first, by which the division is exact; the branch is associate exactly
-    when p divides the discriminant. That factor kills the kernel p-torsion
-    K: an alternating form mod p has even rank, so K is 2-dimensional
-    exactly when p | pf and the gram is not 0 mod p, and with p prime to
-    the conductor ker(A_el) = im(A_conj(el)) on L/pL, both 2-dimensional,
-    so A_el kills K exactly when gram A_conj(el) = 0 mod p, that is when
-    divide_by_symmetric(surface, el) is exact. Such a factor always exists;
-    its absence, or a K of another dimension, is an invariant breach.
+    (branch, el) for the first factor, a1 tried first, by which the
+    division is exact; the branch is associate exactly when p divides the
+    discriminant. That factor kills the kernel p-torsion K: an alternating
+    form mod p has even rank, so K is 2-dimensional exactly when p | pf and
+    the gram is not 0 mod p, and with p prime to the conductor ker(A_el) =
+    im(A_conj(el)) on L/pL, both 2-dimensional, so A_el kills K exactly
+    when gram A_conj(el) = x E + y E A = 0 mod p, for conj(el) = x + y w:
+    all 16 entries, read off the gram and its kept product with the action
+    (gram_action), and exactly when the division by el is exact. Such a
+    factor always exists; its absence, or a K of another dimension, is an
+    invariant breach.
     """
-    if surface.pf % p == 0 and any(x % p for row in surface.gram for x in row):
+    (e00, e01, e02, e03), (e10, e11, e12, e13), (e20, e21, e22, e23), (e30, e31, e32, e33) = (
+        surface.gram
+    )
+    if surface.pf % p == 0 and (
+        e00 % p or e01 % p or e02 % p or e03 % p or e10 % p or e11 % p or e12 % p or e13 % p
+        or e20 % p or e21 % p or e22 % p or e23 % p or e30 % p or e31 % p or e32 % p or e33 % p
+    ):
+        (f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23), (f30, f31, f32, f33) = (
+            surface.gram_action
+        )
+        t = surface.order.trace_omega
         for el in factors:
-            try:
-                divided = divide_by_symmetric(surface, el)
-            except DescentError:
-                continue
-            branch = ASSOCIATE_DIVIDE if surface.order.discriminant % p == 0 else SPLIT_DIVIDE
-            return branch, el, divided
+            # conj(x + y w) = (x + t y) - y w
+            x, y = (el.x + t * el.y) % p, -el.y % p
+            if not (
+                (x * e00 + y * f00) % p or (x * e01 + y * f01) % p
+                or (x * e02 + y * f02) % p or (x * e03 + y * f03) % p
+                or (x * e10 + y * f10) % p or (x * e11 + y * f11) % p
+                or (x * e12 + y * f12) % p or (x * e13 + y * f13) % p
+                or (x * e20 + y * f20) % p or (x * e21 + y * f21) % p
+                or (x * e22 + y * f22) % p or (x * e23 + y * f23) % p
+                or (x * e30 + y * f30) % p or (x * e31 + y * f31) % p
+                or (x * e32 + y * f32) % p or (x * e33 + y * f33) % p
+            ):
+                branch = ASSOCIATE_DIVIDE if surface.order.discriminant % p == 0 else SPLIT_DIVIDE
+                return branch, el
     raise InvariantBreach(
         f"kernel p-torsion at {int_text(p)} is not the mod-p kernel of a "
         f"factor of {int_text(p)}"
     )
 
 
+def _divide(surface: PolarizedRMSurface, chosen: list) -> PolarizedRMSurface:
+    """The one division of the surface by the product of the chosen
+    factors; an inexact one means a wrong decision, an invariant breach."""
+    if not chosen:
+        return surface
+    try:
+        return divide_by_symmetric(surface, prod(chosen[1:], start=chosen[0]))
+    except DescentError as exc:
+        raise InvariantBreach(f"division by the chosen degree factors is not exact: {exc}") from exc
+
+
+def _reduce_degree(
+    surface: PolarizedRMSurface, primes
+) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, ...]]:
+    """Remove each of primes, in increasing order, from the degree: the one
+    definition of degree reduction, which principalize makes over all its
+    degree primes and reduce_degree_step over one.
+
+    Each prime is checked as it comes (odd prime, prime to the conductor,
+    dividing the degree, with a factor of norm +-p). Where p^2 divides the
+    carried pfaffian (as it does when the gram is 0 mod p) squarefree
+    reduction runs on the surface built so far. Otherwise the factor el of
+    p is decided mod p on that surface (_branch_decision) and kept, and
+    its divide step is recorded from the pfaffian ledger, pf -> pf / p.
+    The kept factors are divided out in one exact division by their
+    product, before the next squarefree reduction and at the end. This
+    gives the same surface as dividing by each in turn: a divide step
+    never changes the lattice, A_x A_y = A_xy, for q != p the action of a
+    factor of q and its norm are invertible mod p, so the decisions and
+    the squarefree tests read the same off the undivided surface, and the
+    orientation swap commutes with every twist, its parity the sign of the
+    product of the norms.
+    """
+    steps: list[IsogenyStep] = []
+    current = surface
+    pf = surface.pf
+    chosen: list = []
+    for p in primes:
+        require_odd_prime(p)
+        order = current.order
+        if order.conductor % p == 0:
+            raise PreconditionError(f"{int_text(p)} divides the conductor")
+        if pf % p != 0:
+            raise PreconditionError(f"{int_text(p)} does not divide the degree")
+        factors = factor_prime(order, p)
+        if factors is None:
+            raise PreconditionError(f"{int_text(p)} is not reducible in the order")
+        if pf % (p * p) == 0:
+            # squarefree_reduce keeps the order, so the factors stay valid
+            current, more = squarefree_reduce(_divide(current, chosen), p)
+            chosen = []
+            steps.extend(more)
+            pf = current.pf
+            if pf % p != 0:
+                continue
+        branch, el = _branch_decision(current, p, factors)
+        chosen.append(el)
+        pf_after = pf // p
+        steps.append(
+            IsogenyStep(
+                kind=DIVIDE,
+                prime=p,
+                alpha=(el.x, el.y),
+                degree_before=pf * pf,
+                degree_after=pf_after * pf_after,
+                branch=branch,
+            )
+        )
+        pf = pf_after
+    return _divide(current, chosen), tuple(steps)
+
+
 def reduce_degree_step(
     surface: PolarizedRMSurface, p: int
 ) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, ...]]:
-    """Remove the prime p from the degree at a prime not dividing the conductor.
+    """Remove the prime p from the degree at a prime not dividing the
+    conductor: degree reduction (_reduce_degree) over the one prime.
 
-    Runs squarefree reduction at p first; if p still divides the degree,
-    keeps the exact division that _branch_decision found: exact exactly for
-    the factor that kills the 2-dimensional kernel p-torsion, so nothing is
-    row-reduced mod p. The divide step, if taken, is last and carries the branch.
+    Runs squarefree reduction at p first when p^2 divides the degree's
+    pfaffian; if p still divides it, divides by the factor of p that kills
+    the 2-dimensional kernel p-torsion, decided mod p. The divide step, if
+    taken, is last and carries the branch.
     """
-    require_odd_prime(p)
-    order = surface.order
-    if order.conductor % p == 0:
-        raise PreconditionError(f"{int_text(p)} divides the conductor")
-    if degree(surface) % p != 0:
-        raise PreconditionError(f"{int_text(p)} does not divide the degree")
-    factors = factor_prime(order, p)
-    if factors is None:
-        raise PreconditionError(f"{int_text(p)} is not reducible in the order")
-    # squarefree_reduce keeps the order, so the factors stay valid.
-    current, steps = squarefree_reduce(surface, p)
-    if degree(current) % p != 0:
-        return current, steps
-    branch, divide_el, new_surface = _branch_decision(current, p, factors)
-    move = IsogenyStep(
-        kind=DIVIDE,
-        prime=p,
-        alpha=(divide_el.x, divide_el.y),
-        degree_before=degree(current),
-        degree_after=degree(new_surface),
-        branch=branch,
-    )
-    return new_surface, steps + (move,)
+    return _reduce_degree(surface, (p,))
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +403,8 @@ def principalize(
         for _ in range(mult):
             current, pair = enlarge_order_step(current, p)
             steps.extend(pair)
-    degree_primes = sorted(factorize(abs(surface.pf)))
-    for p in degree_primes:
-        current, more = reduce_degree_step(current, p)
-        steps.extend(more)
+    current, more = _reduce_degree(current, sorted(factorize(abs(surface.pf))))
+    steps.extend(more)
     msg = principal_defect(current)
     if msg is not None:
         raise InvariantBreach(f"pipeline ended {msg}")

@@ -54,10 +54,12 @@ checks the minimal polynomial as A^2 = tA - n, one tuple comparison of
 the one product A^2 with tA - n written out, and the symmetry A^T E = E A
 from the one product E A, which must be alternating; its verdict is kept
 on the surface the same way (the cached property `defect`), so the CLI
-and principalize check an input once.
-The only other thing kept on a surface is its instance text, which
-formats.serialize_instance keeps as `text` the same way. Element actions
-x*I + y*A and the reorientation that swaps the last two basis vectors are
+and principalize check an input once, and so is E A (`gram_action`),
+which degree reduction reads its decisions off. The only other thing kept
+on a surface is its instance text, which formats.serialize_instance keeps
+as `text` the same way. Element actions x*I + y*A, the twist's six
+pairings x E_ij + y (E A)_ij (its gram E A_el is alternating on a valid
+surface) and the reorientation that swaps the last two basis vectors are
 written out rather than built from matrix products.
 """
 
@@ -117,9 +119,17 @@ class PolarizedRMSurface(Record):
             return "action does not satisfy the order's minimal polynomial"
         # E is alternating, so A^T E = -(E A)^T: A^T E = E A exactly when E A
         # is alternating too
-        if not intmat.is_antisymmetric(intmat.mat_mul(e, a)):
+        if not intmat.is_antisymmetric(self.gram_action):
             return "action is not symmetric for the gram form"
         return None
+
+    @cached_property
+    def gram_action(self) -> IntMat:
+        """The product E A of the gram and the action, computed on first
+        use and then kept, like pf: validate reads it, and degree reduction
+        reads each factor's x E + y E A mod p off it. Alternating on a valid
+        surface."""
+        return intmat.mat_mul(self.gram, self.action)
 
     def __repr__(self) -> str:
         try:
@@ -405,18 +415,35 @@ def twist_by_element(
     gram @ A_el / den, with pfaffian norm * pf / den^2.
 
     norm, keyword-only, is el's norm, which every caller already holds,
-    so none is computed here. Raises DescentError when gram @ A_el is not
-    divisible by den.
+    so none is computed here. The surface must be valid, as every caller's
+    is: then E A is alternating (validate checks it), and so is
+    gram @ A_el = x E + y E A for el = x + y w. So only its six pairings
+    above the diagonal are computed, x E_ij + y (E A)_ij with (E A)_ij
+    written out without E's zero diagonal (30 products where the full
+    product takes 16 + 64), and only those six are tested for division by
+    den. Raises DescentError when den does not divide them.
     """
     if el.is_zero():
         raise PreconditionError("cannot twist by zero")
-    gram = intmat.mat_mul(surface.gram, element_action(surface, el))
+    if (el.order.D, el.order.conductor) != (surface.order.D, surface.order.conductor):
+        raise PreconditionError("element belongs to a different order")
+    x, y = el.x, el.y
+    (_, e01, e02, e03), (e10, _, e12, e13), (e20, e21, _, e23), _ = surface.gram
+    (_, _, a02, a03), (_, a11, a12, a13), (_, a21, a22, a23), (_, a31, a32, a33) = surface.action
+    g01 = x * e01 + y * (e01 * a11 + e02 * a21 + e03 * a31)
+    g02 = x * e02 + y * (e01 * a12 + e02 * a22 + e03 * a32)
+    g03 = x * e03 + y * (e01 * a13 + e02 * a23 + e03 * a33)
+    g12 = x * e12 + y * (e10 * a02 + e12 * a22 + e13 * a32)
+    g13 = x * e13 + y * (e10 * a03 + e12 * a23 + e13 * a33)
+    g23 = x * e23 + y * (e20 * a03 + e21 * a13 + e23 * a33)
     if den != 1:
-        gram = intmat.div_exact(gram, den)
-        if gram is None:
+        if g01 % den or g02 % den or g03 % den or g12 % den or g13 % den or g23 % den:
             raise DescentError(
                 "polarization kernel does not contain the kernel of the element"
             )
+        g01, g02, g03 = g01 // den, g02 // den, g03 // den
+        g12, g13, g23 = g12 // den, g13 // den, g23 // den
+    gram = (0, g01, g02, g03), (-g01, 0, g12, g13), (-g02, -g12, 0, g23), (-g03, -g13, -g23, 0)
     pf = norm * surface.pf // (den * den)
     return canonicalize_orientation(surface.order, surface.action, gram, pf)
 

@@ -11,16 +11,17 @@ structure on the seeded branch corpus: only divide branches, the kernel
 equal to the divide element's mod-p kernel, and both factor arms taken at
 split primes.
 
-_branch_decision attempts the division by each factor, on a kernel
-p-torsion that the pfaffian and the gram mod p show to be 2-dimensional,
-and returns the first exact one. Two former decisions are kept here as
-references: kill_kernel_branch_decision, the factor whose action kills the
-row-reduced kernel p-torsion, and kernel_equality_branch_decision, the
-factor whose canonical mod-p kernel basis equals it. All three give the
-same branch and element, and the returned surface is the division by that
-element, on every class of the scan, on the branch corpus, and on
-scrambled twists and pull-backs at split and ramified primes in orders of
-conductor 1, 3 and 9.
+_branch_decision returns the first factor el whose conjugate's action
+x + y*A kills the gram mod p, read as x E + y E A in all 16 entries, on a
+kernel p-torsion that p exactly dividing the pfaffian shows to be
+2-dimensional. Two former decisions are kept here as references:
+kill_kernel_branch_decision, the factor whose action kills the row-reduced
+kernel p-torsion, and kernel_equality_branch_decision, the factor whose
+canonical mod-p kernel basis equals it. All three give the same branch and
+element, the division by that element is exact and, at a split prime, the
+division by the other factor is not, on every class of the scan, on the
+branch corpus, and on scrambled twists and pull-backs at split and
+ramified primes in orders of conductor 1, 3 and 9.
 
 Where the kernel splits across two non-associate factor kernels, the
 conductor identity f = a1*b1 + a2*b2 always has a solution, on the branch
@@ -38,7 +39,7 @@ from hypothesis import strategies as st
 
 import rmlattice as rm
 from rmlattice import intmat
-from rmlattice.errors import InvariantBreach
+from rmlattice.errors import DescentError, InvariantBreach
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import divide_by_symmetric
 from rmlattice.reduction import _branch_decision, reduce_degree_step, squarefree_reduce
@@ -87,11 +88,16 @@ def kill_kernel_branch_decision(surface, p, factors):
 
 def _decide_like_both_references(stable, p, factors):
     """_branch_decision on a squarefree-stable surface, checked against both
-    references and against a fresh division by the element it picks."""
-    branch, element, divided = _branch_decision(stable, p, factors)
+    references and against the divisions by each factor: exact by the
+    element it picks, and at a split prime not by the other factor."""
+    branch, element = _branch_decision(stable, p, factors)
     assert (branch, element) == kernel_equality_branch_decision(stable, p, factors)
     assert (branch, element) == kill_kernel_branch_decision(stable, p, factors)
-    assert divided == divide_by_symmetric(stable, element)
+    divide_by_symmetric(stable, element)
+    if branch == "split_divide":
+        (other,) = (el for el in factors if el != element)
+        with pytest.raises(DescentError, match="does not contain the kernel of the element"):
+            divide_by_symmetric(stable, other)
     return branch, element
 
 

@@ -21,8 +21,10 @@ CRITERIA_ONLY = {
     "are_associates_in_maximal",
     "bezout_conductor",
     "check_symmetric_rank_even",
+    "element_action",
     "enumerate_valid_kernels",
     "is_trivial",
+    "reduce_degree_step",
     "span_mod_p",
 }
 

@@ -288,10 +288,11 @@ def test_a_hot_constructor_builds_what_setstate_builds(name, data):
 
 
 def test_a_surface_keeps_pf_defect_and_text_outside_its_fields():
+    # and the product E A, which validation computed for the defect
     s = principalize(generate_instance(5, 3, [11], 42))[0]
     assert s.pf == 1 and s.defect is None
     serialize_instance(s)
-    assert set(vars(s)) == {"pf", "defect", "text"}
+    assert set(vars(s)) == {"pf", "defect", "gram_action", "text"}
     assert s.__getstate__() == (s.order, s.action, s.gram)
     restored = _through_setstate(PolarizedRMSurface, s.__getstate__())
     built = PolarizedRMSurface(s.order, s.action, s.gram)
