@@ -211,9 +211,10 @@ def test_principalize_matches_the_per_prime_loop_at_repeated_primes(D, primes):
 def _unreducible_surfaces():
     """(surface, p) for valid surfaces whose degree has a prime p with no
     element of norm +-p: 3, inert in Q(sqrt 5), scaled in, alone and after
-    a twist at the split 11; and in Q(sqrt 10), whose reducible primes
-    below 40 are only 31, the split 3 pulled back, alone and before a twist
-    at 31, and the split 37 pulled back after a twist at 31."""
+    a twist at the split 11; and in Q(sqrt 10), whose only reducible prime
+    below 40 is 31, the split 3 pulled back, alone and on a twist at 31
+    (refused before 31 is reached), and the split 37 pulled back on a twist
+    at 31 (refused after 31 is decided)."""
     o5 = make_order(5, 1)
     s5 = standard_instance(o5)
     scale3 = o5.element(3, 0)
