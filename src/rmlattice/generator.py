@@ -96,9 +96,8 @@ def generate_instance(
     surface = standard_instance(order)
     for p in primes:
         surface = _raise_degree(surface, p, rng)
-        # a pull-back in the next move (surface.change_basis) and the
-        # scramble (intmat.alternating_congruence) compute only the
-        # alternating half of their gram, so they would hide a twist that
+        # a pull-back in the next move (surface.change_basis) computes only
+        # the alternating half of its gram, so it would hide a twist that
         # broke alternation from the validate below
         if not intmat.is_antisymmetric(surface.gram):
             raise InvariantBreach("generated instance invalid: gram form is not antisymmetric")

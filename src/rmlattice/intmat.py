@@ -4,15 +4,14 @@ Everything here is sized for the rank-4 lattices used by the rest of the
 package: matrices are tuples of tuples, integers are arbitrary precision,
 and no floats appear anywhere. The 4x4 core is straight-line and
 fraction-free: the product is written out as sixteen sums of four
-products, the congruence b^T e b of an alternating e as that product
-e b and six more sums above the diagonal, the exact division by an
-integer as four divisibility tests and four quotients per row, the
-alternating test as six pair comparisons and a zero diagonal, det and
-adjugate are closed-form expansions in the twelve 2x2 minors, a lattice
-between p*Z^4 and Z^4 for a prime p is put into Hermite form by one
-elimination over Z/p (hnf_mod_p), whose pivot rows kernel_mod_p,
-span_mod_p and rank_mod_p read in place too, and the elementary divisors
-of an alternating form are read off its content and pfaffian.
+products, the exact division by an integer as four divisibility tests
+and four quotients per row, the alternating test as six pair comparisons
+and a zero diagonal, det and adjugate are closed-form expansions in the
+twelve 2x2 minors, a lattice between p*Z^4 and Z^4 for a prime p is put
+into Hermite form by one elimination over Z/p (hnf_mod_p), whose pivot
+rows kernel_mod_p, span_mod_p and rank_mod_p read in place too, and the
+elementary divisors of an alternating form are read off its content and
+pfaffian.
 
 Conventions:
   * lattices are column lattices (a basis is the tuple of matrix columns);
@@ -79,28 +78,6 @@ def div_exact(m, d: int):
             return None
         rows.append((x0 // d, x1 // d, x2 // d, x3 // d))
     return tuple(rows)
-
-
-def alternating_congruence(e, b):
-    """b^T e b for an alternating 4x4 matrix e, which is alternating too:
-    the one product e b, then the six entries above the diagonal, each a
-    sum of four products, with the entries below them their negatives."""
-    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
-    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = (
-        mat_mul(e, b)
-    )
-    g01 = b00 * m01 + b10 * m11 + b20 * m21 + b30 * m31
-    g02 = b00 * m02 + b10 * m12 + b20 * m22 + b30 * m32
-    g03 = b00 * m03 + b10 * m13 + b20 * m23 + b30 * m33
-    g12 = b01 * m02 + b11 * m12 + b21 * m22 + b31 * m32
-    g13 = b01 * m03 + b11 * m13 + b21 * m23 + b31 * m33
-    g23 = b02 * m03 + b12 * m13 + b22 * m23 + b32 * m33
-    return (
-        (0, g01, g02, g03),
-        (-g01, 0, g12, g13),
-        (-g02, -g12, 0, g23),
-        (-g03, -g13, -g23, 0),
-    )
 
 
 def is_antisymmetric(m) -> bool:

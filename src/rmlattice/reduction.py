@@ -10,9 +10,10 @@ enlarge_order_step enlarges the acting order by one conductor prime
 without changing the degree, building one surface per move: its twist by
 p^3 is recorded from the scalar identities, not built, and the descent and
 the division of the action by p are one change of basis
-(surface.change_basis); its quotient step records the rank invariant t of
-the old generator mod p (always 2 on valid input), read off the kernel's
-Hermite form, so a move row-reduces mod p once.
+(surface.change_basis, which carries the pfaffian); its quotient step
+records the rank invariant t of the old generator mod p (always 2 on
+valid input), read off the kernel's Hermite form, so a move row-reduces
+mod p once.
 Degree reduction divides by the norm +-p factor el whose mod-p kernel is
 the kernel p-torsion K, recording the branch, and row-reduces nothing mod
 p: K is 2-dimensional exactly when p | pf and the gram is not 0 mod p,
@@ -21,9 +22,11 @@ gram A_conj(el) = x E + y E A is 0 mod p, for conj(el) = x + y w
 (_branch_decision). A divide step keeps the lattice and the divisions
 commute, so one pass over all the degree primes (_reduce_degree) decides
 each factor mod p on the surface built so far, records its step from the
-pfaffian ledger, and makes one exact division by the product of the
-factors before each squarefree reduction and at the end;
-reduce_degree_step is that pass over one prime.
+pfaffian ledger, squaring each carried pfaffian once, and makes one
+exact division by the product of the factors before each squarefree
+reduction and at the end; it asks for p's factors only where squarefree
+reduction leaves p in the degree, so a p that scale moves clear needs
+none. reduce_degree_step is that pass over one prime.
 principalize chains the moves, conductor primes first, and returns the
 final surface with its CertificateData; it is the only code that chains
 moves, and replay re-runs it. The moves carry the pfaffian by identity and
@@ -86,40 +89,41 @@ def squarefree_reduce(
     once p^2 no longer divides pf.
     """
     require_odd_prime(p)
+    return _squarefree_reduce(surface, p, degree(surface))
+
+
+def _squarefree_reduce(
+    current: PolarizedRMSurface, p: int, deg: int
+) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, ...]]:
+    """squarefree_reduce on a surface of degree deg, which degree reduction
+    passes from its ledger: each carried pfaffian is squared once, so a
+    step's degree_after is the next step's degree_before."""
     steps: list[IsogenyStep] = []
-    current = surface
     while True:
-        deg_before = degree(current)
+        kernel = None
         if all(x % p == 0 for row in current.gram for x in row):
-            new_surface = divide_by_symmetric(current, current.order.element(p, 0))
-            steps.append(
-                IsogenyStep(
-                    kind=SCALE,
-                    prime=p,
-                    degree_before=deg_before,
-                    degree_after=degree(new_surface),
-                )
-            )
+            kind, new_surface = SCALE, divide_by_symmetric(current, current.order.element(p, 0))
         elif current.pf % (p * p) == 0:
-            kernel = kernel_from_subspace(polarization_kernel_mod_p(current, p), p)
+            kind, kernel = QUOTIENT, kernel_from_subspace(polarization_kernel_mod_p(current, p), p)
             try:
                 new_surface = descend_polarization(current, kernel)
             except (DescentError, PreconditionError) as exc:
                 raise InvariantBreach(
                     f"guaranteed squarefree descent failed at {int_text(p)}: {exc}"
                 ) from exc
-            steps.append(
-                IsogenyStep(
-                    kind=QUOTIENT,
-                    prime=p,
-                    kernel_overlattice=kernel,
-                    degree_before=deg_before,
-                    degree_after=degree(new_surface),
-                )
-            )
         else:
             return current, tuple(steps)
-        current = new_surface
+        deg_after = degree(new_surface)
+        steps.append(
+            IsogenyStep(
+                kind=kind,
+                prime=p,
+                kernel_overlattice=kernel,
+                degree_before=deg,
+                degree_after=deg_after,
+            )
+        )
+        current, deg = new_surface, deg_after
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +188,10 @@ def enlarge_order_step(
         kind=TWIST, prime=p, alpha=(p3, 0), degree_before=deg, degree_after=twisted_deg
     )
     try:
-        action, gram, d = change_basis(surface, basis, p)
+        # the pfaffian det(basis) pf / p^2 is det(basis) p^6 pf / p^8
+        action, gram, pf = change_basis(surface, basis, p)
     except (DescentError, PreconditionError) as exc:
         raise InvariantBreach(f"guaranteed enlargement descent failed: {exc}") from exc
-    pf = d * surface.pf // (p * p)  # det(basis) * p^6 pf / p^8
     quotient_step = IsogenyStep(
         kind=QUOTIENT,
         prime=p,
@@ -275,13 +279,16 @@ def _reduce_degree(
     degree primes and reduce_degree_step over one.
 
     Each prime is checked as it comes (odd prime, prime to the conductor,
-    dividing the degree, with a factor of norm +-p). Where p^2 divides the
-    carried pfaffian (as it does when the gram is 0 mod p) squarefree
-    reduction runs on the surface built so far. Otherwise the factor el of
-    p is decided mod p on that surface (_branch_decision) and kept, and
+    dividing the degree). Where p^2 divides the carried pfaffian (as it
+    does when the gram is 0 mod p) squarefree reduction runs on the surface
+    built so far. Only a p left in the degree then needs a factor of norm
+    +-p, so an inert p that scale moves clear is no refusal: the factor el
+    of p is decided mod p on that surface (_branch_decision) and kept, and
     its divide step is recorded from the pfaffian ledger, pf -> pf / p.
-    The kept factors are divided out in one exact division by their
-    product, before the next squarefree reduction and at the end. This
+    The ledger squares each carried pfaffian once, so each step's
+    degree_after is the next step's degree_before. The kept factors are
+    divided out in one exact division by their product, before the next
+    squarefree reduction and at the end. This
     gives the same surface as dividing by each in turn: a divide step
     never changes the lattice, A_x A_y = A_xy, for q != p the action of a
     factor of q and its norm are invertible mod p, so the decisions and
@@ -292,6 +299,7 @@ def _reduce_degree(
     steps: list[IsogenyStep] = []
     current = surface
     pf = surface.pf
+    deg = pf * pf
     chosen: list = []
     for p in primes:
         require_odd_prime(p)
@@ -300,31 +308,32 @@ def _reduce_degree(
             raise PreconditionError(f"{int_text(p)} divides the conductor")
         if pf % p != 0:
             raise PreconditionError(f"{int_text(p)} does not divide the degree")
+        if pf % (p * p) == 0:
+            # p^2 | pf, so this makes at least one move; it keeps the order
+            current, more = _squarefree_reduce(_divide(current, chosen), p, deg)
+            chosen = []
+            steps.extend(more)
+            pf, deg = current.pf, more[-1].degree_after
+            if pf % p != 0:
+                continue
         factors = factor_prime(order, p)
         if factors is None:
             raise PreconditionError(f"{int_text(p)} is not reducible in the order")
-        if pf % (p * p) == 0:
-            # squarefree_reduce keeps the order, so the factors stay valid
-            current, more = squarefree_reduce(_divide(current, chosen), p)
-            chosen = []
-            steps.extend(more)
-            pf = current.pf
-            if pf % p != 0:
-                continue
         branch, el = _branch_decision(current, p, factors)
         chosen.append(el)
-        pf_after = pf // p
+        pf //= p
+        deg_after = pf * pf
         steps.append(
             IsogenyStep(
                 kind=DIVIDE,
                 prime=p,
                 alpha=(el.x, el.y),
-                degree_before=pf * pf,
-                degree_after=pf_after * pf_after,
+                degree_before=deg,
+                degree_after=deg_after,
                 branch=branch,
             )
         )
-        pf = pf_after
+        deg = deg_after
     return _divide(current, chosen), tuple(steps)
 
 
@@ -336,8 +345,9 @@ def reduce_degree_step(
 
     Runs squarefree reduction at p first when p^2 divides the degree's
     pfaffian; if p still divides it, divides by the factor of p that kills
-    the 2-dimensional kernel p-torsion, decided mod p. The divide step, if
-    taken, is last and carries the branch.
+    the 2-dimensional kernel p-torsion, decided mod p, and refuses a p with
+    no such factor. The divide step, if taken, is last and carries the
+    branch.
     """
     return _reduce_degree(surface, (p,))
 
@@ -375,7 +385,8 @@ def principalize(
     Hypotheses: odd degree, odd conductor, coprime, and the stored conductor
     equal to the acting (stabilizer) conductor. Conductor primes are
     processed in increasing order with multiplicity, then degree primes in
-    increasing order. Failure of reducibility at a degree prime raises
+    increasing order. A degree prime that squarefree reduction leaves in
+    the degree and that has no element of norm +-p in the order raises
     PreconditionError naming the prime.
     """
     msg = validate(surface)

@@ -18,10 +18,9 @@ descend its unbuilt twist p^3 E as B^T E B / p and divide the action by p
 before it builds its one surface. Each such basis B is a column Hermite
 form, lower triangular with a positive diagonal, and change_basis takes
 no other: it solves B M = A B for the new action by forward substitution,
-one exact division by b_ii per row, and takes det(B) as the diagonal's
-product. The generator's scramble U, the one basis that is not
-triangular, has its own body: U^-1 A U as det(U) adj(U) A U, with no
-division. change_basis requires an alternating gram, as every caller's
+one exact division by b_ii per row, and returns the carried pfaffian
+det(B) pf / gram_den^2, det(B) the diagonal's product, so neither caller
+derives it. change_basis requires an alternating gram, as every caller's
 validated surface has: it computes only the six pairings above the
 diagonal of B^T E B, tests each for divisibility by the gram's divisor
 and divides it in place. Its three products are written out without the
@@ -29,8 +28,9 @@ zeros known in advance, B's above its diagonal and the gram's on its
 diagonal: of E B only the columns 1-3 the pairings read (18 products
 where the full product takes 64), the pairings themselves from those (17
 where the six sums of four take 24), and A B (40 where the full product
-takes 64). apply_unimodular, whose U is not triangular, takes the full
-congruence (intmat.alternating_congruence).
+takes 64). The generator's scramble U, once per instance and not
+triangular, is four full products in apply_unimodular: U^-1 A U as
+det(U) adj(U) A U, with no division, and U^T E U.
 Everything is a pure function on immutable integer values. A kernel is
 its pair (basis, den), which the step record holds as it is and replay
 compares as integers; only formats spells it as rationals. Kernels given
@@ -45,22 +45,22 @@ not one of its fields, so equality, hashing, pickling and every serialized
 form see only order, action and gram); degree and validation read it.
 With the gram's content c it gives the polarization's elementary divisors
 (c, c, pf/c, pf/c) (intmat.alternating_divisors), so no dual lattice is
-ever built. rebase, apply_unimodular, twist_by_element and the
-enlargement move, the only builders of a moved surface, carry it by
-identity (det(B) pf / den^4, det(U) pf, norm(el) pf / den^2 with the norm
-from the caller, and det(B) pf / p^2)
-instead of recomputing it, and no move re-checks its degree. validate
-checks the minimal polynomial as A^2 = tA - n, one tuple comparison of
-the one product A^2 with tA - n written out, and the symmetry A^T E = E A
-from the one product E A, which must be alternating; its verdict is kept
-on the surface the same way (the cached property `defect`), so the CLI
-and principalize check an input once, and so is E A (`gram_action`),
-which degree reduction reads its decisions off. The only other thing kept
-on a surface is its instance text, which formats.serialize_instance keeps
-as `text` the same way. Element actions x*I + y*A, the twist's six
-pairings x E_ij + y (E A)_ij (its gram E A_el is alternating on a valid
-surface) and the reorientation that swaps the last two basis vectors are
-written out rather than built from matrix products.
+ever built. change_basis, apply_unimodular and twist_by_element, the
+only builders of a moved surface's gram, carry it by identity, each
+stated once (det(B) pf / gram_den^2, det(U) pf, and norm(el) pf / den^2
+with the norm from the caller), instead of recomputing it, and no move
+re-checks its degree. validate checks the minimal polynomial as
+A^2 = tA - n, one tuple comparison of the one product A^2 with tA - n
+written out, and the symmetry A^T E = E A from the one product E A,
+which must be alternating; its verdict is kept on the surface the same
+way (the cached property `defect`), so the CLI and principalize check an
+input once, and so is E A (`gram_action`), which degree reduction reads
+its decisions off. The only other thing kept on a surface is its
+instance text, which formats.serialize_instance keeps as `text` the same
+way. Element actions x*I + y*A, the twist's six pairings
+x E_ij + y (E A)_ij (its gram E A_el is alternating on a valid surface)
+and the reorientation that swaps the last two basis vectors are written
+out rather than built from matrix products.
 """
 
 from __future__ import annotations
@@ -214,13 +214,13 @@ def _swap_last_two(m) -> IntMat:
 def change_basis(
     surface: PolarizedRMSurface, basis: IntMat, gram_den: int
 ) -> tuple[IntMat, IntMat, int]:
-    """(action, gram, det(basis)) of the surface in the basis given by the
-    columns of basis, a lower-triangular integer matrix with a positive
-    diagonal (a column Hermite form, as every kernel and hyperplane basis
-    is), with the gram divided by gram_den: basis^-1 A basis and
-    basis^T E basis / gram_den, both on integers. The core of rebase, and
-    of the enlargement move, whose form p^3 E on basis / p^2 is
-    basis^T E basis / p.
+    """(action, gram, pf) of the surface in the basis given by the columns
+    of basis, a lower-triangular integer matrix with a positive diagonal (a
+    column Hermite form, as every kernel and hyperplane basis is), with the
+    gram divided by gram_den: basis^-1 A basis, basis^T E basis / gram_den,
+    both on integers, and that gram's pfaffian carried by identity,
+    det(basis) pf / gram_den^2. The core of rebase, and of the enlargement
+    move, whose form p^3 E on basis / p^2 is basis^T E basis / p.
 
     The new action M solves basis M = A basis, one row at a time by forward
     substitution: row i is row i of A basis, less b_ik times each row k < i
@@ -312,7 +312,7 @@ def change_basis(
         x32 - b30 * m02 - b31 * m12 - b32 * m22,
         x33 - b30 * m03 - b31 * m13 - b32 * m23,
     )
-    return (m0, m1, m2, m3), gram, b00 * b11 * b22 * b33
+    return (m0, m1, m2, m3), gram, b00 * b11 * b22 * b33 * surface.pf // (d * d)
 
 
 def _exact_row(d: int, y0: int, y1: int, y2: int, y3: int) -> IntVec:
@@ -338,13 +338,10 @@ def rebase(
     DescentError, naming the first non-integral pairing, when the form is
     not integral on the new lattice, and PreconditionError when the order
     action does not preserve it. The result is canonically oriented, with
-    pfaffian det(basis) * pf / den^4.
+    the pfaffian change_basis carries, det(basis) * pf / den^4.
     """
-    den2 = den * den
-    action, gram, d = change_basis(surface, basis, den2)
-    return canonicalize_orientation(
-        surface.order, action, gram, d * surface.pf // (den2 * den2)
-    )
+    action, gram, pf = change_basis(surface, basis, den * den)
+    return canonicalize_orientation(surface.order, action, gram, pf)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +448,14 @@ def twist_by_element(
 def apply_unimodular(surface: PolarizedRMSurface, u: IntMat) -> PolarizedRMSurface:
     """Change basis by a unimodular matrix: (A, E) -> (U^-1 A U, U^T E U),
     canonically oriented, with pfaffian det(U) pf. U^-1 is det(U) adj(U),
-    as det(U) = +-1, so nothing is divided."""
+    as det(U) = +-1, so nothing is divided; both are full products, as U is
+    not triangular and the scramble runs once per instance."""
     d = intmat.det(u)
     if d not in (1, -1):
         raise PreconditionError("basis change must be unimodular")
     inverse = _scalar_plus(0, d, intmat.adjugate(u))
     action = intmat.mat_mul(intmat.mat_mul(inverse, surface.action), u)
-    gram = intmat.alternating_congruence(surface.gram, u)
+    gram = intmat.mat_mul(intmat.transpose(u), intmat.mat_mul(surface.gram, u))
     return canonicalize_orientation(surface.order, action, gram, d * surface.pf)
 
 

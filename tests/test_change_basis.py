@@ -8,9 +8,11 @@ reference_change_basis is surface.change_basis as it stood before forward
 substitution: the closed-form adjugate, two full 4x4 products and an exact
 division by the determinant, for any nonsingular basis.
 full_product_change_basis is the forward substitution on full products:
-the whole congruence (intmat.alternating_congruence) divided by the gram's
-divisor (intmat.div_exact), and the whole product A basis, where
+the whole congruence basis^T E basis as two generic products divided by the
+gram's divisor (intmat.div_exact), and the whole product A basis, where
 change_basis leaves out the basis's zeros and the gram's zero diagonal.
+Both return a fresh pfaffian of their gram, against which change_basis's
+carried one, det(basis) pf / gram_den^2, is checked.
 """
 
 from __future__ import annotations
@@ -46,10 +48,15 @@ NOT_HERMITE = "a change of basis needs a lower-triangular basis with a positive 
 PRIMES = (3, 5, 7, 11)
 
 
+def _congruence(e, basis):
+    """basis^T e basis, all sixteen entries, from two generic products."""
+    return intmat.mat_mul(intmat.transpose(basis), intmat.mat_mul(e, basis))
+
+
 def reference_change_basis(surface, basis, gram_den):
-    """(action, gram, det(basis)): adj(basis) A basis / det(basis) and
-    basis^T E basis / gram_den, the gram checked first."""
-    full = intmat.alternating_congruence(surface.gram, basis)
+    """(action, gram, pf): adj(basis) A basis / det(basis), basis^T E basis
+    / gram_den, the gram checked first, and that gram's pfaffian."""
+    full = _congruence(surface.gram, basis)
     gram = intmat.div_exact(full, gram_den)
     if gram is None:
         i, j = next((i, j) for i in range(4) for j in range(4) if full[i][j] % gram_den)
@@ -63,7 +70,7 @@ def reference_change_basis(surface, basis, gram_den):
     action = intmat.div_exact(intmat.mat_mul(intmat.mat_mul(adj, surface.action), basis), d)
     if action is None:
         raise PreconditionError("order action does not preserve the lattice")
-    return action, gram, d
+    return action, gram, intmat.pfaffian4(gram)
 
 
 def full_product_change_basis(surface, basis, gram_den):
@@ -71,7 +78,7 @@ def full_product_change_basis(surface, basis, gram_den):
     (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = basis
     if b01 or b02 or b03 or b12 or b13 or b23 or min(b00, b11, b22, b33) <= 0:
         raise PreconditionError(NOT_HERMITE)
-    full = intmat.alternating_congruence(surface.gram, basis)
+    full = _congruence(surface.gram, basis)
     gram = intmat.div_exact(full, gram_den)
     if gram is None:
         i, j = next((i, j) for i in range(4) for j in range(4) if full[i][j] % gram_den)
@@ -86,14 +93,13 @@ def full_product_change_basis(surface, basis, gram_den):
         m.append(_exact_row(basis[i][i], *(
             x[i][j] - sum(basis[i][k] * m[k][j] for k in range(i)) for j in range(4)
         )))
-    return tuple(m), gram, b00 * b11 * b22 * b33
+    return tuple(m), gram, intmat.pfaffian4(gram)
 
 
 def reference_apply_unimodular(surface, u):
     if intmat.det(u) not in (1, -1):
         raise PreconditionError("basis change must be unimodular")
-    action, gram, d = reference_change_basis(surface, u, 1)
-    return canonicalize_orientation(surface.order, action, gram, d * surface.pf)
+    return canonicalize_orientation(surface.order, *reference_change_basis(surface, u, 1))
 
 
 def _outcome(fn, *args):
@@ -171,7 +177,8 @@ def test_each_outcome_of_the_reference_is_reached():
     }
     got = {name: _outcome(change_basis, *case) for name, case in cases.items()}
     assert got == {name: _outcome(reference_change_basis, *case) for name, case in cases.items()}
-    assert got["descends"][2] == 9  # two unit and two diagonal entries 3
+    # det(basis) 9 (two unit and two diagonal entries 3) times pf 11 over 3^2
+    assert got["descends"][2] == 11
     assert got["does not descend"][0] is DescentError
     assert got["not preserved"] == (
         PreconditionError, "order action does not preserve the lattice"

@@ -77,19 +77,20 @@ def trial_division_branch_decision(surface, p, factors):
 
 def sequential_reduce_degree_step(surface, p):
     """The former reduce_degree_step: squarefree reduction at p, then the
-    division by the factor that trial division finds, built at once."""
+    division by the factor that trial division finds, built at once; only
+    a p that squarefree reduction leaves in the degree needs a factor."""
     require_odd_prime(p)
     order = surface.order
     if order.conductor % p == 0:
         raise PreconditionError(f"{p} divides the conductor")
     if degree(surface) % p != 0:
         raise PreconditionError(f"{p} does not divide the degree")
-    factors = factor_prime(order, p)
-    if factors is None:
-        raise PreconditionError(f"{p} is not reducible in the order")
     current, steps = squarefree_reduce(surface, p)
     if degree(current) % p != 0:
         return current, steps
+    factors = factor_prime(order, p)
+    if factors is None:
+        raise PreconditionError(f"{p} is not reducible in the order")
     branch, el, divided = trial_division_branch_decision(current, p, factors)
     move = IsogenyStep(
         kind="divide_by_alpha",
@@ -209,23 +210,16 @@ def test_principalize_matches_the_per_prime_loop_at_repeated_primes(D, primes):
 
 
 def _unreducible_surfaces():
-    """(surface, p) for valid surfaces whose degree has a prime p with no
-    element of norm +-p: 3, inert in Q(sqrt 5), scaled in, alone and after
-    a twist at the split 11; and in Q(sqrt 10), whose only reducible prime
-    below 40 is 31, the split 3 pulled back, alone and on a twist at 31
-    (refused before 31 is reached), and the split 37 pulled back on a twist
-    at 31 (refused after 31 is decided)."""
-    o5 = make_order(5, 1)
-    s5 = standard_instance(o5)
-    scale3 = o5.element(3, 0)
-    el11 = factor_prime(o5, 11)[0]
+    """(surface, p) for valid surfaces whose degree keeps a prime p with no
+    element of norm +-p: in Q(sqrt 10), whose only reducible prime below
+    40 is 31, the split 3 pulled back, alone and on a twist at 31 (refused
+    before 31 is reached), and the split 37 pulled back on a twist at 31
+    (refused after 31 is decided)."""
     o10 = make_order(10, 1)
     s10 = standard_instance(o10)
     el31 = factor_prime(o10, 31)[0]
     at31 = twist_by_element(s10, el31, norm=el31.norm())
     return [
-        (twist_by_element(s5, scale3, norm=9), 3),
-        (twist_by_element(twist_by_element(s5, el11, norm=el11.norm()), scale3, norm=9), 3),
         (eigen_sublattice_pullback(s10, 3, 0), 3),
         (eigen_sublattice_pullback(at31, 3, 1), 3),
         (eigen_sublattice_pullback(at31, 37, 0), 37),
@@ -238,6 +232,92 @@ def test_a_degree_prime_without_a_norm_p_element_is_refused_as_before():
         assert _agrees_with_the_sequential_loop(surface) == "refused"
         with pytest.raises(PreconditionError, match=f"^{p} is not reducible in the order$"):
             principalize(surface)
+
+
+def test_an_inert_prime_that_a_scale_move_clears_is_principalized():
+    # 3, inert in Q(sqrt 5), scaled in, alone and after a twist at the split
+    # 11: squarefree reduction clears it before any factor of 3 is asked for
+    o5 = make_order(5, 1)
+    s5 = standard_instance(o5)
+    scale3 = o5.element(3, 0)
+    el11 = factor_prime(o5, 11)[0]
+    cases = [
+        (twist_by_element(s5, scale3, norm=9), ["scale"]),
+        (
+            twist_by_element(twist_by_element(s5, el11, norm=el11.norm()), scale3, norm=9),
+            ["scale", "divide_by_alpha"],
+        ),
+    ]
+    assert factor_prime(o5, 3) is None
+    for surface, kinds in cases:
+        assert _agrees_with_the_sequential_loop(surface) == "principalized"
+        _, cert = principalize(surface)
+        assert [step.kind for step in cert.steps] == kinds
+        assert [step.prime for step in cert.steps] == [3, 11][: len(kinds)]
+
+
+def _scaled_inert_surfaces():
+    """(surface, k) for each field of FIELDS and each inert p <= 13: the
+    standard instance, alone or twisted by a factor of its first split
+    prime, with its gram times p^k for k = 1 and 2, under a scramble."""
+    rng = random.Random(46)
+    cases = []
+    for D in FIELDS:
+        order = make_order(D, 1)
+        s = standard_instance(order)
+        q = next(q for q in SMALL_PRIMES if splitting_type(order, q) == "split")
+        el = factor_prime(order, q)[0]
+        for base in (s, twist_by_element(s, el, norm=el.norm())):
+            for p in (3, 5, 7, 11, 13):
+                if splitting_type(order, p) != "inert":
+                    continue
+                for k in (1, 2):
+                    scaled = twist_by_element(base, order.element(p**k, 0), norm=p ** (2 * k))
+                    cases.append((apply_unimodular(scaled, random_unimodular(rng)), k))
+    return cases
+
+
+def test_every_field_principalizes_and_verifies_inert_primes_scaled_in(tmp_path, capsys):
+    cases = _scaled_inert_surfaces()
+    assert len(cases) == 96  # 24 inert primes, once and twice, alone and twisted
+    inst, out, cert = (tmp_path / name for name in ("inst.json", "out.json", "cert.json"))
+    for surface, k in cases:
+        inst.write_text(serialize_instance(surface))
+        assert main(["principalize", str(inst), "-o", str(out), "--cert-out", str(cert)]) == 0
+        assert main(["verify", str(inst), str(cert)]) == 0
+        assert cert.read_text().count('"kind": "scale"') == k
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("run", ["reduce_degree", "squarefree_reduce"])
+def test_each_step_starts_at_the_degree_the_step_before_ended_at(run):
+    # the ledger squares each carried pfaffian once: one object per degree,
+    # across scale, quotient and divide steps alike
+    o5 = make_order(5, 1)
+    if run == "reduce_degree":
+        surfaces = [
+            generate_instance(D, 1, primes, seed)
+            for D, primes in [(29, (5, 5, 13)), (13, (3, 17, 17, 23)), (5, (11, 19, 19, 29))]
+            for seed in range(3)
+        ]
+        scaled = twist_by_element(generate_instance(5, 1, (11, 19), 1), o5.element(9, 0), norm=81)
+        surfaces.append(scaled)
+        runs = [reduction._reduce_degree(s, sorted(factorize(s.pf)))[1] for s in surfaces]
+        expected = {"scale", "quotient", "divide_by_alpha"}
+    else:
+        s = twist_by_element(standard_instance(o5), o5.element(27, 0), norm=27**2)
+        runs = [squarefree_reduce(s, 3)[1]]
+        runs += [
+            squarefree_reduce(generate_instance(5, 1, (11,) * 4, seed), 11)[1] for seed in range(3)
+        ]
+        expected = {"scale", "quotient"}
+    kinds = set()
+    for steps in runs:
+        assert len(steps) >= 2
+        kinds.update(step.kind for step in steps)
+        for before, after in zip(steps, steps[1:]):
+            assert before.degree_after is after.degree_before
+    assert kinds == expected
 
 
 def _twist_cases():

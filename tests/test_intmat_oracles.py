@@ -642,14 +642,6 @@ def test_div_exact_matches_the_generic_division(case):
         assert out is None
 
 
-@KERNEL
-@given(alternating(perturb=False), MATRICES)
-def test_alternating_congruence_matches_the_generic_product(e, b):
-    out = intmat.alternating_congruence(e, b)
-    assert out == congruence_generic(e, b)
-    assert is_antisymmetric(out)
-
-
 def descent_message_generic(surface, basis, den):
     """The DescentError text of the former change of basis: the first
     pairing in row order of the full product that den does not divide."""

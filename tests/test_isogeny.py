@@ -352,8 +352,8 @@ def test_both_twist_callers_carry_the_fresh_pfaffian_from_their_norm(D, p, norm,
 
 
 def test_generate_refuses_a_twist_that_breaks_alternation(monkeypatch):
-    # the next move and the scramble compute only the alternating half of
-    # their gram, so the generator checks alternation after each move
+    # a pull-back in the next move computes only the alternating half of its
+    # gram, so the generator checks alternation after each move
     def broken_twist(surface, el, den=1, *, norm):
         tw = twist_by_element(surface, el, den, norm=norm)
         (r0, *rest) = tw.gram

@@ -26,6 +26,7 @@ CRITERIA_ONLY = {
     "is_trivial",
     "reduce_degree_step",
     "span_mod_p",
+    "squarefree_reduce",
 }
 
 
