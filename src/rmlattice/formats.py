@@ -339,10 +339,10 @@ _STEP_TEXT = _object([(name, "%s") for name in IsogenyStep._fields], "    ")
 _STEP_VALUES = attrgetter(*IsogenyStep._fields)
 _STEP_ITEMS = itemgetter(*IsogenyStep._fields)
 _STEP_WRITERS = tuple(_STEP_FIELDS[name][0] for name in IsogenyStep._fields)
-# (slot setter, reader, nullable) per field: a field with a default, which is
-# always None, reads null as None
+# (slot setter, reader, nullable) per field: an optional field, whose default
+# is None, reads null as None
 _STEP_READERS = tuple(
-    (set_field, _STEP_FIELDS[name][1], name in IsogenyStep.__init__.__kwdefaults__)
+    (set_field, _STEP_FIELDS[name][1], name in IsogenyStep._optional)
     for set_field, name in zip(IsogenyStep._setters, IsogenyStep._fields)
 )
 

@@ -48,38 +48,13 @@ class IsogenyStep(Record):
     __slots__ = _fields = (
         "kind", "prime", "kernel_overlattice", "alpha", "degree_before", "degree_after", "t", "branch"
     )
-
-    def __init__(
-        self,
-        *,
-        kind: str,
-        prime: int,
-        kernel_overlattice: KernelSubgroup | None = None,
-        alpha: tuple[int, int] | None = None,
-        degree_before: int,
-        degree_after: int,
-        t: int | None = None,
-        branch: str | None = None,
-    ) -> None:
-        # slot by slot, not through __setstate__: a hot constructor
-        s_kind, s_prime, s_kernel, s_alpha, s_before, s_after, s_t, s_branch = self._setters
-        s_kind(self, kind)
-        s_prime(self, prime)
-        s_kernel(self, kernel_overlattice)
-        s_alpha(self, alpha)
-        s_before(self, degree_before)
-        s_after(self, degree_after)
-        s_t(self, t)
-        s_branch(self, branch)
+    _optional = ("kernel_overlattice", "alpha", "t", "branch")
 
 
 class CertificateData(Record):
     """The replayable record of a principalization: its steps and the end."""
 
     __slots__ = _fields = ("steps", "final")
-
-    def __init__(self, steps: tuple[IsogenyStep, ...], final: PolarizedRMSurface) -> None:
-        self.__setstate__((steps, final))
 
 
 # ---------------------------------------------------------------------------

@@ -78,23 +78,33 @@ class Record:
     """An immutable value whose fields, named in `_fields`, are its whole value.
 
     A subclass lists its fields (two or more) in `_fields` and `__slots__`,
-    and `_setters` holds each field's slot setter, one tuple per class. An
-    __init__ sets the fields through __setstate__, which calls each setter
-    in turn, or, in the hot constructors (OrderElement, PolarizedRMSurface,
-    KernelSubgroup and IsogenyStep), calls the setters one by one without
-    building the field tuple. Equality and hashing are over the field
-    tuple, which a per-class attrgetter reads in one C call; they hold
-    between instances of the same class only. Assignment and deletion raise
-    AttributeError; pickle and copy rebuild an instance from its field tuple
-    through __setstate__. (A dataclass would import inspect with it.)
+    and `_setters` holds each field's slot setter, one tuple per class. The
+    class's __init__ is built once from `_fields`, as namedtuple builds its
+    __new__: one generated def that takes the fields in order and calls
+    each setter in turn, without building the field tuple. Fields named in
+    `_optional` default to None and make every field keyword-only.
+    Equality and hashing are over the field tuple, which a per-class
+    attrgetter reads in one C call; they hold between instances of the same
+    class only. Assignment and deletion raise AttributeError; pickle and
+    copy rebuild an instance from its field tuple through __setstate__. (A
+    dataclass would import inspect with it.)
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _optional: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._key = attrgetter(*cls._fields)
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        names = cls._fields
+        cls._key = attrgetter(*names)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+        params = ", ".join(f"{name}=None" if name in cls._optional else name for name in names)
+        calls = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+        namespace = {f"_set_{name}": set_field for name, set_field in zip(names, cls._setters)}
+        exec(f"def __init__(self, {'*, ' * bool(cls._optional)}{params}):{calls}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -133,19 +143,6 @@ class RealQuadraticOrder(Record):
     __slots__ = _fields = (
         "D", "conductor", "fundamental_discriminant", "discriminant", "trace_omega", "norm_omega"
     )
-
-    def __init__(
-        self,
-        D: int,
-        conductor: int,
-        fundamental_discriminant: int,
-        discriminant: int,
-        trace_omega: int,
-        norm_omega: int,
-    ) -> None:
-        self.__setstate__(
-            (D, conductor, fundamental_discriminant, discriminant, trace_omega, norm_omega)
-        )
 
     def element(self, x: int, y: int) -> "OrderElement":
         return OrderElement(self, x, y)
@@ -195,13 +192,6 @@ class OrderElement(Record):
 
     __slots__ = _fields = ("order", "x", "y")
 
-    def __init__(self, order: RealQuadraticOrder, x: int, y: int) -> None:
-        # slot by slot, not through __setstate__: a hot constructor
-        set_order, set_x, set_y = self._setters
-        set_order(self, order)
-        set_x(self, x)
-        set_y(self, y)
-
     def __add__(self, other: "OrderElement") -> "OrderElement":
         self._check_same_order(other)
         return OrderElement(self.order, self.x + other.x, self.y + other.y)
@@ -225,6 +215,8 @@ class OrderElement(Record):
 
     def __pow__(self, k: int) -> "OrderElement":
         """self**k for k >= 0, by binary powering."""
+        if k < 0:
+            raise PreconditionError(f"exponent k = {int_text(k)} must be >= 0")
         result, base = self.order.one(), self
         while k:
             if k & 1:

@@ -88,13 +88,6 @@ class PolarizedRMSurface(Record):
     __slots__ = ("order", "action", "gram", "__dict__")
     _fields = ("order", "action", "gram")
 
-    def __init__(self, order: RealQuadraticOrder, action: IntMat, gram: IntMat) -> None:
-        # slot by slot, not through __setstate__: a hot constructor
-        set_order, set_action, set_gram = self._setters
-        set_order(self, order)
-        set_action(self, action)
-        set_gram(self, gram)
-
     @cached_property
     def pf(self) -> int:
         """Pfaffian of the gram form, computed on first use and then kept.
@@ -151,12 +144,6 @@ class KernelSubgroup(Record):
     """
 
     __slots__ = _fields = ("basis", "den")
-
-    def __init__(self, basis: IntMat, den: int) -> None:
-        # slot by slot, not through __setstate__: a hot constructor
-        set_basis, set_den = self._setters
-        set_basis(self, basis)
-        set_den(self, den)
 
     @property
     def group_order(self) -> int:

@@ -1,6 +1,6 @@
 """Every module-level function and every non-dunder method or property of
 a package class has a caller in the package, and every name a module
-imports is used in that module.
+imports is used in that module. No Record class writes its own __init__.
 
 A function that only tests or the package's re-exports use is dead weight
 in src/: delete it or move it into the tests. The exceptions are the
@@ -76,6 +76,24 @@ def test_every_exception_is_defined_and_has_no_package_caller():
     names = {name.rpartition(".")[2] for _, name in defined}
     assert sorted(CRITERIA_ONLY - names) == []
     assert sorted(CRITERIA_ONLY & referenced) == []
+
+
+def test_no_record_class_defines_its_own_init():
+    # Record builds each __init__ from _fields, so field order is stated once
+    records, own_inits = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef) and "Record" in {
+                getattr(base, "id", None) for base in node.bases
+            }:
+                records.append(node.name)
+                own_inits += [
+                    f"{path.name}:{node.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                ]
+    assert len(records) == 6
+    assert own_inits == []
 
 
 def test_every_imported_name_is_used_in_its_module():

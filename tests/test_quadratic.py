@@ -102,6 +102,19 @@ def test_element_arithmetic_properties():
             assert a.conjugate().conjugate() == a
 
 
+def test_a_negative_power_is_refused_at_once():
+    # k >>= 1 never reaches 0 from a negative k, so the powering loop ran
+    # until it was killed; only k >= 0 is a power in the order
+    u = make_order(5, 1).element(1, 1)
+    for k in (-1, -2, -(2**70)):
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError) as info:
+            u**k
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"exponent k = {int_text(k)} must be >= 0"
+    assert u**0 == u.order.one() and u**3 == u * u * u
+
+
 def test_elements_of_different_orders_do_not_mix():
     a = make_order(5, 1).element(1, 1)
     b = make_order(5, 3).element(1, 1)

@@ -6,9 +6,10 @@ of integers past 2^2048 uses.
 The six former dataclass definitions are kept here as references, fields
 only. A Record and its reference built from the same field values must
 agree on ==, != and hash, and on repr wherever the class has no repr of
-its own. The constructors that set their slots one by one must build the
-same value that __setstate__, which pickle and copy use, builds from the
-same fields. Hypothesis runs derandomized, so every run checks the same
+its own. Each constructor, which Record builds from the class's fields and
+which sets the slots one by one, must take exactly those fields and build
+the same value that __setstate__, which pickle and copy use, builds from
+the same fields. Hypothesis runs derandomized, so every run checks the same
 cases.
 """
 
@@ -260,11 +261,29 @@ def _through_setstate(cls, values: tuple):
     return rec
 
 
-@pytest.mark.parametrize("name", ["PolarizedRMSurface", "KernelSubgroup", "IsogenyStep"])
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_each_constructor_takes_exactly_its_fields_in_order(name):
+    cls, _, _ = CLASSES[name]
+    code = cls.__init__.__code__
+    n = len(cls._fields)
+    assert code.co_argcount + code.co_kwonlyargcount == n + 1
+    assert code.co_varnames[: n + 1] == ("self", *cls._fields)
+    assert cls.__init__.__qualname__ == f"{name}.__init__"
+    if cls is IsogenyStep:
+        assert cls._optional == ("kernel_overlattice", "alpha", "t", "branch")
+        assert (code.co_argcount, code.co_kwonlyargcount) == (1, n)
+        assert cls.__init__.__kwdefaults__ == {f: None for f in cls._optional}
+    else:
+        assert cls._optional == ()
+        assert (code.co_argcount, code.co_kwonlyargcount) == (n + 1, 0)
+        assert cls.__init__.__kwdefaults__ is None and cls.__init__.__defaults__ is None
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
 @PROPERTY
 @given(data=st.data())
 def test_a_hot_constructor_builds_what_setstate_builds(name, data):
-    # these __init__s call the slot setters one by one; pickle and copy
+    # each __init__ calls the slot setters one by one; pickle and copy
     # still go through __setstate__, and the two must be one value
     cls, _, _ = CLASSES[name]
     values = data.draw(VALUES[name])
