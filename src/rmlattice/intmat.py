@@ -4,12 +4,13 @@ Everything here is sized for the rank-4 lattices used by the rest of the
 package: matrices are tuples of tuples, integers are arbitrary precision,
 and no floats appear anywhere. The 4x4 core is straight-line and
 fraction-free: the product is written out as sixteen sums of four
-products, the exact division by an integer as four divisibility tests
-and four quotients per row, the alternating test as six pair comparisons
-and a zero diagonal, det and adjugate are closed-form expansions in the
-twelve 2x2 minors, a lattice between p*Z^4 and Z^4 for a prime p is put
-into Hermite form by one elimination over Z/p (hnf_mod_p), whose pivot
-rows kernel_mod_p, span_mod_p and rank_mod_p read in place too, and the
+products, the alternating test as six pair comparisons and a zero
+diagonal, det and adjugate are closed-form expansions in the twelve 2x2
+minors, a lattice between p*Z^4 and Z^4 for a prime p is put into
+Hermite form by one elimination over Z/p (hnf_mod_p), whose pivot rows
+kernel_mod_p, span_mod_p and rank_mod_p read in place too, or, when its
+generators have rank 2 mod p, as the order enlargement's do, by a
+written-out two-vector elimination (hnf_mod_p_rank2), and the
 elementary divisors of an alternating form are read off its content and
 pfaffian.
 
@@ -66,18 +67,6 @@ def mat_vec(a, v):
 
 def mat_mod(a, m: int):
     return tuple(tuple(x % m for x in r) for r in a)
-
-
-def div_exact(m, d: int):
-    """The 4x4 matrix m / d when the nonzero integer d divides every entry,
-    else None; written out one row at a time, four tests then four
-    quotients."""
-    rows = []
-    for x0, x1, x2, x3 in m:
-        if x0 % d or x1 % d or x2 % d or x3 % d:
-            return None
-        rows.append((x0 // d, x1 // d, x2 // d, x3 // d))
-    return tuple(rows)
 
 
 def is_antisymmetric(m) -> bool:
@@ -160,6 +149,72 @@ def hnf_mod_p(columns, p: int) -> IntMat:
     basis = [(p, 0, 0, 0), (0, p, 0, 0), (0, 0, p, 0), (0, 0, 0, p)]
     for j, row in _eliminate_mod_p(columns, p).items():
         basis[j] = row
+    return tuple(zip(*basis))
+
+
+def hnf_mod_p_rank2(columns, p: int) -> IntMat | None:
+    """hnf_mod_p(columns, p) when the columns have rank 2 mod p, else None.
+
+    A two-vector Gauss-Jordan over Z/p, written out for vectors of length
+    4: the first column nonzero mod p, scaled to a leading 1, is the
+    echelon row u with pivot i; the first column after it that u does not
+    reduce to 0 mod p, scaled, is v with pivot j, and u is cleared at j.
+    Every later column c must then be c_i u + c_j v mod p, four tests
+    each. u and v are the reduced echelon rows of the span, so they are
+    the Hermite basis columns i and j, and p e_k the other two.
+    """
+    columns = iter(columns)
+    for c0, c1, c2, c3 in columns:
+        u = u0, u1, u2, u3 = c0 % p, c1 % p, c2 % p, c3 % p
+        if u0:
+            i = 0
+        elif u1:
+            i = 1
+        elif u2:
+            i = 2
+        elif u3:
+            i = 3
+        else:
+            continue
+        break
+    else:
+        return None  # rank 0
+    if u[i] != 1:
+        inv = pow(u[i], -1, p)
+        u = u0, u1, u2, u3 = u0 * inv % p, u1 * inv % p, u2 * inv % p, u3 * inv % p
+    for c in columns:
+        f = c[i]
+        c0, c1, c2, c3 = c
+        v = v0, v1, v2, v3 = (c0 - f * u0) % p, (c1 - f * u1) % p, (c2 - f * u2) % p, (c3 - f * u3) % p
+        if v0:
+            j = 0
+        elif v1:
+            j = 1
+        elif v2:
+            j = 2
+        elif v3:
+            j = 3
+        else:
+            continue
+        break
+    else:
+        return None  # rank 1
+    if v[j] != 1:
+        inv = pow(v[j], -1, p)
+        v = v0, v1, v2, v3 = v0 * inv % p, v1 * inv % p, v2 * inv % p, v3 * inv % p
+    f = u[j]
+    if f:
+        u = u0, u1, u2, u3 = (u0 - f * v0) % p, (u1 - f * v1) % p, (u2 - f * v2) % p, (u3 - f * v3) % p
+    for c in columns:
+        f, g = c[i], c[j]
+        c0, c1, c2, c3 = c
+        if (
+            (c0 - f * u0 - g * v0) % p or (c1 - f * u1 - g * v1) % p
+            or (c2 - f * u2 - g * v2) % p or (c3 - f * u3 - g * v3) % p
+        ):
+            return None  # rank 3 or 4
+    basis = [(p, 0, 0, 0), (0, p, 0, 0), (0, 0, p, 0), (0, 0, 0, p)]
+    basis[i], basis[j] = u, v
     return tuple(zip(*basis))
 
 

@@ -8,12 +8,13 @@ its kernel is the mod-p kernel of the gram, since the kernel's p-part is
 then (Z/p^v)^2 with v >= 2, whose p-torsion is p times its p^2-torsion.
 enlarge_order_step enlarges the acting order by one conductor prime
 without changing the degree, building one surface per move: its twist by
-p^3 is recorded from the scalar identities, not built, and the descent and
-the division of the action by p are one change of basis
-(surface.change_basis, which carries the pfaffian); its quotient step
-records the rank invariant t of the old generator mod p (always 2 on
-valid input), read off the kernel's Hermite form, so a move row-reduces
-mod p once.
+p^3 is recorded from the scalar identities, not built; its kernel's
+Hermite form comes from the two reduced echelon rows of the action mod p
+(intmat.hnf_mod_p_rank2), as the action has rank t = 2 mod p on valid
+input, and the generic elimination runs only to name another t in the
+invariant breach; the descent and the division of the action by p are
+one change of basis in block form (surface.enlarge_basis), which keeps
+the pfaffian.
 Degree reduction divides by the norm +-p factor el whose mod-p kernel is
 the kernel p-torsion K, recording the branch, and row-reduces nothing mod
 p: K is 2-dimensional exactly when p | pf and the gram is not 0 mod p,
@@ -59,8 +60,8 @@ from .surface import (
     KernelSubgroup,
     PolarizedRMSurface,
     canonicalize_orientation,
-    change_basis,
     degree,
+    enlarge_basis,
     kernel_from_subspace,
     polarization_kernel_mod_p,
     stabilizer_order,
@@ -133,10 +134,17 @@ def _squarefree_reduce(
 
 def enlargement_kernel(surface: PolarizedRMSurface, p: int) -> KernelSubgroup:
     """The canonical kernel (1/p)L + (1/p^2)(action)L of the enlargement move:
-    (pL + (action)L) / p^2, whose Hermite form is one elimination of the
-    action's columns mod p, read from the action as zip(*action) gives them,
-    not from a transposed copy; its unit diagonal entries count their rank."""
-    return KernelSubgroup(intmat.hnf_mod_p(zip(*surface.action), p), p * p)
+    (pL + (action)L) / p^2, whose Hermite form is built from the two
+    reduced echelon rows of the action's columns mod p (intmat.hnf_mod_p_rank2),
+    read as zip(*action) gives them. The action has rank t = 2 mod p on
+    valid input; any other t is an invariant breach, which the generic
+    elimination (intmat.hnf_mod_p) names by its unit diagonal entries."""
+    basis = intmat.hnf_mod_p_rank2(zip(*surface.action), p)
+    if basis is None:
+        h = intmat.hnf_mod_p(zip(*surface.action), p)
+        t = (h[0][0], h[1][1], h[2][2], h[3][3]).count(1)
+        raise InvariantBreach(f"enlargement rank invariant is {int_text(t)}, expected 2")
+    return KernelSubgroup(basis, p * p)
 
 
 def enlarge_order_step(
@@ -150,13 +158,13 @@ def enlarge_order_step(
     step (alpha (p^3, 0), degree deg -> deg * p^12) follows from those
     identities. The kernel (enlargement_kernel) depends on the action
     alone, and the descent of p^3 E to kernel.basis / p^2 is
-    kernel.basis^T E kernel.basis / p, which change_basis computes with
-    the action in one pass; the action is divided by p before the one
-    canonicalize_orientation. Preserves the degree exactly; t, recorded
-    on the quotient step, is the rank of the action mod p, read off the
-    kernel's Hermite form (its unit diagonal entries), so each move row-
-    reduces mod p once; any value other than 2 is an invariant breach,
-    never something to continue past.
+    kernel.basis^T E kernel.basis / p, which surface.enlarge_basis computes
+    in block form with the action divided by p, before the one
+    canonicalize_orientation. Preserves the degree exactly: det(basis) =
+    p^2, so the pfaffian det(basis) p^6 pf / p^8 is pf. t, recorded on the
+    quotient step, is the rank of the action mod p, which the kernel
+    checks is 2; any other value is an invariant breach, never something
+    to continue past.
     """
     require_odd_prime(p)
     order = surface.order
@@ -175,21 +183,14 @@ def enlarge_order_step(
         raise PreconditionError(f"{int_text(p)} divides the degree {int_text(deg)}")
     if surface.pf < 0:  # the twisted surface is canonically oriented
         surface = canonicalize_orientation(order, surface.action, surface.gram, surface.pf)
-    # t, the action's rank mod p (which the reorientation keeps), is the
-    # number of unit diagonal entries of the kernel's Hermite form
     kernel = enlargement_kernel(surface, p)
-    basis = kernel.basis
-    t = (basis[0][0], basis[1][1], basis[2][2], basis[3][3]).count(1)
-    if t != 2:
-        raise InvariantBreach(f"enlargement rank invariant is {int_text(t)}, expected 2")
     p3 = p**3
     twisted_deg = deg * p3**4
     twist_step = IsogenyStep(
         kind=TWIST, prime=p, alpha=(p3, 0), degree_before=deg, degree_after=twisted_deg
     )
     try:
-        # the pfaffian det(basis) pf / p^2 is det(basis) p^6 pf / p^8
-        action, gram, pf = change_basis(surface, basis, p)
+        action, gram = enlarge_basis(surface, kernel.basis, p)
     except (DescentError, PreconditionError) as exc:
         raise InvariantBreach(f"guaranteed enlargement descent failed: {exc}") from exc
     quotient_step = IsogenyStep(
@@ -197,13 +198,10 @@ def enlarge_order_step(
         prime=p,
         kernel_overlattice=kernel,
         degree_before=twisted_deg,
-        degree_after=pf * pf,
-        t=t,
+        degree_after=deg,
+        t=2,
     )
-    action = intmat.div_exact(action, p)
-    if action is None:
-        raise InvariantBreach("enlarged generator does not act integrally")
-    out = canonicalize_orientation(make_order(order.D, f // p), action, gram, pf)
+    out = canonicalize_orientation(make_order(order.D, f // p), action, gram, surface.pf)
     return out, (twist_step, quotient_step)
 
 

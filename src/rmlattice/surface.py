@@ -9,28 +9,34 @@ satisfying the generator's minimal polynomial, and the symmetry identity
 action^T * gram = gram * action.
 
 Degree, the one change of lattice basis to a Hermite basis (change_basis,
-on integers, and rebase around it), the unimodular scramble
-(apply_unimodular), kernels given by mod-p subspaces, stabilizer orders and
-the instance constructors all live here. Every move that re-expresses the
-lattice (descent to an overlattice, pull-back to a sublattice) goes through
-rebase, except the order enlargement, which calls change_basis itself to
-descend its unbuilt twist p^3 E as B^T E B / p and divide the action by p
-before it builds its one surface. Each such basis B is a column Hermite
-form, lower triangular with a positive diagonal, and change_basis takes
-no other: it solves B M = A B for the new action by forward substitution,
-one exact division by b_ii per row, and returns the carried pfaffian
-det(B) pf / gram_den^2, det(B) the diagonal's product, so neither caller
-derives it. change_basis requires an alternating gram, as every caller's
-validated surface has: it computes only the six pairings above the
-diagonal of B^T E B, tests each for divisibility by the gram's divisor
-and divides it in place. Its three products are written out without the
-zeros known in advance, B's above its diagonal and the gram's on its
-diagonal: of E B only the columns 1-3 the pairings read (18 products
-where the full product takes 64), the pairings themselves from those (17
-where the six sums of four take 24), and A B (40 where the full product
-takes 64). The generator's scramble U, once per instance and not
-triangular, is four full products in apply_unimodular: U^-1 A U as
-det(U) adj(U) A U, with no division, and U^T E U.
+on integers, and rebase around it), its block form for the order
+enlargement (enlarge_basis), the unimodular scramble (apply_unimodular),
+kernels given by mod-p subspaces, stabilizer orders and the instance
+constructors all live here. Every move that re-expresses the lattice
+(descent to an overlattice, pull-back to a sublattice) goes through
+rebase, except the order enlargement. Each such basis B is a column
+Hermite form, lower triangular with a positive diagonal, and change_basis
+takes no other: it solves B M = A B for the new action by forward
+substitution, one exact division by b_ii per row, and returns the carried
+pfaffian det(B) pf / gram_den^2, det(B) the diagonal's product, so rebase
+does not derive it. change_basis requires an alternating gram, as every
+caller's validated surface has: it computes only the six pairings above
+the diagonal of B^T E B, tests each for divisibility by the gram's
+divisor and divides it in place. Its three products are written out
+without the zeros known in advance, B's above its diagonal and the gram's
+on its diagonal: of E B only the columns 1-3 the pairings read (18
+products where the full product takes 64), the pairings themselves from
+those (17 where the six sums of four take 24), and A B (40 where the full
+product takes 64). The order enlargement descends its unbuilt twist
+p^3 E as B^T E B / p and divides the action by p, on the Hermite form B
+of a rank-2 kernel mod p. With its two pivots put first, B = L D for a
+unit lower block-triangular L and D = diag(1, 1, p, p), so enlarge_basis
+writes the new action out in blocks with no forward substitution (32
+products) and divides only the pivot pairing of the gram (11 products
+make the gram); the pfaffian is unchanged, as det(B) = p^2. The
+generator's scramble U, once per instance and not triangular, is four
+full products in apply_unimodular: U^-1 A U as det(U) adj(U) A U, with
+no division, and U^T E U.
 Everything is a pure function on immutable integer values. A kernel is
 its pair (basis, den), which the step record holds as it is and replay
 compares as integers; only formats spells it as rationals. Kernels given
@@ -40,21 +46,24 @@ kernel of a single linear form, has its Hermite basis written in closed
 form (_hyperplane_basis). standard_instance is kept per order in an
 unbounded lru_cache, so generate builds and validates it once per order.
 
-The pfaffian is kept on each surface (the cached property `pf`, which is
-not one of its fields, so equality, hashing, pickling and every serialized
-form see only order, action and gram); degree and validation read it.
-With the gram's content c it gives the polarization's elementary divisors
-(c, c, pf/c, pf/c) (intmat.alternating_divisors), so no dual lattice is
-ever built. change_basis, apply_unimodular and twist_by_element, the
-only builders of a moved surface's gram, carry it by identity, each
-stated once (det(B) pf / gram_den^2, det(U) pf, and norm(el) pf / den^2
-with the norm from the caller), instead of recomputing it, and no move
+The pfaffian is kept on each surface (`pf`, computed on first use and
+then kept in the surface's __dict__ by _kept, functools.cached_property
+without its lock; it is not one of the fields, so equality, hashing,
+pickling and every serialized form see only order, action and gram);
+degree and validation read it. With the gram's content c it gives the
+polarization's elementary divisors (c, c, pf/c, pf/c)
+(intmat.alternating_divisors), so no dual lattice is ever built.
+change_basis, apply_unimodular and twist_by_element carry it by
+identity, each stated once (det(B) pf / gram_den^2, det(U) pf, and
+norm(el) pf / den^2 with the norm from the caller), and the order
+enlargement keeps it; with enlarge_basis they are the only builders of
+a moved surface's gram, none recomputes the pfaffian, and no move
 re-checks its degree. validate checks the minimal polynomial as
 A^2 = tA - n, one tuple comparison of the one product A^2 with tA - n
 written out, and the symmetry A^T E = E A from the one product E A,
 which must be alternating; its verdict is kept on the surface the same
-way (the cached property `defect`), so the CLI and principalize check an
-input once, and so is E A (`gram_action`), which degree reduction reads
+way (`defect`), so the CLI and principalize check an input once, and so
+is E A (`gram_action`), which degree reduction reads
 its decisions off. The only other thing kept on a surface is its
 instance text, which formats.serialize_instance keeps as `text` the same
 way. Element actions x*I + y*A, the twist's six pairings
@@ -65,8 +74,9 @@ out rather than built from matrix products.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 
 from . import intmat
 from .arith import int_text, rational_text
@@ -83,12 +93,28 @@ from .quadratic import (
 )
 
 
+class _kept:
+    """A value of a surface computed on first use and then kept in its
+    __dict__, where every later read finds it without a call: what
+    functools.cached_property does, without the lock that Python 3.11's
+    takes on each first access."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, surface, owner=None):
+        if surface is None:
+            return self
+        value = surface.__dict__[self.name] = self.compute(surface)
+        return value
+
+
 class PolarizedRMSurface(Record):
     # __dict__ holds pf, defect and the kept instance text, outside the fields
     __slots__ = ("order", "action", "gram", "__dict__")
     _fields = ("order", "action", "gram")
 
-    @cached_property
+    @_kept
     def pf(self) -> int:
         """Pfaffian of the gram form, computed on first use and then kept.
 
@@ -97,7 +123,7 @@ class PolarizedRMSurface(Record):
         """
         return intmat.pfaffian4(self.gram)
 
-    @cached_property
+    @_kept
     def defect(self) -> str | None:
         """None when all invariants hold, else a message naming the first
         failure; computed on first use and then kept, like pf."""
@@ -116,7 +142,7 @@ class PolarizedRMSurface(Record):
             return "action is not symmetric for the gram form"
         return None
 
-    @cached_property
+    @_kept
     def gram_action(self) -> IntMat:
         """The product E A of the gram and the action, computed on first
         use and then kept, like pf: validate reads it, and degree reduction
@@ -188,7 +214,7 @@ def canonicalize_orientation(
     if pf < 0:
         action, gram = _swap_last_two(action), _swap_last_two(gram)
     surface = PolarizedRMSurface(order, action, gram)
-    surface.__dict__["pf"] = abs(pf)  # where cached_property keeps its value
+    surface.__dict__["pf"] = abs(pf)  # where _kept keeps its value
     return surface
 
 
@@ -300,6 +326,100 @@ def change_basis(
         x33 - b30 * m03 - b31 * m13 - b32 * m23,
     )
     return (m0, m1, m2, m3), gram, b00 * b11 * b22 * b33 * surface.pf // (d * d)
+
+
+def _pivots_first(i: int, j: int):
+    """(i, j, k, l, unpermute) for pivots i < j and the other two k < l:
+    unpermute reads the 16 entries of a matrix, row by row in the order
+    i, j, k, l of rows and columns, back into the order 0, 1, 2, 3."""
+    order = (i, j, *(r for r in range(4) if r not in (i, j)))
+    at = order.index
+    return (*order, itemgetter(*(4 * at(r) + at(c) for r in range(4) for c in range(4))))
+
+
+# keyed by which diagonal entries of a rank-2 kernel's Hermite form are 1
+_PIVOTS_FIRST = {
+    tuple(r in (i, j) for r in range(4)): _pivots_first(i, j)
+    for i in range(4) for j in range(i + 1, 4)
+}
+
+
+def enlarge_basis(surface: PolarizedRMSurface, basis: IntMat, p: int) -> tuple[IntMat, IntMat]:
+    """(action, gram) of the order enlargement at p: basis^-1 A basis / p
+    and basis^T E basis / p, for basis the Hermite form of a rank-2 kernel
+    mod p (intmat.hnf_mod_p_rank2) and E alternating. This is
+    change_basis(surface, basis, p) with the action then divided by p,
+    in block form, and the pfaffian is the surface's: det(basis) = p^2.
+
+    With the pivots i < j put first and the other two k < l after them,
+    basis is B = L D for L = [[I, 0], [N, I]] and D = diag(1, 1, p, p), N
+    the pivot columns' entries at k and l, and L^-1 = [[I, 0], [-N, I]].
+    So A = [[P, Q], [R, S]] in that order becomes
+    [[(P + Q N) / p, Q], [(R + S N - N (P + Q N)) / p^2, (S - N Q) / p]]
+    (32 products), with no forward substitution. Of B^T E B / p only the
+    pivot pairing is divided (six products); a pivot's pairings with k
+    and l are those of L^T E L (four products), and theirs is p E_kl. The
+    result is read back into the order 0, 1, 2, 3. 17 divisibility tests
+    check it, where change_basis and the division by p make 38.
+
+    Checks what change_basis and the division by p check, in their order:
+    DescentError with change_basis's text when p does not divide the
+    pivot pairing; PreconditionError when R + S N - N (P + Q N) is not 0
+    mod p, as then the action does not preserve the lattice; then
+    InvariantBreach when the new action is not divisible by p.
+    """
+    i, j, k, l, unpermute = _PIVOTS_FIRST[
+        basis[0][0] == 1, basis[1][1] == 1, basis[2][2] == 1, basis[3][3] == 1
+    ]
+    bk, bl = basis[k], basis[l]
+    n00, n01, n10, n11 = bk[i], bk[j], bl[i], bl[j]
+    gram, action = surface.gram, surface.action
+    ei, ej, ek, el = gram[i], gram[j], gram[k], gram[l]
+    e01, e02, e03, e12, e13, e21, e23, e31 = ei[j], ei[k], ei[l], ej[k], ej[l], ek[j], ek[l], el[j]
+    g01 = e01 + n01 * e02 + n11 * e03 + n00 * (e21 + n11 * e23) + n10 * (e31 - n01 * e23)
+    if g01 % p:
+        raise DescentError(
+            "polarization does not descend: pairing of overlattice "
+            f"generators {i} and {j} is {rational_text(g01, p)}, not integral"
+        )
+    g01 //= p
+    g02, g03, g12, g13, g23 = (
+        e02 - n10 * e23, e03 + n00 * e23, e12 - n11 * e23, e13 + n01 * e23, p * e23
+    )
+    ai, aj, ak, al = action[i], action[j], action[k], action[l]
+    p00, p01, q00, q01 = ai[i], ai[j], ai[k], ai[l]
+    p10, p11, q10, q11 = aj[i], aj[j], aj[k], aj[l]
+    r00, r01, s00, s01 = ak[i], ak[j], ak[k], ak[l]
+    r10, r11, s10, s11 = al[i], al[j], al[k], al[l]
+    x00, x01 = p00 + q00 * n00 + q01 * n10, p01 + q00 * n01 + q01 * n11
+    x10, x11 = p10 + q10 * n00 + q11 * n10, p11 + q10 * n01 + q11 * n11
+    z00 = r00 + s00 * n00 + s01 * n10 - n00 * x00 - n01 * x10
+    z01 = r01 + s00 * n01 + s01 * n11 - n00 * x01 - n01 * x11
+    z10 = r10 + s10 * n00 + s11 * n10 - n10 * x00 - n11 * x10
+    z11 = r11 + s10 * n01 + s11 * n11 - n10 * x01 - n11 * x11
+    if z00 % p or z01 % p or z10 % p or z11 % p:
+        raise PreconditionError("order action does not preserve the lattice")
+    z00, z01, z10, z11 = z00 // p, z01 // p, z10 // p, z11 // p
+    w00, w01 = s00 - n00 * q00 - n01 * q10, s01 - n00 * q01 - n01 * q11
+    w10, w11 = s10 - n10 * q00 - n11 * q10, s11 - n10 * q01 - n11 * q11
+    if (
+        x00 % p or x01 % p or x10 % p or x11 % p or z00 % p or z01 % p or z10 % p or z11 % p
+        or w00 % p or w01 % p or w10 % p or w11 % p
+    ):
+        raise InvariantBreach("enlarged generator does not act integrally")
+    m = unpermute((
+        x00 // p, x01 // p, q00, q01,
+        x10 // p, x11 // p, q10, q11,
+        z00 // p, z01 // p, w00 // p, w01 // p,
+        z10 // p, z11 // p, w10 // p, w11 // p,
+    ))
+    g = unpermute((
+        0, g01, g02, g03,
+        -g01, 0, g12, g13,
+        -g02, -g12, 0, g23,
+        -g03, -g13, -g23, 0,
+    ))
+    return (m[:4], m[4:8], m[8:12], m[12:]), (g[:4], g[4:8], g[8:12], g[12:])
 
 
 def _exact_row(d: int, y0: int, y1: int, y2: int, y3: int) -> IntVec:

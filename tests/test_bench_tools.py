@@ -1,6 +1,7 @@
 """The arithmetic of tools/bench_ab.py, on which every gain claim rests:
 pairs won and lost as a metric's "better" reads, ratio and side quartiles,
-and the --seeds ranges and bases it refuses; and the growth slope that
+the --seeds ranges and bases it refuses, and its default of ten seeds;
+and the growth slope that
 tools/bench_codec.py fits."""
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ def _refused(argv, monkeypatch, capsys, tmp_path) -> str:
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
     return err
+
+
+def test_the_default_seeds_are_ten():
+    # a gain claim needs ten pairs of runs per workload
+    assert len(bench_ab.seeds(bench_ab.SEEDS)) == 10
 
 
 @pytest.mark.parametrize("text", ["3-1", "a"])

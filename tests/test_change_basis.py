@@ -9,7 +9,7 @@ substitution: the closed-form adjugate, two full 4x4 products and an exact
 division by the determinant, for any nonsingular basis.
 full_product_change_basis is the forward substitution on full products:
 the whole congruence basis^T E basis as two generic products divided by the
-gram's divisor (intmat.div_exact), and the whole product A basis, where
+gram's divisor (div_exact, from test_intmat_oracles), and the whole product A basis, where
 change_basis leaves out the basis's zeros and the gram's zero diagonal.
 Both return a fresh pfaffian of their gram, against which change_basis's
 carried one, det(basis) pf / gram_den^2, is checked.
@@ -42,7 +42,7 @@ from rmlattice.surface import (
     rebase,
     standard_instance,
 )
-from test_intmat_oracles import mod_p_rows
+from test_intmat_oracles import div_exact, mod_p_rows
 
 NOT_HERMITE = "a change of basis needs a lower-triangular basis with a positive diagonal"
 PRIMES = (3, 5, 7, 11)
@@ -57,7 +57,7 @@ def reference_change_basis(surface, basis, gram_den):
     """(action, gram, pf): adj(basis) A basis / det(basis), basis^T E basis
     / gram_den, the gram checked first, and that gram's pfaffian."""
     full = _congruence(surface.gram, basis)
-    gram = intmat.div_exact(full, gram_den)
+    gram = div_exact(full, gram_den)
     if gram is None:
         i, j = next((i, j) for i in range(4) for j in range(4) if full[i][j] % gram_den)
         raise DescentError(
@@ -67,7 +67,7 @@ def reference_change_basis(surface, basis, gram_den):
         )
     adj = intmat.adjugate(basis)
     d = sum(basis[0][k] * adj[k][0] for k in range(4))  # (basis @ adj)[0][0]
-    action = intmat.div_exact(intmat.mat_mul(intmat.mat_mul(adj, surface.action), basis), d)
+    action = div_exact(intmat.mat_mul(intmat.mat_mul(adj, surface.action), basis), d)
     if action is None:
         raise PreconditionError("order action does not preserve the lattice")
     return action, gram, intmat.pfaffian4(gram)
@@ -79,7 +79,7 @@ def full_product_change_basis(surface, basis, gram_den):
     if b01 or b02 or b03 or b12 or b13 or b23 or min(b00, b11, b22, b33) <= 0:
         raise PreconditionError(NOT_HERMITE)
     full = _congruence(surface.gram, basis)
-    gram = intmat.div_exact(full, gram_den)
+    gram = div_exact(full, gram_den)
     if gram is None:
         i, j = next((i, j) for i in range(4) for j in range(4) if full[i][j] % gram_den)
         raise DescentError(
@@ -153,7 +153,9 @@ def hermite_bases(draw):
         v[draw(st.integers(0, 3))] = draw(st.integers(1, p - 1))
         basis = _hyperplane_basis(v, p)
     elif kind == "enlargement":
-        basis = enlargement_kernel(surface, p).basis
+        # the action's columns mod p, which have rank 2 only where p divides
+        # the conductor; enlargement_kernel refuses any other rank
+        basis = intmat.hnf_mod_p(zip(*surface.action), p)
     else:
         basis = intmat.identity()
     return surface, basis, draw(st.sampled_from((1, p, p * p)))

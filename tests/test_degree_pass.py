@@ -44,6 +44,7 @@ from rmlattice.formats import serialize_certificate, serialize_instance
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import CertificateData, IsogenyStep
 from rmlattice.surface import apply_unimodular, canonicalize_orientation
+from test_intmat_oracles import div_exact
 
 
 def full_product_twist(surface, el, den=1, *, norm):
@@ -53,7 +54,7 @@ def full_product_twist(surface, el, den=1, *, norm):
         raise PreconditionError("cannot twist by zero")
     gram = intmat.mat_mul(surface.gram, element_action(surface, el))
     if den != 1:
-        gram = intmat.div_exact(gram, den)
+        gram = div_exact(gram, den)
         if gram is None:
             raise DescentError("polarization kernel does not contain the kernel of the element")
     pf = norm * surface.pf // (den * den)

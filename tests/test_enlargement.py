@@ -202,23 +202,30 @@ def test_any_corrupted_action_gives_the_references_outcome(instance, changes):
     assert _outcome(enlarge_order_step, bad, p) == _outcome(reference_enlarge_order_step, bad, p)
 
 
+def _refused(name):
+    """A stand-in for name that fails the test when called."""
+
+    def call(*args):
+        raise AssertionError(f"{name} called by a valid enlargement move")
+
+    return call
+
+
 def test_an_enlargement_move_row_reduces_mod_p_once(monkeypatch):
-    # t is read off the kernel's Hermite form, not from a second elimination;
-    # hnf_mod_p, kernel_mod_p, span_mod_p and rank_mod_p all read the one
-    # _eliminate_mod_p
+    # a valid move finds its kernel by the one two-row elimination
+    # (hnf_mod_p_rank2) and never by the generic one, which hnf_mod_p,
+    # kernel_mod_p, span_mod_p and rank_mod_p all read
     calls = []
-    real = intmat._eliminate_mod_p
+    real = intmat.hnf_mod_p_rank2
 
-    def counting(m, p):
+    def counting(columns, p):
         calls.append(p)
-        return real(m, p)
+        return real(columns, p)
 
-    def refused(m, p):
-        raise AssertionError("rank_mod_p called by an enlargement move")
-
-    monkeypatch.setattr(intmat, "_eliminate_mod_p", counting)
-    monkeypatch.setattr(intmat, "rank_mod_p", refused)
     s = generate_instance(13, 5 * 7 * 11, [3], 1)
+    monkeypatch.setattr(intmat, "hnf_mod_p_rank2", counting)
+    monkeypatch.setattr(intmat, "_eliminate_mod_p", _refused("_eliminate_mod_p"))
+    monkeypatch.setattr(intmat, "rank_mod_p", _refused("rank_mod_p"))
     for p in (5, 7, 11):
         calls.clear()
         s, (_, quotient) = enlarge_order_step(s, p)
@@ -226,30 +233,17 @@ def test_an_enlargement_move_row_reduces_mod_p_once(monkeypatch):
 
 
 def test_an_enlargement_move_takes_no_determinant_outside_change_basis(monkeypatch):
-    # the kernel's Hermite form has t unit and 4 - t diagonal entries p, so
-    # its order p^(4+t) needs no determinant once t is checked
-    outside, depth = [], []
-    real_det, real_change_basis = intmat.det, reduction.change_basis
-
-    def counting_det(m):
-        if not depth:
-            outside.append(m)
-        return real_det(m)
-
-    def inside_change_basis(*args):
-        depth.append(1)
-        try:
-            return real_change_basis(*args)
-        finally:
-            depth.pop()
-
+    # the block change of basis (enlarge_basis) replaces change_basis in the
+    # move, and the kernel's Hermite form has two unit and two p diagonal
+    # entries, so its order p^6 needs no determinant: a valid move takes
+    # none, and calls neither change_basis nor the division it followed
     s = generate_instance(13, 5 * 7 * 11, [3], 1)
-    monkeypatch.setattr(intmat, "det", counting_det)
-    monkeypatch.setattr(reduction, "change_basis", inside_change_basis)
+    monkeypatch.setattr(intmat, "det", _refused("det"))
+    monkeypatch.setattr(surface, "change_basis", _refused("change_basis"))
+    assert not hasattr(reduction, "change_basis") and not hasattr(intmat, "div_exact")
     for p in (5, 7, 11):
         s, (_, quotient) = enlarge_order_step(s, p)
         assert quotient.t == 2
-    assert outside == []
 
 
 def test_principalize_builds_no_twisted_surface_inside_enlargement(monkeypatch):

@@ -3,7 +3,9 @@
 The references below are the routines the integer core replaced, kept
 verbatim apart from their names as test-only oracles: the generic
 elementwise helpers and the sum-of-products matrix and matrix-vector
-products, the exact division by an entry scan and a frozen quotient and
+products, the exact division by an entry scan and a frozen quotient
+(divide_generic) and the written-out one that replaced it (div_exact,
+intmat's until the enlargement changed basis in block form), and
 the sixteen-entry congruence b^T e b with its row-order scan for the
 first pairing that does not descend, the pairwise antisymmetry test,
 the recursive cofactor det and adjugate (any size), the Fraction
@@ -587,6 +589,19 @@ def test_orientation_and_element_action_match_the_permutation_matrices(order, ac
     )
 
 
+def div_exact(m, d: int):
+    """The 4x4 matrix m / d when the nonzero integer d divides every entry,
+    else None; written out one row at a time, four tests then four
+    quotients. The reference exact division of the tests, formerly
+    intmat's, which the block change of basis left without a caller."""
+    rows = []
+    for x0, x1, x2, x3 in m:
+        if x0 % d or x1 % d or x2 % d or x3 % d:
+            return None
+        rows.append((x0 // d, x1 // d, x2 // d, x3 // d))
+    return tuple(rows)
+
+
 def divide_generic(m, d):
     """The former exact division: a scan of every entry, then the quotient
     frozen from generators; None when d does not divide them all."""
@@ -634,7 +649,7 @@ def exact_divisions(draw):
 @given(exact_divisions())
 def test_div_exact_matches_the_generic_division(case):
     m, d, kind = case
-    out = intmat.div_exact(m, d)
+    out = div_exact(m, d)
     assert out == divide_generic(m, d)
     if kind == "multiple":
         assert out is not None and scalar_mul(d, out) == m

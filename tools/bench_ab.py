@@ -1,12 +1,13 @@
 """A/B timing: the working tree against a base commit, on the benchmark's
 workloads, in alternating pairs of runs.
 
-    python3 tools/bench_ab.py BASE [--workloads pool,cli] [--seeds 7-12]
+    python3 tools/bench_ab.py BASE [--workloads pool,cli] [--seeds 7-16]
                               [--seconds 20] [--out BENCH_ab.json]
 
 Writes src/ and perfbench/ of commit BASE (with `git archive`) and of this
 working tree side by side into a temporary directory, removed afterwards,
-so the two differ in nothing but their files. Then, per workload and seed,
+so the two differ in nothing but their files. Then, per workload and seed
+(ten seeds by default, as a gain claim needs ten pairs),
 it runs `perfbench/run.py --trace 0` once in each copy, each in its own
 subprocess (tools/benchlib.py), as one pair; the round after swaps which
 of the two runs first. run.py scales each time to the reference host
@@ -41,6 +42,8 @@ from pathlib import Path
 from benchlib import ROOT, add_run, identity, run_workload, seeds, spread, src_sha256
 
 WORKLOADS = ("pool", "conductor", "numtheory", "cli")
+# the default --seeds: ten seeds, one pair of runs each per workload
+SEEDS = "7-16"
 PARTS = ("src", "perfbench")
 
 
@@ -89,8 +92,8 @@ def main() -> None:
     parser.add_argument("base", help="the commit to compare against, as git names it")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma-separated workloads (default all four)")
-    parser.add_argument("--seeds", type=seeds, default="7-12",
-                        help="a seed or a range a-b (default 7-12)")
+    parser.add_argument("--seeds", type=seeds, default=SEEDS,
+                        help=f"a seed or a range a-b (default {SEEDS})")
     parser.add_argument("--seconds", default="20", help="run.py's --seconds (default 20)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_ab.json")
     args = parser.parse_args()
