@@ -5,12 +5,17 @@ the twisted surface (twist_by_element by p^3), descends it to the
 canonical kernel's overlattice (descend_polarization) and divides the
 action by p. reduction.enlarge_order_step records the twist instead of
 building it and descends in one change of basis; the two must agree on
-every surface, step and message.
+every surface, step and message. The move's two halves are also checked
+against the generic routines they replaced: the two-row elimination
+(intmat.hnf_mod_p_rank2) against hnf_mod_p, and the block change of
+basis (surface.enlarge_basis) against change_basis followed by the
+exact division by p, on every pivot pair.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -29,6 +34,7 @@ from rmlattice import (
     make_order,
     principalize,
     reduction,
+    standard_instance,
     surface,
     twist_by_element,
 )
@@ -39,8 +45,10 @@ from rmlattice.reduction import enlarge_order_step, enlargement_kernel
 from rmlattice.surface import (
     PolarizedRMSurface,
     canonicalize_orientation,
+    change_basis,
     stabilizer_order,
 )
+from test_intmat_oracles import div_exact
 
 
 def reference_enlarge_order_step(surface, p):
@@ -272,3 +280,189 @@ def test_principalize_builds_no_twisted_surface_inside_enlargement(monkeypatch):
     # the degree-reduction division at 11 still twists, through isogeny
     assert calls["outside"] >= 1
     assert [st.kind for st in cert.steps].count(TWIST) == 6
+
+
+# ---------------------------------------------------------------------------
+# the two halves of the move against the generic routines they replaced
+# ---------------------------------------------------------------------------
+
+BLOCK_PRIMES = (3, 5, 7, 11, 13)
+# every pivot pair of a rank-2 Hermite form mod p; each occurs on the
+# benchmark's workloads
+PIVOTS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def _rref_rows(i, j, p, draw):
+    """Two reduced echelon rows mod p with pivots i < j, the free entries
+    drawn: zeros before each pivot and at the other pivot."""
+    u, v = [0] * 4, [0] * 4
+    u[i], v[j] = 1, 1
+    for c in range(i + 1, 4):
+        if c != j:
+            u[c] = draw(st.integers(0, p - 1))
+    for c in range(j + 1, 4):
+        v[c] = draw(st.integers(0, p - 1))
+    return u, v
+
+
+@st.composite
+def rank2_columns(draw, i, j, p):
+    """(columns, u, v): four integer columns spanning the plane of the
+    echelon rows u, v mod p, in any order and lifted by multiples of p."""
+    u, v = _rref_rows(i, j, p, draw)
+    coefficients = [draw(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))) for _ in range(4)]
+    if (coefficients[0][0] * coefficients[1][1] - coefficients[0][1] * coefficients[1][0]) % p == 0:
+        coefficients[0], coefficients[1] = (1, 0), (draw(st.integers(0, p - 1)), 1)
+    coefficients = draw(st.permutations(coefficients))
+    lifts = st.integers(-3, 3)
+    columns = [
+        tuple(a * x + b * y + p * draw(lifts) for x, y in zip(u, v)) for a, b in coefficients
+    ]
+    return columns, u, v
+
+
+@pytest.mark.parametrize("i, j", PIVOTS)
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(data=st.data())
+def test_the_two_row_elimination_is_the_generic_hermite_form(i, j, p, data):
+    columns, u, v = data.draw(rank2_columns(i, j, p))
+    out = intmat.hnf_mod_p_rank2(iter(columns), p)
+    assert out == intmat.hnf_mod_p(columns, p)
+    assert [out[r][r] == 1 for r in range(4)] == [r in (i, j) for r in range(4)]
+    assert (tuple(row[i] for row in out), tuple(row[j] for row in out)) == (tuple(u), tuple(v))
+
+
+def _rank_r_matrix(rank, p, rng):
+    """A 4x4 integer matrix of the given rank mod p: rank independent
+    echelon columns and combinations of them, shuffled and lifted by
+    multiples of p."""
+    pivots = sorted(rng.sample(range(4), rank))
+    basis = []
+    for c in pivots:
+        vec = [0] * 4
+        vec[c] = 1
+        for k in range(c + 1, 4):
+            if k not in pivots:
+                vec[k] = rng.randrange(p)
+        basis.append(vec)
+    columns = list(basis)
+    while len(columns) < 4:
+        factors = [rng.randrange(p) for _ in basis]
+        columns.append([sum(f * vec[r] for f, vec in zip(factors, basis)) for r in range(4)])
+    rng.shuffle(columns)
+    return intmat.freeze(
+        [[columns[c][r] + p * rng.randint(-2, 2) for c in range(4)] for r in range(4)]
+    )
+
+
+@pytest.mark.parametrize("rank", [0, 1, 3, 4])
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 10**6))
+def test_any_other_rank_gives_no_two_row_hermite_form(rank, p, seed):
+    action = _rank_r_matrix(rank, p, random.Random(seed))
+    h = intmat.hnf_mod_p(zip(*action), p)
+    assert [h[r][r] for r in range(4)].count(1) == rank
+    assert intmat.hnf_mod_p_rank2(zip(*action), p) is None
+
+
+@pytest.mark.parametrize("rank", [0, 1, 3, 4])
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+def test_the_kernel_of_any_other_rank_is_a_breach_naming_it(rank, p):
+    s = standard_instance(make_order(5, 1))
+    bad = PolarizedRMSurface(s.order, _rank_r_matrix(rank, p, random.Random(p)), s.gram)
+    with pytest.raises(InvariantBreach) as breach:
+        enlargement_kernel(bad, p)
+    assert str(breach.value) == f"enlargement rank invariant is {rank}, expected 2"
+
+
+def _reference_enlarge_basis(s, basis, p):
+    """change_basis(s, basis, p) with the action then divided by p, as the
+    move made them before the block form: (action, gram), or the type and
+    text of the first refusal."""
+    try:
+        action, gram, pf = change_basis(s, basis, p)
+    except (DescentError, PreconditionError) as exc:
+        return type(exc), str(exc)
+    assert pf == s.pf  # det(basis) = p^2
+    action = div_exact(action, p)
+    if action is None:
+        return InvariantBreach, "enlarged generator does not act integrally"
+    return action, gram
+
+
+def _block_outcome(s, basis, p):
+    try:
+        return surface.enlarge_basis(s, basis, p)
+    except (DescentError, PreconditionError, InvariantBreach) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def block_cases(draw, i, j, p):
+    """(surface, basis): basis the Hermite form of a rank-2 kernel mod p
+    with pivots i < j; an action B M (p B^-1) and a gram (p B^-1)^T E0
+    (p B^-1), for which the block change succeeds, each left as it is or
+    moved at one entry (the gram at a pair, so it stays alternating), by
+    1 or by p, so that every refusal can be reached."""
+    u, v = _rref_rows(i, j, p, draw)
+    basis = intmat.hnf_mod_p([u, v], p)
+    p_inverse = div_exact(intmat.adjugate(basis), p)  # adj(B) = p^2 B^-1
+    entries = st.integers(-20, 20)
+    m = [[draw(entries) for _ in range(4)] for _ in range(4)]
+    action = [list(row) for row in intmat.mat_mul(intmat.mat_mul(basis, m), p_inverse)]
+    e0 = [[0] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            e0[a][b] = draw(entries)
+            e0[b][a] = -e0[a][b]
+    gram = [list(row) for row in intmat.mat_mul(
+        intmat.mat_mul(intmat.transpose(p_inverse), e0), p_inverse
+    )]
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    action[a][b] += draw(st.sampled_from((0, 1, p)))
+    if a != b:
+        delta = draw(st.sampled_from((0, 1, p)))
+        gram[a][b] += delta
+        gram[b][a] -= delta
+    return (
+        PolarizedRMSurface(make_order(5, 1), intmat.freeze(action), intmat.freeze(gram)),
+        basis,
+    )
+
+
+@pytest.mark.parametrize("i, j", PIVOTS)
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_the_block_change_is_change_basis_then_the_division(i, j, p, data):
+    s, basis = data.draw(block_cases(i, j, p))
+    assert _block_outcome(s, basis, p) == _reference_enlarge_basis(s, basis, p)
+
+
+def test_each_refusal_of_the_block_change_is_the_references():
+    # pivots 1 and 3 mod 3, with N nonzero: the pivot columns are e1 + 2 e2
+    # and e3
+    basis = intmat.hnf_mod_p([(0, 1, 2, 0), (0, 0, 0, 1)], 3)
+    assert basis == ((3, 0, 0, 0), (0, 1, 0, 0), (0, 2, 3, 0), (0, 0, 0, 1))
+    zero = ((0,) * 4,) * 4
+    gram_13 = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0), (0, -1, 0, 0))
+    order = make_order(5, 1)
+    cases = {
+        # the pivot pairing of e1 + 2 e2 and e3 is E_13 + 2 E_23 = 1
+        (DescentError, "polarization does not descend: pairing of overlattice "
+         "generators 1 and 3 is 1/3, not integral"): gram_13,
+        # A_01 = 1: the block R + S N - N (P + Q N) has a 1 at (k, i) = (0, 1)
+        (PreconditionError, "order action does not preserve the lattice"): (
+            ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+        ),
+        # the identity preserves every lattice and is not divisible by 3
+        (InvariantBreach, "enlarged generator does not act integrally"): intmat.identity(),
+    }
+    for expected, matrix in cases.items():
+        if expected[0] is DescentError:
+            s = PolarizedRMSurface(order, intmat.identity(), matrix)
+        else:
+            s = PolarizedRMSurface(order, matrix, zero)
+        assert _block_outcome(s, basis, 3) == expected == _reference_enlarge_basis(s, basis, 3)

@@ -16,6 +16,7 @@ cases.
 from __future__ import annotations
 
 import copy
+import functools
 import os
 import pickle
 import subprocess
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmlattice import intmat
 from rmlattice.formats import serialize_instance
 from rmlattice.generator import generate_instance
 from rmlattice.isogeny import CertificateData, IsogenyStep
@@ -348,3 +350,32 @@ def test_a_pipeline_certificate_survives_pickle_and_deepcopy():
     assert cert.steps
     for clone in (pickle.loads(pickle.dumps(cert)), copy.deepcopy(cert)):
         assert clone == cert and hash(clone) == hash(cert)
+
+
+def test_a_surface_keeps_each_value_once_without_a_lock(monkeypatch):
+    # functools.cached_property takes a lock on each first access on Python
+    # 3.11; each kept value is computed on first access, written into
+    # __dict__, and read from there with no call after that
+    for name in ("pf", "defect", "gram_action"):
+        kept = vars(PolarizedRMSurface)[name]
+        assert not isinstance(kept, functools.cached_property)
+        assert not hasattr(type(kept), "__set__")  # __dict__ shadows it
+    s = generate_instance(5, 3, [11], 42)
+    surface = PolarizedRMSurface(s.order, s.action, s.gram)
+    calls = []
+    for name in ("pfaffian4", "mat_mul"):
+        real = getattr(intmat, name)
+        monkeypatch.setattr(
+            intmat, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    for _ in range(2):
+        assert surface.defect is None and surface.pf == s.pf
+        assert surface.gram_action == s.gram_action
+    # pf once; A^2 for the defect and E A, each once
+    assert sorted(calls) == ["mat_mul", "mat_mul", "pfaffian4"]
+    assert vars(surface) == {"pf": s.pf, "defect": None, "gram_action": s.gram_action}
+    fresh = PolarizedRMSurface(s.order, s.action, s.gram)
+    for clone in (pickle.loads(pickle.dumps(surface)), copy.copy(surface), copy.deepcopy(surface)):
+        assert clone == surface == fresh and vars(clone) == {}
+    assert hash(surface) == hash(fresh) and repr(surface) == repr(fresh)
+    assert pickle.dumps(surface) == pickle.dumps(fresh)
