@@ -37,7 +37,6 @@ from .isogeny import (
     divide_by_symmetric,
 )
 from .reduction import (
-    enlarge_order_step,
     principalize,
     reduce_degree_step,
     squarefree_reduce,
@@ -63,7 +62,6 @@ __all__ = [
     "divide_by_symmetric",
     "eigen_sublattice_pullback",
     "element_action",
-    "enlarge_order_step",
     "factor_prime",
     "fundamental_unit",
     "humbert_holds",

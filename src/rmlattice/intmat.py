@@ -4,15 +4,15 @@ Everything here is sized for the rank-4 lattices used by the rest of the
 package: matrices are tuples of tuples, integers are arbitrary precision,
 and no floats appear anywhere. The 4x4 core is straight-line and
 fraction-free: the product is written out as sixteen sums of four
-products, the alternating test as six pair comparisons and a zero
-diagonal, det and adjugate are closed-form expansions in the twelve 2x2
-minors, a lattice between p*Z^4 and Z^4 for a prime p is put into
-Hermite form by one elimination over Z/p (hnf_mod_p), whose pivot rows
-kernel_mod_p, span_mod_p and rank_mod_p read in place too, or, when its
-generators have rank 2 mod p, as the order enlargement's do, by a
-written-out two-vector elimination (hnf_mod_p_rank2), and the
-elementary divisors of an alternating form are read off its content and
-pfaffian.
+products (lower_mat_mul skips a lower-triangular pair's zeros), the
+alternating test as six pair comparisons and a zero diagonal, det and
+adjugate are closed-form expansions in the twelve 2x2 minors, a lattice
+between p*Z^4 and Z^4 for a prime p is put into Hermite form by one
+elimination over Z/p (hnf_mod_p), whose pivot rows kernel_mod_p,
+span_mod_p and rank_mod_p read in place too, or, when its generators
+have rank 2 mod p, as the enlargement's action does, by a written-out
+two-vector elimination (hnf_mod_p_rank2), and the elementary divisors of
+an alternating form are read off its content and pfaffian.
 
 Conventions:
   * lattices are column lattices (a basis is the tuple of matrix columns);
@@ -57,6 +57,20 @@ def mat_mul(a, b):
             x0 * b03 + x1 * b13 + x2 * b23 + x3 * b33,
         ))
     return tuple(rows)
+
+
+def lower_mat_mul(a, b) -> IntMat:
+    """Product of two lower-triangular 4x4 matrices, written out without
+    their zeros above the diagonal: 20 products where mat_mul takes 64."""
+    (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), (a30, a31, a32, a33) = a
+    (b00, _, _, _), (b10, b11, _, _), (b20, b21, b22, _), (b30, b31, b32, b33) = b
+    return (
+        (a00 * b00, 0, 0, 0),
+        (a10 * b00 + a11 * b10, a11 * b11, 0, 0),
+        (a20 * b00 + a21 * b10 + a22 * b20, a21 * b11 + a22 * b21, a22 * b22, 0),
+        (a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30, a31 * b11 + a32 * b21 + a33 * b31,
+         a32 * b22 + a33 * b32, a33 * b33),
+    )
 
 
 def mat_vec(a, v):

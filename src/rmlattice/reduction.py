@@ -1,20 +1,23 @@
 """The three reduction moves and the principalization pipeline.
 
-Each move takes a surface and a prime and returns (surface, steps).
+Each move returns (surface, steps).
 squarefree_reduce shrinks the p-part of the polarization kernel until its
 elementary divisors at p are squarefree; once the gram's content is prime
 to p, the carried pfaffian alone says whether a quotient move is left, and
 its kernel is the mod-p kernel of the gram, since the kernel's p-part is
 then (Z/p^v)^2 with v >= 2, whose p-torsion is p times its p^2-torsion.
-enlarge_order_step enlarges the acting order by one conductor prime
-without changing the degree, building one surface per move: its twist by
-p^3 is recorded from the scalar identities, not built; its kernel's
+The order enlargement is one pass over the conductor's primes with
+multiplicity (_enlarge), each move enlarging the acting order by one
+prime without changing the degree. Nothing a move decides reads the
+gram, so the pass carries only the action and the composite of the
+moves' kernel bases, and changes the gram once at the end: each twist by
+p^3 is recorded from the scalar identities, not built; each kernel's
 Hermite form comes from the two reduced echelon rows of the action mod p
 (intmat.hnf_mod_p_rank2), as the action has rank t = 2 mod p on valid
 input, and the generic elimination runs only to name another t in the
-invariant breach; the descent and the division of the action by p are
-one change of basis in block form (surface.enlarge_basis), which keeps
-the pfaffian.
+invariant breach; each action is divided in block form
+(surface.enlarge_basis); the one gram and the one surface at the end
+keep the pfaffian.
 Degree reduction divides by the norm +-p factor el whose mod-p kernel is
 the kernel p-torsion K, recording the branch, and row-reduces nothing mod
 p: K is 2-dimensional exactly when p | pf and the gram is not 0 mod p,
@@ -28,7 +31,7 @@ exact division by the product of the factors before each squarefree
 reduction and at the end; it asks for p's factors only where squarefree
 reduction leaves p in the degree, so a p that scale moves clear needs
 none. reduce_degree_step is that pass over one prime.
-principalize chains the moves, conductor primes first, and returns the
+principalize chains the passes, conductor primes first, and returns the
 final surface with its CertificateData; it is the only code that chains
 moves, and replay re-runs it. The moves carry the pfaffian by identity and
 check no degree identity of their own; principalize's closing check
@@ -61,6 +64,7 @@ from .surface import (
     PolarizedRMSurface,
     canonicalize_orientation,
     degree,
+    descend_gram,
     enlarge_basis,
     kernel_from_subspace,
     polarization_kernel_mod_p,
@@ -128,81 +132,81 @@ def _squarefree_reduce(
 
 
 # ---------------------------------------------------------------------------
-# enlarging the acting order at one conductor prime
+# enlarging the acting order at the conductor's primes
 # ---------------------------------------------------------------------------
 
 
-def enlargement_kernel(surface: PolarizedRMSurface, p: int) -> KernelSubgroup:
+def enlargement_kernel(action: intmat.IntMat, p: int) -> KernelSubgroup:
     """The canonical kernel (1/p)L + (1/p^2)(action)L of the enlargement move:
     (pL + (action)L) / p^2, whose Hermite form is built from the two
     reduced echelon rows of the action's columns mod p (intmat.hnf_mod_p_rank2),
     read as zip(*action) gives them. The action has rank t = 2 mod p on
     valid input; any other t is an invariant breach, which the generic
     elimination (intmat.hnf_mod_p) names by its unit diagonal entries."""
-    basis = intmat.hnf_mod_p_rank2(zip(*surface.action), p)
+    basis = intmat.hnf_mod_p_rank2(zip(*action), p)
     if basis is None:
-        h = intmat.hnf_mod_p(zip(*surface.action), p)
+        h = intmat.hnf_mod_p(zip(*action), p)
         t = (h[0][0], h[1][1], h[2][2], h[3][3]).count(1)
         raise InvariantBreach(f"enlargement rank invariant is {int_text(t)}, expected 2")
     return KernelSubgroup(basis, p * p)
 
 
-def enlarge_order_step(
-    surface: PolarizedRMSurface, p: int
-) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, IsogenyStep]]:
-    """One conductor-prime enlargement: twist the gram by p^3, quotient by the
-    canonical kernel of order p^6, divide the action by p.
+def _enlarge(
+    surface: PolarizedRMSurface, primes, deg: int
+) -> tuple[PolarizedRMSurface, tuple[IsogenyStep, ...]]:
+    """Enlarge the acting order by each of primes in turn, on a surface of
+    degree deg: the one definition of the enlargement, which principalize
+    makes over the conductor's primes with multiplicity.
 
-    The twist is recorded, not built: a twist by the scalar p^3 keeps the
-    action and multiplies the gram by p^3 and the pfaffian by p^6, so its
-    step (alpha (p^3, 0), degree deg -> deg * p^12) follows from those
-    identities. The kernel (enlargement_kernel) depends on the action
-    alone, and the descent of p^3 E to kernel.basis / p^2 is
-    kernel.basis^T E kernel.basis / p, which surface.enlarge_basis computes
-    in block form with the action divided by p, before the one
-    canonicalize_orientation. Preserves the degree exactly: det(basis) =
-    p^2, so the pfaffian det(basis) p^6 pf / p^8 is pf. t, recorded on the
-    quotient step, is the rank of the action mod p, which the kernel
-    checks is 2; any other value is an invariant breach, never something
-    to continue past.
+    Each move twists by p^3, quotients by the canonical kernel of order
+    p^6 and divides the action by p, keeping the degree. The twist by the
+    scalar p^3 is recorded from its identities (gram times p^3, degree
+    times p^12), not built. The kernel (enlargement_kernel) and the next
+    action, basis^-1 A basis / p (surface.enlarge_basis), read only the
+    action, so the moves carry the action and the product P of their
+    bases. The gram changes once: each descent of p^3 E to basis / p^2 is
+    basis^T E basis / p, so the last is P^T E P / (p_1 ... p_k)
+    (surface.descend_gram), and the pfaffian is kept, as det(P) is that
+    product squared. t, recorded on each quotient step, is the rank of
+    the action mod p, which the kernel checks is 2.
+
+    Checks nothing principalize checks: each prime odd, dividing the
+    conductor and not the degree, and the surface tight (its stabilizer's
+    conductor is the stored one). O_{f/p} L has stabilizer exactly
+    O_{f/p} (quadratic orders are Bass orders, so L is a sum of ideals),
+    so each move keeps it tight and none recomputes the stabilizer, the
+    degree or the orientation. An invalid action is a breach at its move;
+    a gram that does not descend is one at the end, naming the first
+    non-integral pairing of the composite.
     """
-    require_odd_prime(p)
+    if not primes:
+        return surface, ()
     order = surface.order
-    f = order.conductor
-    if f % p != 0:
-        raise PreconditionError(
-            f"{int_text(p)} does not divide the conductor {int_text(f)}"
-        )
-    if stabilizer_order(surface).conductor % p != 0:
-        raise PreconditionError(
-            f"an order of conductor prime to {int_text(p)} already acts on the "
-            "lattice"
-        )
-    deg = degree(surface)
-    if deg % p == 0:
-        raise PreconditionError(f"{int_text(p)} divides the degree {int_text(deg)}")
-    if surface.pf < 0:  # the twisted surface is canonically oriented
+    if surface.pf < 0:  # the twisted surfaces are canonically oriented
         surface = canonicalize_orientation(order, surface.action, surface.gram, surface.pf)
-    kernel = enlargement_kernel(surface, p)
-    p3 = p**3
-    twisted_deg = deg * p3**4
-    twist_step = IsogenyStep(
-        kind=TWIST, prime=p, alpha=(p3, 0), degree_before=deg, degree_after=twisted_deg
-    )
+    den = prod(primes)
+    action, composite, steps = surface.action, None, []
     try:
-        action, gram = enlarge_basis(surface, kernel.basis, p)
+        for p in primes:
+            kernel = enlargement_kernel(action, p)
+            p3 = p**3
+            twisted_deg = deg * p3**4
+            steps += (
+                IsogenyStep(kind=TWIST, prime=p, alpha=(p3, 0), degree_before=deg,
+                            degree_after=twisted_deg),
+                IsogenyStep(kind=QUOTIENT, prime=p, kernel_overlattice=kernel,
+                            degree_before=twisted_deg, degree_after=deg, t=2),
+            )
+            basis = kernel.basis
+            action = enlarge_basis(action, basis, p)
+            composite = basis if composite is None else intmat.lower_mat_mul(composite, basis)
+        gram = descend_gram(surface.gram, composite, den)
     except (DescentError, PreconditionError) as exc:
         raise InvariantBreach(f"guaranteed enlargement descent failed: {exc}") from exc
-    quotient_step = IsogenyStep(
-        kind=QUOTIENT,
-        prime=p,
-        kernel_overlattice=kernel,
-        degree_before=twisted_deg,
-        degree_after=deg,
-        t=2,
+    out = canonicalize_orientation(
+        make_order(order.D, order.conductor // den), action, gram, surface.pf
     )
-    out = canonicalize_orientation(make_order(order.D, f // p), action, gram, surface.pf)
-    return out, (twist_step, quotient_step)
+    return out, tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +410,10 @@ def principalize(
             f"stored conductor {int_text(f)} is not tight: the order of conductor "
             f"{int_text(stab.conductor)} already acts"
         )
-    steps: list[IsogenyStep] = []
-    current = surface
-    for p, mult in sorted(factorize(f).items()):
-        for _ in range(mult):
-            current, pair = enlarge_order_step(current, p)
-            steps.extend(pair)
+    conductor_primes = [p for p, mult in sorted(factorize(f).items()) for _ in range(mult)]
+    current, enlargements = _enlarge(surface, conductor_primes, deg)
     current, more = _reduce_degree(current, sorted(factorize(abs(surface.pf))))
-    steps.extend(more)
     msg = principal_defect(current)
     if msg is not None:
         raise InvariantBreach(f"pipeline ended {msg}")
-    return current, CertificateData(steps=tuple(steps), final=current)
+    return current, CertificateData(steps=enlargements + more, final=current)

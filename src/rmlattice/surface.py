@@ -9,34 +9,35 @@ satisfying the generator's minimal polynomial, and the symmetry identity
 action^T * gram = gram * action.
 
 Degree, the one change of lattice basis to a Hermite basis (change_basis,
-on integers, and rebase around it), its block form for the order
-enlargement (enlarge_basis), the unimodular scramble (apply_unimodular),
-kernels given by mod-p subspaces, stabilizer orders and the instance
-constructors all live here. Every move that re-expresses the lattice
-(descent to an overlattice, pull-back to a sublattice) goes through
-rebase, except the order enlargement. Each such basis B is a column
-Hermite form, lower triangular with a positive diagonal, and change_basis
-takes no other: it solves B M = A B for the new action by forward
-substitution, one exact division by b_ii per row, and returns the carried
-pfaffian det(B) pf / gram_den^2, det(B) the diagonal's product, so rebase
-does not derive it. change_basis requires an alternating gram, as every
-caller's validated surface has: it computes only the six pairings above
-the diagonal of B^T E B, tests each for divisibility by the gram's
-divisor and divides it in place. Its three products are written out
-without the zeros known in advance, B's above its diagonal and the gram's
-on its diagonal: of E B only the columns 1-3 the pairings read (18
-products where the full product takes 64), the pairings themselves from
-those (17 where the six sums of four take 24), and A B (40 where the full
-product takes 64). The order enlargement descends its unbuilt twist
-p^3 E as B^T E B / p and divides the action by p, on the Hermite form B
-of a rank-2 kernel mod p. With its two pivots put first, B = L D for a
-unit lower block-triangular L and D = diag(1, 1, p, p), so enlarge_basis
+on integers, and rebase around it), its gram half (descend_gram), the
+order enlargement's block form of its action half (enlarge_basis), the
+unimodular scramble (apply_unimodular), kernels given by mod-p subspaces,
+stabilizer orders and the instance constructors all live here. Every
+move that re-expresses the lattice (descent to an overlattice, pull-back
+to a sublattice) goes through rebase, except the order enlargement. Each
+such basis B is a column Hermite form, lower triangular with a positive
+diagonal, and change_basis takes no other: it solves B M = A B for the
+new action by forward substitution, one exact division by b_ii per row,
+and returns the carried pfaffian det(B) pf / gram_den^2, det(B) the
+diagonal's product, so rebase does not derive it. descend_gram requires
+an alternating gram, as every caller's validated surface has: it
+computes only the six pairings above the diagonal of B^T E B, tests each
+for divisibility by the divisor and divides it in place. The products
+are written out without the zeros known in advance, B's above its
+diagonal and the gram's on its diagonal: of E B only the columns 1-3 the
+pairings read (18 products where the full product takes 64), the
+pairings themselves from those (17 where the six sums of four take 24),
+and A B (40 where the full product takes 64). The order enlargement
+divides the action by p on the Hermite form B of a rank-2 kernel mod p
+at each of its moves. With its two pivots put first, B = L D for a unit
+lower block-triangular L and D = diag(1, 1, p, p), so enlarge_basis
 writes the new action out in blocks with no forward substitution (32
-products) and divides only the pivot pairing of the gram (11 products
-make the gram); the pfaffian is unchanged, as det(B) = p^2. The
-generator's scramble U, once per instance and not triangular, is four
-full products in apply_unimodular: U^-1 A U as det(U) adj(U) A U, with
-no division, and U^T E U.
+products). The enlargement descends its unbuilt twists p^3 E once, as
+P^T E P / (p_1 ... p_k) for P the product of its moves' bases
+(descend_gram); the pfaffian is unchanged, as det(P) = (p_1 ... p_k)^2.
+The generator's scramble U, once per instance and not triangular, is
+four full products in apply_unimodular: U^-1 A U as det(U) adj(U) A U,
+with no division, and U^T E U.
 Everything is a pure function on immutable integer values. A kernel is
 its pair (basis, den), which the step record holds as it is and replay
 compares as integers; only formats spells it as rationals. Kernels given
@@ -56,9 +57,9 @@ polarization's elementary divisors (c, c, pf/c, pf/c)
 change_basis, apply_unimodular and twist_by_element carry it by
 identity, each stated once (det(B) pf / gram_den^2, det(U) pf, and
 norm(el) pf / den^2 with the norm from the caller), and the order
-enlargement keeps it; with enlarge_basis they are the only builders of
-a moved surface's gram, none recomputes the pfaffian, and no move
-re-checks its degree. validate checks the minimal polynomial as
+enlargement keeps it; with the enlargement's one descend_gram they are
+the only builders of a moved surface's gram, none recomputes the
+pfaffian, and no move re-checks its degree. validate checks the minimal polynomial as
 A^2 = tA - n, one tuple comparison of the one product A^2 with tA - n
 written out, and the symmetry A^T E = E A from the one product E A,
 which must be alternating; its verdict is kept on the surface the same
@@ -230,63 +231,24 @@ def change_basis(
     """(action, gram, pf) of the surface in the basis given by the columns
     of basis, a lower-triangular integer matrix with a positive diagonal (a
     column Hermite form, as every kernel and hyperplane basis is), with the
-    gram divided by gram_den: basis^-1 A basis, basis^T E basis / gram_den,
-    both on integers, and that gram's pfaffian carried by identity,
-    det(basis) pf / gram_den^2. The core of rebase, and of the enlargement
-    move, whose form p^3 E on basis / p^2 is basis^T E basis / p.
+    gram divided by gram_den: basis^-1 A basis, basis^T E basis / gram_den
+    (descend_gram), both on integers, and that gram's pfaffian carried by
+    identity, det(basis) pf / gram_den^2. The core of rebase.
 
     The new action M solves basis M = A basis, one row at a time by forward
     substitution: row i is row i of A basis, less b_ik times each row k < i
     of M, divided exactly by b_ii; det(basis) is the diagonal's product.
-    The surface's gram must be alternating, as on every validated surface:
-    only the six pairings above the diagonal are computed, from columns
-    1-3 of E basis, and each is tested for divisibility by gram_den and
-    divided in place; the entries below the diagonal are their negatives.
-    Every product (E basis, the pairings, A basis) is written out without
-    the entries known to be zero: basis's above its diagonal and E's on
-    its diagonal. Raises PreconditionError for any other basis; then
-    DescentError, naming the first pairing that gram_den does not divide
-    in row order of the full form; then PreconditionError when the action
-    does not preserve the lattice. The gram is checked first, so a
-    DescentError means exactly that the form does not descend.
+    Raises PreconditionError for any other basis; then descend_gram's
+    DescentError; then PreconditionError when the action does not
+    preserve the lattice. The gram is checked first, so a DescentError
+    means exactly that the form does not descend.
     """
     (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = basis
     if b01 or b02 or b03 or b12 or b13 or b23 or min(b00, b11, b22, b33) <= 0:
         raise PreconditionError(
             "a change of basis needs a lower-triangular basis with a positive diagonal"
         )
-    # E B, columns 1-3 only (the pairings read no other), without B's zeros
-    # and E's zero diagonal
-    (_, e01, e02, e03), (e10, _, e12, e13), (e20, e21, _, e23), (e30, e31, e32, _) = surface.gram
-    y01 = e01 * b11 + e02 * b21 + e03 * b31
-    y11 = e12 * b21 + e13 * b31
-    y21 = e21 * b11 + e23 * b31
-    y31 = e31 * b11 + e32 * b21
-    y02 = e02 * b22 + e03 * b32
-    y12 = e12 * b22 + e13 * b32
-    y22 = e23 * b32
-    y32 = e32 * b22
-    y03, y13, y23 = e03 * b33, e13 * b33, e23 * b33
-    # the six pairings above the diagonal of B^T (E B), without B's zeros
-    g01 = b00 * y01 + b10 * y11 + b20 * y21 + b30 * y31
-    g02 = b00 * y02 + b10 * y12 + b20 * y22 + b30 * y32
-    g03 = b00 * y03 + b10 * y13 + b20 * y23
-    g12 = b11 * y12 + b21 * y22 + b31 * y32
-    g13 = b11 * y13 + b21 * y23
-    g23 = b22 * y23
-    d = gram_den
-    if g01 % d or g02 % d or g03 % d or g12 % d or g13 % d or g23 % d:
-        # the first in row order of the full form, whose entries below the
-        # diagonal are the negatives of those above
-        pairings = (0, 1, g01), (0, 2, g02), (0, 3, g03), (1, 2, g12), (1, 3, g13), (2, 3, g23)
-        for i, j, g in pairings:
-            if g % d:
-                raise DescentError(
-                    "polarization does not descend: pairing of overlattice "
-                    f"generators {i} and {j} is {rational_text(g, d)}, not integral"
-                )
-    g01, g02, g03, g12, g13, g23 = g01 // d, g02 // d, g03 // d, g12 // d, g13 // d, g23 // d
-    gram = (0, g01, g02, g03), (-g01, 0, g12, g13), (-g02, -g12, 0, g23), (-g03, -g13, -g23, 0)
+    gram = descend_gram(surface.gram, basis, gram_den)
     # A B, without B's zeros
     (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = (
         surface.action
@@ -325,7 +287,52 @@ def change_basis(
         x32 - b30 * m02 - b31 * m12 - b32 * m22,
         x33 - b30 * m03 - b31 * m13 - b32 * m23,
     )
+    d = gram_den
     return (m0, m1, m2, m3), gram, b00 * b11 * b22 * b33 * surface.pf // (d * d)
+
+
+def descend_gram(gram: IntMat, basis: IntMat, den: int) -> IntMat:
+    """basis^T gram basis / den for an alternating gram (as on every
+    validated surface) and a lower-triangular basis: change_basis's gram,
+    and the order enlargement's, once on the product of its bases. Only
+    the six pairings above the diagonal are computed (from columns 1-3 of
+    gram basis) and divided; the entries below are their negatives.
+    Raises DescentError, naming the first pairing that den does not
+    divide in row order of the full form.
+    """
+    (b00, _, _, _), (b10, b11, _, _), (b20, b21, b22, _), (b30, b31, b32, b33) = basis
+    # E B, columns 1-3 only (the pairings read no other), without B's zeros
+    # and E's zero diagonal
+    (_, e01, e02, e03), (e10, _, e12, e13), (e20, e21, _, e23), (e30, e31, e32, _) = gram
+    y01 = e01 * b11 + e02 * b21 + e03 * b31
+    y11 = e12 * b21 + e13 * b31
+    y21 = e21 * b11 + e23 * b31
+    y31 = e31 * b11 + e32 * b21
+    y02 = e02 * b22 + e03 * b32
+    y12 = e12 * b22 + e13 * b32
+    y22 = e23 * b32
+    y32 = e32 * b22
+    y03, y13, y23 = e03 * b33, e13 * b33, e23 * b33
+    # the six pairings above the diagonal of B^T (E B), without B's zeros
+    g01 = b00 * y01 + b10 * y11 + b20 * y21 + b30 * y31
+    g02 = b00 * y02 + b10 * y12 + b20 * y22 + b30 * y32
+    g03 = b00 * y03 + b10 * y13 + b20 * y23
+    g12 = b11 * y12 + b21 * y22 + b31 * y32
+    g13 = b11 * y13 + b21 * y23
+    g23 = b22 * y23
+    d = den
+    if g01 % d or g02 % d or g03 % d or g12 % d or g13 % d or g23 % d:
+        # the first in row order of the full form, whose entries below the
+        # diagonal are the negatives of those above
+        pairings = (0, 1, g01), (0, 2, g02), (0, 3, g03), (1, 2, g12), (1, 3, g13), (2, 3, g23)
+        for i, j, g in pairings:
+            if g % d:
+                raise DescentError(
+                    "polarization does not descend: pairing of overlattice "
+                    f"generators {i} and {j} is {rational_text(g, d)}, not integral"
+                )
+    g01, g02, g03, g12, g13, g23 = g01 // d, g02 // d, g03 // d, g12 // d, g13 // d, g23 // d
+    return (0, g01, g02, g03), (-g01, 0, g12, g13), (-g02, -g12, 0, g23), (-g03, -g13, -g23, 0)
 
 
 def _pivots_first(i: int, j: int):
@@ -344,27 +351,25 @@ _PIVOTS_FIRST = {
 }
 
 
-def enlarge_basis(surface: PolarizedRMSurface, basis: IntMat, p: int) -> tuple[IntMat, IntMat]:
-    """(action, gram) of the order enlargement at p: basis^-1 A basis / p
-    and basis^T E basis / p, for basis the Hermite form of a rank-2 kernel
-    mod p (intmat.hnf_mod_p_rank2) and E alternating. This is
-    change_basis(surface, basis, p) with the action then divided by p,
-    in block form, and the pfaffian is the surface's: det(basis) = p^2.
+def enlarge_basis(action: IntMat, basis: IntMat, p: int) -> IntMat:
+    """basis^-1 action basis / p, the action after the order enlargement
+    at p, for basis the Hermite form of a rank-2 kernel mod p
+    (intmat.hnf_mod_p_rank2): change_basis's action on that basis, then
+    divided by p, in block form. The gram is not changed here: the
+    enlargement descends it once, on the composite of its bases
+    (descend_gram).
 
     With the pivots i < j put first and the other two k < l after them,
     basis is B = L D for L = [[I, 0], [N, I]] and D = diag(1, 1, p, p), N
     the pivot columns' entries at k and l, and L^-1 = [[I, 0], [-N, I]].
     So A = [[P, Q], [R, S]] in that order becomes
     [[(P + Q N) / p, Q], [(R + S N - N (P + Q N)) / p^2, (S - N Q) / p]]
-    (32 products), with no forward substitution. Of B^T E B / p only the
-    pivot pairing is divided (six products); a pivot's pairings with k
-    and l are those of L^T E L (four products), and theirs is p E_kl. The
-    result is read back into the order 0, 1, 2, 3. 17 divisibility tests
-    check it, where change_basis and the division by p make 38.
+    (32 products), with no forward substitution, read back into the order
+    0, 1, 2, 3. 16 divisibility tests check it, where change_basis and the
+    division by p make 32.
 
-    Checks what change_basis and the division by p check, in their order:
-    DescentError with change_basis's text when p does not divide the
-    pivot pairing; PreconditionError when R + S N - N (P + Q N) is not 0
+    Checks what change_basis's action and the division by p check, in
+    their order: PreconditionError when R + S N - N (P + Q N) is not 0
     mod p, as then the action does not preserve the lattice; then
     InvariantBreach when the new action is not divisible by p.
     """
@@ -373,19 +378,6 @@ def enlarge_basis(surface: PolarizedRMSurface, basis: IntMat, p: int) -> tuple[I
     ]
     bk, bl = basis[k], basis[l]
     n00, n01, n10, n11 = bk[i], bk[j], bl[i], bl[j]
-    gram, action = surface.gram, surface.action
-    ei, ej, ek, el = gram[i], gram[j], gram[k], gram[l]
-    e01, e02, e03, e12, e13, e21, e23, e31 = ei[j], ei[k], ei[l], ej[k], ej[l], ek[j], ek[l], el[j]
-    g01 = e01 + n01 * e02 + n11 * e03 + n00 * (e21 + n11 * e23) + n10 * (e31 - n01 * e23)
-    if g01 % p:
-        raise DescentError(
-            "polarization does not descend: pairing of overlattice "
-            f"generators {i} and {j} is {rational_text(g01, p)}, not integral"
-        )
-    g01 //= p
-    g02, g03, g12, g13, g23 = (
-        e02 - n10 * e23, e03 + n00 * e23, e12 - n11 * e23, e13 + n01 * e23, p * e23
-    )
     ai, aj, ak, al = action[i], action[j], action[k], action[l]
     p00, p01, q00, q01 = ai[i], ai[j], ai[k], ai[l]
     p10, p11, q10, q11 = aj[i], aj[j], aj[k], aj[l]
@@ -413,13 +405,7 @@ def enlarge_basis(surface: PolarizedRMSurface, basis: IntMat, p: int) -> tuple[I
         z00 // p, z01 // p, w00 // p, w01 // p,
         z10 // p, z11 // p, w10 // p, w11 // p,
     ))
-    g = unpermute((
-        0, g01, g02, g03,
-        -g01, 0, g12, g13,
-        -g02, -g12, 0, g23,
-        -g03, -g13, -g23, 0,
-    ))
-    return (m[:4], m[4:8], m[8:12], m[12:]), (g[:4], g[4:8], g[8:12], g[12:])
+    return m[:4], m[4:8], m[8:12], m[12:]
 
 
 def _exact_row(d: int, y0: int, y1: int, y2: int, y3: int) -> IntVec:

@@ -25,7 +25,8 @@ from rmlattice.formats import parse_certificate, serialize_certificate, serializ
 from rmlattice.generator import generate_instance
 from rmlattice.oracle import verify_certificate
 from rmlattice.isogeny import CertificateData
-from rmlattice.reduction import enlarge_order_step, reduce_degree_step
+from rmlattice.reduction import reduce_degree_step
+from test_enlargement import enlarge_order_step
 
 SQUAREFREE_D = [D for D in range(2, 201) if is_squarefree(D)]
 CONDUCTORS = [1, 3, 5, 7, 9, 15]

@@ -173,7 +173,7 @@ def test_each_outcome_of_the_reference_is_reached():
     s = generate_instance(5, 9, [11], 1)
     line = intmat.hnf_mod_p([(1, 0, 0, 0)], 3)  # Z e_0 + 3 Z^4
     cases = {
-        "descends": (s, enlargement_kernel(s, 3).basis, 3),
+        "descends": (s, enlargement_kernel(s.action, 3).basis, 3),
         "does not descend": (s, line, 9),
         "not preserved": (s, line, 1),
     }

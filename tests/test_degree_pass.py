@@ -28,7 +28,6 @@ from rmlattice import (
     degree,
     eigen_sublattice_pullback,
     element_action,
-    enlarge_order_step,
     factor_prime,
     make_order,
     principalize,
@@ -44,6 +43,7 @@ from rmlattice.formats import serialize_certificate, serialize_instance
 from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import CertificateData, IsogenyStep
 from rmlattice.surface import apply_unimodular, canonicalize_orientation
+from test_enlargement import enlarge_order_step
 from test_intmat_oracles import div_exact
 
 

@@ -18,7 +18,6 @@ from sympy.matrices.normalforms import smith_normal_form
 from rmlattice import (
     degree,
     eigen_sublattice_pullback,
-    enlarge_order_step,
     make_order,
     principalize,
     standard_instance,
@@ -41,6 +40,7 @@ from rmlattice.generator import generate_instance, random_unimodular
 from rmlattice.isogeny import IsogenyStep
 from rmlattice.oracle import verify_certificate
 from rmlattice.surface import apply_unimodular
+from test_enlargement import enlarge_order_step
 
 
 # ---------------------------------------------------------------------------

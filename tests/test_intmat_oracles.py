@@ -519,6 +519,18 @@ def test_mat_mul_matches_the_generic_product(a, b):
     assert intmat.mat_mul(a, b) == mat_mul(a, b)
 
 
+def _lower(m):
+    """m with its entries above the diagonal set to zero."""
+    return tuple(tuple(x if c <= r else 0 for c, x in enumerate(row)) for r, row in enumerate(m))
+
+
+@KERNEL
+@given(MATRICES, MATRICES)
+def test_the_lower_triangular_product_is_the_generic_product(a, b):
+    a, b = _lower(a), _lower(b)
+    assert intmat.lower_mat_mul(a, b) == mat_mul(a, b)
+
+
 @KERNEL
 @given(MATRICES, st.tuples(BIG, BIG, BIG, BIG))
 def test_mat_vec_matches_the_generic_product(a, v):

@@ -18,7 +18,6 @@ from rmlattice import (
     descend_polarization,
     divide_by_symmetric,
     eigen_sublattice_pullback,
-    enlarge_order_step,
     factor_prime,
     make_order,
     splitting_type,
@@ -38,6 +37,7 @@ from rmlattice.surface import (
 from rmlattice.generator import _raise_degree, generate_instance, random_unimodular
 from rmlattice.quadratic import SPLIT, prime_norm
 from rmlattice.surface import apply_unimodular
+from test_enlargement import enlarge_order_step
 from test_intmat_oracles import (
     hnf_column_basis,
     inverse,

@@ -27,7 +27,8 @@ from rmlattice.oracle import (
     verify_certificate,
 )
 from rmlattice.isogeny import CertificateData
-from rmlattice.reduction import enlarge_order_step, reduce_degree_step
+from rmlattice.reduction import reduce_degree_step
+from test_enlargement import enlarge_order_step
 from test_intmat_oracles import inv_mod_p, overlattice
 
 

@@ -12,7 +12,6 @@ from rmlattice import (
     PreconditionError,
     are_associates_in_maximal,
     bezout_conductor,
-    enlarge_order_step,
     factor_prime,
     fundamental_unit,
     humbert_holds,
@@ -29,6 +28,7 @@ from rmlattice.arith import factorize, int_text
 from rmlattice.generator import generate_instance
 from rmlattice.oracle import check_symmetric_rank_even, verify_certificate
 from rmlattice.quadratic import OrderElement
+from test_enlargement import enlarge_order_step
 from test_numtheory_oracles import embeds_above_one
 
 

@@ -17,7 +17,6 @@ from rmlattice import (
     PreconditionError,
     degree,
     eigen_sublattice_pullback,
-    enlarge_order_step,
     factor_prime,
     make_order,
     principalize,
@@ -51,6 +50,7 @@ from rmlattice.surface import (
     kernel_from_subspace,
     polarization_kernel_mod_p,
 )
+from test_enlargement import enlarge_order_step
 from test_intmat_oracles import overlattice, scalar_mul, snf_with_transforms
 
 
