@@ -27,18 +27,34 @@ missing key is a ValueError naming the object, and so is a key that appears
 twice in one object. Text nested too deeply for the JSON decoder is a
 ValueError too, not a RecursionError.
 
+A text is read with the plain JSON decoder, which has no per-object hook
+and keeps a repeated key's last value, and the record is kept only when
+its build succeeds and the text holds exactly as many colons as the record
+has members: 6 for an instance (its four and the order's two), 9 + 8 per
+step for a certificate. Every member holds exactly one colon outside
+strings and nothing else outside strings holds one, so the text holds at
+least as many colons as members; it holds at least as many members as the
+decoder kept, and the build has checked every object the decoder kept.
+Equality therefore proves that no key repeated. Any other text, and any
+text holding "-0", goes through the decoder with the duplicate-key hook
+(_load), which refuses it with the message it always gave; a colon inside
+a string only costs a second decode.
+
 An instance is written as one %-format of a template built at import, its
 32 matrix entries by repr when all lie below 2^53 in magnitude and by
 _int_token otherwise; a matrix whose entries are all such ints is read in
 one C-level pass (the set of entry types, min and max), any other entry by
-entry. A step is written as one %-format of a template built from
-IsogenyStep._fields, and its kernel, the integer pair (basis, den) of
-surface.KernelSubgroup, as one of a 16-slot template: entry x is the text
-of x/den in lowest terms, whose token is kept in a bounded memo on
-(x, den) (_kernel_token), as a kernel's few Hermite residues recur from
-step to step. A step is read with one comparison of its keys against the
-field names, and its fields are set through the slot setters, without a
-keyword dict.
+entry. A step is written and read by two straight-line defs generated
+from _STEP_FIELDS at import (_step_codec), which inline each field's
+common case, an int below 2^53 in magnitude or a str, and pass every other
+value to the table's writer or reader. It is written as one %-format of a
+template built from IsogenyStep._fields, and its kernel, the integer pair
+(basis, den) of surface.KernelSubgroup, as one of a 16-slot template:
+entry x is the text of x/den in lowest terms, whose token is kept in a
+bounded memo on (x, den) (_kernel_token), as a kernel's few Hermite
+residues recur from step to step. A step is read with one comparison of
+its keys against the field names, and its fields are set through the slot
+setters, without a keyword dict.
 
 A kernel is read back as a pair: den is the lcm of its entries'
 denominators, which is the den of every kernel the pipeline records (each
@@ -233,11 +249,16 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-# One decoder for every parse: json.loads with a hook builds a new one per call.
+# The decoders, built once: json.loads with a hook builds a new one per call.
+# _JSON refuses a repeated key; _PLAIN keeps its last value.
 _JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_PLAIN = json.JSONDecoder()
 # A JSON string, matched whole so that the scan skips what it holds, or an
 # unquoted number -0, which the decoder would read as 0.
 _STRING_OR_MINUS_ZERO = re.compile(r'"(?:[^"\\]|\\.)*"|-0(?![0-9.eE/])')
+# "-0" anywhere; a compiled search skips to each "-" and finds it in about
+# a third of the time `"-0" in text` takes on a certificate
+_ANY_MINUS_ZERO = re.compile("-0")
 
 
 def _load(text: str):
@@ -250,6 +271,23 @@ def _load(text: str):
         raise ValueError(f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise ValueError("malformed JSON: arrays or objects nested too deeply") from None
+
+
+def _parse(text: str, build, members):
+    """build(_load(text)), taken from the plain decoder when that is proven
+    the same: the text holds no "-0", the build succeeds, and the text holds
+    exactly members(record) colons, the members its objects must have. Every
+    member holds one colon outside strings, so a repeated key or a colon in
+    a string makes the count larger. Any other text goes through _load."""
+    if _ANY_MINUS_ZERO.search(text) is None:
+        try:
+            record = build(_PLAIN.decode(text))
+        except (ValueError, RecursionError):
+            pass  # _load refuses it, with a repeated key first
+        else:
+            if text.count(":") == members(record):
+                return record
+    return build(_load(text))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +336,12 @@ def serialize_instance(surface: PolarizedRMSurface) -> str:
     return text
 
 
+# an instance's members: its four and the order's two
+_INSTANCE_MEMBERS = 6
+
+
 def parse_instance(text: str) -> PolarizedRMSurface:
-    return _instance_from_obj(_load(text))
+    return _parse(text, _instance_from_obj, lambda surface: _INSTANCE_MEMBERS)
 
 
 # ---------------------------------------------------------------------------
@@ -335,32 +377,58 @@ _STEP_FIELDS = {
     "t": (_int_token, _decode_int),
     "branch": (encode_basestring, _decode_str),
 }
-_STEP_TEXT = _object([(name, "%s") for name in IsogenyStep._fields], "    ")
-_STEP_VALUES = attrgetter(*IsogenyStep._fields)
-_STEP_ITEMS = itemgetter(*IsogenyStep._fields)
-_STEP_WRITERS = tuple(_STEP_FIELDS[name][0] for name in IsogenyStep._fields)
-# (slot setter, reader, nullable) per field: an optional field, whose default
-# is None, reads null as None
-_STEP_READERS = tuple(
-    (set_field, _STEP_FIELDS[name][1], name in IsogenyStep._optional)
-    for set_field, name in zip(IsogenyStep._setters, IsogenyStep._fields)
-)
 
 
-def _step_text(s: IsogenyStep) -> str:
-    return _STEP_TEXT % tuple(
-        ["null" if v is None else write(v) for write, v in zip(_STEP_WRITERS, _STEP_VALUES(s))]
+def _step_codec():
+    """_step_text and _step_from_obj, built from _STEP_FIELDS once, as
+    Record.__init_subclass__ builds __init__: one generated straight-line
+    def each. A field's common case is inline, an int below 2^53 in
+    magnitude (which %s writes as repr does) or a str; None is written as
+    null and read from null for an optional field, whose default is None;
+    every other value goes through the table's writer or reader. A step is
+    read through the slot setters, as pickle rebuilds a Record."""
+    names = IsogenyStep._fields
+    namespace = {
+        "_BIG": _BIG,
+        "_TEXT": _object([(name, "%s") for name in names], "    "),
+        "_get": attrgetter(*names),
+        "_items": itemgetter(*names),
+        "_KEYS": _STEP_FIELDS.keys(),
+        "_FIELDS": names,
+        "_values": _values,
+        "_new": object.__new__,
+        "IsogenyStep": IsogenyStep,
+    }
+    tokens, sets = [], []
+    for name, set_field in zip(names, IsogenyStep._setters):
+        write, read = _STEP_FIELDS[name]
+        namespace.update({f"_write_{name}": write, f"_read_{name}": read, f"_set_{name}": set_field})
+        small = f"type({name}) is int and -_BIG < {name} < _BIG"
+        token = f'"null" if {name} is None else _write_{name}({name})'
+        if write is _int_token:
+            token = f"{name} if {small} else {token}"
+        value = f"_read_{name}({name})"
+        if name in IsogenyStep._optional:
+            value = f"None if {name} is None else {value}"
+        if read is _decode_int:
+            value = f"{name} if {small} else {value}"
+        elif read is _decode_str:
+            value = f"{name} if type({name}) is str else {value}"
+        tokens.append(f"\n        {token},")
+        sets.append(f"\n    _set_{name}(step, {value})")
+    fields = ", ".join(names)
+    exec(
+        f"def _step_text(s):\n    {fields} = _get(s)\n    return _TEXT % ({''.join(tokens)}\n    )\n"
+        "def _step_from_obj(obj, i):\n"
+        "    if not isinstance(obj, dict) or obj.keys() != _KEYS:\n"
+        "        _values(obj, f'step {i}', _FIELDS)  # raises, naming the keys\n"
+        f"    {fields} = _items(obj)\n    step = _new(IsogenyStep){''.join(sets)}\n    return step\n",
+        namespace,
     )
+    return namespace["_step_text"], namespace["_step_from_obj"]
 
 
-def _step_from_obj(obj, i: int) -> IsogenyStep:
-    if not isinstance(obj, dict) or obj.keys() != _STEP_FIELDS.keys():
-        _values(obj, f"step {i}", IsogenyStep._fields)  # raises, naming the keys
-    # built field by field through the slot setters, as pickle rebuilds a Record
-    step = object.__new__(IsogenyStep)
-    for (set_field, read, nullable), v in zip(_STEP_READERS, _STEP_ITEMS(obj)):
-        set_field(step, None if v is None and nullable else read(v))
-    return step
+_step_text, _step_from_obj = _step_codec()
 
 
 def serialize_certificate(cert: CertificateData) -> str:
@@ -376,10 +444,8 @@ def serialize_certificate(cert: CertificateData) -> str:
     ) + "\n"
 
 
-def parse_certificate(text: str) -> CertificateData:
-    seed_obj, steps_obj, final_obj = _values(
-        _load(text), "certificate", ("seed", "steps", "final")
-    )
+def _certificate_from_obj(obj) -> CertificateData:
+    seed_obj, steps_obj, final_obj = _values(obj, "certificate", ("seed", "steps", "final"))
     if not isinstance(steps_obj, list):
         raise ValueError("certificate steps must be an array")
     steps = tuple(map(_step_from_obj, steps_obj, range(len(steps_obj))))
@@ -390,3 +456,12 @@ def parse_certificate(text: str) -> CertificateData:
             f"seed is {int_text(seed)}; the deterministic pipeline always writes seed 0"
         )
     return CertificateData(steps=steps, final=final)
+
+
+def _certificate_members(cert: CertificateData) -> int:
+    """A certificate's three members, its final instance's and its steps'."""
+    return 3 + _INSTANCE_MEMBERS + len(_STEP_FIELDS) * len(cert.steps)
+
+
+def parse_certificate(text: str) -> CertificateData:
+    return _parse(text, _certificate_from_obj, _certificate_members)

@@ -76,9 +76,9 @@ def generate_instance(
     (for example for an inert prime, which no valid instance can carry in
     its degree).
     """
+    order = make_order(D, conductor)  # refuses a conductor below 1 first
     if conductor % 2 == 0:
         raise PreconditionError("conductor must be odd")
-    order = make_order(D, conductor)
     maximal = make_order(D, 1)
     primes = list(degree_primes)
     for p in primes:

@@ -542,6 +542,25 @@ def test_codec_round_trips_with_the_digit_limit_off():
     assert inst_back == start and cert_back == cert
 
 
+def _repeated(member: str) -> str:
+    """A pipeline certificate's text with one member written twice in a row,
+    with the same value: the plain JSON decoder keeps a valid record, and
+    only the colon count tells the two texts apart."""
+    text = serialize_certificate(principalize(generate_instance(5, 3, [11], seed=42))[1])
+    start = text.index(member)
+    end = text.index("\n", start)
+    if text[end - 1] != ",":  # the member's value spans lines: up to its closing line
+        indent = text[text.rindex("\n", 0, start) + 1:start]
+        end = text.index("\n" + indent + '"', start)
+    twice = text[:end] + "\n" + text[text.rindex("\n", 0, start) + 1:end] + text[end:]
+    assert twice != text
+    return twice
+
+
+_STEP_KEYS = "kind, prime, kernel_overlattice, alpha, degree_before, degree_after, t, branch"
+_INSTANCE_KEYS = "order, omega_action, gram, format_version"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -550,9 +569,31 @@ def test_codec_round_trips_with_the_digit_limit_off():
             '{"b": [{"c": 1, "d": 2, "c": 3}]}',
             "duplicate key 'c' in the JSON object with keys c, d",
         ),
+        pytest.param(
+            _repeated('"seed": 0,'),
+            "duplicate key 'seed' in the JSON object with keys seed, steps, final",
+            id="certificate seed",
+        ),
+        pytest.param(
+            _repeated('"prime": 3,'),
+            f"duplicate key 'prime' in the JSON object with keys {_STEP_KEYS}",
+            id="certificate step prime",
+        ),
+        pytest.param(
+            _repeated('"gram": ['),
+            f"duplicate key 'gram' in the JSON object with keys {_INSTANCE_KEYS}",
+            id="certificate final gram",
+        ),
+        pytest.param(
+            _repeated('"D": 5,'),
+            "duplicate key 'D' in the JSON object with keys D, conductor",
+            id="certificate order D",
+        ),
     ],
 )
 def test_duplicate_keys_are_refused_with_the_key(text, message):
-    with pytest.raises(ValueError) as info:
-        parse_instance(text)
-    assert str(info.value) == message
+    # either reader refuses the key before it looks at the object it is in
+    for parse in (parse_instance, parse_certificate):
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert str(info.value) == message

@@ -508,6 +508,16 @@ def test_cli_generate_rejects_even_conductor(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: conductor must be odd\n")
 
 
+@pytest.mark.parametrize("conductor", ["0", "-2", "-3"])
+def test_cli_generate_checks_the_conductor_range_before_its_parity(conductor, tmp_path, capsys):
+    # 0 and -2 were refused as "conductor must be odd", -3 by its range
+    code = main([
+        "generate", "--D", "5", "--conductor", conductor, "-o", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: conductor must be >= 1, got {conductor}\n")
+
+
 def test_cli_principalize_refuses_and_info_reads_an_even_conductor(tmp_path, capsys):
     # principalize refuses an even conductor before any unit is computed;
     # info computes none and prints the instance

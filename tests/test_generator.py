@@ -104,9 +104,9 @@ def _reference_raise_degree(surface, p: int, rng: random.Random):
 
 def reference_generate_instance(D: int, conductor: int, degree_primes, seed: int):
     """generate_instance as written before its fast paths."""
+    order = make_order(D, conductor)
     if conductor % 2 == 0:
         raise PreconditionError("conductor must be odd")
-    order = make_order(D, conductor)
     maximal = make_order(D, 1)
     primes = list(degree_primes)
     for p in primes:

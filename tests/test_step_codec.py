@@ -36,6 +36,7 @@ from rmlattice.formats import (
 from rmlattice.arith import _text_int, int_text, rational_text
 from rmlattice.generator import generate_instance
 from rmlattice.isogeny import CertificateData, IsogenyStep
+from rmlattice.oracle import verify_certificate
 from rmlattice.reduction import principalize
 from rmlattice.surface import KernelSubgroup
 
@@ -289,6 +290,103 @@ def test_a_duplicate_step_key_is_refused_as_the_reference_refuses_it():
     message = _refusal(parse_certificate, twice)
     assert message == _refusal(reference_parse_certificate, twice)
     assert message.startswith("duplicate key 'prime'")
+
+
+# ---------------------------------------------------------------------------
+# the reader without the duplicate-key hook: the same result as the
+# reference, which decodes through the hook, on every text
+# ---------------------------------------------------------------------------
+
+
+def _outcome(parse, text: str):
+    try:
+        return "read", parse(text)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+def test_a_colon_in_a_string_reads_as_the_reference_reads_it():
+    # one colon more than the members: the reader cannot tell a repeated key
+    # from it by the count, so it decodes as the reference does
+    start = generate_instance(5, 3, [11], seed=42)
+    text = serialize_certificate(principalize(start)[1])
+    odd = text.replace('"kind": "quotient"', '"kind": "a:b"', 1)
+    assert odd.count(":") == text.count(":") + 1
+    cert = parse_certificate(odd)
+    assert cert == reference_parse_certificate(odd)
+    assert cert.steps[1].kind == "a:b"
+    assert verify_certificate(start, cert) == (
+        False, "step 1 (a:b at 3): kind=a:b recorded, replay derives kind=quotient"
+    )
+
+
+def test_a_canonical_text_is_read_without_the_hook(monkeypatch):
+    def load(text):
+        raise AssertionError("decoded through the duplicate-key hook")
+
+    _, cert = principalize(generate_instance(5, 3**3 * 5, [11, 19], seed=2))
+    text = serialize_certificate(cert)
+    monkeypatch.setattr(formats, "_load", load)
+    assert parse_certificate(text) == cert
+    assert formats.parse_instance(serialize_instance(cert.final)) == cert.final
+
+
+class _Object(list):
+    """A JSON object as its list of (key, value) pairs, which may repeat a key."""
+
+
+_PAIRS = json.JSONDecoder(object_pairs_hook=_Object)
+# written as an unquoted -0, which the plain decoder reads as 0
+_MINUS_ZERO = object()
+_RETYPED = (None, True, 0, -1, 1.5, 2**53, "0", "-0", "1:2", [], [0, 0], _Object(), _MINUS_ZERO)
+
+
+def _text(value) -> str:
+    if value is _MINUS_ZERO:
+        return "-0"
+    if isinstance(value, _Object):
+        return "{" + ", ".join(json.dumps(k) + ": " + _text(v) for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    return json.dumps(value)
+
+
+def _objects(value):
+    """Every object in value, outermost first."""
+    if isinstance(value, _Object):
+        yield value
+        for _, v in value:
+            yield from _objects(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _objects(v)
+
+
+_PIPELINE_TEXT = serialize_certificate(principalize(generate_instance(5, 3, [11], seed=42))[1])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_a_mutated_certificate_reads_as_the_reference_reads_it(data):
+    # drop, repeat or retype one to three members of any object in a
+    # pipeline certificate, the repeat with the same value or another
+    root = _PAIRS.decode(_PIPELINE_TEXT)
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj = data.draw(st.sampled_from(list(_objects(root))))
+        if not obj:
+            continue
+        i = data.draw(st.integers(0, len(obj) - 1))
+        key, value = obj[i]
+        op = data.draw(st.sampled_from(("drop", "repeat", "retype")))
+        if op == "drop":
+            del obj[i]
+        elif op == "repeat":
+            again = data.draw(st.sampled_from((value, *_RETYPED)))
+            obj.insert(data.draw(st.integers(0, len(obj))), (key, again))
+        else:
+            obj[i] = (key, data.draw(st.sampled_from(_RETYPED)))
+    text = _text(root)
+    assert _outcome(parse_certificate, text) == _outcome(reference_parse_certificate, text)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ speed and pins itself to one CPU, the same one for both.
 
 Adds one run to BENCH_ab.json (or --out) at the repository root. A run
 holds base, BASE's commit, and head, this checkout's (with "-dirty" when
-src/ differs from it), the digests of both src/rmlattice/*.py, the Python
+src/ or perfbench/ differs from it), the digests of both src/rmlattice/*.py, the Python
 version, the seeds as a-b and the run length. Per workload it holds,
 under "base" and "head", whether every run of that side was correct, its
 attempted and failed operation counts summed over the seeds and the
@@ -25,6 +25,13 @@ BENCHMARK.json reads, the median and quartiles of the ratio head/base over
 the pairs, and under "base" and "head" the median and quartiles of each
 side's own values, so that a claimed gain can be checked: head's median
 should beat base's by more than base's q3 - q1.
+
+After writing the run it prints one stderr line per workload and metric:
+base's median and q3 - q1, head's median, the median ratio, pairs won and
+lost, and a verdict. "gain" means head won at least 9 in 10 pairs and its
+median beats base's by more than base's q3 - q1; "worse than bound" means
+head's median is worse than base's by more than the metric's bound in
+BENCHMARK.json, as a fraction of base's median; "within bound" is neither.
 """
 
 from __future__ import annotations
@@ -39,12 +46,11 @@ import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
-from benchlib import ROOT, add_run, identity, run_workload, seeds, spread, src_sha256
+from benchlib import PARTS, ROOT, add_run, identity, run_workload, seeds, spread, src_sha256
 
 WORKLOADS = ("pool", "conductor", "numtheory", "cli")
 # the default --seeds: ten seeds, one pair of runs each per workload
 SEEDS = "7-16"
-PARTS = ("src", "perfbench")
 
 
 def _export(base: str, into: Path) -> None:
@@ -76,6 +82,29 @@ def _compare(base: list[float], head: list[float], better: str) -> dict:
     }
 
 
+def _verdict(compared: dict, better: str, bound: float) -> str:
+    """"gain", "worse than bound" or "within bound", for a metric as _compare
+    gives it, its "better" and its bound."""
+    base, head = compared["base"], compared["head"]
+    gained = base["median"] - head["median"] if better == "lower" else head["median"] - base["median"]
+    if 10 * compared["won"] >= 9 * compared["pairs"] and gained > base["q3"] - base["q1"]:
+        return "gain"
+    if -gained > bound * base["median"]:
+        return "worse than bound"
+    return "within bound"
+
+
+def _summary(workload: str, name: str, compared: dict, better: str, bound: float) -> str:
+    """The stderr line of one workload's metric."""
+    base, head = compared["base"], compared["head"]
+    return (
+        f"{workload} {name}: base {base['median']:.4g} (q3-q1 {base['q3'] - base['q1']:.4g}),"
+        f" head {head['median']:.4g}, ratio {compared['ratio_median']:.4g},"
+        f" won {compared['won']}/{compared['pairs']} lost {compared['lost']}:"
+        f" {_verdict(compared, better, bound)}"
+    )
+
+
 def _side(runs: list[tuple[dict, dict]]) -> dict:
     """Whether every (result, record) run was correct, the summed operation
     counts and the median host_ms reading."""
@@ -102,6 +131,7 @@ def main() -> None:
         parser.error(f"--workloads must name some of {', '.join(WORKLOADS)}")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     base_commit = subprocess.run(
         ["git", "rev-parse", "--verify", "--quiet", "--short=12", f"{args.base}^{{commit}}"],
         cwd=ROOT, capture_output=True, text=True,
@@ -152,6 +182,9 @@ def main() -> None:
     }
     # keyed on its date, so every call adds a run
     add_run(args.out, run, ("date",))
+    for workload, result in results.items():
+        for name, compared in result["metrics"].items():
+            print(_summary(workload, name, compared, better[name], bound[name]), file=sys.stderr)
 
 
 if __name__ == "__main__":

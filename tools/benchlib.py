@@ -22,6 +22,8 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+# the parts of a checkout that a timing run runs
+PARTS = ("src", "perfbench")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from worker import REFERENCE_MS, host_ms  # noqa: E402
@@ -97,9 +99,9 @@ def src_sha256(root: Path) -> str:
 
 
 def identity() -> dict:
-    """The commit (with "-dirty" when src/ differs from it), a digest of
-    src/rmlattice/*.py and the Python version."""
-    dirty = git("status", "--porcelain", "--", "src") != ""
+    """The commit (with "-dirty" when src/ or perfbench/ differs from it), a
+    digest of src/rmlattice/*.py and the Python version."""
+    dirty = git("status", "--porcelain", "--", *PARTS) != ""
     return {
         "commit": git("rev-parse", "--short=12", "HEAD") + ("-dirty" if dirty else ""),
         "src_sha256": src_sha256(ROOT),
