@@ -73,7 +73,7 @@ from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring
 from math import lcm
-from operator import attrgetter, floordiv, itemgetter, mul
+from operator import attrgetter, itemgetter
 
 from .arith import _text_int, int_text, rational_text
 from .errors import PreconditionError
@@ -170,10 +170,10 @@ def _rational_parts(x) -> tuple[int, int]:
 def _kernel_of_texts(texts: tuple) -> KernelSubgroup:
     """The kernel whose 16 entries, row by row, have these texts: den is
     the lcm of their denominators and basis is den times the entries."""
-    numerators, denominators = zip(*map(_rational_parts, texts))
-    den = lcm(*denominators)
-    entries = map(mul, numerators, map(floordiv, repeat(den), denominators))
-    return KernelSubgroup(tuple(zip(entries, entries, entries, entries)), den)
+    parts = [*map(_rational_parts, texts)]
+    den = lcm(*{d for _, d in parts})
+    e = [n * (den // d) for n, d in parts]
+    return KernelSubgroup((tuple(e[:4]), tuple(e[4:8]), tuple(e[8:12]), tuple(e[12:])), den)
 
 
 def _decode_str(v) -> str:
@@ -184,13 +184,12 @@ def _decode_str(v) -> str:
 
 def _rows(obj) -> list:
     """obj, refused unless it is a 4x4 array."""
-    if (
-        type(obj) is not list
-        or [*map(type, obj)] != [list] * 4
-        or [*map(len, obj)] != [4] * 4
-    ):
-        raise ValueError("matrix must be a 4x4 array")
-    return obj
+    if type(obj) is list and len(obj) == 4:
+        r0, r1, r2, r3 = obj
+        if type(r0) is type(r1) is type(r2) is type(r3) is list:
+            if len(r0) == len(r1) == len(r2) == len(r3) == 4:
+                return obj
+    raise ValueError("matrix must be a 4x4 array")
 
 
 def _decode_matrix(obj) -> tuple:
