@@ -15,16 +15,16 @@ speed and pins itself to one CPU, the same one for both.
 
 Adds one run to BENCH_ab.json (or --out) at the repository root. A run
 holds base, BASE's commit, and head, this checkout's (with "-dirty" when
-src/ or perfbench/ differs from it), the digests of both src/rmlattice/*.py, the Python
-version, the seeds as a-b and the run length. Per workload it holds,
-under "base" and "head", whether every run of that side was correct, its
-attempted and failed operation counts summed over the seeds and the
-median host_ms of its RECORD lines; and per end-to-end metric: the pairs,
-how many of them head won and lost, as the metric's "better" in
-BENCHMARK.json reads, the median and quartiles of the ratio head/base over
-the pairs, and under "base" and "head" the median and quartiles of each
-side's own values, so that a claimed gain can be checked: head's median
-should beat base's by more than base's q3 - q1.
+src/ or perfbench/ differs from it), the digests of both
+src/rmlattice/*.py, the Python version, the seeds as a-b and the run
+length. Per workload it holds, under "base" and "head", whether every run
+of that side was correct, its attempted and failed operation counts
+summed over the seeds and the median host_ms of its RECORD lines; and per
+end-to-end metric: the pairs, how many of them head won and lost, as the
+metric's "better" in BENCHMARK.json reads, the median and quartiles of the
+ratio head/base over the pairs, and under "base" and "head" the median and
+quartiles of each side's own values, so that a claimed gain can be
+checked: head's median should beat base's by more than base's q3 - q1.
 
 After writing the run it prints one stderr line per workload and metric:
 base's median and q3 - q1, head's median, the median ratio, pairs won and

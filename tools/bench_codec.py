@@ -10,9 +10,9 @@ int/str digit limit. Every time is the median of RUNS runs, each scaled by
 the host_ms() readings around it (tools/benchlib.py); the run records the
 median reading as host_ms. Runs without host_ms were timed unscaled. The
 run records the Python version, the commit (with "-dirty" when src/
-or perfbench/ differs from it), a digest of src/rmlattice/*.py and the interpreter's
-int/str digit limit as int_max_str_digits (0 when it is off, or on a
-Python without one).
+or perfbench/ differs from it), a digest of src/rmlattice/*.py and the
+interpreter's int/str digit limit as int_max_str_digits (0 when it is
+off, or on a Python without one).
 """
 
 from __future__ import annotations
